@@ -7,7 +7,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use oneshot_vm::{CompiledProgram, CompilerOptions, Pipeline, Vm, VmConfig, VmStats};
+use oneshot_vm::{CompiledProgram, CompilerOptions, Pipeline, Vm, VmConfig};
 
 use crate::error::Error;
 use crate::job::{Admission, Job, JobHandle, JobId, JobSpec, OnComplete, OutcomeSlot};
@@ -128,7 +128,8 @@ impl PoolBuilder {
     /// Configuration for every worker's VM (resource guards, fault plan,
     /// probes, GC threshold, socket-table cap, ...). Lets a pool run with
     /// per-job heap budgets or a deterministic chaos plan. Defaults to
-    /// [`VmConfig::default`].
+    /// [`VmConfig::default`], except that a `stack` left at its default
+    /// gets the pool's small segments (see [`PoolBuilder::build`]).
     #[must_use]
     pub fn vm_config(mut self, cfg: VmConfig) -> Self {
         self.vm_config = cfg;
@@ -152,7 +153,19 @@ impl PoolBuilder {
     ///
     /// Propagates the OS error if a thread (or a reactor's wakeup pipe)
     /// cannot be created.
-    pub fn build(self) -> std::io::Result<Pool> {
+    pub fn build(mut self) -> std::io::Result<Pool> {
+        // Every parked job pins the whole segment its sealed continuation
+        // sits in, so a pool of mostly-parked handlers wants the paper's
+        // §3.4 answer: small default segments, with overflow as an
+        // implicit call/1cc for the job that does recurse deeply (the
+        // overflow hysteresis shrinks with the segment, or deep jobs would
+        // copy a quarter of every one). An embedder that tuned `stack`
+        // keeps its tuning.
+        if self.vm_config.stack == VmConfig::default().stack {
+            self.vm_config.stack.segment_slots = 512;
+            self.vm_config.stack.copy_bound = 256;
+            self.vm_config.stack.hysteresis_slots = 16;
+        }
         let injector = Arc::new(Injector::new(self.queue_capacity));
         let queues: Arc<Vec<StealQueue>> =
             Arc::new((0..self.workers).map(|_| StealQueue::default()).collect());
@@ -501,10 +514,16 @@ pub struct VmTotals {
     pub conditions_raised: u64,
     /// Deterministic faults the fault plan injected and the VM consumed.
     pub faults_injected: u64,
+    /// Code objects linked (boot libraries, one program per submitted
+    /// job, one per serve template — not one per connection).
+    pub code_objects: u64,
 }
 
 impl VmTotals {
-    pub(crate) fn add(&mut self, s: &VmStats) {
+    /// Folds in a VM incarnation that is about to be dropped.
+    pub(crate) fn add(&mut self, vm: &Vm) {
+        let s = vm.stats();
+        self.code_objects += vm.code_object_count() as u64;
         self.instructions += s.instructions;
         self.calls += s.calls;
         self.gc_collections += s.gc_collections;

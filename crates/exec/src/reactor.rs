@@ -22,16 +22,23 @@
 //!   *edge-triggered*, so a wait costs O(ready): per-wake cost stays flat
 //!   as the blocked population grows (E15 measures both curves).
 //!
-//! The edge-triggered contract: interest here is one-shot — an fd is
-//! deregistered the moment it delivers (mirroring the one-shot discipline
-//! of the continuation it wakes), and re-registered only after the
-//! resumed guest operation has retried and observed would-block again.
-//! `epoll_ctl(ADD)` reports an already-ready fd even in edge-triggered
-//! mode, so there is no lost-wakeup window between the retry and the
-//! re-registration. A wait cancelled by its deadline deregisters the fd;
-//! readiness arriving later is simply never reported — and a delivery
-//! already harvested in the same batch is defused by the worker's `seq`
-//! guard, which drops any wakeup whose generation is stale.
+//! The lifetime-registration contract (epoll): the one-shot discipline
+//! belongs to the *continuation*, not to the kernel interest set. An fd is
+//! registered once, on its first wait, for both directions edge-triggered,
+//! and never re-armed or deregistered per wait — a steady-state park costs
+//! no `epoll_ctl`. Readiness nobody waits for sets a per-fd *pending bit*
+//! (error/hangup set both); `register_io` on a pending direction clears it
+//! and delivers on the next `wait()` without blocking it. A bit can be
+//! stale — a spurious wake, which every guest I/O loop re-checks — but an
+//! edge after the guest's last would-block is never lost: it is still
+//! queued in the kernel or already a bit. A wait cancelled by its deadline
+//! leaves the fd registered, so late readiness becomes a bit, never a
+//! stale delivery (a same-batch delivery is defused by the worker's `seq`
+//! guard). The kernel drops a closed fd itself; the table entry dies with
+//! the closed-fd sweep (`cancel_fd`), which the worker runs *before* it
+//! registers a slice's wait, so a registration never meets the entry of a
+//! recycled fd number. The poll backend is level-triggered: it rescans
+//! every wait and keeps no registration or pending bits.
 //!
 //! The only cross-thread piece left is the wake pipe: the pool rings it
 //! to interrupt an idle worker's wait (new submission, accepted
@@ -81,12 +88,13 @@ pub(crate) mod sys {
     pub const EPOLLOUT: u32 = 0x004;
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
+    /// The peer shut down its write side.
+    pub const EPOLLRDHUP: u32 = 0x2000;
     /// Edge-triggered delivery: one event per readiness *edge*.
     pub const EPOLLET: u32 = 1 << 31;
 
     pub const EPOLL_CTL_ADD: i32 = 1;
     pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
     const EPOLL_CLOEXEC: i32 = 0o2000000;
 
     /// `errno` value of an interrupted syscall.
@@ -122,6 +130,13 @@ pub(crate) mod sys {
         unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) }
     }
 
+    #[cfg(test)]
+    thread_local! {
+        /// `epoll_ctl` calls this thread has made: the witness that a
+        /// steady-state park costs none.
+        pub static CTL_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
     /// An owned epoll instance; the fd is closed on drop.
     #[derive(Debug)]
     pub struct EpollFd(i32);
@@ -138,10 +153,12 @@ pub(crate) mod sys {
             }
         }
 
-        /// ADD/MOD/DEL interest in `fd`. Returns `false` on failure
-        /// (stale fd, kernel limit); callers treat a failed ADD as
-        /// instant readiness so a wait can never be silently lost.
+        /// ADD/DEL interest in `fd`. Returns `false` on failure (stale
+        /// fd, kernel limit); callers treat a failed ADD as instant
+        /// readiness so a wait can never be silently lost.
         pub fn ctl(&self, op: i32, fd: i32, events: u32) -> bool {
+            #[cfg(test)]
+            CTL_CALLS.with(|n| n.set(n.get() + 1));
             let mut ev = EpollEvent { events, data: fd as u32 as u64 };
             unsafe { epoll_ctl(self.0, op, fd, &mut ev) == 0 }
         }
@@ -279,15 +296,83 @@ struct IoWait {
     seq: u64,
 }
 
+/// The interest every fd is registered with, once, for its lifetime:
+/// both directions and peer shutdown, edge-triggered.
+const LIFETIME_INTEREST: u32 = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
+
+/// Direction bits of [`FdEntry::pending`].
+const PEND_IN: u8 = 1;
+const PEND_OUT: u8 = 2;
+
+/// One row of the fd-indexed table (fds are small dense ints).
+#[derive(Debug, Default)]
+struct FdEntry {
+    /// Whether the epoll set holds this fd (never set under poll).
+    registered: bool,
+    /// Directions whose readiness arrived while no wait wanted it.
+    pending: u8,
+    /// The first waiter, inline: a park allocates nothing.
+    first: Option<u64>,
+    /// Further waiters — a listener shared by several accepting green
+    /// threads. Empty (and unallocated) otherwise.
+    more: Vec<u64>,
+}
+
+impl FdEntry {
+    fn add(&mut self, job: u64) {
+        match self.first {
+            None => self.first = Some(job),
+            Some(_) => self.more.push(job),
+        }
+    }
+
+    fn remove(&mut self, job: u64) {
+        if self.first == Some(job) {
+            self.first = self.more.pop();
+        } else {
+            self.more.retain(|&j| j != job);
+        }
+    }
+
+    fn waiters(&self) -> impl Iterator<Item = u64> + '_ {
+        self.first.into_iter().chain(self.more.iter().copied())
+    }
+}
+
 /// Backend-specific readiness state.
 #[derive(Debug)]
 enum BackendState {
     /// The pollfd set is rebuilt from scratch every wait — poll's
-    /// O(blocked) cost model, measured by E15.
-    Poll { pollfds: Vec<sys::PollFd>, jobs: Vec<u64> },
-    /// Interest lives in the kernel; `interest` mirrors the registered
-    /// event mask per fd so multiple waits on one fd can share an entry.
-    Epoll { ep: sys::EpollFd, events: Vec<sys::EpollEvent>, interest: HashMap<i32, u32> },
+    /// O(blocked) cost model, measured by E15. `waits[i]` is the
+    /// `(job, seq)` behind `pollfds[i + 1]`.
+    Poll { pollfds: Vec<sys::PollFd>, waits: Vec<(u64, u64)> },
+    /// Interest lives in the kernel for each fd's lifetime.
+    Epoll { ep: sys::EpollFd, events: Vec<sys::EpollEvent> },
+}
+
+impl BackendState {
+    /// Fresh, empty state for `want`, falling back to poll if the kernel
+    /// refuses an epoll instance.
+    fn new(want: Backend, wake_fd: i32) -> BackendState {
+        if want == Backend::Epoll {
+            if let Some(ep) = sys::EpollFd::create() {
+                // The wake pipe is registered level-triggered (no
+                // EPOLLET): a bounded partial drain must leave it
+                // readable, or rings could be lost.
+                ep.ctl(sys::EPOLL_CTL_ADD, wake_fd, sys::EPOLLIN);
+                let events = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
+                return BackendState::Epoll { ep, events };
+            }
+        }
+        BackendState::Poll { pollfds: Vec::new(), waits: Vec::new() }
+    }
+
+    fn backend(&self) -> Backend {
+        match self {
+            BackendState::Poll { .. } => Backend::Poll,
+            BackendState::Epoll { .. } => Backend::Epoll,
+        }
+    }
 }
 
 /// One worker's reactor: every wait its blocked jobs hold, the timer
@@ -300,9 +385,12 @@ pub(crate) struct ReactorCore {
     wake_tx: Arc<UnixStream>,
     /// Outstanding fd waits, keyed by job id (one wait per job).
     io_waits: HashMap<u64, IoWait>,
-    /// fd -> jobs waiting on it (usually one; a listener shared by
-    /// several accepting green threads is the many case).
-    by_fd: HashMap<i32, Vec<u64>>,
+    /// Per-fd state, indexed by fd number: who waits on it, whether the
+    /// epoll set holds it, and its unclaimed readiness.
+    fds: Vec<FdEntry>,
+    /// Waits `(job, seq)` resolved but not yet delivered — by `register_io`
+    /// on a pending direction, or by the backend scan. One reused buffer.
+    ready: Vec<(u64, u64)>,
     /// Min-heap of I/O deadlines `(when, job, seq, is_io_timeout)`;
     /// entries are lazy — a wait delivered early leaves a stale entry
     /// that is skipped. `is_io_timeout` distinguishes the per-connection
@@ -327,7 +415,6 @@ pub(crate) struct ReactorCore {
     drop_fault: FaultClock,
     /// Reactor-side faults consumed, drained into the pool counters.
     faults_injected: u64,
-    backend: Backend,
 }
 
 impl ReactorCore {
@@ -338,30 +425,14 @@ impl ReactorCore {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        let (state, backend) = match want {
-            Backend::Epoll => match sys::EpollFd::create() {
-                Some(ep) => {
-                    // The wake pipe is registered level-triggered (no
-                    // EPOLLET): a bounded partial drain must leave it
-                    // readable, or rings could be lost.
-                    ep.ctl(sys::EPOLL_CTL_ADD, wake_rx.as_raw_fd(), sys::EPOLLIN);
-                    let events = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
-                    (BackendState::Epoll { ep, events, interest: HashMap::new() }, Backend::Epoll)
-                }
-                None => {
-                    (BackendState::Poll { pollfds: Vec::new(), jobs: Vec::new() }, Backend::Poll)
-                }
-            },
-            Backend::Poll => {
-                (BackendState::Poll { pollfds: Vec::new(), jobs: Vec::new() }, Backend::Poll)
-            }
-        };
+        let state = BackendState::new(want, wake_rx.as_raw_fd());
         Ok(ReactorCore {
             state,
             wake_rx,
             wake_tx: Arc::new(wake_tx),
             io_waits: HashMap::new(),
-            by_fd: HashMap::new(),
+            fds: Vec::new(),
+            ready: Vec::new(),
             io_deadlines: BinaryHeap::new(),
             timers: BinaryHeap::new(),
             lateness: [0; WAKE_LATENESS_BUCKETS],
@@ -370,7 +441,6 @@ impl ReactorCore {
             delay_fault: FaultClock::disarmed(),
             drop_fault: FaultClock::disarmed(),
             faults_injected: 0,
-            backend,
         })
     }
 
@@ -395,7 +465,7 @@ impl ReactorCore {
 
     /// The backend actually in use (after any fallback).
     pub(crate) fn backend(&self) -> Backend {
-        self.backend
+        self.state.backend()
     }
 
     /// A handle other threads use to interrupt this core's wait.
@@ -408,10 +478,11 @@ impl ReactorCore {
         !self.io_waits.is_empty() || !self.timers.is_empty()
     }
 
-    /// Registers an fd wait for `job`. Returns `false` if the kernel
-    /// refused the registration (stale fd, limit): the caller must treat
-    /// the job as instantly ready so the retried guest operation can
-    /// surface the real error.
+    /// Registers an fd wait for `job` (under epoll only an fd's *first*
+    /// wait reaches the kernel). Returns `false` if the kernel refused
+    /// the registration (stale fd, limit): the caller must treat the job
+    /// as instantly ready so the retried guest operation can surface the
+    /// real error.
     /// `deadline` is the job's wall-clock deadline (expiry fails the job);
     /// `io_deadline` is the per-connection I/O deadline for *this wait*
     /// (expiry resumes the guest with the catchable `io-timeout`
@@ -427,31 +498,27 @@ impl ReactorCore {
         io_deadline: Option<Instant>,
     ) -> bool {
         debug_assert!(!self.io_waits.contains_key(&job), "one wait per job");
-        if let BackendState::Epoll { ep, interest, .. } = &mut self.state {
-            let bit = if write { sys::EPOLLOUT } else { sys::EPOLLIN };
-            let ok = match interest.get(&fd) {
-                None => {
-                    if ep.ctl(sys::EPOLL_CTL_ADD, fd, bit | sys::EPOLLET) {
-                        interest.insert(fd, bit);
-                        true
-                    } else {
-                        false
-                    }
+        let Ok(idx) = usize::try_from(fd) else { return false };
+        if self.fds.len() <= idx {
+            self.fds.resize_with(idx + 1, FdEntry::default);
+        }
+        let entry = &mut self.fds[idx];
+        if let BackendState::Epoll { ep, .. } = &self.state {
+            if !entry.registered {
+                if !ep.ctl(sys::EPOLL_CTL_ADD, fd, LIFETIME_INTEREST) {
+                    return false;
                 }
-                Some(&mask) if mask & bit == 0 => {
-                    if ep.ctl(sys::EPOLL_CTL_MOD, fd, (mask | bit) | sys::EPOLLET) {
-                        interest.insert(fd, mask | bit);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                Some(_) => true,
-            };
-            if !ok {
-                return false;
+                // ADD reports an already-ready fd, so nothing is owed yet.
+                entry.registered = true;
+                entry.pending = 0;
             }
         }
+        let dir = if write { PEND_OUT } else { PEND_IN };
+        if entry.pending & dir != 0 {
+            entry.pending &= !dir;
+            self.ready.push((job, seq));
+        }
+        entry.add(job);
         if let Some(d) = deadline {
             self.io_deadlines.push(Reverse((d, job, seq, false)));
         }
@@ -463,7 +530,6 @@ impl ReactorCore {
             }
         }
         self.io_waits.insert(job, IoWait { fd, write, seq });
-        self.by_fd.entry(fd).or_default().push(job);
         true
     }
 
@@ -472,58 +538,29 @@ impl ReactorCore {
         self.timers.push(Reverse((deadline, job, seq)));
     }
 
-    /// Removes `job`'s fd wait (delivered, expired, or cancelled) and
-    /// releases its share of the kernel interest.
+    /// Removes `job`'s fd wait (delivered, expired, or cancelled). The fd
+    /// stays registered: readiness nobody waits for becomes a pending bit.
     fn remove_io(&mut self, job: u64) -> Option<IoWait> {
         let w = self.io_waits.remove(&job)?;
-        let remaining = match self.by_fd.get_mut(&w.fd) {
-            Some(jobs) => {
-                jobs.retain(|&j| j != job);
-                if jobs.is_empty() {
-                    self.by_fd.remove(&w.fd);
-                    None
-                } else {
-                    Some(&self.by_fd[&w.fd])
-                }
-            }
-            None => None,
-        };
-        if let BackendState::Epoll { ep, interest, .. } = &mut self.state {
-            match remaining {
-                None => {
-                    // One-shot interest: the fd leaves the kernel set the
-                    // moment its last wait resolves. A closed fd makes
-                    // DEL fail with EBADF, which is fine — the kernel
-                    // already dropped it.
-                    ep.ctl(sys::EPOLL_CTL_DEL, w.fd, 0);
-                    interest.remove(&w.fd);
-                }
-                Some(jobs) => {
-                    let mask = jobs
-                        .iter()
-                        .filter_map(|j| self.io_waits.get(j))
-                        .fold(0u32, |m, w| m | if w.write { sys::EPOLLOUT } else { sys::EPOLLIN });
-                    if interest.get(&w.fd) != Some(&mask) {
-                        ep.ctl(sys::EPOLL_CTL_MOD, w.fd, mask | sys::EPOLLET);
-                        interest.insert(w.fd, mask);
-                    }
-                }
-            }
+        if let Some(entry) = self.fds.get_mut(w.fd as usize) {
+            entry.remove(job);
         }
         Some(w)
     }
 
-    /// Wakes every wait registered on `fd` — the guest closed the socket
-    /// while peers were still blocked on it. The resumed retry observes
-    /// the stale token and raises the guest-level `io-error` instead of
-    /// wedging. (Under poll a closed fd also reports `POLLNVAL`; under
-    /// edge-triggered epoll the kernel silently drops interest in a
-    /// closed fd, so this explicit cancel is what keeps the two backends
-    /// observationally identical.)
+    /// The guest closed `fd`: wakes every wait registered on it — the
+    /// resumed retry observes the stale token and raises the guest-level
+    /// `io-error` instead of wedging — and clears the fd's entry, so the
+    /// next socket to get this number starts unregistered (no syscall:
+    /// the kernel drops a closed fd itself). Under poll a closed fd also
+    /// reports `POLLNVAL`; epoll reports nothing, so this cancel is what
+    /// keeps the two backends observationally identical.
     pub(crate) fn cancel_fd(&mut self, fd: i32, out: &mut Vec<Wakeup>) {
-        let Some(jobs) = self.by_fd.get(&fd) else { return };
-        for job in jobs.clone() {
-            if let Some(w) = self.remove_io(job) {
+        let Some(entry) = usize::try_from(fd).ok().and_then(|i| self.fds.get_mut(i)) else {
+            return;
+        };
+        for job in std::mem::take(entry).waiters() {
+            if let Some(w) = self.io_waits.remove(&job) {
                 out.push((job, w.seq, WakeKind::Ready));
             }
         }
@@ -531,58 +568,42 @@ impl ReactorCore {
 
     /// Drops every outstanding wait without delivering. Called on worker
     /// reset (VM rebuild): every blocked job was already failed, their
-    /// sockets died with the VM, and any late readiness would be filtered
-    /// by the seq guard anyway.
+    /// sockets are about to die with the VM — still open, so each is
+    /// deleted from the epoll set here — and any late readiness would be
+    /// filtered by the seq guard anyway.
     pub(crate) fn forget_all(&mut self) {
-        if let BackendState::Epoll { ep, interest, .. } = &mut self.state {
-            for (&fd, _) in interest.iter() {
-                ep.ctl(sys::EPOLL_CTL_DEL, fd, 0);
+        if let BackendState::Epoll { ep, .. } = &self.state {
+            for (fd, _) in self.fds.iter().enumerate().filter(|(_, e)| e.registered) {
+                ep.ctl(sys::EPOLL_CTL_DEL, fd as i32, 0);
             }
-            interest.clear();
         }
+        self.fds.clear();
         self.io_waits.clear();
-        self.by_fd.clear();
+        self.ready.clear();
         self.io_deadlines.clear();
         self.timers.clear();
         self.deferred.clear();
     }
 
     /// Rebuilds the backend readiness state from scratch — fresh epoll
-    /// instance (or empty pollfd set) with every wait forgotten — while
-    /// keeping the wake pipe, so [`WakeHandle`]s held by the pool and
-    /// acceptor threads stay valid across a worker restart. The wake pipe
-    /// is re-registered level-triggered in the new instance. Called by
-    /// the worker supervisor after a machinery panic, when the old
-    /// backend state may reference fds of the torn-down VM.
+    /// instance (or empty pollfd set), every wait forgotten — keeping the
+    /// wake pipe, so [`WakeHandle`]s held by the pool and acceptor threads
+    /// stay valid. Called by the worker supervisor after a machinery
+    /// panic, when the old state is no longer trusted.
     pub(crate) fn rebuild_backend(&mut self) {
         self.forget_all();
-        self.state = match self.backend {
-            Backend::Epoll => match sys::EpollFd::create() {
-                Some(ep) => {
-                    ep.ctl(sys::EPOLL_CTL_ADD, self.wake_rx.as_raw_fd(), sys::EPOLLIN);
-                    let events = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
-                    BackendState::Epoll { ep, events, interest: HashMap::new() }
-                }
-                None => {
-                    self.backend = Backend::Poll;
-                    BackendState::Poll { pollfds: Vec::new(), jobs: Vec::new() }
-                }
-            },
-            Backend::Poll => BackendState::Poll { pollfds: Vec::new(), jobs: Vec::new() },
-        };
+        self.state = BackendState::new(self.backend(), self.wake_rx.as_raw_fd());
     }
 
     /// The earliest deadline among timers, I/O waits, and deferred
     /// (fault-delayed) deliveries, skipping lazy (already-resolved)
     /// deadline entries.
     fn next_deadline(&mut self) -> Option<Instant> {
-        while let Some(Reverse((t, job, seq, _))) = self.io_deadlines.peek().copied() {
-            match self.io_waits.get(&job) {
-                Some(w) if w.seq == seq => break,
-                _ => {
-                    let _ = (t, self.io_deadlines.pop());
-                }
+        while let Some(&Reverse((_, job, seq, _))) = self.io_deadlines.peek() {
+            if self.io_waits.get(&job).is_some_and(|w| w.seq == seq) {
+                break;
             }
+            self.io_deadlines.pop();
         }
         let io = self.io_deadlines.peek().map(|Reverse((t, ..))| *t);
         let timer = self.timers.peek().map(|Reverse((t, ..))| *t);
@@ -592,11 +613,13 @@ impl ReactorCore {
 
     /// Blocks until readiness, a due deadline/timer, a wake-pipe ring, or
     /// `max_wait` — whichever comes first — and appends due wakeups to
-    /// `out`. `Duration::ZERO` is a nonblocking harvest. Returns the
-    /// number of wakeups delivered.
+    /// `out`. `Duration::ZERO` is a nonblocking harvest, and so is any
+    /// wait entered with a delivery already resolved. Returns the number
+    /// of wakeups delivered.
     pub(crate) fn wait(&mut self, max_wait: Duration, out: &mut Vec<Wakeup>) -> usize {
         let before = out.len();
         let now = Instant::now();
+        let max_wait = if self.ready.is_empty() { max_wait } else { Duration::ZERO };
         // Cheap fast path for the between-slices harvest: no fds to ask
         // the kernel about and no timer due yet means no syscall at all.
         if max_wait.is_zero()
@@ -616,7 +639,6 @@ impl ReactorCore {
         };
 
         let wake_fd = self.wake_rx.as_raw_fd();
-        let mut ready_jobs: Vec<u64> = Vec::new();
         let mut wake_rung = false;
         loop {
             let timeout_ms: i32 = {
@@ -636,15 +658,15 @@ impl ReactorCore {
                 continue;
             }
             let rc = match &mut self.state {
-                BackendState::Poll { pollfds, jobs } => {
+                BackendState::Poll { pollfds, waits } => {
                     // Rebuild the whole set: poll's O(blocked) per-wake cost.
                     pollfds.clear();
-                    jobs.clear();
+                    waits.clear();
                     pollfds.push(sys::PollFd { fd: wake_fd, events: sys::POLLIN, revents: 0 });
                     for (&job, w) in &self.io_waits {
                         let events = if w.write { sys::POLLOUT } else { sys::POLLIN };
                         pollfds.push(sys::PollFd { fd: w.fd, events, revents: 0 });
-                        jobs.push(job);
+                        waits.push((job, w.seq));
                     }
                     let rc = sys::poll_fds(pollfds, timeout_ms);
                     if rc > 0 {
@@ -653,15 +675,15 @@ impl ReactorCore {
                         // POLLERR/POLLHUP/POLLNVAL — wakes the job: the
                         // retried guest operation is what turns the state
                         // into data, EOF, or an io-error condition.
-                        for (i, pfd) in pollfds.iter().enumerate().skip(1) {
+                        for (pfd, &wait) in pollfds[1..].iter().zip(waits.iter()) {
                             if pfd.revents != 0 {
-                                ready_jobs.push(jobs[i - 1]);
+                                self.ready.push(wait);
                             }
                         }
                     }
                     rc
                 }
-                BackendState::Epoll { ep, events, .. } => {
+                BackendState::Epoll { ep, events } => {
                     let rc = ep.wait(events, timeout_ms);
                     if rc > 0 {
                         for ev in &events[..rc as usize] {
@@ -670,18 +692,23 @@ impl ReactorCore {
                                 wake_rung = true;
                                 continue;
                             }
+                            let Some(entry) = self.fds.get_mut(fd as usize) else { continue };
                             let bits = { ev.events };
-                            if let Some(jobs) = self.by_fd.get(&fd) {
-                                for &job in jobs {
-                                    let Some(w) = self.io_waits.get(&job) else { continue };
-                                    let want = if w.write { sys::EPOLLOUT } else { sys::EPOLLIN };
-                                    // Error/hangup count as readiness for
-                                    // every waiter regardless of direction.
-                                    if bits & (want | sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                                        ready_jobs.push(job);
-                                    }
+                            // Error/hangup count as readiness in both
+                            // directions, waited for or not.
+                            let hup = sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP;
+                            let dirs = (if bits & (sys::EPOLLIN | hup) != 0 { PEND_IN } else { 0 })
+                                | (if bits & (sys::EPOLLOUT | hup) != 0 { PEND_OUT } else { 0 });
+                            let mut claimed = 0;
+                            for job in entry.waiters() {
+                                let Some(w) = self.io_waits.get(&job) else { continue };
+                                let dir = if w.write { PEND_OUT } else { PEND_IN };
+                                if dirs & dir != 0 {
+                                    self.ready.push((job, w.seq));
+                                    claimed |= dir;
                                 }
                             }
+                            entry.pending |= dirs & !claimed;
                         }
                     }
                     rc
@@ -697,7 +724,13 @@ impl ReactorCore {
             self.drain_wake_pipe();
         }
 
-        for job in ready_jobs {
+        for i in 0..self.ready.len() {
+            let (job, seq) = self.ready[i];
+            // A wait resolved at registration may have been cancelled (or
+            // replaced) before this harvest.
+            if self.io_waits.get(&job).is_none_or(|w| w.seq != seq) {
+                continue;
+            }
             // Injected readiness faults, consulted per delivery. Drop
             // leaves the wait registered (poll redelivers on the next
             // scan; under edge-triggered epoll the edge is consumed, so
@@ -708,17 +741,15 @@ impl ReactorCore {
                 self.faults_injected += 1;
                 continue;
             }
+            self.remove_io(job);
             if self.delay_fault.tick() {
                 self.faults_injected += 1;
-                if let Some(w) = self.remove_io(job) {
-                    self.deferred.push((Instant::now() + Duration::from_millis(5), job, w.seq));
-                }
+                self.deferred.push((Instant::now() + Duration::from_millis(5), job, seq));
                 continue;
             }
-            if let Some(w) = self.remove_io(job) {
-                out.push((job, w.seq, WakeKind::Ready));
-            }
+            out.push((job, seq, WakeKind::Ready));
         }
+        self.ready.clear();
 
         let now = Instant::now();
 
@@ -823,7 +854,7 @@ mod tests {
             (&b).write_all(b"x").unwrap();
             c.wait(Duration::from_secs(10), &mut out);
             assert_eq!(out, vec![(42, 1, WakeKind::Ready)], "{}", c.backend());
-            assert!(!c.has_waits(), "interest is one-shot");
+            assert!(!c.has_waits(), "a wait is delivered once");
         }
     }
 
@@ -1183,4 +1214,220 @@ mod tests {
             assert!(out.is_empty());
         }
     }
+
+    // --- the lifetime-registration contract ---
+
+    /// A nonblocking pair whose `a` end has a full send buffer.
+    fn pair_with_full_send_buffer() -> (UnixStream, UnixStream) {
+        let (a, b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        let chunk = [0u8; 4096];
+        loop {
+            match (&a).write(&chunk) {
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => panic!("filling the send buffer: {e}"),
+            }
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn a_recycled_fd_number_registers_afresh_after_the_closed_fd_sweep() {
+        // Close-then-reopen: the kernel hands the new socket the number
+        // the closed one had. The sweep (`cancel_fd`) must have cleared
+        // the table entry, or the new wait would trust a registration the
+        // kernel dropped at close and never wake.
+        for mut c in both() {
+            let mut out = Vec::new();
+            // Other tests open fds concurrently, so the number is reused
+            // only most of the time: try until it is.
+            let reused = (0..200).any(|_| {
+                let (a, _b) = UnixStream::pair().unwrap();
+                let fd = a.as_raw_fd();
+                assert!(c.register_io(1, 1, fd, false, None, None));
+                c.wait(Duration::ZERO, &mut out); // the kernel knows the fd
+                drop(a);
+                c.cancel_fd(fd, &mut out);
+                assert_eq!(out, vec![(1, 1, WakeKind::Ready)], "{}: close wakes", c.backend());
+                out.clear();
+                let (x, y) = UnixStream::pair().unwrap();
+                if x.as_raw_fd() != fd {
+                    return false;
+                }
+                assert!(c.register_io(2, 2, fd, false, None, None));
+                c.wait(Duration::from_millis(20), &mut out);
+                assert!(out.is_empty(), "{}: the old socket owes nothing", c.backend());
+                (&y).write_all(b"x").unwrap();
+                c.wait(Duration::from_secs(10), &mut out);
+                assert_eq!(out, vec![(2, 2, WakeKind::Ready)], "{}: new socket", c.backend());
+                true
+            });
+            assert!(reused, "{}: never saw the fd number reused", c.backend());
+        }
+    }
+
+    #[test]
+    fn readiness_with_no_waiter_resolves_the_next_wait_without_a_second_edge() {
+        for mut c in both() {
+            let (a, b) = UnixStream::pair().unwrap();
+            let mut out = Vec::new();
+            assert!(c.register_io(1, 1, a.as_raw_fd(), false, None, None));
+            (&b).write_all(b"x").unwrap();
+            c.wait(Duration::from_secs(10), &mut out);
+            assert_eq!(out, vec![(1, 1, WakeKind::Ready)], "{}", c.backend());
+            out.clear();
+            // The job is mid-slice — no wait — when more data arrives and
+            // a harvest consumes the edge.
+            (&b).write_all(b"y").unwrap();
+            c.wait(Duration::from_millis(20), &mut out);
+            assert!(out.is_empty(), "{}: nobody to deliver to", c.backend());
+            // Its next wait must not need another edge, and must not
+            // block the harvest that delivers it.
+            assert!(c.register_io(1, 2, a.as_raw_fd(), false, None, None));
+            let t0 = Instant::now();
+            c.wait(Duration::from_secs(10), &mut out);
+            assert_eq!(out, vec![(1, 2, WakeKind::Ready)], "{}", c.backend());
+            assert!(t0.elapsed() < Duration::from_secs(1), "{}: blocked", c.backend());
+            assert!(!c.has_waits());
+        }
+    }
+
+    #[test]
+    fn a_write_wait_on_an_fd_first_registered_for_read_wakes_on_writability() {
+        for mut c in both() {
+            let (a, b) = pair_with_full_send_buffer();
+            let fd = a.as_raw_fd();
+            let mut out = Vec::new();
+            // First registration is for read; nothing to read.
+            assert!(c.register_io(1, 1, fd, false, None, None));
+            c.wait(Duration::from_millis(20), &mut out);
+            assert!(out.is_empty(), "{}", c.backend());
+            // A write wait on the same fd, send buffer full: no wake.
+            assert!(c.register_io(2, 1, fd, true, None, None));
+            c.wait(Duration::from_millis(20), &mut out);
+            assert!(out.is_empty(), "{}: buffer still full", c.backend());
+            // The peer drains it: the writer wakes, the reader does not.
+            b.set_nonblocking(true).unwrap();
+            let mut sink = [0u8; 65536];
+            while matches!((&b).read(&mut sink), Ok(n) if n > 0) {}
+            c.wait(Duration::from_secs(10), &mut out);
+            assert_eq!(out, vec![(2, 1, WakeKind::Ready)], "{}", c.backend());
+            assert!(c.has_waits(), "{}: the read wait stays parked", c.backend());
+        }
+    }
+
+    #[test]
+    fn deadline_cancel_then_late_readiness_then_fresh_wait_delivers_exactly_once() {
+        for mut c in both() {
+            let (a, b) = UnixStream::pair().unwrap();
+            let deadline = Instant::now() + Duration::from_millis(10);
+            assert!(c.register_io(5, 1, a.as_raw_fd(), false, Some(deadline), None));
+            let mut out = Vec::new();
+            while out.is_empty() {
+                c.wait(Duration::from_secs(10), &mut out);
+            }
+            assert_eq!(out, vec![(5, 1, WakeKind::Ready)], "{}: deadline", c.backend());
+            out.clear();
+            (&b).write_all(b"late").unwrap();
+            c.wait(Duration::from_millis(30), &mut out);
+            assert!(out.is_empty(), "{}: no stale delivery", c.backend());
+            assert!(c.register_io(5, 2, a.as_raw_fd(), false, None, None));
+            c.wait(Duration::from_secs(10), &mut out);
+            c.wait(Duration::from_millis(20), &mut out);
+            assert_eq!(out, vec![(5, 2, WakeKind::Ready)], "{}: exactly once", c.backend());
+        }
+    }
+
+    /// `cycles` park/wake cycles of job 1 on `a`, each woken by one byte
+    /// from `b` and consumed before the next.
+    fn park_wake_cycles(c: &mut ReactorCore, a: &UnixStream, b: &UnixStream, cycles: u64) {
+        let mut out = Vec::with_capacity(4);
+        let mut byte = [0u8; 1];
+        for seq in 0..cycles {
+            assert!(c.register_io(1, seq, a.as_raw_fd(), false, None, None));
+            (&*b).write_all(b"x").unwrap();
+            c.wait(Duration::from_secs(10), &mut out);
+            assert_eq!(out, [(1, seq, WakeKind::Ready)], "{} cycle {seq}", c.backend());
+            out.clear();
+            (&*a).read_exact(&mut byte).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_hundred_park_wake_cycles_on_one_fd_cost_one_epoll_ctl() {
+        let mut c = core(Backend::Epoll);
+        let (a, b) = UnixStream::pair().unwrap();
+        let before = sys::CTL_CALLS.with(std::cell::Cell::get);
+        park_wake_cycles(&mut c, &a, &b, 100);
+        let ctls = sys::CTL_CALLS.with(std::cell::Cell::get) - before;
+        assert_eq!(ctls, 1, "one ADD for the fd's lifetime, nothing per wait");
+    }
+
+    #[test]
+    fn steady_state_park_and_wake_allocate_nothing() {
+        for mut c in both() {
+            let (a, b) = UnixStream::pair().unwrap();
+            // Warm-up sizes the fd table, the wait map, and the buffers.
+            park_wake_cycles(&mut c, &a, &b, 8);
+            let before = counting_alloc::allocations();
+            park_wake_cycles(&mut c, &a, &b, 100);
+            let allocated = counting_alloc::allocations() - before;
+            // The harness itself allocates one `out` vector per call.
+            assert_eq!(allocated, 1, "{}: register_io/wait must not allocate", c.backend());
+        }
+    }
+}
+
+/// A test-only global allocator that counts each thread's allocations, so
+/// a test can assert its own code path allocated nothing while other
+/// tests run beside it. (Unit-test only: the reactor is crate-private,
+/// and `GlobalAlloc` cannot be implemented without `unsafe`.)
+#[cfg(test)]
+#[allow(unsafe_code)]
+mod counting_alloc {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count() {
+        // `try_with`: the allocator also runs during thread teardown.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    /// Allocations and reallocations the calling thread has made.
+    pub(super) fn allocations() -> u64 {
+        ALLOCATIONS.with(Cell::get)
+    }
+
+    struct Counting;
+
+    // SAFETY: every operation is forwarded unchanged to `System`, which
+    // upholds the `GlobalAlloc` contract; the added counter bump touches
+    // only a const-initialized, destructor-free thread-local, so it
+    // neither allocates nor unwinds.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: the caller's obligations are passed through as is.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` via this allocator.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            // SAFETY: `ptr` came from `System` via this allocator.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
 }

@@ -1,7 +1,7 @@
 //! The worker loop: one OS thread, one VM, many engine-fueled jobs — and,
 //! since PR 8, the worker's own reactor. A job that blocks registers its
 //! wait directly with this worker's [`ReactorCore`]; readiness is
-//! harvested between slices and turned back into an ordinary engine
+//! harvested once per ready batch and turned back into an ordinary engine
 //! resumption without ever leaving the thread.
 //!
 //! Since PR 10 the loop runs under a supervisor: the serve loop is wrapped
@@ -35,6 +35,12 @@ use crate::reactor::{ReactorCore, WakeKind, Wakeup};
 /// the reactor wait directly, and the pool rings the worker's wake pipe
 /// on submissions, accepted connections, and shutdown.
 const IDLE_WAIT: Duration = Duration::from_millis(25);
+
+/// Most slices a worker runs between two reactor harvests. A harvest
+/// covers one revolution of the ready ring (a woken job joins the back,
+/// so it could not have run sooner); this bounds the revolution, so a
+/// long ring of CPU-bound residents cannot starve I/O and timers.
+const HARVEST_EVERY_MAX: usize = 32;
 
 /// A guest panic whose message contains this marker escalates past the
 /// per-slice rebuild to the worker supervisor — the chaos suite's hook for
@@ -125,7 +131,7 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
         }
     }
 
-    report.vm.add(&host.vm().stats());
+    report.vm.add(host.vm());
     // The pool may already have given up on us (shutdown timeout); a dead
     // receiver is not our problem.
     let _ = ctx.report_tx.send(report);
@@ -147,6 +153,8 @@ fn serve(
 ) {
     let mut wakeups: Vec<Wakeup> = Vec::new();
     let mut closed_fds: Vec<i32> = Vec::new();
+    // Slices left to run before the next between-slices harvest.
+    let mut slices_to_harvest: usize = 0;
 
     loop {
         // Wakeups harvested from our reactor first: a resumed job
@@ -155,7 +163,7 @@ fn serve(
 
         // Adopt accepted connections the shared listener routed here,
         // capacity permitting: each becomes a resident handler job.
-        intake_conns(ctx, host, ready, blocked, report);
+        intake_conns(ctx, host, reactor, ready, blocked, report);
 
         // Admit at most one new job per iteration: a started job is
         // pinned to this VM, so surplus work stays in the stealable stash
@@ -165,20 +173,28 @@ fn serve(
         // in this VM's heap.
         if ready.len() + blocked.len() < ctx.cfg.resident_cap {
             if let Some(job) = acquire(ctx, report) {
-                admit(ctx, host, job, ready, blocked, report);
+                admit(ctx, host, reactor, job, ready, blocked, report);
             }
         }
 
         if let Some(active) = ready.pop_front() {
-            step_active(ctx, host, reactor, active, ready, blocked, next_seq, report);
-            // The slice may have closed sockets other green threads are
-            // still blocked on: cancel those waits so the resumed retry
-            // raises io-error instead of wedging (edge-triggered epoll
-            // would otherwise drop the interest silently).
+            let parked = step_active(ctx, host, reactor, active, ready, blocked, report);
+            // The slice may have closed sockets: cancel the waits other
+            // green threads still hold on them (the resumed retry raises
+            // io-error instead of wedging) *before* this slice's own wait
+            // registers — its fd number may be a closed one recycled.
             cancel_closed(ctx, host, reactor, &mut wakeups, &mut closed_fds);
-            // Nonblocking harvest between slices: CPU-bound residents
-            // must not starve I/O wakeups.
-            harvest(ctx, reactor, Duration::ZERO, &mut wakeups);
+            if let Some((active, wait)) = parked {
+                block_job(ctx, host, reactor, active, wait, ready, blocked, next_seq);
+            }
+            // One nonblocking harvest per ready batch, not per slice. An
+            // emptied ring needs none: the idle path below asks the
+            // reactor next, and waits there if nothing is due.
+            slices_to_harvest = slices_to_harvest.saturating_sub(1);
+            if slices_to_harvest == 0 && !ready.is_empty() {
+                harvest(ctx, reactor, Duration::ZERO, &mut wakeups);
+                slices_to_harvest = (ready.len() + wakeups.len()).min(HARVEST_EVERY_MAX);
+            }
             continue;
         }
 
@@ -189,16 +205,17 @@ fn serve(
         // before the worker may exit.
         if reactor.has_waits() {
             harvest(ctx, reactor, IDLE_WAIT, &mut wakeups);
+            slices_to_harvest = wakeups.len().min(HARVEST_EVERY_MAX);
             continue;
         }
         match ctx.injector.pop_wait(IDLE_WAIT) {
             Popped::Job(job) => {
-                admit(ctx, host, job, ready, blocked, report);
+                admit(ctx, host, reactor, job, ready, blocked, report);
             }
             Popped::TimedOut => continue,
             Popped::Drained => {
                 if let Some(job) = acquire(ctx, report) {
-                    admit(ctx, host, job, ready, blocked, report);
+                    admit(ctx, host, reactor, job, ready, blocked, report);
                     continue;
                 }
                 if !ctx.conns[ctx.index].is_empty() {
@@ -211,14 +228,10 @@ fn serve(
     }
 }
 
-/// The supervisor's restart path: a panic escaped [`serve`]. Every
-/// resident's continuation lived in the now-poisoned VM, so ready and
-/// blocked jobs are failed with the transient `WorkerReset` — submitted
-/// jobs go around the retry/backoff loop and restart on the rebuilt VM;
-/// connection-handler jobs fail outright (their socket died with the VM,
-/// there is nothing to retry against). Then VM and reactor backend are
-/// both rebuilt — the wake pipe survives, so the acceptor's and pool's
-/// existing wake handles stay valid — and serving resumes.
+/// The supervisor's restart path: a panic escaped [`serve`]. Residents
+/// are failed and the VM replaced as after any panic ([`reset_vm`]), and
+/// the reactor backend is rebuilt too — the wake pipe survives, so the
+/// acceptor's and pool's existing wake handles stay valid.
 fn supervise_restart(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
@@ -230,24 +243,34 @@ fn supervise_restart(
 ) {
     ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
     report.worker_restarts += 1;
-    let lost: Vec<(Job, u64, u64)> = ready
-        .drain(..)
-        .map(|a| (a.job, a.slices, a.fuel_used))
-        .chain(blocked.drain().map(|(_, b)| (b.active.job, b.active.slices, b.active.fuel_used)))
-        .collect();
-    for (job, slices, fuel_used) in lost {
-        // Connection handlers fail outright inside fail_or_retry: the
-        // adopted socket was in the dead VM's table (closed when the VM
-        // is dropped below, so the peer sees a reset), and there is
-        // nothing to retry against. No host here — the poisoned VM is
-        // replaced wholesale.
-        fail_or_retry(ctx, None, report, &job, slices, fuel_used, Error::worker_reset(culprit));
-    }
     reactor.rebuild_backend();
+    reset_vm(ctx, host, ready, blocked, report, culprit);
+}
+
+/// Fails every resident — ready *and* blocked — of a poisoned VM with the
+/// transient `WorkerReset`, then replaces the VM. WorkerReset is transient
+/// by definition (the lost job did nothing wrong), so with retries enabled
+/// a submitted job goes around again on the rebuilt VM; a connection
+/// handler fails outright inside `fail_or_retry` (no host is passed: its
+/// socket is closed with the rest of the old VM's table, so the peer sees
+/// a reset, and there is nothing to retry against). The caller has
+/// already made the reactor forget the old VM's still-open fds.
+fn reset_vm(
+    ctx: &WorkerCtx,
+    host: &mut EngineHost,
+    ready: &mut VecDeque<Active>,
+    blocked: &mut HashMap<u64, BlockedJob>,
+    report: &mut WorkerReport,
+    culprit: JobId,
+) {
+    for lost in ready.drain(..).chain(blocked.drain().map(|(_, b)| b.active)) {
+        let err = Error::worker_reset(culprit);
+        fail_or_retry(ctx, None, report, &lost.job, lost.slices, lost.fuel_used, err);
+    }
     // Salvage the poisoned VM's counters, then replace it wholesale; the
     // interpreter state under an unwound panic is unknown, the stats
     // fields are plain counters.
-    report.vm.add(&host.vm().stats());
+    report.vm.add(host.vm());
     *host = build_host(ctx);
     report.vm_rebuilds += 1;
     ctx.counters.vm_rebuilds.fetch_add(1, Ordering::Relaxed);
@@ -282,8 +305,9 @@ fn harvest(ctx: &WorkerCtx, reactor: &mut ReactorCore, max_wait: Duration, out: 
     }
 }
 
-/// Cancels reactor waits on any fd the guest closed during the last
-/// slice, delivering their wakeups into `out`.
+/// The closed-fd sweep: cancels reactor waits on — and forgets the
+/// reactor's entry for — any fd the guest closed since the last sweep,
+/// delivering the cancelled waits' wakeups into `out`.
 fn cancel_closed(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
@@ -359,6 +383,7 @@ fn process_wakeups(
 fn intake_conns(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
+    reactor: &mut ReactorCore,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
     report: &mut WorkerReport,
@@ -370,7 +395,7 @@ fn intake_conns(
                 ctx.counters.note_accept(ctx.index);
                 let id = (1 << 63) | ctx.next_conn.fetch_add(1, Ordering::Relaxed);
                 let job = tmpl.make_job(id, token);
-                admit(ctx, host, job, ready, blocked, report);
+                admit(ctx, host, reactor, job, ready, blocked, report);
             }
             Err(_) => {
                 // Socket table full: shed the connection (the peer sees
@@ -414,12 +439,19 @@ fn acquire(ctx: &WorkerCtx, report: &mut WorkerReport) -> Option<Job> {
 fn admit(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
+    reactor: &mut ReactorCore,
     job: Job,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
     report: &mut WorkerReport,
 ) {
-    match catch_unwind(AssertUnwindSafe(|| host.spawn_program(&job.prog))) {
+    // A connection handler's program is its serve template's, shared by
+    // every connection: linked once per VM. A submitted job's is its own.
+    let spawned = catch_unwind(AssertUnwindSafe(|| match job.conn_token {
+        Some(_) => host.spawn_shared(&job.prog),
+        None => host.spawn_program(&job.prog),
+    }));
+    match spawned {
         Ok(Ok(engine)) => {
             ready.push_back(Active { job, engine, slices: 0, fuel_used: 0, resume_status: None });
         }
@@ -431,7 +463,7 @@ fn admit(
             handle_panic(
                 ctx,
                 host,
-                None,
+                reactor,
                 &job,
                 0,
                 0,
@@ -444,8 +476,9 @@ fn admit(
     }
 }
 
-/// Runs one fuel slice of a started job.
-#[allow(clippy::too_many_arguments)]
+/// Runs one fuel slice of a started job. A job that suspended on I/O or
+/// a timer is handed back with its wait, for the caller to park once the
+/// slice's closed fds are swept.
 fn step_active(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
@@ -453,90 +486,60 @@ fn step_active(
     mut active: Active,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
-    next_seq: &mut u64,
     report: &mut WorkerReport,
-) {
-    if active.job.deadline.is_some_and(|d| d <= Instant::now()) {
-        host.drop_engine(active.engine);
-        deliver_failure_scrapping(
-            ctx,
-            Some(host),
-            report,
-            &active.job,
-            active.slices,
-            active.fuel_used,
-            Error::deadline_exceeded(),
-        );
-        return;
-    }
+) -> Option<(Active, Wait)> {
     let remaining = active.job.fuel_budget.saturating_sub(active.fuel_used);
-    if remaining == 0 {
-        host.drop_engine(active.engine);
+    let refusal = if active.job.deadline.is_some_and(|d| d <= Instant::now()) {
+        Some(Error::deadline_exceeded())
+    } else if remaining == 0 {
         ctx.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-        let err = Error::fuel_exhausted(active.job.fuel_budget, active.fuel_used);
-        deliver_failure_scrapping(
-            ctx,
-            Some(host),
-            report,
-            &active.job,
-            active.slices,
-            active.fuel_used,
-            err,
-        );
-        return;
+        Some(Error::fuel_exhausted(active.job.fuel_budget, active.fuel_used))
+    } else {
+        None
+    };
+    if let Some(err) = refusal {
+        host.drop_engine(active.engine);
+        let Active { job, slices, fuel_used, .. } = &active;
+        deliver_failure_scrapping(ctx, Some(host), report, job, *slices, *fuel_used, err);
+        return None;
     }
     let slice = ctx.cfg.fuel_slice.min(remaining);
     let engine = active.engine;
     let status = active.resume_status.take();
-    match catch_unwind(AssertUnwindSafe(|| host.step_with_status(engine, slice, status))) {
+    let stepped = catch_unwind(AssertUnwindSafe(|| host.step_with_status(engine, slice, status)));
+    // The slice is charged to the job however it ended; a slice that
+    // panicked is not counted as run.
+    active.slices += 1;
+    active.fuel_used += slice;
+    if stepped.is_ok() {
+        report.slices += 1;
+        ctx.counters.slices.fetch_add(1, Ordering::Relaxed);
+    }
+    let Active { job, slices, fuel_used, .. } = &active;
+    match stepped {
         Ok(Ok(EngineStep::Done(value))) => {
             let shown = host.vm().write_value(&value);
-            active.slices += 1;
-            active.fuel_used += slice;
             ctx.counters.completed.fetch_add(1, Ordering::Relaxed);
             report.jobs_ok += 1;
-            report.slices += 1;
-            ctx.counters.slices.fetch_add(1, Ordering::Relaxed);
-            active.job.deliver(ctx.index, active.slices, active.fuel_used, Ok(shown));
+            job.deliver(ctx.index, *slices, *fuel_used, Ok(shown));
         }
         Ok(Ok(EngineStep::Parked)) => {
-            active.slices += 1;
-            active.fuel_used += slice;
-            report.slices += 1;
-            ctx.counters.slices.fetch_add(1, Ordering::Relaxed);
             ctx.counters.requeues.fetch_add(1, Ordering::Relaxed);
             ready.push_back(active);
         }
-        Ok(Ok(EngineStep::Blocked(wait))) => {
-            active.slices += 1;
-            active.fuel_used += slice;
-            report.slices += 1;
-            ctx.counters.slices.fetch_add(1, Ordering::Relaxed);
-            block_job(ctx, host, reactor, active, wait, ready, blocked, next_seq);
-        }
+        Ok(Ok(EngineStep::Blocked(wait))) => return Some((active, wait)),
         Ok(Err(e)) => {
-            active.slices += 1;
-            active.fuel_used += slice;
-            report.slices += 1;
-            ctx.counters.slices.fetch_add(1, Ordering::Relaxed);
-            let err = Error::vm(e.with_context(active.job.id.0, ctx.index as u32));
-            fail_or_retry(ctx, Some(host), report, &active.job, active.slices, active.fuel_used, err);
+            let err = Error::vm(e.with_context(job.id.0, ctx.index as u32));
+            fail_or_retry(ctx, Some(host), report, job, *slices, *fuel_used, err);
         }
         Err(payload) => {
+            let message = panic_message(payload);
             handle_panic(
-                ctx,
-                host,
-                Some(reactor),
-                &active.job,
-                active.slices + 1,
-                active.fuel_used + slice,
-                ready,
-                blocked,
-                report,
-                panic_message(payload),
+                ctx, host, reactor, job, *slices, *fuel_used, ready, blocked, report, message,
             );
         }
     }
+    None
 }
 
 /// Parks a job whose engine suspended on I/O or a timer: registers the
@@ -596,15 +599,15 @@ fn block_job(
 }
 
 /// A job panicked: report it, fail every other job whose continuation
-/// lived in the now-poisoned VM — ready *and* blocked — rebuild, keep
-/// draining. Blocked jobs cannot be retried in place; their reactor waits
-/// are forgotten wholesale (their sockets died with the VM), and any
-/// late delivery would be dropped by the stale `seq` anyway.
+/// lived in the now-poisoned VM, rebuild, keep draining. Blocked jobs
+/// cannot be retried in place; their reactor waits are forgotten
+/// wholesale while their sockets are still open (they die with the VM),
+/// and any late delivery would be dropped by the stale `seq` anyway.
 #[allow(clippy::too_many_arguments)]
 fn handle_panic(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: Option<&mut ReactorCore>,
+    reactor: &mut ReactorCore,
     culprit: &Job,
     slices: u64,
     fuel_used: u64,
@@ -614,51 +617,17 @@ fn handle_panic(
     message: String,
 ) {
     ctx.counters.panicked.fetch_add(1, Ordering::Relaxed);
-    if message.contains(KILL_WORKER_PANIC) {
+    let kill_worker = message.contains(KILL_WORKER_PANIC);
+    deliver_failure(ctx, report, culprit, slices, fuel_used, Error::panicked(message));
+    if kill_worker {
         // Escalate past the in-place VM rebuild to the worker supervisor:
-        // fail the culprit here (we know its attribution), then unwind out
-        // of serve() so the supervisor restarts the whole worker — VM,
-        // reactor backend, residents — through one code path.
-        deliver_failure(ctx, report, culprit, slices, fuel_used, Error::panicked(message));
+        // the culprit is failed here (we know its attribution), then we
+        // unwind out of serve() so the supervisor restarts the whole
+        // worker — VM, reactor backend, residents — through one code path.
         std::panic::resume_unwind(Box::new(SupervisedKill { culprit: culprit.id }));
     }
-    deliver_failure(ctx, report, culprit, slices, fuel_used, Error::panicked(message));
-    let culprit_id = culprit.id;
-    for lost in ready.drain(..) {
-        // WorkerReset is transient by definition (the lost job did nothing
-        // wrong), so with retries enabled it goes around again on the
-        // rebuilt VM instead of failing.
-        fail_or_retry(
-            ctx,
-            None,
-            report,
-            &lost.job,
-            lost.slices,
-            lost.fuel_used,
-            Error::worker_reset(culprit_id),
-        );
-    }
-    for (_, lost) in blocked.drain() {
-        fail_or_retry(
-            ctx,
-            None,
-            report,
-            &lost.active.job,
-            lost.active.slices,
-            lost.active.fuel_used,
-            Error::worker_reset(culprit_id),
-        );
-    }
-    if let Some(reactor) = reactor {
-        reactor.forget_all();
-    }
-    // Salvage the poisoned VM's counters, then replace it wholesale; the
-    // interpreter state under an unwound panic is unknown, the stats
-    // fields are plain counters.
-    report.vm.add(&host.vm().stats());
-    *host = build_host(ctx);
-    report.vm_rebuilds += 1;
-    ctx.counters.vm_rebuilds.fetch_add(1, Ordering::Relaxed);
+    reactor.forget_all();
+    reset_vm(ctx, host, ready, blocked, report, culprit.id);
 }
 
 /// Requeues a transiently failed job for another attempt — bounded by the

@@ -7,8 +7,11 @@
 //!
 //! Also here: the integration-level stale-wakeup scenario for
 //! edge-triggered mode (readiness arriving *after* the wait was cancelled
-//! by a deadline must not resume the continuation a second time), and the
-//! shared-listener accept path under both backends.
+//! by a deadline must not resume the continuation a second time), the
+//! shared-listener accept path under both backends, and the
+//! lifetime-registration contract seen from the guest: a recycled fd
+//! number, readiness nobody was waiting for, the harvest cap under CPU
+//! load, and a serve template linked once however many connections churn.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -241,4 +244,198 @@ fn counters_delta_since_subtracts_counters_and_carries_gauges() {
     assert_eq!(delta.wake_lateness.len(), oneshot_exec::WAKE_LATENESS_BUCKETS_MS.len() + 1);
     assert_eq!(delta.wake_lateness.iter().sum::<u64>(), 1);
     pool.shutdown().unwrap();
+}
+
+/// Pinned to worker 0: bind a loopback listener as the global `lst` and
+/// return its port.
+fn listen_on_worker_0(pool: &Pool) -> u16 {
+    pool.submit(JobSpec::new("listen", "(define lst (tcp-listen 0)) (tcp-local-port lst)").pin(0))
+        .unwrap()
+        .wait()
+        .result
+        .expect("listener binds")
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn close_then_reopen_inside_one_slice_still_wakes_the_new_socket() {
+    // The job parks on its first connection (the fd enters the reactor),
+    // then — in one slice — closes it and accepts the second, which the
+    // kernel gives the fd number just freed, and parks on that. The
+    // kernel dropped the old registration at close; the closed-fd sweep
+    // must make the reactor forget it too, so the new socket's wait
+    // registers afresh and the second message wakes it.
+    for backend in BACKENDS {
+        let pool = pool_with(backend, 1).build().unwrap();
+        let port = listen_on_worker_0(&pool);
+        let mut first = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let mut second = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let job = pool
+            .submit(
+                JobSpec::new(
+                    "reopen",
+                    "(let* ((a (tcp-accept lst))
+                            (d1 (tcp-read a 16)))
+                       (tcp-close a)
+                       (let* ((b (tcp-accept lst))
+                              (d2 (tcp-read b 16)))
+                         (tcp-close b)
+                         (tcp-close lst)
+                         (list d1 d2 (%net-live))))",
+                )
+                .pin(0)
+                .deadline(Duration::from_secs(20)),
+            )
+            .unwrap();
+        // Let the job park on the first connection, wake it, and give it
+        // time to close, re-accept and park again before the second peer
+        // speaks.
+        std::thread::sleep(Duration::from_millis(50));
+        first.write_all(b"one").unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        second.write_all(b"two").unwrap();
+        assert_eq!(job.wait().result.as_deref(), Ok("(\"one\" \"two\" 0)"), "{backend}");
+        let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(report.counters.failed, 0, "{backend}");
+    }
+}
+
+#[test]
+fn data_arriving_mid_slice_resolves_later_reads_on_both_backends() {
+    // The second message lands while the handler is busy (not waiting):
+    // its next read finds the bytes without suspending, and the read
+    // after that parks on readiness the reactor may already have seen —
+    // at worst one spurious wake, never a lost one.
+    for backend in BACKENDS {
+        let pool = pool_with(backend, 1).build().unwrap();
+        let port = listen_on_worker_0(&pool);
+        let job = pool
+            .submit(
+                JobSpec::new(
+                    "busy-reader",
+                    "(let* ((c (tcp-accept lst))
+                            (d1 (tcp-read c 16)))
+                       (sleep-ms 80)
+                       (let* ((d2 (tcp-read c 16))
+                              (d3 (tcp-read c 16)))
+                         (tcp-close c)
+                         (tcp-close lst)
+                         (list d1 d2 d3)))",
+                )
+                .pin(0)
+                .deadline(Duration::from_secs(20)),
+            )
+            .unwrap();
+        let mut peer = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        peer.write_all(b"one").unwrap();
+        std::thread::sleep(Duration::from_millis(40)); // inside the sleep-ms
+        peer.write_all(b"two").unwrap();
+        std::thread::sleep(Duration::from_millis(150)); // parked on d3
+        peer.write_all(b"three").unwrap();
+        assert_eq!(job.wait().result.as_deref(), Ok("(\"one\" \"two\" \"three\")"), "{backend}");
+        let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(report.counters.failed, 0, "{backend}");
+        assert!(
+            report.counters.io_wakeups <= report.counters.io_blocked,
+            "{backend}: every wake answers a wait"
+        );
+    }
+}
+
+#[test]
+fn cpu_bound_residents_cannot_starve_a_timer_wait() {
+    // Eight residents spin for 1.5 s of wall clock each, all at once on
+    // one worker; the ready ring never empties, so the only harvests are
+    // the between-slices ones. A 20 ms timer must still be delivered
+    // within a few revolutions of the ring, long before any spinner ends.
+    for backend in BACKENDS {
+        let pool = Pool::builder()
+            .workers(1)
+            .resident_cap(16)
+            .fuel_slice(256)
+            .reactor_backend(backend)
+            .build()
+            .unwrap();
+        let spun = Arc::new(AtomicU64::new(0));
+        let spinners: Vec<_> = (0..8)
+            .map(|i| {
+                let spun = Arc::clone(&spun);
+                pool.submit(
+                    JobSpec::new(
+                        format!("spin-{i}"),
+                        "(let ((end (+ (now-us) 1500000)))
+                           (let loop () (if (< (now-us) end) (loop) 'spun)))",
+                    )
+                    .on_complete(move |_| {
+                        spun.fetch_add(1, Ordering::SeqCst);
+                    }),
+                )
+                .unwrap()
+            })
+            .collect();
+        let timer = pool.submit(JobSpec::new("timer", "(begin (timer-wait 20) 'woke)")).unwrap();
+        let outcome = timer.wait();
+        assert_eq!(outcome.result.as_deref(), Ok("woke"), "{backend}");
+        assert_eq!(spun.load(Ordering::SeqCst), 0, "{backend}: the timer beat every spinner");
+        assert!(
+            outcome.latency < Duration::from_millis(750),
+            "{backend}: timer took {:?} behind 8 spinners",
+            outcome.latency
+        );
+        for s in &spinners {
+            assert_eq!(s.wait().result.as_deref(), Ok("spun"), "{backend}");
+        }
+        let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(report.counters.timer_waits, 1, "{backend}");
+    }
+}
+
+/// Serves `conns` sequential connect–echo–close connections on a
+/// one-worker pool and returns the worker VM's linked code-object count.
+fn code_objects_after_churn(backend: Backend, conns: usize) -> u64 {
+    let pool = pool_with(backend, 1).build().unwrap();
+    let done = Arc::new(AtomicU64::new(0));
+    let done_cb = Arc::clone(&done);
+    let handler = JobSpec::new(
+        "echo-handler",
+        "(let ((c (conn-take)))
+           (let loop ()
+             (let ((d (tcp-read c 4096)))
+               (if (eq? d 'eof)
+                   (begin (tcp-close c) 'served)
+                   (begin (tcp-write c d) (loop))))))",
+    )
+    .on_complete(move |o| {
+        assert_eq!(o.result.as_deref(), Ok("served"));
+        done_cb.fetch_add(1, Ordering::SeqCst);
+    });
+    let port = pool.serve("127.0.0.1:0", handler).unwrap().port();
+    let mut buf = [0u8; 5];
+    for _ in 0..conns {
+        let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        s.write_all(b"churn").unwrap();
+        s.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"churn");
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while done.load(Ordering::SeqCst) < conns as u64 {
+        assert!(std::time::Instant::now() < deadline, "{backend}: handlers drained");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+    assert_eq!(report.counters.failed, 0, "{backend}");
+    report.workers[0].vm.code_objects
+}
+
+#[test]
+fn churned_connections_do_not_grow_the_worker_vms_code() {
+    // Every accepted connection used to link the handler program again,
+    // appending its code and constants to the VM for good. The template
+    // is linked once per worker VM: 5 000 connections leave the count
+    // where one did.
+    let after_one = code_objects_after_churn(Backend::Epoll, 1);
+    assert_eq!(code_objects_after_churn(Backend::Epoll, 5_000), after_one);
+    assert_eq!(code_objects_after_churn(Backend::Poll, 50), after_one);
 }

@@ -38,7 +38,9 @@
 use std::collections::{HashMap, HashSet};
 
 use oneshot_runtime::Value;
-use oneshot_vm::{CompiledProgram, Vm, VmConfig, VmError, VmStats};
+use std::sync::Arc;
+
+use oneshot_vm::{CompiledProgram, GlobalSlot, LinkedProgram, Vm, VmConfig, VmError, VmStats};
 
 const CALLCC_SCHED: &str = include_str!("../scheme/threads-callcc.scm");
 const CALL1CC_SCHED: &str = include_str!("../scheme/threads-call1cc.scm");
@@ -287,6 +289,46 @@ pub struct EngineHost {
     slot_of: HashMap<EngineId, i64>,
     free_slots: Vec<i64>,
     high_slot: i64,
+    /// The driver's entry points and result tags, resolved once at load:
+    /// a step reads a global cell and compares symbol ids, no hashing.
+    driver: Driver,
+    /// Programs linked once by [`EngineHost::spawn_shared`]. The `Arc` is
+    /// held so its address — the key — cannot be reused by another
+    /// program while the entry lives.
+    shared: Vec<(Arc<CompiledProgram>, LinkedProgram)>,
+}
+
+/// Global cells of `exec-driver.scm`'s procedures and the symbols its
+/// step results are tagged with.
+#[derive(Debug)]
+struct Driver {
+    spawn: GlobalSlot,
+    step: GlobalSlot,
+    step_status: GlobalSlot,
+    drop: GlobalSlot,
+    parked: Value,
+    done: Value,
+    blocked: Value,
+    read: Value,
+    write: Value,
+    timer: Value,
+}
+
+impl Driver {
+    fn resolve(vm: &mut Vm) -> Driver {
+        Driver {
+            spawn: vm.global_slot("exec-spawn!"),
+            step: vm.global_slot("exec-step!"),
+            step_status: vm.global_slot("exec-step-status!"),
+            drop: vm.global_slot("exec-drop!"),
+            parked: vm.intern("parked"),
+            done: vm.intern("done"),
+            blocked: vm.intern("blocked"),
+            read: vm.intern("read"),
+            write: vm.intern("write"),
+            timer: vm.intern("timer"),
+        }
+    }
 }
 
 impl EngineHost {
@@ -309,6 +351,7 @@ impl EngineHost {
         vm.eval_str(ENGINES).expect("engines library must load");
         vm.eval_str(EXEC_DRIVER).expect("exec driver must load");
         vm.eval_str(IO).expect("io library must load");
+        let driver = Driver::resolve(&mut vm);
         EngineHost {
             vm,
             next: 0,
@@ -316,6 +359,8 @@ impl EngineHost {
             slot_of: HashMap::new(),
             free_slots: Vec::new(),
             high_slot: 0,
+            driver,
+            shared: Vec::new(),
         }
     }
 
@@ -341,14 +386,41 @@ impl EngineHost {
     ///
     /// Propagates VM errors from engine registration.
     pub fn spawn_program(&mut self, prog: &CompiledProgram) -> Result<EngineId, VmError> {
+        let linked = self.vm.link_program(prog);
+        self.spawn_linked(linked)
+    }
+
+    /// As [`EngineHost::spawn_program`] for a program spawned many times
+    /// (one engine per accepted connection): `prog` is linked into the
+    /// host VM on first sight and every later spawn allocates only the
+    /// toplevel closure, so the VM's code does not grow per engine.
+    /// Programs are told apart by `Arc` identity; engines of one program
+    /// share its quoted constants.
+    ///
+    /// # Errors
+    ///
+    /// Propagates VM errors from engine registration.
+    pub fn spawn_shared(&mut self, prog: &Arc<CompiledProgram>) -> Result<EngineId, VmError> {
+        let linked = match self.shared.iter().find(|(p, _)| Arc::ptr_eq(p, prog)) {
+            Some(&(_, linked)) => linked,
+            None => {
+                let linked = self.vm.link_program(prog);
+                self.shared.push((Arc::clone(prog), linked));
+                linked
+            }
+        };
+        self.spawn_linked(linked)
+    }
+
+    fn spawn_linked(&mut self, linked: LinkedProgram) -> Result<EngineId, VmError> {
         let id = EngineId(self.next);
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             let s = self.high_slot;
             self.high_slot += 1;
             s
         });
-        let thunk = self.vm.load_program(prog);
-        let spawn = self.vm.global("exec-spawn!").expect("driver defines exec-spawn!");
+        let thunk = self.vm.instantiate(linked);
+        let spawn = self.vm.global_at(self.driver.spawn).expect("driver defines exec-spawn!");
         if let Err(e) = self.vm.call(spawn, &[Value::fixnum(slot), thunk]) {
             self.free_slots.push(slot);
             return Err(e);
@@ -406,28 +478,30 @@ impl EngineHost {
         let fuel = i64::try_from(fuel.max(1)).unwrap_or(i64::MAX);
         let result = match status {
             None => {
-                let step = self.vm.global("exec-step!").expect("driver defines exec-step!");
+                let step = self.vm.global_at(self.driver.step).expect("driver defines exec-step!");
                 self.vm.call(step, &[Value::fixnum(slot), Value::fixnum(fuel)])
             }
             Some(s) => {
                 let sym = self.vm.intern(s);
-                let step =
-                    self.vm.global("exec-step-status!").expect("driver defines exec-step-status!");
+                let step = self
+                    .vm
+                    .global_at(self.driver.step_status)
+                    .expect("driver defines exec-step-status!");
                 self.vm.call(step, &[Value::fixnum(slot), Value::fixnum(fuel), sym])
             }
         };
         match result {
             Ok(v) => {
-                if v == self.vm.intern("parked") {
+                if v == self.driver.parked {
                     return Ok(EngineStep::Parked);
                 }
                 if let Some((tag, value)) = self.vm.pair(v) {
-                    if tag == self.vm.intern("done") {
+                    if tag == self.driver.done {
                         self.live.remove(&id);
                         self.release_slot(id);
                         return Ok(EngineStep::Done(value));
                     }
-                    if tag == self.vm.intern("blocked") {
+                    if tag == self.driver.blocked {
                         if let Some(wait) = self.parse_wait(value) {
                             return Ok(EngineStep::Blocked(wait));
                         }
@@ -448,15 +522,15 @@ impl EngineHost {
 
     /// Decodes the `(kind handle)` tail of a `(blocked kind handle)`
     /// driver result into a [`Wait`].
-    fn parse_wait(&mut self, tail: Value) -> Option<Wait> {
+    fn parse_wait(&self, tail: Value) -> Option<Wait> {
         let (kind, rest) = self.vm.pair(tail)?;
         let (handle, _) = self.vm.pair(rest)?;
         let handle = handle.as_fixnum()?;
-        if kind == self.vm.intern("read") {
+        if kind == self.driver.read {
             Some(Wait::Readable(handle))
-        } else if kind == self.vm.intern("write") {
+        } else if kind == self.driver.write {
             Some(Wait::Writable(handle))
-        } else if kind == self.vm.intern("timer") {
+        } else if kind == self.driver.timer {
             Some(Wait::TimerMs(handle))
         } else {
             None
@@ -470,7 +544,7 @@ impl EngineHost {
             return false;
         }
         if let Some(&slot) = self.slot_of.get(&id) {
-            let drop_fn = self.vm.global("exec-drop!").expect("driver defines exec-drop!");
+            let drop_fn = self.vm.global_at(self.driver.drop).expect("driver defines exec-drop!");
             // exec-drop! cannot raise; ignore the (always #t) result.
             let _ = self.vm.call(drop_fn, &[Value::fixnum(slot)]);
         }
@@ -723,6 +797,29 @@ mod tests {
             panic!("trivial job should finish in one slice")
         };
         assert_eq!(host.vm().display_value(&v), "3");
+    }
+
+    #[test]
+    fn host_spawn_shared_links_a_program_once() {
+        let mut host = EngineHost::new();
+        let run = |host: &mut EngineHost, prog: &Arc<CompiledProgram>| {
+            let id = host.spawn_shared(prog).unwrap();
+            let EngineStep::Done(v) = host.step(id, 10_000).unwrap() else {
+                panic!("trivial job should finish in one slice")
+            };
+            host.vm().display_value(&v)
+        };
+        let prog = Arc::new(compile("(define (twice x) (* 2 x)) (twice 21)"));
+        assert_eq!(run(&mut host, &prog), "42");
+        let linked = host.vm().code_object_count();
+        for _ in 0..100 {
+            assert_eq!(run(&mut host, &prog), "42");
+        }
+        assert_eq!(host.vm().code_object_count(), linked, "respawns allocate a closure only");
+        // Identity, not content, tells programs apart.
+        let same_text = Arc::new(compile("(define (twice x) (* 2 x)) (twice 21)"));
+        assert_eq!(run(&mut host, &same_text), "42");
+        assert!(host.vm().code_object_count() > linked);
     }
 
     #[test]

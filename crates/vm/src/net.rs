@@ -31,9 +31,9 @@ pub(crate) enum Sock {
 
 /// Outcome of a nonblocking read.
 #[derive(Debug)]
-pub(crate) enum ReadOutcome {
-    /// Bytes arrived.
-    Data(Vec<u8>),
+pub(crate) enum ReadOutcome<'a> {
+    /// Bytes arrived (borrowed from the table's read buffer).
+    Data(&'a [u8]),
     /// The peer closed its write side.
     Eof,
     /// Nothing available yet — suspend and retry.
@@ -59,6 +59,11 @@ pub(crate) struct NetTable {
     /// interest in a closed fd silently, so the close itself must tell
     /// the reactor.
     closed_log: Vec<i32>,
+    /// Read buffer shared by every `read`, grown to the largest request
+    /// seen: a would-block probe allocates and zeroes nothing.
+    rbuf: Vec<u8>,
+    /// Encoded bytes of the `write` in progress, reused likewise.
+    wbuf: Vec<u8>,
 }
 
 fn io_err(who: &str, e: std::io::Error) -> VmError {
@@ -78,6 +83,8 @@ impl NetTable {
             cap,
             pending: std::collections::VecDeque::new(),
             closed_log: Vec::new(),
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
         }
     }
 
@@ -107,12 +114,30 @@ impl NetTable {
         Ok(idx as i64)
     }
 
-    fn get(&mut self, who: &str, token: i64) -> Result<&mut Sock, VmError> {
+    /// The socket behind `token`. Takes the slot vector, not the table,
+    /// so callers can hold a buffer of the table at the same time.
+    fn sock<'a>(
+        slots: &'a mut [Option<Sock>],
+        who: &str,
+        token: i64,
+    ) -> Result<&'a mut Sock, VmError> {
         usize::try_from(token)
             .ok()
-            .and_then(|i| self.slots.get_mut(i))
+            .and_then(|i| slots.get_mut(i))
             .and_then(|s| s.as_mut())
             .ok_or_else(|| bad_token(who, token))
+    }
+
+    /// The stream behind `token`.
+    fn stream<'a>(
+        slots: &'a mut [Option<Sock>],
+        who: &str,
+        token: i64,
+    ) -> Result<&'a mut TcpStream, VmError> {
+        match Self::sock(slots, who, token)? {
+            Sock::Stream(s) => Ok(s),
+            Sock::Listener(_) => Err(bad_token(&format!("{who}: not a stream"), token)),
+        }
     }
 
     /// The raw file descriptor behind `token`, for reactor registration.
@@ -140,7 +165,7 @@ impl NetTable {
 
     /// The local port a listener is bound to.
     pub(crate) fn local_port(&mut self, token: i64) -> Result<i64, VmError> {
-        match self.get("tcp-local-port", token)? {
+        match Self::sock(&mut self.slots, "tcp-local-port", token)? {
             Sock::Listener(l) => {
                 let addr = l.local_addr().map_err(|e| io_err("tcp-local-port", e))?;
                 Ok(i64::from(addr.port()))
@@ -154,7 +179,7 @@ impl NetTable {
 
     /// Accepts one pending connection; `Ok(None)` means would-block.
     pub(crate) fn accept(&mut self, token: i64) -> Result<Option<i64>, VmError> {
-        let sock = self.get("tcp-accept", token)?;
+        let sock = Self::sock(&mut self.slots, "tcp-accept", token)?;
         let Sock::Listener(l) = sock else {
             return Err(bad_token("tcp-accept: not a listener", token));
         };
@@ -217,32 +242,42 @@ impl NetTable {
         out.append(&mut self.closed_log);
     }
 
-    /// Reads at most `max` bytes.
-    pub(crate) fn read(&mut self, token: i64, max: usize) -> Result<ReadOutcome, VmError> {
-        let sock = self.get("tcp-read", token)?;
-        let Sock::Stream(s) = sock else {
-            return Err(bad_token("tcp-read: not a stream", token));
-        };
-        let mut buf = vec![0u8; max.clamp(1, 1 << 20)];
-        match s.read(&mut buf) {
+    /// Reads at most `max` bytes into the table's read buffer.
+    pub(crate) fn read(&mut self, token: i64, max: usize) -> Result<ReadOutcome<'_>, VmError> {
+        let s = Self::stream(&mut self.slots, "tcp-read", token)?;
+        let max = max.clamp(1, 1 << 20);
+        if self.rbuf.len() < max {
+            self.rbuf.resize(max, 0);
+        }
+        match s.read(&mut self.rbuf[..max]) {
             Ok(0) => Ok(ReadOutcome::Eof),
-            Ok(n) => {
-                buf.truncate(n);
-                Ok(ReadOutcome::Data(buf))
-            }
+            Ok(n) => Ok(ReadOutcome::Data(&self.rbuf[..n])),
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(ReadOutcome::WouldBlock),
             Err(e) if e.kind() == ErrorKind::Interrupted => Ok(ReadOutcome::WouldBlock),
             Err(e) => Err(io_err("tcp-read", e)),
         }
     }
 
-    /// Writes `bytes`; `Ok(None)` means would-block (nothing written).
-    pub(crate) fn write(&mut self, token: i64, bytes: &[u8]) -> Result<Option<usize>, VmError> {
-        let sock = self.get("tcp-write", token)?;
-        let Sock::Stream(s) = sock else {
-            return Err(bad_token("tcp-write: not a stream", token));
-        };
-        match s.write(bytes) {
+    /// Encodes `chars` as latin-1 into the table's write buffer, for
+    /// [`NetTable::write_encoded`]. Returns the byte count, or `None` if
+    /// a char does not fit in one byte.
+    pub(crate) fn encode_latin1(&mut self, chars: &[char]) -> Option<usize> {
+        self.wbuf.clear();
+        for &c in chars {
+            self.wbuf.push(u8::try_from(u32::from(c)).ok()?);
+        }
+        Some(self.wbuf.len())
+    }
+
+    /// Writes the first `len` bytes of the write buffer; `Ok(None)` means
+    /// would-block (nothing written).
+    pub(crate) fn write_encoded(
+        &mut self,
+        token: i64,
+        len: usize,
+    ) -> Result<Option<usize>, VmError> {
+        let s = Self::stream(&mut self.slots, "tcp-write", token)?;
+        match s.write(&self.wbuf[..len]) {
             Ok(n) => Ok(Some(n)),
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
             Err(e) if e.kind() == ErrorKind::Interrupted => Ok(None),
@@ -286,10 +321,13 @@ mod tests {
             }
             std::thread::yield_now();
         };
-        assert_eq!(t.write(c, b"ping").unwrap(), Some(4));
+        assert_eq!(t.encode_latin1(&['p', 'i', 'n', 'g']), Some(4));
+        assert_eq!(t.encode_latin1(&['\u{100}']), None, "not latin-1");
+        assert_eq!(t.encode_latin1(&['p', 'i', 'n', 'g']), Some(4));
+        assert_eq!(t.write_encoded(c, 4).unwrap(), Some(4));
         let data = loop {
             match t.read(a, 64).unwrap() {
-                ReadOutcome::Data(d) => break d,
+                ReadOutcome::Data(d) => break d.to_vec(),
                 ReadOutcome::WouldBlock => std::thread::yield_now(),
                 ReadOutcome::Eof => panic!("eof before data"),
             }

@@ -1259,24 +1259,25 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             // (%tcp-write tok str start) -> chars-written | #f
             check(argc, 3, "%tcp-write")?;
             let tok = fix(vm.arg(0), "%tcp-write")?;
-            let chars = vm.string_of(vm.arg(1), "%tcp-write")?;
+            let str_arg = vm.arg(1);
+            let Some(chars) = str_arg.as_obj().and_then(|r| vm.heap.string(r)) else {
+                return Err(vm.type_error("%tcp-write", "string", str_arg));
+            };
             let start = fix(vm.arg(2), "%tcp-write")?;
             let start = usize::try_from(start)
                 .ok()
                 .filter(|&s| s <= chars.len())
                 .ok_or_else(|| err("%tcp-write: start out of range"))?;
-            let mut bytes = Vec::with_capacity(chars.len() - start);
-            for &c in &chars[start..] {
-                let b = u8::try_from(u32::from(c)).map_err(|_| VmError::Condition {
+            let Some(mut len) = vm.net.encode_latin1(&chars[start..]) else {
+                return Err(VmError::Condition {
                     kind: "io-error",
                     message: "%tcp-write: string has chars above latin-1".to_string(),
-                })?;
-                bytes.push(b);
-            }
+                });
+            };
             // Syscall-level chaos, mirroring %tcp-read's sites: reset,
             // spurious would-block, and a 1-byte short write the guest's
             // tcp-write loop must absorb.
-            if vm.guards_active && !bytes.is_empty() {
+            if vm.guards_active && len > 0 {
                 if vm.io_reset_fault.tick() {
                     vm.faults_injected += 1;
                     return Err(VmError::Condition {
@@ -1290,10 +1291,10 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                 }
                 if vm.io_short_fault.tick() {
                     vm.faults_injected += 1;
-                    bytes.truncate(1);
+                    len = 1;
                 }
             }
-            match vm.net.write(tok, &bytes)? {
+            match vm.net.write_encoded(tok, len)? {
                 Some(n) => ret!(vm, Value::fixnum(n as i64)),
                 None => ret!(vm, Value::FALSE),
             }

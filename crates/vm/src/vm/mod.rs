@@ -376,6 +376,18 @@ impl VmStats {
     }
 }
 
+/// A program linked into one VM by [`Vm::link_program`]; meaningful only
+/// to the VM that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkedProgram {
+    entry: u32,
+}
+
+/// A global variable's cell in one VM, resolved once by
+/// [`Vm::global_slot`]; meaningful only to the VM that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GlobalSlot(u32);
+
 /// The virtual machine: heap, symbol table, segmented control stack,
 /// loaded code, globals, and machine registers.
 ///
@@ -638,8 +650,32 @@ impl Vm {
     /// pass it to [`Vm::call`] or store it in a global before running
     /// anything else on this VM.
     pub fn load_program(&mut self, prog: &CompiledProgram) -> Value {
-        let entry = self.link(prog);
-        Value::obj(self.heap.alloc(Obj::Closure { code: entry, free: Box::new([]) }))
+        let linked = self.link_program(prog);
+        self.instantiate(linked)
+    }
+
+    /// Links `prog` into this VM without allocating its thunk: the
+    /// link-once half of [`Vm::load_program`]. Linking appends the
+    /// program's code and constants to the VM for good, so a program run
+    /// many times (a connection handler) is linked once and
+    /// [instantiated](Vm::instantiate) per run.
+    pub fn link_program(&mut self, prog: &CompiledProgram) -> LinkedProgram {
+        LinkedProgram { entry: self.link(prog) }
+    }
+
+    /// A fresh toplevel thunk for a program [linked](Vm::link_program)
+    /// into *this* VM — one closure allocation, no code growth. Unrooted,
+    /// like [`Vm::load_program`]'s result. Every thunk of one linked
+    /// program shares its quoted constants.
+    pub fn instantiate(&mut self, linked: LinkedProgram) -> Value {
+        Value::obj(self.heap.alloc(Obj::Closure { code: linked.entry, free: Box::new([]) }))
+    }
+
+    /// Code objects linked into this VM so far. Grows with every
+    /// [`Vm::link_program`] / [`Vm::load_program`] / [`Vm::eval_str`] and
+    /// never shrinks.
+    pub fn code_object_count(&self) -> usize {
+        self.codes.len()
     }
 
     /// Clears per-job control state so the VM can be reused for the next
@@ -867,7 +903,19 @@ impl Vm {
     /// Reads a global variable by name, if defined.
     pub fn global(&self, name: &str) -> Option<Value> {
         let &i = self.global_ids.get(name)?;
-        let v = self.globals[i as usize];
+        self.global_at(GlobalSlot(i))
+    }
+
+    /// Resolves `name` to its global cell (creating an unbound one if the
+    /// name is new), for callers that read the same global on a hot path.
+    pub fn global_slot(&mut self, name: &str) -> GlobalSlot {
+        GlobalSlot(self.global_id(name))
+    }
+
+    /// Reads the global in `slot` (of this VM), if defined: one load and
+    /// one compare, and it follows redefinitions.
+    pub fn global_at(&self, slot: GlobalSlot) -> Option<Value> {
+        let v = self.globals[slot.0 as usize];
         (v != Value::UNDEFINED).then_some(v)
     }
 
