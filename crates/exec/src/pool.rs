@@ -901,10 +901,9 @@ impl Pool {
         let listener = TcpListener::bind(addr).map_err(|e| Error::io("bind", e))?;
         listener.set_nonblocking(true).map_err(|e| Error::io("set_nonblocking", e))?;
         let port = listener.local_addr().map_err(|e| Error::io("local_addr", e))?.port();
-        let shed = options.pending_highwater.map(|hw| Shedding {
-            highwater: hw.max(1),
-            overload: overload_tmpl,
-        });
+        let shed = options
+            .pending_highwater
+            .map(|hw| Shedding { highwater: hw.max(1), overload: overload_tmpl });
         let shared =
             Arc::new(AcceptorShared { stop: AtomicBool::new(false), accepted: AtomicU64::new(0) });
         let thread_shared = Arc::clone(&shared);

@@ -109,7 +109,15 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
     // VM and reactor backend, and re-enters serve() on the same queues.
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve(&ctx, &mut host, &mut reactor, &mut ready, &mut blocked, &mut next_seq, &mut report)
+            serve(
+                &ctx,
+                &mut host,
+                &mut reactor,
+                &mut ready,
+                &mut blocked,
+                &mut next_seq,
+                &mut report,
+            )
         }));
         match outcome {
             Ok(()) => break,

@@ -223,8 +223,7 @@ fn main() {
     );
     println!("leak audit: {leaked_sockets} open sockets, {live_segments} live stack segments");
     if bad > 0 {
-        let classes: Vec<String> =
-            errors.iter().map(|(class, n)| format!("{class}={n}")).collect();
+        let classes: Vec<String> = errors.iter().map(|(class, n)| format!("{class}={n}")).collect();
         println!("client errors: {bad} total ({})", classes.join(", "));
     }
 
