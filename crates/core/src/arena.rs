@@ -77,19 +77,6 @@ impl<T> Arena<T> {
         unsafe { self.slots.get_unchecked(idx as usize).as_ref().unwrap_unchecked() }
     }
 
-    /// Like [`Arena::get_mut`] without the bounds/occupancy checks.
-    ///
-    /// # Safety
-    ///
-    /// `idx` must refer to a live (inserted, not removed) entry.
-    #[allow(unsafe_code)]
-    #[inline]
-    pub(crate) unsafe fn get_unchecked_mut(&mut self, idx: u32) -> &mut T {
-        debug_assert!(self.contains(idx), "arena index {idx} is not live");
-        // SAFETY: as for `get_unchecked`.
-        unsafe { self.slots.get_unchecked_mut(idx as usize).as_mut().unwrap_unchecked() }
-    }
-
     /// Two distinct live entries, mutably — the split borrow behind
     /// cross-segment slot copies.
     ///

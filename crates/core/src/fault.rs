@@ -39,6 +39,7 @@ impl FaultClock {
 
     /// Whether the clock is armed and will eventually fire.
     #[must_use]
+    #[inline]
     pub fn is_armed(&self) -> bool {
         self.remaining.is_some()
     }

@@ -59,6 +59,7 @@
 //! underflow marker (or any non-return-address slot), which terminates a
 //! walk.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -103,7 +104,13 @@ impl<S, F: Fn(&S) -> Option<usize>> FrameWalker<S> for F {
 
 #[derive(Debug)]
 struct Segment<S> {
-    slots: Box<[S]>,
+    /// The slot storage: a boxed slice, owned through the raw pointer
+    /// `Box::leak` gave back and freed in `Drop`. It is held raw rather
+    /// than as a `Box` because [`SegStack::cur_slots`] keeps a second
+    /// pointer to the current segment's storage: a `Box` asserts unique
+    /// access to its allocation each time it is used, which would
+    /// invalidate that alias; two copies of one raw pointer do not.
+    slots: NonNull<[S]>,
     /// Number of continuations referencing this segment, plus one if it is
     /// the current segment. A segment with `rc == 0` is dead (or cached).
     rc: u32,
@@ -111,6 +118,45 @@ struct Segment<S> {
     /// eligible for the segment cache.
     default_size: bool,
 }
+
+#[allow(unsafe_code)]
+impl<S> Segment<S> {
+    fn new(slots: Box<[S]>, default_size: bool) -> Self {
+        Segment { slots: NonNull::from(Box::leak(slots)), rc: 1, default_size }
+    }
+
+    #[inline]
+    fn slots(&self) -> &[S] {
+        // SAFETY: `slots` is the live allocation `new` leaked; shared
+        // access to the segment (and so to the stack that owns it) means
+        // nothing is writing through the other copy of the pointer.
+        unsafe { self.slots.as_ref() }
+    }
+
+    #[inline]
+    fn slots_mut(&mut self) -> &mut [S] {
+        // SAFETY: as `slots`; exclusive access to the segment comes from
+        // exclusive access to the stack, the only holder of the alias.
+        unsafe { self.slots.as_mut() }
+    }
+}
+
+#[allow(unsafe_code)]
+impl<S> Drop for Segment<S> {
+    fn drop(&mut self) {
+        // SAFETY: `slots` came from `Box::leak` in `new` and is freed only
+        // here, once.
+        drop(unsafe { Box::from_raw(self.slots.as_ptr()) });
+    }
+}
+
+// SAFETY: a segment owns its slot storage exactly as the `Box<[S]>` it was
+// built from did, so it is as thread-safe as that box; `rc` and
+// `default_size` are plain data.
+#[allow(unsafe_code)]
+unsafe impl<S: Send> Send for Segment<S> {}
+#[allow(unsafe_code)]
+unsafe impl<S: Sync> Sync for Segment<S> {}
 
 /// The result of reinstating a continuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,6 +221,14 @@ pub struct SegStack<S, P: ControlProbe = NoopProbe> {
     reserve: usize,
     // --- the current stack record (Figure 1) ---
     cur_seg: SegmentId,
+    /// The slot storage of segment `cur_seg`, cached so a frame-slot access
+    /// is one load, not a walk through the arena. Invariant: it is the
+    /// `slots` pointer of the live segment `cur_seg` — the current record's
+    /// reference is counted in that segment's `rc`, so the segment is
+    /// neither freed nor cached while current, and its storage never moves
+    /// (the arena may move the `Segment` header, not the allocation).
+    /// Assigned, together with `cur_seg`, only by [`SegStack::set_cur_seg`].
+    cur_slots: NonNull<[S]>,
     cur_base: usize,
     cur_end: usize,
     cur_link: Option<KontId>,
@@ -196,6 +250,17 @@ pub struct SegStack<S, P: ControlProbe = NoopProbe> {
     /// [`SegStack::resident_slots_highwater`]).
     resident_highwater: usize,
 }
+
+// SAFETY: `cur_slots` is the one field that is not `Send`/`Sync` by itself.
+// It points into a segment owned by `segs`, so it travels with the stack and
+// is dereferenced only through `&self`/`&mut self` — it adds no sharing the
+// owning `Segment` does not already account for. Every other field is `S`
+// (`marker`, and inside `segs`/`konts`), `P` (`probe`), or plain data and
+// `Arc<AtomicBool>` flags, hence the bounds.
+#[allow(unsafe_code)]
+unsafe impl<S: Send, P: ControlProbe + Send> Send for SegStack<S, P> {}
+#[allow(unsafe_code)]
+unsafe impl<S: Sync, P: ControlProbe + Sync> Sync for SegStack<S, P> {}
 
 impl<S: Clone> SegStack<S> {
     /// Creates a stack with one large initial segment, an empty cache, and
@@ -231,6 +296,8 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             marker,
             reserve,
             cur_seg: SegmentId(0),
+            // Empty until the first segment is installed just below.
+            cur_slots: NonNull::slice_from_raw_parts(NonNull::dangling(), 0),
             cur_base: 0,
             cur_end: 0,
             cur_link: None,
@@ -243,7 +310,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             resident_highwater: 0,
         };
         let seg = st.alloc_segment(st.cfg.segment_slots);
-        st.cur_seg = seg;
+        st.set_cur_seg(seg);
         st.cur_end = st.cfg.segment_slots;
         st.set(0, st.marker.clone());
         st
@@ -308,25 +375,21 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         self.cur_link
     }
 
-    /// The current segment.
+    /// Makes `seg` the current segment and refreshes the cached pointer to
+    /// its slots — the one place either is assigned.
     ///
-    /// The unchecked arena access is sound because `cur_seg` always names a
-    /// live segment: it is only ever set to a freshly allocated/obtained
-    /// segment or to a continuation's segment (kept alive by its rc), and
-    /// the "current" reference is counted in that rc.
-    #[allow(unsafe_code)]
-    #[inline]
-    fn cur(&self) -> &Segment<S> {
-        // SAFETY: see the doc comment — `cur_seg` is live by construction.
-        unsafe { self.segs.get_unchecked(self.cur_seg.0) }
+    /// # Panics
+    ///
+    /// Panics if `seg` is not live.
+    fn set_cur_seg(&mut self, seg: SegmentId) {
+        self.cur_slots = self.segs.get(seg.0).slots;
+        self.cur_seg = seg;
     }
 
-    /// The current segment, mutably (same invariant as [`SegStack::cur`]).
-    #[allow(unsafe_code)]
-    #[inline]
-    fn cur_mut(&mut self) -> &mut Segment<S> {
-        // SAFETY: see `cur` — `cur_seg` is live by construction.
-        unsafe { self.segs.get_unchecked_mut(self.cur_seg.0) }
+    /// The `cur_slots` invariant, checked against the arena (debug builds
+    /// assert it on every slot access).
+    fn cache_is_current(&self) -> bool {
+        std::ptr::addr_eq(self.cur_slots.as_ptr(), self.segs.get(self.cur_seg.0).slots.as_ptr())
     }
 
     /// Reads the slot at absolute index `i` in the current segment.
@@ -339,11 +402,13 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     #[allow(unsafe_code)]
     #[inline]
     pub fn get(&self, i: usize) -> &S {
-        let seg = self.cur();
-        debug_assert!(i < seg.slots.len(), "slot read out of segment: {i}");
-        // SAFETY: `i` is within the current segment per the documented
-        // contract (debug-asserted above).
-        unsafe { seg.slots.get_unchecked(i) }
+        debug_assert!(self.cache_is_current(), "stale segment cache");
+        debug_assert!(i < self.cur_slots.len(), "slot read out of segment: {i}");
+        // SAFETY: `cur_slots` is the live current segment's storage (the
+        // field's invariant); `i` is within it per the documented contract
+        // (debug-asserted above); and `&self` rules out a concurrent write,
+        // which needs `&mut self`.
+        unsafe { &*self.cur_slots.as_ptr().cast::<S>().add(i) }
     }
 
     /// Writes the slot at absolute index `i` in the current segment.
@@ -353,11 +418,11 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     #[allow(unsafe_code)]
     #[inline]
     pub fn set(&mut self, i: usize, v: S) {
-        let seg = self.cur_mut();
-        debug_assert!(i < seg.slots.len(), "slot write out of segment: {i}");
-        // SAFETY: `i` is within the current segment per the documented
-        // contract (debug-asserted above).
-        unsafe { *seg.slots.get_unchecked_mut(i) = v };
+        debug_assert!(self.cache_is_current(), "stale segment cache");
+        debug_assert!(i < self.cur_slots.len(), "slot write out of segment: {i}");
+        // SAFETY: as for `get`; `&mut self` makes this the only access to
+        // the stack, and so to the segment's storage, for its duration.
+        unsafe { *self.cur_slots.as_ptr().cast::<S>().add(i) = v };
     }
 
     /// A slice of the current segment, `[lo, hi)` — used by embedder GCs to
@@ -366,9 +431,11 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// # Panics
     ///
     /// Panics if the range is outside the current segment (GC-rate, not
-    /// dispatch-rate, so the checked index stays).
+    /// dispatch-rate, so the checked index stays — and so does the walk
+    /// through the arena, which makes this the independent view of the
+    /// current segment that the tests hold `get`/`set` against).
     pub fn slice(&self, lo: usize, hi: usize) -> &[S] {
-        &self.cur().slots[lo..hi]
+        &self.segs.get(self.cur_seg.0).slots()[lo..hi]
     }
 
     /// Pushes a frame: writes `ret` at `fp + disp` and advances the frame
@@ -419,9 +486,9 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                 // SAFETY: an unshot continuation holds an rc on its
                 // segment, so `k.seg` is live; `base + cur` never exceeds
                 // the sealed extent recorded at capture (debug-asserted).
-                let seg = unsafe { self.segs.get_unchecked(k.seg.0) };
-                debug_assert!(k.base + k.cur <= seg.slots.len());
-                unsafe { seg.slots.get_unchecked(k.base..k.base + k.cur) }
+                let slots = unsafe { self.segs.get_unchecked(k.seg.0) }.slots();
+                debug_assert!(k.base + k.cur <= slots.len());
+                unsafe { slots.get_unchecked(k.base..k.base + k.cur) }
             }
         }
     }
@@ -482,7 +549,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// measure used by the fragmentation experiment (E7). Includes cached
     /// segments.
     pub fn resident_slots(&self) -> usize {
-        self.segs.iter().map(|(_, s)| s.slots.len()).sum()
+        self.segs.iter().map(|(_, s)| s.slots().len()).sum()
     }
 
     /// The highest [`SegStack::resident_slots`] ever observed — a gauge
@@ -838,8 +905,8 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                 // a split top part the source base slot holds a real
                 // return address owned by the bottom part).
                 let m = self.marker.clone();
-                self.segs.get_mut(seg.0).slots[0] = m;
-                let size = self.segs.get(seg.0).slots.len();
+                self.segs.get_mut(seg.0).slots_mut()[0] = m;
+                let size = self.segs.get(seg.0).slots().len();
                 self.stats.slots_copied += n as u64;
                 copied += n;
                 slots += n;
@@ -1156,7 +1223,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         let old = self.cur_seg;
         self.release_segment(old);
         // ...and takes over the continuation's reference to its segment.
-        self.cur_seg = seg;
+        self.set_cur_seg(seg);
         self.cur_base = base;
         self.cur_end = base + size;
         self.cur_link = link;
@@ -1237,7 +1304,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             if x == base {
                 break;
             }
-            r = self.segs.get(seg.0).slots[x].clone();
+            r = self.segs.get(seg.0).slots()[x].clone();
         }
         if x == top || x == base {
             // A single frame exceeds the bound (or nothing to split):
@@ -1248,7 +1315,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         }
         self.stats.splits += 1;
         let link = self.konts.get(id.0).link;
-        let boundary_ret = self.segs.get(seg.0).slots[x].clone();
+        let boundary_ret = self.segs.get(seg.0).slots()[x].clone();
         let bottom = Kont {
             seg,
             base,
@@ -1314,11 +1381,28 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// and the embedder is expected to unwind (the ceiling is waived until
     /// occupancy drops back under it, so the unwinding itself can grow the
     /// stack).
+    #[inline]
     pub fn ensure<W>(&mut self, need: usize, live: usize, walker: &W) -> Overflow
     where
         W: FrameWalker<S> + ?Sized,
     {
         debug_assert!(live >= 1 && live <= need);
+        // §3.1: the common case is one compare of the frame pointer against
+        // the segment end. Everything else — the fault clock, the ceiling,
+        // the overflow itself — is out of line.
+        if !self.fault.is_armed() && self.fp + need <= self.cur_end {
+            return Overflow::Fits;
+        }
+        self.ensure_slow(need, live, walker)
+    }
+
+    /// [`SegStack::ensure`] when the frame does not fit or an injected
+    /// segment fault is armed.
+    #[cold]
+    fn ensure_slow<W>(&mut self, need: usize, live: usize, walker: &W) -> Overflow
+    where
+        W: FrameWalker<S> + ?Sized,
+    {
         if self.fault.is_armed() && !self.fault_deferred && self.fault.tick() && !self.grace {
             self.grace = true;
             return Overflow::Ceiling;
@@ -1421,9 +1505,9 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         self.probe.overflow(created, old_seg, new_seg, relocated);
         self.copy_slots(old_seg, x, new_seg, 0, relocated);
         let new_fp = self.fp - x;
-        self.cur_seg = new_seg;
+        self.set_cur_seg(new_seg);
         self.cur_base = 0;
-        self.cur_end = self.segs.get(new_seg.0).slots.len();
+        self.cur_end = self.cur_slots.len();
         self.cur_link = link;
         self.fp = new_fp;
         // The bottom relocated frame returns into the implicit continuation
@@ -1462,8 +1546,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         self.stats.segments_allocated += 1;
         self.stats.segment_slots_allocated += cap as u64;
         let slots = vec![self.marker.clone(); cap].into_boxed_slice();
-        let default_size = cap == self.cfg.segment_slots;
-        let id = SegmentId(self.segs.insert(Segment { slots, rc: 1, default_size }));
+        let id = SegmentId(self.segs.insert(Segment::new(slots, cap == self.cfg.segment_slots)));
         self.resident_highwater = self.resident_highwater.max(self.resident_slots());
         self.probe.segment_alloc(id, cap);
         id
@@ -1508,9 +1591,9 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
 
     /// Installs a fresh record covering all of `seg`, linked to `link`.
     fn install_record(&mut self, seg: SegmentId, link: Option<KontId>) {
-        self.cur_seg = seg;
+        self.set_cur_seg(seg);
         self.cur_base = 0;
-        self.cur_end = self.segs.get(seg.0).slots.len();
+        self.cur_end = self.cur_slots.len();
         self.cur_link = link;
         self.fp = 0;
         let m = self.marker.clone();
@@ -1527,16 +1610,16 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         n: usize,
     ) {
         if src == dst {
-            let seg = self.segs.get_mut(src.0);
+            let slots = self.segs.get_mut(src.0).slots_mut();
             debug_assert!(src_at + n <= dst_at || dst_at + n <= src_at);
             for i in 0..n {
-                seg.slots[dst_at + i] = seg.slots[src_at + i].clone();
+                slots[dst_at + i] = slots[src_at + i].clone();
             }
         } else {
             // Split-borrow both segments and clone straight across — no
             // temporary buffer on the reinstate/overflow path.
             let (s, d) = self.segs.get2_mut(src.0, dst.0);
-            d.slots[dst_at..dst_at + n].clone_from_slice(&s.slots[src_at..src_at + n]);
+            d.slots_mut()[dst_at..dst_at + n].clone_from_slice(&s.slots()[src_at..src_at + n]);
         }
     }
 

@@ -821,3 +821,201 @@ fn counting_probe_stays_in_parity_across_delimited_ops() {
     assert!(st.stats().prompts_pushed == 1 && st.stats().subconts_taken == 1);
     assert!(st.stats().slots_encapsulated > 0);
 }
+
+// ---------------------------------------------------------------------
+// The cached pointer to the current segment's slots
+// ---------------------------------------------------------------------
+
+/// After an operation that may have switched the current record, checks
+/// that `get`/`set` (which go through the cached slot pointer) and `slice`
+/// (which walks the arena to segment `cur_seg`) see the same segment: a
+/// sentinel written through `set` just above the live frame reads back
+/// through both, and the two views agree on every slot of the record. A
+/// cache left on the previous segment fails the first; one pointing at the
+/// right segment's old storage cannot exist (storage never moves).
+fn assert_slot_cache_current(st: &mut St, tag: i64) {
+    let at = st.fp() + 1;
+    assert!(at < st.end(), "no headroom above fp for the sentinel");
+    st.set(at, Slot::Val(tag));
+    assert_eq!(*st.get(at), Slot::Val(tag), "sentinel through get");
+    assert_eq!(st.slice(at, at + 1), &[Slot::Val(tag)], "sentinel through slice");
+    let (lo, hi) = (st.base(), at + 1);
+    for (i, s) in st.slice(lo, hi).iter().enumerate() {
+        assert_eq!(st.get(lo + i), s, "get and slice disagree at slot {}", lo + i);
+    }
+}
+
+#[test]
+fn slot_cache_follows_overflow_with_and_without_hysteresis() {
+    for hysteresis_slots in [0, 20] {
+        let mut st = new_st(Config { hysteresis_slots, ..small_cfg() });
+        let mut overflows = 0;
+        for i in 0..60 {
+            call(&mut st, 6, i);
+            if st.stats().overflows > overflows {
+                overflows = st.stats().overflows;
+                assert_slot_cache_current(&mut st, -(i as i64));
+                // The relocated frame still returns to its caller's tag.
+                assert!(matches!(st.get(st.fp()), Slot::Ret { .. } | Slot::Marker));
+            }
+        }
+        assert!(overflows >= 3, "hysteresis {hysteresis_slots}: {overflows} overflows");
+    }
+}
+
+#[test]
+fn slot_cache_follows_underflow() {
+    let mut st = new_st(small_cfg());
+    for i in 0..40 {
+        call(&mut st, 6, i);
+    }
+    let mut underflows = 0;
+    for expect in (0..40).rev() {
+        let pc = if at_marker(&st) {
+            match st.underflow(&walker).unwrap() {
+                Underflow::Resumed(r) => {
+                    underflows += 1;
+                    let pc = resume(&mut st, &r);
+                    assert_slot_cache_current(&mut st, 1000 + pc as i64);
+                    pc
+                }
+                Underflow::Exhausted => panic!("frames remain"),
+            }
+        } else {
+            ret(&mut st)
+        };
+        assert_eq!(pc, expect);
+    }
+    assert!(underflows >= 2);
+}
+
+#[test]
+fn slot_cache_follows_one_shot_multi_shot_and_promoted_reinstatement() {
+    let mut st = new_st(small_cfg());
+    call(&mut st, 4, 1);
+    st.set(st.fp() + 1, Slot::Val(11));
+    call(&mut st, 3, 2);
+    // Multi-shot: copied back into the current record, twice.
+    let m = st.capture_multi().unwrap();
+    assert_slot_cache_current(&mut st, 1);
+    for round in 0..2 {
+        call(&mut st, 5, 50 + round);
+        let r = st.reinstate(m, &walker).unwrap();
+        assert!(!r.one_shot);
+        assert_eq!(resume(&mut st, &r), 2);
+        assert_slot_cache_current(&mut st, 2);
+        call(&mut st, 3, 2);
+    }
+    // One-shot: the capture moves to a fresh segment, the reinstatement
+    // swaps back (Figure 4).
+    let o = st.capture_one(MAXF).unwrap();
+    assert_slot_cache_current(&mut st, 3);
+    call(&mut st, 2, 60);
+    let r = st.reinstate(o, &walker).unwrap();
+    assert!(r.one_shot);
+    assert_eq!(resume(&mut st, &r), 2);
+    assert_slot_cache_current(&mut st, 4);
+    // Promoted one-shot: reinstated by copying.
+    call(&mut st, 3, 7);
+    let p = st.capture_one(MAXF).unwrap();
+    call(&mut st, 2, 8);
+    let _ = st.capture_multi().unwrap();
+    call(&mut st, 2, 9);
+    let r = st.reinstate(p, &walker).unwrap();
+    assert!(!r.one_shot, "a promoted one-shot is copied");
+    assert_eq!(resume(&mut st, &r), 7);
+    assert_slot_cache_current(&mut st, 5);
+}
+
+#[test]
+fn slot_cache_follows_clear_to_empty() {
+    let mut st = new_st(small_cfg());
+    for i in 0..30 {
+        call(&mut st, 6, i);
+    }
+    let _ = st.capture_one(MAXF);
+    st.clear_to_empty();
+    assert!(at_marker(&st));
+    assert_slot_cache_current(&mut st, 9);
+    assert!(matches!(st.underflow(&walker).unwrap(), Underflow::Exhausted));
+}
+
+#[test]
+fn slot_cache_follows_subcont_take_push_and_abort() {
+    let mut st = new_st(small_cfg());
+    call(&mut st, 4, 1);
+    let p = prompt(&mut st, 7, 90);
+    assert_slot_cache_current(&mut st, 1);
+    call(&mut st, 3, 2);
+    st.set(st.fp() + 1, Slot::Val(42));
+    call(&mut st, 2, 3);
+    let (head, r) = st.take_subcont(p, &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 90);
+    assert_slot_cache_current(&mut st, 2);
+    let r = st.push_subcont(head.unwrap(), &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 3);
+    assert_slot_cache_current(&mut st, 3);
+    assert_eq!(ret(&mut st), 2);
+    // A promoted prompt record (take installs a fresh record first), then
+    // an abort across several segments.
+    let q = prompt(&mut st, 8, 91);
+    call(&mut st, 3, 4);
+    let _ = st.capture_multi().unwrap();
+    call(&mut st, 2, 5);
+    let (_, r) = st.take_subcont(q, &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 91);
+    assert_slot_cache_current(&mut st, 4);
+    let a = prompt(&mut st, 9, 92);
+    for i in 0..40 {
+        call(&mut st, 4, 100 + i);
+    }
+    let r = st.abort_to_prompt(a, &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 92);
+    assert_slot_cache_current(&mut st, 5);
+}
+
+#[test]
+fn slot_cache_follows_segment_cache_hit_and_miss() {
+    for cache_limit in [8, 0] {
+        let mut st = new_st(Config { cache_limit, ..small_cfg() });
+        call(&mut st, 4, 1);
+        for round in 0..4 {
+            // Each capture takes a segment (from the cache when it can);
+            // each reinstatement gives the current one back.
+            let k = st.capture_one(MAXF).unwrap();
+            assert_slot_cache_current(&mut st, round);
+            call(&mut st, 3, 9);
+            let r = st.reinstate(k, &walker).unwrap();
+            assert_eq!(resume(&mut st, &r), 1);
+            assert_slot_cache_current(&mut st, 10 + round);
+            call(&mut st, 4, 1);
+        }
+        if cache_limit == 0 {
+            assert_eq!(st.stats().cache_hits, 0);
+        } else {
+            assert!(st.stats().cache_hits >= 3, "{:?}", st.stats());
+        }
+    }
+}
+
+#[test]
+fn slot_cache_survives_an_injected_segment_fault() {
+    let mut st = new_st(small_cfg());
+    call(&mut st, 4, 1);
+    st.set(st.fp() + 1, Slot::Val(5));
+    st.arm_segment_fault(2);
+    assert_eq!(st.ensure(MAXF, 1, &walker), Overflow::Fits);
+    let (fp, segments) = (st.fp(), st.segment_count());
+    assert_eq!(st.ensure(MAXF, 1, &walker), Overflow::Ceiling, "the armed check reports Ceiling");
+    assert!(st.in_overflow_grace());
+    assert_eq!((st.fp(), st.segment_count()), (fp, segments), "a refused ensure changes nothing");
+    assert_slot_cache_current(&mut st, 6);
+    // The clock fired once; growth resumes, and overflow past the fault
+    // keeps the cache in step.
+    assert!(!st.segment_fault_armed());
+    for i in 0..20 {
+        call(&mut st, 6, i);
+    }
+    assert!(st.stats().overflows >= 1);
+    assert_slot_cache_current(&mut st, 7);
+}

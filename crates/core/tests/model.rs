@@ -253,6 +253,45 @@ impl Real {
             _ => None,
         }
     }
+
+    /// Holds every live slot of the current record against the model's
+    /// frames — the shadow stack — reading each through both `get` (the
+    /// cached slot pointer) and `slice` (the arena). The record holds a
+    /// suffix of the logical frames: walking down from the frame pointer,
+    /// each return address must be the next shadow frame's, each local the
+    /// shadow's (where the model still knows it), and the walk must end on
+    /// the marker at the record base. A sentinel written through `set`
+    /// above the live frame must read back through both paths.
+    fn check_against(&mut self, shadow: &[Frame]) {
+        let st = &mut self.st;
+        let (base, fp) = (st.base(), st.fp());
+        let dead = fp + 2;
+        st.set(dead, Slot::Val(i64::MIN));
+        let record = st.slice(base, dead + 1);
+        for (i, s) in record.iter().enumerate() {
+            assert_eq!(st.get(base + i), s, "get and slice disagree at slot {}", base + i);
+        }
+        assert_eq!(record[dead - base], Slot::Val(i64::MIN), "sentinel lost");
+        let mut pos = fp;
+        let mut frames = shadow.iter().rev();
+        loop {
+            match &record[pos - base] {
+                Slot::Ret { pc, disp } => {
+                    let f = frames.next().expect("more frames on the stack than in the shadow");
+                    assert_eq!((*pc, *disp), (f.pc, f.disp), "return address diverged at {pos}");
+                    if let Some(v) = f.local {
+                        assert_eq!(record[pos + 1 - base], Slot::Val(v), "local diverged at {pos}");
+                    }
+                    pos -= disp;
+                }
+                Slot::Marker => {
+                    assert_eq!(pos, base, "marker above the record base");
+                    break;
+                }
+                other => panic!("value slot {other:?} where a frame base should be ({pos})"),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -378,6 +417,7 @@ fn run(cfg: Config, ops: Vec<Op>) {
         if let (Some(v), false) = (model.top_local(), real.at_marker()) {
             assert_eq!(real.top_local(), Some(v), "frame locals diverged");
         }
+        real.check_against(&model.frames);
     }
 
     // Drain both stacks completely and compare the full unwind trace.

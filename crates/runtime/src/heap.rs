@@ -554,6 +554,7 @@ impl Heap {
 
     /// Whether enough allocation has happened that the embedder should run
     /// a collection at the next safe point.
+    #[inline]
     pub fn wants_collection(&self) -> bool {
         self.alloc_since_gc >= self.gc_threshold
     }

@@ -53,13 +53,26 @@ pub enum VmError {
     },
 }
 
+/// The crate-internal result type. The error travels boxed so that
+/// `R<Value>` and `R<Option<Value>>` are two words and come back from the
+/// interpreter's inner calls in registers; public signatures keep the bare
+/// [`VmError`] and unbox at the boundary.
+pub(crate) type R<T> = Result<T, Box<VmError>>;
+
+// The boxed-error win must not silently regress (an unboxed `VmError` made
+// `R<Value>` nine words, returned through memory on every `<`).
+const _: () = assert!(std::mem::size_of::<R<oneshot_runtime::Value>>() <= 16);
+const _: () = assert!(std::mem::size_of::<R<Option<oneshot_runtime::Value>>>() <= 16);
+
 impl VmError {
-    pub(crate) fn runtime(msg: impl Into<String>) -> Self {
-        VmError::Runtime(msg.into())
+    /// A boxed [`VmError::Runtime`], ready for [`R`].
+    pub(crate) fn runtime(msg: impl Into<String>) -> Box<Self> {
+        Box::new(VmError::Runtime(msg.into()))
     }
 
-    pub(crate) fn condition(kind: &'static str, msg: impl Into<String>) -> Self {
-        VmError::Condition { kind, message: msg.into() }
+    /// A boxed [`VmError::Condition`], ready for [`R`].
+    pub(crate) fn condition(kind: &'static str, msg: impl Into<String>) -> Box<Self> {
+        Box::new(VmError::Condition { kind, message: msg.into() })
     }
 
     /// The condition kind, when this error is (or wraps) a classified

@@ -6,11 +6,10 @@
 
 use oneshot_runtime::{values_equal, Obj, ObjKind, ObjRef, Unpacked, Value};
 
-use crate::error::VmError;
+use crate::error::{VmError, R};
 use crate::slot::{Resume, Slot};
+use crate::vm::exec::{arith, as_f64, num_cmp, vector_set, Arith, Cmp};
 use crate::vm::Vm;
-
-type R<T> = Result<T, VmError>;
 
 /// What the VM should do after a builtin runs.
 #[derive(Debug, Clone, Copy)]
@@ -35,8 +34,8 @@ pub(crate) enum Flow {
 /// arguments.
 pub(crate) type BuiltinFn = fn(&mut Vm, usize) -> R<Flow>;
 
-fn err(msg: impl Into<String>) -> VmError {
-    VmError::runtime(msg.into())
+fn err(msg: impl Into<String>) -> Box<VmError> {
+    VmError::runtime(msg)
 }
 
 impl Vm {
@@ -202,11 +201,10 @@ fn chr(v: Value, who: &str) -> R<char> {
 }
 
 /// Chained numeric comparison over all arguments.
-fn cmp_chain(vm: &mut Vm, argc: usize, op: &'static str) -> R<Flow> {
-    at_least(argc, 2, op)?;
+fn cmp_chain(vm: &mut Vm, argc: usize, op: Cmp) -> R<Flow> {
+    at_least(argc, 2, op.name())?;
     for i in 0..argc - 1 {
-        let r = crate::vm::exec::num_cmp(vm.arg(i), vm.arg(i + 1), op)?;
-        if r == Value::FALSE {
+        if !num_cmp(op, vm.arg(i), vm.arg(i + 1))? {
             vm.acc = Value::FALSE;
             return Ok(Flow::Return);
         }
@@ -280,25 +278,25 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
         "+" => |vm, argc| {
             let mut acc = Value::fixnum(0);
             for i in 0..argc {
-                acc = crate::vm::exec::num_add(acc, vm.arg(i))?;
+                acc = arith(Arith::Add, acc, vm.arg(i))?;
             }
             ret!(vm, acc)
         },
         "-" => |vm, argc| {
             at_least(argc, 1, "-")?;
             if argc == 1 {
-                return ret!(vm, crate::vm::exec::num_sub(Value::fixnum(0), vm.arg(0))?);
+                return ret!(vm, arith(Arith::Sub, Value::fixnum(0), vm.arg(0))?);
             }
             let mut acc = vm.arg(0);
             for i in 1..argc {
-                acc = crate::vm::exec::num_sub(acc, vm.arg(i))?;
+                acc = arith(Arith::Sub, acc, vm.arg(i))?;
             }
             ret!(vm, acc)
         },
         "*" => |vm, argc| {
             let mut acc = Value::fixnum(1);
             for i in 0..argc {
-                acc = crate::vm::exec::num_mul(acc, vm.arg(i))?;
+                acc = arith(Arith::Mul, acc, vm.arg(i))?;
             }
             ret!(vm, acc)
         },
@@ -312,8 +310,8 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                     (Some(_), Some(0)) => return Err(err("/: division by zero")),
                     (Some(a), Some(b)) if a % b == 0 => Value::fixnum(a / b),
                     _ => {
-                        let x = crate::vm::exec::as_f64(acc, "/")?;
-                        let y = crate::vm::exec::as_f64(d, "/")?;
+                        let x = as_f64(acc, "/")?;
+                        let y = as_f64(d, "/")?;
                         Value::flonum(x / y)
                     }
                 };
@@ -359,7 +357,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             let mut best = vm.arg(0);
             for i in 1..argc {
                 let v = vm.arg(i);
-                if crate::vm::exec::num_cmp(v, best, "<")? == Value::TRUE {
+                if num_cmp(Cmp::Lt, v, best)? {
                     best = v;
                 }
             }
@@ -370,7 +368,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             let mut best = vm.arg(0);
             for i in 1..argc {
                 let v = vm.arg(i);
-                if crate::vm::exec::num_cmp(v, best, ">")? == Value::TRUE {
+                if num_cmp(Cmp::Gt, v, best)? {
                     best = v;
                 }
             }
@@ -405,8 +403,8 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                     ret!(vm, fixnum_or_overflow(r, "expt")?)
                 }
                 _ => {
-                    let x = crate::vm::exec::as_f64(vm.arg(0), "expt")?;
-                    let y = crate::vm::exec::as_f64(vm.arg(1), "expt")?;
+                    let x = as_f64(vm.arg(0), "expt")?;
+                    let y = as_f64(vm.arg(1), "expt")?;
                     ret!(vm, Value::flonum(x.powf(y)))
                 }
             }
@@ -424,7 +422,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                     }
                 }
                 _ => {
-                    ret!(vm, Value::flonum(crate::vm::exec::as_f64(vm.arg(0), "sqrt")?.sqrt()))
+                    ret!(vm, Value::flonum(as_f64(vm.arg(0), "sqrt")?.sqrt()))
                 }
             }
         },
@@ -434,7 +432,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
         "round" => |vm, argc| round_like(vm, argc, "round", round_even),
         "exact->inexact" => |vm, argc| {
             check(argc, 1, "exact->inexact")?;
-            ret!(vm, Value::flonum(crate::vm::exec::as_f64(vm.arg(0), "exact->inexact")?))
+            ret!(vm, Value::flonum(as_f64(vm.arg(0), "exact->inexact")?))
         },
         "inexact->exact" => |vm, argc| {
             check(argc, 1, "inexact->exact")?;
@@ -454,19 +452,15 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
         "inexact?" => pred!("inexact?", |_, v| v.is_flonum()),
         "zero?" => |vm, argc| {
             check(argc, 1, "zero?")?;
-            match vm.arg(0).unpack() {
-                Unpacked::Fixnum(n) => ret!(vm, Value::boolean(n == 0)),
-                Unpacked::Flonum(x) => ret!(vm, Value::boolean(x == 0.0)),
-                _ => Err(vm.type_error("zero?", "number", vm.arg(0))),
-            }
+            ret!(vm, Value::boolean(vm.is_zero(vm.arg(0))?))
         },
         "positive?" => |vm, argc| {
             check(argc, 1, "positive?")?;
-            ret!(vm, crate::vm::exec::num_cmp(vm.arg(0), Value::fixnum(0), ">")?)
+            ret!(vm, Value::boolean(num_cmp(Cmp::Gt, vm.arg(0), Value::fixnum(0))?))
         },
         "negative?" => |vm, argc| {
             check(argc, 1, "negative?")?;
-            ret!(vm, crate::vm::exec::num_cmp(vm.arg(0), Value::fixnum(0), "<")?)
+            ret!(vm, Value::boolean(num_cmp(Cmp::Lt, vm.arg(0), Value::fixnum(0))?))
         },
         "odd?" => |vm, argc| {
             check(argc, 1, "odd?")?;
@@ -476,11 +470,11 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             check(argc, 1, "even?")?;
             ret!(vm, Value::boolean(fix(vm.arg(0), "even?")? % 2 == 0))
         },
-        "=" => |vm, argc| cmp_chain(vm, argc, "="),
-        "<" => |vm, argc| cmp_chain(vm, argc, "<"),
-        ">" => |vm, argc| cmp_chain(vm, argc, ">"),
-        "<=" => |vm, argc| cmp_chain(vm, argc, "<="),
-        ">=" => |vm, argc| cmp_chain(vm, argc, ">="),
+        "=" => |vm, argc| cmp_chain(vm, argc, Cmp::Eq),
+        "<" => |vm, argc| cmp_chain(vm, argc, Cmp::Lt),
+        ">" => |vm, argc| cmp_chain(vm, argc, Cmp::Gt),
+        "<=" => |vm, argc| cmp_chain(vm, argc, Cmp::Le),
+        ">=" => |vm, argc| cmp_chain(vm, argc, Cmp::Ge),
         "number->string" => |vm, argc| {
             at_least(argc, 1, "number->string")?;
             let radix = if argc >= 2 { fix(vm.arg(1), "number->string")? } else { 10 };
@@ -903,7 +897,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
         "vector-set!" => |vm, argc| {
             check(argc, 3, "vector-set!")?;
             let (v, i, x) = (vm.arg(0), vm.arg(1), vm.arg(2));
-            vm.vector_set(v, i, x)?;
+            vector_set(&mut vm.heap, &vm.syms, v, i, x)?;
             ret!(vm, Value::UNSPECIFIED)
         },
         "vector->list" => |vm, argc| {
@@ -1033,7 +1027,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             // dispatch loop re-raises it through the prelude so guard
             // handlers can catch it; uncaught, it prints exactly as the old
             // Runtime variant did.
-            Err(VmError::Condition { kind: "error", message: msg })
+            Err(VmError::condition("error", msg))
         },
         "void" => |vm, _argc| ret!(vm, Value::UNSPECIFIED),
         "gc" => |vm, argc| {
@@ -1226,10 +1220,10 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             if vm.guards_active {
                 if vm.io_reset_fault.tick() {
                     vm.faults_injected += 1;
-                    return Err(VmError::Condition {
-                        kind: "io-error",
-                        message: "%tcp-read: connection reset by peer (injected)".to_string(),
-                    });
+                    return Err(VmError::condition(
+                        "io-error",
+                        "%tcp-read: connection reset by peer (injected)",
+                    ));
                 }
                 if vm.io_spurious_fault.tick() {
                     // EAGAIN after readiness: report would-block even
@@ -1269,10 +1263,10 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                 .filter(|&s| s <= chars.len())
                 .ok_or_else(|| err("%tcp-write: start out of range"))?;
             let Some(mut len) = vm.net.encode_latin1(&chars[start..]) else {
-                return Err(VmError::Condition {
-                    kind: "io-error",
-                    message: "%tcp-write: string has chars above latin-1".to_string(),
-                });
+                return Err(VmError::condition(
+                    "io-error",
+                    "%tcp-write: string has chars above latin-1",
+                ));
             };
             // Syscall-level chaos, mirroring %tcp-read's sites: reset,
             // spurious would-block, and a 1-byte short write the guest's
@@ -1280,10 +1274,10 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             if vm.guards_active && len > 0 {
                 if vm.io_reset_fault.tick() {
                     vm.faults_injected += 1;
-                    return Err(VmError::Condition {
-                        kind: "io-error",
-                        message: "%tcp-write: connection reset by peer (injected)".to_string(),
-                    });
+                    return Err(VmError::condition(
+                        "io-error",
+                        "%tcp-write: connection reset by peer (injected)",
+                    ));
                 }
                 if vm.io_spurious_fault.tick() {
                     vm.faults_injected += 1;
@@ -1362,7 +1356,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                 Some((k, d)) => (vm.display_value(&d), Some(vm.syms.name(k).to_string())),
                 None => (vm.write_value(&c), None),
             };
-            Err(VmError::Uncaught { condition, kind, backtrace: vm.backtrace() })
+            Err(Box::new(VmError::Uncaught { condition, kind, backtrace: vm.backtrace() }))
         },
         // --- delimited control (used only by the prelude) ---
         "%push-prompt" => |vm, argc| {

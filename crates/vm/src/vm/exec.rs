@@ -4,14 +4,12 @@
 
 use oneshot_compiler::Op;
 use oneshot_core::{KontId, Underflow};
-use oneshot_runtime::{Obj, ObjKind, Unpacked, Value};
+use oneshot_runtime::{Heap, Obj, ObjKind, Symbols, Unpacked, Value};
 
-use crate::error::VmError;
+use crate::error::{VmError, R};
 use crate::slot::{slot_disp, Resume, Slot};
 use crate::vm::builtins::Flow;
 use crate::vm::Vm;
-
-type R<T> = Result<T, VmError>;
 
 impl Vm {
     /// Reads the local slot at `fp + i` as a value.
@@ -42,17 +40,12 @@ impl Vm {
         self.heap.cell(r).expect("cell reference to non-cell")
     }
 
-    fn cell_set(&mut self, cell: Value, v: Value) {
-        let Some(r) = cell.as_obj() else { panic!("cell assignment to non-cell") };
-        *self.heap.cell_mut(r).expect("cell assignment to non-cell") = v;
-    }
-
     /// Builds the unbound-variable error. Out of line and `#[cold]`: the
     /// hot `GlobalRef` path is a load plus one sentinel compare, with the
     /// message formatting kept off the fast path entirely.
     #[cold]
     #[inline(never)]
-    fn unbound(&self, what: &str, i: u32) -> VmError {
+    fn unbound(&self, what: &str, i: u32) -> Box<VmError> {
         VmError::runtime(format!("{what}: {}", self.global_names[i as usize]))
     }
 
@@ -65,12 +58,15 @@ impl Vm {
     pub(crate) fn run(&mut self) -> R<Value> {
         loop {
             match self.run_dispatch() {
-                Err(VmError::Condition { kind, message }) => {
-                    if let Some(v) = self.begin_raise(kind, message)? {
-                        return Ok(v);
+                Err(e) => match *e {
+                    VmError::Condition { kind, message } => {
+                        if let Some(v) = self.begin_raise(kind, message)? {
+                            return Ok(v);
+                        }
                     }
-                }
-                other => return other,
+                    other => return Err(other.into()),
+                },
+                done => return done,
             }
         }
     }
@@ -87,11 +83,11 @@ impl Vm {
     fn begin_raise(&mut self, kind: &'static str, message: String) -> R<Option<Value>> {
         let uncaught = |vm: &mut Vm, message: String| {
             vm.conditions_raised += 1;
-            Err(VmError::Uncaught {
+            Err(Box::new(VmError::Uncaught {
                 condition: message,
                 kind: Some(kind.to_string()),
                 backtrace: vm.backtrace(),
-            })
+            }))
         };
         // CPS-converted `raise` takes a continuation argument the VM cannot
         // synthesize here; under that pipeline conditions the VM itself
@@ -134,68 +130,216 @@ impl Vm {
     /// transfer — call, return, continuation reinstatement — is a plain
     /// offset assignment; there is no per-transfer refetch of a code
     /// object. The instruction itself is fetched by value each iteration
-    /// (`Op` is `Copy` and at most 16 bytes), which keeps the arena free
-    /// to grow underneath us when a builtin such as `eval` links new code
-    /// mid-run.
+    /// (`Op` is `Copy` and at most 16 bytes).
+    ///
+    /// # Register discipline
+    ///
+    /// `pc`, `acc`, the instruction count and the arena slice live in
+    /// locals for the life of the loop, so the straight-line path — fetch,
+    /// local/global reference, fixnum arithmetic and compare, closure call,
+    /// procedure entry, return — never stores them. The copies in `self`
+    /// are stale in between and are brought up to date only where control
+    /// leaves the straight line, through one pair of macros: `sync!` writes
+    /// the locals back, `reload!` reads them again. Every `&mut self`
+    /// method call goes through `ool!` (sync, call, reload) — the borrow
+    /// checker enforces the reload half, because `flat` borrows
+    /// `self.flat` and must be re-borrowed after the call (which is also
+    /// what lets a builtin such as `eval` link new code mid-run) — and
+    /// every error leaves through `fail!` (sync, return). The sync points
+    /// are: a non-closure application (builtin, continuation), a return
+    /// through anything but a plain `Ret` slot or with multiple values
+    /// pending, `entry`'s slow path (arity error, rest list, overflow,
+    /// collection, guards, an armed segment fault), the timer interrupt,
+    /// and every error. (The cold arithmetic routines are functions of
+    /// their operands alone, `vector_set` of the heap, and need no sync
+    /// unless they fail.)
     #[allow(clippy::too_many_lines)]
     fn run_dispatch(&mut self) -> R<Value> {
+        let mut pc = self.pc;
+        let mut acc = self.acc;
+        let mut retired = self.instructions;
+        let mut flat: &[Op] = &self.flat;
+
+        macro_rules! sync {
+            () => {{
+                self.pc = pc;
+                self.acc = acc;
+                self.instructions = retired;
+            }};
+        }
+        macro_rules! reload {
+            () => {{
+                pc = self.pc;
+                acc = self.acc;
+                retired = self.instructions;
+                flat = &self.flat;
+            }};
+        }
+        // An out-of-line call: anything taking `&mut self`.
+        macro_rules! ool {
+            ($call:expr) => {{
+                sync!();
+                let r = $call;
+                reload!();
+                r
+            }};
+        }
+        macro_rules! fail {
+            ($err:expr) => {{
+                let e = $err;
+                sync!();
+                return Err(e);
+            }};
+        }
+        macro_rules! tri {
+            ($result:expr) => {
+                match $result {
+                    Ok(v) => v,
+                    Err(e) => fail!(e),
+                }
+            };
+        }
+        macro_rules! set_local {
+            ($i:expr, $v:expr) => {{
+                let fp = self.stack.fp();
+                self.stack.set(fp + $i as usize, Slot::Val($v));
+            }};
+        }
+        macro_rules! branch_unless {
+            ($taken:expr, $off:expr) => {
+                if !$taken {
+                    pc = pc.wrapping_add_signed($off as isize);
+                }
+            };
+        }
+        // `acc := a <op> b`. `arith` and `num_cmp` inline to the both-fixnum
+        // path; flonums, overflow and type errors are their cold halves.
+        macro_rules! arith {
+            ($op:expr, $a:expr, $b:expr) => {
+                acc = tri!(arith($op, $a, $b))
+            };
+        }
+        // The comparison's truth is also the macro's value.
+        macro_rules! compare {
+            ($op:expr, $a:expr, $b:expr) => {{
+                let holds = tri!(num_cmp($op, $a, $b));
+                acc = Value::boolean(holds);
+                holds
+            }};
+        }
+        // Pushes the return address for a non-tail call at `fp + disp`.
+        macro_rules! push_ret {
+            ($disp:expr) => {{
+                let nfp = self.stack.fp() + $disp as usize;
+                self.stack.set(
+                    nfp,
+                    Slot::Ret {
+                        code: self.code,
+                        pc: pc as u32,
+                        disp: $disp.into(),
+                        closure: self.closure,
+                    },
+                );
+                self.stack.set_fp(nfp);
+            }};
+        }
+        // Moves a tail call's argument block down over the current frame.
+        macro_rules! shift_args {
+            ($disp:expr, $argc:expr) => {{
+                let fp = self.stack.fp();
+                for i in 0..$argc as usize {
+                    let v = *self.stack.get(fp + $disp as usize + 1 + i);
+                    self.stack.set(fp + 1 + i, v);
+                }
+            }};
+        }
+        // Applies `f` to the `argc` arguments at `fp+1..`: a closure is
+        // entered inline, anything else goes to `apply`.
+        macro_rules! call {
+            ($f:expr, $argc:expr) => {{
+                let f = $f;
+                if let Some((code, base)) = self.closure_entry(f) {
+                    self.closure = f;
+                    self.code = code;
+                    self.argc = $argc as usize;
+                    pc = base;
+                } else if let Some(v) = ool!(self.apply(f, $argc as usize))? {
+                    return Ok(v);
+                }
+            }};
+        }
+        // Returns `acc` through the slot at the frame base: a plain return
+        // address with no multiple values pending is delivered inline.
+        macro_rules! ret {
+            () => {{
+                match *self.stack.get(self.stack.fp()) {
+                    Slot::Ret { code, pc: ret_pc, disp, closure } if self.mv.is_none() => {
+                        self.stack.pop_frame(disp as usize);
+                        self.code = code;
+                        self.closure = closure;
+                        pc = ret_pc as usize;
+                    }
+                    _ => {
+                        if let Some(v) = ool!(self.do_return())? {
+                            return Ok(v);
+                        }
+                    }
+                }
+            }};
+        }
+
         loop {
-            let op = self.flat[self.pc];
-            self.pc += 1;
-            self.instructions += 1;
+            let op = flat[pc];
+            pc += 1;
+            retired += 1;
             if let Some(hist) = &mut self.opcode_hist {
                 hist[op.kind_index()] += 1;
             }
             match op {
                 Op::Const(i) => {
-                    self.acc = self.codes[self.code as usize].consts[i as usize];
+                    acc = self.codes[self.code as usize].consts[i as usize];
                 }
-                Op::FixInt(n) => self.acc = Value::fixnum(n.into()),
-                Op::Unspec => self.acc = Value::UNSPECIFIED,
-                Op::LocalRef(i) => self.acc = self.local(i as usize),
-                Op::LocalSet(i) => {
-                    let v = self.acc;
-                    self.set_local(i as usize, v);
-                }
-                Op::FreeRef(i) => self.acc = self.free_value(i as usize),
+                Op::FixInt(n) => acc = Value::fixnum(n.into()),
+                Op::Unspec => acc = Value::UNSPECIFIED,
+                Op::LocalRef(i) => acc = self.local(i as usize),
+                Op::LocalSet(i) => set_local!(i, acc),
+                Op::FreeRef(i) => acc = self.free_value(i as usize),
                 Op::CellRefLocal(i) => {
                     let c = self.local(i as usize);
-                    self.acc = self.cell_get(c);
+                    acc = self.cell_get(c);
                 }
                 Op::CellRefFree(i) => {
                     let c = self.free_value(i as usize);
-                    self.acc = self.cell_get(c);
+                    acc = self.cell_get(c);
                 }
                 Op::CellSetLocal(i) => {
                     let c = self.local(i as usize);
-                    let v = self.acc;
-                    self.cell_set(c, v);
+                    cell_set(&mut self.heap, c, acc);
                 }
                 Op::CellSetFree(i) => {
                     let c = self.free_value(i as usize);
-                    let v = self.acc;
-                    self.cell_set(c, v);
+                    cell_set(&mut self.heap, c, acc);
                 }
                 Op::MakeCell(i) => {
                     let v = self.local(i as usize);
                     let cell = Value::obj(self.heap.alloc(Obj::Cell(v)));
-                    self.set_local(i as usize, cell);
+                    set_local!(i, cell);
                 }
                 Op::GlobalRef(i) => {
                     let v = self.globals[i as usize];
                     if v == Value::UNDEFINED {
-                        return Err(self.unbound("unbound variable", i));
+                        fail!(self.unbound("unbound variable", i));
                     }
-                    self.acc = v;
+                    acc = v;
                 }
                 Op::GlobalSet(i) => {
                     if self.globals[i as usize] == Value::UNDEFINED {
-                        return Err(self.unbound("assignment to unbound variable", i));
+                        fail!(self.unbound("assignment to unbound variable", i));
                     }
-                    self.globals[i as usize] = self.acc;
+                    self.globals[i as usize] = acc;
                 }
                 Op::GlobalDef(i) => {
-                    self.globals[i as usize] = self.acc;
+                    self.globals[i as usize] = acc;
                 }
                 Op::Closure(i) => {
                     // Gather captures into a stack buffer: together with
@@ -210,7 +354,7 @@ impl Vm {
                                 oneshot_compiler::FreeSrc::Free(k) => self.free_value(k as usize),
                             };
                         }
-                        self.acc = Value::obj(self.heap.alloc_closure(i, &buf[..n]));
+                        acc = Value::obj(self.heap.alloc_closure(i, &buf[..n]));
                     } else {
                         let free: Vec<Value> = self.codes[i as usize]
                             .free_spec
@@ -220,240 +364,205 @@ impl Vm {
                                 oneshot_compiler::FreeSrc::Free(j) => self.free_value(j as usize),
                             })
                             .collect();
-                        self.acc = Value::obj(self.heap.alloc_closure(i, &free));
+                        acc = Value::obj(self.heap.alloc_closure(i, &free));
                     }
                 }
-                Op::Jump(off) => {
-                    self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                }
-                Op::BranchFalse(off) => {
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
-                }
+                Op::Jump(off) => pc = pc.wrapping_add_signed(off as isize),
+                Op::BranchFalse(off) => branch_unless!(acc.is_true(), off),
                 Op::Entry { required, rest } => {
-                    // When a timer interrupt fires, `entry` has already
-                    // transferred control to the handler; just keep going.
-                    self.entry(required as usize, rest)?;
+                    // The whole prologue of an exact-arity call that fits
+                    // its segment on an unguarded VM with no segment fault
+                    // armed and no collection due: one test, then the
+                    // timer tick. Everything else is `entry`, which
+                    // re-derives all of it.
+                    let need = self.entries[self.code as usize].need as usize;
+                    if rest
+                        || self.argc != required as usize
+                        || self.guards_active
+                        || self.stack.segment_fault_armed()
+                        || self.stack.headroom() < need
+                        || self.heap.wants_collection()
+                    {
+                        // When a timer interrupt fires, `entry` has already
+                        // transferred control to the handler; just keep
+                        // going.
+                        ool!(self.entry(required as usize, rest))?;
+                    } else if self.timer_on && timer_expires(&mut self.fuel, &mut self.timer_on) {
+                        ool!(self.fire_timer_interrupt())?;
+                    }
                 }
                 Op::Call { disp, argc } => {
                     self.calls += 1;
-                    let fp = self.stack.fp();
-                    self.stack.set(
-                        fp + disp as usize,
-                        Slot::Ret {
-                            code: self.code,
-                            pc: self.pc as u32,
-                            disp: disp.into(),
-                            closure: self.closure,
-                        },
-                    );
-                    self.stack.set_fp(fp + disp as usize);
-                    let f = self.acc;
-                    if let Some(v) = self.apply(f, argc as usize)? {
-                        return Ok(v);
-                    }
+                    push_ret!(disp);
+                    call!(acc, argc);
                 }
                 Op::TailCall { disp, argc } => {
                     self.calls += 1;
-                    let fp = self.stack.fp();
-                    for i in 0..argc as usize {
-                        let v = *self.stack.get(fp + disp as usize + 1 + i);
-                        self.stack.set(fp + 1 + i, v);
-                    }
-                    let f = self.acc;
-                    if let Some(v) = self.apply(f, argc as usize)? {
-                        return Ok(v);
-                    }
+                    shift_args!(disp, argc);
+                    call!(acc, argc);
                 }
-                Op::Return => {
-                    if let Some(v) = self.do_return()? {
-                        return Ok(v);
-                    }
-                }
+                Op::Return => ret!(),
                 // --- inline primitives ---
-                Op::Add(i) => self.acc = num_add(self.local(i as usize), self.acc)?,
-                Op::Sub(i) => self.acc = num_sub(self.local(i as usize), self.acc)?,
-                Op::Mul(i) => self.acc = num_mul(self.local(i as usize), self.acc)?,
-                Op::Lt(i) => self.acc = num_cmp(self.local(i as usize), self.acc, "<")?,
-                Op::Le(i) => self.acc = num_cmp(self.local(i as usize), self.acc, "<=")?,
-                Op::Gt(i) => self.acc = num_cmp(self.local(i as usize), self.acc, ">")?,
-                Op::Ge(i) => self.acc = num_cmp(self.local(i as usize), self.acc, ">=")?,
-                Op::NumEq(i) => self.acc = num_cmp(self.local(i as usize), self.acc, "=")?,
+                Op::Add(i) => arith!(Arith::Add, self.local(i as usize), acc),
+                Op::Sub(i) => arith!(Arith::Sub, self.local(i as usize), acc),
+                Op::Mul(i) => arith!(Arith::Mul, self.local(i as usize), acc),
+                Op::Lt(i) => {
+                    compare!(Cmp::Lt, self.local(i as usize), acc);
+                }
+                Op::Le(i) => {
+                    compare!(Cmp::Le, self.local(i as usize), acc);
+                }
+                Op::Gt(i) => {
+                    compare!(Cmp::Gt, self.local(i as usize), acc);
+                }
+                Op::Ge(i) => {
+                    compare!(Cmp::Ge, self.local(i as usize), acc);
+                }
+                Op::NumEq(i) => {
+                    compare!(Cmp::Eq, self.local(i as usize), acc);
+                }
                 Op::Cons(i) => {
                     let car = self.local(i as usize);
-                    let cdr = self.acc;
-                    self.acc = Value::obj(self.heap.alloc_pair(car, cdr));
+                    acc = Value::obj(self.heap.alloc_pair(car, acc));
                 }
-                Op::Eq(i) => self.acc = Value::boolean(self.local(i as usize) == self.acc),
-                Op::Car => match self.acc.as_obj().and_then(|r| self.heap.pair(r)) {
-                    Some((a, _)) => self.acc = a,
-                    None => return Err(self.type_error("car", "pair", self.acc)),
+                Op::Eq(i) => acc = Value::boolean(self.local(i as usize) == acc),
+                Op::Car => match acc.as_obj().and_then(|r| self.heap.pair(r)) {
+                    Some((a, _)) => acc = a,
+                    None => fail!(self.type_error("car", "pair", acc)),
                 },
-                Op::Cdr => match self.acc.as_obj().and_then(|r| self.heap.pair(r)) {
-                    Some((_, d)) => self.acc = d,
-                    None => return Err(self.type_error("cdr", "pair", self.acc)),
+                Op::Cdr => match acc.as_obj().and_then(|r| self.heap.pair(r)) {
+                    Some((_, d)) => acc = d,
+                    None => fail!(self.type_error("cdr", "pair", acc)),
                 },
-                Op::NullP => self.acc = Value::boolean(self.acc == Value::NIL),
-                Op::PairP => {
-                    self.acc = Value::boolean(self.acc.is_pair());
-                }
-                Op::Not => self.acc = Value::boolean(!self.acc.is_true()),
-                Op::ZeroP => match self.acc.unpack() {
-                    Unpacked::Fixnum(n) => self.acc = Value::boolean(n == 0),
-                    Unpacked::Flonum(x) => self.acc = Value::boolean(x == 0.0),
-                    _ => return Err(self.type_error("zero?", "number", self.acc)),
-                },
-                Op::Add1 => self.acc = num_add(self.acc, Value::fixnum(1))?,
-                Op::Sub1 => self.acc = num_sub(self.acc, Value::fixnum(1))?,
+                Op::NullP => acc = Value::boolean(acc == Value::NIL),
+                Op::PairP => acc = Value::boolean(acc.is_pair()),
+                Op::Not => acc = Value::boolean(!acc.is_true()),
+                Op::ZeroP => acc = Value::boolean(tri!(self.is_zero(acc))),
+                Op::Add1 => arith!(Arith::Add, acc, Value::fixnum(1)),
+                Op::Sub1 => arith!(Arith::Sub, acc, Value::fixnum(1)),
                 Op::VecRef(i) => {
                     let v = self.local(i as usize);
-                    self.acc = self.vector_ref(v, self.acc)?;
+                    acc = tri!(self.vector_ref(v, acc));
                 }
                 Op::VecSet { v, i } => {
                     let vec = self.local(v as usize);
                     let idx = self.local(i as usize);
-                    let x = self.acc;
-                    self.vector_set(vec, idx, x)?;
-                    self.acc = Value::UNSPECIFIED;
+                    tri!(vector_set(&mut self.heap, &self.syms, vec, idx, acc));
+                    acc = Value::UNSPECIFIED;
                 }
                 // --- superinstructions (peephole-fused pairs) ---
                 // Each arm computes exactly what the unfused pair computed,
                 // including the value left in `acc`, so fusion never changes
                 // results or stack/control counters.
                 Op::BrLt { i, off } => {
-                    self.acc = num_cmp(self.local(i as usize), self.acc, "<")?;
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    branch_unless!(compare!(Cmp::Lt, self.local(i as usize), acc), off);
                 }
                 Op::BrLe { i, off } => {
-                    self.acc = num_cmp(self.local(i as usize), self.acc, "<=")?;
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    branch_unless!(compare!(Cmp::Le, self.local(i as usize), acc), off);
                 }
                 Op::BrGt { i, off } => {
-                    self.acc = num_cmp(self.local(i as usize), self.acc, ">")?;
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    branch_unless!(compare!(Cmp::Gt, self.local(i as usize), acc), off);
                 }
                 Op::BrGe { i, off } => {
-                    self.acc = num_cmp(self.local(i as usize), self.acc, ">=")?;
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    branch_unless!(compare!(Cmp::Ge, self.local(i as usize), acc), off);
                 }
                 Op::BrNumEq { i, off } => {
-                    self.acc = num_cmp(self.local(i as usize), self.acc, "=")?;
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    branch_unless!(compare!(Cmp::Eq, self.local(i as usize), acc), off);
                 }
                 Op::BrEq { i, off } => {
-                    self.acc = Value::boolean(self.local(i as usize) == self.acc);
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    acc = Value::boolean(self.local(i as usize) == acc);
+                    branch_unless!(acc.is_true(), off);
                 }
                 Op::BrZeroP(off) => {
-                    self.acc = match self.acc.unpack() {
-                        Unpacked::Fixnum(n) => Value::boolean(n == 0),
-                        Unpacked::Flonum(x) => Value::boolean(x == 0.0),
-                        _ => return Err(self.type_error("zero?", "number", self.acc)),
-                    };
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    acc = Value::boolean(tri!(self.is_zero(acc)));
+                    branch_unless!(acc.is_true(), off);
                 }
                 Op::BrNullP(off) => {
-                    self.acc = Value::boolean(self.acc == Value::NIL);
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    acc = Value::boolean(acc == Value::NIL);
+                    branch_unless!(acc.is_true(), off);
                 }
                 Op::ReturnLocal(i) => {
-                    self.acc = self.local(i as usize);
-                    if let Some(v) = self.do_return()? {
-                        return Ok(v);
-                    }
+                    acc = self.local(i as usize);
+                    ret!();
                 }
                 Op::AddImm { i, n } => {
-                    self.acc = num_add(self.local(i as usize), Value::fixnum(n.into()))?;
+                    arith!(Arith::Add, self.local(i as usize), Value::fixnum(n.into()));
                 }
                 Op::SubImm { i, n } => {
-                    self.acc = num_sub(self.local(i as usize), Value::fixnum(n.into()))?;
+                    arith!(Arith::Sub, self.local(i as usize), Value::fixnum(n.into()));
                 }
                 Op::Move { src, dst } => {
-                    self.acc = self.local(src as usize);
-                    let v = self.acc;
-                    self.set_local(dst as usize, v);
+                    acc = self.local(src as usize);
+                    set_local!(dst, acc);
                 }
                 Op::BrLtImm { i, n, off } => {
-                    self.acc = num_cmp(self.local(i as usize), Value::fixnum(n.into()), "<")?;
-                    if !self.acc.is_true() {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
-                    }
+                    let rhs = Value::fixnum(n.into());
+                    branch_unless!(compare!(Cmp::Lt, self.local(i as usize), rhs), off);
                 }
                 Op::CallGlobal { g, disp, argc } => {
                     let f = self.globals[g as usize];
                     if f == Value::UNDEFINED {
-                        return Err(self.unbound("unbound variable", g));
+                        fail!(self.unbound("unbound variable", g));
                     }
-                    self.acc = f;
+                    acc = f;
                     self.calls += 1;
-                    let fp = self.stack.fp();
-                    self.stack.set(
-                        fp + disp as usize,
-                        Slot::Ret {
-                            code: self.code,
-                            pc: self.pc as u32,
-                            disp: disp.into(),
-                            closure: self.closure,
-                        },
-                    );
-                    self.stack.set_fp(fp + disp as usize);
-                    if let Some(v) = self.apply(f, argc as usize)? {
-                        return Ok(v);
-                    }
+                    push_ret!(disp);
+                    call!(f, argc);
                 }
                 Op::TailCallGlobal { g, disp, argc } => {
                     let f = self.globals[g as usize];
                     if f == Value::UNDEFINED {
-                        return Err(self.unbound("unbound variable", g));
+                        fail!(self.unbound("unbound variable", g));
                     }
-                    self.acc = f;
+                    acc = f;
                     self.calls += 1;
-                    let fp = self.stack.fp();
-                    for i in 0..argc as usize {
-                        let v = *self.stack.get(fp + disp as usize + 1 + i);
-                        self.stack.set(fp + 1 + i, v);
-                    }
-                    if let Some(v) = self.apply(f, argc as usize)? {
-                        return Ok(v);
-                    }
+                    shift_args!(disp, argc);
+                    call!(f, argc);
                 }
                 Op::BrTrue(off) => {
-                    let was_true = self.acc.is_true();
-                    self.acc = Value::boolean(!was_true);
+                    let was_true = acc.is_true();
+                    acc = Value::boolean(!was_true);
                     if was_true {
-                        self.pc = (self.pc as i64 + i64::from(off)) as usize;
+                        pc = pc.wrapping_add_signed(off as isize);
                     }
                 }
             }
         }
     }
 
-    /// Function prologue: arity, overflow check, rest collection, GC safe
-    /// point, timer tick. Returns true when a timer interrupt transferred
-    /// control to the handler.
+    /// The code index and first instruction of `f`, if `f` is a closure —
+    /// the inline half of [`Vm::apply`].
+    #[inline]
+    fn closure_entry(&self, f: Value) -> Option<(u32, usize)> {
+        let (code, _) = self.heap.closure(f.as_obj()?)?;
+        Some((code, self.entries[code as usize].base as usize))
+    }
+
+    /// `(zero? v)`: the `ZeroP` instruction, its fused branch and the
+    /// builtin.
+    #[inline]
+    pub(crate) fn is_zero(&self, v: Value) -> R<bool> {
+        match v.unpack() {
+            Unpacked::Fixnum(n) => Ok(n == 0),
+            Unpacked::Flonum(x) => Ok(x == 0.0),
+            _ => Err(self.type_error("zero?", "number", v)),
+        }
+    }
+
+    /// Function prologue, in full: arity, overflow check, rest collection,
+    /// GC safe point, timer tick. Returns true when a timer interrupt
+    /// transferred control to the handler. The dispatch loop runs the
+    /// common case of this inline and calls here for the rest; this is the
+    /// complete prologue, so calling it in the common case is also correct.
+    /// Kept out of the loop's body, but not `#[cold]`: on a guarded VM and
+    /// for every variadic procedure it is the path taken.
+    #[inline(never)]
     fn entry(&mut self, required: usize, rest: bool) -> R<bool> {
         let argc = self.argc;
         if argc < required || (!rest && argc > required) {
             return Err(self.arity_error(required, rest, argc));
         }
-        let need = self.codes[self.code as usize].frame_slots as usize + 2;
+        let need = self.entries[self.code as usize].need as usize;
         // Winder entries are critical sections: an asynchronous guard fault
         // delivered between the wind machinery's bookkeeping (winder pushed
         // or popped) and the winder thunk's body would unbalance
@@ -487,12 +596,8 @@ impl Vm {
                 return Ok(transferred);
             }
         }
-        if self.timer_on {
-            self.fuel = self.fuel.saturating_sub(1);
-            if self.fuel == 0 {
-                self.timer_on = false;
-                return self.fire_timer_interrupt();
-            }
+        if self.timer_on && timer_expires(&mut self.fuel, &mut self.timer_on) {
+            return self.fire_timer_interrupt();
         }
         Ok(false)
     }
@@ -549,7 +654,7 @@ impl Vm {
 
     #[cold]
     #[inline(never)]
-    fn arity_error(&self, required: usize, rest: bool, argc: usize) -> VmError {
+    fn arity_error(&self, required: usize, rest: bool, argc: usize) -> Box<VmError> {
         let name = &self.codes[self.code as usize].name;
         VmError::condition(
             "arity-error",
@@ -591,7 +696,7 @@ impl Vm {
                 "timer expired with no interrupt handler",
             ));
         }
-        let fs = self.codes[self.code as usize].frame_slots as usize + 1;
+        let fs = self.entries[self.code as usize].need as usize - 1;
         let fp = self.stack.fp();
         self.stack.set(
             fp + fs,
@@ -615,18 +720,15 @@ impl Vm {
     /// Applies `f` to `argc` arguments already placed at `fp+1..`.
     /// Returns `Some(final)` if the program completed (underflowed out).
     pub(crate) fn apply(&mut self, f: Value, argc: usize) -> R<Option<Value>> {
+        if let Some((code, base)) = self.closure_entry(f) {
+            self.closure = f;
+            self.code = code;
+            self.pc = base;
+            self.argc = argc;
+            return Ok(None);
+        }
         match f.unpack() {
             Unpacked::Obj(r) => match r.kind() {
-                ObjKind::Closure => {
-                    let Some((code, _)) = self.heap.closure(r) else {
-                        return Err(VmError::runtime("application of a collected closure"));
-                    };
-                    self.closure = f;
-                    self.code = code;
-                    self.pc = self.codes[code as usize].base as usize;
-                    self.argc = argc;
-                    Ok(None)
-                }
                 ObjKind::Kont => {
                     let Some((kont, winders)) = self.heap.kont(r) else {
                         return Err(VmError::runtime("invocation of a collected continuation"));
@@ -809,28 +911,34 @@ impl Vm {
         self.call_winder(before, Resume::KontWindEnter)
     }
 
-    /// Longest common tail of two winder lists (by node identity).
-    fn common_tail(&self, a: Value, b: Value) -> Value {
-        let mut b_nodes = Vec::new();
-        let mut cur = b;
-        while let Some(r) = cur.as_obj() {
-            b_nodes.push(cur);
-            match self.heap.pair(r) {
-                Some((_, d)) => cur = d,
-                None => break,
+    /// Longest common tail of two winder lists (by node identity): measure
+    /// both, drop the longer one's surplus, then step the two together
+    /// until they meet. Linear and allocation-free — this runs once per
+    /// winder crossed by a continuation invocation.
+    fn common_tail(&self, mut a: Value, mut b: Value) -> Value {
+        let cdr = |v: Value| v.as_obj().and_then(|r| self.heap.pair(r)).map(|(_, d)| d);
+        let len = |mut v: Value| {
+            let mut n = 0usize;
+            while let Some(d) = cdr(v) {
+                n += 1;
+                v = d;
+            }
+            n
+        };
+        let (la, lb) = (len(a), len(b));
+        for _ in lb..la {
+            a = cdr(a).unwrap_or(Value::NIL);
+        }
+        for _ in la..lb {
+            b = cdr(b).unwrap_or(Value::NIL);
+        }
+        while a != b {
+            match (cdr(a), cdr(b)) {
+                (Some(x), Some(y)) => (a, b) = (x, y),
+                _ => return Value::NIL,
             }
         }
-        b_nodes.push(Value::NIL);
-        let mut cur = a;
-        loop {
-            if b_nodes.contains(&cur) {
-                return cur;
-            }
-            match cur.as_obj().and_then(|r| self.heap.pair(r)) {
-                Some((_, d)) => cur = d,
-                None => return Value::NIL,
-            }
-        }
+        a
     }
 
     /// Calls a winder thunk in a subframe above the wind state.
@@ -1169,98 +1277,184 @@ impl Vm {
             .ok_or_else(|| VmError::runtime(format!("vector-ref: index {i} out of range")))
     }
 
-    pub(crate) fn vector_set(&mut self, v: Value, idx: Value, x: Value) -> R<()> {
-        let Some(r) = v.as_obj() else {
-            return Err(self.type_error("vector-set!", "vector", v));
-        };
-        let Some(i) = idx.as_fixnum() else {
-            return Err(self.type_error("vector-set!", "index", idx));
-        };
-        let Some(items) = self.heap.vector_mut(r) else {
-            return Err(self.type_error("vector-set!", "vector", v));
-        };
-        let slot = usize::try_from(i)
-            .ok()
-            .and_then(|i| items.get_mut(i))
-            .ok_or_else(|| VmError::runtime(format!("vector-set!: index {i} out of range")))?;
-        *slot = x;
-        Ok(())
+    pub(crate) fn type_error(&self, who: &str, expected: &str, got: Value) -> Box<VmError> {
+        type_error(&self.heap, &self.syms, who, expected, got)
     }
+}
 
-    pub(crate) fn type_error(&self, who: &str, expected: &str, got: Value) -> VmError {
-        VmError::condition(
-            "type-error",
-            format!(
-                "{who}: expected {expected}, got {}",
-                oneshot_runtime::write_value(&self.heap, &self.syms, got)
-            ),
-        )
+fn type_error(heap: &Heap, syms: &Symbols, who: &str, expected: &str, got: Value) -> Box<VmError> {
+    VmError::condition(
+        "type-error",
+        format!(
+            "{who}: expected {expected}, got {}",
+            oneshot_runtime::write_value(heap, syms, got)
+        ),
+    )
+}
+
+/// `(vector-set! v idx x)`. Like [`cell_set`] a function of the heap (and
+/// the symbol table its error messages print through), not of the VM, so
+/// the dispatch loop calls it in line.
+pub(crate) fn vector_set(heap: &mut Heap, syms: &Symbols, v: Value, idx: Value, x: Value) -> R<()> {
+    let Some(r) = v.as_obj() else {
+        return Err(type_error(heap, syms, "vector-set!", "vector", v));
+    };
+    let Some(i) = idx.as_fixnum() else {
+        return Err(type_error(heap, syms, "vector-set!", "index", idx));
+    };
+    let Some(items) = heap.vector_mut(r) else {
+        return Err(type_error(heap, syms, "vector-set!", "vector", v));
+    };
+    let slot = usize::try_from(i)
+        .ok()
+        .and_then(|i| items.get_mut(i))
+        .ok_or_else(|| VmError::runtime(format!("vector-set!: index {i} out of range")))?;
+    *slot = x;
+    Ok(())
+}
+
+/// One tick of the running interval timer, at a procedure entry: burns a
+/// unit of fuel and, when that was the last, stops the timer and says so —
+/// the caller then fires the interrupt. A function of the two fields so
+/// `entry` and the dispatch loop's inline prologue share it.
+#[inline]
+fn timer_expires(fuel: &mut u64, timer_on: &mut bool) -> bool {
+    *fuel = fuel.saturating_sub(1);
+    if *fuel == 0 {
+        *timer_on = false;
     }
+    *fuel == 0
+}
+
+/// Stores `v` into the cell `cell` refers to. A function of the heap
+/// alone, so the dispatch loop can call it without giving up its borrow of
+/// the instruction arena.
+fn cell_set(heap: &mut Heap, cell: Value, v: Value) {
+    let Some(r) = cell.as_obj() else { panic!("cell assignment to non-cell") };
+    *heap.cell_mut(r).expect("cell assignment to non-cell") = v;
 }
 
 // ----------------------------------------------------------------------
 // Numeric helpers (fixnum/flonum tower)
 // ----------------------------------------------------------------------
 
-pub(crate) fn num_add(a: Value, b: Value) -> Result<Value, VmError> {
-    match (a.as_fixnum(), b.as_fixnum()) {
-        // 50-bit payloads cannot overflow an i64 add; the range test on the
-        // result is the whole overflow check.
-        (Some(x), Some(y)) => Value::fixnum_checked(x + y)
-            .ok_or_else(|| VmError::condition("error", "fixnum overflow in +")),
-        _ => Ok(Value::flonum(as_f64(a, "+")? + as_f64(b, "+")?)),
+/// A binary arithmetic operator, resolved where the instruction or builtin
+/// is written so the fixnum path compiles to the bare machine operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arith {
+    Add,
+    Sub,
+    Mul,
+}
+
+impl Arith {
+    /// The operator's name in error messages.
+    fn name(self) -> &'static str {
+        match self {
+            Arith::Add => "+",
+            Arith::Sub => "-",
+            Arith::Mul => "*",
+        }
     }
 }
 
-pub(crate) fn num_sub(a: Value, b: Value) -> Result<Value, VmError> {
-    match (a.as_fixnum(), b.as_fixnum()) {
-        (Some(x), Some(y)) => Value::fixnum_checked(x - y)
-            .ok_or_else(|| VmError::condition("error", "fixnum overflow in -")),
-        _ => Ok(Value::flonum(as_f64(a, "-")? - as_f64(b, "-")?)),
+/// A numeric comparison operator (see [`Arith`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cmp {
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    Eq,
+}
+
+impl Cmp {
+    /// The operator's name in error messages.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Cmp::Lt => "<",
+            Cmp::Le => "<=",
+            Cmp::Gt => ">",
+            Cmp::Ge => ">=",
+            Cmp::Eq => "=",
+        }
+    }
+
+    /// Whether `a <op> b` holds given how `a` orders against `b`.
+    #[inline(always)]
+    pub(crate) fn holds(self, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match self {
+            Cmp::Lt => ord == Less,
+            Cmp::Le => ord != Greater,
+            Cmp::Gt => ord == Greater,
+            Cmp::Ge => ord != Less,
+            Cmp::Eq => ord == Equal,
+        }
     }
 }
 
-pub(crate) fn num_mul(a: Value, b: Value) -> Result<Value, VmError> {
-    match (a.as_fixnum(), b.as_fixnum()) {
+/// `a <op> b` when both are fixnums and the result is one; `None` sends
+/// the caller to [`arith_slow`].
+#[inline(always)]
+fn fix_arith(op: Arith, a: Value, b: Value) -> Option<Value> {
+    let (x, y) = (a.as_fixnum()?, b.as_fixnum()?);
+    Value::fixnum_checked(match op {
+        // 50-bit payloads cannot overflow an i64 add or subtract; the range
+        // test on the result is the whole overflow check.
+        Arith::Add => x + y,
+        Arith::Sub => x - y,
         // A 50x50-bit product can overflow the i64, so the multiply itself
         // stays checked before the payload range test.
-        (Some(x), Some(y)) => x
-            .checked_mul(y)
-            .and_then(Value::fixnum_checked)
-            .ok_or_else(|| VmError::condition("error", "fixnum overflow in *")),
-        _ => Ok(Value::flonum(as_f64(a, "*")? * as_f64(b, "*")?)),
+        Arith::Mul => x.checked_mul(y)?,
+    })
+}
+
+/// Everything [`fix_arith`] declines: fixnum overflow (a catchable
+/// `error`), flonum and mixed arithmetic, and non-numbers (a `type-error`).
+#[cold]
+#[inline(never)]
+fn arith_slow(op: Arith, a: Value, b: Value) -> R<Value> {
+    if a.is_fixnum() && b.is_fixnum() {
+        return Err(VmError::condition("error", format!("fixnum overflow in {}", op.name())));
+    }
+    let (x, y) = (as_f64(a, op.name())?, as_f64(b, op.name())?);
+    Ok(Value::flonum(match op {
+        Arith::Add => x + y,
+        Arith::Sub => x - y,
+        Arith::Mul => x * y,
+    }))
+}
+
+/// `a <op> b` over the numeric tower.
+#[inline(always)]
+pub(crate) fn arith(op: Arith, a: Value, b: Value) -> R<Value> {
+    match fix_arith(op, a, b) {
+        Some(v) => Ok(v),
+        None => arith_slow(op, a, b),
     }
 }
 
-pub(crate) fn num_cmp(a: Value, b: Value, op: &str) -> Result<Value, VmError> {
-    let r = match (a.as_fixnum(), b.as_fixnum()) {
-        (Some(x), Some(y)) => compare(x.cmp(&y), op),
-        _ => {
-            let (x, y) = (as_f64(a, op)?, as_f64(b, op)?);
-            // NaN compares false under every ordering, as in R4RS systems
-            // with IEEE flonums.
-            match x.partial_cmp(&y) {
-                Some(ord) => compare(ord, op),
-                None => false,
-            }
-        }
-    };
-    Ok(Value::boolean(r))
+/// A comparison with at least one operand that is not a fixnum.
+#[cold]
+#[inline(never)]
+fn cmp_slow(op: Cmp, a: Value, b: Value) -> R<bool> {
+    let (x, y) = (as_f64(a, op.name())?, as_f64(b, op.name())?);
+    // NaN compares false under every ordering, as in R4RS systems with
+    // IEEE flonums.
+    Ok(x.partial_cmp(&y).is_some_and(|ord| op.holds(ord)))
 }
 
-fn compare(ord: std::cmp::Ordering, op: &str) -> bool {
-    use std::cmp::Ordering::{Equal, Greater, Less};
-    match op {
-        "<" => ord == Less,
-        "<=" => ord != Greater,
-        ">" => ord == Greater,
-        ">=" => ord != Less,
-        "=" => ord == Equal,
-        _ => unreachable!("unknown comparison {op}"),
+/// Whether `a <op> b` holds, over the numeric tower.
+#[inline(always)]
+pub(crate) fn num_cmp(op: Cmp, a: Value, b: Value) -> R<bool> {
+    match (a.as_fixnum(), b.as_fixnum()) {
+        (Some(x), Some(y)) => Ok(op.holds(x.cmp(&y))),
+        _ => cmp_slow(op, a, b),
     }
 }
 
-pub(crate) fn as_f64(v: Value, who: &str) -> Result<f64, VmError> {
+pub(crate) fn as_f64(v: Value, who: &str) -> R<f64> {
     match v.unpack() {
         Unpacked::Fixnum(n) => Ok(n as f64),
         Unpacked::Flonum(x) => Ok(x),

@@ -18,7 +18,7 @@ use oneshot_runtime::{
 };
 use oneshot_sexp::read_all;
 
-use crate::error::VmError;
+use crate::error::{VmError, R};
 use crate::slot::Slot;
 
 pub(crate) use builtins::BuiltinFn;
@@ -290,20 +290,13 @@ impl VmBuilder {
     }
 }
 
-/// A loaded (linked) code object: metadata plus a window into the VM's
-/// flat instruction arena.
-///
-/// The instructions themselves live concatenated in [`Vm::flat`]; each
-/// code object records only its base offset, so every control transfer is
-/// an offset assignment — no per-transfer clone or refcount traffic.
+/// A loaded (linked) code object's metadata. Its instructions live
+/// concatenated in [`Vm::flat`], and what a call needs — where they start
+/// and how much stack they want — in [`Vm::entries`].
 #[derive(Debug)]
 pub(crate) struct LoadedCode {
     /// Diagnostic name (error messages, backtraces).
     pub(crate) name: String,
-    /// Maximum frame extent in slots (the `Entry` overflow check).
-    pub(crate) frame_slots: u16,
-    /// Offset of this code object's first instruction in [`Vm::flat`].
-    pub(crate) base: u32,
     /// Instruction count (diagnostics; the code body ends in an
     /// unconditional transfer, so dispatch never runs off the end).
     #[allow(dead_code)]
@@ -313,6 +306,19 @@ pub(crate) struct LoadedCode {
     /// Capture spec, pre-resolved at link time so closure creation reads
     /// it in place (no per-`Op::Closure` clone).
     pub(crate) free_spec: Box<[FreeSrc]>,
+}
+
+/// What calling a code object needs, kept apart from [`LoadedCode`] in a
+/// flat table of one word per code object so that a call and its `Entry`
+/// prologue each cost one load: every control transfer is an offset
+/// assignment — no per-transfer clone or refcount traffic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CodeEntry {
+    /// Offset of the code object's first instruction in [`Vm::flat`].
+    pub(crate) base: u32,
+    /// Slots the `Entry` overflow check must find above the frame pointer:
+    /// the maximum frame extent plus the return address and one spare.
+    pub(crate) need: u32,
 }
 
 /// Aggregated statistics: instruction counts plus heap and stack counters.
@@ -398,6 +404,8 @@ pub struct Vm {
     pub(crate) syms: Symbols,
     pub(crate) stack: SegStack<Slot, VmProbe>,
     pub(crate) codes: Vec<LoadedCode>,
+    /// Call targets, indexed like `codes` (see [`CodeEntry`]).
+    pub(crate) entries: Vec<CodeEntry>,
     /// The flat instruction arena: every loaded code object's instructions,
     /// concatenated. `pc` is an absolute index into this vector; control
     /// transfers are pointer arithmetic on it.
@@ -504,6 +512,7 @@ impl Vm {
             syms: Symbols::new(),
             stack: SegStack::with_probe(cfg.stack, Slot::Marker, VmProbe::from(cfg.probe)),
             codes: Vec::new(),
+            entries: Vec::new(),
             flat: Vec::new(),
             globals: Vec::new(),
             global_names: Vec::new(),
@@ -611,10 +620,10 @@ impl Vm {
     ///
     /// Read, compile, or runtime errors; the VM remains usable afterwards.
     pub fn eval_str(&mut self, src: &str) -> Result<Value, VmError> {
-        self.load_with(src, self.pipeline)
+        self.load_with(src, self.pipeline).map_err(|e| *e)
     }
 
-    fn load_with(&mut self, src: &str, pipeline: Pipeline) -> Result<Value, VmError> {
+    fn load_with(&mut self, src: &str, pipeline: Pipeline) -> R<Value> {
         let forms = read_all(src).map_err(|e| VmError::Read(e.to_string()))?;
         let prog = compile_program_with(&forms, pipeline, self.compiler)
             .map_err(|e| VmError::Compile(e.to_string()))?;
@@ -766,11 +775,11 @@ impl Vm {
                 .collect();
             // Resumed frames must never outrun the post-reinstatement
             // headroom guarantee.
-            self.stack.raise_reserve(code.frame_slots as usize + 2);
+            let need = u32::from(code.frame_slots) + 2;
+            self.stack.raise_reserve(need as usize);
+            self.entries.push(CodeEntry { base: ops_base, need });
             self.codes.push(LoadedCode {
                 name: code.name.clone(),
-                frame_slots: code.frame_slots,
-                base: ops_base,
                 len: code.ops.len() as u32,
                 consts,
                 free_spec: code.free_spec.clone().into_boxed_slice(),
@@ -780,10 +789,10 @@ impl Vm {
     }
 
     /// Runs a zero-argument code object from the VM rest state.
-    pub(crate) fn run_thunk(&mut self, entry: u32) -> Result<Value, VmError> {
+    pub(crate) fn run_thunk(&mut self, entry: u32) -> R<Value> {
         debug_assert!(matches!(self.stack.get(self.stack.fp()), Slot::Marker));
         self.code = entry;
-        self.pc = self.codes[entry as usize].base as usize;
+        self.pc = self.entries[entry as usize].base as usize;
         self.closure = Value::UNSPECIFIED;
         self.argc = 0;
         self.mv = None;
@@ -801,7 +810,7 @@ impl Vm {
     /// Runtime errors from the callee, or a type error if `f` is not
     /// applicable.
     pub fn call(&mut self, f: Value, args: &[Value]) -> Result<Value, VmError> {
-        let r = (|| {
+        let r = (|| -> R<Value> {
             self.ensure_or_raise(args.len() + 2, 1)?;
             let fp = self.stack.fp();
             for (i, a) in args.iter().enumerate() {
@@ -817,7 +826,7 @@ impl Vm {
         // `run` intercepts `Condition` internally, but the pre-run `apply`
         // (or the initial ensure) can surface one directly; classify it as
         // uncaught while the stack is still intact for a backtrace.
-        let r = r.map_err(|e| match e {
+        let r = r.map_err(|e| match *e {
             VmError::Condition { kind, message } => {
                 self.conditions_raised += 1;
                 VmError::Uncaught {
@@ -837,7 +846,7 @@ impl Vm {
     /// Grows the stack for `need` slots, turning a resource-ceiling refusal
     /// (segment budget or injected segment fault) into a catchable
     /// `stack-overflow` condition instead of growing past the limit.
-    pub(crate) fn ensure_or_raise(&mut self, need: usize, live: usize) -> Result<(), VmError> {
+    pub(crate) fn ensure_or_raise(&mut self, need: usize, live: usize) -> R<()> {
         match self.stack.ensure(need, live, &crate::slot::slot_disp) {
             Overflow::Ceiling => self.ceiling_to_condition(need, live),
             _ => Ok(()),
@@ -848,7 +857,7 @@ impl Vm {
     /// `ensure_or_raise` stays small enough to inline.
     #[cold]
     #[inline(never)]
-    fn ceiling_to_condition(&mut self, need: usize, live: usize) -> Result<(), VmError> {
+    fn ceiling_to_condition(&mut self, need: usize, live: usize) -> R<()> {
         if self.stack.in_overflow_grace() {
             // Only an injected segment fault reports `Ceiling` with the
             // grace period already armed (a real ceiling leaves arming to

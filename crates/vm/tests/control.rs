@@ -524,3 +524,40 @@ fn cps_pipeline_allocates_closures_where_direct_does_not() {
         c.heap.closures_allocated
     );
 }
+
+#[test]
+fn escape_and_reentry_across_200_extents_run_each_winder_once_in_order() {
+    // The common-tail computation behind every wind step used to be
+    // quadratic and allocating; crossing a deep stack of extents in both
+    // directions pins both its answer and its order. `before n` logs `n`,
+    // `after n` logs `-n`; extent 200 is outermost.
+    let mut vm = Vm::new();
+    let log = eval(
+        &mut vm,
+        "(define log '())
+         (define (note x) (set! log (cons x log)))
+         (define (nest n thunk)
+           (if (zero? n)
+               (thunk)
+               (dynamic-wind
+                 (lambda () (note n))
+                 (lambda () (nest (- n 1) thunk))
+                 (lambda () (note (- n))))))
+         (define inner #f)
+         (define rounds 0)
+         (call/cc
+           (lambda (esc)
+             (nest 200 (lambda ()
+                         (call/cc (lambda (k) (set! inner k)))
+                         (set! rounds (+ rounds 1))
+                         (esc rounds)))))
+         (if (< rounds 2) (inner #f))
+         (reverse log)",
+    );
+    // In (outermost first), escape (innermost first), re-entry, escape.
+    let one_way: Vec<String> =
+        (1..=200).rev().map(|n| n.to_string()).chain((1..=200).map(|n| format!("-{n}"))).collect();
+    let expected = format!("({} {})", one_way.join(" "), one_way.join(" "));
+    assert_eq!(log, expected);
+    assert_eq!(eval(&mut vm, "rounds"), "2");
+}

@@ -40,3 +40,11 @@ fn a_vm_actually_crosses_threads() {
     assert_eq!(shown, "42");
     assert!(stats.instructions > 0);
 }
+
+#[test]
+fn the_control_stack_is_send_on_its_own() {
+    // The segmented stack caches a raw pointer to its current segment's
+    // slots and restates `Send` by hand; hold it to that independently of
+    // the `Vm` that embeds it.
+    assert_send::<oneshot_core::SegStack<oneshot_vm::Slot, oneshot_vm::VmProbe>>();
+}
