@@ -686,7 +686,7 @@ fn run_exec(paper: bool, max_workers: Option<usize>) -> Json {
     }
     println!("Expected shape: throughput grows with workers (the io jobs release the");
     println!("core while sleeping); small slices buy p99 latency at some wall cost;");
-    println!("slots-copied stays near 0 — engine preemption is one-shot capture,");
+    println!("slots-copied stays near 0 — engine preemption is a one-shot subcontinuation take,");
     println!("so only overflow hysteresis on the deep jobs copies anything.");
     Json::obj([
         ("scale", Json::str(if paper { "paper" } else { "quick" })),

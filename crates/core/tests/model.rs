@@ -7,13 +7,22 @@
 //! locals, shot errors, exhaustion — must agree under every configuration.
 //! This exercises exactly the machinery the paper adds: all the segment
 //! management must be semantically invisible.
+//!
+//! Delimited control is modelled at the first level of the CPS hierarchy
+//! (Biernacka–Biernacki–Danvy's abstract machine, one layer of delimiters):
+//! a prompt is a tagged record boundary, a subcontinuation is the list of
+//! frames between the nearest such boundary and the top of the stack —
+//! nested tags included — and it can be spliced back once. Every pool
+//! slice is one `push_prompt` / `take_subcont` / `push_subcont` cycle, so
+//! the same sequences also run under seeded [`FaultPlan`] segment faults,
+//! with the embedder's reaction (abort to the nearest prompt) modelled too.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use oneshot_core::{
-    Config, ControlError, OneShotPolicy, OverflowPolicy, PromotionStrategy, Reinstated, SegStack,
-    Underflow,
+    Config, ControlError, FaultPlan, KontId, OneShotPolicy, Overflow, OverflowPolicy,
+    PromotionStrategy, Reinstated, SegStack, Underflow,
 };
 use proptest::prelude::*;
 
@@ -52,11 +61,35 @@ struct Frame {
 #[derive(Debug)]
 struct MKont {
     frames: Vec<Frame>,
-    parent: Option<Rc<MKont>>,
+    /// Rewritten only on the bottom record of a subcontinuation, when
+    /// `push_subcont` splices it onto another stack.
+    parent: RefCell<Option<Rc<MKont>>>,
     one_shot: bool,
     promoted: Cell<bool>,
     used: Cell<bool>,
+    /// The tag when this record is a prompt boundary.
+    prompt: Option<i64>,
 }
+
+impl MKont {
+    fn parent(&self) -> Option<Rc<MKont>> {
+        self.parent.borrow().clone()
+    }
+
+    fn live_one_shot(&self) -> bool {
+        self.one_shot && !self.promoted.get() && !self.used.get()
+    }
+
+    /// A one-shot record that was already resumed: an error waiting for
+    /// the return (or abort) that reaches it.
+    fn shot(&self) -> bool {
+        self.one_shot && !self.promoted.get() && self.used.get()
+    }
+}
+
+/// The chain between the top of the stack and a prompt, nearest record
+/// first, and the prompt record itself.
+type Context = (Vec<Rc<MKont>>, Rc<MKont>);
 
 #[derive(Debug, Default)]
 struct Model {
@@ -81,9 +114,9 @@ impl Model {
         while let Some(k) = cursor {
             // The real walk stops at the first continuation that is not a
             // live one-shot — including shot (used) ones.
-            if k.one_shot && !k.promoted.get() && !k.used.get() {
+            if k.live_one_shot() {
                 k.promoted.set(true);
-                cursor = k.parent.clone();
+                cursor = k.parent();
             } else {
                 break;
             }
@@ -97,22 +130,93 @@ impl Model {
         if self.frames.is_empty() {
             return self.link.clone();
         }
+        Some(self.seal(one_shot, None))
+    }
+
+    /// Seals the (non-empty) current frames into a record at the head of
+    /// the chain.
+    fn seal(&mut self, one_shot: bool, prompt: Option<i64>) -> Rc<MKont> {
         let mut frames = std::mem::take(&mut self.frames);
-        if let Some(top) = frames.last_mut() {
-            // The top frame's local lives above the frame pointer and is
-            // not part of the sealed region; only its return address (the
-            // continuation's ret field) survives.
-            top.local = None;
-        }
+        // The top frame's local lives above the frame pointer and is not
+        // part of the sealed region; only its return address (the
+        // continuation's ret field) survives.
+        frames.last_mut().expect("sealing a non-empty record").local = None;
         let k = Rc::new(MKont {
             frames,
-            parent: self.link.take(),
+            parent: RefCell::new(self.link.take()),
             one_shot,
             promoted: Cell::new(false),
             used: Cell::new(false),
+            prompt,
         });
         self.link = Some(k.clone());
-        Some(k)
+        k
+    }
+
+    /// Plants a resume frame returning to `pc` and seals everything below
+    /// the delimited extent as a one-shot record tagged `tag`.
+    fn push_prompt(&mut self, tag: i64, pc: u32) {
+        self.call(pc, 2, None);
+        self.seal(true, Some(tag));
+    }
+
+    /// The context up to the nearest prompt tagged `tag` (any prompt when
+    /// `None`), or `None` when no such prompt is on the chain.
+    fn context(&self, tag: Option<i64>) -> Option<Context> {
+        let mut between = Vec::new();
+        let mut cursor = self.link.clone();
+        while let Some(k) = cursor {
+            if k.prompt.is_some() && (tag.is_none() || k.prompt == tag) {
+                return Some((between, k));
+            }
+            cursor = k.parent();
+            between.push(k);
+        }
+        None
+    }
+
+    /// `control0`: detaches the frames above `prompt` as a fresh one-shot
+    /// chain (the frame list, nested tags kept; `None` when there are no
+    /// frames) and resumes at the prompt, consuming it.
+    fn take_subcont(&mut self, (between, prompt): &Context) -> (Option<Rc<MKont>>, Outcome) {
+        let top = (!self.frames.is_empty()).then(|| self.seal(true, None));
+        let mut head = None;
+        for k in between.iter().rev().chain(top.iter()) {
+            head = Some(Rc::new(MKont {
+                frames: k.frames.clone(),
+                parent: RefCell::new(head.take()),
+                one_shot: true,
+                promoted: Cell::new(false),
+                used: Cell::new(false),
+                prompt: k.prompt,
+            }));
+        }
+        (head, self.invoke(&Some(prompt.clone()), false))
+    }
+
+    /// Splices `head`'s frames on top of the current stack and returns
+    /// into their top frame; a second push of the same chain is shot.
+    fn push_subcont(&mut self, head: &Rc<MKont>) -> Outcome {
+        if head.used.get() {
+            return Outcome::Shot;
+        }
+        let below = self.capture(true);
+        let mut tail = head.clone();
+        while let Some(next) = tail.parent() {
+            tail = next;
+        }
+        *tail.parent.borrow_mut() = below;
+        self.invoke(&Some(head.clone()), false)
+    }
+
+    /// Discards the frames above `prompt` — a live one-shot record among
+    /// them can never be resumed again — and resumes at the prompt.
+    fn abort_to_prompt(&mut self, (between, prompt): &Context) -> Outcome {
+        for k in between.iter().filter(|k| k.live_one_shot()) {
+            k.used.set(true);
+        }
+        self.frames.clear();
+        self.invoke(&Some(prompt.clone()), false)
     }
 
     /// Returns from the current frame (or underflows), reporting what the
@@ -150,7 +254,7 @@ impl Model {
             }
         }
         self.frames = k.frames.clone();
-        self.link = k.parent.clone();
+        self.link = k.parent();
         Ok(())
     }
 
@@ -190,13 +294,53 @@ impl Real {
         Real { st: SegStack::new(cfg, Slot::Marker) }
     }
 
-    fn call(&mut self, pc: u32, disp: usize, local: Option<i64>) {
+    /// Pushes a frame. `false` means an injected segment fault refused it:
+    /// the stack is as it was before the call.
+    fn call(&mut self, pc: u32, disp: usize, local: Option<i64>) -> bool {
         self.st.push_frame(disp, Slot::Ret { pc, disp });
-        self.st.ensure(MAXF + 2, 1, &walker);
+        if self.st.ensure(MAXF + 2, 1, &walker) == Overflow::Ceiling {
+            self.st.pop_frame(disp);
+            return false;
+        }
         if let Some(v) = local {
             let fp = self.st.fp();
             self.st.set(fp + 1, Slot::Val(v));
         }
+        true
+    }
+
+    /// Plants the resume frame and seals the prompt, the way the VM's
+    /// `%push-prompt` does: room is ensured *before* the frame is planted,
+    /// so an overflow cannot relocate it and leave the record empty.
+    fn push_prompt(&mut self, tag: i64, pc: u32) -> bool {
+        if self.st.ensure(MAXF + 2, 1, &walker) == Overflow::Ceiling {
+            return false;
+        }
+        self.st.push_frame(2, Slot::Ret { pc, disp: 2 });
+        self.st.push_prompt(Slot::Val(tag), MAXF + 2);
+        true
+    }
+
+    fn find_prompt(&self, tag: Option<i64>) -> Option<KontId> {
+        self.st.find_prompt(|s| tag.is_none_or(|t| *s == Slot::Val(t)))
+    }
+
+    fn take_subcont(&mut self, prompt: KontId) -> (Option<KontId>, Outcome) {
+        let (head, r) = self.st.take_subcont(prompt, &walker).expect("a live prompt on the chain");
+        (head, self.deliver(&r))
+    }
+
+    fn push_subcont(&mut self, head: KontId) -> Outcome {
+        match self.st.push_subcont(head, &walker) {
+            Ok(r) => self.deliver(&r),
+            Err(ControlError::AlreadyShot) => Outcome::Shot,
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    fn abort_to_prompt(&mut self, prompt: KontId) -> Outcome {
+        let r = self.st.abort_to_prompt(prompt, &walker).expect("a live prompt on the chain");
+        self.deliver(&r)
     }
 
     fn deliver(&mut self, r: &Reinstated<Slot>) -> Outcome {
@@ -306,6 +450,10 @@ enum Op {
     CaptureMulti,
     Invoke(usize),
     Gc,
+    PushPrompt { tag: i64, pc: u32 },
+    TakeSubcont(i64),
+    PushSubcont(usize),
+    AbortToPrompt(i64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -317,6 +465,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::CaptureMulti),
         2 => (0usize..16).prop_map(Op::Invoke),
         1 => Just(Op::Gc),
+        3 => (0i64..2, 10_000u32..20_000).prop_map(|(tag, pc)| Op::PushPrompt { tag, pc }),
+        3 => (0i64..2).prop_map(Op::TakeSubcont),
+        2 => (0usize..4).prop_map(Op::PushSubcont),
+        1 => (0i64..2).prop_map(Op::AbortToPrompt),
     ]
 }
 
@@ -348,7 +500,46 @@ fn config_strategy() -> impl Strategy<Value = Config> {
         })
 }
 
-fn run(cfg: Config, ops: Vec<Op>) {
+/// The nearest prompt tagged `tag` (any prompt when `None`) on both
+/// stacks, which must agree on whether there is one. A prompt whose record
+/// is already shot is an error waiting for whoever reaches it, not a
+/// target: `None`, like no prompt at all.
+fn lookup(model: &Model, real: &Real, tag: Option<i64>) -> Option<(Context, KontId)> {
+    let ctx = model.context(tag);
+    let rp = real.find_prompt(tag);
+    assert_eq!(ctx.is_some(), rp.is_some(), "prompt lookups diverged for {tag:?}");
+    ctx.zip(rp).filter(|(ctx, _)| !ctx.1.shot())
+}
+
+/// Aborts both stacks to the nearest prompt tagged `tag` (any prompt when
+/// `None`, the reaction to a fault) and compares where control resumes.
+fn abort(model: &mut Model, real: &mut Real, tag: Option<i64>) {
+    let Some((ctx, rp)) = lookup(model, real, tag) else { return };
+    let r = real.abort_to_prompt(rp);
+    assert_eq!(model.abort_to_prompt(&ctx), r, "abort outcomes diverged");
+}
+
+/// Whether continuation `k`'s chain runs through any of `records`.
+fn reaches(k: &Option<Rc<MKont>>, records: &[Rc<MKont>]) -> bool {
+    let mut cursor = k.clone();
+    while let Some(k) = cursor {
+        if records.iter().any(|r| Rc::ptr_eq(r, &k)) {
+            return true;
+        }
+        cursor = k.parent();
+    }
+    false
+}
+
+/// Arms the real stack's segment fault from the seeded plan, if the plan
+/// has one. The horizon keeps the countdown inside a 140-operation run.
+fn arm_segment_fault(real: &mut Real, seed: u64) {
+    if let Some(n) = FaultPlan::seeded(seed, 48).segment_fault_after {
+        real.st.arm_segment_fault(n);
+    }
+}
+
+fn run(cfg: Config, ops: Vec<Op>, fault_seed: Option<u64>) {
     // Invoking a one-shot continuation twice "is an error" — a may-error
     // the system is permitted not to detect. The real stack legitimately
     // loses the check in two situations the model cannot see: implicit
@@ -358,17 +549,30 @@ fn run(cfg: Config, ops: Vec<Op>) {
     // follows the real outcome in the permissive direction only: whenever
     // the real stack reports Shot, the strict model must agree.
     let lenient_base = true;
-    let _ = &cfg;
     let mut model = Model::default();
     let mut real = Real::new(cfg);
     let mut mkonts: Vec<Option<Rc<MKont>>> = Vec::new();
-    let mut rkonts: Vec<Option<oneshot_core::KontId>> = Vec::new();
+    let mut rkonts: Vec<Option<KontId>> = Vec::new();
+    let mut msubs: Vec<Rc<MKont>> = Vec::new();
+    let mut rsubs: Vec<KontId> = Vec::new();
+    let mut faults = 0;
+    if let Some(seed) = fault_seed {
+        arm_segment_fault(&mut real, seed);
+    }
 
     for op in ops {
+        // An injected segment fault refuses the frame an operation needs.
+        // The embedder's reaction is modelled too: the operation does not
+        // happen, and control aborts to the nearest prompt (the escape a
+        // guard makes when the VM raises stack-overflow).
+        let mut faulted = false;
         match op {
             Op::Call { pc, disp, local } => {
-                model.call(pc, disp, local);
-                real.call(pc, disp, local);
+                if real.call(pc, disp, local) {
+                    model.call(pc, disp, local);
+                } else {
+                    faulted = true;
+                }
             }
             Op::Ret => {
                 let r = real.ret();
@@ -398,9 +602,10 @@ fn run(cfg: Config, ops: Vec<Op>) {
             }
             Op::Gc => {
                 real.st.begin_gc();
-                // The embedder (this test) keeps every captured kont alive.
-                let mut work: Vec<oneshot_core::KontId> =
-                    rkonts.iter().flatten().copied().collect();
+                // The embedder (this test) keeps every captured kont and
+                // every subcontinuation alive.
+                let mut work: Vec<KontId> =
+                    rkonts.iter().flatten().chain(rsubs.iter()).copied().collect();
                 while let Some(id) = work.pop() {
                     if real.st.mark_kont(id) {
                         if let Some(l) = real.st.kont_link(id) {
@@ -410,6 +615,58 @@ fn run(cfg: Config, ops: Vec<Op>) {
                 }
                 real.st.sweep(false);
             }
+            Op::PushPrompt { tag, pc } => {
+                if real.push_prompt(tag, pc) {
+                    model.push_prompt(tag, pc);
+                } else {
+                    faulted = true;
+                }
+            }
+            Op::TakeSubcont(tag) => {
+                let Some((ctx, rp)) = lookup(&model, &real, Some(tag)) else { continue };
+                // A take would launder a shot record into the
+                // subcontinuation instead of reporting it; skip those.
+                if ctx.0.iter().any(|k| k.shot()) {
+                    continue;
+                }
+                // The context's records now belong to the subcontinuation:
+                // the real stack steals the live one-shot ones in place and
+                // copies the rest, which the model (that cannot see every
+                // promotion) cannot tell apart. Continuations captured
+                // inside the context are dropped rather than compared.
+                for i in (0..mkonts.len()).rev() {
+                    if reaches(&mkonts[i], &ctx.0) {
+                        mkonts.remove(i);
+                        rkonts.remove(i);
+                    }
+                }
+
+                let (rhead, r) = real.take_subcont(rp);
+                let (mhead, m) = model.take_subcont(&ctx);
+                assert_eq!(m, r, "take outcomes diverged");
+                assert_eq!(mhead.is_some(), rhead.is_some(), "empty contexts diverged");
+                if let (Some(mh), Some(rh)) = (mhead, rhead) {
+                    msubs.push(mh);
+                    rsubs.push(rh);
+                }
+            }
+            Op::PushSubcont(i) => {
+                if msubs.is_empty() {
+                    continue;
+                }
+                // Counted back from the newest, so most pushes are first
+                // pushes; the rest must report the shot.
+                let i = msubs.len() - 1 - i % msubs.len();
+                let r = real.push_subcont(rsubs[i]);
+                let m = model.push_subcont(&msubs[i]);
+                assert_eq!(m, r, "push outcomes diverged at subcontinuation {i}");
+            }
+            Op::AbortToPrompt(tag) => abort(&mut model, &mut real, Some(tag)),
+        }
+        if faulted {
+            abort(&mut model, &mut real, None);
+            faults += 1;
+            arm_segment_fault(&mut real, fault_seed.expect("only a seeded run faults") + faults);
         }
         // The real record holds only a suffix of the logical frames (the
         // rest live in parent continuations), so the local is comparable
@@ -440,7 +697,52 @@ proptest! {
         cfg in config_strategy(),
         ops in proptest::collection::vec(op_strategy(), 0..140),
     ) {
-        run(cfg, ops);
+        run(cfg, ops, None);
+    }
+
+    #[test]
+    fn segmented_stack_matches_snapshot_model_under_segment_faults(
+        cfg in config_strategy(),
+        ops in proptest::collection::vec(op_strategy(), 0..140),
+        seed in any::<u32>(),
+    ) {
+        run(cfg, ops, Some(u64::from(seed)));
+    }
+}
+
+/// One pool job as the executor drives it: every slice is a prompt around
+/// a splice of the parked subcontinuation, ended by a take — under the
+/// smallest configuration, with a segment fault somewhere in the middle.
+#[test]
+fn engine_slices_match_model() {
+    let cfg = Config {
+        segment_slots: 64,
+        copy_bound: 16,
+        hysteresis_slots: 16,
+        min_headroom: HEADROOM,
+        cache_limit: 4,
+        ..Config::default()
+    };
+    let mut ops = vec![Op::Call { pc: 1, disp: 4, local: Some(1) }];
+    for slice in 0..40u32 {
+        ops.push(Op::PushPrompt { tag: 0, pc: 10_000 + slice });
+        if slice > 0 {
+            ops.push(Op::PushSubcont(0));
+        }
+        for i in 0..(slice % 7) {
+            ops.push(Op::Call { pc: 100 * slice + i, disp: 2 + (i as usize % 6), local: Some(7) });
+        }
+        if slice % 9 == 4 {
+            ops.push(Op::PushPrompt { tag: 1, pc: 20_000 + slice });
+        }
+        if slice % 5 == 3 {
+            ops.push(Op::Gc);
+        }
+        ops.push(Op::TakeSubcont(0));
+    }
+    run(cfg.clone(), ops.clone(), None);
+    for seed in 0..32 {
+        run(cfg.clone(), ops.clone(), Some(seed));
     }
 }
 
@@ -471,7 +773,7 @@ fn deep_recursion_matches_model() {
         ops.push(Op::Ret);
         ops.push(Op::Gc);
     }
-    run(cfg, ops);
+    run(cfg, ops, None);
 }
 
 #[test]
@@ -509,5 +811,5 @@ fn split_artifact_tail_capture_regression() {
         Op::Ret,
         Op::Invoke(8),
     ];
-    run(cfg, ops);
+    run(cfg, ops, None);
 }

@@ -12,14 +12,14 @@
 //! The two levels divide the work the way Kobayashi–Kameyama's one-shot
 //! expressiveness results suggest: OS threads provide parallelism between
 //! jobs; *within* a worker, jobs run as engine-fueled green threads
-//! (Dybvig–Hieb engines over one-shot continuations, via
+//! (Dybvig–Hieb engines over one-shot subcontinuations, via
 //! [`EngineHost`](oneshot_threads::EngineHost)), so a long job is preempted
 //! after its fuel slice and requeued rather than starving the worker — a
 //! preemption that costs no stack copying.
 //!
 //! The same mechanism makes I/O non-blocking for free: when a job calls
-//! `(tcp-read sock n)` on a socket with no data, the guest library captures
-//! the job's one-shot continuation, the engine returns
+//! `(tcp-read sock n)` on a socket with no data, the guest library takes
+//! the slice's one-shot subcontinuation, the engine returns
 //! [`EngineStep::Blocked`](oneshot_threads::EngineStep), and the worker
 //! parks the job and registers the fd with *its own* reactor — readiness
 //! turns into an ordinary engine resumption on the same thread, no

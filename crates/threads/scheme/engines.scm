@@ -1,5 +1,5 @@
-;; Engines (Dybvig & Hieb, "Engines from continuations"), built on
-;; one-shot continuations and the VM timer.
+;; Engines (Dybvig & Hieb, "Engines from continuations"), built on the
+;; VM's prompt primitives and timer.
 ;;
 ;; An engine is a procedure (engine fuel complete expire):
 ;;   - fuel: positive number of procedure calls to run for;
@@ -8,86 +8,56 @@
 ;;   - expire: called as (expire new-engine) when fuel runs out; the new
 ;;     engine resumes the computation.
 ;;
-;; Every continuation here is invoked exactly once, so call/1cc applies
-;; throughout: suspending an engine costs no stack copying.
+;; A slice runs under a prompt; suspending it is one subcontinuation take
+;; (the delimited context is detached, not copied) and resuming it is one
+;; splice. Subcontinuations are one-shot, so suspending ten thousand
+;; green threads on sockets costs no stack copying.
 
-(define %engine-escape #f)
-(define %engine-parents '())
+(define %engine-tag (make-prompt-tag 'engine))
 
-;; The value a resumed %engine-block call returns: 0 for a normal
-;; readiness wakeup, or a status symbol (e.g. 'io-timeout) set by the
-;; host — via exec-step-status! — just before the resuming slice runs.
-;; The I/O wrappers in io.scm inspect it to distinguish "fd ready, retry
-;; the syscall" from "your wait expired, raise a condition".
-(define %engine-resume-status 0)
+;; One fuel slice of `job`: a start thunk, or the subcontinuation a
+;; previous slice parked, which resumes with `status` as the value of its
+;; suspended take. Returns the job's own (done . _) frame — planted once
+;; by the start thunk, it travels inside each subcontinuation — or
+;; (subcontinuation . wait) from %engine-suspend.
+(define (%engine-slice job fuel status)
+  (timer-interrupt-handler! %engine-interrupt)
+  (%push-prompt %engine-tag
+    (lambda ()
+      (set-timer! fuel)
+      (if (procedure? job) (job) (%push-subcont job status)))))
 
-(define (%run-engine proc fuel complete expire)
-  (let ((result
-         (call/1cc
-          (lambda (esc)
-            (set! %engine-parents (cons %engine-escape %engine-parents))
-            (set! %engine-escape esc)
-            (timer-interrupt-handler! %engine-interrupt)
-            (set-timer! fuel)
-            (proc)))))
-    (cond ((eq? (car result) 'done)
-           (complete (cadr result) (caddr result)))
-          ((eq? (car result) 'blocked)
-           ;; Escaped by %engine-block: (blocked kind handle resume-engine).
-           ;; Not a completion and not an expiry — hand the whole tuple to
-           ;; expire's caller via the same expire channel, tagged so the
-           ;; exec driver can tell the two suspensions apart.
-           (expire result))
-          (else (expire (cadr result))))))
+;; Ends the running slice, handing its caller the rest of the job.
+;; `wait` is #f for a preemption, (kind . handle) for an I/O or timer wait.
+(define (%engine-suspend wait)
+  (%take-subcont %engine-tag (lambda (sk) (cons sk wait))))
 
-;; Normal completion: escape through the *current* run's continuation
-;; (the lexical one may belong to an earlier, already-shot run).
-(define (%engine-return v)
-  (let ((left (set-timer! 0))
-        (esc %engine-escape))
-    (set! %engine-escape (car %engine-parents))
-    (set! %engine-parents (cdr %engine-parents))
-    (esc (list 'done v left))))
-
-;; Timer expiry: capture the interrupted computation one-shot and hand
-;; back a resuming engine.
+;; Timer expiry. An expiry that lands outside every slice (a fault
+;; injector's, or a nested engine's timer outliving it) preempts nothing.
 (define (%engine-interrupt)
-  (call/1cc
-   (lambda (resume)
-     (let ((esc %engine-escape))
-       (set! %engine-escape (car %engine-parents))
-       (set! %engine-parents (cdr %engine-parents))
-       (esc (list 'expired
-                  (lambda (fuel complete expire)
-                    (if (<= fuel 0) (error "engine: fuel must be positive"))
-                    (%run-engine (lambda () (resume 0)) fuel complete expire))))))))
+  (if (%prompt-set? %engine-tag) (%engine-suspend #f)))
 
-;; Voluntary suspension on an I/O or timer wait: capture the running
-;; computation one-shot and escape with a resuming engine, exactly like
-;; timer expiry — but tagged 'blocked and carrying (kind handle) so the
-;; host can register interest with its reactor before requeueing. The
-;; VM timer is still running here (unlike %engine-interrupt, which is
-;; invoked by its expiry), so stop it first; the resume engine re-arms
-;; it with fresh fuel through %run-engine. Every continuation involved
-;; is invoked at most once, so call/1cc applies: suspending ten
-;; thousand green threads on sockets costs no stack copying.
+;; Voluntary suspension on an I/O or timer wait: the host registers
+;; (kind . handle) with its reactor and resumes the job on readiness.
+;; Returns the resumption status: 0, or a symbol such as 'io-timeout.
+;; The timer is still running here (unlike at expiry), so stop it first.
+;; Outside any slice the take raises the catchable no-matching-prompt.
 (define (%engine-block kind handle)
-  (call/1cc
-   (lambda (resume)
-     (set-timer! 0)
-     (let ((esc %engine-escape))
-       (set! %engine-escape (car %engine-parents))
-       (set! %engine-parents (cdr %engine-parents))
-       (esc (list 'blocked kind handle
-                  (lambda (fuel complete expire)
-                    (if (<= fuel 0) (error "engine: fuel must be positive"))
-                    (%run-engine (lambda () (resume %engine-resume-status))
-                                 fuel complete expire))))))))
+  (set-timer! 0)
+  (%engine-suspend (cons kind handle)))
 
-(define (make-engine thunk)
+(define (%engine job)
   (lambda (fuel complete expire)
     (if (<= fuel 0) (error "engine: fuel must be positive"))
-    (%run-engine (lambda () (%engine-return (thunk))) fuel complete expire)))
+    (let ((r (%engine-slice job fuel 0)))
+      (if (eq? (car r) 'done)
+          (complete (cadr r) (cddr r))
+          (expire (%engine (car r)))))))
+
+(define (make-engine thunk)
+  (%engine (lambda ()
+             (let ((v (thunk)))
+               (cons 'done (cons v (set-timer! 0)))))))
 
 ;; Round-robin N engines to completion; returns the list of results in
 ;; completion order.

@@ -1,13 +1,14 @@
-;; Executor driver: a registry of engines in a growable vector indexed by
-;; a host-chosen slot, stepped one fuel slice at a time from Rust (the
-;; oneshot-exec worker loop).
+;; Executor driver: a registry of jobs in a growable vector indexed by a
+;; host-chosen slot, stepped one fuel slice at a time from Rust (the
+;; oneshot-exec worker loop) through %engine-slice (engines.scm must be
+;; loaded first).
 ;;
-;; Each pooled job becomes one engine (engines.scm must be loaded first).
-;; The table is a toplevel global, so parked engines — and with them the
-;; one-shot continuations of preempted or I/O-blocked jobs — are GC roots
+;; A slot holds a job's start thunk until its first slice and the parked
+;; one-shot subcontinuation between later ones. The table is a toplevel
+;; global, so the contexts of preempted or I/O-blocked jobs are GC roots
 ;; between slices. The host allocates slots densely from a free list, so
 ;; register, lookup, and remove are all O(1): a worker can keep tens of
-;; thousands of engines resident, and an association list scanned per
+;; thousands of jobs resident, and an association list scanned per
 ;; step would make every slice O(residents).
 
 (define %exec-table (make-vector 64 #f))
@@ -22,57 +23,38 @@
         (set! %exec-table new)
         (%exec-grow! slot))))
 
-;; Register a new engine for `thunk` under `slot` (chosen by the host).
+;; Register `thunk` as a new job under `slot` (chosen by the host). The
+;; (done . value) frame planted here is what exec-step! finally returns.
 (define (exec-spawn! slot thunk)
   (%exec-grow! slot)
-  (vector-set! %exec-table slot (make-engine thunk))
+  (vector-set! %exec-table slot
+               (lambda ()
+                 (let ((v (thunk)))
+                   (set-timer! 0)
+                   (cons 'done v))))
   slot)
 
-;; Forget an engine without running it (budget exhausted, worker reset).
+;; Forget a job without running it (budget exhausted, worker reset).
 (define (exec-drop! slot)
   (if (< slot (vector-length %exec-table))
       (vector-set! %exec-table slot #f))
   #t)
 
-;; Run the engine in `slot` for one fuel slice. Returns (done . value) if
-;; the job finished, the symbol `parked` if it was preempted, or (blocked
-;; kind handle) if it suspended on an I/O or timer wait via %engine-block.
-;; In both suspension cases the resuming engine replaces the old one in
-;; the table; for a blocked job the host must not step it again until
-;; its wait is satisfied (the reactor's readiness wakeup).
-(define (exec-step! slot fuel)
-  (set! %engine-resume-status 0)
-  (%exec-step-run slot fuel))
-
-;; Like exec-step!, but the slice resumes a blocked engine with `status`
-;; (a symbol) instead of 0: the suspended %engine-block call returns it,
-;; and io.scm's wrappers raise the matching condition (e.g. 'io-timeout
-;; when the connection's I/O deadline expired before readiness).
-(define (exec-step-status! slot fuel status)
-  (set! %engine-resume-status status)
-  (%exec-step-run slot fuel))
-
-(define (%exec-step-run slot fuel)
-  ;; A job that errored out of a previous slice escapes %run-engine
-  ;; without popping the engine globals; the pool never nests engines,
-  ;; so reset them outright before every slice.
-  (set! %engine-escape #f)
-  (set! %engine-parents '())
-  (let ((eng (vector-ref %exec-table slot)))
-    (if (not eng)
+;; Run the job in `slot` for one fuel slice. Returns (done . value) if it
+;; finished, the symbol `parked` if it was preempted, or (blocked kind .
+;; handle) if it suspended on an I/O or timer wait via %engine-block; the
+;; host must not step a blocked job again until its wait is satisfied
+;; (the reactor's readiness wakeup). `status` is what a resumed
+;; %engine-block returns: 0 for readiness, or a symbol such as
+;; 'io-timeout that io.scm's wrappers turn into the matching condition.
+(define (exec-step! slot fuel status)
+  (let ((job (vector-ref %exec-table slot)))
+    (if (not job)
         (error "exec-step!: unknown engine " slot))
-    (eng
-     fuel
-     (lambda (v left)
-       (vector-set! %exec-table slot #f)
-       (cons 'done v))
-     (lambda (e2)
-       ;; e2 is either the resuming engine (timer expiry) or a
-       ;; (blocked kind handle resume-engine) tuple (%engine-block).
-       (if (and (pair? e2) (eq? (car e2) 'blocked))
-           (begin
-             (vector-set! %exec-table slot (cadr (cddr e2)))
-             (list 'blocked (cadr e2) (caddr e2)))
-           (begin
-             (vector-set! %exec-table slot e2)
-             'parked))))))
+    (let ((r (%engine-slice job fuel status)))
+      (cond ((eq? (car r) 'done)
+             (vector-set! %exec-table slot #f)
+             r)
+            (else
+             (vector-set! %exec-table slot (car r))
+             (if (cdr r) (cons 'blocked (cdr r)) 'parked))))))

@@ -3,10 +3,11 @@
 ;;
 ;; The builtins never block: they return #f when the OS says would-block.
 ;; The retry loops here are where a green thread actually suspends —
-;; `%engine-block` captures the running job's one-shot continuation,
-;; escapes the engine with a (blocked kind handle) tuple, and the exec
-;; worker registers the wait with the pool's reactor. On readiness the
-;; sealed continuation is requeued and the loop retries the syscall.
+;; `%engine-block` takes the running slice's one-shot subcontinuation
+;; and ends the slice with (kind . handle); the exec worker registers the
+;; wait with the pool's reactor. On readiness the parked job is requeued,
+;; its next slice splices the subcontinuation back, and the loop retries
+;; the syscall.
 ;; Readiness is a hint, not a promise (another green thread may win the
 ;; race for the same listener), so every loop re-checks.
 

@@ -15,8 +15,12 @@
 //! and a source-level fuel counter for the CPS system; in both cases the
 //! knob is "procedure calls per context switch", Figure 5's x-axis.
 //!
-//! Also provides Dybvig–Hieb engines (`make-engine`) built on one-shot
-//! continuations.
+//! Also provides Dybvig–Hieb engines (`make-engine`) and the executor's
+//! [`EngineHost`]. Those suspend with the VM's prompt primitives, the same
+//! mechanism as the prelude's generators and coroutines: a slice runs
+//! under `%push-prompt`, timer expiry and I/O waits end it with one
+//! `%take-subcont`, and `%push-subcont` resumes it. A subcontinuation is
+//! one-shot, so a park copies no stack — Figure 5's result, delimited.
 //!
 //! # Example
 //!
@@ -35,7 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use oneshot_runtime::Value;
 use std::sync::Arc;
@@ -51,8 +55,9 @@ pub const ENGINES: &str = include_str!("../scheme/engines.scm");
 /// loaded by [`EngineHost`] on top of [`ENGINES`].
 pub const EXEC_DRIVER: &str = include_str!("../scheme/exec-driver.scm");
 /// Guest-facing nonblocking I/O (`tcp-*`, `timer-wait`): would-block
-/// retry loops that suspend the running green thread via
-/// `%engine-block`. Loaded by [`EngineHost`] on top of [`EXEC_DRIVER`].
+/// retry loops that suspend the running slice via `%engine-block` (a
+/// subcontinuation take). Loaded by [`EngineHost`] on top of
+/// [`EXEC_DRIVER`].
 pub const IO: &str = include_str!("../scheme/io.scm");
 
 /// Which control representation the thread system uses.
@@ -188,7 +193,7 @@ impl ThreadSystem {
     }
 
     /// Loads the engines library (capture-based systems only — engines use
-    /// `call/1cc` and the VM timer).
+    /// the prompt primitives and the VM timer).
     ///
     /// # Errors
     ///
@@ -244,11 +249,13 @@ pub enum Wait {
 /// at a time from Rust.
 ///
 /// This is the scheduling substrate of the `oneshot-exec` worker pool:
-/// each pooled job becomes one engine (a green thread preempted by the VM
-/// timer via `call/1cc`), and the worker loop decides which engine to step
+/// each pooled job becomes one engine (a green thread whose slices run
+/// under a prompt and end, at timer expiry or an I/O wait, with one
+/// subcontinuation take), and the worker loop decides which engine to step
 /// next. Parked engines are rooted through a Scheme global, so their
-/// captured one-shot continuations survive GC — and survive *other* jobs
-/// erroring out (an error only unwinds the current stack segment).
+/// one-shot subcontinuations survive GC — and survive *other* jobs
+/// erroring out: a slice keeps no state outside its own stack, so an
+/// error that unwinds it leaves nothing to reset.
 ///
 /// # Example
 ///
@@ -282,7 +289,6 @@ pub enum Wait {
 pub struct EngineHost {
     vm: Vm,
     next: i64,
-    live: HashSet<EngineId>,
     /// Driver-table slot per live engine. Slots are reused through
     /// `free_slots` so the guest-side vector stays dense — every driver
     /// operation is O(1) no matter how many engines are resident.
@@ -304,7 +310,6 @@ pub struct EngineHost {
 struct Driver {
     spawn: GlobalSlot,
     step: GlobalSlot,
-    step_status: GlobalSlot,
     drop: GlobalSlot,
     parked: Value,
     done: Value,
@@ -312,6 +317,7 @@ struct Driver {
     read: Value,
     write: Value,
     timer: Value,
+    io_timeout: Value,
 }
 
 impl Driver {
@@ -319,7 +325,6 @@ impl Driver {
         Driver {
             spawn: vm.global_slot("exec-spawn!"),
             step: vm.global_slot("exec-step!"),
-            step_status: vm.global_slot("exec-step-status!"),
             drop: vm.global_slot("exec-drop!"),
             parked: vm.intern("parked"),
             done: vm.intern("done"),
@@ -327,6 +332,7 @@ impl Driver {
             read: vm.intern("read"),
             write: vm.intern("write"),
             timer: vm.intern("timer"),
+            io_timeout: vm.intern("io-timeout"),
         }
     }
 }
@@ -355,7 +361,6 @@ impl EngineHost {
         EngineHost {
             vm,
             next: 0,
-            live: HashSet::new(),
             slot_of: HashMap::new(),
             free_slots: Vec::new(),
             high_slot: 0,
@@ -376,7 +381,7 @@ impl EngineHost {
 
     /// Number of engines spawned but not yet finished or dropped.
     pub fn live(&self) -> usize {
-        self.live.len()
+        self.slot_of.len()
     }
 
     /// Links `prog` into the host VM and registers its toplevel thunk as a
@@ -426,18 +431,8 @@ impl EngineHost {
             return Err(e);
         }
         self.next += 1;
-        self.live.insert(id);
         self.slot_of.insert(id, slot);
         Ok(id)
-    }
-
-    /// Returns `id`'s driver-table slot to the free list. The guest-side
-    /// table entry must already be cleared (by the engine completing, or
-    /// by `exec-drop!`).
-    fn release_slot(&mut self, id: EngineId) {
-        if let Some(slot) = self.slot_of.remove(&id) {
-            self.free_slots.push(slot);
-        }
     }
 
     /// Runs engine `id` for one slice of `fuel` procedure calls.
@@ -476,29 +471,22 @@ impl EngineHost {
             return Err(VmError::Runtime(format!("step: unknown engine {id}")));
         };
         let fuel = i64::try_from(fuel.max(1)).unwrap_or(i64::MAX);
-        let result = match status {
-            None => {
-                let step = self.vm.global_at(self.driver.step).expect("driver defines exec-step!");
-                self.vm.call(step, &[Value::fixnum(slot), Value::fixnum(fuel)])
-            }
-            Some(s) => {
-                let sym = self.vm.intern(s);
-                let step = self
-                    .vm
-                    .global_at(self.driver.step_status)
-                    .expect("driver defines exec-step-status!");
-                self.vm.call(step, &[Value::fixnum(slot), Value::fixnum(fuel), sym])
-            }
+        let status = match status {
+            None => Value::fixnum(0),
+            Some("io-timeout") => self.driver.io_timeout,
+            Some(s) => self.vm.intern(s),
         };
-        match result {
+        let step = self.vm.global_at(self.driver.step).expect("driver defines exec-step!");
+        match self.vm.call(step, &[Value::fixnum(slot), Value::fixnum(fuel), status]) {
             Ok(v) => {
                 if v == self.driver.parked {
                     return Ok(EngineStep::Parked);
                 }
                 if let Some((tag, value)) = self.vm.pair(v) {
                     if tag == self.driver.done {
-                        self.live.remove(&id);
-                        self.release_slot(id);
+                        // The driver cleared its table entry itself.
+                        self.slot_of.remove(&id);
+                        self.free_slots.push(slot);
                         return Ok(EngineStep::Done(value));
                     }
                     if tag == self.driver.blocked {
@@ -520,11 +508,10 @@ impl EngineHost {
         }
     }
 
-    /// Decodes the `(kind handle)` tail of a `(blocked kind handle)`
+    /// Decodes the `(kind . handle)` tail of a `(blocked kind . handle)`
     /// driver result into a [`Wait`].
     fn parse_wait(&self, tail: Value) -> Option<Wait> {
-        let (kind, rest) = self.vm.pair(tail)?;
-        let (handle, _) = self.vm.pair(rest)?;
+        let (kind, handle) = self.vm.pair(tail)?;
         let handle = handle.as_fixnum()?;
         if kind == self.driver.read {
             Some(Wait::Readable(handle))
@@ -540,15 +527,13 @@ impl EngineHost {
     /// Unregisters a parked engine without running it (fuel budget
     /// exhausted, worker shutdown). Returns whether the engine was live.
     pub fn drop_engine(&mut self, id: EngineId) -> bool {
-        if !self.live.remove(&id) {
+        let Some(slot) = self.slot_of.remove(&id) else {
             return false;
-        }
-        if let Some(&slot) = self.slot_of.get(&id) {
-            let drop_fn = self.vm.global_at(self.driver.drop).expect("driver defines exec-drop!");
-            // exec-drop! cannot raise; ignore the (always #t) result.
-            let _ = self.vm.call(drop_fn, &[Value::fixnum(slot)]);
-        }
-        self.release_slot(id);
+        };
+        let drop_fn = self.vm.global_at(self.driver.drop).expect("driver defines exec-drop!");
+        // exec-drop! cannot raise; ignore the (always #t) result.
+        let _ = self.vm.call(drop_fn, &[Value::fixnum(slot)]);
+        self.free_slots.push(slot);
         true
     }
 }
@@ -762,10 +747,27 @@ mod tests {
             .unwrap();
         // Park the good job mid-run so its one-shot continuation is live.
         assert_eq!(host.step(ok, 100).unwrap(), EngineStep::Parked);
-        let bad = host.spawn_program(&compile("(car 42)")).unwrap();
-        let e = host.step(bad, 100).unwrap_err();
+        // The bad job errors mid-slice, on a resumed slice, inside a wind:
+        // its prompt, its shot subcontinuation and its winder all die with
+        // the unwound stack, and nothing on the path resets anything.
+        let bad = host
+            .spawn_program(&compile(
+                "(dynamic-wind
+                   (lambda () #f)
+                   (lambda () (let loop ((i 0)) (if (< i 500) (loop (+ i 1)) (car 42))))
+                   (lambda () #f))",
+            ))
+            .unwrap();
+        assert_eq!(host.step(bad, 100).unwrap(), EngineStep::Parked);
+        let mut r = host.step(bad, 100);
+        while r == Ok(EngineStep::Parked) {
+            r = host.step(bad, 100);
+        }
+        let e = r.unwrap_err();
         assert!(e.to_string().contains("car"), "{e}");
         assert_eq!(host.live(), 1, "errored engine was dropped");
+        let state = host.vm_mut().eval_str("(list (%prompt-set? %engine-tag) (set-timer! 0))");
+        assert_eq!(host.vm().write_value(&state.unwrap()), "(#f 0)", "no slice state survives");
         // The parked engine's captured continuation still works.
         let mut last = EngineStep::Parked;
         while last == EngineStep::Parked {

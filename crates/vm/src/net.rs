@@ -4,9 +4,9 @@
 //! The VM itself never blocks on a socket. Every operation that would
 //! block returns a would-block sentinel (`#f` at the builtin layer); the
 //! retry loop lives in Scheme (`io.scm` in `oneshot-threads`), where
-//! `%engine-block` captures the running green thread's one-shot
-//! continuation and yields the worker until the reactor reports
-//! readiness. Keeping the table inside the VM means sockets are owned by
+//! `%engine-block` takes the running slice's one-shot subcontinuation
+//! (`%take-subcont` up to the engine prompt) and yields the worker until
+//! the reactor reports readiness. Keeping the table inside the VM means sockets are owned by
 //! the worker that runs the guest, and a worker reset (VM rebuild) closes
 //! every socket of the jobs it killed.
 //!

@@ -633,17 +633,11 @@ impl Vm {
                 self.oom_raised = false;
             }
         }
-        let timer_fault_ok =
-            self.timer_on || !(self.timer_handler.is_obj() || self.timer_handler.is_builtin());
-        if timer_fault_ok && self.timer_fault.tick() {
-            // Injected early timer expiry: preempt as if fuel ran out.
-            // With an interrupt handler installed the fault is gated on
-            // an *armed* timer — a real timer can only expire while
-            // running, and the engine scheduler relies on that: it
-            // disarms the timer before popping its parent stack, so an
-            // expiry with the stack already popped must never happen.
-            // Without a handler (bare VM) the fault fires at any safe
-            // point as the catchable fuel-exhausted condition.
+        if self.timer_fault.tick() {
+            // Injected early timer expiry: preempt as if fuel ran out,
+            // whether or not the timer is running. Without a handler
+            // (bare VM) it surfaces as the catchable fuel-exhausted
+            // condition.
             self.faults_injected += 1;
             self.timer_on = false;
             self.fuel = 0;
