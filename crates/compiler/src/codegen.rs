@@ -467,6 +467,25 @@ impl Gen {
         Ok(())
     }
 
+    /// Makes the value of `e` available in a frame slot, as the slot
+    /// operand of an inline primitive, and returns the slot. An unassigned
+    /// frame local is its own operand: its slot holds the value from
+    /// binding to scope exit, so nothing is emitted. Anything else — an
+    /// assigned local (its slot holds a cell), a captured variable, a
+    /// constant, a compound expression — is evaluated into a fresh
+    /// temporary, which the caller releases.
+    fn gen_operand(&mut self, ctx: &mut FnCtx, e: &Expr) -> Result<u16> {
+        if let Expr::Ref(v) = e {
+            if let (Loc::Local(slot), false) = (self.loc(ctx, *v), self.is_mutated(*v)) {
+                return Ok(slot);
+            }
+        }
+        self.gen(ctx, e, false)?;
+        let t = ctx.alloc()?;
+        ctx.emit(Op::LocalSet(t));
+        Ok(t)
+    }
+
     /// Tries to emit an inline primitive; returns false to fall back to a
     /// general call (e.g. arity mismatch).
     fn gen_inline(
@@ -560,14 +579,18 @@ impl Gen {
                     }
                 }
                 let saved = ctx.top;
-                self.gen(ctx, &args[0], false)?;
-                let t = ctx.alloc()?;
-                ctx.emit(Op::LocalSet(t));
+                let mut left = self.gen_operand(ctx, &args[0])?;
                 for (i, a) in args[1..].iter().enumerate() {
                     self.gen(ctx, a, false)?;
-                    ctx.emit(mk(t));
+                    ctx.emit(mk(left));
                     if i + 2 < args.len() {
-                        ctx.emit(Op::LocalSet(t));
+                        // A fold keeps its running value in one temporary.
+                        // A slot below the watermark is a local standing
+                        // as its own operand, not ours to overwrite.
+                        if left < saved {
+                            left = ctx.alloc()?;
+                        }
+                        ctx.emit(Op::LocalSet(left));
                     }
                 }
                 ctx.release_to(saved);
@@ -578,12 +601,8 @@ impl Gen {
         }
         if name == "vector-set!" && args.len() == 3 {
             let saved = ctx.top;
-            self.gen(ctx, &args[0], false)?;
-            let tv = ctx.alloc()?;
-            ctx.emit(Op::LocalSet(tv));
-            self.gen(ctx, &args[1], false)?;
-            let ti = ctx.alloc()?;
-            ctx.emit(Op::LocalSet(ti));
+            let tv = self.gen_operand(ctx, &args[0])?;
+            let ti = self.gen_operand(ctx, &args[1])?;
             self.gen(ctx, &args[2], false)?;
             ctx.emit(Op::VecSet { v: tv, i: ti });
             ctx.release_to(saved);
@@ -631,12 +650,136 @@ mod tests {
         assert!(!lam.ops.iter().any(|o| matches!(o, Op::Call { .. })));
     }
 
+    /// `(+ e 1)` / `(- e 1)` never load the constant: an accumulator
+    /// increment, or its fusion with the local's load.
     #[test]
     fn add1_fast_path() {
         let p = compile("(lambda (a) (+ a 1))");
-        assert!(p.codes[0].ops.contains(&Op::Add1));
+        let ops = &p.codes[0].ops;
+        assert!(ops.contains(&Op::AddImm { i: 1, n: 1 }) || ops.contains(&Op::Add1), "{ops:?}");
         let p = compile("(lambda (a) (- a 1))");
+        let ops = &p.codes[0].ops;
+        assert!(ops.contains(&Op::SubImm { i: 1, n: 1 }) || ops.contains(&Op::Sub1), "{ops:?}");
+        let p = compile("(lambda (f) (- (f) 1))");
         assert!(p.codes[0].ops.contains(&Op::Sub1));
+        assert!(!p.codes.iter().flat_map(|c| &c.ops).any(|o| matches!(o, Op::FixInt(1))));
+    }
+
+    fn body<'a>(p: &'a CompiledProgram, name: &str) -> &'a [Op] {
+        &p.codes.iter().find(|c| c.name == name).unwrap_or_else(|| panic!("no {name}")).ops
+    }
+
+    /// An unassigned frame local is its own operand slot, and an argument
+    /// is computed straight into its outgoing slot: `fib` and `tak` copy
+    /// nothing to compare and store nothing after a subtract.
+    #[test]
+    fn unassigned_locals_are_operands_in_fib_and_tak() {
+        let p = compile("(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))");
+        assert_eq!(
+            body(&p, "fib"),
+            [
+                Op::Entry { required: 1, rest: false },
+                Op::BrLtImm { i: 1, n: 2, off: 1 },
+                Op::ReturnLocal(1),
+                Op::SubImmTo { i: 1, dst: 3, n: 1 },
+                Op::CallGlobal { g: 0, disp: 2, argc: 1 },
+                Op::LocalSet(2),
+                Op::SubImmTo { i: 1, dst: 4, n: 2 },
+                Op::CallGlobal { g: 0, disp: 3, argc: 1 },
+                Op::Add(2),
+                Op::Return,
+            ]
+        );
+        let p = compile(
+            "(define (tak x y z)
+               (if (not (< y x)) z
+                   (tak (tak (- x 1) y z) (tak (- y 1) z x) (tak (- z 1) x y))))",
+        );
+        let tak = body(&p, "tak");
+        assert_eq!(
+            tak[..4],
+            [
+                Op::Entry { required: 3, rest: false },
+                Op::LtLL { a: 2, b: 1 },
+                Op::BrTrue(1),
+                Op::ReturnLocal(3),
+            ]
+        );
+        for (at, pair) in tak.windows(2).enumerate() {
+            let compare = matches!(
+                pair[1],
+                Op::Lt(_) | Op::LtLL { .. } | Op::BrLt { .. } | Op::BrLtImm { .. }
+            );
+            assert!(
+                !(matches!(pair[0], Op::Move { .. }) && compare),
+                "move feeds a compare at {at}"
+            );
+            assert!(
+                !(matches!(pair[0], Op::SubImm { .. }) && matches!(pair[1], Op::LocalSet(_))),
+                "store after an immediate subtract at {at}"
+            );
+        }
+        let to_slot = tak.iter().filter(|o| matches!(o, Op::SubImmTo { n: 1, .. })).count();
+        assert_eq!(to_slot, 3, "{tak:?}");
+    }
+
+    /// What is not an unassigned frame local still goes through a
+    /// temporary: an assigned local's slot holds a cell, a captured
+    /// variable has no slot at all.
+    #[test]
+    fn assigned_and_captured_operands_use_a_temporary() {
+        let unfused = |src: &str| {
+            let options = CompilerOptions { fuse: false };
+            compile_program_with(&read_all(src).unwrap(), Pipeline::Direct, options).unwrap()
+        };
+        let p = unfused("(define (f x) (set! x 1) (< x 2))");
+        let f = body(&p, "f");
+        assert_eq!(
+            f[f.len() - 5..],
+            [Op::CellRefLocal(1), Op::LocalSet(2), Op::FixInt(2), Op::Lt(2), Op::Return],
+            "{f:?}"
+        );
+        let p = unfused("(define (g x) (lambda (y) (< x y)))");
+        let inner = body(&p, "lambda");
+        assert_eq!(
+            inner[1..],
+            [Op::FreeRef(0), Op::LocalSet(2), Op::LocalRef(1), Op::Lt(2), Op::Return],
+            "{inner:?}"
+        );
+        // Both slot operands of `vector-set!` follow the same rule.
+        let p = unfused("(define (h v i) (vector-set! v i 0))");
+        assert_eq!(body(&p, "h")[1..], [Op::FixInt(0), Op::VecSet { v: 1, i: 2 }, Op::Return]);
+    }
+
+    /// A variadic fold keeps its running value in one temporary, which is
+    /// never the local the first operand was read from.
+    #[test]
+    fn variadic_folds_use_one_temporary() {
+        let p = compile("(define (f a b c d) (+ a b c d))");
+        assert_eq!(
+            body(&p, "f")[1..],
+            [
+                Op::LocalRef(2),
+                Op::Add(1),
+                Op::LocalSet(5),
+                Op::LocalRef(3),
+                Op::Add(5),
+                Op::LocalSet(5),
+                Op::LocalRef(4),
+                Op::Add(5),
+                Op::Return,
+            ]
+        );
+        assert_eq!(p.codes[0].frame_slots, 6);
+        // A compound first operand brings its own temporary; the fold
+        // reuses it.
+        let p = compile("(define (g f b c) (* (f) b c))");
+        let g = body(&p, "g");
+        let temps: Vec<u16> = g
+            .iter()
+            .filter_map(|o| if let Op::LocalSet(t) = o { Some(*t) } else { None })
+            .collect();
+        assert_eq!(temps, [4, 4], "{g:?}");
     }
 
     #[test]

@@ -13,11 +13,22 @@
 //! | `LocalRef(s)` `LocalSet(d)`  | `Move { src, dst }`            |
 //! | `FixInt(n)` `Add(i)`         | `AddImm { i, n }` (likewise `Sub`) |
 //! | `GlobalRef(g)` `Call{..}`    | `CallGlobal { g, .. }` (likewise `TailCall`) |
+//! | `FreeRef(s)` `LocalSet(d)`   | `MoveFree { src, dst }`        |
+//! | `LocalRef(i)` `Add1`         | `AddImm { i, n: 1 }` (likewise `Sub1`) |
+//! | `LocalRef(b)` `Lt(a)`        | `LtLL { a, b }`                |
 //! | `FixInt(n)` `BrLt { i, off }`| `BrLtImm { i, n, off }` (second generation) |
+//! | `SubImm { i, n }` `LocalSet(d)` | `SubImmTo { i, dst, n }` (second generation) |
 //!
-//! The pass runs to a fixpoint, so second-generation pairs — a plain
+//! The pass runs to a fixpoint, so later-generation pairs — a plain
 //! instruction next to a superinstruction produced by the previous pass,
-//! like `FixInt` feeding a fused compare-and-branch — fuse too.
+//! like `FixInt` feeding a fused compare-and-branch — fuse too:
+//! `LocalRef(1); Sub1; LocalSet(3)`, the `(- n 1)` argument of a call,
+//! becomes `SubImmTo { i: 1, dst: 3, n: 1 }` in two passes.
+//!
+//! A superinstruction is admitted only when it removes at least 2 % of
+//! the dynamic instructions of a ledger program (EXPERIMENTS.md, E9,
+//! lists each with the share that admitted it, and the candidates that
+//! missed).
 //!
 //! Every fused form computes exactly what the pair computed — including
 //! leaving the same value in the accumulator — so fusion is semantically
@@ -138,11 +149,17 @@ fn fuse_pair(a: Op, b: Op) -> Option<Op> {
         (Op::FixInt(n), Op::Add(i)) => Op::AddImm { i, n },
         (Op::FixInt(n), Op::Sub(i)) => Op::SubImm { i, n },
         (Op::LocalRef(src), Op::LocalSet(dst)) => Op::Move { src, dst },
+        (Op::FreeRef(src), Op::LocalSet(dst)) => Op::MoveFree { src, dst },
         (Op::Not, Op::BranchFalse(off)) => Op::BrTrue(off),
         (Op::GlobalRef(g), Op::Call { disp, argc }) => Op::CallGlobal { g, disp, argc },
         (Op::GlobalRef(g), Op::TailCall { disp, argc }) => Op::TailCallGlobal { g, disp, argc },
-        // Second generation: FixInt feeding a fused compare-and-branch.
+        (Op::LocalRef(i), Op::Add1) => Op::AddImm { i, n: 1 },
+        (Op::LocalRef(i), Op::Sub1) => Op::SubImm { i, n: 1 },
+        (Op::LocalRef(b), Op::Lt(a)) => Op::LtLL { a, b },
+        // Second generation: FixInt feeding a fused compare-and-branch,
+        // an immediate subtract stored to its argument slot.
         (Op::FixInt(n), Op::BrLt { i, off }) => Op::BrLtImm { i, n, off },
+        (Op::SubImm { i, n }, Op::LocalSet(dst)) => Op::SubImmTo { i, dst, n },
         _ => return None,
     })
 }
@@ -250,11 +267,75 @@ mod tests {
             vec![
                 entry(),
                 Op::Move { src: 3, dst: 5 },
-                Op::LocalRef(2),
-                Op::Lt(5),
+                Op::LtLL { a: 5, b: 2 },
                 Op::BrTrue(1), // -> Return, shrunk past the fused move
                 Op::Move { src: 4, dst: 6 },
                 Op::Return,
+            ]
+        );
+    }
+
+    /// The operand-direct and to-slot pairs, each as `(first, second,
+    /// fused)`.
+    fn to_slot_pairs() -> [(Op, Op, Op); 5] {
+        [
+            (Op::LocalRef(3), Op::Add1, Op::AddImm { i: 3, n: 1 }),
+            (Op::LocalRef(3), Op::Sub1, Op::SubImm { i: 3, n: 1 }),
+            (Op::LocalRef(2), Op::Lt(1), Op::LtLL { a: 1, b: 2 }),
+            (Op::FreeRef(0), Op::LocalSet(4), Op::MoveFree { src: 0, dst: 4 }),
+            (Op::SubImm { i: 1, n: 2 }, Op::LocalSet(4), Op::SubImmTo { i: 1, dst: 4, n: 2 }),
+        ]
+    }
+
+    #[test]
+    fn operand_direct_and_to_slot_pairs_fuse() {
+        for (a, b, fused) in to_slot_pairs() {
+            let mut ops = vec![entry(), a, b, Op::Return];
+            fuse(&mut ops);
+            assert_eq!(ops, vec![entry(), fused, Op::Return], "{a:?}; {b:?}");
+        }
+    }
+
+    #[test]
+    fn a_branch_to_the_second_instruction_blocks_each_new_pair() {
+        for (a, b, _) in to_slot_pairs() {
+            // The Jump lands on `b`: the pair must stay two instructions.
+            let mut ops = vec![entry(), Op::Jump(1), a, b, Op::Return];
+            let before = ops.clone();
+            fuse(&mut ops);
+            assert_eq!(ops, before, "{a:?}; {b:?}");
+        }
+    }
+
+    #[test]
+    fn offsets_crossing_a_three_generation_fusion_still_land() {
+        // `(- n 1)` as an argument: LocalRef; Sub1 fuse, then take the
+        // store; `(- n 2)`: FixInt; Sub fuse, then take the store. One
+        // branch jumps forward over both, one backward over both.
+        let mut ops = vec![
+            entry(),
+            Op::BranchFalse(7), // -> index 9 (Unspec)
+            Op::LocalRef(1),
+            Op::Sub1,
+            Op::LocalSet(3),
+            Op::FixInt(2),
+            Op::Sub(1),
+            Op::LocalSet(4),
+            Op::Return,
+            Op::Unspec,
+            Op::Jump(-9), // -> index 2 (LocalRef)
+        ];
+        fuse(&mut ops);
+        assert_eq!(
+            ops,
+            vec![
+                entry(),
+                Op::BranchFalse(3), // -> Unspec, now index 5
+                Op::SubImmTo { i: 1, dst: 3, n: 1 },
+                Op::SubImmTo { i: 1, dst: 4, n: 2 },
+                Op::Return,
+                Op::Unspec,
+                Op::Jump(-5), // -> the first SubImmTo, index 2
             ]
         );
     }

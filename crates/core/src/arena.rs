@@ -37,6 +37,11 @@ impl<T> Arena<T> {
             None => {
                 let idx = u32::try_from(self.slots.len()).expect("arena index overflow");
                 self.slots.push(Some(value));
+                // Room on the (here empty) free list for every slot, so
+                // `remove` — which a collection's sweep calls once per dead
+                // entry — never allocates. Growth is paid here, beside the
+                // slot vector's own.
+                self.free.reserve(self.slots.len());
                 idx
             }
         }
@@ -110,9 +115,23 @@ impl<T> Arena<T> {
         self.slots.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|v| (i as u32, v)))
     }
 
-    /// Indices of all live entries (snapshot).
-    pub(crate) fn indices(&self) -> Vec<u32> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|_| i as u32)).collect()
+    /// Calls `f` on every live entry, in index order.
+    pub(crate) fn for_each_mut(&mut self, f: impl FnMut(&mut T)) {
+        self.slots.iter_mut().flatten().for_each(f);
+    }
+
+    /// One past the highest index ever handed out: with
+    /// [`Arena::remove_if`], the bound of an in-place walk that removes
+    /// entries as it goes.
+    pub(crate) fn slot_count(&self) -> u32 {
+        self.slots.len() as u32
+    }
+
+    /// Removes and returns the entry at `idx` if there is one and `doomed`
+    /// says so.
+    pub(crate) fn remove_if(&mut self, idx: u32, doomed: impl FnOnce(&T) -> bool) -> Option<T> {
+        let live = self.slots.get(idx as usize)?.as_ref()?;
+        doomed(live).then(|| self.remove(idx))
     }
 }
 
@@ -144,6 +163,25 @@ mod tests {
         a.remove(i);
         let seen: Vec<i32> = a.iter().map(|(_, v)| *v).collect();
         assert_eq!(seen, vec![2]);
+    }
+
+    #[test]
+    fn in_place_walk_visits_and_removes_only_live() {
+        let mut a = Arena::new();
+        let ids: Vec<u32> = (0..6).map(|n| a.insert(n)).collect();
+        a.remove(ids[1]);
+        a.for_each_mut(|v| *v *= 10);
+        let mut removed = Vec::new();
+        for idx in 0..a.slot_count() {
+            removed.extend(a.remove_if(idx, |v| *v >= 30));
+        }
+        assert_eq!(removed, vec![30, 40, 50]);
+        let left: Vec<(u32, i32)> = a.iter().map(|(i, v)| (i, *v)).collect();
+        assert_eq!(left, vec![(ids[0], 0), (ids[2], 20)]);
+        assert_eq!(a.remove_if(ids[1], |_| true), None, "a free slot is not an entry");
+        assert_eq!(a.remove_if(a.slot_count(), |_| true), None, "nor is one never handed out");
+        // Freed indices are reused most-recent-first, as with `remove`.
+        assert_eq!(a.insert(7), ids[5]);
     }
 
     #[test]

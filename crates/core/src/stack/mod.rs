@@ -1632,9 +1632,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// itself via [`SegStack::kont_slice`]) and finishes with
     /// [`SegStack::sweep`].
     pub fn begin_gc(&mut self) {
-        for id in self.konts.indices() {
-            self.konts.get_mut(id).mark = false;
-        }
+        self.konts.for_each_mut(|k| k.mark = false);
     }
 
     /// Marks continuation `id`; returns `true` when newly marked (the
@@ -1670,9 +1668,8 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             k.mark = true;
             cursor = k.link;
         }
-        for id in self.konts.indices() {
-            if !self.konts.get(id).mark {
-                let k = self.konts.remove(id);
+        for idx in 0..self.konts.slot_count() {
+            if let Some(k) = self.konts.remove_if(idx, |k| !k.mark) {
                 if !matches!(k.kind, KontKind::Shot) {
                     self.release_segment(k.seg);
                 }

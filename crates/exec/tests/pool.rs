@@ -225,6 +225,25 @@ fn pinned_jobs_share_their_workers_vm_globals() {
 }
 
 #[test]
+fn a_later_job_redefining_a_callee_is_seen_by_an_earlier_jobs_call_sites() {
+    // The worker VM's per-global call cache must follow a redefinition
+    // made by another job: `call-site` was compiled, linked and run by
+    // job one; job two replaces `callee` (with a closure, then a builtin)
+    // and job three calls through the old call site.
+    let pool = Pool::builder().workers(1).build().unwrap();
+    let run = |name: &str, src: &str| {
+        let outcome = pool.submit(JobSpec::new(name, src).pin(0)).unwrap().wait();
+        outcome.result.unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let defs = "(define (callee x) (list 'one x)) (define (call-site x) (cons 'got (callee x)))";
+    assert_eq!(run("one", &format!("{defs} (call-site 1)")), "(got one 1)");
+    assert_eq!(run("two", "(define (callee x) (list 'two x)) (call-site 2)"), "(got two 2)");
+    assert_eq!(run("three", "(call-site 3)"), "(got two 3)");
+    assert_eq!(run("four", "(set! callee car) (call-site '(4))"), "(got . 4)");
+    pool.shutdown().unwrap();
+}
+
+#[test]
 fn shutdown_reports_every_worker_and_leaks_nothing() {
     let pool = Pool::builder().workers(3).build().unwrap();
     for i in 0..6 {

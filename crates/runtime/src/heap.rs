@@ -397,6 +397,8 @@ pub struct Heap {
     /// drain (their stack slices live outside the heap).
     kont_gray: Vec<KontId>,
     stats: HeapStats,
+    /// Highest [`Heap::len`] any collection has started from; `stats`
+    /// folds in the current length.
     peak_live: usize,
     alloc_since_gc: usize,
     gc_threshold: usize,
@@ -428,7 +430,7 @@ impl Heap {
     pub fn stats(&self) -> HeapStats {
         let mut s = self.stats;
         s.live = self.len() as u64;
-        s.peak_live = self.peak_live as u64;
+        s.peak_live = self.peak_live.max(self.len()) as u64;
         s.pools = PoolOccupancy {
             pairs: self.pairs.live as u64,
             vectors: self.vectors.live as u64,
@@ -503,7 +505,7 @@ impl Heap {
         self.stats.words_allocated += o.words();
         self.stats.objects_allocated += 1;
         self.alloc_since_gc += 1;
-        let r = match o {
+        match o {
             Obj::Pair(a, d) => ObjRef::pack(ObjKind::Pair, self.pairs.alloc((a, d))),
             Obj::Vector(v) => ObjRef::pack(ObjKind::Vector, self.vectors.alloc(v)),
             Obj::Str(s) => ObjRef::pack(ObjKind::Str, self.strs.alloc(s)),
@@ -520,9 +522,7 @@ impl Heap {
                 ObjRef::pack(ObjKind::Kont, i)
             }
             Obj::Cell(v) => ObjRef::pack(ObjKind::Cell, self.cells.alloc(v)),
-        };
-        self.peak_live = self.peak_live.max(self.len());
-        r
+        }
     }
 
     /// Allocates a closure directly from a borrowed free-variable slice
@@ -536,9 +536,7 @@ impl Heap {
         self.stats.closures_allocated += 1;
         self.alloc_since_gc += 1;
         let free = FreeVals::from_slice(free);
-        let r = ObjRef::pack(ObjKind::Closure, self.closures.alloc(ClosureObj { code, free }));
-        self.peak_live = self.peak_live.max(self.len());
-        r
+        ObjRef::pack(ObjKind::Closure, self.closures.alloc(ClosureObj { code, free }))
     }
 
     /// Allocates a pair directly (the hot path for `cons`).
@@ -547,9 +545,7 @@ impl Heap {
         self.stats.words_allocated += 2;
         self.stats.objects_allocated += 1;
         self.alloc_since_gc += 1;
-        let r = ObjRef::pack(ObjKind::Pair, self.pairs.alloc((car, cdr)));
-        self.peak_live = self.peak_live.max(self.len());
-        r
+        ObjRef::pack(ObjKind::Pair, self.pairs.alloc((car, cdr)))
     }
 
     /// Whether enough allocation has happened that the embedder should run
@@ -686,6 +682,9 @@ impl Heap {
     /// objects) and the worklists, and pre-reserves worklist capacity for
     /// every live object so the mark phase never allocates.
     pub fn begin_gc(&mut self) {
+        // Only `sweep` frees, so the live count peaks either right here or
+        // at whatever moment `stats` is read — the two places that look.
+        self.peak_live = self.peak_live.max(self.len());
         self.pairs.clear_marks();
         self.vectors.clear_marks();
         self.strs.clear_marks();
@@ -964,6 +963,57 @@ mod tests {
         assert_eq!(s.last_freed, 2);
         assert_eq!(s.objects_freed, 2);
         assert_eq!(s.collections, 1);
+    }
+
+    /// `peak_live` is maintained at collections and at reads, not per
+    /// allocation; it must still read what the per-allocation running
+    /// maximum would, at every read, through every allocator entry point.
+    #[test]
+    fn peak_live_matches_the_per_allocation_definition() {
+        let mut h = Heap::new();
+        let mut kept: Vec<Value> = Vec::new();
+        let mut model_peak = 0;
+        // A fixed script of (burst size, objects kept per burst, collect?,
+        // read stats?) covering bursts that raise the peak, bursts that
+        // stay under it, back-to-back collections and unread stretches.
+        let script = [
+            (40, 10, false, true),
+            (25, 0, true, false),
+            (5, 5, false, false),
+            (90, 1, true, true),
+            (10, 0, true, true),
+            (0, 0, true, false),
+            (70, 30, false, false),
+            (60, 0, false, true),
+            (1, 1, true, true),
+        ];
+        for (round, &(burst, keep, collect, read)) in script.iter().enumerate() {
+            for i in 0..burst {
+                let r = match (round + i) % 3 {
+                    0 => h.alloc_pair(Value::fixnum(i as i64), Value::NIL),
+                    1 => h.alloc_closure(0, &[Value::NIL]),
+                    _ => h.alloc(Obj::Cell(Value::NIL)),
+                };
+                if i < keep {
+                    kept.push(Value::obj(r));
+                }
+                model_peak = model_peak.max(h.len());
+            }
+            if collect {
+                h.begin_gc();
+                for &v in &kept {
+                    h.mark_value(v);
+                }
+                drain(&mut h);
+                h.sweep();
+                assert_eq!(h.len(), kept.len());
+            }
+            if read {
+                assert_eq!(h.stats().peak_live, model_peak as u64, "round {round}");
+            }
+        }
+        assert_eq!(h.stats().peak_live, model_peak as u64);
+        assert!(model_peak > h.len(), "the script must end below its peak");
     }
 
     #[test]

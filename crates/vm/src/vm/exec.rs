@@ -146,15 +146,37 @@ impl Vm {
     /// `self.flat` and must be re-borrowed after the call (which is also
     /// what lets a builtin such as `eval` link new code mid-run) — and
     /// every error leaves through `fail!` (sync, return). The sync points
-    /// are: a non-closure application (builtin, continuation), a return
-    /// through anything but a plain `Ret` slot or with multiple values
-    /// pending, `entry`'s slow path (arity error, rest list, overflow,
-    /// collection, guards, an armed segment fault), the timer interrupt,
-    /// and every error. (The cold arithmetic routines are functions of
-    /// their operands alone, `vector_set` of the heap, and need no sync
-    /// unless they fail.)
-    #[allow(clippy::too_many_lines)]
+    /// are: a non-closure application (builtin, continuation), a global
+    /// definition or assignment (the cell and its call-cache entry are
+    /// written by one method), a return through anything but a plain `Ret`
+    /// slot or with multiple values pending, `entry`'s slow path (arity
+    /// error, rest list, overflow, collection, guards, an armed segment
+    /// fault), the timer interrupt, and every error. (The cold arithmetic
+    /// routines are functions of their operands alone, `vector_set` of the
+    /// heap, and need no sync unless they fail.)
+    ///
+    /// # Two loops, one source
+    ///
+    /// The loop body is instantiated twice: `HIST = true` bumps the
+    /// per-opcode histogram on every fetch, `HIST = false` — every VM built
+    /// without [`crate::VmBuilder::opcode_histogram`] — contains no trace
+    /// of it. The choice is made once per entry, here, because the test
+    /// cannot be hoisted out of a single loop: every slot store goes
+    /// through the stack's raw segment pointer, which the compiler must
+    /// assume may alias `self`, so it would reload and retest the field
+    /// after each one.
     fn run_dispatch(&mut self) -> R<Value> {
+        if self.opcode_hist.is_some() {
+            self.run_dispatch_impl::<true>()
+        } else {
+            self.run_dispatch_impl::<false>()
+        }
+    }
+
+    /// [`Vm::run_dispatch`]'s loop; `HIST` says whether this instantiation
+    /// counts opcodes.
+    #[allow(clippy::too_many_lines)]
+    fn run_dispatch_impl<const HIST: bool>(&mut self) -> R<Value> {
         let mut pc = self.pc;
         let mut acc = self.acc;
         let mut retired = self.instructions;
@@ -268,6 +290,35 @@ impl Vm {
                 }
             }};
         }
+        // `call!` on the procedure in `globals[g]`, after `$frame` (the
+        // return-address push or the tail call's argument shift). The call
+        // cache names a closure's code and first instruction outright, so
+        // the common case never touches the closure object; a sentinel
+        // entry (unbound, builtin, continuation, non-procedure) takes the
+        // general path and raises its errors.
+        macro_rules! call_global {
+            ($g:expr, $argc:expr, $frame:expr) => {{
+                let f = self.globals[$g as usize];
+                let target = self.gcall[$g as usize];
+                debug_assert_eq!(target, self.call_target(f), "stale call cache for global {}", $g);
+                if f == Value::UNDEFINED {
+                    fail!(self.unbound("unbound variable", $g));
+                }
+                acc = f;
+                self.calls += 1;
+                $frame;
+                if target == CallTarget::NONE {
+                    if let Some(v) = ool!(self.apply(f, $argc as usize))? {
+                        return Ok(v);
+                    }
+                } else {
+                    self.closure = f;
+                    self.code = target.code;
+                    self.argc = $argc as usize;
+                    pc = target.base as usize;
+                }
+            }};
+        }
         // Returns `acc` through the slot at the frame base: a plain return
         // address with no multiple values pending is delivered inline.
         macro_rules! ret {
@@ -292,8 +343,10 @@ impl Vm {
             let op = flat[pc];
             pc += 1;
             retired += 1;
-            if let Some(hist) = &mut self.opcode_hist {
-                hist[op.kind_index()] += 1;
+            if HIST {
+                if let Some(hist) = &mut self.opcode_hist {
+                    hist[op.kind_index()] += 1;
+                }
             }
             match op {
                 Op::Const(i) => {
@@ -336,11 +389,9 @@ impl Vm {
                     if self.globals[i as usize] == Value::UNDEFINED {
                         fail!(self.unbound("assignment to unbound variable", i));
                     }
-                    self.globals[i as usize] = acc;
+                    ool!(self.write_global(i as usize, acc));
                 }
-                Op::GlobalDef(i) => {
-                    self.globals[i as usize] = acc;
-                }
+                Op::GlobalDef(i) => ool!(self.write_global(i as usize, acc)),
                 Op::Closure(i) => {
                     // Gather captures into a stack buffer: together with
                     // the heap's inline closure payload, small closures
@@ -499,25 +550,20 @@ impl Vm {
                     let rhs = Value::fixnum(n.into());
                     branch_unless!(compare!(Cmp::Lt, self.local(i as usize), rhs), off);
                 }
-                Op::CallGlobal { g, disp, argc } => {
-                    let f = self.globals[g as usize];
-                    if f == Value::UNDEFINED {
-                        fail!(self.unbound("unbound variable", g));
-                    }
-                    acc = f;
-                    self.calls += 1;
-                    push_ret!(disp);
-                    call!(f, argc);
-                }
+                Op::CallGlobal { g, disp, argc } => call_global!(g, argc, push_ret!(disp)),
                 Op::TailCallGlobal { g, disp, argc } => {
-                    let f = self.globals[g as usize];
-                    if f == Value::UNDEFINED {
-                        fail!(self.unbound("unbound variable", g));
-                    }
-                    acc = f;
-                    self.calls += 1;
-                    shift_args!(disp, argc);
-                    call!(f, argc);
+                    call_global!(g, argc, shift_args!(disp, argc));
+                }
+                Op::MoveFree { src, dst } => {
+                    acc = self.free_value(src as usize);
+                    set_local!(dst, acc);
+                }
+                Op::SubImmTo { i, dst, n } => {
+                    arith!(Arith::Sub, self.local(i as usize), Value::fixnum(n.into()));
+                    set_local!(dst, acc);
+                }
+                Op::LtLL { a, b } => {
+                    compare!(Cmp::Lt, self.local(a as usize), self.local(b as usize));
                 }
                 Op::BrTrue(off) => {
                     let was_true = acc.is_true();
@@ -536,6 +582,23 @@ impl Vm {
     fn closure_entry(&self, f: Value) -> Option<(u32, usize)> {
         let (code, _) = self.heap.closure(f.as_obj()?)?;
         Some((code, self.entries[code as usize].base as usize))
+    }
+
+    /// What the call cache holds for a global cell containing `f`.
+    #[inline]
+    pub(crate) fn call_target(&self, f: Value) -> CallTarget {
+        match self.closure_entry(f) {
+            Some((code, base)) => CallTarget { code, base: base as u32 },
+            None => CallTarget::NONE,
+        }
+    }
+
+    /// Stores `v` in global cell `g` and refreshes the cell's call-cache
+    /// entry — the one way a global cell is written.
+    #[inline]
+    pub(crate) fn write_global(&mut self, g: usize, v: Value) {
+        self.globals[g] = v;
+        self.gcall[g] = self.call_target(v);
     }
 
     /// `(zero? v)`: the `ZeroP` instruction, its fused branch and the
@@ -1286,6 +1349,23 @@ fn type_error(heap: &Heap, syms: &Symbols, who: &str, expected: &str, got: Value
     )
 }
 
+/// A call-cache entry: where calling the closure in a global cell starts,
+/// or [`CallTarget::NONE`] when the cell holds anything else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CallTarget {
+    /// The closure's code object.
+    code: u32,
+    /// Offset of that code object's first instruction in [`Vm::flat`].
+    base: u32,
+}
+
+impl CallTarget {
+    /// Not a closure (unbound, builtin, continuation, non-procedure): the
+    /// call takes the general path. No code object has this index — the
+    /// flat arena's `u32` offsets run out first.
+    pub(crate) const NONE: CallTarget = CallTarget { code: u32::MAX, base: 0 };
+}
+
 /// `(vector-set! v idx x)`. Like [`cell_set`] a function of the heap (and
 /// the symbol table its error messages print through), not of the VM, so
 /// the dispatch loop calls it in line.
@@ -1453,5 +1533,64 @@ pub(crate) fn as_f64(v: Value, who: &str) -> R<f64> {
         Unpacked::Fixnum(n) => Ok(n as f64),
         Unpacked::Flonum(x) => Ok(x),
         _ => Err(VmError::condition("type-error", format!("{who}: expected number"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use oneshot_compiler::{CodeObject, CompiledProgram};
+    use oneshot_sexp::Datum;
+
+    use super::*;
+
+    /// Runs a hand-assembled thunk that puts `operand` in slot 1 and a
+    /// sentinel in slot 2, then executes `SubImmTo { i: 1, dst: 2, n: 1 }`.
+    /// Returns the run's result and, if it failed, what slot 2 holds
+    /// afterwards. The frame survives a failed run because this calls
+    /// `run` itself, below the entry points that reset the stack — from
+    /// the guest a faulting frame is unobservable (`raise` is applied in
+    /// its place).
+    fn sub_imm_to(operand: Datum) -> (R<Value>, Option<Value>) {
+        let mut vm = Vm::new();
+        let entry = vm.link(&CompiledProgram {
+            codes: vec![CodeObject {
+                name: "to-slot".into(),
+                required: 0,
+                rest: false,
+                frame_slots: 3,
+                ops: vec![
+                    Op::Entry { required: 0, rest: false },
+                    Op::Const(0),
+                    Op::LocalSet(1),
+                    Op::FixInt(77),
+                    Op::LocalSet(2),
+                    Op::SubImmTo { i: 1, dst: 2, n: 1 },
+                    Op::Return,
+                ],
+                consts: vec![operand],
+                free_spec: vec![],
+            }],
+            entry: 0,
+            globals: vec![],
+        });
+        vm.code = entry;
+        vm.pc = vm.entries[entry as usize].base as usize;
+        vm.argc = 0;
+        let result = vm.run();
+        let dst = result.is_err().then(|| vm.local(2));
+        (result, dst)
+    }
+
+    #[test]
+    fn a_failed_to_slot_subtract_leaves_its_destination_untouched() {
+        let (ok, _) = sub_imm_to(Datum::Fixnum(10));
+        assert_eq!(ok.unwrap(), Value::fixnum(9));
+        let sentinel = Some(Value::fixnum(77));
+        let (type_error, dst) = sub_imm_to(Datum::symbol("ten"));
+        assert_eq!(type_error.unwrap_err().condition_kind(), Some("type-error"));
+        assert_eq!(dst, sentinel);
+        let (overflow, dst) = sub_imm_to(Datum::Fixnum(-(1 << 49)));
+        assert!(overflow.unwrap_err().to_string().contains("fixnum overflow in -"));
+        assert_eq!(dst, sentinel);
     }
 }

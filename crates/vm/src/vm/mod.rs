@@ -413,6 +413,13 @@ pub struct Vm {
     /// Globals. Unbound cells hold [`Value::UNDEFINED`], so the
     /// `GlobalRef` bound-check is one load + one compare.
     pub(crate) globals: Vec<Value>,
+    /// The call cache, indexed like `globals`: for a cell holding a
+    /// closure, its code object and first instruction, so `CallGlobal`
+    /// reaches the callee without touching the closure. Every write to a
+    /// cell goes through [`Vm::write_global`], which refreshes the entry;
+    /// code is never unloaded and a closure's code never changes, so an
+    /// entry cannot dangle.
+    pub(crate) gcall: Vec<exec::CallTarget>,
     pub(crate) global_names: Vec<String>,
     pub(crate) global_ids: HashMap<String, u32>,
     pub(crate) builtins: Vec<BuiltinFn>,
@@ -515,6 +522,7 @@ impl Vm {
             entries: Vec::new(),
             flat: Vec::new(),
             globals: Vec::new(),
+            gcall: Vec::new(),
             global_names: Vec::new(),
             global_ids: HashMap::new(),
             builtins: Vec::new(),
@@ -904,6 +912,7 @@ impl Vm {
         }
         let i = self.globals.len() as u32;
         self.globals.push(Value::UNDEFINED);
+        self.gcall.push(exec::CallTarget::NONE);
         self.global_names.push(name.to_string());
         self.global_ids.insert(name.to_string(), i);
         i
@@ -931,7 +940,7 @@ impl Vm {
     /// Defines (or redefines) a global variable.
     pub fn set_global(&mut self, name: &str, v: Value) {
         let i = self.global_id(name) as usize;
-        self.globals[i] = v;
+        self.write_global(i, v);
     }
 
     /// Interns a symbol, returning it as a value.

@@ -80,7 +80,10 @@ fn outcome(vm: &mut Vm, src: &str) -> Outcome {
 
 /// The two VMs every form is run on: with and without superinstruction
 /// fusion, so `(if (< a b) ..)` is `BrLt` on one and `Lt; BranchFalse` on
-/// the other, `(+ a 5)` is `AddImm` on one and `FixInt; Add` on the other.
+/// the other, `(+ a 5)` is `AddImm` on one and `FixInt; Add` on the other,
+/// `(< a b)` on two locals `LtLL` on one and `LocalRef; Lt` on the other,
+/// and the argument `(- a 5)` in `(pass (- a 5))` is `SubImmTo` on one and
+/// `FixInt; Sub; LocalSet` on the other.
 struct Vms {
     fused: Vm,
     unfused: Vm,
@@ -88,7 +91,12 @@ struct Vms {
 
 impl Vms {
     fn new() -> Self {
-        Vms { fused: Vm::builder().build(), unfused: Vm::builder().fuse(false).build() }
+        let mut vms =
+            Vms { fused: Vm::builder().build(), unfused: Vm::builder().fuse(false).build() };
+        // An identity to pass arguments to: an argument is computed
+        // straight into its outgoing frame slot (the to-slot forms).
+        vms.both("(define (pass x) x)");
+        vms
     }
 
     /// Runs `src` on both VMs; they must agree exactly. Returns the
@@ -131,6 +139,10 @@ fn check_binary(vms: &mut Vms, op: &str, a: &str, b: &str) {
         assert_eq!(imm, inline, "({op} {a} {b}) with an immediate");
         let imm_branched = vms.both(&format!("((lambda (a) (if ({op} a {b}) 'yes 'no)) {a})"));
         assert_eq!(imm_branched, truth(&inline), "({op} {a} {b}) immediate under `if`");
+        // ... and computed into an argument slot (`SubImmTo`; `AddImm`
+        // then its store).
+        let to_slot = vms.both(&format!("((lambda (a) (pass ({op} a {b}))) {a})"));
+        assert_eq!(to_slot, inline, "({op} {a} {b}) as an argument");
     }
     // The same primitive as a procedure value.
     let applied = vms.both(&format!("(apply {op} (list {a} {b}))"));
@@ -146,6 +158,12 @@ fn check_unary(vms: &mut Vms, a: &str) {
     for (inline_form, applied_form) in [
         (format!("((lambda (a) (+ a 1)) {a})"), format!("(apply + (list {a} 1))")),
         (format!("((lambda (a) (- a 1)) {a})"), format!("(apply - (list {a} 1))")),
+        // On the accumulator (`Add1`/`Sub1`) rather than a local.
+        (format!("((lambda (a) (+ (pass a) 1)) {a})"), format!("(apply + (list {a} 1))")),
+        (format!("((lambda (a) (- (pass a) 1)) {a})"), format!("(apply - (list {a} 1))")),
+        // As an argument: `SubImmTo { n: 1 }`, `AddImm { n: 1 }` and a store.
+        (format!("((lambda (a) (pass (+ a 1))) {a})"), format!("(apply + (list {a} 1))")),
+        (format!("((lambda (a) (pass (- a 1))) {a})"), format!("(apply - (list {a} 1))")),
         (format!("((lambda (a) (zero? a)) {a})"), format!("(apply zero? (list {a}))")),
     ] {
         let inline = vms.both(&inline_form);
@@ -220,6 +238,9 @@ fn fixnum_overflow_is_still_a_catchable_error_naming_the_operator() {
         (format!("((lambda (a) (- a 1)) {min})"), "-"),
         (format!("((lambda (a) (+ a 7)) {max})"), "+"),
         (format!("((lambda (a) (- a 7)) {min})"), "-"),
+        (format!("((lambda (a) (list (- a 1))) {min})"), "-"),
+        (format!("((lambda (a) (list (- a 7))) {min})"), "-"),
+        (format!("((lambda (a) (list (+ a 1))) {max})"), "+"),
         (format!("(apply + (list {max} 1))"), "+"),
         (format!("(apply * (list {min} -1))"), "*"),
     ] {

@@ -6,7 +6,7 @@
 //! terminating expression grammar that includes escaping continuations.
 
 use oneshot_core::{Config, OverflowPolicy};
-use oneshot_vm::{Pipeline, Vm, VmConfig};
+use oneshot_vm::{Pipeline, Vm, VmConfig, VmStats};
 use proptest::prelude::*;
 
 /// A generated expression with the variables in scope.
@@ -104,6 +104,31 @@ proptest! {
         let mut cps = Vm::with_config(VmConfig { pipeline: Pipeline::Cps, ..VmConfig::default() });
         prop_assert_eq!(outcome(&mut cps, &src), expected, "CPS diverged: {}", src);
     }
+
+    /// The dispatch loop is instantiated twice from one source, with and
+    /// without the per-opcode histogram. The two must retire the same
+    /// work, and the armed one must count every instruction it retires.
+    #[test]
+    fn histogram_and_plain_loops_retire_the_same_work(src in expr(4, vec![])) {
+        for pipeline in [Pipeline::Direct, Pipeline::Cps] {
+            let mut plain = Vm::builder().pipeline(pipeline).build();
+            let mut armed = Vm::builder().pipeline(pipeline).opcode_histogram(true).build();
+            prop_assert_eq!(outcome(&mut armed, &src), outcome(&mut plain, &src), "{}", src);
+            let (p, a) = (plain.stats(), armed.stats());
+            prop_assert_eq!(work_counters(&a), work_counters(&p), "{:?} {}", pipeline, src);
+            let counted: u64 = armed.opcode_histogram().unwrap().iter().map(|&(_, n)| n).sum();
+            prop_assert_eq!(counted, a.instructions, "{:?} {}", pipeline, src);
+            prop_assert!(plain.opcode_histogram().is_none());
+        }
+    }
+}
+
+/// Everything in `VmStats` that counts guest work since construction,
+/// boot included: the VM's and the heap's allocation counters, and the
+/// whole of the stack's.
+fn work_counters(s: &VmStats) -> impl PartialEq + std::fmt::Debug {
+    let vm = [s.instructions, s.calls, s.conditions_raised, s.faults_injected];
+    (vm, s.heap.objects_allocated, s.heap.words_allocated, s.stack)
 }
 
 /// A fixed corpus of benchmark-like programs checked across all

@@ -5,6 +5,9 @@
 //! only reduce the number of dispatched instructions, never change what
 //! the program does to the stack.
 
+use std::collections::HashMap;
+
+use oneshot_compiler::MNEMONICS;
 use oneshot_vm::{Vm, VmStats};
 use proptest::prelude::*;
 
@@ -53,6 +56,21 @@ fn expr(depth: u32, vars: Vec<String>) -> BoxedStrategy<String> {
         1 => (sub(), sub_ext2).prop_map({
             let v = fresh.clone();
             move |(arg, body)| format!("((lambda ({v}) {body}) {arg})")
+        }),
+        // Call arguments computed from a local (`SubImmTo`, `AddImm` and
+        // its store) and a compare of two locals (`LtLL`), with and without
+        // a branch; a non-number errs in the argument, identically.
+        1 => (sub(), sub()).prop_map({
+            let v = fresh.clone();
+            move |(a, b)| format!(
+                "(let (({v} {a}) (w {b}))
+                   (list (- {v} 1) (- {v} 7) (+ {v} 1) (< {v} w) (if (< w {v}) {v} w)))"
+            )
+        }),
+        // A captured variable as an operand and as an argument (`MoveFree`).
+        1 => (sub(), sub()).prop_map({
+            let v = fresh.clone();
+            move |(a, b)| format!("((lambda ({v}) ((lambda (f) (f {b})) (lambda (y) (list {v} y {v})))) {a})")
         }),
         // Continuations, so the SegStack counters actually move.
         1 => (sub(), sub()).prop_map(|(a, b)| {
@@ -126,6 +144,13 @@ fn corpus_fuses_without_changing_control_events() {
                  (ctak (- z 1) x y))))
          (ctak 12 6 0)",
         "(define (deep n) (if (zero? n) 0 (+ 1 (deep (- n 1))))) (deep 30000)",
+        // Control in heap closures: every continuation variable is a
+        // capture passed as an argument.
+        "(define (fib-cps n k)
+           (if (< n 2)
+               (k n)
+               (fib-cps (- n 1) (lambda (a) (fib-cps (- n 2) (lambda (b) (k (+ a b))))))))
+         (fib-cps 15 (lambda (v) v))",
     ];
     for src in corpus {
         let (fused_r, fused_d) = measured(true, src);
@@ -142,23 +167,57 @@ fn corpus_fuses_without_changing_control_events() {
     }
 }
 
-/// The opcode histogram (the repl's `,ops`) renders fused opcodes
-/// symbolically via their mnemonics.
+/// What `src` executes on `vm`, by mnemonic: the histogram's growth over
+/// the evaluation (the VM has already run the prelude's definitions).
+fn executed(vm: &mut Vm, src: &str) -> Vec<(&'static str, u64)> {
+    let before: HashMap<_, _> =
+        vm.opcode_histogram().expect("histogram enabled").into_iter().collect();
+    vm.eval_str(src).unwrap();
+    let after = vm.opcode_histogram().expect("histogram enabled");
+    let grown =
+        after.into_iter().map(|(name, n)| (name, n - before.get(name).copied().unwrap_or(0)));
+    grown.filter(|&(_, n)| n > 0).collect()
+}
+
+/// The opcode histogram (the repl's `,ops`) names every instruction in
+/// the opcode table: one program, run fused and unfused, executes each
+/// kind at least once on one of the two VMs, and each shows up under its
+/// mnemonic. A new opcode fails here until the program reaches it.
 #[test]
 fn histogram_names_fused_opcodes() {
-    let mut vm = Vm::builder().opcode_histogram(true).build();
-    vm.eval_str(
-        "(define (id x) x)
-         (define (cmp a b) (if (< a b) (+ a 5) (- a 5)))
-         (define (count l) (if (null? l) 0 (+ 1 (count (cdr l)))))
-         (id 1) (cmp 3 4) (cmp 4 3) (count '(1 2 3))",
-    )
-    .unwrap();
-    let hist = vm.opcode_histogram().expect("histogram enabled");
-    let names: Vec<&str> = hist.iter().map(|(n, _)| *n).collect();
-    for fused in ["br-lt", "return-local", "add-imm", "br-null?", "move", "call-global"] {
-        assert!(names.contains(&fused), "{fused} missing from histogram: {names:?}");
+    let src = "
+        (define g 1)
+        (set! g (+ g 1))
+        (define (id x) x)
+        (define (swap a b) (list b a))
+        (define (less-5 a) (- a 5))
+        (define (arith a b)
+          (list (+ a b) (- a b) (* a b) (+ a 5) (- a 5) (- a 1) (+ a 1)
+                (+ (id a) 1) (- (id a) 1)))
+        (define (cmp a b) (list (< a b) (<= a b) (> a b) (>= a b) (= a b) (eq? a b)))
+        (define (branch a b l)
+          (list (if (< a (id b)) 1 2) (if (<= a b) 1 2) (if (> a b) 1 2) (if (>= a b) 1 2)
+                (if (= a b) 1 2) (if (eq? a b) 1 2) (if (< a 2) 1 2) (if (zero? a) 1 2)
+                (if (null? l) 1 2) (if (not a) 1 2) (if a 1 2)))
+        (define (lists l)
+          (list (car l) (cdr l) (null? l) (pair? l) (not l) (zero? (car l)) (cons 1 l)))
+        (define (vecs v) (vector-set! v 0 7) (vector-ref v 0))
+        (define (boxed x) (set! x (+ x 1)) (lambda () (set! x (+ x 1)) x))
+        (define (capture x) (lambda (y) (list x y (+ x y))))
+        (define (tail f a) (f a))
+        (define (non-tail f a) (+ 1 (f a)))
+        (define (loop n) (if (zero? n) 'done (loop (- n 1))))
+        (list g (swap 1 2) (less-5 9) (arith 7 3) (cmp 1 2) (branch 1 2 '()) (lists '(0 1))
+              (vecs (make-vector 1 0)) ((boxed 1)) ((capture 1) 2) (tail id 1)
+              (non-tail id 1) (loop 3))";
+    let mut seen: HashMap<&str, u64> = HashMap::new();
+    for fuse in [true, false] {
+        let mut vm = Vm::builder().fuse(fuse).opcode_histogram(true).build();
+        for (name, n) in executed(&mut vm, src) {
+            assert!(MNEMONICS.contains(&name), "{name} is not in the opcode table");
+            *seen.entry(name).or_default() += n;
+        }
     }
-    // Counts are positive for every listed opcode.
-    assert!(hist.iter().all(|&(_, n)| n > 0));
+    let missed: Vec<&str> = MNEMONICS.iter().copied().filter(|m| !seen.contains_key(m)).collect();
+    assert!(missed.is_empty(), "never executed, fused or unfused: {missed:?}");
 }

@@ -130,3 +130,147 @@ fn winders_compose_with_values() {
         "(1 2 3)"
     );
 }
+
+// ---------------------------------------------------------------------
+// The per-global call cache can never be stale: a compiled call site
+// (`CallGlobal` / `TailCallGlobal`) follows every way its callee's cell
+// can change. Debug builds also assert cache == cell at every such call.
+// ---------------------------------------------------------------------
+
+/// A VM with `f` defined and two compiled call sites on it, one tail and
+/// one not, both already run once (so the cache entry has been used).
+fn vm_with_call_sites() -> Vm {
+    let mut vm = Vm::new();
+    assert_eq!(
+        eval(
+            &mut vm,
+            "(define (f x) (list 'first x))
+             (define (tail-site x) (f x))
+             (define (call-site x) (cons 'got (f x)))
+             (list (tail-site 1) (call-site 2))"
+        ),
+        "((first 1) (got first 2))"
+    );
+    vm
+}
+
+const BOTH_SITES: &str = "(list (tail-site 1) (call-site 2))";
+
+#[test]
+fn call_sites_follow_set_and_define_to_another_closure() {
+    let mut vm = vm_with_call_sites();
+    eval(&mut vm, "(set! f (lambda (x) (list 'second x)))");
+    assert_eq!(eval(&mut vm, BOTH_SITES), "((second 1) (got second 2))");
+    eval(&mut vm, "(define (f x) (list 'third x))");
+    assert_eq!(eval(&mut vm, BOTH_SITES), "((third 1) (got third 2))");
+}
+
+#[test]
+fn call_sites_follow_a_callee_that_stops_being_a_closure() {
+    let mut vm = vm_with_call_sites();
+    // A builtin.
+    eval(&mut vm, "(define f car)");
+    assert_eq!(eval(&mut vm, "(list (tail-site '(1 2)) (call-site '((3) 4)))"), "(1 (got 3))");
+    // A continuation: calling it abandons the call site's context (the
+    // `cons 'got` never happens) and re-enters the `let` it was captured
+    // in, once.
+    assert_eq!(
+        eval(
+            &mut vm,
+            "(define passes 0)
+             (let ((v (call/cc (lambda (k) (set! f k) 'captured))))
+               (set! passes (+ passes 1))
+               (if (eq? v 'captured) (call-site 'through-k) (list v passes)))"
+        ),
+        "(through-k 2)"
+    );
+    // A one-shot continuation, shot from inside its extent.
+    assert_eq!(
+        eval(
+            &mut vm,
+            "(list (call/1cc (lambda (k) (set! f k) (cons 'unreached (tail-site 'through-k1))))
+                   'after)"
+        ),
+        "(through-k1 after)"
+    );
+    // A non-procedure: the type error HEAD raised, and the VM recovers.
+    eval(&mut vm, "(set! f 5)");
+    for site in ["(tail-site 1)", "(call-site 2)"] {
+        let e = vm.eval_str(site).unwrap_err();
+        assert_eq!(e.condition_kind(), Some("type-error"), "{site}: {e}");
+        assert!(e.to_string().contains("apply: expected procedure, got 5"), "{site}: {e}");
+    }
+    eval(&mut vm, "(set! f (lambda (x) (list 'back x)))");
+    assert_eq!(eval(&mut vm, BOTH_SITES), "((back 1) (got back 2))");
+}
+
+#[test]
+fn a_call_site_on_a_never_defined_global_reports_it_unbound() {
+    let mut vm = Vm::new();
+    eval(
+        &mut vm,
+        "(define (tail-site x) (nowhere x)) (define (call-site x) (cons 'got (nowhere x)))",
+    );
+    for site in ["(tail-site 1)", "(call-site 2)"] {
+        let e = vm.eval_str(site).unwrap_err();
+        assert!(e.to_string().contains("unbound variable: nowhere"), "{site}: {e}");
+    }
+    // Defining it later binds the same cell the sites already name.
+    eval(&mut vm, "(define (nowhere x) x)");
+    assert_eq!(eval(&mut vm, "(list (tail-site 1) (call-site 2))"), "(1 (got . 2))");
+}
+
+#[test]
+fn call_sites_follow_set_global_from_rust() {
+    let mut vm = vm_with_call_sites();
+    let other = vm.eval_str("(lambda (x) (list 'from-rust x))").unwrap();
+    vm.set_global("f", other);
+    assert_eq!(eval(&mut vm, BOTH_SITES), "((from-rust 1) (got from-rust 2))");
+    let builtin = vm.global("car").expect("car is a builtin");
+    vm.set_global("f", builtin);
+    assert_eq!(eval(&mut vm, "(tail-site '(7))"), "7");
+    // A global first created from Rust, called from code compiled later.
+    let id = vm.eval_str("(lambda (x) x)").unwrap();
+    vm.set_global("made-in-rust", id);
+    assert_eq!(eval(&mut vm, "(define (site) (made-in-rust 9)) (site)"), "9");
+}
+
+#[test]
+fn a_running_procedure_sees_a_redefinition_made_by_eval() {
+    let mut vm = vm_with_call_sites();
+    assert_eq!(
+        eval(
+            &mut vm,
+            "(define (redefine-between)
+               (let ((before (f 1)))
+                 (eval '(define (f x) (list 'evaled x)))
+                 (list before (f 2) (call-site 3))))
+             (redefine-between)"
+        ),
+        "((first 1) (evaled 2) (got evaled 3))"
+    );
+}
+
+#[test]
+fn a_linked_template_sees_its_callee_redefined_between_instantiations() {
+    use oneshot_vm::{CompilerOptions, Pipeline};
+    let mut vm = vm_with_call_sites();
+    let prog =
+        Vm::compile_str("(call-site 'job)", Pipeline::Direct, CompilerOptions::default()).unwrap();
+    let linked = vm.link_program(&prog);
+    let thunk = vm.instantiate(linked);
+    let v = vm.call(thunk, &[]).unwrap();
+    assert_eq!(vm.write_value(&v), "(got first job)");
+    eval(&mut vm, "(define (f x) (list 'relinked x))");
+    let thunk = vm.instantiate(linked);
+    let v = vm.call(thunk, &[]).unwrap();
+    assert_eq!(vm.write_value(&v), "(got relinked job)");
+    // The template itself calls a global directly, too.
+    let prog =
+        Vm::compile_str("(f 'direct)", Pipeline::Direct, CompilerOptions::default()).unwrap();
+    let linked = vm.link_program(&prog);
+    eval(&mut vm, "(set! f (lambda (x) (list 'last x)))");
+    let thunk = vm.instantiate(linked);
+    let v = vm.call(thunk, &[]).unwrap();
+    assert_eq!(vm.write_value(&v), "(last direct)");
+}

@@ -34,9 +34,11 @@ const GEN: &str = "
 
 /// One pinned program: definitions, the expression to time, its answer,
 /// and the guest `(instructions, calls)` the expression retires on the
-/// direct and the CPS pipeline. Recorded from the commit before the
-/// register-resident dispatch loop landed; they change only when the
-/// compiler's output or the prelude does.
+/// direct and the CPS pipeline. They change only when the compiler's
+/// output or the prelude does: the calls date from the commit before the
+/// register-resident dispatch loop, the instructions from operand-direct
+/// code generation and the to-slot superinstructions (CHANGES.md has the
+/// before/after table).
 struct Pinned {
     name: &'static str,
     defs: String,
@@ -53,48 +55,48 @@ fn programs() -> Vec<Pinned> {
             defs: FIB.into(),
             expr: "(fib 20)",
             answer: "6765",
-            direct: (197_018, 21_891),
-            cps: (448_763, 43_782),
+            direct: (131_347, 21_891),
+            cps: (372_147, 43_782),
         },
         Pinned {
             name: "tak",
             defs: TAK.into(),
             expr: "(tak 18 12 6)",
             answer: "7",
-            direct: (715_604, 63_609),
-            cps: (1_447_107, 111_316),
+            direct: (492_974, 63_609),
+            cps: (1_176_771, 111_316),
         },
         Pinned {
             name: "ctak-1cc",
             defs: CTAK.replace("CAPTURE", "call/1cc"),
             expr: "(ctak 12 6 0)",
             answer: "1",
-            direct: (1_447_111, 254_437),
-            cps: (2_719_293, 302_144),
+            direct: (1_081_360, 254_437),
+            cps: (2_289_934, 302_144),
         },
         Pinned {
             name: "ctak-cc",
             defs: CTAK.replace("CAPTURE", "call/cc"),
             expr: "(ctak 12 6 0)",
             answer: "1",
-            direct: (1_447_111, 254_437),
-            cps: (2_719_293, 302_144),
+            direct: (1_081_360, 254_437),
+            cps: (2_289_934, 302_144),
         },
         Pinned {
             name: "deep",
             defs: DEEP.into(),
             expr: "(deep 20000)",
             answer: "20000",
-            direct: (220_009, 20_001),
-            cps: (420_018, 40_002),
+            direct: (180_009, 20_001),
+            cps: (380_018, 40_002),
         },
         Pinned {
             name: "generator",
             defs: GEN.into(),
             expr: "(gen-sum 1000)",
             answer: "500500",
-            direct: (63_125, 11_012),
-            cps: (263_225, 25_023),
+            direct: (56_121, 11_012),
+            cps: (246_216, 25_023),
         },
     ]
 }
