@@ -40,34 +40,6 @@ pub fn run_measured(vm: &mut Vm, src: &str) -> Result<Measurement, VmError> {
     Ok(Measurement { wall, delta: vm.stats().delta_since(&before) })
 }
 
-/// Renders an aligned text table.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    let line = |cells: &[String], widths: &[usize], out: &mut String| {
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(&format!("{cell:>width$}", width = widths[i]));
-        }
-        out.push('\n');
-    };
-    line(&headers.iter().map(|s| (*s).to_string()).collect::<Vec<_>>(), &widths, &mut out);
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(), &widths, &mut out);
-    for row in rows {
-        line(row, &widths, &mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,15 +51,5 @@ mod tests {
             run_measured(&mut vm, "(define (f n) (if (zero? n) 0 (f (- n 1)))) (f 1000)").unwrap();
         assert!(m.delta.calls >= 1000);
         assert!(m.wall.as_nanos() > 0);
-    }
-
-    #[test]
-    fn table_renders_aligned() {
-        let t = render_table(
-            &["name", "value"],
-            &[vec!["a".into(), "1".into()], vec!["long-name".into(), "22".into()]],
-        );
-        assert!(t.contains("long-name"));
-        assert_eq!(t.lines().count(), 4);
     }
 }

@@ -62,90 +62,6 @@ pub const BOUNCER: &str = "
     (let loop ((i 0) (acc 0))
       (if (= i rounds) acc (loop (+ i 1) (+ acc (down depth))))))";
 
-/// E16 generator API, native edition: the prelude's prompt-based
-/// generators. Suspending takes only the delimited context (the producer's
-/// frames above the prompt); the consumer's stack is never touched.
-pub const E16_GEN_NATIVE: &str = "
-  (define make-gen make-generator)
-  (define gen-next generator-next)
-  (define gen-done? generator-done?)";
-
-/// E16 generator API, `call/1cc` edition: the classic one-shot-continuation
-/// coroutine encoding (Kobayashi–Kameyama). Every suspension captures the
-/// *whole* continuation twice — the consumer's at `gen-next`, the
-/// producer's at `yield` — so each cycle encapsulates the full stack where
-/// the native edition steals only the delimited slice.
-pub const E16_GEN_1CC: &str = "
-  (define e16-done (list 'e16-done))
-  (define (make-gen producer)
-    (let ((return #f) (resume #f) (finished #f))
-      (define (yield v)
-        (call/1cc
-          (lambda (k)
-            (set! resume k)
-            (return v))))
-      (lambda ()
-        (if finished
-            e16-done
-            (call/1cc
-              (lambda (r)
-                (set! return r)
-                (if resume
-                    (let ((k resume)) (set! resume #f) (k #f))
-                    (begin
-                      (producer yield)
-                      (set! finished #t)
-                      (return e16-done)))))))))
-  (define (gen-next g) (g))
-  (define (gen-done? v) (eq? v e16-done))";
-
-/// E16 driver programs, written against the `make-gen`/`gen-next`/
-/// `gen-done?` API so the same source runs under both editions.
-///
-/// * `(e16-pipeline n stages)` — a source yielding `1..n` through a chain
-///   of incrementing generator stages, drained to a sum;
-/// * `(e16-generator n)` — one generator yielding `n` squares, drained;
-/// * `(e16-sampler n depth)` — pulls each value from a consumer recursion
-///   of varying depth (`i mod depth`), so the full-stack encoding's
-///   capture cost grows with the consumer while the native edition's
-///   stays proportional to the producer.
-pub const E16_DRIVERS: &str = "
-  (define (e16-source n)
-    (make-gen (lambda (yield)
-      (let loop ((i 1)) (if (<= i n) (begin (yield i) (loop (+ i 1))) 0)))))
-  (define (e16-stage g)
-    (make-gen (lambda (yield)
-      (let loop ()
-        (let ((v (gen-next g)))
-          (if (gen-done? v) 0 (begin (yield (+ v 1)) (loop))))))))
-  (define (e16-pipeline n stages)
-    (let build ((k stages) (g (e16-source n)))
-      (if (zero? k)
-          (let drain ((acc 0))
-            (let ((v (gen-next g)))
-              (if (gen-done? v) acc (drain (+ acc v)))))
-          (build (- k 1) (e16-stage g)))))
-  (define (e16-generator n)
-    (let ((g (make-gen (lambda (yield)
-               (let loop ((i 0))
-                 (if (< i n) (begin (yield (* i i)) (loop (+ i 1))) 0))))))
-      (let drain ((acc 0))
-        (let ((v (gen-next g)))
-          (if (gen-done? v) acc (drain (+ acc v)))))))
-  (define (e16-sampler n depth)
-    (let ((g (make-gen (lambda (yield)
-               (let loop ((i 0))
-                 (if (< i n) (begin (yield i) (loop (+ i 1))) 0))))))
-      (define (probe d)
-        (if (zero? d)
-            (let ((v (gen-next g))) (if (gen-done? v) 0 v))
-            (+ 1 (probe (- d 1)))))
-      (let loop ((i 0) (acc 0))
-        (if (= i n)
-            acc
-            (let ((d (modulo i depth)))
-              (loop (+ i 1) (+ acc (- (probe d) d))))))))";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,28 +121,5 @@ mod tests {
         vm.eval_str(FIB).unwrap();
         let v = vm.eval_str("(fib 20)").unwrap();
         assert_eq!(vm.write_value(&v), "6765");
-    }
-
-    #[test]
-    fn e16_editions_agree_on_every_workload() {
-        // The same-answer differential at small scale: both generator
-        // editions must compute identical values for all three drivers.
-        let run = |api: &str, call: &str| {
-            let mut vm = Vm::new();
-            vm.eval_str(api).unwrap();
-            vm.eval_str(E16_DRIVERS).unwrap();
-            let v = vm.eval_str(call).unwrap();
-            vm.write_value(&v)
-        };
-        for call in ["(e16-pipeline 50 3)", "(e16-generator 50)", "(e16-sampler 50 8)"] {
-            let native = run(E16_GEN_NATIVE, call);
-            let one_shot = run(E16_GEN_1CC, call);
-            assert_eq!(native, one_shot, "{call}");
-        }
-        // Spot-check absolute values: pipeline sums (1..50)+3 each,
-        // generator sums the first 50 squares, sampler sums 0..49.
-        assert_eq!(run(E16_GEN_NATIVE, "(e16-pipeline 50 3)"), "1425");
-        assert_eq!(run(E16_GEN_NATIVE, "(e16-generator 50)"), "40425");
-        assert_eq!(run(E16_GEN_NATIVE, "(e16-sampler 50 8)"), "1225");
     }
 }

@@ -4,9 +4,8 @@
 //! allocation", "force a premature stack overflow at the Nth segment
 //! check", "expire the engine timer early" — as plain countdowns. The
 //! plan is either written out explicitly by a test or derived from a seed
-//! with [`FaultPlan::seeded`], using the same xorshift64\* generator the
-//! benchmark harness uses, so a chaos schedule is reproducible from a
-//! single integer.
+//! with [`FaultPlan::seeded`], using an xorshift64\* generator, so a chaos
+//! schedule is reproducible from a single integer.
 //!
 //! Each countdown is armed as a [`FaultClock`] at the site that consumes
 //! it (the heap allocator, the segmented stack's `ensure`, the VM's timer
@@ -115,8 +114,7 @@ impl FaultPlan {
     /// Derives a plan from `seed`: each fault site independently gets a
     /// countdown drawn uniformly from `1..=horizon`, or is left disarmed
     /// (each site is armed with probability 3/4). The generator is
-    /// xorshift64\*, matching the harness PRNG, so the same seed always
-    /// yields the same schedule.
+    /// xorshift64\*, so the same seed always yields the same schedule.
     #[must_use]
     pub fn seeded(seed: u64, horizon: u64) -> Self {
         let mut x = if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed };

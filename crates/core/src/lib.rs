@@ -79,6 +79,6 @@ pub use config::{Config, OneShotPolicy, OverflowPolicy, PromotionStrategy};
 pub use error::{ConfigError, ControlError};
 pub use fault::{FaultClock, FaultPlan};
 pub use kont::{Kont, KontId, KontKind};
-pub use probe::{ControlProbe, CountingProbe, NoopProbe, ProbeEvent, RingTraceProbe};
+pub use probe::{ControlProbe, NoopProbe, ProbeEvent, RingTraceProbe};
 pub use stack::{FrameWalker, Overflow, Reinstated, SegStack, SegmentId, Underflow};
 pub use stats::Stats;

@@ -11,10 +11,11 @@
 //! Three probes ship with the crate:
 //!
 //! * [`NoopProbe`] — the default; statically inlined away.
-//! * [`CountingProbe`] — aggregates events into a [`Stats`] value that
-//!   exactly reproduces [`SegStack::stats`](crate::SegStack::stats), field
-//!   for field. Useful for attributing counters to a *region* of a workload
-//!   by swapping totals in and out.
+//! * [`Stats`] — the stack's own counters. Every stack feeds each event to
+//!   its built-in `Stats` and then to the installed probe, so
+//!   [`SegStack::stats`](crate::SegStack::stats) is derived from the events
+//!   by construction; a second `Stats` installed as the probe attributes
+//!   counters to a *region* of a workload by swapping totals in and out.
 //! * [`RingTraceProbe`] — records the last *N* events, with segment ids and
 //!   slot counts, for post-mortem debugging of control-heavy code.
 //!
@@ -201,54 +202,37 @@ pub struct NoopProbe;
 
 impl ControlProbe for NoopProbe {}
 
-/// A probe that aggregates events into a [`Stats`] value.
-///
-/// The totals exactly reproduce [`SegStack::stats`](crate::SegStack::stats):
-/// after any operation sequence, `stack.probe().stats() == *stack.stats()`.
-/// Unlike the built-in counters the probe can be swapped or reset mid-run,
-/// which is how the bench harness attributes events to workload phases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingProbe {
-    stats: Stats,
-}
-
-impl CountingProbe {
-    /// A probe with zeroed totals.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated totals.
-    pub fn stats(&self) -> Stats {
-        self.stats
-    }
-
-    /// Resets all totals to zero.
-    pub fn reset(&mut self) {
-        self.stats = Stats::default();
-    }
-}
-
-impl ControlProbe for CountingProbe {
+/// The built-in counters are a probe: every [`SegStack`](crate::SegStack)
+/// hands each event to its own [`Stats`] before the installed probe, so
+/// [`SegStack::stats`](crate::SegStack::stats) is the event stream summed
+/// (the table in the module docs is this impl). Installing a second `Stats`
+/// as the probe (`SegStack<S, Stats>`) gives totals that can be swapped or
+/// zeroed mid-run.
+impl ControlProbe for Stats {
+    #[inline]
     fn capture_multi(&mut self, _kont: KontId, _seg: SegmentId, _slots: usize) {
-        self.stats.captures_multi += 1;
+        self.captures_multi += 1;
     }
+    #[inline]
     fn capture_one(&mut self, _kont: KontId, _seg: SegmentId, _slots: usize, span: usize) {
-        self.stats.captures_one += 1;
-        self.stats.slots_encapsulated += span as u64;
+        self.captures_one += 1;
+        self.slots_encapsulated += span as u64;
     }
+    #[inline]
     fn capture_empty(&mut self) {
-        self.stats.captures_empty += 1;
+        self.captures_empty += 1;
     }
+    #[inline]
     fn reinstate(&mut self, _kont: KontId, _seg: SegmentId, one_shot: bool, slots_copied: usize) {
         if one_shot {
-            self.stats.reinstates_one += 1;
-            self.stats.shots += 1;
+            self.reinstates_one += 1;
+            self.shots += 1;
         } else {
-            self.stats.reinstates_multi += 1;
-            self.stats.slots_copied += slots_copied as u64;
+            self.reinstates_multi += 1;
+            self.slots_copied += slots_copied as u64;
         }
     }
+    #[inline]
     fn overflow(
         &mut self,
         _kont: Option<KontId>,
@@ -256,32 +240,40 @@ impl ControlProbe for CountingProbe {
         _to: SegmentId,
         slots_moved: usize,
     ) {
-        self.stats.overflows += 1;
-        self.stats.slots_copied += slots_moved as u64;
+        self.overflows += 1;
+        self.slots_copied += slots_moved as u64;
     }
+    #[inline]
     fn underflow(&mut self, _seg: SegmentId) {
-        self.stats.underflows += 1;
+        self.underflows += 1;
     }
+    #[inline]
     fn promotion(&mut self, _kont: KontId, walked: bool) {
-        self.stats.promotions += 1;
-        self.stats.promotion_steps += u64::from(walked);
+        self.promotions += 1;
+        self.promotion_steps += u64::from(walked);
     }
+    #[inline]
     fn split(&mut self, _kont: KontId, _bottom: KontId, _slots: usize) {
-        self.stats.splits += 1;
+        self.splits += 1;
     }
+    #[inline]
     fn cache_hit(&mut self, _seg: SegmentId) {
-        self.stats.cache_hits += 1;
+        self.cache_hits += 1;
     }
+    #[inline]
     fn cache_return(&mut self, _seg: SegmentId) {
-        self.stats.cache_returns += 1;
+        self.cache_returns += 1;
     }
+    #[inline]
     fn segment_alloc(&mut self, _seg: SegmentId, slots: usize) {
-        self.stats.segments_allocated += 1;
-        self.stats.segment_slots_allocated += slots as u64;
+        self.segments_allocated += 1;
+        self.segment_slots_allocated += slots as u64;
     }
+    #[inline]
     fn prompt_push(&mut self, _kont: KontId, _seg: SegmentId, _slots: usize) {
-        self.stats.prompts_pushed += 1;
+        self.prompts_pushed += 1;
     }
+    #[inline]
     fn subcont_take(
         &mut self,
         _head: Option<KontId>,
@@ -289,15 +281,17 @@ impl ControlProbe for CountingProbe {
         slots: usize,
         copied: usize,
     ) {
-        self.stats.subconts_taken += 1;
-        self.stats.subcont_slots += slots as u64;
-        self.stats.slots_copied += copied as u64;
+        self.subconts_taken += 1;
+        self.subcont_slots += slots as u64;
+        self.slots_copied += copied as u64;
     }
+    #[inline]
     fn subcont_push(&mut self, _head: KontId, _records: usize) {
-        self.stats.subconts_pushed += 1;
+        self.subconts_pushed += 1;
     }
+    #[inline]
     fn abort_to_prompt(&mut self, _prompt: KontId, _records: usize) {
-        self.stats.aborts_to_prompt += 1;
+        self.aborts_to_prompt += 1;
     }
 }
 
@@ -664,8 +658,8 @@ mod tests {
     }
 
     #[test]
-    fn counting_probe_mirrors_event_semantics() {
-        let mut p = CountingProbe::new();
+    fn stats_sum_the_events() {
+        let mut p = Stats::default();
         p.capture_multi(KontId(0), SegmentId(0), 8);
         p.capture_one(KontId(1), SegmentId(0), 4, 64);
         p.capture_empty();
@@ -678,7 +672,7 @@ mod tests {
         p.subcont_take(Some(KontId(5)), 2, 9, 4);
         p.subcont_push(KontId(5), 2);
         p.abort_to_prompt(KontId(4), 1);
-        let s = p.stats();
+        let s = p;
         assert_eq!(s.captures_multi, 1);
         assert_eq!(s.captures_one, 1);
         assert_eq!(s.slots_encapsulated, 64);
@@ -695,8 +689,6 @@ mod tests {
         assert_eq!(s.overflows, 1);
         assert_eq!(s.promotions, 2);
         assert_eq!(s.promotion_steps, 1);
-        p.reset();
-        assert_eq!(p.stats(), Stats::default());
     }
 
     #[test]

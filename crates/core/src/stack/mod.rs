@@ -71,6 +71,17 @@ use crate::kont::{Kont, KontId, KontKind};
 use crate::probe::{ControlProbe, NoopProbe};
 use crate::stats::Stats;
 
+/// Reports one control event: to the built-in counters — [`Stats`] is itself
+/// a [`ControlProbe`], so the counters are derived from the events and cannot
+/// drift from them — and to the installed probe. The arguments are evaluated
+/// once per receiver: pass locals and field reads only.
+macro_rules! emit {
+    ($stack:ident.$event:ident($($arg:expr),*)) => {{
+        $stack.stats.$event($($arg),*);
+        $stack.probe.$event($($arg),*);
+    }};
+}
+
 /// Identifies a physical stack segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SegmentId(pub(crate) u32);
@@ -584,11 +595,9 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         let occupied = self.fp - self.cur_base;
         if occupied == 0 {
             // Proper tail recursion (§3.2): the link is the continuation.
-            self.stats.captures_empty += 1;
-            self.probe.capture_empty();
+            emit!(self.capture_empty());
             return self.cur_link;
         }
-        self.stats.captures_multi += 1;
         let ret = self.get(self.fp).clone();
         let k = Kont {
             seg: self.cur_seg,
@@ -603,7 +612,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         };
         self.segs.get_mut(self.cur_seg.0).rc += 1;
         let id = KontId(self.konts.insert(k));
-        self.probe.capture_multi(id, self.cur_seg, occupied);
+        emit!(self.capture_multi(id, self.cur_seg, occupied));
         // The remainder of the segment becomes the current record.
         self.cur_base = self.fp;
         self.cur_link = Some(id);
@@ -625,11 +634,9 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     pub fn capture_one(&mut self, need: usize) -> Option<KontId> {
         let occupied = self.fp - self.cur_base;
         if occupied == 0 {
-            self.stats.captures_empty += 1;
-            self.probe.capture_empty();
+            emit!(self.capture_empty());
             return self.cur_link;
         }
-        self.stats.captures_one += 1;
         let ret = self.get(self.fp).clone();
         let flag = self.inherit_flag();
 
@@ -655,9 +662,8 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                     };
                     self.segs.get_mut(self.cur_seg.0).rc += 1;
                     let id = KontId(self.konts.insert(k));
-                    self.stats.slots_encapsulated += span as u64;
-                    self.probe.capture_one(id, self.cur_seg, occupied, span);
-                    self.probe.seal(id, self.cur_seg, pad);
+                    emit!(self.capture_one(id, self.cur_seg, occupied, span));
+                    emit!(self.seal(id, self.cur_seg, pad));
                     self.cur_base = seal_end;
                     self.cur_link = Some(id);
                     self.fp = seal_end;
@@ -686,8 +692,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         };
         // The continuation takes over the current record's reference.
         let id = KontId(self.konts.insert(k));
-        self.stats.slots_encapsulated += span as u64;
-        self.probe.capture_one(id, self.cur_seg, occupied, span);
+        emit!(self.capture_one(id, self.cur_seg, occupied, span));
         let new_seg = self.obtain_segment(need.max(self.reserve) + 1);
         self.install_record(new_seg, Some(id));
         Some(id)
@@ -719,7 +724,6 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     pub fn push_prompt(&mut self, tag: S, need: usize) -> KontId {
         let occupied = self.fp - self.cur_base;
         debug_assert!(occupied > 0, "push_prompt on an empty record; plant a resume slot first");
-        self.stats.prompts_pushed += 1;
         let ret = self.get(self.fp).clone();
         let flag = self.inherit_flag();
 
@@ -742,8 +746,8 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                     };
                     self.segs.get_mut(self.cur_seg.0).rc += 1;
                     let id = KontId(self.konts.insert(k));
-                    self.probe.prompt_push(id, self.cur_seg, occupied);
-                    self.probe.seal(id, self.cur_seg, pad);
+                    emit!(self.prompt_push(id, self.cur_seg, occupied));
+                    emit!(self.seal(id, self.cur_seg, pad));
                     self.cur_base = seal_end;
                     self.cur_link = Some(id);
                     self.fp = seal_end;
@@ -768,7 +772,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         };
         // The prompt record takes over the current record's reference.
         let id = KontId(self.konts.insert(k));
-        self.probe.prompt_push(id, self.cur_seg, occupied);
+        emit!(self.prompt_push(id, self.cur_seg, occupied));
         let new_seg = self.obtain_segment(need.max(self.reserve) + 1);
         self.install_record(new_seg, Some(id));
         id
@@ -907,7 +911,6 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                 let m = self.marker.clone();
                 self.segs.get_mut(seg.0).slots_mut()[0] = m;
                 let size = self.segs.get(seg.0).slots().len();
-                self.stats.slots_copied += n as u64;
                 copied += n;
                 slots += n;
                 let nk = Kont {
@@ -937,9 +940,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         }
         let head = new_head;
 
-        self.stats.subconts_taken += 1;
-        self.stats.subcont_slots += slots as u64;
-        self.probe.subcont_take(head, records, slots, copied);
+        emit!(self.subcont_take(head, records, slots, copied));
 
         // The sealed head took over the current record's span; if the
         // prompt record is promoted, its multi-shot reinstatement copies
@@ -988,8 +989,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         // returns into it (tail rule when empty).
         let occupied = self.fp - self.cur_base;
         let below = if occupied == 0 {
-            self.stats.captures_empty += 1;
-            self.probe.capture_empty();
+            emit!(self.capture_empty());
             self.cur_link
         } else {
             let ret = self.get(self.fp).clone();
@@ -1032,8 +1032,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         }
         self.konts.get_mut(tail.0).link = below;
 
-        self.stats.subconts_pushed += 1;
-        self.probe.subcont_push(head, records);
+        emit!(self.subcont_push(head, records));
         self.reinstate_inner(head, walker)
     }
 
@@ -1081,8 +1080,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             cursor = next;
         }
         self.cur_link = Some(prompt);
-        self.stats.aborts_to_prompt += 1;
-        self.probe.abort_to_prompt(prompt, records);
+        emit!(self.abort_to_prompt(prompt, records));
         self.reinstate_inner(prompt, walker)
     }
 
@@ -1113,8 +1111,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                     if let KontKind::OneShot { promoted } = &self.konts.get(l.0).kind {
                         if !promoted.load(Ordering::Relaxed) {
                             promoted.store(true, Ordering::Relaxed);
-                            self.stats.promotions += 1;
-                            self.probe.promotion(l, false);
+                            emit!(self.promotion(l, false));
                         }
                     }
                 }
@@ -1132,10 +1129,8 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                             // portion is abandoned (fragmentation, §3.4).
                             k.size = k.cur;
                             k.kind = KontKind::MultiShot;
-                            self.stats.promotions += 1;
-                            self.stats.promotion_steps += 1;
                             cursor = k.link;
-                            self.probe.promotion(id, true);
+                            emit!(self.promotion(id, true));
                         }
                         _ => break,
                     }
@@ -1209,11 +1204,9 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// discarded (into the cache if unshared), the continuation's record
     /// becomes current, and the continuation is marked shot.
     fn reinstate_one(&mut self, id: KontId) -> Reinstated<S> {
-        self.stats.reinstates_one += 1;
-        self.stats.shots += 1;
-        self.probe.reinstate(id, self.konts.get(id.0).seg, true, 0);
         let k = self.konts.get_mut(id.0);
         let (seg, base, size, cur, link) = (k.seg, k.base, k.size, k.cur, k.link);
+        emit!(self.reinstate(id, seg, true, 0));
         let ret = std::mem::replace(&mut k.ret, self.marker.clone());
         // Mark shot (the paper sets both size fields to -1).
         k.kind = KontKind::Shot;
@@ -1237,7 +1230,6 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     where
         W: FrameWalker<S> + ?Sized,
     {
-        self.stats.reinstates_multi += 1;
         if self.konts.get(id.0).cur > self.cfg.copy_bound {
             id = self.split(id, walker);
         }
@@ -1260,8 +1252,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         }
 
         // Copy the saved frames to the base of the current record.
-        self.stats.slots_copied += n as u64;
-        self.probe.reinstate(id, src_seg, false, n);
+        emit!(self.reinstate(id, src_seg, false, n));
         self.copy_slots(src_seg, src_base, self.cur_seg, self.cur_base, n);
         // Patch the underflow marker into the copy: the bottom frame of the
         // record must return into the link. (For an unsplit continuation
@@ -1313,7 +1304,6 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             // size limits; we degrade gracefully instead.
             return id;
         }
-        self.stats.splits += 1;
         let link = self.konts.get(id.0).link;
         let boundary_ret = self.segs.get(seg.0).slots()[x].clone();
         let bottom = Kont {
@@ -1336,7 +1326,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         k.size = top - x;
         k.cur = top - x;
         k.link = Some(bottom_id);
-        self.probe.split(id, bottom_id, x - base);
+        emit!(self.split(id, bottom_id, x - base));
         id
     }
 
@@ -1357,8 +1347,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         W: FrameWalker<S> + ?Sized,
     {
         debug_assert_eq!(self.fp, self.cur_base, "underflow away from record base");
-        self.stats.underflows += 1;
-        self.probe.underflow(self.cur_seg);
+        emit!(self.underflow(self.cur_seg));
         match self.cur_link {
             None => Ok(Underflow::Exhausted),
             Some(link) => Ok(Underflow::Resumed(self.reinstate_inner(link, walker)?)),
@@ -1437,7 +1426,6 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     where
         W: FrameWalker<S> + ?Sized,
     {
-        self.stats.overflows += 1;
         // Choose the relocation boundary: at least the active frame moves;
         // hysteresis moves up to `hysteresis_slots` more (§3.2).
         let mut x = self.fp;
@@ -1501,8 +1489,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
 
         let new_seg = self.obtain_segment(relocated + need - live + self.reserve);
         // Copy the relocated frames to the base of the new segment.
-        self.stats.slots_copied += relocated as u64;
-        self.probe.overflow(created, old_seg, new_seg, relocated);
+        emit!(self.overflow(created, old_seg, new_seg, relocated));
         self.copy_slots(old_seg, x, new_seg, 0, relocated);
         let new_fp = self.fp - x;
         self.set_cur_seg(new_seg);
@@ -1543,12 +1530,10 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         S: Clone,
     {
         let cap = min_slots.max(self.cfg.segment_slots);
-        self.stats.segments_allocated += 1;
-        self.stats.segment_slots_allocated += cap as u64;
         let slots = vec![self.marker.clone(); cap].into_boxed_slice();
         let id = SegmentId(self.segs.insert(Segment::new(slots, cap == self.cfg.segment_slots)));
         self.resident_highwater = self.resident_highwater.max(self.resident_slots());
-        self.probe.segment_alloc(id, cap);
+        emit!(self.segment_alloc(id, cap));
         id
     }
 
@@ -1557,8 +1542,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     fn obtain_segment(&mut self, min_slots: usize) -> SegmentId {
         if min_slots <= self.cfg.segment_slots {
             if let Some(seg) = self.cache.pop() {
-                self.stats.cache_hits += 1;
-                self.probe.cache_hit(seg);
+                emit!(self.cache_hit(seg));
                 self.segs.get_mut(seg.0).rc = 1;
                 return seg;
             }
@@ -1573,8 +1557,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         s.rc -= 1;
         if s.rc == 0 {
             if s.default_size && self.cache.len() < self.cfg.cache_limit {
-                self.stats.cache_returns += 1;
-                self.probe.cache_return(seg);
+                emit!(self.cache_return(seg));
                 self.cache.push(seg);
             } else {
                 self.segs.remove(seg.0);

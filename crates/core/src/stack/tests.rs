@@ -796,9 +796,8 @@ fn nested_prompt_tags_travel_with_the_subcontinuation() {
 
 #[test]
 fn counting_probe_stays_in_parity_across_delimited_ops() {
-    use crate::probe::CountingProbe;
-    let mut st: SegStack<Slot, CountingProbe> =
-        SegStack::with_probe(small_cfg(), Slot::Marker, CountingProbe::new());
+    let mut st: SegStack<Slot, Stats> =
+        SegStack::with_probe(small_cfg(), Slot::Marker, Stats::default());
     st.push_frame(2, Slot::Ret { pc: 1, disp: 2 });
     st.ensure(MAXF, 1, &walker);
     let p = st.push_prompt(Slot::Val(4), MAXF);
@@ -817,7 +816,7 @@ fn counting_probe_stays_in_parity_across_delimited_ops() {
         Slot::Ret { disp, .. } => st.pop_frame(*disp),
         other => panic!("unexpected ret {other:?}"),
     }
-    assert_eq!(st.probe().stats(), *st.stats(), "probe/stats parity violated");
+    assert_eq!(st.probe(), st.stats(), "probe/stats parity violated");
     assert!(st.stats().prompts_pushed == 1 && st.stats().subconts_taken == 1);
     assert!(st.stats().slots_encapsulated > 0);
 }

@@ -3,11 +3,11 @@
 //! Two properties are checked against randomized workloads (plus
 //! deterministic anchors):
 //!
-//! 1. **Counting parity** — a [`CountingProbe`] installed at construction
-//!    accumulates totals identical to the stack's own [`Stats`] counters,
-//!    field for field, after every operation — including under the
-//!    `SharedFlag` promotion strategy and the `SealWithPad` one-shot
-//!    policy.
+//! 1. **Counting parity** — a second [`Stats`] installed as the probe at
+//!    construction accumulates totals identical to the stack's built-in
+//!    counters, field for field, after every operation — every event
+//!    reaches the probe exactly once — including under the `SharedFlag`
+//!    promotion strategy and the `SealWithPad` one-shot policy.
 //! 2. **Event ordering** — in a [`RingTraceProbe`] trace, every
 //!    `Reinstate` event names a continuation previously *introduced* by a
 //!    `CaptureOne`, `CaptureMulti`, `Overflow` (implicit, `kont: Some`),
@@ -17,8 +17,8 @@
 use std::collections::HashSet;
 
 use oneshot_core::{
-    Config, ControlError, ControlProbe, CountingProbe, KontId, OneShotPolicy, OverflowPolicy,
-    ProbeEvent, PromotionStrategy, Reinstated, RingTraceProbe, SegStack, Underflow,
+    Config, ControlError, ControlProbe, KontId, OneShotPolicy, OverflowPolicy, ProbeEvent,
+    PromotionStrategy, Reinstated, RingTraceProbe, SegStack, Stats, Underflow,
 };
 use proptest::prelude::*;
 
@@ -182,8 +182,8 @@ fn apply(d: &mut Driver<impl ControlProbe>, op: &Op) {
 // 1. Counting parity
 // ---------------------------------------------------------------------
 
-fn assert_parity(d: &Driver<CountingProbe>, context: &str) {
-    assert_eq!(d.st.probe().stats(), *d.st.stats(), "probe/stats divergence {context}");
+fn assert_parity(d: &Driver<Stats>, context: &str) {
+    assert_eq!(*d.st.probe(), *d.st.stats(), "probe/stats divergence {context}");
 }
 
 proptest! {
@@ -194,11 +194,11 @@ proptest! {
         cfg in config_strategy(),
         ops in proptest::collection::vec(op_strategy(), 0..120),
     ) {
-        let mut d = Driver::new(cfg, CountingProbe::new());
+        let mut d = Driver::new(cfg, Stats::default());
         for (i, op) in ops.iter().enumerate() {
             apply(&mut d, op);
             prop_assert_eq!(
-                d.st.probe().stats(),
+                *d.st.probe(),
                 *d.st.stats(),
                 "probe/stats divergence after op {} ({:?})",
                 i,
@@ -213,7 +213,7 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(d.st.probe().stats(), *d.st.stats());
+        prop_assert_eq!(*d.st.probe(), *d.st.stats());
     }
 }
 
@@ -230,7 +230,7 @@ fn counting_parity_under_shared_flag_promotion() {
         min_headroom: HEADROOM,
         ..Config::default()
     };
-    let mut d = Driver::new(cfg, CountingProbe::new());
+    let mut d = Driver::new(cfg, Stats::default());
     for i in 0..20u32 {
         d.call(i, 4, Some(i64::from(i)));
         d.capture(true); // a chain of one-shots
@@ -261,7 +261,7 @@ fn counting_parity_under_seal_with_pad() {
         min_headroom: HEADROOM,
         ..Config::default()
     };
-    let mut d = Driver::new(cfg, CountingProbe::new());
+    let mut d = Driver::new(cfg, Stats::default());
     for i in 0..30u32 {
         d.call(i, 3, None);
         d.capture(true);

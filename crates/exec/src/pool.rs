@@ -501,10 +501,6 @@ pub struct VmTotals {
     pub gc_objects_freed: u64,
     /// Heap objects allocated.
     pub objects_allocated: u64,
-    /// One-shot continuation captures (engine preemptions mostly).
-    pub captures_one: u64,
-    /// One-shot reinstatements (engine resumes mostly).
-    pub reinstates_one: u64,
     /// Stack slots copied (stays near zero: one-shot switches copy
     /// nothing).
     pub slots_copied: u64,
@@ -530,8 +526,6 @@ impl VmTotals {
         self.gc_pause_ns += s.gc_pause_ns;
         self.gc_objects_freed += s.gc_objects_freed;
         self.objects_allocated += s.heap.objects_allocated;
-        self.captures_one += s.stack.captures_one;
-        self.reinstates_one += s.stack.reinstates_one;
         self.slots_copied += s.stack.slots_copied;
         self.conditions_raised += s.conditions_raised;
         self.faults_injected += s.faults_injected;

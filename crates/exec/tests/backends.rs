@@ -116,6 +116,33 @@ fn same_seeded_workload_gives_identical_results_on_both_backends() {
 }
 
 #[test]
+fn a_one_worker_timer_storm_retires_identical_instructions_on_both_backends() {
+    // The backend is readiness plumbing and nothing the guest can see: 16
+    // jobs of three timer waits each execute the same bytecode however
+    // their wakeups were multiplexed. (Exact on one worker only — with
+    // stealing in play, slice re-entries depend on scheduling.)
+    let storm = |backend: Backend| {
+        let pool = pool_with(backend, 1).build().unwrap();
+        let handles: Vec<_> = (0..16)
+            .map(|i| {
+                let src = "(let loop ((i 0))
+                             (if (< i 3) (begin (timer-wait 5) (loop (+ i 1))) 'done))";
+                pool.submit(JobSpec::new(format!("storm-{i}"), src)).unwrap()
+            })
+            .collect();
+        for h in &handles {
+            assert_eq!(h.wait().result.as_deref(), Ok("done"), "{backend}");
+        }
+        let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(report.counters.failed, 0, "{backend}");
+        assert_eq!(report.counters.timer_waits, 48, "{backend}");
+        assert_eq!(report.counters.wake_lateness.iter().sum::<u64>(), 48, "{backend}");
+        report.workers[0].vm.instructions
+    };
+    assert_eq!(storm(Backend::Poll), storm(Backend::Epoll));
+}
+
+#[test]
 fn deadline_cancelled_wait_ignores_late_readiness_on_both_backends() {
     // A job blocks reading a socket that stays silent past its deadline.
     // The deadline fails the job and cancels the wait; the peer THEN
@@ -204,18 +231,32 @@ fn shared_listener_distributes_and_echoes_on_both_backends() {
         for c in clients {
             c.join().unwrap();
         }
+        // One more client from inside the pool: a green thread connecting
+        // to the shared listener parks on the same reactors that serve it.
+        let guest = pool
+            .submit(JobSpec::new(
+                "guest-client",
+                format!(
+                    "(let ((s (tcp-connect {port})))
+                       (tcp-write s \"guest\")
+                       (let ((d (tcp-read s 5))) (tcp-close s) d))"
+                ),
+            ))
+            .unwrap();
+        assert_eq!(guest.wait().result.as_deref(), Ok("\"guest\""), "{backend}");
+        const CLIENTS_AND_GUEST: u64 = CLIENTS as u64 + 1;
         // Handlers finish after the peers close; wait for the callbacks.
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while done.load(Ordering::SeqCst) < CLIENTS as u64 {
+        while done.load(Ordering::SeqCst) < CLIENTS_AND_GUEST {
             assert!(std::time::Instant::now() < deadline, "{backend}: handlers drained");
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(serve.accepted(), CLIENTS as u64, "{backend}");
+        assert_eq!(serve.accepted(), CLIENTS_AND_GUEST, "{backend}");
         let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
         assert_eq!(report.counters.failed, 0, "{backend}");
         assert_eq!(
             report.counters.accepts_per_worker.iter().sum::<u64>(),
-            CLIENTS as u64,
+            CLIENTS_AND_GUEST,
             "{backend}: every accept was routed to a worker"
         );
         assert_eq!(report.counters.accept_overflow, 0, "{backend}");

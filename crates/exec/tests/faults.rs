@@ -233,16 +233,39 @@ fn injected_spurious_readiness_and_short_io_are_invisible() {
     }
 }
 
+/// One connection through a serving pool: send `msg`, read until the
+/// handler closes, and say whether it came back verbatim.
+fn echoes(port: u16, msg: &str) -> bool {
+    let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(msg.as_bytes()).unwrap();
+    let mut got = Vec::new();
+    s.read_to_end(&mut got).is_ok() && got == msg.as_bytes()
+}
+
 #[test]
 fn killed_worker_is_rebuilt_and_blocked_jobs_are_retried() {
-    // The supervision drill: a job blocked on a timer is collateral when
-    // another job kills the worker. The supervisor rebuilds the VM and
-    // reactor, retries the blocked job (worker-reset is transient), and
-    // the pool accepts and completes new work afterwards.
+    // The supervision drill, under live serving: a job blocked on a timer
+    // is collateral when another job kills the worker. The supervisor
+    // rebuilds the VM and reactor, retries the blocked job (worker-reset is
+    // transient), and the pool accepts and completes new work afterwards —
+    // including connections on the listener that was up before the kill.
     let pool = Pool::builder().workers(1).resident_cap(8).max_retries(2).build().unwrap();
+    let handler = JobSpec::new(
+        "echo-once",
+        "(let* ((c (conn-take)) (d (tcp-read c 4096)))
+           (if (not (eq? d 'eof)) (tcp-write c d))
+           (tcp-close c)
+           'served)",
+    )
+    .io_timeout(Duration::from_millis(500));
+    let serve = pool.serve("127.0.0.1:0", handler).unwrap();
+    assert!(echoes(serve.port(), "pre-0") && echoes(serve.port(), "pre-1"));
     let collateral =
         pool.submit(JobSpec::new("collateral", "(begin (timer-wait 400) 'survived)")).unwrap();
-    // Give the timer job time to start and park in the reactor.
+    // Give the timer job time to start and park in the reactor (and the
+    // two handlers above time to finish: the killer must be the only
+    // failure).
     std::thread::sleep(Duration::from_millis(100));
     let killer =
         pool.submit(JobSpec::new("killer", "(debug-panic! \"kill-worker-hard\")")).unwrap();
@@ -253,10 +276,16 @@ fn killed_worker_is_rebuilt_and_blocked_jobs_are_retried() {
         Ok("survived"),
         "the blocked job must be retried on the rebuilt worker"
     );
-    // The rebuilt worker keeps serving — including fresh I/O through the
-    // rebuilt reactor.
+    // The rebuilt worker keeps serving — fresh I/O through the rebuilt
+    // reactor, and every connection accepted on the old listener.
     let after = pool.submit(JobSpec::new("after", "(begin (timer-wait 10) 'alive)")).unwrap();
     assert_eq!(after.wait().result.as_deref(), Ok("alive"));
+    for i in 0..4 {
+        assert!(echoes(serve.port(), &format!("post-{i}")), "post-kill connection {i} unanswered");
+    }
+    serve.stop();
+    let live = pool.submit(JobSpec::new("audit", "(%net-live)").pin(0)).unwrap().wait().result;
+    assert_eq!(live.as_deref(), Ok("0"), "the rebuild leaked a socket");
     let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
     assert!(report.counters.worker_restarts >= 1, "the restart must be counted");
     assert!(report.counters.retried >= 1, "the collateral retry must be counted");
@@ -311,6 +340,8 @@ fn overload_sheds_accepts_past_the_highwater() {
         }
     }
     handle.stop();
+    let live = pool.submit(JobSpec::new("audit", "(%net-live)").pin(0)).unwrap().wait().result;
+    assert_eq!(live.as_deref(), Ok("0"), "a shed or served connection leaked its socket");
     let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
     assert_eq!(served + shed, CONNS);
     assert!(served >= 1, "the pool still serves while shedding");
@@ -374,10 +405,10 @@ fn overload_handler_answers_shed_connections() {
 
 #[test]
 fn seeded_serve_chaos_drains_leak_free() {
-    // A miniature of experiment E17: seeded fault plans armed in the VMs
-    // *and* the reactors while real connections flow. Whatever the faults
-    // do, every client gets an answer or a clean close, the pool drains,
-    // and nothing leaks. (The full sweep lives in the bench harness.)
+    // Seeded fault plans armed in the VMs *and* the reactors while real
+    // connections flow (E17's chaos-serve cell). Whatever the faults do,
+    // every client gets an answer or a clean close, the pool drains, and
+    // nothing leaks.
     const WORKERS: usize = 2;
     for seed in 0..4u64 {
         let cfg =

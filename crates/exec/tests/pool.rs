@@ -65,6 +65,50 @@ fn long_jobs_are_preempted_not_starving() {
 }
 
 #[test]
+fn mixed_load_on_small_segments_copies_next_to_nothing() {
+    // CPU-bound fib, capture-per-call ctak, deep recursion and sleeping
+    // request handlers through one pool, preempted every 256 calls. A
+    // preemption is a one-shot subcontinuation take and copies nothing; the
+    // only copying left is overflow hysteresis on the deep jobs — a few
+    // frames per segment crossed. The pool gives its worker VMs small
+    // segments, so the hysteresis has to shrink with them: left at the
+    // 128 slots that suit a 16k segment, every crossing copies a quarter
+    // of a 512-slot one (PR 12 measured 7 680 → 80 380 slots on this load,
+    // and this is the assertion that caught it).
+    let sources = [
+        "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 12)",
+        "(define (ctak x y z) (call/1cc (lambda (k) (ctak-aux k x y z))))
+         (define (ctak-aux k x y z)
+           (if (not (< y x))
+               (k z)
+               (ctak-aux k (ctak (- x 1) y z) (ctak (- y 1) z x) (ctak (- z 1) x y))))
+         (ctak 10 5 0)",
+        "(define (deep n) (if (zero? n) 0 (+ 1 (deep (- n 1))))) (deep 5000)",
+        "(begin (sleep-ms 5) 'served)",
+    ];
+    for workers in [1, 2] {
+        let pool = Pool::builder().workers(workers).fuel_slice(256).build().unwrap();
+        let handles: Vec<_> = (0..2 * sources.len())
+            .map(|i| pool.submit(JobSpec::new(format!("mixed-{i}"), sources[i % 4])).unwrap())
+            .collect();
+        for h in &handles {
+            let outcome = h.wait();
+            assert!(outcome.result.is_ok(), "{}: {:?}", outcome.name, outcome.result);
+        }
+        let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(report.counters.completed, handles.len() as u64, "workers={workers}");
+        assert_eq!(report.counters.failed + report.counters.panicked, 0, "workers={workers}");
+        assert!(report.counters.requeues > 0, "a 256-call slice must preempt the CPU jobs");
+        let copied: u64 = report.workers.iter().map(|w| w.vm.slots_copied).sum();
+        let instructions: u64 = report.workers.iter().map(|w| w.vm.instructions).sum();
+        assert!(
+            100 * copied < instructions,
+            "workers={workers}: {copied} slots copied against {instructions} instructions"
+        );
+    }
+}
+
+#[test]
 fn nonblocking_admission_gives_backpressure() {
     // Capacity-1 queue and a worker wedged on a sleep: the second
     // enqueued job sits in the injector, so a third is refused.

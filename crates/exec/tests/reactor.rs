@@ -109,6 +109,48 @@ fn staggered_timers_complete_in_deadline_order() {
 }
 
 #[test]
+fn a_thousand_timer_waits_park_at_once_on_one_worker() {
+    // A blocked job is a sealed one-shot continuation, so a thousand of
+    // them cost memory, not threads: one worker holds the whole storm
+    // suspended at once, delivers every timer exactly once, and is left
+    // with no socket and no stack segment it did not start with.
+    const JOBS: usize = 1_000;
+    const WAIT_MS: u64 = 1_500;
+    let audit = |pool: &Pool| {
+        let src = "(begin (gc) (cons (%net-live) (cdr (assq 'live-uncached-segments (vm-stats)))))";
+        pool.submit(JobSpec::new("audit", src).pin(0)).unwrap().wait().result.expect("audit runs")
+    };
+    let pool = net_pool(1).resident_cap(JOBS + 8).queue_capacity(JOBS + 64).build().unwrap();
+    let before = audit(&pool);
+    let start = std::time::Instant::now();
+    let handles: Vec<_> = (0..JOBS)
+        .map(|i| {
+            let src = format!("(begin (timer-wait {WAIT_MS}) 'woke)");
+            pool.submit(JobSpec::new(format!("storm-{i}"), src)).unwrap()
+        })
+        .collect();
+    // The wait must outlast the submit phase, or the first timers fire
+    // before the last jobs park and the highwater below proves nothing.
+    let submit = start.elapsed();
+    assert!(submit < Duration::from_millis(WAIT_MS), "submitting took {submit:?}");
+    for h in &handles {
+        assert_eq!(h.wait().result.as_deref(), Ok("woke"));
+    }
+    assert_eq!(audit(&pool), before, "a socket or segment outlived the storm");
+    let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+    let c = &report.counters;
+    assert_eq!((c.completed, c.failed), (JOBS as u64 + 2, 0));
+    assert_eq!(c.timer_waits, JOBS as u64);
+    assert!(c.blocked_highwater >= JOBS as u64, "only {} parked at once", c.blocked_highwater);
+    assert_eq!(
+        c.wake_lateness.iter().sum::<u64>(),
+        JOBS as u64,
+        "every delivery lands in exactly one lateness bucket: {:?}",
+        c.wake_lateness
+    );
+}
+
+#[test]
 fn peer_close_mid_read_is_eof_not_a_wedge() {
     let pool = net_pool(1).build().unwrap();
     let port = setup_listener(&pool);

@@ -81,6 +81,10 @@ pub enum Slot {
     Marker,
 }
 
+/// Every overflow, capture copy and reinstatement moves slots: a slot is
+/// `Ret`'s three `u32`s, its closure word and the tag, and must not grow.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 24, "Slot grew past Ret's packed size");
+
 impl Slot {
     /// The value stored here.
     ///

@@ -10,8 +10,8 @@ use oneshot_compiler::{
     compile_program_with, CompiledProgram, CompilerOptions, FreeSrc, Op, Pipeline, MNEMONICS,
 };
 use oneshot_core::{
-    Config, ControlProbe, CountingProbe, FaultClock, FaultPlan, KontId, Overflow, RingTraceProbe,
-    SegStack, SegmentId, Stats,
+    Config, ControlProbe, FaultClock, FaultPlan, KontId, Overflow, RingTraceProbe, SegStack,
+    SegmentId, Stats,
 };
 use oneshot_runtime::{
     datum_to_value, display_value, write_value, Heap, HeapStats, Obj, Symbols, Value,
@@ -37,9 +37,6 @@ pub enum ProbeSpec {
     /// No probe: control events cost nothing.
     #[default]
     Off,
-    /// A [`CountingProbe`] aggregating control events into [`Stats`]
-    /// totals, resettable mid-run (see [`Vm::probe_stats`]).
-    Counting,
     /// A [`RingTraceProbe`] retaining the last `N` control events for
     /// [`Vm::trace_dump`].
     Ring(usize),
@@ -52,8 +49,6 @@ pub enum ProbeSpec {
 pub enum VmProbe {
     /// No instrumentation.
     Off,
-    /// Counting control events.
-    Counting(CountingProbe),
     /// Tracing the last N control events.
     Ring(RingTraceProbe),
 }
@@ -62,7 +57,6 @@ impl From<ProbeSpec> for VmProbe {
     fn from(spec: ProbeSpec) -> Self {
         match spec {
             ProbeSpec::Off => VmProbe::Off,
-            ProbeSpec::Counting => VmProbe::Counting(CountingProbe::new()),
             ProbeSpec::Ring(n) => VmProbe::Ring(RingTraceProbe::new(n)),
         }
     }
@@ -76,7 +70,6 @@ macro_rules! forward_probe {
                 fn $method(&mut self, $($arg: $ty),*) {
                     match self {
                         VmProbe::Off => {}
-                        VmProbe::Counting(p) => p.$method($($arg),*),
                         VmProbe::Ring(p) => p.$method($($arg),*),
                     }
                 }
@@ -167,9 +160,9 @@ impl Default for VmConfig {
 /// ```
 /// use oneshot_vm::{ProbeSpec, Vm};
 ///
-/// let mut vm = Vm::builder().probe(ProbeSpec::Counting).build();
+/// let mut vm = Vm::builder().probe(ProbeSpec::Ring(16)).build();
 /// vm.eval_str("(call/cc (lambda (k) (k 1)))").unwrap();
-/// assert!(vm.probe_stats().is_some());
+/// assert!(vm.trace_dump().contains("capture"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VmBuilder {
@@ -991,25 +984,11 @@ impl Vm {
         self.stack.probe()
     }
 
-    /// Control-event totals observed by the probe, if a
-    /// [`ProbeSpec::Counting`] probe is installed.
-    ///
-    /// Unlike [`Vm::stats`] (whose `stack` field counts from VM
-    /// construction), these totals cover only events since construction or
-    /// the last [`Vm::probe_reset`] — so an embedder can measure a region.
-    pub fn probe_stats(&self) -> Option<Stats> {
-        match self.stack.probe() {
-            VmProbe::Counting(p) => Some(p.stats()),
-            _ => None,
-        }
-    }
-
-    /// Clears the probe's accumulated state (counters or trace ring).
+    /// Clears the trace ring, if one is installed. (Counters are measured
+    /// over a region with [`Vm::stats`] and `delta_since`.)
     pub fn probe_reset(&mut self) {
-        match self.stack.probe_mut() {
-            VmProbe::Off => {}
-            VmProbe::Counting(p) => p.reset(),
-            VmProbe::Ring(p) => p.clear(),
+        if let VmProbe::Ring(p) = self.stack.probe_mut() {
+            p.clear();
         }
     }
 

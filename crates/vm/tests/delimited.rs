@@ -647,3 +647,139 @@ fn cps_pipeline_raises_no_matching_prompt() {
         "no-matching-prompt",
     );
 }
+
+// ----------------------------------------------------------------------
+// Native prompts against the call/1cc encoding of the same generators
+// ----------------------------------------------------------------------
+
+/// The generator API on the prelude's prompt-based generators: suspending
+/// takes only the delimited context (the producer's frames above the
+/// prompt); the consumer's stack is never touched.
+const GEN_NATIVE: &str = "
+  (define make-gen make-generator)
+  (define gen-next generator-next)
+  (define gen-done? generator-done?)";
+
+/// The same API as the classic one-shot-continuation coroutine encoding
+/// (Kobayashi–Kameyama): every suspension captures the *whole*
+/// continuation twice — the consumer's at `gen-next`, the producer's at
+/// `yield` — so each cycle encapsulates the full stack where the native
+/// edition steals only the delimited slice.
+const GEN_1CC: &str = "
+  (define gen-end (list 'gen-end))
+  (define (make-gen producer)
+    (let ((return #f) (resume #f) (finished #f))
+      (define (yield v)
+        (call/1cc
+          (lambda (k)
+            (set! resume k)
+            (return v))))
+      (lambda ()
+        (if finished
+            gen-end
+            (call/1cc
+              (lambda (r)
+                (set! return r)
+                (if resume
+                    (let ((k resume)) (set! resume #f) (k #f))
+                    (begin
+                      (producer yield)
+                      (set! finished #t)
+                      (return gen-end)))))))))
+  (define (gen-next g) (g))
+  (define (gen-done? v) (eq? v gen-end))";
+
+/// Drivers written against `make-gen`/`gen-next`/`gen-done?`, so one source
+/// runs under both editions: `(pipeline n stages)` sums `1..n` through a
+/// chain of incrementing generator stages; `(squares n)` drains one
+/// generator of `n` squares; `(sampler n depth)` pulls each value from a
+/// consumer recursion `i mod depth` deep, so the full-stack encoding's
+/// capture grows with the consumer while the native one's does not.
+const GEN_DRIVERS: &str = "
+  (define (source n)
+    (make-gen (lambda (yield)
+      (let loop ((i 1)) (if (<= i n) (begin (yield i) (loop (+ i 1))) 0)))))
+  (define (stage g)
+    (make-gen (lambda (yield)
+      (let loop ()
+        (let ((v (gen-next g)))
+          (if (gen-done? v) 0 (begin (yield (+ v 1)) (loop))))))))
+  (define (drain g)
+    (let loop ((acc 0))
+      (let ((v (gen-next g))) (if (gen-done? v) acc (loop (+ acc v))))))
+  (define (pipeline n stages)
+    (let build ((k stages) (g (source n)))
+      (if (zero? k) (drain g) (build (- k 1) (stage g)))))
+  (define (squares n)
+    (drain (make-gen (lambda (yield)
+             (let loop ((i 0)) (if (< i n) (begin (yield (* i i)) (loop (+ i 1))) 0))))))
+  (define (sampler n depth)
+    (let ((g (make-gen (lambda (yield)
+               (let loop ((i 0)) (if (< i n) (begin (yield i) (loop (+ i 1))) 0))))))
+      (define (probe d)
+        (if (zero? d)
+            (let ((v (gen-next g))) (if (gen-done? v) 0 v))
+            (+ 1 (probe (- d 1)))))
+      (let loop ((i 0) (acc 0))
+        (if (= i n)
+            acc
+            (let ((d (modulo i depth))) (loop (+ i 1) (+ acc (- (probe d) d))))))))";
+
+/// Runs `call` under one generator edition on a fresh VM: its answer, the
+/// counter delta, and whether a collection afterwards returned the heap
+/// and the segment population to where they were before the call.
+fn generator_run(edition: &str, call: &str) -> (String, oneshot_vm::VmStats, bool) {
+    let mut vm = Vm::new();
+    vm.eval_str(edition).unwrap();
+    vm.eval_str(GEN_DRIVERS).unwrap();
+    vm.collect_now();
+    let (heap, segments) = (vm.heap().len(), vm.stack_live_segment_count());
+    let before = vm.stats();
+    let v = vm.eval_str(call).unwrap_or_else(|e| panic!("{call}: {e}"));
+    let delta = vm.stats().delta_since(&before);
+    let answer = vm.write_value(&v);
+    vm.eval_str("0").unwrap(); // drop the result from the accumulator
+    vm.collect_now();
+    let clean = vm.heap().len() == heap && vm.stack_live_segment_count() <= segments;
+    (answer, delta, clean)
+}
+
+#[test]
+fn native_generators_agree_with_the_one_shot_encoding_and_seal_less() {
+    for (call, expected, suspension_bound) in [
+        ("(pipeline 300 3)", "46050", true),
+        ("(squares 500)", "41541750", true),
+        ("(sampler 300 32)", "44850", false),
+    ] {
+        let (native_answer, native, native_clean) = generator_run(GEN_NATIVE, call);
+        let (encoded_answer, encoded, encoded_clean) = generator_run(GEN_1CC, call);
+        assert_eq!(native_answer, expected, "{call}");
+        assert_eq!(encoded_answer, expected, "{call}: the encodings disagree");
+        assert!(native_clean && encoded_clean, "{call}: a suspended generator leaked");
+
+        // Each edition uses only its own capture mechanism.
+        assert!(native.stack.subconts_taken > 0, "{call}");
+        assert_eq!(native.stack.slots_encapsulated, 0, "{call}");
+        assert!(encoded.stack.slots_encapsulated > 0, "{call}");
+        assert_eq!(encoded.stack.subconts_taken, 0, "{call}");
+
+        // Where suspension dominates, the delimited take steals a slice
+        // where the full capture seals the whole span, and it retires
+        // fewer instructions. (The sampler's cost is its consumer's
+        // recursion under both, so it is held to agreement only.)
+        if suspension_bound {
+            assert!(
+                native.stack.subcont_slots < encoded.stack.slots_encapsulated,
+                "{call}: native sealed {} slots, call/1cc {}",
+                native.stack.subcont_slots,
+                encoded.stack.slots_encapsulated
+            );
+            assert!(
+                native.instructions < encoded.instructions,
+                "{call}: native retired {} instructions, call/1cc {}",
+                native.instructions,
+                encoded.instructions
+            );
+        }
+    }
+}

@@ -90,6 +90,13 @@ proptest! {
 
         let mut eager = Vm::builder().gc_threshold(16).build();
         prop_assert_eq!(outcome(&mut eager, &src), expected, "gc diverged on: {}", src);
+        // Collecting frees objects; it must not change how much the
+        // program allocates.
+        prop_assert_eq!(
+            eager.stats().heap.words_allocated,
+            lazy.stats().heap.words_allocated,
+            "allocation volume depends on the threshold: {}", src
+        );
     }
 }
 
@@ -124,6 +131,12 @@ fn eager_gc_agrees_and_reclaims_everything() {
     let mut eager = Vm::builder().gc_threshold(16).build();
     assert_eq!(outcome(&mut eager, src), expected);
     assert!(eager.stats().heap.collections > 10, "threshold 16 must collect constantly");
+    assert!(eager.stats().heap.objects_freed > 0, "and reclaim something");
+    assert_eq!(
+        eager.stats().heap.words_allocated,
+        lazy.stats().heap.words_allocated,
+        "allocation volume must not depend on the threshold"
+    );
 
     // Leak check: after a full collect, an allocation-heavy re-run
     // followed by another full collect must return the live count to the

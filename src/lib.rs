@@ -58,6 +58,4 @@ pub use oneshot_vm as vm;
 // The embedder-facing control-observability surface, flattened for
 // convenience: walking frames and probing control events are the two
 // extension points an embedder implements.
-pub use oneshot_core::{
-    ControlProbe, CountingProbe, FrameWalker, NoopProbe, ProbeEvent, RingTraceProbe,
-};
+pub use oneshot_core::{ControlProbe, FrameWalker, NoopProbe, ProbeEvent, RingTraceProbe};

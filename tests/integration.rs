@@ -55,19 +55,14 @@ fn thread_systems_share_results_across_strategies() {
 
 #[test]
 fn experiment_shapes_hold_at_sanity_scale() {
-    // E2: one-shot tak is not slower and copies nothing.
-    let rows = oneshot_bench::experiments::tak_experiment(12, 6, 0);
-    assert_eq!(rows[1].m.delta.stack.slots_copied, 0);
-    assert!(rows[0].m.delta.stack.slots_copied > 0);
-
-    // E3: one-shot overflow copies far less.
-    let rows = oneshot_bench::experiments::overflow_experiment(2, 20_000);
-    assert!(rows[1].m.delta.stack.slots_copied > 5 * rows[0].m.delta.stack.slots_copied.max(1));
-
-    // E1: a single figure-5 point runs for every strategy.
-    for s in Strategy::ALL {
-        let p = oneshot_bench::experiments::figure5_point(s, 2, 4, 8);
-        assert!(p.ms >= 0.0);
+    // E1–E8, each with the check the `experiments` binary applies on every
+    // run: one-shot switches and captures copy nothing, multi-shot ones do,
+    // CPS pays in closures, the cache and hysteresis ablations bite, and so
+    // on — on counters, never on wall time.
+    let scale = oneshot_bench::experiments::Scale::sanity();
+    for exp in &oneshot_bench::experiments::EXPERIMENTS {
+        let table = exp.run(&scale);
+        (exp.check)(&table).unwrap_or_else(|e| panic!("{}: {e}", exp.key));
     }
 }
 
