@@ -8,14 +8,11 @@ use std::time::Instant;
 use oneshot_bench::experiments::figure5_point;
 use oneshot_core::{Config, OneShotPolicy};
 use oneshot_threads::{Strategy, ThreadSystem};
-use oneshot_vm::VmConfig;
+use oneshot_vm::Vm;
 
 fn sealed_point(threads: usize, freq: u64, fib_n: u32) -> f64 {
     let cfg = Config { oneshot_policy: OneShotPolicy::SealWithPad(96), ..Config::default() };
-    let mut ts = ThreadSystem::with_config(
-        Strategy::Call1Cc,
-        VmConfig { stack: cfg, ..VmConfig::default() },
-    );
+    let mut ts = ThreadSystem::with_vm(Strategy::Call1Cc, Vm::builder().stack(cfg).build());
     ts.eval("(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))").unwrap();
     for _ in 0..threads {
         ts.spawn(&format!("(lambda () (fib {fib_n}))")).unwrap();

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use oneshot_core::{Config, OneShotPolicy, OverflowPolicy, PromotionStrategy};
 use oneshot_threads::{Strategy, ThreadSystem};
-use oneshot_vm::{Pipeline, Vm, VmConfig};
+use oneshot_vm::{Pipeline, Vm};
 
 use crate::measure::run_measured;
 use crate::table::{render, Cell, Table};
@@ -181,7 +181,7 @@ macro_rules! require {
 }
 
 fn vm_with(stack: Config) -> Vm {
-    Vm::with_config(VmConfig { stack, ..VmConfig::default() })
+    Vm::builder().stack(stack).build()
 }
 
 fn no_params(_: &Scale) -> Vec<(&'static str, u64)> {
@@ -303,6 +303,12 @@ pub static EXPERIMENTS: [Experiment; 8] = [
             "cps-slots-copied",
             "call/cc-slots-copied",
             "call/1cc-slots-copied",
+            "cps-segments",
+            "call/cc-segments",
+            "call/1cc-segments",
+            "cps-segment-slots",
+            "call/cc-segment-slots",
+            "call/1cc-segment-slots",
         ],
         rows: figure5_rows,
         paper: &[
@@ -326,6 +332,11 @@ pub struct Fig5Point {
     pub slots_copied: u64,
     /// Closures allocated during the run (large for CPS).
     pub closures: u64,
+    /// Stack segments allocated during the run (cache hits excluded).
+    pub segments: u64,
+    /// Their slots: a fresh segment is initialised whole, so this is also
+    /// the slots written to set segments up — Figure 5's per-thread floor.
+    pub segment_slots: u64,
 }
 
 /// Runs one Figure 5 configuration: `threads` threads each computing
@@ -353,6 +364,8 @@ pub fn figure5_point(strategy: Strategy, threads: usize, freq: u64, fib_n: u32) 
         ms: wall.as_secs_f64() * 1e3,
         slots_copied: d.stack.slots_copied,
         closures: d.heap.closures_allocated,
+        segments: d.stack.segments_allocated,
+        segment_slots: d.stack.segment_slots_allocated,
     }
 }
 
@@ -380,6 +393,12 @@ fn figure5_rows(scale: &Scale) -> Vec<Vec<Cell>> {
                 Cell::Count(cps.slots_copied),
                 Cell::Count(cc.slots_copied),
                 Cell::Count(one.slots_copied),
+                Cell::Count(cps.segments),
+                Cell::Count(cc.segments),
+                Cell::Count(one.segments),
+                Cell::Count(cps.segment_slots),
+                Cell::Count(cc.segment_slots),
+                Cell::Count(one.segment_slots),
             ]);
         }
     }
@@ -547,7 +566,7 @@ fn frames_rows(_: &Scale) -> Vec<Vec<Cell>> {
     let mut rows = Vec::new();
     for (name, setup, run) in programs {
         for pipeline in [Pipeline::Direct, Pipeline::Cps] {
-            let mut vm = Vm::with_config(VmConfig { pipeline, ..VmConfig::default() });
+            let mut vm = Vm::builder().pipeline(pipeline).build();
             vm.eval_str(setup).expect("workload loads");
             let d = run_measured(&mut vm, run).expect("workload runs").delta;
             let per_call = |n: u64| n as f64 / d.calls.max(1) as f64;
@@ -682,10 +701,7 @@ fn fragmentation_rows(scale: &Scale) -> Vec<Vec<Cell>> {
         .into_iter()
         .map(|policy| {
             let cfg = Config { oneshot_policy: policy, cache_limit: 0, ..Config::default() };
-            let mut ts = ThreadSystem::with_config(
-                Strategy::Call1Cc,
-                VmConfig { stack: cfg, ..VmConfig::default() },
-            );
+            let mut ts = ThreadSystem::with_vm(Strategy::Call1Cc, vm_with(cfg));
             ts.eval("(define probe 0)").expect("setup");
             for _ in 0..scale.suspended {
                 ts.spawn("(lambda () (thread-yield!))").expect("spawn");

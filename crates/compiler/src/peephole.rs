@@ -26,9 +26,9 @@
 //! becomes `SubImmTo { i: 1, dst: 3, n: 1 }` in two passes.
 //!
 //! A superinstruction is admitted only when it removes at least 2 % of
-//! the dynamic instructions of a ledger program (EXPERIMENTS.md, E9,
-//! lists each with the share that admitted it, and the candidates that
-//! missed).
+//! the dynamic instructions of a ledger program (EXPERIMENTS.md as of
+//! PR 18, in git history, lists each with the share that admitted it, and
+//! the candidates that missed).
 //!
 //! Every fused form computes exactly what the pair computed — including
 //! leaving the same value in the accumulator — so fusion is semantically

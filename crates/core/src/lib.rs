@@ -82,3 +82,5 @@ pub use kont::{Kont, KontId, KontKind};
 pub use probe::{ControlProbe, NoopProbe, ProbeEvent, RingTraceProbe};
 pub use stack::{FrameWalker, Overflow, Reinstated, SegStack, SegmentId, Underflow};
 pub use stats::Stats;
+#[doc(hidden)]
+pub use stats::{CounterField, MaxCell, SumCell};

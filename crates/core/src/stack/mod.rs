@@ -257,9 +257,6 @@ pub struct SegStack<S, P: ControlProbe = NoopProbe> {
     /// cleared when occupancy drops back under the ceiling, a continuation
     /// is explicitly reinstated, or the stack is cleared).
     grace: bool,
-    /// Highest `resident_slots()` ever observed (gauge; see
-    /// [`SegStack::resident_slots_highwater`]).
-    resident_highwater: usize,
 }
 
 // SAFETY: `cur_slots` is the one field that is not `Send`/`Sync` by itself.
@@ -318,7 +315,6 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             fault: FaultClock::disarmed(),
             fault_deferred: false,
             grace: false,
-            resident_highwater: 0,
         };
         let seg = st.alloc_segment(st.cfg.segment_slots);
         st.set_cur_seg(seg);
@@ -561,13 +557,6 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// segments.
     pub fn resident_slots(&self) -> usize {
         self.segs.iter().map(|(_, s)| s.slots().len()).sum()
-    }
-
-    /// The highest [`SegStack::resident_slots`] ever observed — a gauge
-    /// (not a counter), sampled whenever a segment is allocated. Multiply
-    /// by the embedder's slot size for the segment-bytes highwater metric.
-    pub fn resident_slots_highwater(&self) -> usize {
-        self.resident_highwater
     }
 
     /// Raises the post-reinstatement headroom guarantee to at least
@@ -1532,7 +1521,6 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         let cap = min_slots.max(self.cfg.segment_slots);
         let slots = vec![self.marker.clone(); cap].into_boxed_slice();
         let id = SegmentId(self.segs.insert(Segment::new(slots, cap == self.cfg.segment_slots)));
-        self.resident_highwater = self.resident_highwater.max(self.resident_slots());
         emit!(self.segment_alloc(id, cap));
         id
     }

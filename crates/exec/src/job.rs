@@ -52,7 +52,6 @@ pub type OnComplete = Arc<dyn Fn(&JobOutcome) + Send + Sync>;
 ///
 /// let spec = JobSpec::new("fib", "(define (f n) (if (< n 2) n (+ (f (- n 1)) (f (- n 2))))) (f 18)")
 ///     .fuel(200_000)
-///     .retries(2)
 ///     .deadline(Duration::from_secs(5))
 ///     .admission(Admission::NonBlocking);
 /// assert_eq!(spec.name(), "fib");
@@ -62,11 +61,11 @@ pub type OnComplete = Arc<dyn Fn(&JobOutcome) + Send + Sync>;
 /// link and run it. Jobs share the worker VM's global environment (see the
 /// fault-isolation contract in DESIGN.md), so toplevel definitions should
 /// either be job-private names or identical across jobs.
+#[derive(Clone)]
 pub struct JobSpec {
     pub(crate) name: String,
     pub(crate) source: String,
     pub(crate) fuel: u64,
-    pub(crate) retries: Option<u32>,
     pub(crate) deadline: Option<Duration>,
     pub(crate) io_timeout: Option<Duration>,
     pub(crate) admission: Admission,
@@ -79,14 +78,13 @@ impl JobSpec {
     pub const DEFAULT_FUEL: u64 = u64::MAX;
 
     /// A job running `source`, labelled `name` for reporting. Defaults:
-    /// unlimited fuel, no deadline, the pool's retry budget, blocking
-    /// admission, no completion callback.
+    /// unlimited fuel, no deadline, blocking admission, no completion
+    /// callback.
     pub fn new(name: impl Into<String>, source: impl Into<String>) -> Self {
         JobSpec {
             name: name.into(),
             source: source.into(),
             fuel: Self::DEFAULT_FUEL,
-            retries: None,
             deadline: None,
             io_timeout: None,
             admission: Admission::default(),
@@ -102,15 +100,6 @@ impl JobSpec {
     #[must_use]
     pub fn fuel(mut self, budget: u64) -> Self {
         self.fuel = budget.max(1);
-        self
-    }
-
-    /// Overrides the pool's retry budget for this job: how many times a
-    /// *transient* failure (see [`Error::transient`](crate::Error::transient))
-    /// is requeued before it is delivered.
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = Some(retries);
         self
     }
 
@@ -175,28 +164,11 @@ impl JobSpec {
     }
 }
 
-impl Clone for JobSpec {
-    fn clone(&self) -> Self {
-        JobSpec {
-            name: self.name.clone(),
-            source: self.source.clone(),
-            fuel: self.fuel,
-            retries: self.retries,
-            deadline: self.deadline,
-            io_timeout: self.io_timeout,
-            admission: self.admission,
-            pin: self.pin,
-            on_complete: self.on_complete.clone(),
-        }
-    }
-}
-
 impl std::fmt::Debug for JobSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobSpec")
             .field("name", &self.name)
             .field("fuel", &self.fuel)
-            .field("retries", &self.retries)
             .field("deadline", &self.deadline)
             .field("io_timeout", &self.io_timeout)
             .field("admission", &self.admission)
@@ -311,9 +283,6 @@ pub(crate) struct Job {
     /// Per-wait I/O deadline window ([`JobSpec::io_timeout`], else the
     /// pool's default), re-applied at every I/O suspension.
     pub(crate) io_timeout: Option<Duration>,
-    /// Per-job retry override ([`JobSpec::retries`]); `None` uses the
-    /// pool's budget.
-    pub(crate) retries: Option<u32>,
     /// For connection-handler jobs: the adopted socket's token in the
     /// owning worker's VM. A finally-failed handler's socket is closed by
     /// the worker (the peer must see the failure, not a wedge), and a

@@ -30,7 +30,7 @@
 //! listener whose accepted connections are distributed least-loaded /
 //! round-robin across the worker reactors.
 //!
-//! Jobs are described by a fluent [`JobSpec`] — fuel, retries, deadline,
+//! Jobs are described by a fluent [`JobSpec`] — fuel, deadline, I/O timeout,
 //! [`Admission`] policy, worker pinning, completion callback — compiled
 //! once on submit ([`Pool::submit`] returns a [`JobHandle`]); the resulting
 //! [`CompiledProgram`](oneshot_vm::CompiledProgram) is plain `Send` data,
@@ -88,7 +88,6 @@ mod worker;
 pub use error::{Error, ErrorKind};
 pub use job::{Admission, JobHandle, JobId, JobOutcome, JobSpec, OnComplete};
 pub use pool::{
-    Pool, PoolBuilder, PoolCountersSnapshot, PoolReport, ServeHandle, ServeOptions, VmTotals,
-    WorkerReport,
+    Pool, PoolBuilder, PoolCountersSnapshot, PoolReport, ServeHandle, ServeOptions, WorkerReport,
 };
 pub use reactor::{Backend, WAKE_LATENESS_BUCKETS_MS};

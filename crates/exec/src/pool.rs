@@ -7,7 +7,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use oneshot_vm::{CompiledProgram, CompilerOptions, Pipeline, Vm, VmConfig};
+use oneshot_vm::{CompiledProgram, CompilerOptions, Pipeline, Vm, VmConfig, VmStats};
 
 use crate::error::Error;
 use crate::job::{Admission, Job, JobHandle, JobId, JobSpec, OnComplete, OutcomeSlot};
@@ -23,9 +23,6 @@ pub(crate) struct WorkerConfig {
     /// Maximum jobs resident (started) on one worker at a time — running
     /// *or* blocked on I/O; both hold engine state in the worker's VM.
     pub(crate) resident_cap: usize,
-    /// Jobs pulled from the injector per visit (the extras become
-    /// stealable local work).
-    pub(crate) grab_batch: usize,
     /// Times a job failing with a *transient* error is requeued before its
     /// failure is delivered (0 = fail on first error).
     pub(crate) max_retries: u32,
@@ -38,7 +35,6 @@ pub struct PoolBuilder {
     fuel_slice: u64,
     queue_capacity: usize,
     resident_cap: usize,
-    grab_batch: usize,
     max_retries: u32,
     io_timeout: Option<Duration>,
     vm_config: VmConfig,
@@ -52,7 +48,6 @@ impl Default for PoolBuilder {
             fuel_slice: 4096,
             queue_capacity: 256,
             resident_cap: 8,
-            grab_batch: 4,
             max_retries: 0,
             io_timeout: None,
             vm_config: VmConfig::default(),
@@ -103,8 +98,7 @@ impl PoolBuilder {
     /// How many times a job that fails with a *transient* error (see
     /// [`Error::transient`](crate::Error::transient)) is requeued — with
     /// exponential backoff — before its failure is delivered. Defaults to
-    /// 0: every failure is final. [`JobSpec::retries`] overrides this per
-    /// job.
+    /// 0: every failure is final.
     #[must_use]
     pub fn max_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
@@ -193,7 +187,6 @@ impl PoolBuilder {
         let cfg = WorkerConfig {
             fuel_slice: self.fuel_slice,
             resident_cap: self.resident_cap,
-            grab_batch: self.grab_batch,
             max_retries: self.max_retries,
         };
         let vm_config = Arc::new(self.vm_config);
@@ -211,6 +204,7 @@ impl PoolBuilder {
                 conns: Arc::clone(&conns),
                 next_conn: Arc::clone(&next_conn),
                 report_tx: report_tx.clone(),
+                retired: Default::default(),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("oneshot-exec-{index}"))
@@ -234,108 +228,46 @@ impl PoolBuilder {
     }
 }
 
-/// Pool-wide event counters (all `Relaxed`: totals, not synchronization).
+/// The pool's counters: a [`Tally`] per worker, which only that worker
+/// bumps, one for submission and the acceptor threads, and the hand-kept
+/// per-worker and histogram cells.
 #[derive(Debug)]
 pub(crate) struct PoolCounters {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) timed_out: AtomicU64,
-    pub(crate) panicked: AtomicU64,
-    pub(crate) retried: AtomicU64,
-    pub(crate) steals: AtomicU64,
-    pub(crate) requeues: AtomicU64,
-    pub(crate) vm_rebuilds: AtomicU64,
-    pub(crate) slices: AtomicU64,
-    pub(crate) queue_depth_highwater: AtomicU64,
-    pub(crate) io_blocked: AtomicU64,
-    pub(crate) io_wakeups: AtomicU64,
-    pub(crate) timer_waits: AtomicU64,
-    pub(crate) blocked_highwater: AtomicU64,
-    pub(crate) accept_queue_highwater: AtomicU64,
-    pub(crate) accept_overflow: AtomicU64,
-    pub(crate) io_timeouts: AtomicU64,
-    pub(crate) io_faults_injected: AtomicU64,
-    pub(crate) accepts_shed: AtomicU64,
-    pub(crate) shed_duration_ns: AtomicU64,
-    pub(crate) worker_restarts: AtomicU64,
+    pub(crate) pool: Tally,
+    pub(crate) workers: Vec<Tally>,
     accepts: Vec<AtomicU64>,
     resume_depth_highwater: Vec<AtomicU64>,
     wake_lateness: Vec<AtomicU64>,
     backend: Backend,
 }
 
+fn cells(n: usize) -> Vec<AtomicU64> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
 impl PoolCounters {
     fn new(workers: usize, backend: Backend) -> Self {
         PoolCounters {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            requeues: AtomicU64::new(0),
-            vm_rebuilds: AtomicU64::new(0),
-            slices: AtomicU64::new(0),
-            queue_depth_highwater: AtomicU64::new(0),
-            io_blocked: AtomicU64::new(0),
-            io_wakeups: AtomicU64::new(0),
-            timer_waits: AtomicU64::new(0),
-            blocked_highwater: AtomicU64::new(0),
-            accept_queue_highwater: AtomicU64::new(0),
-            accept_overflow: AtomicU64::new(0),
-            io_timeouts: AtomicU64::new(0),
-            io_faults_injected: AtomicU64::new(0),
-            accepts_shed: AtomicU64::new(0),
-            shed_duration_ns: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            accepts: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            resume_depth_highwater: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            wake_lateness: (0..crate::reactor::WAKE_LATENESS_BUCKETS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            pool: Tally::default(),
+            workers: (0..workers).map(|_| Tally::default()).collect(),
+            accepts: cells(workers),
+            resume_depth_highwater: cells(workers),
+            wake_lateness: cells(crate::reactor::WAKE_LATENESS_BUCKETS),
             backend,
         }
     }
 
     fn snapshot(&self) -> PoolCountersSnapshot {
+        let counts =
+            self.workers.iter().fold(self.pool.snapshot(), |all, w| all.plus(&w.snapshot()));
+        let load = |cells: &[AtomicU64]| cells.iter().map(|a| a.load(Ordering::Relaxed)).collect();
         PoolCountersSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            panicked: self.panicked.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            requeues: self.requeues.load(Ordering::Relaxed),
-            vm_rebuilds: self.vm_rebuilds.load(Ordering::Relaxed),
-            slices: self.slices.load(Ordering::Relaxed),
-            queue_depth_highwater: self.queue_depth_highwater.load(Ordering::Relaxed),
-            io_blocked: self.io_blocked.load(Ordering::Relaxed),
-            io_wakeups: self.io_wakeups.load(Ordering::Relaxed),
-            timer_waits: self.timer_waits.load(Ordering::Relaxed),
-            blocked_highwater: self.blocked_highwater.load(Ordering::Relaxed),
-            accept_queue_highwater: self.accept_queue_highwater.load(Ordering::Relaxed),
-            accept_overflow: self.accept_overflow.load(Ordering::Relaxed),
-            io_timeouts: self.io_timeouts.load(Ordering::Relaxed),
-            io_faults_injected: self.io_faults_injected.load(Ordering::Relaxed),
-            accepts_shed: self.accepts_shed.load(Ordering::Relaxed),
-            shed_duration_ns: self.shed_duration_ns.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            accepts_per_worker: self.accepts.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-            resume_depth_highwater: self
-                .resume_depth_highwater
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-            wake_lateness: self.wake_lateness.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
+            accepts_per_worker: load(&self.accepts),
+            resume_depth_highwater: load(&self.resume_depth_highwater),
+            wake_lateness: load(&self.wake_lateness),
             reactor_backend: self.backend.name(),
+            ..counts
         }
-    }
-
-    fn note_depth(&self, depth: usize) {
-        self.queue_depth_highwater.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn note_accept(&self, worker: usize) {
@@ -355,181 +287,119 @@ impl PoolCounters {
     }
 }
 
-/// A point-in-time copy of the pool's counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolCountersSnapshot {
-    /// Jobs accepted by [`Pool::submit`].
-    pub submitted: u64,
-    /// Jobs that finished with a value.
-    pub completed: u64,
-    /// Jobs that finished with any [`Error`](crate::Error).
-    pub failed: u64,
-    /// Subset of `failed`: fuel budget exhausted.
-    pub timed_out: u64,
-    /// Subset of `failed`: the job itself panicked.
-    pub panicked: u64,
-    /// Transient failures that were requeued for another attempt (not
-    /// counted in `failed` unless the final attempt also failed).
-    pub retried: u64,
-    /// Jobs taken from another worker's deque.
-    pub steals: u64,
-    /// Preemptions: a job parked after its slice and was requeued.
-    pub requeues: u64,
-    /// Fresh VMs built after a panic.
-    pub vm_rebuilds: u64,
-    /// Engine fuel slices run.
-    pub slices: u64,
-    /// Deepest the injector queue ever got.
-    pub queue_depth_highwater: u64,
-    /// Suspensions on socket readiness (`tcp-accept`, `tcp-read`,
-    /// `tcp-write` finding the fd not ready).
-    pub io_blocked: u64,
-    /// Readiness/deadline deliveries the per-worker reactors made (I/O
-    /// and timers).
-    pub io_wakeups: u64,
-    /// Suspensions on `timer-wait`.
-    pub timer_waits: u64,
-    /// Most jobs simultaneously blocked on any single worker — the honest
-    /// measure of peak per-worker green-thread concurrency.
-    pub blocked_highwater: u64,
-    /// Most accepted-but-unadopted connections pending across every
-    /// worker's intake queue at once.
-    pub accept_queue_highwater: u64,
-    /// Accepted connections shed because the owning worker's socket table
-    /// was full.
-    pub accept_overflow: u64,
-    /// Blocked waits resumed with the catchable `io-timeout` condition
-    /// because their per-wait I/O deadline
-    /// ([`PoolBuilder::io_timeout`](crate::PoolBuilder::io_timeout) /
-    /// [`JobSpec::io_timeout`](crate::JobSpec::io_timeout)) expired.
-    pub io_timeouts: u64,
-    /// Reactor-level faults the deterministic plan injected (synthetic
-    /// `EINTR`, delayed readiness, dropped readiness). VM-level injections
-    /// (short reads/writes, spurious would-block, resets) are counted in
-    /// [`VmTotals::faults_injected`] instead.
-    pub io_faults_injected: u64,
-    /// Connections refused by overload shedding
-    /// ([`ServeOptions::pending_highwater`](crate::ServeOptions)): closed
-    /// immediately or answered by the overload handler instead of the
-    /// full-price handler.
-    pub accepts_shed: u64,
-    /// Total nanoseconds the acceptor spent in the shedding state —
-    /// how long the pool was saturated past its high-water mark.
-    pub shed_duration_ns: u64,
-    /// Full worker restarts performed by the supervisor (VM *and* reactor
-    /// rebuilt after a panic escaped the per-slice isolation). Every
-    /// restart also counts a `vm_rebuilds`.
-    pub worker_restarts: u64,
-    /// Connections the shared listener routed to each worker — flat when
-    /// the least-loaded/round-robin distribution is doing its job.
-    pub accepts_per_worker: Vec<u64>,
-    /// Largest single-harvest wakeup batch per worker: how many sealed
-    /// continuations one reactor pass requeued at once.
-    pub resume_depth_highwater: Vec<u64>,
-    /// Timer wake-lateness histogram, summed across workers: delivery
-    /// time minus deadline, bucketed by
-    /// [`WAKE_LATENESS_BUCKETS_MS`](crate::WAKE_LATENESS_BUCKETS_MS)
-    /// (the last bucket is the unbounded tail). Measured inside the
-    /// reactor, so it is pure scheduler lag.
-    pub wake_lateness: Vec<u64>,
-    /// Which readiness backend the pool's reactors run (`"poll"` or
-    /// `"epoll"`).
-    pub reactor_backend: &'static str,
-}
-
-impl PoolCountersSnapshot {
-    /// The counters accumulated between `earlier` and `self`: monotonic
-    /// counters subtract (saturating), highwater gauges and the backend
-    /// tag carry the later value — the same convention as
-    /// `VmStats::delta_since`.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &PoolCountersSnapshot) -> PoolCountersSnapshot {
-        PoolCountersSnapshot {
-            submitted: self.submitted.saturating_sub(earlier.submitted),
-            completed: self.completed.saturating_sub(earlier.completed),
-            failed: self.failed.saturating_sub(earlier.failed),
-            timed_out: self.timed_out.saturating_sub(earlier.timed_out),
-            panicked: self.panicked.saturating_sub(earlier.panicked),
-            retried: self.retried.saturating_sub(earlier.retried),
-            steals: self.steals.saturating_sub(earlier.steals),
-            requeues: self.requeues.saturating_sub(earlier.requeues),
-            vm_rebuilds: self.vm_rebuilds.saturating_sub(earlier.vm_rebuilds),
-            slices: self.slices.saturating_sub(earlier.slices),
-            queue_depth_highwater: self.queue_depth_highwater,
-            io_blocked: self.io_blocked.saturating_sub(earlier.io_blocked),
-            io_wakeups: self.io_wakeups.saturating_sub(earlier.io_wakeups),
-            timer_waits: self.timer_waits.saturating_sub(earlier.timer_waits),
-            blocked_highwater: self.blocked_highwater,
-            accept_queue_highwater: self.accept_queue_highwater,
-            accept_overflow: self.accept_overflow.saturating_sub(earlier.accept_overflow),
-            io_timeouts: self.io_timeouts.saturating_sub(earlier.io_timeouts),
-            io_faults_injected: self.io_faults_injected.saturating_sub(earlier.io_faults_injected),
-            accepts_shed: self.accepts_shed.saturating_sub(earlier.accepts_shed),
-            shed_duration_ns: self.shed_duration_ns.saturating_sub(earlier.shed_duration_ns),
-            worker_restarts: self.worker_restarts.saturating_sub(earlier.worker_restarts),
-            accepts_per_worker: self
-                .accepts_per_worker
-                .iter()
-                .zip(earlier.accepts_per_worker.iter().chain(std::iter::repeat(&0)))
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect(),
-            resume_depth_highwater: self.resume_depth_highwater.clone(),
-            wake_lateness: self
-                .wake_lateness
-                .iter()
-                .zip(earlier.wake_lateness.iter().chain(std::iter::repeat(&0)))
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect(),
-            reactor_backend: self.reactor_backend,
-        }
+oneshot_vm::counters! {
+    /// One owner's share of the pool's counters ([`PoolCounters`]).
+    atomic pub(crate) struct Tally;
+    /// A point-in-time copy of the pool's counters.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct PoolCountersSnapshot {
+        /// Jobs accepted by [`Pool::submit`].
+        submitted: sum,
+        /// Jobs that finished with a value.
+        completed: sum,
+        /// Jobs that finished with any [`Error`](crate::Error).
+        failed: sum,
+        /// Subset of `failed`: fuel budget exhausted.
+        timed_out: sum,
+        /// Subset of `failed`: the job itself panicked.
+        panicked: sum,
+        /// Transient failures that were requeued for another attempt (not
+        /// counted in `failed` unless the final attempt also failed).
+        retried: sum,
+        /// Jobs taken from another worker's deque.
+        steals: sum,
+        /// Preemptions: a job parked after its slice and was requeued.
+        requeues: sum,
+        /// Fresh VMs built after a panic.
+        vm_rebuilds: sum,
+        /// Engine fuel slices run.
+        slices: sum,
+        /// Deepest the injector queue ever got.
+        queue_depth_highwater: max,
+        /// Suspensions on socket readiness (`tcp-accept`, `tcp-read`,
+        /// `tcp-write` finding the fd not ready).
+        io_blocked: sum,
+        /// Readiness/deadline deliveries the per-worker reactors made (I/O
+        /// and timers).
+        io_wakeups: sum,
+        /// Suspensions on `timer-wait`.
+        timer_waits: sum,
+        /// Most jobs simultaneously blocked on any single worker — the
+        /// honest measure of peak per-worker green-thread concurrency.
+        blocked_highwater: max,
+        /// Deepest any one worker's intake queue of accepted, not yet
+        /// adopted connections got.
+        accept_queue_highwater: max,
+        /// Accepted connections shed because the owning worker's socket
+        /// table was full.
+        accept_overflow: sum,
+        /// Blocked waits resumed with the catchable `io-timeout` condition
+        /// because their per-wait I/O deadline
+        /// ([`PoolBuilder::io_timeout`](crate::PoolBuilder::io_timeout) /
+        /// [`JobSpec::io_timeout`](crate::JobSpec::io_timeout)) expired.
+        io_timeouts: sum,
+        /// Reactor-level faults the deterministic plan injected (synthetic
+        /// `EINTR`, delayed readiness, dropped readiness). VM-level
+        /// injections (short reads/writes, spurious would-block, resets)
+        /// are each worker's `WorkerReport::vm.faults_injected`.
+        io_faults_injected: sum,
+        /// Connections refused by overload shedding
+        /// ([`ServeOptions::pending_highwater`](crate::ServeOptions)):
+        /// closed immediately or answered by the overload handler instead
+        /// of the full-price handler.
+        accepts_shed: sum,
+        /// Total nanoseconds the acceptor spent in the shedding state —
+        /// how long the pool was saturated past its high-water mark.
+        shed_duration_ns: sum,
+        /// Full worker restarts performed by the supervisor (VM *and*
+        /// reactor rebuilt after a panic escaped the per-slice isolation).
+        /// Every restart also counts a `vm_rebuilds`.
+        worker_restarts: sum,
+    }
+    + {
+        /// Connections the shared listener routed to each worker — flat
+        /// when the least-loaded/round-robin distribution is doing its job.
+        pub accepts_per_worker: Vec<u64> = (each_sub, each_add),
+        /// Largest single-harvest wakeup batch per worker: how many sealed
+        /// continuations one reactor pass requeued at once.
+        pub resume_depth_highwater: Vec<u64> = (carry, each_max),
+        /// Timer wake-lateness histogram, summed across workers: delivery
+        /// time minus deadline, bucketed by
+        /// [`WAKE_LATENESS_BUCKETS_MS`](crate::WAKE_LATENESS_BUCKETS_MS)
+        /// (the last bucket is the unbounded tail). Measured inside the
+        /// reactor, so it is pure scheduler lag.
+        pub wake_lateness: Vec<u64> = (each_sub, each_add),
+        /// Which readiness backend the pool's reactors run (`"poll"` or
+        /// `"epoll"`).
+        pub reactor_backend: &'static str = (carry, later),
     }
 }
 
-/// Key `VmStats` counters summed across a worker's VM incarnations
-/// (a panic-triggered rebuild starts a new incarnation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VmTotals {
-    /// Bytecode instructions executed.
-    pub instructions: u64,
-    /// Procedure calls performed.
-    pub calls: u64,
-    /// Garbage collections run.
-    pub gc_collections: u64,
-    /// Nanoseconds spent in the collector.
-    pub gc_pause_ns: u64,
-    /// Objects reclaimed by the collector.
-    pub gc_objects_freed: u64,
-    /// Heap objects allocated.
-    pub objects_allocated: u64,
-    /// Stack slots copied (stays near zero: one-shot switches copy
-    /// nothing).
-    pub slots_copied: u64,
-    /// Conditions raised (caught or not) across all incarnations —
-    /// survives panic-triggered VM rebuilds rather than being dropped with
-    /// the poisoned VM.
-    pub conditions_raised: u64,
-    /// Deterministic faults the fault plan injected and the VM consumed.
-    pub faults_injected: u64,
-    /// Code objects linked (boot libraries, one program per submitted
-    /// job, one per serve template — not one per connection).
-    pub code_objects: u64,
+// How the hand-written fields combine: element-wise, the shorter side read
+// as zeros; a delta carries the later snapshot's value, `plus` the other's.
+fn each(a: &[u64], b: &[u64], f: fn(u64, u64) -> u64) -> Vec<u64> {
+    let at = |v: &[u64], i| v.get(i).copied().unwrap_or(0);
+    (0..a.len().max(b.len())).map(|i| f(at(a, i), at(b, i))).collect()
 }
 
-impl VmTotals {
-    /// Folds in a VM incarnation that is about to be dropped.
-    pub(crate) fn add(&mut self, vm: &Vm) {
-        let s = vm.stats();
-        self.code_objects += vm.code_object_count() as u64;
-        self.instructions += s.instructions;
-        self.calls += s.calls;
-        self.gc_collections += s.gc_collections;
-        self.gc_pause_ns += s.gc_pause_ns;
-        self.gc_objects_freed += s.gc_objects_freed;
-        self.objects_allocated += s.heap.objects_allocated;
-        self.slots_copied += s.stack.slots_copied;
-        self.conditions_raised += s.conditions_raised;
-        self.faults_injected += s.faults_injected;
-    }
+fn each_sub(now: &[u64], then: &[u64]) -> Vec<u64> {
+    each(now, then, u64::saturating_sub)
+}
+
+fn each_add(a: &[u64], b: &[u64]) -> Vec<u64> {
+    each(a, b, |x, y| x + y)
+}
+
+fn each_max(a: &[u64], b: &[u64]) -> Vec<u64> {
+    each(a, b, u64::max)
+}
+
+fn carry<T: Clone>(now: &T, _: &T) -> T {
+    now.clone()
+}
+
+fn later<T: Clone>(_: &T, later: &T) -> T {
+    later.clone()
 }
 
 /// What one worker did over its lifetime, reported at shutdown.
@@ -543,32 +413,17 @@ pub struct WorkerReport {
     pub jobs_failed: u64,
     /// Fuel slices this worker ran.
     pub slices: u64,
-    /// Jobs this worker stole from peers.
-    pub steals: u64,
     /// Transient failures this worker requeued for another attempt.
     pub retries: u64,
-    /// VMs this worker built after panics.
-    pub vm_rebuilds: u64,
     /// Full supervisor restarts (VM and reactor backend both rebuilt).
     pub worker_restarts: u64,
-    /// VM counters summed over all incarnations.
-    pub vm: VmTotals,
-}
-
-impl WorkerReport {
-    pub(crate) fn new(worker: usize) -> Self {
-        WorkerReport {
-            worker,
-            jobs_ok: 0,
-            jobs_failed: 0,
-            slices: 0,
-            steals: 0,
-            retries: 0,
-            vm_rebuilds: 0,
-            worker_restarts: 0,
-            vm: VmTotals::default(),
-        }
-    }
+    /// VM counters over all incarnations (a panic-triggered rebuild starts
+    /// a new one), folded with [`VmStats::plus`].
+    pub vm: VmStats,
+    /// Code objects linked over all incarnations (boot libraries, one
+    /// program per submitted job, one per serve template — not one per
+    /// connection).
+    pub code_objects: u64,
 }
 
 /// Everything a completed shutdown reports.
@@ -588,7 +443,6 @@ pub(crate) struct HandlerTemplate {
     fuel: u64,
     deadline: Option<Duration>,
     io_timeout: Option<Duration>,
-    retries: Option<u32>,
     on_complete: Option<OnComplete>,
 }
 
@@ -607,7 +461,6 @@ impl HandlerTemplate {
             fuel_budget: self.fuel,
             deadline: self.deadline.map(|d| Instant::now() + d),
             io_timeout: self.io_timeout,
-            retries: self.retries,
             conn_token: Some(conn_token),
             pinned: true,
             submitted: Instant::now(),
@@ -810,7 +663,6 @@ impl Pool {
             fuel_budget: spec.fuel,
             deadline: spec.deadline.map(|d| Instant::now() + d),
             io_timeout: spec.io_timeout.or(self.io_timeout),
-            retries: spec.retries,
             conn_token: None,
             pinned: spec.pin.is_some(),
             submitted: Instant::now(),
@@ -827,7 +679,7 @@ impl Pool {
             self.queues[target].push(job);
             self.injector.notify_workers();
             self.wakes[target].ring();
-            self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            self.counters.pool.submitted.add(1);
             return Ok(handle);
         }
         let pushed = match spec.admission {
@@ -836,8 +688,8 @@ impl Pool {
         };
         match pushed {
             Ok(depth) => {
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                self.counters.note_depth(depth);
+                self.counters.pool.submitted.add(1);
+                self.counters.pool.queue_depth_highwater.raise(depth as u64);
                 self.ring_workers();
                 Ok(handle)
             }
@@ -939,7 +791,6 @@ impl Pool {
             fuel: spec.fuel,
             deadline: spec.deadline,
             io_timeout: spec.io_timeout.or(self.io_timeout),
-            retries: spec.retries,
             on_complete: spec.on_complete.clone(),
         })
     }
@@ -1070,9 +921,7 @@ fn accept_loop(
             match (shedding_now, &shed_since) {
                 (true, None) => shed_since = Some(Instant::now()),
                 (false, Some(since)) => {
-                    counters
-                        .shed_duration_ns
-                        .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    counters.pool.shed_duration_ns.add(since.elapsed().as_nanos() as u64);
                     shed_since = None;
                 }
                 _ => {}
@@ -1080,12 +929,12 @@ fn accept_loop(
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     if stream.set_nonblocking(true).is_err() {
-                        counters.accept_overflow.fetch_add(1, Ordering::Relaxed);
+                        counters.pool.accept_overflow.add(1);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
                     let route_tmpl = if shedding_now {
-                        counters.accepts_shed.fetch_add(1, Ordering::Relaxed);
+                        counters.pool.accepts_shed.add(1);
                         match shed.as_ref().and_then(|s| s.overload.as_ref()) {
                             // Cheap refusal path: the overload handler
                             // answers and closes.
@@ -1108,7 +957,7 @@ fn accept_loop(
                         .unwrap_or(0);
                     rr = rr.wrapping_add(1);
                     let depth = conns[target].push(stream, Arc::clone(route_tmpl));
-                    counters.accept_queue_highwater.fetch_max(depth as u64, Ordering::Relaxed);
+                    counters.pool.accept_queue_highwater.raise(depth as u64);
                     shared.accepted.fetch_add(1, Ordering::Relaxed);
                     wakes[target].ring();
                     routed = true;
@@ -1123,6 +972,6 @@ fn accept_loop(
         }
     }
     if let Some(since) = shed_since {
-        counters.shed_duration_ns.fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        counters.pool.shed_duration_ns.add(since.elapsed().as_nanos() as u64);
     }
 }

@@ -221,7 +221,6 @@ mod tests {
             deadline: None,
             io_timeout: None,
             conn_token: None,
-            retries: None,
             pinned,
             submitted: Instant::now(),
             slot: Arc::new(OutcomeSlot::default()),

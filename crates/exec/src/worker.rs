@@ -14,6 +14,7 @@
 //! the pool's existing [`WakeHandle`](crate::reactor::WakeHandle)s keep
 //! ringing — and re-enters the loop still serving its conn queue.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -21,11 +22,11 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use oneshot_threads::{EngineHost, EngineId, EngineStep, Wait};
-use oneshot_vm::{VmBuilder, VmConfig};
+use oneshot_vm::{Vm, VmConfig, VmStats};
 
 use crate::error::Error;
 use crate::job::{Job, JobId};
-use crate::pool::{ConnQueue, PoolCounters, WorkerConfig, WorkerReport};
+use crate::pool::{ConnQueue, PoolCounters, Tally, WorkerConfig, WorkerReport};
 use crate::queue::{Injector, Popped, StealQueue};
 use crate::reactor::{ReactorCore, WakeKind, Wakeup};
 
@@ -41,6 +42,10 @@ const IDLE_WAIT: Duration = Duration::from_millis(25);
 /// so it could not have run sooner); this bounds the revolution, so a
 /// long ring of CPU-bound residents cannot starve I/O and timers.
 const HARVEST_EVERY_MAX: usize = 32;
+
+/// Jobs a worker takes from the injector per visit: the extras land in its
+/// stealable stash, where an idle peer can still take them.
+const GRAB_BATCH: usize = 4;
 
 /// A guest panic whose message contains this marker escalates past the
 /// per-slice rebuild to the worker supervisor — the chaos suite's hook for
@@ -92,12 +97,28 @@ pub(crate) struct WorkerCtx {
     /// disjoint from submitted JobIds).
     pub(crate) next_conn: Arc<std::sync::atomic::AtomicU64>,
     pub(crate) report_tx: mpsc::Sender<WorkerReport>,
+    /// The `VmStats` and code objects of the VMs this worker retired.
+    pub(crate) retired: Cell<(VmStats, u64)>,
+}
+
+impl WorkerCtx {
+    /// This worker's share of the pool's counters.
+    fn tally(&self) -> &Tally {
+        &self.counters.workers[self.index]
+    }
+
+    /// Folds a VM being replaced after a panic, or the last one at
+    /// shutdown, into what the worker reports.
+    fn retire(&self, vm: &Vm) {
+        let (stats, code_objects) = self.retired.get();
+        let linked = vm.code_object_count() as u64;
+        self.retired.set((stats.plus(&vm.stats()), code_objects + linked));
+    }
 }
 
 pub(crate) fn run(mut ctx: WorkerCtx) {
     let mut reactor = ctx.reactor.take().expect("reactor installed at build");
     let ctx = ctx;
-    let mut report = WorkerReport::new(ctx.index);
     let mut host = build_host(&ctx);
     let mut ready: VecDeque<Active> = VecDeque::new();
     let mut blocked: HashMap<u64, BlockedJob> = HashMap::new();
@@ -109,15 +130,7 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
     // VM and reactor backend, and re-enters serve() on the same queues.
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve(
-                &ctx,
-                &mut host,
-                &mut reactor,
-                &mut ready,
-                &mut blocked,
-                &mut next_seq,
-                &mut report,
-            )
+            serve(&ctx, &mut host, &mut reactor, &mut ready, &mut blocked, &mut next_seq)
         }));
         match outcome {
             Ok(()) => break,
@@ -126,20 +139,24 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
                     .downcast_ref::<SupervisedKill>()
                     .map(|k| k.culprit)
                     .unwrap_or(JobId(u64::MAX));
-                supervise_restart(
-                    &ctx,
-                    &mut host,
-                    &mut reactor,
-                    &mut ready,
-                    &mut blocked,
-                    &mut report,
-                    culprit,
-                );
+                supervise_restart(&ctx, &mut host, &mut reactor, &mut ready, &mut blocked, culprit);
             }
         }
     }
 
-    report.vm.add(host.vm());
+    ctx.retire(host.vm());
+    let t = ctx.tally().snapshot();
+    let (vm, code_objects) = ctx.retired.get();
+    let report = WorkerReport {
+        worker: ctx.index,
+        jobs_ok: t.completed,
+        jobs_failed: t.failed,
+        slices: t.slices,
+        retries: t.retried,
+        worker_restarts: t.worker_restarts,
+        vm,
+        code_objects,
+    };
     // The pool may already have given up on us (shutdown timeout); a dead
     // receiver is not our problem.
     let _ = ctx.report_tx.send(report);
@@ -149,7 +166,6 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
 /// queues, steps residents, and harvests reactor wakeups until the pool
 /// shuts down. Returns when the worker may exit; panics escalate to the
 /// supervisor in [`run`].
-#[allow(clippy::too_many_arguments)]
 fn serve(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
@@ -157,7 +173,6 @@ fn serve(
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
     next_seq: &mut u64,
-    report: &mut WorkerReport,
 ) {
     let mut wakeups: Vec<Wakeup> = Vec::new();
     let mut closed_fds: Vec<i32> = Vec::new();
@@ -167,11 +182,11 @@ fn serve(
     loop {
         // Wakeups harvested from our reactor first: a resumed job
         // re-enters the ready ring as an ordinary engine resumption.
-        process_wakeups(ctx, host, &mut wakeups, ready, blocked, report);
+        process_wakeups(ctx, host, &mut wakeups, ready, blocked);
 
         // Adopt accepted connections the shared listener routed here,
         // capacity permitting: each becomes a resident handler job.
-        intake_conns(ctx, host, reactor, ready, blocked, report);
+        intake_conns(ctx, host, reactor, ready, blocked);
 
         // Admit at most one new job per iteration: a started job is
         // pinned to this VM, so surplus work stays in the stealable stash
@@ -180,13 +195,13 @@ fn serve(
         // counts blocked residents too: each holds a sealed stack segment
         // in this VM's heap.
         if ready.len() + blocked.len() < ctx.cfg.resident_cap {
-            if let Some(job) = acquire(ctx, report) {
-                admit(ctx, host, reactor, job, ready, blocked, report);
+            if let Some(job) = acquire(ctx) {
+                admit(ctx, host, reactor, job, ready, blocked);
             }
         }
 
         if let Some(active) = ready.pop_front() {
-            let parked = step_active(ctx, host, reactor, active, ready, blocked, report);
+            let parked = step_active(ctx, host, reactor, active, ready, blocked);
             // The slice may have closed sockets: cancel the waits other
             // green threads still hold on them (the resumed retry raises
             // io-error instead of wedging) *before* this slice's own wait
@@ -218,12 +233,12 @@ fn serve(
         }
         match ctx.injector.pop_wait(IDLE_WAIT) {
             Popped::Job(job) => {
-                admit(ctx, host, reactor, job, ready, blocked, report);
+                admit(ctx, host, reactor, job, ready, blocked);
             }
             Popped::TimedOut => continue,
             Popped::Drained => {
-                if let Some(job) = acquire(ctx, report) {
-                    admit(ctx, host, reactor, job, ready, blocked, report);
+                if let Some(job) = acquire(ctx) {
+                    admit(ctx, host, reactor, job, ready, blocked);
                     continue;
                 }
                 if !ctx.conns[ctx.index].is_empty() {
@@ -246,13 +261,11 @@ fn supervise_restart(
     reactor: &mut ReactorCore,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
-    report: &mut WorkerReport,
     culprit: JobId,
 ) {
-    ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-    report.worker_restarts += 1;
+    ctx.tally().worker_restarts.add(1);
     reactor.rebuild_backend();
-    reset_vm(ctx, host, ready, blocked, report, culprit);
+    reset_vm(ctx, host, ready, blocked, culprit);
 }
 
 /// Fails every resident — ready *and* blocked — of a poisoned VM with the
@@ -268,20 +281,18 @@ fn reset_vm(
     host: &mut EngineHost,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
-    report: &mut WorkerReport,
     culprit: JobId,
 ) {
     for lost in ready.drain(..).chain(blocked.drain().map(|(_, b)| b.active)) {
         let err = Error::worker_reset(culprit);
-        fail_or_retry(ctx, None, report, &lost.job, lost.slices, lost.fuel_used, err);
+        fail_or_retry(ctx, None, &lost.job, lost.slices, lost.fuel_used, err);
     }
     // Salvage the poisoned VM's counters, then replace it wholesale; the
     // interpreter state under an unwound panic is unknown, the stats
     // fields are plain counters.
-    report.vm.add(host.vm());
+    ctx.retire(host.vm());
     *host = build_host(ctx);
-    report.vm_rebuilds += 1;
-    ctx.counters.vm_rebuilds.fetch_add(1, Ordering::Relaxed);
+    ctx.tally().vm_rebuilds.add(1);
 }
 
 /// A fresh engine host on a VM built from the pool's configuration
@@ -291,7 +302,7 @@ fn reset_vm(
 fn build_host(ctx: &WorkerCtx) -> EngineHost {
     let mut cfg = (*ctx.vm_config).clone();
     let plan = cfg.fault_plan.take();
-    let mut host = EngineHost::with_vm(VmBuilder::from_config(cfg).build());
+    let mut host = EngineHost::with_vm(Vm::builder().config(cfg).build());
     if let Some(plan) = plan {
         host.vm_mut().arm_fault_plan(&plan);
     }
@@ -303,13 +314,13 @@ fn build_host(ctx: &WorkerCtx) -> EngineHost {
 fn harvest(ctx: &WorkerCtx, reactor: &mut ReactorCore, max_wait: Duration, out: &mut Vec<Wakeup>) {
     let n = reactor.wait(max_wait, out);
     if n > 0 {
-        ctx.counters.io_wakeups.fetch_add(n as u64, Ordering::Relaxed);
+        ctx.tally().io_wakeups.add(n as u64);
         ctx.counters.note_resume_depth(ctx.index, out.len());
         ctx.counters.add_lateness(&reactor.take_lateness());
     }
     let injected = reactor.take_faults_injected();
     if injected > 0 {
-        ctx.counters.io_faults_injected.fetch_add(injected, Ordering::Relaxed);
+        ctx.tally().io_faults_injected.add(injected);
     }
 }
 
@@ -331,7 +342,7 @@ fn cancel_closed(
     }
     let n = out.len() - before;
     if n > 0 {
-        ctx.counters.io_wakeups.fetch_add(n as u64, Ordering::Relaxed);
+        ctx.tally().io_wakeups.add(n as u64);
     }
 }
 
@@ -345,7 +356,6 @@ fn process_wakeups(
     wakeups: &mut Vec<Wakeup>,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
-    report: &mut WorkerReport,
 ) {
     if wakeups.is_empty() {
         return;
@@ -362,10 +372,9 @@ fn process_wakeups(
         let mut b = blocked.remove(&job_id).expect("checked above");
         if b.active.job.deadline.is_some_and(|d| d <= now) {
             host.drop_engine(b.active.engine);
-            deliver_failure_scrapping(
+            deliver_failure(
                 ctx,
                 Some(&mut *host),
-                report,
                 &b.active.job,
                 b.active.slices,
                 b.active.fuel_used,
@@ -376,7 +385,7 @@ fn process_wakeups(
                 // The connection's I/O deadline expired before readiness:
                 // resume the guest with the io-timeout status, which the
                 // blocking shims turn into the catchable condition.
-                ctx.counters.io_timeouts.fetch_add(1, Ordering::Relaxed);
+                ctx.tally().io_timeouts.add(1);
                 b.active.resume_status = Some("io-timeout");
             }
             ready.push_back(b.active);
@@ -394,7 +403,6 @@ fn intake_conns(
     reactor: &mut ReactorCore,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
-    report: &mut WorkerReport,
 ) {
     while ready.len() + blocked.len() < ctx.cfg.resident_cap {
         let Some((stream, tmpl)) = ctx.conns[ctx.index].pop() else { return };
@@ -403,12 +411,12 @@ fn intake_conns(
                 ctx.counters.note_accept(ctx.index);
                 let id = (1 << 63) | ctx.next_conn.fetch_add(1, Ordering::Relaxed);
                 let job = tmpl.make_job(id, token);
-                admit(ctx, host, reactor, job, ready, blocked, report);
+                admit(ctx, host, reactor, job, ready, blocked);
             }
             Err(_) => {
                 // Socket table full: shed the connection (the peer sees
                 // EOF/reset) rather than wedge the worker.
-                ctx.counters.accept_overflow.fetch_add(1, Ordering::Relaxed);
+                ctx.tally().accept_overflow.add(1);
             }
         }
     }
@@ -416,14 +424,12 @@ fn intake_conns(
 
 /// Next unstarted job, by locality: own stash, then the injector (grabbing
 /// a batch), then stealing the oldest unpinned job from a peer.
-fn acquire(ctx: &WorkerCtx, report: &mut WorkerReport) -> Option<Job> {
+fn acquire(ctx: &WorkerCtx) -> Option<Job> {
     if let Some(job) = ctx.queues[ctx.index].pop() {
         return Some(job);
     }
     if let Some(job) = ctx.injector.try_pop() {
-        // Grab a few more while we hold nothing: they land in our steal
-        // queue where a peer can still take them if we fall behind.
-        for _ in 1..ctx.cfg.grab_batch {
+        for _ in 1..GRAB_BATCH {
             match ctx.injector.try_pop() {
                 Some(extra) => ctx.queues[ctx.index].push(extra),
                 None => break,
@@ -434,8 +440,7 @@ fn acquire(ctx: &WorkerCtx, report: &mut WorkerReport) -> Option<Job> {
     for offset in 1..ctx.queues.len() {
         let victim = (ctx.index + offset) % ctx.queues.len();
         if let Some(job) = ctx.queues[victim].steal() {
-            ctx.counters.steals.fetch_add(1, Ordering::Relaxed);
-            report.steals += 1;
+            ctx.tally().steals.add(1);
             return Some(job);
         }
     }
@@ -451,7 +456,6 @@ fn admit(
     job: Job,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
-    report: &mut WorkerReport,
 ) {
     // A connection handler's program is its serve template's, shared by
     // every connection: linked once per VM. A submitted job's is its own.
@@ -465,21 +469,10 @@ fn admit(
         }
         Ok(Err(e)) => {
             let err = Error::vm(e.with_context(job.id.0, ctx.index as u32));
-            fail_or_retry(ctx, Some(host), report, &job, 0, 0, err);
+            fail_or_retry(ctx, Some(host), &job, 0, 0, err);
         }
         Err(payload) => {
-            handle_panic(
-                ctx,
-                host,
-                reactor,
-                &job,
-                0,
-                0,
-                ready,
-                blocked,
-                report,
-                panic_message(payload),
-            );
+            handle_panic(ctx, host, reactor, &job, 0, 0, ready, blocked, panic_message(payload));
         }
     }
 }
@@ -494,13 +487,12 @@ fn step_active(
     mut active: Active,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
-    report: &mut WorkerReport,
 ) -> Option<(Active, Wait)> {
     let remaining = active.job.fuel_budget.saturating_sub(active.fuel_used);
     let refusal = if active.job.deadline.is_some_and(|d| d <= Instant::now()) {
         Some(Error::deadline_exceeded())
     } else if remaining == 0 {
-        ctx.counters.timed_out.fetch_add(1, Ordering::Relaxed);
+        ctx.tally().timed_out.add(1);
         Some(Error::fuel_exhausted(active.job.fuel_budget, active.fuel_used))
     } else {
         None
@@ -508,43 +500,42 @@ fn step_active(
     if let Some(err) = refusal {
         host.drop_engine(active.engine);
         let Active { job, slices, fuel_used, .. } = &active;
-        deliver_failure_scrapping(ctx, Some(host), report, job, *slices, *fuel_used, err);
+        deliver_failure(ctx, Some(host), job, *slices, *fuel_used, err);
         return None;
     }
     let slice = ctx.cfg.fuel_slice.min(remaining);
     let engine = active.engine;
     let status = active.resume_status.take();
     let stepped = catch_unwind(AssertUnwindSafe(|| host.step_with_status(engine, slice, status)));
+    // Nothing reads what a job displays; dropping the buffer with its
+    // capacity keeps a long-lived worker from holding all of it.
+    drop(host.vm_mut().take_output());
     // The slice is charged to the job however it ended; a slice that
     // panicked is not counted as run.
     active.slices += 1;
     active.fuel_used += slice;
     if stepped.is_ok() {
-        report.slices += 1;
-        ctx.counters.slices.fetch_add(1, Ordering::Relaxed);
+        ctx.tally().slices.add(1);
     }
     let Active { job, slices, fuel_used, .. } = &active;
     match stepped {
         Ok(Ok(EngineStep::Done(value))) => {
             let shown = host.vm().write_value(&value);
-            ctx.counters.completed.fetch_add(1, Ordering::Relaxed);
-            report.jobs_ok += 1;
+            ctx.tally().completed.add(1);
             job.deliver(ctx.index, *slices, *fuel_used, Ok(shown));
         }
         Ok(Ok(EngineStep::Parked)) => {
-            ctx.counters.requeues.fetch_add(1, Ordering::Relaxed);
+            ctx.tally().requeues.add(1);
             ready.push_back(active);
         }
         Ok(Ok(EngineStep::Blocked(wait))) => return Some((active, wait)),
         Ok(Err(e)) => {
             let err = Error::vm(e.with_context(job.id.0, ctx.index as u32));
-            fail_or_retry(ctx, Some(host), report, job, *slices, *fuel_used, err);
+            fail_or_retry(ctx, Some(host), job, *slices, *fuel_used, err);
         }
         Err(payload) => {
             let message = panic_message(payload);
-            handle_panic(
-                ctx, host, reactor, job, *slices, *fuel_used, ready, blocked, report, message,
-            );
+            handle_panic(ctx, host, reactor, job, *slices, *fuel_used, ready, blocked, message);
         }
     }
     None
@@ -589,10 +580,10 @@ fn block_job(
                 ready.push_back(active);
                 return;
             }
-            ctx.counters.io_blocked.fetch_add(1, Ordering::Relaxed);
+            ctx.tally().io_blocked.add(1);
         }
         Wait::TimerMs(ms) => {
-            ctx.counters.timer_waits.fetch_add(1, Ordering::Relaxed);
+            ctx.tally().timer_waits.add(1);
             let mut deadline = Instant::now() + Duration::from_millis(ms.max(0) as u64);
             if let Some(d) = active.job.deadline {
                 // Wake at the job deadline if it lands first; the wakeup
@@ -603,7 +594,7 @@ fn block_job(
         }
     }
     blocked.insert(job_id, BlockedJob { active, seq });
-    ctx.counters.blocked_highwater.fetch_max(blocked.len() as u64, Ordering::Relaxed);
+    ctx.tally().blocked_highwater.raise(blocked.len() as u64);
 }
 
 /// A job panicked: report it, fail every other job whose continuation
@@ -621,12 +612,11 @@ fn handle_panic(
     fuel_used: u64,
     ready: &mut VecDeque<Active>,
     blocked: &mut HashMap<u64, BlockedJob>,
-    report: &mut WorkerReport,
     message: String,
 ) {
-    ctx.counters.panicked.fetch_add(1, Ordering::Relaxed);
+    ctx.tally().panicked.add(1);
     let kill_worker = message.contains(KILL_WORKER_PANIC);
-    deliver_failure(ctx, report, culprit, slices, fuel_used, Error::panicked(message));
+    deliver_failure(ctx, None, culprit, slices, fuel_used, Error::panicked(message));
     if kill_worker {
         // Escalate past the in-place VM rebuild to the worker supervisor:
         // the culprit is failed here (we know its attribution), then we
@@ -635,51 +625,47 @@ fn handle_panic(
         std::panic::resume_unwind(Box::new(SupervisedKill { culprit: culprit.id }));
     }
     reactor.forget_all();
-    reset_vm(ctx, host, ready, blocked, report, culprit.id);
+    reset_vm(ctx, host, ready, blocked, culprit.id);
 }
 
 /// Requeues a transiently failed job for another attempt — bounded by the
-/// job's retry budget (its spec override, else the pool's), with a small
-/// exponential backoff — or delivers the failure. A retried job restarts
-/// from its compiled program (its engine state is gone), keeping only the
-/// attempt count.
+/// pool's retry budget, with a small exponential backoff — or delivers the
+/// failure. A retried job restarts from its compiled program (its engine
+/// state is gone), keeping only the attempt count.
 fn fail_or_retry(
     ctx: &WorkerCtx,
     host: Option<&mut EngineHost>,
-    report: &mut WorkerReport,
     job: &Job,
     slices: u64,
     fuel_used: u64,
     err: Error,
 ) {
-    let budget = job.retries.unwrap_or(ctx.cfg.max_retries);
     // Connection handlers are never retried: the first attempt consumed
     // the adopted socket's state (conn-take, partial reads), so a rerun
     // could only fail differently.
-    if job.conn_token.is_none() && err.transient() && job.attempts < budget {
+    if job.conn_token.is_none() && err.transient() && job.attempts < ctx.cfg.max_retries {
         let mut retry = job.clone();
         retry.attempts += 1;
         // 2ms, 4ms, ... capped at 32ms: enough for transient heap pressure
         // to clear without parking the worker for long.
         std::thread::sleep(Duration::from_millis(1u64 << retry.attempts.min(5)));
-        ctx.counters.retried.fetch_add(1, Ordering::Relaxed);
-        report.retries += 1;
+        ctx.tally().retried.add(1);
         ctx.queues[ctx.index].push(retry);
     } else {
-        deliver_failure_scrapping(ctx, host, report, job, slices, fuel_used, err);
+        deliver_failure(ctx, host, job, slices, fuel_used, err);
     }
 }
 
-/// As [`deliver_failure`], first scrapping a failed connection handler's
+/// Delivers a job's failure, first scrapping a failed connection handler's
 /// adopted socket when the VM is still alive: the peer must see a close,
 /// not a wedge, and the socket table must not leak. (Callers on a
 /// VM-rebuild path pass `None`; dropping the old VM closes its whole
-/// table.) The closed fd reaches the reactor through the normal
+/// table.) The sockets the job opened itself closed when its engine was
+/// dropped. The closed fds reach the reactor through the normal
 /// `drain_closed_fds` sweep.
-fn deliver_failure_scrapping(
+fn deliver_failure(
     ctx: &WorkerCtx,
     host: Option<&mut EngineHost>,
-    report: &mut WorkerReport,
     job: &Job,
     slices: u64,
     fuel_used: u64,
@@ -688,19 +674,7 @@ fn deliver_failure_scrapping(
     if let (Some(host), Some(token)) = (host, job.conn_token) {
         host.vm_mut().close_socket(token);
     }
-    deliver_failure(ctx, report, job, slices, fuel_used, err);
-}
-
-fn deliver_failure(
-    ctx: &WorkerCtx,
-    report: &mut WorkerReport,
-    job: &Job,
-    slices: u64,
-    fuel_used: u64,
-    err: Error,
-) {
-    ctx.counters.failed.fetch_add(1, Ordering::Relaxed);
-    report.jobs_failed += 1;
+    ctx.tally().failed.add(1);
     job.deliver(ctx.index, slices, fuel_used, Err(err));
 }
 

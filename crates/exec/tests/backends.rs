@@ -467,7 +467,7 @@ fn code_objects_after_churn(backend: Backend, conns: usize) -> u64 {
     }
     let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
     assert_eq!(report.counters.failed, 0, "{backend}");
-    report.workers[0].vm.code_objects
+    report.workers[0].code_objects
 }
 
 #[test]

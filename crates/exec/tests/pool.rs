@@ -99,7 +99,7 @@ fn mixed_load_on_small_segments_copies_next_to_nothing() {
         assert_eq!(report.counters.completed, handles.len() as u64, "workers={workers}");
         assert_eq!(report.counters.failed + report.counters.panicked, 0, "workers={workers}");
         assert!(report.counters.requeues > 0, "a 256-call slice must preempt the CPU jobs");
-        let copied: u64 = report.workers.iter().map(|w| w.vm.slots_copied).sum();
+        let copied: u64 = report.workers.iter().map(|w| w.vm.stack.slots_copied).sum();
         let instructions: u64 = report.workers.iter().map(|w| w.vm.instructions).sum();
         assert!(
             100 * copied < instructions,

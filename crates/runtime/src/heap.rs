@@ -19,8 +19,6 @@
 //! **no heap allocation**: children are scanned in place by index, and
 //! [`Heap::begin_gc`] pre-reserves worklist capacity for every live object.
 
-use std::time::Instant;
-
 use oneshot_core::KontId;
 
 use crate::value::{ObjRef, Value};
@@ -171,86 +169,26 @@ impl Default for KontObj {
     }
 }
 
-/// Live-object counts per pool — point-in-time gauges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct PoolOccupancy {
-    /// Live pairs.
-    pub pairs: u64,
-    /// Live vectors.
-    pub vectors: u64,
-    /// Live strings.
-    pub strs: u64,
-    /// Live closures.
-    pub closures: u64,
-    /// Live continuations.
-    pub konts: u64,
-    /// Live cells.
-    pub cells: u64,
-}
-
-/// Heap statistics.
-///
-/// # Counters vs gauges
-///
-/// Fields are either **monotone counters** (only ever increase; a
-/// difference between two snapshots is the volume in between) or **gauges**
-/// (point-in-time readings; differencing or summing them is meaningless).
-/// [`HeapStats::delta_since`] subtracts the counters and carries the *later*
-/// snapshot's gauges through unchanged — consumers aggregating deltas (e.g.
-/// `crates/bench/src/metrics.rs`) must only sum the counter fields.
-///
-/// Counters: `words_allocated`, `objects_allocated`, `collections`,
-/// `closures_allocated`, `objects_freed`, `sweep_ns`.
-/// Gauges: `last_freed`, `last_sweep_ns`, `live`, `peak_live`, `pools`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct HeapStats {
-    /// Words allocated since creation (counter).
-    pub words_allocated: u64,
-    /// Objects allocated since creation (counter).
-    pub objects_allocated: u64,
-    /// Collections performed (counter).
-    pub collections: u64,
-    /// Objects freed by the last sweep (gauge — use
-    /// [`objects_freed`](Self::objects_freed) for volumes).
-    pub last_freed: u64,
-    /// Closures allocated since creation (counter) — drives the §5
-    /// closure-creation-overhead comparison with CPS compilation.
-    pub closures_allocated: u64,
-    /// Objects freed across all sweeps (counter).
-    pub objects_freed: u64,
-    /// Total nanoseconds spent sweeping (counter).
-    pub sweep_ns: u64,
-    /// Nanoseconds spent in the last sweep (gauge).
-    pub last_sweep_ns: u64,
-    /// Live objects right now (gauge).
-    pub live: u64,
-    /// Most objects ever simultaneously live (gauge, running maximum).
-    pub peak_live: u64,
-    /// Live objects per pool (gauges).
-    pub pools: PoolOccupancy,
-}
-
-impl HeapStats {
-    /// Counter-wise difference `self - earlier`; gauge fields
-    /// (`last_freed`, `last_sweep_ns`, `live`, `peak_live`, `pools`) keep
-    /// `self`'s current values — do not sum them across deltas.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &HeapStats) -> HeapStats {
-        HeapStats {
-            words_allocated: self.words_allocated - earlier.words_allocated,
-            objects_allocated: self.objects_allocated - earlier.objects_allocated,
-            collections: self.collections - earlier.collections,
-            last_freed: self.last_freed,
-            closures_allocated: self.closures_allocated - earlier.closures_allocated,
-            objects_freed: self.objects_freed - earlier.objects_freed,
-            sweep_ns: self.sweep_ns - earlier.sweep_ns,
-            last_sweep_ns: self.last_sweep_ns,
-            live: self.live,
-            peak_live: self.peak_live,
-            pools: self.pools,
-        }
+oneshot_core::counters! {
+    /// Heap statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub struct HeapStats {
+        /// Words allocated since creation.
+        words_allocated: sum => "heap-words",
+        /// Objects allocated since creation.
+        objects_allocated: sum => "heap-objects",
+        /// Collections performed.
+        collections: sum,
+        /// Closures allocated since creation — drives the §5
+        /// closure-creation-overhead comparison with CPS compilation.
+        closures_allocated: sum => "closures",
+        /// Objects freed across all sweeps.
+        objects_freed: sum => _,
+        /// Live objects right now.
+        live: gauge => _,
+        /// Most objects ever simultaneously live.
+        peak_live: max => _,
     }
 }
 
@@ -425,20 +363,11 @@ impl Heap {
         Heap { gc_threshold: ADAPTIVE_THRESHOLD_MIN, adaptive_threshold: true, ..Heap::default() }
     }
 
-    /// Statistics snapshot (allocation volume, collections, occupancy
-    /// gauges). See [`HeapStats`] for the counter/gauge split.
+    /// Statistics snapshot: allocation volume, collections, live objects.
     pub fn stats(&self) -> HeapStats {
         let mut s = self.stats;
         s.live = self.len() as u64;
         s.peak_live = self.peak_live.max(self.len()) as u64;
-        s.pools = PoolOccupancy {
-            pairs: self.pairs.live as u64,
-            vectors: self.vectors.live as u64,
-            strs: self.strs.live as u64,
-            closures: self.closures.live as u64,
-            konts: self.konts.live as u64,
-            cells: self.cells.live as u64,
-        };
         s
     }
 
@@ -774,7 +703,6 @@ impl Heap {
     /// Frees all unmarked objects (word-wise `alive & !mark`), prunes the
     /// kont registry, and resets the allocation clock.
     pub fn sweep(&mut self) {
-        let t0 = Instant::now();
         let mut freed = self.pairs.sweep();
         freed += self.vectors.sweep();
         freed += self.strs.sweep();
@@ -786,12 +714,8 @@ impl Heap {
             let konts = &self.konts;
             self.kont_registry.retain(|&i| konts.is_live(i));
         }
-        let ns = t0.elapsed().as_nanos() as u64;
         self.stats.collections += 1;
-        self.stats.last_freed = freed;
         self.stats.objects_freed += freed;
-        self.stats.last_sweep_ns = ns;
-        self.stats.sweep_ns += ns;
         self.alloc_since_gc = 0;
         if self.adaptive_threshold {
             // Grow the budget with the surviving set: a large live graph
@@ -950,7 +874,6 @@ mod tests {
         h.alloc(Obj::Vector(vec![Value::NIL]));
         h.alloc(Obj::Str(vec!['a']));
         let s = h.stats();
-        assert_eq!((s.pools.pairs, s.pools.vectors, s.pools.strs), (1, 1, 1));
         assert_eq!(s.live, 3);
         assert_eq!(s.peak_live, 3);
         h.begin_gc();
@@ -960,7 +883,6 @@ mod tests {
         let s = h.stats();
         assert_eq!(s.live, 1);
         assert_eq!(s.peak_live, 3, "peak is a running max");
-        assert_eq!(s.last_freed, 2);
         assert_eq!(s.objects_freed, 2);
         assert_eq!(s.collections, 1);
     }

@@ -36,7 +36,7 @@ mod symbols;
 mod value;
 
 pub use convert::{datum_to_value, value_to_datum};
-pub use heap::{Heap, HeapStats, Obj, ObjView, PoolOccupancy};
+pub use heap::{Heap, HeapStats, Obj, ObjView};
 pub use print::{display_value, write_value};
 pub use symbols::{SymbolId, Symbols};
 pub use value::{ObjKind, ObjRef, Unpacked, Value, FIXNUM_MAX, FIXNUM_MIN};

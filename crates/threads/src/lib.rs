@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use oneshot_runtime::Value;
 use std::sync::Arc;
 
-use oneshot_vm::{CompiledProgram, GlobalSlot, LinkedProgram, Vm, VmConfig, VmError, VmStats};
+use oneshot_vm::{CompiledProgram, GlobalSlot, LinkedProgram, Vm, VmError, VmStats};
 
 const CALLCC_SCHED: &str = include_str!("../scheme/threads-callcc.scm");
 const CALL1CC_SCHED: &str = include_str!("../scheme/threads-call1cc.scm");
@@ -108,18 +108,7 @@ impl ThreadSystem {
     /// Panics if the embedded scheduler source fails to load (a build
     /// defect, covered by tests).
     pub fn new(strategy: Strategy) -> Self {
-        Self::with_config(strategy, VmConfig::default())
-    }
-
-    /// As [`ThreadSystem::new`] with explicit VM configuration (stack
-    /// policies, probes, etc.). Equivalent to wrapping
-    /// `Vm::builder().config(cfg).build()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the embedded scheduler source fails to load.
-    pub fn with_config(strategy: Strategy, cfg: VmConfig) -> Self {
-        Self::with_vm(strategy, Vm::builder().config(cfg).build())
+        Self::with_vm(strategy, Vm::new())
     }
 
     /// Loads the chosen scheduler into an already-built VM — the builder
@@ -445,8 +434,9 @@ impl EngineHost {
     /// # Errors
     ///
     /// A Scheme error raised by the job (including a one-shot continuation
-    /// shot twice) is returned as `Err`; the engine is dropped and the VM
-    /// stays usable — other parked engines are unaffected.
+    /// shot twice) is returned as `Err`; the engine is dropped (see
+    /// [`EngineHost::drop_engine`]) and the VM stays usable — other parked
+    /// engines are unaffected.
     pub fn step(&mut self, id: EngineId, fuel: u64) -> Result<EngineStep, VmError> {
         self.step_with_status(id, fuel, None)
     }
@@ -477,7 +467,10 @@ impl EngineHost {
             Some(s) => self.vm.intern(s),
         };
         let step = self.vm.global_at(self.driver.step).expect("driver defines exec-step!");
-        match self.vm.call(step, &[Value::fixnum(slot), Value::fixnum(fuel), status]) {
+        self.vm.set_socket_owner(Some(id.0));
+        let stepped = self.vm.call(step, &[Value::fixnum(slot), Value::fixnum(fuel), status]);
+        self.vm.set_socket_owner(None);
+        match stepped {
             Ok(v) => {
                 if v == self.driver.parked {
                     return Ok(EngineStep::Parked);
@@ -525,11 +518,14 @@ impl EngineHost {
     }
 
     /// Unregisters a parked engine without running it (fuel budget
-    /// exhausted, worker shutdown). Returns whether the engine was live.
+    /// exhausted, deadline passed) and closes the guest sockets it opened:
+    /// an engine that will never finish cannot close them itself. Returns
+    /// whether the engine was live.
     pub fn drop_engine(&mut self, id: EngineId) -> bool {
         let Some(slot) = self.slot_of.remove(&id) else {
             return false;
         };
+        self.vm.close_sockets_of(id.0);
         let drop_fn = self.vm.global_at(self.driver.drop).expect("driver defines exec-drop!");
         // exec-drop! cannot raise; ignore the (always #t) result.
         let _ = self.vm.call(drop_fn, &[Value::fixnum(slot)]);

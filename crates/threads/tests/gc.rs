@@ -4,11 +4,11 @@
 //! neither its answer nor what it does to the stack and heap.
 
 use oneshot_threads::{Strategy, ThreadSystem};
-use oneshot_vm::{CompilerOptions, VmConfig, VmStats};
+use oneshot_vm::{CompilerOptions, Vm, VmConfig, VmStats};
 
 #[test]
 fn suspended_threads_survive_collections() {
-    let mut ts = ThreadSystem::with_config(Strategy::Call1Cc, VmConfig::default());
+    let mut ts = ThreadSystem::new(Strategy::Call1Cc);
     ts.vm_mut().heap_mut().set_gc_threshold(256);
     ts.eval("(define acc '())").unwrap();
     ts.eval(
@@ -75,14 +75,12 @@ fn preemptive_threads_survive_collections_across_strategies() {
 /// suspended one-shots are heap roots through the run queue: the
 /// kont-registry path of the collector).
 fn figure5_round(fuse: bool, gc_threshold: usize) -> (String, VmStats, bool) {
-    let mut ts = ThreadSystem::with_config(
-        Strategy::Call1Cc,
-        VmConfig {
-            compiler: CompilerOptions { fuse },
-            gc_threshold: Some(gc_threshold),
-            ..VmConfig::default()
-        },
-    );
+    let cfg = VmConfig {
+        compiler: CompilerOptions { fuse },
+        gc_threshold: Some(gc_threshold),
+        ..VmConfig::default()
+    };
+    let mut ts = ThreadSystem::with_vm(Strategy::Call1Cc, Vm::builder().config(cfg).build());
     ts.eval("(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))").unwrap();
     let round = |ts: &mut ThreadSystem| {
         for _ in 0..8 {

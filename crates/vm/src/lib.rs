@@ -42,5 +42,8 @@ pub use slot::{slot_disp, Resume, Slot};
 pub use vm::{GlobalSlot, LinkedProgram, ProbeSpec, Vm, VmBuilder, VmConfig, VmProbe, VmStats};
 
 pub use oneshot_compiler::{CompiledProgram, CompilerOptions, Pipeline};
+/// The counter-table macro, for the pool's counters in `oneshot-exec`.
+#[doc(hidden)]
+pub use oneshot_core::counters;
 pub use oneshot_core::{FaultClock, FaultPlan};
 pub use oneshot_runtime::{Obj, ObjRef, SymbolId, Value};

@@ -44,6 +44,11 @@ pub(crate) enum ReadOutcome<'a> {
 #[derive(Debug)]
 pub(crate) struct NetTable {
     slots: Vec<Option<Sock>>,
+    /// Who opened each slot's socket: the owner set when it was inserted.
+    owners: Vec<Option<i64>>,
+    /// The owner new sockets are attributed to (see [`Vm::set_socket_owner`]
+    /// (crate::Vm::set_socket_owner)).
+    owner: Option<i64>,
     free: Vec<usize>,
     live: usize,
     /// Open-socket ceiling; exceeding it raises a catchable `io-error`
@@ -78,6 +83,8 @@ impl NetTable {
     pub(crate) fn new(cap: usize) -> Self {
         NetTable {
             slots: Vec::new(),
+            owners: Vec::new(),
+            owner: None,
             free: Vec::new(),
             live: 0,
             cap,
@@ -104,14 +111,29 @@ impl NetTable {
         let idx = match self.free.pop() {
             Some(i) => {
                 self.slots[i] = Some(sock);
+                self.owners[i] = self.owner;
                 i
             }
             None => {
                 self.slots.push(Some(sock));
+                self.owners.push(self.owner);
                 self.slots.len() - 1
             }
         };
         Ok(idx as i64)
+    }
+
+    pub(crate) fn set_owner(&mut self, owner: Option<i64>) {
+        self.owner = owner;
+    }
+
+    /// Closes every open socket `owner` opened.
+    pub(crate) fn close_owned_by(&mut self, owner: i64) {
+        for i in 0..self.slots.len() {
+            if self.owners[i] == Some(owner) {
+                self.close(i as i64);
+            }
+        }
     }
 
     /// The socket behind `token`. Takes the slot vector, not the table,

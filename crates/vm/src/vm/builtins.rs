@@ -1080,44 +1080,22 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             ret!(vm, v)
         },
         "vm-stats" => |vm, _argc| {
-            let stats = vm.stats();
-            let entries: Vec<(&str, i64)> = vec![
-                ("instructions", stats.instructions as i64),
-                ("calls", stats.calls as i64),
-                ("heap-words", stats.heap.words_allocated as i64),
-                ("heap-objects", stats.heap.objects_allocated as i64),
-                ("closures", stats.heap.closures_allocated as i64),
-                ("collections", stats.heap.collections as i64),
-                ("segments", stats.stack.segments_allocated as i64),
-                ("segment-cache-hits", stats.stack.cache_hits as i64),
-                ("slots-copied", stats.stack.slots_copied as i64),
-                ("captures-multi", stats.stack.captures_multi as i64),
-                ("captures-one", stats.stack.captures_one as i64),
-                ("reinstates-multi", stats.stack.reinstates_multi as i64),
-                ("reinstates-one", stats.stack.reinstates_one as i64),
-                ("promotions", stats.stack.promotions as i64),
-                ("overflows", stats.stack.overflows as i64),
-                ("underflows", stats.stack.underflows as i64),
-                ("shots", stats.stack.shots as i64),
-                ("prompts-pushed", stats.stack.prompts_pushed as i64),
-                ("subconts-taken", stats.stack.subconts_taken as i64),
-                ("subconts-pushed", stats.stack.subconts_pushed as i64),
-                ("aborts-to-prompt", stats.stack.aborts_to_prompt as i64),
-                ("subcont-slots", stats.stack.subcont_slots as i64),
-                ("slots-encapsulated", stats.stack.slots_encapsulated as i64),
-                ("gc-collections", stats.gc_collections as i64),
-                ("gc-pause-ns", stats.gc_pause_ns as i64),
-                ("gc-max-pause-ns", stats.gc_max_pause_ns as i64),
-                ("gc-objects-freed", stats.gc_objects_freed as i64),
-                ("resident-slots", vm.stack.resident_slots() as i64),
-                ("live-segments", vm.stack.segment_count() as i64),
-                ("live-uncached-segments", vm.stack.live_segment_count() as i64),
-                ("conditions-raised", stats.conditions_raised as i64),
-                ("faults-injected", stats.faults_injected as i64),
-            ];
+            let mut entries: Vec<(String, i64)> = Vec::new();
+            vm.stats().visit(&mut |field, n| {
+                if let Some(key) = field.vm_key() {
+                    entries.push((key, n as i64));
+                }
+            });
+            for (key, n) in [
+                ("resident-slots", vm.stack.resident_slots()),
+                ("live-segments", vm.stack.segment_count()),
+                ("live-uncached-segments", vm.stack.live_segment_count()),
+            ] {
+                entries.push((key.to_string(), n as i64));
+            }
             let mut alist = Value::NIL;
             for (name, n) in entries.into_iter().rev() {
-                let key = vm.intern(name);
+                let key = vm.intern(&name);
                 let pair = vm.cons(key, Value::fixnum(n));
                 alist = vm.cons(pair, alist);
             }

@@ -114,10 +114,8 @@ impl Vm {
         self.stack.sweep(false);
 
         let pause = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.gc_collections += 1;
         self.gc_pause_ns += pause;
         self.gc_max_pause_ns = self.gc_max_pause_ns.max(pause);
-        self.gc_objects_freed += self.heap.stats().last_freed;
     }
 
     fn mark_slot_range(&mut self, lo: usize, hi: usize) {
@@ -128,13 +126,10 @@ impl Vm {
         }
     }
 
-    /// Tells the VM writer where output goes (capture buffer + optional
-    /// echo).
+    /// Appends `display`/`write` output to the capture buffer
+    /// ([`Vm::take_output`]).
     pub(crate) fn emit_output(&mut self, s: &str) {
         self.out.push_str(s);
-        if self.echo {
-            print!("{s}");
-        }
     }
 }
 

@@ -105,11 +105,6 @@ pub struct VmConfig {
     pub stack: Config,
     /// Which compiler pipeline to run programs through.
     pub pipeline: Pipeline,
-    /// Whether to load the Scheme prelude at construction.
-    pub prelude: bool,
-    /// Echo `display`/`write` output to stdout as well as the capture
-    /// buffer.
-    pub echo_output: bool,
     /// Which control probe to install on the stack.
     pub probe: ProbeSpec,
     /// Count executed instructions per opcode kind (see
@@ -142,8 +137,6 @@ impl Default for VmConfig {
         VmConfig {
             stack: Config::default(),
             pipeline: Pipeline::Direct,
-            prelude: true,
-            echo_output: false,
             probe: ProbeSpec::Off,
             opcode_histogram: false,
             compiler: CompilerOptions::default(),
@@ -170,18 +163,8 @@ pub struct VmBuilder {
 }
 
 impl VmBuilder {
-    /// Starts from the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts from an explicit configuration (e.g. one stored by an
+    /// Starts from an existing full configuration (e.g. one stored by an
     /// embedder and shared across a worker pool).
-    pub fn from_config(cfg: VmConfig) -> Self {
-        VmBuilder { cfg }
-    }
-
-    /// Starts from an existing full configuration.
     pub fn config(mut self, cfg: VmConfig) -> Self {
         self.cfg = cfg;
         self
@@ -211,27 +194,6 @@ impl VmBuilder {
         self
     }
 
-    /// Whether to load the Scheme prelude (on by default).
-    pub fn prelude(mut self, load: bool) -> Self {
-        self.cfg.prelude = load;
-        self
-    }
-
-    /// Whether the compiler fuses superinstructions (on by default).
-    /// Turning it off yields the unfused instruction stream — same
-    /// results, same control events, more dispatches (the E9 comparison).
-    pub fn fuse(mut self, fuse: bool) -> Self {
-        self.cfg.compiler.fuse = fuse;
-        self
-    }
-
-    /// Echo `display`/`write` output to stdout as well as the capture
-    /// buffer.
-    pub fn echo_output(mut self, echo: bool) -> Self {
-        self.cfg.echo_output = echo;
-        self
-    }
-
     /// Pins the heap's collection threshold (allocations between GC
     /// safe-point checks), disabling the adaptive trigger. Small values
     /// force frequent collections — used by the E10 experiment and GC
@@ -246,14 +208,6 @@ impl VmBuilder {
     /// catchable `out-of-memory` condition.
     pub fn heap_budget(mut self, objects: usize) -> Self {
         self.cfg.heap_budget = Some(objects);
-        self
-    }
-
-    /// Caps the segmented stack at `segments` live (non-cached) segments;
-    /// growing past the ceiling raises a catchable `stack-overflow`
-    /// condition. Zero disables the ceiling.
-    pub fn max_stack_segments(mut self, segments: usize) -> Self {
-        self.cfg.stack.max_segments = segments;
         self
     }
 
@@ -314,64 +268,34 @@ pub(crate) struct CodeEntry {
     pub(crate) need: u32,
 }
 
-/// Aggregated statistics: instruction counts plus heap and stack counters.
-#[derive(Debug, Clone, Copy, Default)]
-#[non_exhaustive]
-pub struct VmStats {
-    /// Bytecode instructions executed.
-    pub instructions: u64,
-    /// Procedure calls performed (closures, builtins, continuations).
-    pub calls: u64,
-    /// Garbage collections run.
-    pub gc_collections: u64,
-    /// Total wall-clock time spent inside the collector, in nanoseconds.
-    pub gc_pause_ns: u64,
-    /// Longest single collection pause, in nanoseconds. A running maximum,
-    /// not a counter: [`VmStats::delta_since`] carries the later value
-    /// through unchanged.
-    pub gc_max_pause_ns: u64,
-    /// Heap objects freed by collections (GC volume).
-    pub gc_objects_freed: u64,
-    /// Scheme conditions raised (via `raise`/`raise-continuable` or a
-    /// guarded fault such as `out-of-memory`).
-    pub conditions_raised: u64,
-    /// Injected faults consumed from a [`FaultPlan`] by this VM.
-    pub faults_injected: u64,
-    /// Size of one [`Value`] word in bytes. A gauge (always
-    /// `size_of::<Value>()`, 8 with the NaN-boxed representation), recorded
-    /// so metrics documents are self-describing across representation
-    /// changes.
-    pub value_word_bytes: u64,
-    /// High-water mark of resident stack-segment memory, in bytes
-    /// (resident slots x `size_of::<Slot>()`). A running maximum like
-    /// `gc_max_pause_ns`: [`VmStats::delta_since`] carries the later value
-    /// through unchanged.
-    pub segment_bytes_highwater: u64,
-    /// Heap statistics snapshot.
-    pub heap: HeapStats,
-    /// Segmented-stack statistics snapshot.
-    pub stack: Stats,
-}
-
-impl VmStats {
-    /// Counter-wise difference for measuring a region. (`gc_max_pause_ns`
-    /// is a running maximum and is carried through, not subtracted.)
-    #[must_use]
-    pub fn delta_since(&self, earlier: &VmStats) -> VmStats {
-        VmStats {
-            instructions: self.instructions - earlier.instructions,
-            calls: self.calls - earlier.calls,
-            gc_collections: self.gc_collections - earlier.gc_collections,
-            gc_pause_ns: self.gc_pause_ns - earlier.gc_pause_ns,
-            gc_max_pause_ns: self.gc_max_pause_ns,
-            gc_objects_freed: self.gc_objects_freed - earlier.gc_objects_freed,
-            conditions_raised: self.conditions_raised - earlier.conditions_raised,
-            faults_injected: self.faults_injected - earlier.faults_injected,
-            value_word_bytes: self.value_word_bytes,
-            segment_bytes_highwater: self.segment_bytes_highwater,
-            heap: self.heap.delta_since(&earlier.heap),
-            stack: self.stack.delta_since(&earlier.stack),
-        }
+oneshot_core::counters! {
+    /// Aggregated statistics: instruction counts plus heap and stack
+    /// counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub struct VmStats {
+        /// Bytecode instructions executed.
+        instructions: sum,
+        /// Procedure calls performed (closures, builtins, continuations).
+        calls: sum,
+        /// Garbage collections run (the heap's `collections`: the VM sweeps
+        /// once per collection).
+        gc_collections: sum,
+        /// Total wall-clock time spent inside the collector, in nanoseconds.
+        gc_pause_ns: sum,
+        /// Longest single collection pause, in nanoseconds.
+        gc_max_pause_ns: max,
+        /// Heap objects freed by collections (the heap's `objects_freed`).
+        gc_objects_freed: sum,
+        /// Scheme conditions raised (via `raise`/`raise-continuable` or a
+        /// guarded fault such as `out-of-memory`).
+        conditions_raised: sum,
+        /// Injected faults consumed from a [`FaultPlan`] by this VM.
+        faults_injected: sum,
+        /// Heap statistics snapshot.
+        heap: nested(HeapStats),
+        /// Segmented-stack statistics snapshot.
+        stack: nested(Stats),
     }
 }
 
@@ -463,16 +387,13 @@ pub struct Vm {
     pub(crate) calls: u64,
     /// Per-opcode execution counts, present when enabled in the config.
     pub(crate) opcode_hist: Option<Box<[u64; Op::KIND_COUNT]>>,
-    // --- GC pause/volume tracking (see `gc.rs`) ---
-    pub(crate) gc_collections: u64,
+    // --- GC pause tracking (see `gc.rs`) ---
     pub(crate) gc_pause_ns: u64,
     pub(crate) gc_max_pause_ns: u64,
-    pub(crate) gc_objects_freed: u64,
     /// Continuation mark worklist, reused across collections so the mark
     /// phase does not allocate in steady state.
     pub(crate) gc_kont_work: Vec<KontId>,
     pub(crate) out: String,
-    pub(crate) echo: bool,
     /// Guest TCP sockets (see `crate::net`). Owned by the VM so a worker
     /// reset closes every socket of the jobs it killed.
     pub(crate) net: crate::net::NetTable,
@@ -493,17 +414,7 @@ impl Vm {
 
     /// Starts fluent construction — the primary construction path.
     pub fn builder() -> VmBuilder {
-        VmBuilder::new()
-    }
-
-    /// A VM with explicit configuration. Equivalent to
-    /// `Vm::builder().config(cfg).build()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the embedded prelude fails to compile.
-    pub fn with_config(cfg: VmConfig) -> Self {
-        Self::from_config(cfg)
+        VmBuilder::default()
     }
 
     fn from_config(cfg: VmConfig) -> Self {
@@ -542,13 +453,10 @@ impl Vm {
             instructions: 0,
             calls: 0,
             opcode_hist: cfg.opcode_histogram.then(|| Box::new([0u64; Op::KIND_COUNT])),
-            gc_collections: 0,
             gc_pause_ns: 0,
             gc_max_pause_ns: 0,
-            gc_objects_freed: 0,
             gc_kont_work: Vec::new(),
             out: String::new(),
-            echo: cfg.echo_output,
             net: crate::net::NetTable::new(cfg.max_open_sockets),
             pipeline: cfg.pipeline,
             compiler: cfg.compiler,
@@ -562,9 +470,7 @@ impl Vm {
             // sources are hand-written CPS).
             vm.load_with(CPS_PRELUDE, Pipeline::Direct).expect("CPS prelude must load");
         }
-        if cfg.prelude {
-            vm.load_with(PRELUDE, cfg.pipeline).expect("prelude must load");
-        }
+        vm.load_with(PRELUDE, cfg.pipeline).expect("prelude must load");
         // Guards and fault clocks activate only after the prelude loads:
         // budgets and injected faults target user programs, and the
         // condition machinery they raise through is itself defined by the
@@ -688,19 +594,6 @@ impl Vm {
         self.codes.len()
     }
 
-    /// Clears per-job control state so the VM can be reused for the next
-    /// job without rebuilding it (no re-interning of builtins or symbols).
-    ///
-    /// Resets the stack to an empty frame, drops pending winders, multiple
-    /// values, and the engine timer, and discards captured output. Globals,
-    /// linked code, the symbol table, probe counters, and cumulative
-    /// statistics all survive — sealed continuation segments held by parked
-    /// engines remain valid.
-    pub fn reset_for_reuse(&mut self) {
-        self.recover();
-        self.out.clear();
-    }
-
     /// The raw file descriptor behind guest socket `token`, or `None` if
     /// the token is stale. The reactor registers this fd with poll(2);
     /// the descriptor stays owned by the VM and is closed by
@@ -723,6 +616,20 @@ impl Vm {
     /// [`Vm::drain_closed_fds`] like any guest-side close.
     pub fn close_socket(&mut self, token: i64) -> bool {
         self.net.close(token)
+    }
+
+    /// Attributes the guest sockets opened from now on to `owner` (an
+    /// engine host's engine id; `None` between engine steps).
+    #[doc(hidden)]
+    pub fn set_socket_owner(&mut self, owner: Option<i64>) {
+        self.net.set_owner(owner);
+    }
+
+    /// Closes every guest socket opened while `owner` was set, through the
+    /// same path as [`Vm::close_socket`].
+    #[doc(hidden)]
+    pub fn close_sockets_of(&mut self, owner: i64) {
+        self.net.close_owned_by(owner);
     }
 
     /// Adopts an already-connected, already-nonblocking stream (a
@@ -962,19 +869,17 @@ impl Vm {
 
     /// Aggregated statistics.
     pub fn stats(&self) -> VmStats {
+        let heap = self.heap.stats();
         VmStats {
             instructions: self.instructions,
             calls: self.calls,
-            gc_collections: self.gc_collections,
+            gc_collections: heap.collections,
             gc_pause_ns: self.gc_pause_ns,
             gc_max_pause_ns: self.gc_max_pause_ns,
-            gc_objects_freed: self.gc_objects_freed,
+            gc_objects_freed: heap.objects_freed,
             conditions_raised: self.conditions_raised,
             faults_injected: self.faults_injected,
-            value_word_bytes: std::mem::size_of::<Value>() as u64,
-            segment_bytes_highwater: (self.stack.resident_slots_highwater()
-                * std::mem::size_of::<Slot>()) as u64,
-            heap: self.heap.stats(),
+            heap,
             stack: *self.stack.stats(),
         }
     }

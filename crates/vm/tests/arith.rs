@@ -10,7 +10,7 @@
 //! test is what says the fast path, the cold path and the fold did not
 //! drift apart.
 
-use oneshot_vm::{Value, Vm};
+use oneshot_vm::{CompilerOptions, Value, Vm, VmConfig};
 use proptest::prelude::*;
 
 const FIXNUM_MAX: i64 = (1 << 49) - 1;
@@ -91,8 +91,8 @@ struct Vms {
 
 impl Vms {
     fn new() -> Self {
-        let mut vms =
-            Vms { fused: Vm::builder().build(), unfused: Vm::builder().fuse(false).build() };
+        let unfused = VmConfig { compiler: CompilerOptions { fuse: false }, ..VmConfig::default() };
+        let mut vms = Vms { fused: Vm::new(), unfused: Vm::builder().config(unfused).build() };
         // An identity to pass arguments to: an argument is computed
         // straight into its outgoing frame slot (the to-slot forms).
         vms.both("(define (pass x) x)");

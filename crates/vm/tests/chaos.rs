@@ -12,6 +12,7 @@
 //!    the heap to the post-prelude baseline and the segment population to
 //!    its resting size.
 
+use oneshot_core::Config;
 use oneshot_vm::{FaultPlan, Vm, VmError};
 use proptest::prelude::*;
 
@@ -29,7 +30,7 @@ fn run_schedule(seed: u64) {
         b = b.heap_budget(4_000);
     }
     let deep = if seed.is_multiple_of(2) {
-        b = b.max_stack_segments(8);
+        b = b.stack(Config { max_segments: 8, ..Config::default() });
         4_000 // enough recursion to threaten a small ceiling
     } else {
         60
@@ -198,7 +199,7 @@ fn guards_recover_most_faults_at_every_density() {
                 let mut vm = Vm::builder()
                     .fault_plan(plan)
                     .heap_budget(50_000)
-                    .max_stack_segments(16)
+                    .stack(Config { max_segments: 16, ..Config::default() })
                     .build();
                 match vm.eval_str(src) {
                     Ok(v) => match vm.write_value(&v).as_str() {

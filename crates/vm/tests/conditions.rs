@@ -6,6 +6,7 @@
 //! surface as `VmError::Uncaught` with a backtrace when nothing catches
 //! them.
 
+use oneshot_core::Config;
 use oneshot_vm::{FaultPlan, Vm, VmError};
 
 fn check(vm: &mut Vm, src: &str, expected: &str) {
@@ -217,7 +218,7 @@ const DEEP_LOOP: &str = "(define (deep n) (if (= n 0) 0 (+ 1 (deep (- n 1)))))";
 
 #[test]
 fn stack_segment_ceiling_is_catchable() {
-    let mut vm = Vm::builder().max_stack_segments(4).build();
+    let mut vm = Vm::builder().stack(Config { max_segments: 4, ..Config::default() }).build();
     vm.eval_str(DEEP_LOOP).unwrap();
     check(
         &mut vm,

@@ -4,10 +4,10 @@
 //! interactions with `dynamic-wind` and multiple values.
 
 use oneshot_core::{Config, OverflowPolicy, PromotionStrategy};
-use oneshot_vm::{Pipeline, Vm, VmConfig};
+use oneshot_vm::{Pipeline, Vm};
 
 fn vm_with(stack: Config) -> Vm {
-    Vm::with_config(VmConfig { stack, ..VmConfig::default() })
+    Vm::builder().stack(stack).build()
 }
 
 fn eval(vm: &mut Vm, src: &str) -> String {
@@ -496,7 +496,7 @@ fn cps_pipeline_runs_the_same_control_programs() {
     ] {
         let mut direct = Vm::new();
         let expect = eval(&mut direct, &src);
-        let mut cps = Vm::with_config(VmConfig { pipeline: Pipeline::Cps, ..VmConfig::default() });
+        let mut cps = Vm::builder().pipeline(Pipeline::Cps).build();
         let got = eval(&mut cps, &src);
         assert_eq!(got, expect, "CPS diverged on: {src}");
     }
@@ -510,7 +510,7 @@ fn cps_pipeline_allocates_closures_where_direct_does_not() {
     eval(&mut direct, src);
     let d = direct.stats().delta_since(&d0);
 
-    let mut cps = Vm::with_config(VmConfig { pipeline: Pipeline::Cps, ..VmConfig::default() });
+    let mut cps = Vm::builder().pipeline(Pipeline::Cps).build();
     let c0 = cps.stats();
     eval(&mut cps, src);
     let c = cps.stats().delta_since(&c0);

@@ -11,7 +11,7 @@
 //! new stack counters, the zero-cost guarantee for programs that never
 //! push a prompt, and direct-vs-CPS pipeline agreement.
 
-use oneshot_vm::{FaultPlan, Pipeline, Vm, VmConfig, VmError};
+use oneshot_vm::{FaultPlan, Pipeline, Vm, VmError};
 
 fn check(vm: &mut Vm, src: &str, expected: &str) {
     match vm.eval_str(src) {
@@ -21,7 +21,7 @@ fn check(vm: &mut Vm, src: &str, expected: &str) {
 }
 
 fn cps_vm() -> Vm {
-    Vm::with_config(VmConfig { pipeline: Pipeline::Cps, ..VmConfig::default() })
+    Vm::builder().pipeline(Pipeline::Cps).build()
 }
 
 // ----------------------------------------------------------------------

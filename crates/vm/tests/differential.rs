@@ -6,7 +6,7 @@
 //! terminating expression grammar that includes escaping continuations.
 
 use oneshot_core::{Config, OverflowPolicy};
-use oneshot_vm::{Pipeline, Vm, VmConfig, VmStats};
+use oneshot_vm::{Pipeline, Vm, VmStats};
 use proptest::prelude::*;
 
 /// A generated expression with the variables in scope.
@@ -87,13 +87,11 @@ proptest! {
         let mut reference = Vm::new();
         let expected = outcome(&mut reference, &src);
 
-        let mut tiny = Vm::with_config(VmConfig { stack: tiny_stack(), ..VmConfig::default() });
+        let mut tiny = Vm::builder().stack(tiny_stack()).build();
         prop_assert_eq!(outcome(&mut tiny, &src), expected.clone(), "tiny segments diverged: {}", src);
 
-        let mut tiny_multi = Vm::with_config(VmConfig {
-            stack: Config { overflow_policy: OverflowPolicy::MultiShot, ..tiny_stack() },
-            ..VmConfig::default()
-        });
+        let multi = Config { overflow_policy: OverflowPolicy::MultiShot, ..tiny_stack() };
+        let mut tiny_multi = Vm::builder().stack(multi).build();
         prop_assert_eq!(
             outcome(&mut tiny_multi, &src),
             expected.clone(),
@@ -101,7 +99,7 @@ proptest! {
             src
         );
 
-        let mut cps = Vm::with_config(VmConfig { pipeline: Pipeline::Cps, ..VmConfig::default() });
+        let mut cps = Vm::builder().pipeline(Pipeline::Cps).build();
         prop_assert_eq!(outcome(&mut cps, &src), expected, "CPS diverged: {}", src);
     }
 
@@ -161,10 +159,10 @@ fn corpus_agrees_across_configurations() {
         let expected = outcome(&mut reference, src);
         assert!(expected.is_ok(), "corpus program failed: {src}");
 
-        let mut tiny = Vm::with_config(VmConfig { stack: tiny_stack(), ..VmConfig::default() });
+        let mut tiny = Vm::builder().stack(tiny_stack()).build();
         assert_eq!(outcome(&mut tiny, src), expected, "tiny: {src}");
 
-        let mut cps = Vm::with_config(VmConfig { pipeline: Pipeline::Cps, ..VmConfig::default() });
+        let mut cps = Vm::builder().pipeline(Pipeline::Cps).build();
         assert_eq!(outcome(&mut cps, src), expected, "cps: {src}");
     }
 }
@@ -188,7 +186,7 @@ fn gc_stress_agrees() {
     let expected = outcome(&mut reference, src);
     assert_eq!(expected, Ok("(42 1500)".to_string()));
 
-    let mut stressed = Vm::with_config(VmConfig { stack: tiny_stack(), ..VmConfig::default() });
+    let mut stressed = Vm::builder().stack(tiny_stack()).build();
     stressed.heap_mut().set_gc_threshold(128);
     assert_eq!(outcome(&mut stressed, src), expected);
     assert!(stressed.stats().heap.collections > 3);

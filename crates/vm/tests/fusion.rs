@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use oneshot_compiler::MNEMONICS;
-use oneshot_vm::{Vm, VmStats};
+use oneshot_vm::{CompilerOptions, Vm, VmConfig, VmStats};
 use proptest::prelude::*;
 
 /// A generated expression with the variables in scope. Weighted toward
@@ -90,10 +90,14 @@ fn outcome(vm: &mut Vm, src: &str) -> Result<String, String> {
     }
 }
 
+fn fused(fuse: bool) -> VmConfig {
+    VmConfig { compiler: CompilerOptions { fuse }, ..VmConfig::default() }
+}
+
 /// Runs `src` on a fresh VM with the given fusion setting, returning the
 /// outcome and the counter delta over the run.
 fn measured(fuse: bool, src: &str) -> (Result<String, String>, VmStats) {
-    let mut vm = Vm::builder().fuse(fuse).build();
+    let mut vm = Vm::builder().config(fused(fuse)).build();
     let before = vm.stats();
     let r = outcome(&mut vm, src);
     (r, vm.stats().delta_since(&before))
@@ -212,7 +216,7 @@ fn histogram_names_fused_opcodes() {
               (non-tail id 1) (loop 3))";
     let mut seen: HashMap<&str, u64> = HashMap::new();
     for fuse in [true, false] {
-        let mut vm = Vm::builder().fuse(fuse).opcode_histogram(true).build();
+        let mut vm = Vm::builder().config(fused(fuse)).opcode_histogram(true).build();
         for (name, n) in executed(&mut vm, src) {
             assert!(MNEMONICS.contains(&name), "{name} is not in the opcode table");
             *seen.entry(name).or_default() += n;

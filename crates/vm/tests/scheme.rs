@@ -399,6 +399,66 @@ fn vm_stats_builtin_reports_alist() {
     assert!(n > 0);
 }
 
+/// The keys other code reads out of `(vm-stats)` — the ledger parses the
+/// first sixteen — each present and equal to the field it names, read at
+/// the same instant: a renamed or dropped key fails here.
+#[test]
+fn vm_stats_keys_equal_the_fields_they_name() {
+    let mut vm = Vm::new();
+    vm.eval_str(
+        "(define (deep n) (if (= n 0) 0 (+ 1 (deep (- n 1)))))
+         (deep 20000)
+         (+ 1 (call/cc (lambda (k) (k 1))))
+         (+ 1 (call/1cc (lambda (k) (k 1))))
+         (reset (lambda () (+ 1 (shift (lambda (k) (k 10))))))
+         (let ((tag (make-prompt-tag 'p)))
+           (call-with-prompt tag (lambda () (%abort-to-prompt tag 1))))
+         (call-with-guard (lambda (c) 'caught) (lambda () (raise 'oops)))
+         (gc)",
+    )
+    .unwrap();
+    let vm_stats = vm.global("vm-stats").expect("a builtin");
+    let s = vm.stats();
+    let alist = vm.call(vm_stats, &[]).unwrap();
+    let written = vm.write_value(&alist);
+    let entry = |key: &str| -> u64 {
+        let needle = format!("({key} . ");
+        let at = written.find(&needle).unwrap_or_else(|| panic!("(vm-stats) lacks {key}"));
+        let rest = &written[at + needle.len()..];
+        rest[..rest.find(')').unwrap()].parse().unwrap()
+    };
+    let pinned = [
+        ("instructions", s.instructions),
+        ("calls", s.calls),
+        ("captures-one", s.stack.captures_one),
+        ("captures-multi", s.stack.captures_multi),
+        ("reinstates-one", s.stack.reinstates_one),
+        ("reinstates-multi", s.stack.reinstates_multi),
+        ("slots-copied", s.stack.slots_copied),
+        ("overflows", s.stack.overflows),
+        ("subconts-taken", s.stack.subconts_taken),
+        ("segments", s.stack.segments_allocated),
+        ("segment-cache-hits", s.stack.cache_hits),
+        ("heap-objects", s.heap.objects_allocated),
+        ("heap-words", s.heap.words_allocated),
+        ("gc-collections", s.gc_collections),
+        ("gc-pause-ns", s.gc_pause_ns),
+        ("gc-max-pause-ns", s.gc_max_pause_ns),
+        ("live-uncached-segments", vm.stack_live_segment_count() as u64),
+        ("prompts-pushed", s.stack.prompts_pushed),
+        ("aborts-to-prompt", s.stack.aborts_to_prompt),
+        ("conditions-raised", s.conditions_raised),
+        ("faults-injected", s.faults_injected),
+        ("resident-slots", vm.stack_resident_slots() as u64),
+    ];
+    for (key, field) in pinned {
+        assert_eq!(entry(key), field, "(vm-stats) {key}");
+    }
+    for key in ["captures-one", "overflows", "prompts-pushed", "gc-collections"] {
+        assert!(entry(key) > 0, "the program exercised {key}");
+    }
+}
+
 cases! { gc_builtin:
     "(begin (gc) (define l (list 1 2 3)) (gc) l)" => "(1 2 3)",
 }

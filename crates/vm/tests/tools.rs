@@ -2,7 +2,7 @@
 //! (the §3.1 walkability claim) and `eval`.
 
 use oneshot_core::Config;
-use oneshot_vm::{Vm, VmConfig};
+use oneshot_vm::Vm;
 
 #[test]
 fn eval_compiles_and_runs_data() {
@@ -75,7 +75,7 @@ fn backtrace_crosses_segment_boundaries() {
     // With tiny segments the pending frames span many segments and the
     // continuation chain; the walker must traverse them all.
     let cfg = Config { segment_slots: 128, copy_bound: 32, min_headroom: 32, ..Config::default() };
-    let mut vm = Vm::with_config(VmConfig { stack: cfg, ..VmConfig::default() });
+    let mut vm = Vm::builder().stack(cfg).build();
     let v = vm
         .eval_str(
             "(define (deep n)

@@ -68,7 +68,12 @@ fn main() {
     for w in &report.workers {
         println!(
             "worker {}: {} ok, {} failed, {} slices, {} instructions, {} slots copied",
-            w.worker, w.jobs_ok, w.jobs_failed, w.slices, w.vm.instructions, w.vm.slots_copied
+            w.worker,
+            w.jobs_ok,
+            w.jobs_failed,
+            w.slices,
+            w.vm.instructions,
+            w.vm.stack.slots_copied
         );
     }
 }

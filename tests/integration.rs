@@ -2,16 +2,17 @@
 //! substrate (`core`), the VM, and the thread systems working together,
 //! plus sanity-scale versions of the paper's experiments.
 
-use oneshot::core::{Config, OverflowPolicy};
+use oneshot::core::{Config, CounterField, OverflowPolicy, Stats};
+use oneshot::exec::PoolCountersSnapshot;
+use oneshot::runtime::HeapStats;
 use oneshot::threads::{Strategy, ThreadSystem};
-use oneshot::vm::{Pipeline, Vm, VmConfig};
+use oneshot::vm::{Pipeline, Vm, VmStats};
 
 #[test]
 fn facade_reexports_work_together() {
-    let mut vm = Vm::with_config(VmConfig {
-        stack: Config { segment_slots: 512, copy_bound: 128, ..Config::default() },
-        ..VmConfig::default()
-    });
+    let mut vm = Vm::builder()
+        .stack(Config { segment_slots: 512, copy_bound: 128, ..Config::default() })
+        .build();
     let v =
         vm.eval_str("(define (sum n) (if (zero? n) 0 (+ n (sum (- n 1))))) (sum 5000)").unwrap();
     assert_eq!(vm.display_value(&v), "12502500");
@@ -74,7 +75,7 @@ fn direct_and_cps_agree_through_the_facade() {
                (tak 10 5 0)";
     let mut d = Vm::new();
     let expected = d.eval_str(src).map(|v| d.write_value(&v)).unwrap();
-    let mut c = Vm::with_config(VmConfig { pipeline: Pipeline::Cps, ..VmConfig::default() });
+    let mut c = Vm::builder().pipeline(Pipeline::Cps).build();
     let got = c.eval_str(src).map(|v| c.write_value(&v)).unwrap();
     assert_eq!(got, expected);
 }
@@ -82,15 +83,14 @@ fn direct_and_cps_agree_through_the_facade() {
 #[test]
 fn overflow_policies_agree_on_results() {
     for policy in [OverflowPolicy::OneShot, OverflowPolicy::MultiShot] {
-        let mut vm = Vm::with_config(VmConfig {
-            stack: Config {
+        let mut vm = Vm::builder()
+            .stack(Config {
                 segment_slots: 256,
                 copy_bound: 64,
                 overflow_policy: policy,
                 ..Config::default()
-            },
-            ..VmConfig::default()
-        });
+            })
+            .build();
         let v = vm
             .eval_str("(define (build n) (if (zero? n) '() (cons n (build (- n 1))))) (length (build 3000))")
             .unwrap();
@@ -106,4 +106,33 @@ fn sexp_reader_feeds_the_vm() {
     let mut vm = Vm::new();
     let v = vm.eval_str("(* 3 4)").unwrap();
     assert_eq!(vm.display_value(&v), "12");
+}
+
+/// DESIGN.md's §Counters has one row per declared counter, saying what the
+/// declaration says: adding a counter is its declaration and its row.
+#[test]
+fn design_md_has_a_row_for_every_declared_counter() {
+    let design = include_str!("../DESIGN.md");
+    let section = &design[design.find("### Counters").expect("the section exists")..];
+    let section = &section[..section[1..].find("\n#").map_or(section.len(), |end| end + 1)];
+    let tables: [(&str, &[CounterField], bool); 4] = [
+        ("Stats", Stats::FIELDS, true),
+        ("HeapStats", HeapStats::FIELDS, true),
+        ("VmStats", VmStats::FIELDS, true),
+        ("PoolCountersSnapshot", PoolCountersSnapshot::FIELDS, false),
+    ];
+    let mut declared = 0;
+    for (table, fields, in_vm_stats) in tables {
+        for f in fields {
+            let key = match f.vm_key() {
+                Some(key) if in_vm_stats && f.kind != "nested" => format!("`{key}`"),
+                _ => "—".to_string(),
+            };
+            let row = format!("| `{}` | `{table}` | {} | {key} |", f.name, f.kind);
+            assert!(section.contains(&row), "DESIGN.md §Counters lacks `{row} … |`");
+            declared += 1;
+        }
+    }
+    let rows = section.lines().filter(|line| line.starts_with("| `")).count();
+    assert_eq!(rows, declared, "§Counters has a row for a field no table declares");
 }

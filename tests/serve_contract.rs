@@ -201,6 +201,37 @@ fn seeded_chaos_serve_resolves_every_connection_on_epoll() {
     seeded_chaos_serve_resolves_every_connection(Backend::Epoll);
 }
 
+/// A job that opens sockets itself and is then failed by its deadline
+/// while its VM lives on: the sockets it opened are the job's and are
+/// closed with it. (A job that completes keeps its sockets — storing a
+/// listener in a global for later accept loops is a pinned pattern.)
+fn a_failed_jobs_own_sockets_are_closed(backend: Backend) {
+    let pool = Pool::builder().workers(1).reactor_backend(backend).build().unwrap();
+    let live = || {
+        let audit = JobSpec::new("live", "(%net-live)").pin(0);
+        pool.submit(audit).unwrap().wait().result.expect("audit runs")
+    };
+    let before = live();
+    let own = "(let* ((l (tcp-listen 0)) (c (tcp-connect (tcp-local-port l))))
+                 (timer-wait 10000)
+                 'woke)";
+    let spec = JobSpec::new("own-sockets", own).pin(0).deadline(Duration::from_millis(100));
+    let failed = pool.submit(spec).unwrap().wait().result.map_err(|e| e.kind());
+    assert_eq!(failed, Err(ErrorKind::DeadlineExceeded), "{backend}");
+    assert_eq!(live(), before, "{backend}: the listener and connection outlived their job");
+    pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+}
+
+#[test]
+fn a_failed_jobs_own_sockets_are_closed_on_poll() {
+    a_failed_jobs_own_sockets_are_closed(Backend::Poll);
+}
+
+#[test]
+fn a_failed_jobs_own_sockets_are_closed_on_epoll() {
+    a_failed_jobs_own_sockets_are_closed(Backend::Epoll);
+}
+
 fn shutdown_resolves_every_parked_job_exactly_once(backend: Backend) {
     // A graceful shutdown begins while one worker holds seventeen sealed
     // one-shots: timers, handlers whose peer speaks during the drain,
