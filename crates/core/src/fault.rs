@@ -85,7 +85,8 @@ pub struct FaultPlan {
     pub io_short_after: Option<u64>,
     /// Make the Nth guest TCP read or write (1-based) spuriously report
     /// would-block even though the fd was reported ready — the
-    /// `EAGAIN`-after-readiness race. The guest re-suspends and retries.
+    /// `EAGAIN`-after-readiness race. The guest re-suspends and retries;
+    /// the VM logs the fd as still ready for the embedder's reactor.
     pub io_spurious_after: Option<u64>,
     /// Fail the Nth guest TCP read or write (1-based) with an injected
     /// connection reset, surfacing as a catchable `io-error` condition at
@@ -95,9 +96,8 @@ pub struct FaultPlan {
     /// few milliseconds — late wakeup, exercising the seq guard.
     pub readiness_delay_after: Option<u64>,
     /// Drop the Nth readiness delivery (1-based) inside the reactor
-    /// entirely. Recovery is bounded by the connection's I/O deadline
-    /// (`io-timeout`) or, under the level-triggered poll backend, the next
-    /// scan.
+    /// entirely. The edge is consumed, so recovery is bounded by the
+    /// connection's I/O deadline (`io-timeout`).
     pub readiness_drop_after: Option<u64>,
     /// Interrupt the Nth reactor wait (1-based) with a synthetic `EINTR`
     /// before the syscall runs, exercising the recomputed-timeout retry.

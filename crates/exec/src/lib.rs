@@ -6,8 +6,8 @@
 //! worker threads, each owning its own [`Vm`](oneshot_vm::Vm), fed from a
 //! bounded shared injector queue with per-worker deques and work stealing
 //! of whole jobs — plus a *reactor* per worker that multiplexes that
-//! worker's blocking guest I/O over edge-triggered `epoll(7)` (or
-//! `poll(2)`: see [`Backend`]).
+//! worker's blocking guest I/O over edge-triggered `epoll(7)` (so the
+//! crate is Linux-only).
 //!
 //! The two levels divide the work the way Kobayashi–Kameyama's one-shot
 //! expressiveness results suggest: OS threads provide parallelism between
@@ -25,8 +25,7 @@
 //! turns into an ordinary engine resumption on the same thread, no
 //! cross-thread handoff. Suspending ten thousand connections costs ten
 //! thousand sealed stack segments — no OS threads, no callbacks, no stack
-//! copies — and with the `epoll` backend each wakeup costs O(ready), not
-//! O(blocked). [`Pool::serve`] adds the front door: one shared `AF_INET`
+//! copies — and each wakeup costs O(ready), not O(blocked). [`Pool::serve`] adds the front door: one shared `AF_INET`
 //! listener whose accepted connections are distributed least-loaded /
 //! round-robin across the worker reactors.
 //!
@@ -75,7 +74,7 @@
 //! assert_eq!(report.counters.completed, 8);
 //! ```
 
-#![deny(unsafe_code)] // one audited exception: reactor::sys wraps poll(2)/epoll(7)
+#![deny(unsafe_code)] // one audited exception: reactor::sys wraps epoll(7)
 #![warn(missing_docs)]
 
 mod error;

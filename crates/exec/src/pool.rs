@@ -2,6 +2,7 @@
 //! observability.
 
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -12,7 +13,7 @@ use oneshot_vm::{CompiledProgram, CompilerOptions, Pipeline, Vm, VmConfig, VmSta
 use crate::error::Error;
 use crate::job::{Admission, Job, JobHandle, JobId, JobSpec, OnComplete, OutcomeSlot};
 use crate::queue::{Injector, PushRefused, StealQueue};
-use crate::reactor::{Backend, ReactorCore, WakeHandle};
+use crate::reactor::{sys, Backend, ReactorCore, WakeHandle};
 use crate::worker::{self, WorkerCtx};
 
 /// Per-worker knobs, fixed at build time.
@@ -38,7 +39,6 @@ pub struct PoolBuilder {
     max_retries: u32,
     io_timeout: Option<Duration>,
     vm_config: VmConfig,
-    backend: Option<Backend>,
 }
 
 impl Default for PoolBuilder {
@@ -51,7 +51,6 @@ impl Default for PoolBuilder {
             max_retries: 0,
             io_timeout: None,
             vm_config: VmConfig::default(),
-            backend: None,
         }
     }
 }
@@ -130,14 +129,11 @@ impl PoolBuilder {
         self
     }
 
-    /// Forces a specific reactor backend instead of
-    /// [`Backend::from_env`]'s choice (`epoll` where available, the
-    /// `ONESHOT_REACTOR=poll|epoll` variable overriding). Programmatic
-    /// selection is what lets a differential test run both backends in one
-    /// process without racing on the environment.
+    /// Does nothing: [`Backend`] has one value. Exists only so the ledger
+    /// (`benchmark/src/api.rs`) builds unedited; a `benchmark` issue drops
+    /// the ledger's call, then this name.
     #[must_use]
-    pub fn reactor_backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
+    pub fn reactor_backend(self, _: Backend) -> Self {
         self
     }
 
@@ -145,8 +141,8 @@ impl PoolBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates the OS error if a thread (or a reactor's wakeup pipe)
-    /// cannot be created.
+    /// Propagates the OS error if a thread, or a reactor's epoll instance
+    /// or wakeup pipe, cannot be created.
     pub fn build(mut self) -> std::io::Result<Pool> {
         // Every parked job pins the whole segment its sealed continuation
         // sits in, so a pool of mostly-parked handlers wants the paper's
@@ -166,12 +162,10 @@ impl PoolBuilder {
         let conns: Arc<Vec<ConnQueue>> =
             Arc::new((0..self.workers).map(|_| ConnQueue::default()).collect());
         // Build every reactor before spawning anything: a failure here
-        // leaks no threads. The *actual* backend can differ from the
-        // wanted one (epoll_create1 refused -> poll fallback).
-        let want = self.backend.unwrap_or_else(Backend::from_env);
+        // leaks no threads.
         let mut reactors = Vec::with_capacity(self.workers);
         for _ in 0..self.workers {
-            let mut reactor = ReactorCore::new(want)?;
+            let mut reactor = ReactorCore::new()?;
             // The same deterministic plan that arms the VM's fault clocks
             // arms the reactor's wait/readiness sites: one seed drives the
             // whole worker's chaos schedule.
@@ -180,9 +174,8 @@ impl PoolBuilder {
             }
             reactors.push(reactor);
         }
-        let backend = reactors.first().map_or(want, ReactorCore::backend);
         let wakes: Vec<WakeHandle> = reactors.iter().map(ReactorCore::wake_handle).collect();
-        let counters = Arc::new(PoolCounters::new(self.workers, backend));
+        let counters = Arc::new(PoolCounters::new(self.workers));
         let (report_tx, report_rx) = mpsc::channel();
         let cfg = WorkerConfig {
             fuel_slice: self.fuel_slice,
@@ -222,7 +215,6 @@ impl PoolBuilder {
             report_rx,
             next_job: AtomicU64::new(0),
             workers: self.workers,
-            backend,
             io_timeout: self.io_timeout,
         })
     }
@@ -238,7 +230,6 @@ pub(crate) struct PoolCounters {
     accepts: Vec<AtomicU64>,
     resume_depth_highwater: Vec<AtomicU64>,
     wake_lateness: Vec<AtomicU64>,
-    backend: Backend,
 }
 
 fn cells(n: usize) -> Vec<AtomicU64> {
@@ -246,14 +237,13 @@ fn cells(n: usize) -> Vec<AtomicU64> {
 }
 
 impl PoolCounters {
-    fn new(workers: usize, backend: Backend) -> Self {
+    fn new(workers: usize) -> Self {
         PoolCounters {
             pool: Tally::default(),
             workers: (0..workers).map(|_| Tally::default()).collect(),
             accepts: cells(workers),
             resume_depth_highwater: cells(workers),
             wake_lateness: cells(crate::reactor::WAKE_LATENESS_BUCKETS),
-            backend,
         }
     }
 
@@ -265,7 +255,6 @@ impl PoolCounters {
             accepts_per_worker: load(&self.accepts),
             resume_depth_highwater: load(&self.resume_depth_highwater),
             wake_lateness: load(&self.wake_lateness),
-            reactor_backend: self.backend.name(),
             ..counts
         }
     }
@@ -351,8 +340,9 @@ oneshot_vm::counters! {
         /// Total nanoseconds the acceptor spent in the shedding state —
         /// how long the pool was saturated past its high-water mark.
         shed_duration_ns: sum,
-        /// Full worker restarts performed by the supervisor (VM *and*
-        /// reactor rebuilt after a panic escaped the per-slice isolation).
+        /// Full worker restarts performed by the supervisor (VM rebuilt and
+        /// every reactor wait forgotten after a panic escaped the per-slice
+        /// isolation).
         /// Every restart also counts a `vm_rebuilds`.
         worker_restarts: sum,
     }
@@ -369,14 +359,11 @@ oneshot_vm::counters! {
         /// (the last bucket is the unbounded tail). Measured inside the
         /// reactor, so it is pure scheduler lag.
         pub wake_lateness: Vec<u64> = (each_sub, each_add),
-        /// Which readiness backend the pool's reactors run (`"poll"` or
-        /// `"epoll"`).
-        pub reactor_backend: &'static str = (carry, later),
     }
 }
 
 // How the hand-written fields combine: element-wise, the shorter side read
-// as zeros; a delta carries the later snapshot's value, `plus` the other's.
+// as zeros; `carry` keeps the later snapshot's value in a delta.
 fn each(a: &[u64], b: &[u64], f: fn(u64, u64) -> u64) -> Vec<u64> {
     let at = |v: &[u64], i| v.get(i).copied().unwrap_or(0);
     (0..a.len().max(b.len())).map(|i| f(at(a, i), at(b, i))).collect()
@@ -394,12 +381,8 @@ fn each_max(a: &[u64], b: &[u64]) -> Vec<u64> {
     each(a, b, u64::max)
 }
 
-fn carry<T: Clone>(now: &T, _: &T) -> T {
-    now.clone()
-}
-
-fn later<T: Clone>(_: &T, later: &T) -> T {
-    later.clone()
+fn carry(now: &[u64], _: &[u64]) -> Vec<u64> {
+    now.to_vec()
 }
 
 /// What one worker did over its lifetime, reported at shutdown.
@@ -415,7 +398,7 @@ pub struct WorkerReport {
     pub slices: u64,
     /// Transient failures this worker requeued for another attempt.
     pub retries: u64,
-    /// Full supervisor restarts (VM and reactor backend both rebuilt).
+    /// Full supervisor restarts (VM rebuilt, reactor waits forgotten).
     pub worker_restarts: u64,
     /// VM counters over all incarnations (a panic-triggered rebuild starts
     /// a new one), folded with [`VmStats::plus`].
@@ -589,7 +572,6 @@ pub struct Pool {
     report_rx: mpsc::Receiver<WorkerReport>,
     next_job: AtomicU64,
     workers: usize,
-    backend: Backend,
     io_timeout: Option<Duration>,
 }
 
@@ -604,9 +586,11 @@ impl Pool {
         self.workers
     }
 
-    /// The readiness backend the pool's per-worker reactors run.
+    /// [`Backend::Epoll`], always. Exists only so the ledger
+    /// (`benchmark/src/api.rs`) builds unedited; a `benchmark` issue drops
+    /// the ledger's call, then this name.
     pub fn reactor_backend(&self) -> Backend {
-        self.backend
+        Backend::Epoll
     }
 
     /// Current injector depth (jobs accepted but not yet picked up).
@@ -747,6 +731,12 @@ impl Pool {
         let listener = TcpListener::bind(addr).map_err(|e| Error::io("bind", e))?;
         listener.set_nonblocking(true).map_err(|e| Error::io("set_nonblocking", e))?;
         let port = listener.local_addr().map_err(|e| Error::io("local_addr", e))?.port();
+        // The acceptor waits on the listener through an epoll instance of
+        // its own, level-triggered: it accepts until would-block anyway.
+        let ep = sys::EpollFd::create().map_err(|e| Error::io("epoll_create1", e))?;
+        if !ep.ctl(sys::EPOLL_CTL_ADD, listener.as_raw_fd(), sys::EPOLLIN) {
+            return Err(Error::io("epoll_ctl", std::io::Error::last_os_error()));
+        }
         let shed = options
             .pending_highwater
             .map(|hw| Shedding { highwater: hw.max(1), overload: overload_tmpl });
@@ -763,6 +753,7 @@ impl Pool {
             .spawn(move || {
                 accept_loop(
                     &listener,
+                    &ep,
                     &thread_shared,
                     &thread_tmpl,
                     shed,
@@ -879,7 +870,7 @@ struct Shedding {
     overload: Option<Arc<HandlerTemplate>>,
 }
 
-/// The acceptor thread: polls the shared listener, accepts until
+/// The acceptor thread: waits for the shared listener, accepts until
 /// would-block, and routes each connection to the least-loaded worker's
 /// intake queue (round-robin among equals), ringing that worker awake.
 /// With a [`Shedding`] policy, accepts past the pending high-water mark
@@ -888,6 +879,7 @@ struct Shedding {
 #[allow(clippy::too_many_arguments)]
 fn accept_loop(
     listener: &TcpListener,
+    ep: &sys::EpollFd,
     shared: &AcceptorShared,
     tmpl: &Arc<HandlerTemplate>,
     shed: Option<Shedding>,
@@ -896,21 +888,17 @@ fn accept_loop(
     injector: &Injector,
     wakes: &[WakeHandle],
 ) {
-    use crate::reactor::sys;
-    use std::os::fd::AsRawFd;
-
-    let fd = listener.as_raw_fd();
+    let mut events = [sys::EpollEvent { events: 0, data: 0 }];
     let mut rr: usize = 0;
     // While Some, the acceptor is in the shedding state; the instant is
     // when it entered, accumulated into shed_duration_ns on exit.
     let mut shed_since: Option<Instant> = None;
     while !shared.stop.load(Ordering::Relaxed) {
-        // A short poll tick bounds the stop-flag latency; readiness ends
-        // the wait immediately. An interrupted or failed poll is just an
+        // A short wait tick bounds the stop-flag latency; readiness ends
+        // the wait immediately. An interrupted or failed wait is just an
         // early tick — the accept scan below observes would-block and the
-        // loop re-polls, so EINTR needs no special casing here.
-        let mut fds = [sys::PollFd { fd, events: sys::POLLIN, revents: 0 }];
-        sys::poll_fds(&mut fds, 50);
+        // loop waits again, so EINTR needs no special casing here.
+        ep.wait(&mut events, 50);
         let mut routed = false;
         loop {
             // Overload check per accept, not per tick: depth can cross

@@ -13,16 +13,12 @@
 //! readiness from an expired per-connection I/O deadline (`IoTimeout`),
 //! which resumes the guest into the catchable `io-timeout` condition.
 //!
-//! Two backends live behind the same seam, both raw syscalls in the one
-//! audited `sys` module:
+//! Readiness comes from `epoll(7)`, raw syscalls in the one audited `sys`
+//! module (so the crate is Linux-only). Interest stays registered in the
+//! kernel *edge-triggered*, so a wait costs O(ready): per-wake cost stays
+//! flat as the blocked population grows.
 //!
-//! * **poll** rebuilds the full pollfd set every wait — O(blocked fds)
-//!   per wake, the PR 6 behaviour, kept as the portable fallback;
-//! * **epoll** (Linux) keeps interest registered in the kernel
-//!   *edge-triggered*, so a wait costs O(ready): per-wake cost stays flat
-//!   as the blocked population grows (E15 measures both curves).
-//!
-//! The lifetime-registration contract (epoll): the one-shot discipline
+//! The lifetime-registration contract: the one-shot discipline
 //! belongs to the *continuation*, not to the kernel interest set. An fd is
 //! registered once, on its first wait, for both directions edge-triggered,
 //! and never re-armed or deregistered per wait — a steady-state park costs
@@ -37,8 +33,7 @@
 //! guard). The kernel drops a closed fd itself; the table entry dies with
 //! the closed-fd sweep (`cancel_fd`), which the worker runs *before* it
 //! registers a slice's wait, so a registration never meets the entry of a
-//! recycled fd number. The poll backend is level-triggered: it rescans
-//! every wait and keeps no registration or pending bits.
+//! recycled fd number.
 //!
 //! The only cross-thread piece left is the wake pipe: the pool rings it
 //! to interrupt an idle worker's wait (new submission, accepted
@@ -57,21 +52,13 @@ use std::time::{Duration, Instant};
 
 use oneshot_vm::{FaultClock, FaultPlan};
 
-/// Raw poll(2)/epoll(7) bindings. The crate is `#![deny(unsafe_code)]`;
-/// this module is the single audited exception, and the only unsafe
-/// operations are the syscalls themselves over plain `#[repr(C)]` data.
+/// Raw epoll(7) bindings. The crate is `#![deny(unsafe_code)]`; this
+/// module is the single audited exception, and the only unsafe operations
+/// are the syscalls themselves over plain `#[repr(C)]` data.
 #[allow(unsafe_code)]
 pub(crate) mod sys {
-    #[repr(C)]
-    #[derive(Debug, Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
+    #[cfg(not(target_os = "linux"))]
+    compile_error!("oneshot-exec's reactor is epoll(7): Linux only");
 
     /// `struct epoll_event` is packed on x86-64 (a kernel ABI quirk);
     /// other architectures use natural alignment.
@@ -101,33 +88,19 @@ pub(crate) mod sys {
     pub const EINTR: i32 = 4;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         fn close(fd: i32) -> i32;
-        #[cfg_attr(target_os = "linux", link_name = "__errno_location")]
-        #[cfg_attr(any(target_os = "macos", target_os = "ios"), link_name = "__error")]
-        #[cfg_attr(
-            any(target_os = "freebsd", target_os = "netbsd", target_os = "openbsd"),
-            link_name = "__errno"
-        )]
+        #[link_name = "__errno_location"]
         fn errno_location() -> *mut i32;
     }
 
     /// The calling thread's `errno`, read immediately after a failed
-    /// syscall (poll/epoll_wait returning -1). Thread-local, so nothing
-    /// between the syscall and this read may touch libc.
+    /// syscall (epoll_wait returning -1). Thread-local, so nothing between
+    /// the syscall and this read may touch libc.
     pub fn errno() -> i32 {
         unsafe { *errno_location() }
-    }
-
-    /// Polls `fds` for up to `timeout_ms` (-1 = forever). Returns the
-    /// number of ready entries, 0 on timeout, or -1 with the cause in
-    /// [`errno`] — callers retry `EINTR` with a *recomputed* timeout
-    /// (treating it as a full timeout would silently stretch deadlines).
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
-        unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) }
     }
 
     #[cfg(test)]
@@ -142,14 +115,14 @@ pub(crate) mod sys {
     pub struct EpollFd(i32);
 
     impl EpollFd {
-        /// Creates an epoll instance, or `None` if the kernel refuses
-        /// (the caller falls back to poll).
-        pub fn create() -> Option<EpollFd> {
+        /// Creates an epoll instance, or returns the OS error the kernel
+        /// refused it with.
+        pub fn create() -> std::io::Result<EpollFd> {
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if fd < 0 {
-                None
+                Err(std::io::Error::last_os_error())
             } else {
-                Some(EpollFd(fd))
+                Ok(EpollFd(fd))
             }
         }
 
@@ -179,59 +152,20 @@ pub(crate) mod sys {
     }
 }
 
-/// Which readiness syscall a pool's per-worker reactors use.
-///
-/// Selected at build time by [`crate::PoolBuilder::reactor_backend`],
-/// defaulting to the `ONESHOT_REACTOR` environment variable (`poll` |
-/// `epoll`), else to epoll on Linux with poll as the universal fallback.
-/// The two backends are observationally identical (the differential test
-/// suite asserts it); they differ only in per-wake cost: poll re-scans
-/// every blocked fd (O(blocked)), epoll reports only ready ones
-/// (O(ready)).
+/// The reactor's readiness mechanism: edge-triggered `epoll(7)`, the only
+/// one. Exists only so the ledger (`benchmark/src/api.rs`) builds
+/// unedited; a `benchmark` issue drops the ledger's call, then this name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Rebuild-and-scan `poll(2)`: portable, O(blocked fds) per wake.
-    Poll,
-    /// Edge-triggered `epoll(7)`: Linux, O(ready fds) per wake.
+    /// Edge-triggered `epoll(7)`: O(ready fds) per wake.
     Epoll,
 }
 
 impl Backend {
-    /// The default backend: the `ONESHOT_REACTOR` env override if set to
-    /// `poll` or `epoll`, else epoll on Linux, else poll. An unrecognized
-    /// override is reported on stderr (naming the accepted values and the
-    /// backend actually selected) rather than silently ignored.
-    pub fn from_env() -> Backend {
-        let platform_default =
-            if cfg!(target_os = "linux") { Backend::Epoll } else { Backend::Poll };
-        match std::env::var("ONESHOT_REACTOR").as_deref() {
-            Ok("poll") => Backend::Poll,
-            Ok("epoll") => Backend::Epoll,
-            Ok(other) => {
-                eprintln!(
-                    "warning: unrecognized ONESHOT_REACTOR value {other:?} \
-                     (expected \"poll\" or \"epoll\"); using the platform \
-                     default backend \"{}\"",
-                    platform_default.name()
-                );
-                platform_default
-            }
-            Err(_) => platform_default,
-        }
-    }
-
-    /// Stable lowercase name, used as the `reactor_backend` metrics tag.
+    /// `"epoll"`. Exists only so the ledger builds unedited; a
+    /// `benchmark` issue drops the ledger's call, then this name.
     pub fn name(self) -> &'static str {
-        match self {
-            Backend::Poll => "poll",
-            Backend::Epoll => "epoll",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        "epoll"
     }
 }
 
@@ -307,7 +241,7 @@ const PEND_OUT: u8 = 2;
 /// One row of the fd-indexed table (fds are small dense ints).
 #[derive(Debug, Default)]
 struct FdEntry {
-    /// Whether the epoll set holds this fd (never set under poll).
+    /// Whether the epoll set holds this fd.
     registered: bool,
     /// Directions whose readiness arrived while no wait wanted it.
     pending: u8,
@@ -339,48 +273,15 @@ impl FdEntry {
     }
 }
 
-/// Backend-specific readiness state.
-#[derive(Debug)]
-enum BackendState {
-    /// The pollfd set is rebuilt from scratch every wait — poll's
-    /// O(blocked) cost model, measured by E15. `waits[i]` is the
-    /// `(job, seq)` behind `pollfds[i + 1]`.
-    Poll { pollfds: Vec<sys::PollFd>, waits: Vec<(u64, u64)> },
-    /// Interest lives in the kernel for each fd's lifetime.
-    Epoll { ep: sys::EpollFd, events: Vec<sys::EpollEvent> },
-}
-
-impl BackendState {
-    /// Fresh, empty state for `want`, falling back to poll if the kernel
-    /// refuses an epoll instance.
-    fn new(want: Backend, wake_fd: i32) -> BackendState {
-        if want == Backend::Epoll {
-            if let Some(ep) = sys::EpollFd::create() {
-                // The wake pipe is registered level-triggered (no
-                // EPOLLET): a bounded partial drain must leave it
-                // readable, or rings could be lost.
-                ep.ctl(sys::EPOLL_CTL_ADD, wake_fd, sys::EPOLLIN);
-                let events = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
-                return BackendState::Epoll { ep, events };
-            }
-        }
-        BackendState::Poll { pollfds: Vec::new(), waits: Vec::new() }
-    }
-
-    fn backend(&self) -> Backend {
-        match self {
-            BackendState::Poll { .. } => Backend::Poll,
-            BackendState::Epoll { .. } => Backend::Epoll,
-        }
-    }
-}
-
 /// One worker's reactor: every wait its blocked jobs hold, the timer
-/// heap, and the backend readiness state. Not shared — the owning worker
-/// calls every method, which is what makes delivery handoff-free.
+/// heap, and the epoll instance. Not shared — the owning worker calls
+/// every method, which is what makes delivery handoff-free.
 #[derive(Debug)]
 pub(crate) struct ReactorCore {
-    state: BackendState,
+    /// Interest lives here for each fd's lifetime.
+    ep: sys::EpollFd,
+    /// The reused `epoll_wait` buffer.
+    events: Vec<sys::EpollEvent>,
     wake_rx: UnixStream,
     wake_tx: Arc<UnixStream>,
     /// Outstanding fd waits, keyed by job id (one wait per job).
@@ -389,7 +290,7 @@ pub(crate) struct ReactorCore {
     /// epoll set holds it, and its unclaimed readiness.
     fds: Vec<FdEntry>,
     /// Waits `(job, seq)` resolved but not yet delivered — by `register_io`
-    /// on a pending direction, or by the backend scan. One reused buffer.
+    /// on a pending direction, or by an epoll event. One reused buffer.
     ready: Vec<(u64, u64)>,
     /// Min-heap of I/O deadlines `(when, job, seq, is_io_timeout)`;
     /// entries are lazy — a wait delivered early leaves a stale entry
@@ -418,16 +319,22 @@ pub(crate) struct ReactorCore {
 }
 
 impl ReactorCore {
-    /// Builds a core for `want`, falling back to poll if the kernel
-    /// refuses an epoll instance. The only fallible resource is the wake
-    /// pipe.
-    pub(crate) fn new(want: Backend) -> std::io::Result<ReactorCore> {
+    /// Builds a core: its wake pipe and its epoll instance, with the pipe
+    /// registered. Returns the OS error if either cannot be created.
+    pub(crate) fn new() -> std::io::Result<ReactorCore> {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        let state = BackendState::new(want, wake_rx.as_raw_fd());
+        let ep = sys::EpollFd::create()?;
+        // The wake pipe is registered level-triggered (no EPOLLET): a
+        // bounded partial drain must leave it readable, or rings could be
+        // lost.
+        if !ep.ctl(sys::EPOLL_CTL_ADD, wake_rx.as_raw_fd(), sys::EPOLLIN) {
+            return Err(std::io::Error::last_os_error());
+        }
         Ok(ReactorCore {
-            state,
+            ep,
+            events: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
             wake_rx,
             wake_tx: Arc::new(wake_tx),
             io_waits: HashMap::new(),
@@ -463,23 +370,19 @@ impl ReactorCore {
         std::mem::take(&mut self.faults_injected)
     }
 
-    /// The backend actually in use (after any fallback).
-    pub(crate) fn backend(&self) -> Backend {
-        self.state.backend()
-    }
-
     /// A handle other threads use to interrupt this core's wait.
     pub(crate) fn wake_handle(&self) -> WakeHandle {
         WakeHandle { tx: Arc::clone(&self.wake_tx) }
     }
 
-    /// Whether any wait (fd or timer) is outstanding.
+    /// Whether any wait (fd or timer) is outstanding, counting a delivery
+    /// an injected delay deferred: only a `wait()` hands it over.
     pub(crate) fn has_waits(&self) -> bool {
-        !self.io_waits.is_empty() || !self.timers.is_empty()
+        !self.io_waits.is_empty() || !self.timers.is_empty() || !self.deferred.is_empty()
     }
 
-    /// Registers an fd wait for `job` (under epoll only an fd's *first*
-    /// wait reaches the kernel). Returns `false` if the kernel refused
+    /// Registers an fd wait for `job` (only an fd's *first* wait reaches
+    /// the kernel). Returns `false` if the kernel refused
     /// the registration (stale fd, limit): the caller must treat the job
     /// as instantly ready so the retried guest operation can surface the
     /// real error.
@@ -503,15 +406,13 @@ impl ReactorCore {
             self.fds.resize_with(idx + 1, FdEntry::default);
         }
         let entry = &mut self.fds[idx];
-        if let BackendState::Epoll { ep, .. } = &self.state {
-            if !entry.registered {
-                if !ep.ctl(sys::EPOLL_CTL_ADD, fd, LIFETIME_INTEREST) {
-                    return false;
-                }
-                // ADD reports an already-ready fd, so nothing is owed yet.
-                entry.registered = true;
-                entry.pending = 0;
+        if !entry.registered {
+            if !self.ep.ctl(sys::EPOLL_CTL_ADD, fd, LIFETIME_INTEREST) {
+                return false;
             }
+            // ADD reports an already-ready fd, so nothing is owed yet.
+            entry.registered = true;
+            entry.pending = 0;
         }
         let dir = if write { PEND_OUT } else { PEND_IN };
         if entry.pending & dir != 0 {
@@ -552,9 +453,7 @@ impl ReactorCore {
     /// resumed retry observes the stale token and raises the guest-level
     /// `io-error` instead of wedging — and clears the fd's entry, so the
     /// next socket to get this number starts unregistered (no syscall:
-    /// the kernel drops a closed fd itself). Under poll a closed fd also
-    /// reports `POLLNVAL`; epoll reports nothing, so this cancel is what
-    /// keeps the two backends observationally identical.
+    /// the kernel drops a closed fd itself, and reports nothing for it).
     pub(crate) fn cancel_fd(&mut self, fd: i32, out: &mut Vec<Wakeup>) {
         let Some(entry) = usize::try_from(fd).ok().and_then(|i| self.fds.get_mut(i)) else {
             return;
@@ -566,16 +465,43 @@ impl ReactorCore {
         }
     }
 
-    /// Drops every outstanding wait without delivering. Called on worker
-    /// reset (VM rebuild): every blocked job was already failed, their
-    /// sockets are about to die with the VM — still open, so each is
-    /// deleted from the epoll set here — and any late readiness would be
-    /// filtered by the seq guard anyway.
-    pub(crate) fn forget_all(&mut self) {
-        if let BackendState::Epoll { ep, .. } = &self.state {
-            for (fd, _) in self.fds.iter().enumerate().filter(|(_, e)| e.registered) {
-                ep.ctl(sys::EPOLL_CTL_DEL, fd as i32, 0);
+    /// Readiness in `dirs` arrived on `fd`: each waiter for one of those
+    /// directions resolves, and a direction no waiter claims becomes a
+    /// pending bit.
+    fn note_readiness(&mut self, fd: i32, dirs: u8) {
+        let Some(entry) = usize::try_from(fd).ok().and_then(|i| self.fds.get_mut(i)) else {
+            return;
+        };
+        let mut claimed = 0;
+        for job in entry.waiters() {
+            let Some(w) = self.io_waits.get(&job) else { continue };
+            let dir = if w.write { PEND_OUT } else { PEND_IN };
+            if dirs & dir != 0 {
+                self.ready.push((job, w.seq));
+                claimed |= dir;
             }
+        }
+        entry.pending |= dirs & !claimed;
+    }
+
+    /// An injected would-block reported `fd` not ready while it was (the
+    /// VM's owed-fd log): edge-triggered epoll will not report that
+    /// readiness again, so it is noted here as readiness in both
+    /// directions. A direction that was not ready costs one spurious wake.
+    pub(crate) fn owe_readiness(&mut self, fd: i32) {
+        self.note_readiness(fd, PEND_IN | PEND_OUT);
+    }
+
+    /// Drops every outstanding wait and timer without delivering. Called
+    /// by the worker supervisor's restart, before the VM is replaced:
+    /// every blocked job is about to be failed and its sockets to die with
+    /// the VM — still open, so each is deleted from the epoll set here —
+    /// and any late readiness would be filtered by the seq guard anyway.
+    /// The instance and its level-triggered wake pipe stay, so the
+    /// [`WakeHandle`]s the pool and acceptor threads hold stay valid.
+    pub(crate) fn forget_all(&mut self) {
+        for (fd, _) in self.fds.iter().enumerate().filter(|(_, e)| e.registered) {
+            self.ep.ctl(sys::EPOLL_CTL_DEL, fd as i32, 0);
         }
         self.fds.clear();
         self.io_waits.clear();
@@ -583,16 +509,6 @@ impl ReactorCore {
         self.io_deadlines.clear();
         self.timers.clear();
         self.deferred.clear();
-    }
-
-    /// Rebuilds the backend readiness state from scratch — fresh epoll
-    /// instance (or empty pollfd set), every wait forgotten — keeping the
-    /// wake pipe, so [`WakeHandle`]s held by the pool and acceptor threads
-    /// stay valid. Called by the worker supervisor after a machinery
-    /// panic, when the old state is no longer trusted.
-    pub(crate) fn rebuild_backend(&mut self) {
-        self.forget_all();
-        self.state = BackendState::new(self.backend(), self.wake_rx.as_raw_fd());
     }
 
     /// The earliest deadline among timers, I/O waits, and deferred
@@ -657,63 +573,23 @@ impl ReactorCore {
                 self.faults_injected += 1;
                 continue;
             }
-            let rc = match &mut self.state {
-                BackendState::Poll { pollfds, waits } => {
-                    // Rebuild the whole set: poll's O(blocked) per-wake cost.
-                    pollfds.clear();
-                    waits.clear();
-                    pollfds.push(sys::PollFd { fd: wake_fd, events: sys::POLLIN, revents: 0 });
-                    for (&job, w) in &self.io_waits {
-                        let events = if w.write { sys::POLLOUT } else { sys::POLLIN };
-                        pollfds.push(sys::PollFd { fd: w.fd, events, revents: 0 });
-                        waits.push((job, w.seq));
-                    }
-                    let rc = sys::poll_fds(pollfds, timeout_ms);
-                    if rc > 0 {
-                        wake_rung = pollfds[0].revents != 0;
-                        // Any nonzero revents — POLLIN/POLLOUT, but also
-                        // POLLERR/POLLHUP/POLLNVAL — wakes the job: the
-                        // retried guest operation is what turns the state
-                        // into data, EOF, or an io-error condition.
-                        for (pfd, &wait) in pollfds[1..].iter().zip(waits.iter()) {
-                            if pfd.revents != 0 {
-                                self.ready.push(wait);
-                            }
-                        }
-                    }
-                    rc
+            let rc = self.ep.wait(&mut self.events, timeout_ms);
+            for i in 0..usize::try_from(rc).unwrap_or(0) {
+                let ev = self.events[i];
+                let fd = ev.data as i32;
+                if fd == wake_fd {
+                    wake_rung = true;
+                    continue;
                 }
-                BackendState::Epoll { ep, events } => {
-                    let rc = ep.wait(events, timeout_ms);
-                    if rc > 0 {
-                        for ev in &events[..rc as usize] {
-                            let fd = ev.data as i32;
-                            if fd == wake_fd {
-                                wake_rung = true;
-                                continue;
-                            }
-                            let Some(entry) = self.fds.get_mut(fd as usize) else { continue };
-                            let bits = { ev.events };
-                            // Error/hangup count as readiness in both
-                            // directions, waited for or not.
-                            let hup = sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP;
-                            let dirs = (if bits & (sys::EPOLLIN | hup) != 0 { PEND_IN } else { 0 })
-                                | (if bits & (sys::EPOLLOUT | hup) != 0 { PEND_OUT } else { 0 });
-                            let mut claimed = 0;
-                            for job in entry.waiters() {
-                                let Some(w) = self.io_waits.get(&job) else { continue };
-                                let dir = if w.write { PEND_OUT } else { PEND_IN };
-                                if dirs & dir != 0 {
-                                    self.ready.push((job, w.seq));
-                                    claimed |= dir;
-                                }
-                            }
-                            entry.pending |= dirs & !claimed;
-                        }
-                    }
-                    rc
-                }
-            };
+                let bits = ev.events;
+                // Error/hangup count as readiness in both directions,
+                // waited for or not: the retried guest operation is what
+                // turns the state into EOF or an io-error.
+                let hup = sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP;
+                let dirs = (if bits & (sys::EPOLLIN | hup) != 0 { PEND_IN } else { 0 })
+                    | (if bits & (sys::EPOLLOUT | hup) != 0 { PEND_OUT } else { 0 });
+                self.note_readiness(fd, dirs);
+            }
             if rc < 0 && sys::errno() == sys::EINTR {
                 continue;
             }
@@ -732,9 +608,8 @@ impl ReactorCore {
                 continue;
             }
             // Injected readiness faults, consulted per delivery. Drop
-            // leaves the wait registered (poll redelivers on the next
-            // scan; under edge-triggered epoll the edge is consumed, so
-            // the I/O deadline is what bounds recovery). Delay removes
+            // leaves the wait registered but consumes the edge, so the
+            // I/O deadline is what bounds recovery. Delay removes
             // the wait and re-delivers it from `deferred` a beat later —
             // a late wakeup exercising the seq guard.
             if self.drop_fault.tick() {
@@ -826,98 +701,85 @@ impl ReactorCore {
 mod tests {
     use super::*;
 
-    fn core(backend: Backend) -> ReactorCore {
-        let c = ReactorCore::new(backend).unwrap();
-        assert_eq!(c.backend(), backend, "no silent fallback in tests");
-        c
+    fn core() -> ReactorCore {
+        ReactorCore::new().unwrap()
     }
 
-    fn both() -> Vec<ReactorCore> {
-        vec![core(Backend::Poll), core(Backend::Epoll)]
-    }
-
-    #[test]
-    fn backend_env_names_round_trip() {
-        assert_eq!(Backend::Poll.name(), "poll");
-        assert_eq!(Backend::Epoll.name(), "epoll");
+    fn ctl_calls() -> u64 {
+        sys::CTL_CALLS.with(std::cell::Cell::get)
     }
 
     #[test]
-    fn readable_fd_wakes_the_registered_job_on_both_backends() {
-        for mut c in both() {
-            let (a, b) = UnixStream::pair().unwrap();
-            assert!(c.register_io(42, 1, a.as_raw_fd(), false, None, None));
-            let mut out = Vec::new();
-            // Nothing readable yet: a short wait delivers nothing.
-            c.wait(Duration::from_millis(20), &mut out);
-            assert!(out.is_empty(), "{}: no spurious delivery", c.backend());
-            (&b).write_all(b"x").unwrap();
-            c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, vec![(42, 1, WakeKind::Ready)], "{}", c.backend());
-            assert!(!c.has_waits(), "a wait is delivered once");
-        }
+    fn readable_fd_wakes_the_registered_job() {
+        let mut c = core();
+        let (a, b) = UnixStream::pair().unwrap();
+        assert!(c.register_io(42, 1, a.as_raw_fd(), false, None, None));
+        let mut out = Vec::new();
+        // Nothing readable yet: a short wait delivers nothing.
+        c.wait(Duration::from_millis(20), &mut out);
+        assert!(out.is_empty(), "no spurious delivery");
+        (&b).write_all(b"x").unwrap();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert_eq!(out, vec![(42, 1, WakeKind::Ready)]);
+        assert!(!c.has_waits(), "a wait is delivered once");
     }
 
     #[test]
     fn already_ready_fd_delivers_on_registration_wait() {
         // The lost-wakeup window: data arrives *before* the wait is
         // registered. ADD on a ready fd must still report (epoll does,
-        // even edge-triggered; poll rescans anyway).
-        for mut c in both() {
-            let (a, b) = UnixStream::pair().unwrap();
-            (&b).write_all(b"x").unwrap();
-            assert!(c.register_io(7, 1, a.as_raw_fd(), false, None, None));
-            let mut out = Vec::new();
-            c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, vec![(7, 1, WakeKind::Ready)], "{}", c.backend());
-        }
+        // even edge-triggered).
+        let mut c = core();
+        let (a, b) = UnixStream::pair().unwrap();
+        (&b).write_all(b"x").unwrap();
+        assert!(c.register_io(7, 1, a.as_raw_fd(), false, None, None));
+        let mut out = Vec::new();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert_eq!(out, vec![(7, 1, WakeKind::Ready)]);
     }
 
     #[test]
     fn timers_fire_in_deadline_order() {
-        for mut c in both() {
-            let now = Instant::now();
-            c.register_timer(2, 0, now + Duration::from_millis(40));
-            c.register_timer(1, 0, now + Duration::from_millis(10));
-            let mut out = Vec::new();
-            while out.len() < 2 {
-                c.wait(Duration::from_secs(10), &mut out);
-            }
-            let fired: Vec<u64> = out.iter().map(|&(j, ..)| j).collect();
-            assert_eq!(fired, vec![1, 2], "{}: earlier deadline first", c.backend());
+        let mut c = core();
+        let now = Instant::now();
+        c.register_timer(2, 0, now + Duration::from_millis(40));
+        c.register_timer(1, 0, now + Duration::from_millis(10));
+        let mut out = Vec::new();
+        while out.len() < 2 {
+            c.wait(Duration::from_secs(10), &mut out);
         }
+        let fired: Vec<u64> = out.iter().map(|&(j, ..)| j).collect();
+        assert_eq!(fired, vec![1, 2], "earlier deadline first");
     }
 
     #[test]
     fn io_deadline_delivers_even_without_readiness() {
-        for mut c in both() {
-            let (a, _b) = UnixStream::pair().unwrap();
-            let deadline = Instant::now() + Duration::from_millis(25);
-            assert!(c.register_io(9, 3, a.as_raw_fd(), false, Some(deadline), None));
-            let mut out = Vec::new();
-            while out.is_empty() {
-                c.wait(Duration::from_secs(10), &mut out);
-            }
-            assert_eq!(out, vec![(9, 3, WakeKind::Ready)], "{}", c.backend());
-            assert!(!c.has_waits());
+        let mut c = core();
+        let (a, _b) = UnixStream::pair().unwrap();
+        let deadline = Instant::now() + Duration::from_millis(25);
+        assert!(c.register_io(9, 3, a.as_raw_fd(), false, Some(deadline), None));
+        let mut out = Vec::new();
+        while out.is_empty() {
+            c.wait(Duration::from_secs(10), &mut out);
         }
+        assert_eq!(out, vec![(9, 3, WakeKind::Ready)]);
+        assert!(!c.has_waits());
     }
 
     #[test]
     fn io_timeout_deadline_delivers_with_the_io_timeout_kind() {
         // A connection-level io_timeout (no job deadline) wakes the job
         // tagged IoTimeout so the guest sees the catchable condition.
-        for mut c in both() {
-            let (a, _b) = UnixStream::pair().unwrap();
-            let io_deadline = Instant::now() + Duration::from_millis(25);
-            assert!(c.register_io(9, 3, a.as_raw_fd(), false, None, Some(io_deadline)));
-            let mut out = Vec::new();
-            while out.is_empty() {
-                c.wait(Duration::from_secs(10), &mut out);
-            }
-            assert_eq!(out, vec![(9, 3, WakeKind::IoTimeout)], "{}", c.backend());
-            assert!(!c.has_waits());
+        let mut c = core();
+        let (a, _b) = UnixStream::pair().unwrap();
+        let io_deadline = Instant::now() + Duration::from_millis(25);
+        assert!(c.register_io(9, 3, a.as_raw_fd(), false, None, Some(io_deadline)));
+        let mut out = Vec::new();
+        while out.is_empty() {
+            c.wait(Duration::from_secs(10), &mut out);
         }
+        assert_eq!(out, vec![(9, 3, WakeKind::IoTimeout)]);
+        assert!(!c.has_waits());
     }
 
     #[test]
@@ -925,28 +787,27 @@ mod tests {
         // Both deadlines registered; the job deadline is earlier, so the
         // io_timeout entry must never fire (its lazy heap entry finds the
         // wait already resolved).
-        for mut c in both() {
-            let (a, _b) = UnixStream::pair().unwrap();
-            let now = Instant::now();
-            assert!(c.register_io(
-                4,
-                1,
-                a.as_raw_fd(),
-                false,
-                Some(now + Duration::from_millis(15)),
-                Some(now + Duration::from_millis(200)),
-            ));
-            let mut out = Vec::new();
-            while out.is_empty() {
-                c.wait(Duration::from_secs(10), &mut out);
-            }
-            assert_eq!(out, vec![(4, 1, WakeKind::Ready)], "{}", c.backend());
-            out.clear();
-            // Let the (stale) io_timeout entry come due: nothing fires.
-            std::thread::sleep(Duration::from_millis(200));
-            c.wait(Duration::ZERO, &mut out);
-            assert!(out.is_empty(), "{}: stale io_timeout suppressed", c.backend());
+        let mut c = core();
+        let (a, _b) = UnixStream::pair().unwrap();
+        let now = Instant::now();
+        assert!(c.register_io(
+            4,
+            1,
+            a.as_raw_fd(),
+            false,
+            Some(now + Duration::from_millis(15)),
+            Some(now + Duration::from_millis(200)),
+        ));
+        let mut out = Vec::new();
+        while out.is_empty() {
+            c.wait(Duration::from_secs(10), &mut out);
         }
+        assert_eq!(out, vec![(4, 1, WakeKind::Ready)]);
+        out.clear();
+        // Let the (stale) io_timeout entry come due: nothing fires.
+        std::thread::sleep(Duration::from_millis(200));
+        c.wait(Duration::ZERO, &mut out);
+        assert!(out.is_empty(), "stale io_timeout suppressed");
     }
 
     #[test]
@@ -954,21 +815,20 @@ mod tests {
         // The edge-triggered stale-wakeup case: the wait is cancelled by
         // its deadline, interest is dropped, and readiness arriving
         // afterwards must not produce a second (stale) wakeup.
-        for mut c in both() {
-            let (a, b) = UnixStream::pair().unwrap();
-            let deadline = Instant::now() + Duration::from_millis(10);
-            assert!(c.register_io(5, 1, a.as_raw_fd(), false, Some(deadline), None));
-            let mut out = Vec::new();
-            while out.is_empty() {
-                c.wait(Duration::from_secs(10), &mut out);
-            }
-            assert_eq!(out, vec![(5, 1, WakeKind::Ready)], "{}: deadline delivery", c.backend());
-            out.clear();
-            // Readiness arrives after the cancel.
-            (&b).write_all(b"late").unwrap();
-            c.wait(Duration::from_millis(30), &mut out);
-            assert!(out.is_empty(), "{}: no stale delivery", c.backend());
+        let mut c = core();
+        let (a, b) = UnixStream::pair().unwrap();
+        let deadline = Instant::now() + Duration::from_millis(10);
+        assert!(c.register_io(5, 1, a.as_raw_fd(), false, Some(deadline), None));
+        let mut out = Vec::new();
+        while out.is_empty() {
+            c.wait(Duration::from_secs(10), &mut out);
         }
+        assert_eq!(out, vec![(5, 1, WakeKind::Ready)], "deadline delivery");
+        out.clear();
+        // Readiness arrives after the cancel.
+        (&b).write_all(b"late").unwrap();
+        c.wait(Duration::from_millis(30), &mut out);
+        assert!(out.is_empty(), "no stale delivery");
     }
 
     #[test]
@@ -977,109 +837,81 @@ mod tests {
         // same reactor tick its io_timeout expires. Readiness is scanned
         // before deadline expiry, so the job resumes Ready exactly once;
         // the expired deadline entry finds the wait already resolved.
-        // Many rounds to give the race a chance on both backends.
-        for backend in [Backend::Poll, Backend::Epoll] {
-            for round in 0..50u64 {
-                let mut c = core(backend);
-                let (a, b) = UnixStream::pair().unwrap();
-                let io_deadline = Instant::now() + Duration::from_millis(5);
-                assert!(c.register_io(round, 1, a.as_raw_fd(), false, None, Some(io_deadline)));
-                // Make the fd ready immediately, then sleep past the
-                // deadline so readiness and expiry land in one wait call.
-                (&b).write_all(b"x").unwrap();
-                std::thread::sleep(Duration::from_millis(6));
-                let mut out = Vec::new();
-                c.wait(Duration::ZERO, &mut out);
-                c.wait(Duration::ZERO, &mut out); // a second tick must add nothing
-                assert_eq!(
-                    out,
-                    vec![(round, 1, WakeKind::Ready)],
-                    "{backend:?} round {round}: exactly one delivery, readiness wins"
-                );
-                assert!(!c.has_waits());
-            }
-        }
-    }
-
-    #[test]
-    fn cancel_fd_wakes_waiters_on_a_closed_socket() {
-        for mut c in both() {
-            let (a, _b) = UnixStream::pair().unwrap();
-            let fd = a.as_raw_fd();
-            assert!(c.register_io(5, 2, fd, false, None, None));
+        // Many rounds to give the race a chance.
+        for round in 0..50u64 {
+            let mut c = core();
+            let (a, b) = UnixStream::pair().unwrap();
+            let io_deadline = Instant::now() + Duration::from_millis(5);
+            assert!(c.register_io(round, 1, a.as_raw_fd(), false, None, Some(io_deadline)));
+            // Make the fd ready immediately, then sleep past the
+            // deadline so readiness and expiry land in one wait call.
+            (&b).write_all(b"x").unwrap();
+            std::thread::sleep(Duration::from_millis(6));
             let mut out = Vec::new();
-            c.cancel_fd(fd, &mut out);
-            assert_eq!(out, vec![(5, 2, WakeKind::Ready)], "{}", c.backend());
+            c.wait(Duration::ZERO, &mut out);
+            c.wait(Duration::ZERO, &mut out); // a second tick must add nothing
+            assert_eq!(
+                out,
+                vec![(round, 1, WakeKind::Ready)],
+                "round {round}: exactly one delivery, readiness wins"
+            );
             assert!(!c.has_waits());
         }
     }
 
     #[test]
-    fn poll_reports_a_closed_fd_as_readiness_not_a_wedge() {
-        let mut c = core(Backend::Poll);
-        let (a, b) = UnixStream::pair().unwrap();
+    fn cancel_fd_wakes_waiters_on_a_closed_socket() {
+        let mut c = core();
+        let (a, _b) = UnixStream::pair().unwrap();
         let fd = a.as_raw_fd();
-        assert!(c.register_io(5, 0, fd, false, None, None));
-        drop(a);
-        drop(b);
+        assert!(c.register_io(5, 2, fd, false, None, None));
         let mut out = Vec::new();
-        c.wait(Duration::from_secs(10), &mut out);
-        assert_eq!(out, vec![(5, 0, WakeKind::Ready)], "POLLNVAL counts as readiness");
+        c.cancel_fd(fd, &mut out);
+        assert_eq!(out, vec![(5, 2, WakeKind::Ready)]);
+        assert!(!c.has_waits());
     }
 
     #[test]
     fn shared_fd_waits_all_deliver() {
         // Two green threads accepting on one listener-like fd: readiness
         // wakes both (readiness is a hint; the losers re-block).
-        for mut c in both() {
-            let (a, b) = UnixStream::pair().unwrap();
-            let fd = a.as_raw_fd();
-            assert!(c.register_io(1, 1, fd, false, None, None));
-            assert!(c.register_io(2, 1, fd, false, None, None));
-            (&b).write_all(b"x").unwrap();
-            let mut out = Vec::new();
-            c.wait(Duration::from_secs(10), &mut out);
-            out.sort_unstable();
-            assert_eq!(
-                out,
-                vec![(1, 1, WakeKind::Ready), (2, 1, WakeKind::Ready)],
-                "{}",
-                c.backend()
-            );
-            assert!(!c.has_waits());
-        }
+        let mut c = core();
+        let (a, b) = UnixStream::pair().unwrap();
+        let fd = a.as_raw_fd();
+        assert!(c.register_io(1, 1, fd, false, None, None));
+        assert!(c.register_io(2, 1, fd, false, None, None));
+        (&b).write_all(b"x").unwrap();
+        let mut out = Vec::new();
+        c.wait(Duration::from_secs(10), &mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![(1, 1, WakeKind::Ready), (2, 1, WakeKind::Ready)]);
+        assert!(!c.has_waits());
     }
 
     #[test]
     fn wake_pipe_rings_coalesce_and_fully_drain() {
-        for mut c in both() {
-            let handle = c.wake_handle();
-            for _ in 0..100 {
-                handle.ring();
-            }
-            let mut out = Vec::new();
-            // One wait consumes the whole burst...
-            let t0 = Instant::now();
-            c.wait(Duration::from_secs(10), &mut out);
-            assert!(t0.elapsed() < Duration::from_secs(1), "{}: ring interrupts", c.backend());
-            assert!(out.is_empty(), "rings are not wakeups");
-            // ...so the next wait actually waits (pipe fully drained).
-            let t0 = Instant::now();
-            c.wait(Duration::from_millis(40), &mut out);
-            assert!(
-                t0.elapsed() >= Duration::from_millis(30),
-                "{}: pipe was not fully drained",
-                c.backend()
-            );
+        let mut c = core();
+        let handle = c.wake_handle();
+        for _ in 0..100 {
+            handle.ring();
         }
+        let mut out = Vec::new();
+        // One wait consumes the whole burst...
+        let t0 = Instant::now();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert!(t0.elapsed() < Duration::from_secs(1), "ring interrupts");
+        assert!(out.is_empty(), "rings are not wakeups");
+        // ...so the next wait actually waits (pipe fully drained).
+        let t0 = Instant::now();
+        c.wait(Duration::from_millis(40), &mut out);
+        assert!(t0.elapsed() >= Duration::from_millis(30), "pipe was not fully drained");
     }
 
     #[test]
     fn failed_registration_reports_instead_of_wedging() {
         // A stale (closed) fd: epoll's ADD fails, which the caller must
-        // treat as instant readiness. Poll accepts anything and reports
-        // POLLNVAL, so only epoll's register can refuse.
-        let mut c = core(Backend::Epoll);
+        // treat as instant readiness.
+        let mut c = core();
         let fd = {
             let (a, _b) = UnixStream::pair().unwrap();
             a.as_raw_fd()
@@ -1093,126 +925,125 @@ mod tests {
         // An interrupted wait must neither error out nor restart a full
         // timeout: with a synthetic EINTR armed, a timer still fires on
         // schedule and the wait returns promptly.
-        for mut c in both() {
-            c.eintr_fault = FaultClock::arm(1);
-            c.register_timer(1, 0, Instant::now() + Duration::from_millis(20));
-            let mut out = Vec::new();
-            let t0 = Instant::now();
-            while out.is_empty() {
-                c.wait(Duration::from_secs(10), &mut out);
-            }
-            assert_eq!(out, vec![(1, 0, WakeKind::Ready)], "{}", c.backend());
-            assert!(t0.elapsed() < Duration::from_secs(2), "{}: EINTR stretched", c.backend());
-            assert_eq!(c.take_faults_injected(), 1, "{}", c.backend());
-            assert_eq!(c.take_faults_injected(), 0, "take resets");
+        let mut c = core();
+        c.eintr_fault = FaultClock::arm(1);
+        c.register_timer(1, 0, Instant::now() + Duration::from_millis(20));
+        let mut out = Vec::new();
+        let t0 = Instant::now();
+        while out.is_empty() {
+            c.wait(Duration::from_secs(10), &mut out);
         }
+        assert_eq!(out, vec![(1, 0, WakeKind::Ready)]);
+        assert!(t0.elapsed() < Duration::from_secs(2), "EINTR stretched the wait");
+        assert_eq!(c.take_faults_injected(), 1);
+        assert_eq!(c.take_faults_injected(), 0, "take resets");
     }
 
     #[test]
     fn injected_delay_redelivers_the_wakeup_late() {
-        for mut c in both() {
-            c.delay_fault = FaultClock::arm(1);
-            let (a, b) = UnixStream::pair().unwrap();
-            assert!(c.register_io(8, 2, a.as_raw_fd(), false, None, None));
-            (&b).write_all(b"x").unwrap();
-            let mut out = Vec::new();
-            let t0 = Instant::now();
-            while out.is_empty() {
-                assert!(t0.elapsed() < Duration::from_secs(5), "{}: lost", c.backend());
-                c.wait(Duration::from_millis(50), &mut out);
-            }
-            assert_eq!(out, vec![(8, 2, WakeKind::Ready)], "{}", c.backend());
-            assert!(!c.has_waits(), "{}: delayed delivery resolves the wait", c.backend());
-            assert_eq!(c.take_faults_injected(), 1, "{}", c.backend());
+        let mut c = core();
+        c.delay_fault = FaultClock::arm(1);
+        let (a, b) = UnixStream::pair().unwrap();
+        assert!(c.register_io(8, 2, a.as_raw_fd(), false, None, None));
+        (&b).write_all(b"x").unwrap();
+        let mut out = Vec::new();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert!(out.is_empty(), "the delivery was deferred");
+        // The only thing left is the deferred delivery: an idle worker
+        // still has to wait on the reactor for it.
+        assert!(c.has_waits(), "a deferred delivery is outstanding");
+        let t0 = Instant::now();
+        while out.is_empty() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "lost");
+            c.wait(Duration::from_millis(50), &mut out);
         }
+        assert_eq!(out, vec![(8, 2, WakeKind::Ready)]);
+        assert!(!c.has_waits(), "delayed delivery resolves the wait");
+        assert_eq!(c.take_faults_injected(), 1);
     }
 
     #[test]
     fn injected_drop_is_bounded_by_the_io_deadline() {
-        // A dropped readiness notification leaves the wait registered;
-        // the io_timeout deadline is what guarantees the job still wakes
-        // (as IoTimeout) instead of hanging forever — this is the
-        // edge-triggered recovery bound.
-        for mut c in both() {
-            c.drop_fault = FaultClock::arm(1);
-            let (a, b) = UnixStream::pair().unwrap();
-            let io_deadline = Instant::now() + Duration::from_millis(40);
-            assert!(c.register_io(6, 1, a.as_raw_fd(), false, None, Some(io_deadline)));
-            (&b).write_all(b"x").unwrap();
-            let mut out = Vec::new();
-            let t0 = Instant::now();
-            while out.is_empty() {
-                assert!(t0.elapsed() < Duration::from_secs(5), "{}: lost", c.backend());
-                c.wait(Duration::from_millis(50), &mut out);
-            }
-            // Poll redelivers readiness on its next scan (Ready); epoll's
-            // consumed edge falls back to the deadline (IoTimeout). Either
-            // way: exactly one wakeup, no hang.
-            assert_eq!(out.len(), 1, "{}", c.backend());
-            assert_eq!((out[0].0, out[0].1), (6, 1), "{}", c.backend());
-            assert!(!c.has_waits());
-            assert_eq!(c.take_faults_injected(), 1, "{}", c.backend());
+        // A dropped readiness notification leaves the wait registered but
+        // consumes the edge; the io_timeout deadline is what guarantees
+        // the job still wakes (as IoTimeout) instead of hanging forever —
+        // the edge-triggered recovery bound.
+        let mut c = core();
+        c.drop_fault = FaultClock::arm(1);
+        let (a, b) = UnixStream::pair().unwrap();
+        let io_deadline = Instant::now() + Duration::from_millis(40);
+        assert!(c.register_io(6, 1, a.as_raw_fd(), false, None, Some(io_deadline)));
+        (&b).write_all(b"x").unwrap();
+        let mut out = Vec::new();
+        let t0 = Instant::now();
+        while out.is_empty() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "lost");
+            c.wait(Duration::from_millis(50), &mut out);
         }
+        assert_eq!(out, vec![(6, 1, WakeKind::IoTimeout)], "exactly one wakeup, no hang");
+        assert!(!c.has_waits());
+        assert_eq!(c.take_faults_injected(), 1);
     }
 
     #[test]
-    fn rebuild_backend_restores_a_working_reactor() {
-        // The supervisor path: after a worker panic the reactor's
-        // registrations are untrusted; rebuild_backend must produce a
-        // core that can register fresh waits and whose wake pipe still
-        // interrupts (WakeHandles outlive the rebuild).
-        for mut c in both() {
-            let backend = c.backend();
-            let (a, _b) = UnixStream::pair().unwrap();
-            assert!(c.register_io(1, 1, a.as_raw_fd(), false, None, None));
-            let handle = c.wake_handle();
-            c.rebuild_backend();
-            assert!(!c.has_waits(), "{backend}: rebuild forgets stale waits");
-            assert_eq!(c.backend(), backend, "{backend}: backend survives rebuild");
-            let (x, y) = UnixStream::pair().unwrap();
-            assert!(c.register_io(2, 1, x.as_raw_fd(), false, None, None));
-            (&y).write_all(b"x").unwrap();
-            let mut out = Vec::new();
-            c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, vec![(2, 1, WakeKind::Ready)], "{backend}");
-            // Old wake handle still rings the rebuilt reactor.
+    fn forget_all_leaves_the_same_instance_working() {
+        // The supervisor's restart path: every wait and timer is dropped
+        // undelivered and each known fd is DELeted while still open, on
+        // the epoll instance the core keeps, with its wake pipe.
+        let mut c = core();
+        let (a, b) = UnixStream::pair().unwrap();
+        let (a2, _b2) = UnixStream::pair().unwrap();
+        assert!(c.register_io(1, 1, a.as_raw_fd(), false, None, None));
+        assert!(c.register_io(2, 1, a2.as_raw_fd(), false, None, None));
+        c.register_timer(3, 1, Instant::now());
+        let handle = c.wake_handle();
+        let before = ctl_calls();
+        c.forget_all();
+        assert_eq!(ctl_calls() - before, 2, "one DEL per forgotten fd");
+        assert!(!c.has_waits());
+        let mut out = Vec::new();
+        (&b).write_all(b"x").unwrap();
+        c.wait(Duration::from_millis(20), &mut out);
+        assert!(out.is_empty(), "forgotten waits and timers are never delivered");
+        // The DEL reached the kernel: the still-open fd registers again
+        // (a second ADD would fail with EEXIST), and its data delivers.
+        assert!(c.register_io(4, 2, a.as_raw_fd(), false, None, None));
+        c.wait(Duration::from_secs(10), &mut out);
+        assert_eq!(out, vec![(4, 2, WakeKind::Ready)]);
+        out.clear();
+        // A fresh pair registers and is delivered.
+        let (x, y) = UnixStream::pair().unwrap();
+        assert!(c.register_io(5, 1, x.as_raw_fd(), false, None, None));
+        (&y).write_all(b"x").unwrap();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert_eq!(out, vec![(5, 1, WakeKind::Ready)]);
+        // A wake handle taken before the forget still interrupts a
+        // blocking wait.
+        let ringer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
             handle.ring();
-            let t0 = Instant::now();
-            c.wait(Duration::from_secs(10), &mut out);
-            assert!(t0.elapsed() < Duration::from_secs(1), "{backend}: handle survives");
-        }
+        });
+        let t0 = Instant::now();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert!(t0.elapsed() < Duration::from_secs(5), "the old handle still rings");
+        ringer.join().unwrap();
     }
 
     #[test]
     fn timer_deliveries_accumulate_lateness_buckets() {
-        for mut c in both() {
-            let now = Instant::now();
-            // One timer due right now (bucket 0) and one 600 ms overdue
-            // (the unbounded tail bucket).
-            c.register_timer(1, 0, now);
-            c.register_timer(2, 0, now - Duration::from_millis(600));
-            let mut out = Vec::new();
-            c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out.len(), 2, "{}", c.backend());
-            let hist = c.take_lateness();
-            assert_eq!(hist.iter().sum::<u64>(), 2, "{}", c.backend());
-            assert_eq!(hist[WAKE_LATENESS_BUCKETS - 1], 1, "{}: overdue tail", c.backend());
-            assert_eq!(c.take_lateness().iter().sum::<u64>(), 0, "take resets");
-        }
-    }
-
-    #[test]
-    fn forget_all_clears_waits_and_timers() {
-        for mut c in both() {
-            let (a, _b) = UnixStream::pair().unwrap();
-            assert!(c.register_io(1, 1, a.as_raw_fd(), false, None, None));
-            c.register_timer(2, 1, Instant::now());
-            c.forget_all();
-            assert!(!c.has_waits());
-            let mut out = Vec::new();
-            c.wait(Duration::ZERO, &mut out);
-            assert!(out.is_empty());
-        }
+        let mut c = core();
+        let now = Instant::now();
+        // One timer due right now (bucket 0) and one 600 ms overdue (the
+        // unbounded tail bucket).
+        c.register_timer(1, 0, now);
+        c.register_timer(2, 0, now - Duration::from_millis(600));
+        let mut out = Vec::new();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert_eq!(out.len(), 2);
+        let hist = c.take_lateness();
+        assert_eq!(hist.iter().sum::<u64>(), 2);
+        assert_eq!(hist[WAKE_LATENESS_BUCKETS - 1], 1, "overdue tail");
+        assert_eq!(c.take_lateness().iter().sum::<u64>(), 0, "take resets");
     }
 
     // --- the lifetime-registration contract ---
@@ -1238,105 +1069,101 @@ mod tests {
         // the closed one had. The sweep (`cancel_fd`) must have cleared
         // the table entry, or the new wait would trust a registration the
         // kernel dropped at close and never wake.
-        for mut c in both() {
-            let mut out = Vec::new();
-            // Other tests open fds concurrently, so the number is reused
-            // only most of the time: try until it is.
-            let reused = (0..200).any(|_| {
-                let (a, _b) = UnixStream::pair().unwrap();
-                let fd = a.as_raw_fd();
-                assert!(c.register_io(1, 1, fd, false, None, None));
-                c.wait(Duration::ZERO, &mut out); // the kernel knows the fd
-                drop(a);
-                c.cancel_fd(fd, &mut out);
-                assert_eq!(out, vec![(1, 1, WakeKind::Ready)], "{}: close wakes", c.backend());
-                out.clear();
-                let (x, y) = UnixStream::pair().unwrap();
-                if x.as_raw_fd() != fd {
-                    return false;
-                }
-                assert!(c.register_io(2, 2, fd, false, None, None));
-                c.wait(Duration::from_millis(20), &mut out);
-                assert!(out.is_empty(), "{}: the old socket owes nothing", c.backend());
-                (&y).write_all(b"x").unwrap();
-                c.wait(Duration::from_secs(10), &mut out);
-                assert_eq!(out, vec![(2, 2, WakeKind::Ready)], "{}: new socket", c.backend());
-                true
-            });
-            assert!(reused, "{}: never saw the fd number reused", c.backend());
-        }
+        let mut c = core();
+        let mut out = Vec::new();
+        // Other tests open fds concurrently, so the number is reused only
+        // most of the time: try until it is.
+        let reused = (0..200).any(|_| {
+            let (a, _b) = UnixStream::pair().unwrap();
+            let fd = a.as_raw_fd();
+            assert!(c.register_io(1, 1, fd, false, None, None));
+            c.wait(Duration::ZERO, &mut out); // the kernel knows the fd
+            drop(a);
+            c.cancel_fd(fd, &mut out);
+            assert_eq!(out, vec![(1, 1, WakeKind::Ready)], "close wakes");
+            out.clear();
+            let (x, y) = UnixStream::pair().unwrap();
+            if x.as_raw_fd() != fd {
+                return false;
+            }
+            assert!(c.register_io(2, 2, fd, false, None, None));
+            c.wait(Duration::from_millis(20), &mut out);
+            assert!(out.is_empty(), "the old socket owes nothing");
+            (&y).write_all(b"x").unwrap();
+            c.wait(Duration::from_secs(10), &mut out);
+            assert_eq!(out, vec![(2, 2, WakeKind::Ready)], "new socket");
+            true
+        });
+        assert!(reused, "never saw the fd number reused");
     }
 
     #[test]
     fn readiness_with_no_waiter_resolves_the_next_wait_without_a_second_edge() {
-        for mut c in both() {
-            let (a, b) = UnixStream::pair().unwrap();
-            let mut out = Vec::new();
-            assert!(c.register_io(1, 1, a.as_raw_fd(), false, None, None));
-            (&b).write_all(b"x").unwrap();
-            c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, vec![(1, 1, WakeKind::Ready)], "{}", c.backend());
-            out.clear();
-            // The job is mid-slice — no wait — when more data arrives and
-            // a harvest consumes the edge.
-            (&b).write_all(b"y").unwrap();
-            c.wait(Duration::from_millis(20), &mut out);
-            assert!(out.is_empty(), "{}: nobody to deliver to", c.backend());
-            // Its next wait must not need another edge, and must not
-            // block the harvest that delivers it.
-            assert!(c.register_io(1, 2, a.as_raw_fd(), false, None, None));
-            let t0 = Instant::now();
-            c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, vec![(1, 2, WakeKind::Ready)], "{}", c.backend());
-            assert!(t0.elapsed() < Duration::from_secs(1), "{}: blocked", c.backend());
-            assert!(!c.has_waits());
-        }
+        let mut c = core();
+        let (a, b) = UnixStream::pair().unwrap();
+        let mut out = Vec::new();
+        assert!(c.register_io(1, 1, a.as_raw_fd(), false, None, None));
+        (&b).write_all(b"x").unwrap();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert_eq!(out, vec![(1, 1, WakeKind::Ready)]);
+        out.clear();
+        // The job is mid-slice — no wait — when more data arrives and a
+        // harvest consumes the edge.
+        (&b).write_all(b"y").unwrap();
+        c.wait(Duration::from_millis(20), &mut out);
+        assert!(out.is_empty(), "nobody to deliver to");
+        // Its next wait must not need another edge, and must not block
+        // the harvest that delivers it.
+        assert!(c.register_io(1, 2, a.as_raw_fd(), false, None, None));
+        let t0 = Instant::now();
+        c.wait(Duration::from_secs(10), &mut out);
+        assert_eq!(out, vec![(1, 2, WakeKind::Ready)]);
+        assert!(t0.elapsed() < Duration::from_secs(1), "blocked");
+        assert!(!c.has_waits());
     }
 
     #[test]
     fn a_write_wait_on_an_fd_first_registered_for_read_wakes_on_writability() {
-        for mut c in both() {
-            let (a, b) = pair_with_full_send_buffer();
-            let fd = a.as_raw_fd();
-            let mut out = Vec::new();
-            // First registration is for read; nothing to read.
-            assert!(c.register_io(1, 1, fd, false, None, None));
-            c.wait(Duration::from_millis(20), &mut out);
-            assert!(out.is_empty(), "{}", c.backend());
-            // A write wait on the same fd, send buffer full: no wake.
-            assert!(c.register_io(2, 1, fd, true, None, None));
-            c.wait(Duration::from_millis(20), &mut out);
-            assert!(out.is_empty(), "{}: buffer still full", c.backend());
-            // The peer drains it: the writer wakes, the reader does not.
-            b.set_nonblocking(true).unwrap();
-            let mut sink = [0u8; 65536];
-            while matches!((&b).read(&mut sink), Ok(n) if n > 0) {}
-            c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, vec![(2, 1, WakeKind::Ready)], "{}", c.backend());
-            assert!(c.has_waits(), "{}: the read wait stays parked", c.backend());
-        }
+        let mut c = core();
+        let (a, b) = pair_with_full_send_buffer();
+        let fd = a.as_raw_fd();
+        let mut out = Vec::new();
+        // First registration is for read; nothing to read.
+        assert!(c.register_io(1, 1, fd, false, None, None));
+        c.wait(Duration::from_millis(20), &mut out);
+        assert!(out.is_empty());
+        // A write wait on the same fd, send buffer full: no wake.
+        assert!(c.register_io(2, 1, fd, true, None, None));
+        c.wait(Duration::from_millis(20), &mut out);
+        assert!(out.is_empty(), "buffer still full");
+        // The peer drains it: the writer wakes, the reader does not.
+        b.set_nonblocking(true).unwrap();
+        let mut sink = [0u8; 65536];
+        while matches!((&b).read(&mut sink), Ok(n) if n > 0) {}
+        c.wait(Duration::from_secs(10), &mut out);
+        assert_eq!(out, vec![(2, 1, WakeKind::Ready)]);
+        assert!(c.has_waits(), "the read wait stays parked");
     }
 
     #[test]
     fn deadline_cancel_then_late_readiness_then_fresh_wait_delivers_exactly_once() {
-        for mut c in both() {
-            let (a, b) = UnixStream::pair().unwrap();
-            let deadline = Instant::now() + Duration::from_millis(10);
-            assert!(c.register_io(5, 1, a.as_raw_fd(), false, Some(deadline), None));
-            let mut out = Vec::new();
-            while out.is_empty() {
-                c.wait(Duration::from_secs(10), &mut out);
-            }
-            assert_eq!(out, vec![(5, 1, WakeKind::Ready)], "{}: deadline", c.backend());
-            out.clear();
-            (&b).write_all(b"late").unwrap();
-            c.wait(Duration::from_millis(30), &mut out);
-            assert!(out.is_empty(), "{}: no stale delivery", c.backend());
-            assert!(c.register_io(5, 2, a.as_raw_fd(), false, None, None));
+        let mut c = core();
+        let (a, b) = UnixStream::pair().unwrap();
+        let deadline = Instant::now() + Duration::from_millis(10);
+        assert!(c.register_io(5, 1, a.as_raw_fd(), false, Some(deadline), None));
+        let mut out = Vec::new();
+        while out.is_empty() {
             c.wait(Duration::from_secs(10), &mut out);
-            c.wait(Duration::from_millis(20), &mut out);
-            assert_eq!(out, vec![(5, 2, WakeKind::Ready)], "{}: exactly once", c.backend());
         }
+        assert_eq!(out, vec![(5, 1, WakeKind::Ready)], "deadline");
+        out.clear();
+        (&b).write_all(b"late").unwrap();
+        c.wait(Duration::from_millis(30), &mut out);
+        assert!(out.is_empty(), "no stale delivery");
+        assert!(c.register_io(5, 2, a.as_raw_fd(), false, None, None));
+        c.wait(Duration::from_secs(10), &mut out);
+        c.wait(Duration::from_millis(20), &mut out);
+        assert_eq!(out, vec![(5, 2, WakeKind::Ready)], "exactly once");
     }
 
     /// `cycles` park/wake cycles of job 1 on `a`, each woken by one byte
@@ -1348,7 +1175,7 @@ mod tests {
             assert!(c.register_io(1, seq, a.as_raw_fd(), false, None, None));
             (&*b).write_all(b"x").unwrap();
             c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, [(1, seq, WakeKind::Ready)], "{} cycle {seq}", c.backend());
+            assert_eq!(out, [(1, seq, WakeKind::Ready)], "cycle {seq}");
             out.clear();
             (&*a).read_exact(&mut byte).unwrap();
         }
@@ -1356,26 +1183,24 @@ mod tests {
 
     #[test]
     fn a_hundred_park_wake_cycles_on_one_fd_cost_one_epoll_ctl() {
-        let mut c = core(Backend::Epoll);
+        let mut c = core();
         let (a, b) = UnixStream::pair().unwrap();
-        let before = sys::CTL_CALLS.with(std::cell::Cell::get);
+        let before = ctl_calls();
         park_wake_cycles(&mut c, &a, &b, 100);
-        let ctls = sys::CTL_CALLS.with(std::cell::Cell::get) - before;
-        assert_eq!(ctls, 1, "one ADD for the fd's lifetime, nothing per wait");
+        assert_eq!(ctl_calls() - before, 1, "one ADD for the fd's lifetime, nothing per wait");
     }
 
     #[test]
     fn steady_state_park_and_wake_allocate_nothing() {
-        for mut c in both() {
-            let (a, b) = UnixStream::pair().unwrap();
-            // Warm-up sizes the fd table, the wait map, and the buffers.
-            park_wake_cycles(&mut c, &a, &b, 8);
-            let before = counting_alloc::allocations();
-            park_wake_cycles(&mut c, &a, &b, 100);
-            let allocated = counting_alloc::allocations() - before;
-            // The harness itself allocates one `out` vector per call.
-            assert_eq!(allocated, 1, "{}: register_io/wait must not allocate", c.backend());
-        }
+        let mut c = core();
+        let (a, b) = UnixStream::pair().unwrap();
+        // Warm-up sizes the fd table, the wait map, and the buffers.
+        park_wake_cycles(&mut c, &a, &b, 8);
+        let before = counting_alloc::allocations();
+        park_wake_cycles(&mut c, &a, &b, 100);
+        let allocated = counting_alloc::allocations() - before;
+        // The harness itself allocates one `out` vector per call.
+        assert_eq!(allocated, 1, "register_io/wait must not allocate");
     }
 }
 

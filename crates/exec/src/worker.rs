@@ -10,9 +10,10 @@
 //! message carries [`KILL_WORKER_PANIC`]) no longer kills the thread.
 //! The supervisor fails the in-flight residents with the transient
 //! `WorkerReset` taxonomy (so the retry/backoff path resubmits them),
-//! rebuilds the VM *and* the reactor backend — the wake pipe survives, so
-//! the pool's existing [`WakeHandle`](crate::reactor::WakeHandle)s keep
-//! ringing — and re-enters the loop still serving its conn queue.
+//! makes the reactor forget every wait and rebuilds the VM — the epoll
+//! instance and its wake pipe survive, so the pool's existing
+//! [`WakeHandle`](crate::reactor::WakeHandle)s keep ringing — and
+//! re-enters the loop still serving its conn queue.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -126,8 +127,9 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
 
     // The supervisor loop: serve() runs until drained (Ok) or a panic
     // escapes the per-slice isolation (Err). On a panic the worker does
-    // not die — the supervisor fails the residents transiently, rebuilds
-    // VM and reactor backend, and re-enters serve() on the same queues.
+    // not die — the supervisor fails the residents transiently, clears
+    // the reactor, rebuilds the VM, and re-enters serve() on the same
+    // queues.
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             serve(&ctx, &mut host, &mut reactor, &mut ready, &mut blocked, &mut next_seq)
@@ -175,7 +177,7 @@ fn serve(
     next_seq: &mut u64,
 ) {
     let mut wakeups: Vec<Wakeup> = Vec::new();
-    let mut closed_fds: Vec<i32> = Vec::new();
+    let mut fd_log: Vec<i32> = Vec::new();
     // Slices left to run before the next between-slices harvest.
     let mut slices_to_harvest: usize = 0;
 
@@ -205,8 +207,10 @@ fn serve(
             // The slice may have closed sockets: cancel the waits other
             // green threads still hold on them (the resumed retry raises
             // io-error instead of wedging) *before* this slice's own wait
-            // registers — its fd number may be a closed one recycled.
-            cancel_closed(ctx, host, reactor, &mut wakeups, &mut closed_fds);
+            // registers — its fd number may be a closed one recycled. An
+            // injected would-block's readiness is handed back before that
+            // wait registers too, so the registration finds it pending.
+            sweep_fd_logs(ctx, host, reactor, &mut wakeups, &mut fd_log);
             if let Some((active, wait)) = parked {
                 block_job(ctx, host, reactor, active, wait, ready, blocked, next_seq);
             }
@@ -251,10 +255,12 @@ fn serve(
     }
 }
 
-/// The supervisor's restart path: a panic escaped [`serve`]. Residents
-/// are failed and the VM replaced as after any panic ([`reset_vm`]), and
-/// the reactor backend is rebuilt too — the wake pipe survives, so the
-/// acceptor's and pool's existing wake handles stay valid.
+/// The supervisor's restart path: a panic escaped [`serve`]. The reactor
+/// forgets every wait, deleting each fd it knows from its epoll instance
+/// while the old VM's sockets are still open; then residents are failed
+/// and the VM replaced as after any panic ([`reset_vm`]), which closes
+/// them. The instance and its wake pipe stay, so the acceptor's and the
+/// pool's wake handles stay valid.
 fn supervise_restart(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
@@ -264,7 +270,7 @@ fn supervise_restart(
     culprit: JobId,
 ) {
     ctx.tally().worker_restarts.add(1);
-    reactor.rebuild_backend();
+    reactor.forget_all();
     reset_vm(ctx, host, ready, blocked, culprit);
 }
 
@@ -324,10 +330,11 @@ fn harvest(ctx: &WorkerCtx, reactor: &mut ReactorCore, max_wait: Duration, out: 
     }
 }
 
-/// The closed-fd sweep: cancels reactor waits on — and forgets the
-/// reactor's entry for — any fd the guest closed since the last sweep,
-/// delivering the cancelled waits' wakeups into `out`.
-fn cancel_closed(
+/// The per-slice sweep of the VM's fd logs: cancels reactor waits on —
+/// and forgets the reactor's entry for — any fd the guest closed since the
+/// last sweep, delivering the cancelled waits' wakeups into `out`; then
+/// hands back the readiness of any fd an injected would-block left ready.
+fn sweep_fd_logs(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
     reactor: &mut ReactorCore,
@@ -343,6 +350,11 @@ fn cancel_closed(
     let n = out.len() - before;
     if n > 0 {
         ctx.tally().io_wakeups.add(n as u64);
+    }
+    buf.clear();
+    host.vm_mut().drain_owed_fds(buf);
+    for &fd in buf.iter() {
+        reactor.owe_readiness(fd);
     }
 }
 
@@ -621,7 +633,7 @@ fn handle_panic(
         // Escalate past the in-place VM rebuild to the worker supervisor:
         // the culprit is failed here (we know its attribution), then we
         // unwind out of serve() so the supervisor restarts the whole
-        // worker — VM, reactor backend, residents — through one code path.
+        // worker — VM, reactor waits, residents — through one code path.
         std::panic::resume_unwind(Box::new(SupervisedKill { culprit: culprit.id }));
     }
     reactor.forget_all();

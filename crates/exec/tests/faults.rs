@@ -2,16 +2,15 @@
 //! robustness tentpole.
 //!
 //! - io-timeout: a per-wait I/O deadline wakes a parked read as the
-//!   catchable `io-timeout` condition (the slow-loris defense), on both
-//!   backends;
+//!   catchable `io-timeout` condition (the slow-loris defense);
 //! - short writes: injected *and* natural partial writes are invisible to
 //!   the guest — `tcp-write` loops until the buffer is fully delivered;
 //! - injected syscall faults: seeded reset / spurious-readiness / short
 //!   I/O faults surface as catchable conditions or silent retries, never
 //!   as wedges or crashes;
-//! - supervision: a worker killed mid-flight is rebuilt (VM + reactor),
-//!   its blocked jobs are retried as transient worker-reset failures, and
-//!   the pool keeps serving;
+//! - supervision: a worker killed mid-flight is rebuilt (a fresh VM, every
+//!   reactor wait forgotten), its blocked jobs are retried as transient
+//!   worker-reset failures, and the pool keeps serving;
 //! - overload: past the pending high-water mark the acceptor sheds new
 //!   connections instead of deepening the backlog.
 
@@ -19,7 +18,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use oneshot_exec::{Backend, ErrorKind, JobSpec, Pool, PoolBuilder, ServeOptions};
+use oneshot_exec::{ErrorKind, JobSpec, Pool, PoolBuilder, ServeOptions};
 use oneshot_vm::{FaultPlan, VmConfig};
 
 /// A pool sized for socket tests (mirrors `tests/reactor.rs`).
@@ -43,38 +42,30 @@ fn setup_listener(pool: &Pool) -> u16 {
 fn silent_peer_raises_a_catchable_io_timeout() {
     // A connected peer that never sends: the read's per-wait window
     // expires in the reactor and the guest catches `io-timeout` instead
-    // of hanging forever. Exercised on both backends — the deadline lives
-    // in the shared timer heap, but the wakeup is delivered through each
-    // backend's readiness path.
-    for backend in [Backend::Poll, Backend::Epoll] {
-        let pool = net_pool(1).reactor_backend(backend).build().unwrap();
-        let port = setup_listener(&pool);
-        // Connect *before* submitting so the accept returns immediately
-        // and only the read sits out its window.
-        let peer = TcpStream::connect(("127.0.0.1", port)).unwrap();
-        let h = pool
-            .submit(
-                JobSpec::new(
-                    "slow-loris",
-                    "(let ((c (tcp-accept lst)))
-                       (call-with-guard
-                         (lambda (e) (begin (tcp-close c) (list 'caught (condition-kind e))))
-                         (lambda () (tcp-read c 4096) 'peer-spoke)))",
-                )
-                .pin(0)
-                .io_timeout(Duration::from_millis(120)),
+    // of hanging forever.
+    let pool = net_pool(1).build().unwrap();
+    let port = setup_listener(&pool);
+    // Connect *before* submitting so the accept returns immediately and
+    // only the read sits out its window.
+    let peer = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    let h = pool
+        .submit(
+            JobSpec::new(
+                "slow-loris",
+                "(let ((c (tcp-accept lst)))
+                   (call-with-guard
+                     (lambda (e) (begin (tcp-close c) (list 'caught (condition-kind e))))
+                     (lambda () (tcp-read c 4096) 'peer-spoke)))",
             )
-            .unwrap();
-        assert_eq!(
-            h.wait().result.as_deref(),
-            Ok("(caught io-timeout)"),
-            "{backend:?}: the guest must catch the timeout"
-        );
-        drop(peer);
-        let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(report.counters.failed, 0, "{backend:?}: a caught condition is not a failure");
-        assert!(report.counters.io_timeouts >= 1, "{backend:?}: the wakeup must be counted");
-    }
+            .pin(0)
+            .io_timeout(Duration::from_millis(120)),
+        )
+        .unwrap();
+    assert_eq!(h.wait().result.as_deref(), Ok("(caught io-timeout)"), "the guest must catch it");
+    drop(peer);
+    let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+    assert_eq!(report.counters.failed, 0, "a caught condition is not a failure");
+    assert!(report.counters.io_timeouts >= 1, "the wakeup must be counted");
 }
 
 #[test]
@@ -247,9 +238,10 @@ fn echoes(port: u16, msg: &str) -> bool {
 fn killed_worker_is_rebuilt_and_blocked_jobs_are_retried() {
     // The supervision drill, under live serving: a job blocked on a timer
     // is collateral when another job kills the worker. The supervisor
-    // rebuilds the VM and reactor, retries the blocked job (worker-reset is
-    // transient), and the pool accepts and completes new work afterwards —
-    // including connections on the listener that was up before the kill.
+    // rebuilds the VM, makes the reactor forget every wait, retries the
+    // blocked job (worker-reset is transient), and the pool accepts and
+    // completes new work afterwards — including connections on the
+    // listener that was up before the kill.
     let pool = Pool::builder().workers(1).resident_cap(8).max_retries(2).build().unwrap();
     let handler = JobSpec::new(
         "echo-once",
@@ -276,10 +268,34 @@ fn killed_worker_is_rebuilt_and_blocked_jobs_are_retried() {
         Ok("survived"),
         "the blocked job must be retried on the rebuilt worker"
     );
-    // The rebuilt worker keeps serving — fresh I/O through the rebuilt
-    // reactor, and every connection accepted on the old listener.
+    // The rebuilt worker keeps serving — fresh I/O through the reactor's
+    // kept epoll instance, and every connection accepted on the old
+    // listener.
     let after = pool.submit(JobSpec::new("after", "(begin (timer-wait 10) 'alive)")).unwrap();
     assert_eq!(after.wait().result.as_deref(), Ok("alive"));
+    // A job on the restarted worker parks in `tcp-read` and the peer's
+    // bytes wake it: the kept instance registers and delivers.
+    let port = setup_listener(&pool);
+    let mut peer = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    let parked_before = pool.stats().io_blocked;
+    let reader = pool
+        .submit(
+            JobSpec::new(
+                "read-after-restart",
+                "(let* ((c (tcp-accept lst)) (d (tcp-read c 64)))
+                   (tcp-close c) (tcp-close lst) d)",
+            )
+            .pin(0)
+            .deadline(Duration::from_secs(20)),
+        )
+        .unwrap();
+    let parked_by = std::time::Instant::now() + Duration::from_secs(20);
+    while pool.stats().io_blocked == parked_before {
+        assert!(std::time::Instant::now() < parked_by, "the reader never parked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    peer.write_all(b"wake").unwrap();
+    assert_eq!(reader.wait().result.as_deref(), Ok("\"wake\""));
     for i in 0..4 {
         assert!(echoes(serve.port(), &format!("post-{i}")), "post-kill connection {i} unanswered");
     }
@@ -405,12 +421,24 @@ fn overload_handler_answers_shed_connections() {
 
 #[test]
 fn seeded_serve_chaos_drains_leak_free() {
-    // Seeded fault plans armed in the VMs *and* the reactors while real
-    // connections flow (E17's chaos-serve cell). Whatever the faults do,
-    // every client gets an answer or a clean close, the pool drains, and
-    // nothing leaks.
+    serve_chaos_drains_leak_free(0..4);
+}
+
+/// The wide sweep, run in release by CI: `cargo test --release -p
+/// oneshot-exec -- --ignored`.
+#[test]
+#[ignore]
+fn seeded_serve_chaos_drains_leak_free_wide() {
+    serve_chaos_drains_leak_free(4..260);
+}
+
+/// Seeded fault plans armed in the VMs *and* the reactors while real
+/// connections flow (E17's chaos-serve cell). Whatever the faults do,
+/// every client gets an answer or a clean close, the pool drains, and
+/// nothing leaks.
+fn serve_chaos_drains_leak_free(seeds: std::ops::Range<u64>) {
     const WORKERS: usize = 2;
-    for seed in 0..4u64 {
+    for seed in seeds {
         let cfg =
             VmConfig { fault_plan: Some(FaultPlan::seeded(seed, 256)), ..VmConfig::default() };
         let pool = net_pool(WORKERS).vm_config(cfg).max_retries(2).build().unwrap();

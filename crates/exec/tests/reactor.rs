@@ -1,5 +1,5 @@
 //! End-to-end reactor tests: guest jobs blocking on real loopback
-//! sockets and timers, woken by poll(2) readiness, with the pool's
+//! sockets and timers, woken by epoll readiness, with the pool's
 //! accounting checked after every drain.
 //!
 //! The scenarios mirror the embedder contract:

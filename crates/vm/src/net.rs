@@ -64,6 +64,10 @@ pub(crate) struct NetTable {
     /// interest in a closed fd silently, so the close itself must tell
     /// the reactor.
     closed_log: Vec<i32>,
+    /// Raw fds an injected spurious would-block reported not ready while
+    /// they were. Edge-triggered `epoll` will not report that readiness
+    /// again, so the worker hands it back to its reactor.
+    owed_log: Vec<i32>,
     /// Read buffer shared by every `read`, grown to the largest request
     /// seen: a would-block probe allocates and zeroes nothing.
     rbuf: Vec<u8>,
@@ -90,6 +94,7 @@ impl NetTable {
             cap,
             pending: std::collections::VecDeque::new(),
             closed_log: Vec::new(),
+            owed_log: Vec::new(),
             rbuf: Vec::new(),
             wbuf: Vec::new(),
         }
@@ -262,6 +267,19 @@ impl NetTable {
     /// Moves the fds closed since the last call into `out`.
     pub(crate) fn drain_closed(&mut self, out: &mut Vec<i32>) {
         out.append(&mut self.closed_log);
+    }
+
+    /// Logs `token`'s fd as still ready after an injected would-block.
+    pub(crate) fn owe(&mut self, token: i64) {
+        if let Some(fd) = self.fd(token) {
+            self.owed_log.push(fd as i32);
+        }
+    }
+
+    /// Moves the fds logged by [`NetTable::owe`] since the last call into
+    /// `out`.
+    pub(crate) fn drain_owed(&mut self, out: &mut Vec<i32>) {
+        out.append(&mut self.owed_log);
     }
 
     /// Reads at most `max` bytes into the table's read buffer.

@@ -1205,8 +1205,10 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                 }
                 if vm.io_spurious_fault.tick() {
                     // EAGAIN after readiness: report would-block even
-                    // though the reactor said ready; the guest re-suspends.
+                    // though the reactor said ready; the guest re-suspends
+                    // and the fd's readiness is owed back to the reactor.
                     vm.faults_injected += 1;
+                    vm.net.owe(tok);
                     return ret!(vm, Value::FALSE);
                 }
                 if vm.io_short_fault.tick() {
@@ -1259,6 +1261,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                 }
                 if vm.io_spurious_fault.tick() {
                     vm.faults_injected += 1;
+                    vm.net.owe(tok);
                     return ret!(vm, Value::FALSE);
                 }
                 if vm.io_short_fault.tick() {

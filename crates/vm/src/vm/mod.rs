@@ -595,10 +595,10 @@ impl Vm {
     }
 
     /// The raw file descriptor behind guest socket `token`, or `None` if
-    /// the token is stale. The reactor registers this fd with poll(2);
-    /// the descriptor stays owned by the VM and is closed by
-    /// `%tcp-close` or VM teardown, at which point a registered poll
-    /// entry reports `POLLNVAL` and self-cleans.
+    /// the token is stale. The reactor registers this fd with epoll; the
+    /// descriptor stays owned by the VM and is closed by `%tcp-close` or
+    /// VM teardown, which reports it through [`Vm::drain_closed_fds`] so
+    /// the reactor can wake its waiters and forget it.
     pub fn net_fd(&self, token: i64) -> Option<i64> {
         self.net.fd(token)
     }
@@ -652,6 +652,15 @@ impl Vm {
     /// wedge).
     pub fn drain_closed_fds(&mut self, out: &mut Vec<i32>) {
         self.net.drain_closed(out);
+    }
+
+    /// Moves into `out` the raw fds an injected spurious would-block
+    /// ([`FaultPlan::io_spurious_after`](crate::FaultPlan)) reported not
+    /// ready while they were. The embedder hands their readiness back to
+    /// its reactor: an edge-triggered reactor would not report it again,
+    /// and the guest that re-suspended on it would wedge.
+    pub fn drain_owed_fds(&mut self, out: &mut Vec<i32>) {
+        self.net.drain_owed(out);
     }
 
     /// Links a compiled program into the VM, returning the loaded entry

@@ -17,9 +17,6 @@
 //! #   sockets, all heap segments reclaimed, clean shutdown
 //! cargo run --release --example server -- --conns 2000 --workers 2
 //! ```
-//!
-//! `ONESHOT_REACTOR=poll|epoll` selects the readiness backend (default:
-//! epoll where available).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,11 +82,7 @@ fn main() {
         .fuel_slice(2048)
         .build()
         .expect("pool spawns");
-    println!(
-        "echo server: {conns} connections x {rounds} rounds on {workers} workers \
-         ({} backend)",
-        pool.reactor_backend()
-    );
+    println!("echo server: {conns} connections x {rounds} rounds on {workers} workers");
 
     for w in 0..workers {
         let ok = pool

@@ -1,13 +1,12 @@
 //! The serving path's contract, in tier-1: resident loopback connections
-//! through `Pool::serve` on each reactor backend. A handler parked in
-//! `tcp-read` is one sealed one-shot continuation; every round trip is one
-//! would-block → park → wake → resume cycle. If the park path breaks —
-//! a lost wakeup, a stale delivery, a leaked socket or segment — this
-//! fails under `cargo test -q` at the root. So does a parked one-shot that
-//! is resumed twice or never: one seeded chaos-serve run per backend and a
-//! shutdown over jobs parked on timers and sockets check that every
-//! connection and every job resolves exactly once and leaves nothing
-//! behind.
+//! through `Pool::serve`. A handler parked in `tcp-read` is one sealed
+//! one-shot continuation; every round trip is one would-block → park →
+//! wake → resume cycle. If the park path breaks — a lost wakeup, a stale
+//! delivery, a leaked socket or segment — this fails under `cargo test -q`
+//! at the root. So does a parked one-shot that is resumed twice or never:
+//! one seeded chaos-serve run and a shutdown over jobs parked on timers
+//! and sockets check that every connection and every job resolves exactly
+//! once and leaves nothing behind.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oneshot::exec::{Backend, ErrorKind, JobSpec, Pool};
+use oneshot::exec::{ErrorKind, JobSpec, Pool};
 use oneshot::vm::{FaultPlan, VmConfig};
 
 const CONNECTIONS: usize = 64;
@@ -37,14 +36,9 @@ fn audit(pool: &Pool) -> String {
     pool.submit(JobSpec::new("audit", AUDIT).pin(0)).unwrap().wait().result.expect("audit runs")
 }
 
-fn resident_connections_echo_byte_exact(backend: Backend) {
-    let pool = Pool::builder()
-        .workers(1)
-        .resident_cap(CONNECTIONS + 8)
-        .reactor_backend(backend)
-        .build()
-        .unwrap();
-    assert_eq!(pool.reactor_backend(), backend);
+#[test]
+fn resident_connections_echo_byte_exact_on_epoll() {
+    let pool = Pool::builder().workers(1).resident_cap(CONNECTIONS + 8).build().unwrap();
     let before = audit(&pool);
 
     let served = Arc::new(AtomicU64::new(0));
@@ -72,47 +66,37 @@ fn resident_connections_echo_byte_exact(backend: Backend) {
             let msg = format!("conn-{i:02}-round-{round:03}");
             conn.write_all(msg.as_bytes()).unwrap();
             let got = &mut reply[..msg.len()];
-            conn.read_exact(got).unwrap_or_else(|e| panic!("{backend}: {msg}: {e}"));
-            assert_eq!(got, msg.as_bytes(), "{backend}: byte-exact echo");
+            conn.read_exact(got).unwrap_or_else(|e| panic!("{msg}: {e}"));
+            assert_eq!(got, msg.as_bytes(), "byte-exact echo");
         }
     }
 
     conns.clear(); // every peer closes: every handler reads eof and returns
     let deadline = Instant::now() + Duration::from_secs(30);
     while served.load(Ordering::SeqCst) < CONNECTIONS as u64 {
-        assert!(Instant::now() < deadline, "{backend}: handlers drained");
+        assert!(Instant::now() < deadline, "handlers drained");
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(audit(&pool), before, "{backend}: no socket or segment outlives its handler");
+    assert_eq!(audit(&pool), before, "no socket or segment outlives its handler");
 
     let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
     let c = &report.counters;
-    assert_eq!(c.failed, 0, "{backend}");
+    assert_eq!(c.failed, 0);
     // A handler must park between two requests on its connection: the
     // client sends the next one only after a round over all the others.
     // The parks before the first request and before eof are races the
     // client can win, so they are not counted on.
     assert!(
         c.io_blocked >= (CONNECTIONS * (ROUND_TRIPS - 1)) as u64,
-        "{backend}: {} parks — handlers parked between requests",
+        "{} parks — handlers parked between requests",
         c.io_blocked
     );
     assert!(
         c.io_wakeups <= c.io_blocked + CONNECTIONS as u64,
-        "{backend}: {} wakeups for {} waits — a wait is delivered at most once",
+        "{} wakeups for {} waits — a wait is delivered at most once",
         c.io_wakeups,
         c.io_blocked
     );
-}
-
-#[test]
-fn resident_connections_echo_byte_exact_on_poll() {
-    resident_connections_echo_byte_exact(Backend::Poll);
-}
-
-#[test]
-fn resident_connections_echo_byte_exact_on_epoll() {
-    resident_connections_echo_byte_exact(Backend::Epoll);
 }
 
 /// One read, echo, close; any injected condition is caught by the guard,
@@ -131,21 +115,16 @@ const GUARDED_HANDLER: &str = "(let ((c (conn-take)))
 /// connections flow (`crates/exec/tests/faults.rs` sweeps more seeds).
 /// Only invariants are asserted — how many connections a schedule lets
 /// through varies from run to run; that each one resolves does not.
-fn seeded_chaos_serve_resolves_every_connection(backend: Backend) {
+#[test]
+fn seeded_chaos_serve_resolves_every_connection_on_epoll() {
     const CONNS: usize = 12;
     // Seed 19 cuts the 2nd guest read short and makes the 15th read or
     // write spuriously would-block, before its segment, timer and
     // allocation clocks (51, 80, 103) come due: twelve connections reach
     // the first two on every run, so "some fault fired" is deterministic.
     let cfg = VmConfig { fault_plan: Some(FaultPlan::seeded(19, 256)), ..VmConfig::default() };
-    let pool = Pool::builder()
-        .workers(1)
-        .resident_cap(64)
-        .reactor_backend(backend)
-        .vm_config(cfg)
-        .max_retries(2)
-        .build()
-        .unwrap();
+    let pool =
+        Pool::builder().workers(1).resident_cap(64).vm_config(cfg).max_retries(2).build().unwrap();
     let handler =
         JobSpec::new("chaos-echo", GUARDED_HANDLER).io_timeout(Duration::from_millis(500));
     let serve = pool.serve("127.0.0.1:0", handler).unwrap();
@@ -162,14 +141,14 @@ fn seeded_chaos_serve_resolves_every_connection(backend: Backend) {
             Ok(_) if got == msg.as_bytes() => answered += 1,
             Ok(_) => degraded += 1,
             Err(e) => {
-                assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "{backend}: {msg} wedged");
-                assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "{backend}: {msg} wedged");
+                assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "{msg} wedged");
+                assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "{msg} wedged");
                 degraded += 1;
             }
         }
     }
     serve.stop();
-    assert_eq!(answered + degraded, CONNS, "{backend}");
+    assert_eq!(answered + degraded, CONNS);
     // The audit job can itself eat a still-armed one-shot fault clock —
     // the plan working as intended — so retry until the clocks are spent.
     let mut audits = 0u64;
@@ -178,35 +157,26 @@ fn seeded_chaos_serve_resolves_every_connection(backend: Backend) {
         let audit = JobSpec::new(format!("audit-{attempt}"), "(%net-live)").pin(0);
         pool.submit(audit).unwrap().wait().result.ok()
     });
-    assert_eq!(live.as_deref(), Some("0"), "{backend}: sockets leaked under chaos");
+    assert_eq!(live.as_deref(), Some("0"), "sockets leaked under chaos");
     let report =
         pool.shutdown_timeout(Duration::from_secs(60)).expect("the pool drains under chaos");
     let c = &report.counters;
     let faults = c.io_faults_injected + report.workers[0].vm.faults_injected;
-    assert!(faults > 0, "{backend}: the schedule injected nothing");
+    assert!(faults > 0, "the schedule injected nothing");
     assert_eq!(
         c.completed + c.failed,
         CONNS as u64 + audits,
-        "{backend}: every handler and audit resolves exactly once"
+        "every handler and audit resolves exactly once"
     );
-}
-
-#[test]
-fn seeded_chaos_serve_resolves_every_connection_on_poll() {
-    seeded_chaos_serve_resolves_every_connection(Backend::Poll);
-}
-
-#[test]
-fn seeded_chaos_serve_resolves_every_connection_on_epoll() {
-    seeded_chaos_serve_resolves_every_connection(Backend::Epoll);
 }
 
 /// A job that opens sockets itself and is then failed by its deadline
 /// while its VM lives on: the sockets it opened are the job's and are
 /// closed with it. (A job that completes keeps its sockets — storing a
 /// listener in a global for later accept loops is a pinned pattern.)
-fn a_failed_jobs_own_sockets_are_closed(backend: Backend) {
-    let pool = Pool::builder().workers(1).reactor_backend(backend).build().unwrap();
+#[test]
+fn a_failed_jobs_own_sockets_are_closed_on_epoll() {
+    let pool = Pool::builder().workers(1).build().unwrap();
     let live = || {
         let audit = JobSpec::new("live", "(%net-live)").pin(0);
         pool.submit(audit).unwrap().wait().result.expect("audit runs")
@@ -217,22 +187,13 @@ fn a_failed_jobs_own_sockets_are_closed(backend: Backend) {
                  'woke)";
     let spec = JobSpec::new("own-sockets", own).pin(0).deadline(Duration::from_millis(100));
     let failed = pool.submit(spec).unwrap().wait().result.map_err(|e| e.kind());
-    assert_eq!(failed, Err(ErrorKind::DeadlineExceeded), "{backend}");
-    assert_eq!(live(), before, "{backend}: the listener and connection outlived their job");
+    assert_eq!(failed, Err(ErrorKind::DeadlineExceeded));
+    assert_eq!(live(), before, "the listener and connection outlived their job");
     pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
 }
 
 #[test]
-fn a_failed_jobs_own_sockets_are_closed_on_poll() {
-    a_failed_jobs_own_sockets_are_closed(Backend::Poll);
-}
-
-#[test]
-fn a_failed_jobs_own_sockets_are_closed_on_epoll() {
-    a_failed_jobs_own_sockets_are_closed(Backend::Epoll);
-}
-
-fn shutdown_resolves_every_parked_job_exactly_once(backend: Backend) {
+fn shutdown_resolves_every_parked_job_exactly_once_on_epoll() {
     // A graceful shutdown begins while one worker holds seventeen sealed
     // one-shots: timers, handlers whose peer speaks during the drain,
     // handlers whose peer never does (their deadline fails them and the
@@ -241,8 +202,7 @@ fn shutdown_resolves_every_parked_job_exactly_once(backend: Backend) {
     // the last thing the worker runs, must find the sockets and stack
     // segments it had before any of it.
     const EACH: usize = 4;
-    let pool =
-        Pool::builder().workers(1).resident_cap(64).reactor_backend(backend).build().unwrap();
+    let pool = Pool::builder().workers(1).resident_cap(64).build().unwrap();
     let before = audit(&pool);
 
     let resolutions = Arc::new(AtomicU64::new(0));
@@ -279,7 +239,7 @@ fn shutdown_resolves_every_parked_job_exactly_once(backend: Backend) {
     let parked = (4 * EACH + 1) as u64;
     let deadline = Instant::now() + Duration::from_secs(30);
     while pool.stats().io_blocked + pool.stats().timer_waits < parked {
-        assert!(Instant::now() < deadline, "{backend}: the jobs never all parked");
+        assert!(Instant::now() < deadline, "the jobs never all parked");
         std::thread::sleep(Duration::from_millis(2));
     }
 
@@ -296,23 +256,13 @@ fn shutdown_resolves_every_parked_job_exactly_once(backend: Backend) {
     drop(silent);
 
     for t in &timers {
-        assert_eq!(t.wait().result.as_deref(), Ok("woke"), "{backend}");
+        assert_eq!(t.wait().result.as_deref(), Ok("woke"));
     }
     let after = last.wait().result;
-    assert_eq!(after.as_deref(), Ok(before.as_str()), "{backend}: (sockets . segments)");
-    assert_eq!(resolutions.load(Ordering::SeqCst), parked, "{backend}: one resolution per job");
+    assert_eq!(after.as_deref(), Ok(before.as_str()), "(sockets . segments)");
+    assert_eq!(resolutions.load(Ordering::SeqCst), parked, "one resolution per job");
     let each = EACH as u64;
     assert_eq!((spoke.load(Ordering::SeqCst), timed_out.load(Ordering::SeqCst)), (each, each));
     let c = &report.counters;
-    assert_eq!((c.completed, c.failed), (parked - each + 1, each), "{backend}");
-}
-
-#[test]
-fn shutdown_resolves_every_parked_job_exactly_once_on_poll() {
-    shutdown_resolves_every_parked_job_exactly_once(Backend::Poll);
-}
-
-#[test]
-fn shutdown_resolves_every_parked_job_exactly_once_on_epoll() {
-    shutdown_resolves_every_parked_job_exactly_once(Backend::Epoll);
+    assert_eq!((c.completed, c.failed), (parked - each + 1, each));
 }
