@@ -49,13 +49,19 @@ pub enum Obj {
     },
     /// A first-class continuation: the control part lives in the segmented
     /// stack (`oneshot-core`); `winders` snapshots the `dynamic-wind` chain
-    /// at capture time.
+    /// at capture time. With `prompt` set it is a subcontinuation: a
+    /// delimited context to splice, not a procedure to call.
     Kont {
         /// The sealed stack record, or `None` for the empty ("halt")
-        /// continuation captured at an empty top level.
+        /// continuation captured at an empty top level (or an empty
+        /// delimited context).
         kont: Option<KontId>,
         /// The winder list captured with it.
         winders: Value,
+        /// A subcontinuation's prompt-side winder list — the tail of
+        /// `winders` its extent did not add; `None` for `call/cc` and
+        /// `call/1cc` continuations.
+        prompt: Option<Value>,
     },
     /// A boxed (assignment-converted) variable cell.
     Cell(Value),
@@ -69,7 +75,7 @@ impl Obj {
             Obj::Vector(v) => 1 + v.len() as u64,
             Obj::Str(s) => 1 + (s.len() as u64).div_ceil(8),
             Obj::Closure { free, .. } => 2 + free.len() as u64,
-            Obj::Kont { .. } => 3,
+            Obj::Kont { prompt, .. } => 3 + u64::from(prompt.is_some()),
             Obj::Cell(_) => 1,
         }
     }
@@ -100,6 +106,8 @@ pub enum ObjView<'a> {
         kont: Option<KontId>,
         /// The winder list captured with it.
         winders: Value,
+        /// A subcontinuation's prompt-side winder list.
+        prompt: Option<Value>,
     },
     /// A cell's contents.
     Cell(Value),
@@ -161,11 +169,12 @@ struct ClosureObj {
 struct KontObj {
     kont: Option<KontId>,
     winders: Value,
+    prompt: Option<Value>,
 }
 
 impl Default for KontObj {
     fn default() -> Self {
-        KontObj { kont: None, winders: Value::NIL }
+        KontObj { kont: None, winders: Value::NIL, prompt: None }
     }
 }
 
@@ -443,8 +452,8 @@ impl Heap {
                 let free = FreeVals::from_slice(&free);
                 ObjRef::pack(ObjKind::Closure, self.closures.alloc(ClosureObj { code, free }))
             }
-            Obj::Kont { kont, winders } => {
-                let i = self.konts.alloc(KontObj { kont, winders });
+            Obj::Kont { kont, winders, prompt } => {
+                let i = self.konts.alloc(KontObj { kont, winders, prompt });
                 if kont.is_some() {
                     self.kont_registry.push(i);
                 }
@@ -552,13 +561,26 @@ impl Heap {
         })
     }
 
-    /// The stack record and winder snapshot, if `r` is a continuation.
+    /// The stack record and winder snapshot, if `r` is a `call/cc` or
+    /// `call/1cc` continuation (a subcontinuation is not one).
     #[inline]
     pub fn kont(&self, r: ObjRef) -> Option<(Option<KontId>, Value)> {
+        self.kont_obj(r).filter(|k| k.prompt.is_none()).map(|k| (k.kont, k.winders))
+    }
+
+    /// The stack record, winders inside the extent and winders at the
+    /// prompt, if `r` is a subcontinuation.
+    #[inline]
+    pub fn subcont(&self, r: ObjRef) -> Option<(Option<KontId>, Value, Value)> {
+        let k = self.kont_obj(r)?;
+        k.prompt.map(|p| (k.kont, k.winders, p))
+    }
+
+    #[inline]
+    fn kont_obj(&self, r: ObjRef) -> Option<&KontObj> {
         (r.kind() == ObjKind::Kont).then(|| {
             debug_assert!(self.konts.is_live(r.pool_index()), "access to collected continuation");
-            let k = &self.konts.slots[r.pool_index() as usize];
-            (k.kont, k.winders)
+            &self.konts.slots[r.pool_index() as usize]
         })
     }
 
@@ -597,7 +619,7 @@ impl Heap {
             }
             ObjKind::Kont => {
                 let k = &self.konts.slots[i];
-                ObjView::Kont { kont: k.kont, winders: k.winders }
+                ObjView::Kont { kont: k.kont, winders: k.winders, prompt: k.prompt }
             }
             ObjKind::Cell => ObjView::Cell(self.cells.slots[i]),
         }
@@ -687,11 +709,14 @@ impl Heap {
                 }
             }
             ObjKind::Kont => {
-                let KontObj { kont, winders } = self.konts.slots[i];
+                let KontObj { kont, winders, prompt } = self.konts.slots[i];
                 if let Some(k) = kont {
                     self.kont_gray.push(k);
                 }
                 self.mark_value(winders);
+                if let Some(p) = prompt {
+                    self.mark_value(p);
+                }
             }
             ObjKind::Cell => {
                 let v = self.cells.slots[i];
@@ -831,8 +856,12 @@ mod tests {
         let mut h = Heap::new();
         h.alloc(Obj::Cell(Value::NIL));
         // Halt konts (no stack record) are not in the registry.
-        h.alloc(Obj::Kont { kont: None, winders: Value::NIL });
-        let k = h.alloc(Obj::Kont { kont: Some(KontId::from_index(7)), winders: Value::NIL });
+        h.alloc(Obj::Kont { kont: None, winders: Value::NIL, prompt: None });
+        let k = h.alloc(Obj::Kont {
+            kont: Some(KontId::from_index(7)),
+            winders: Value::NIL,
+            prompt: None,
+        });
         let found: Vec<_> = h.konts().collect();
         assert_eq!(found, vec![(k, KontId::from_index(7))]);
         // Sweeping an unmarked kont prunes the registry.
@@ -844,14 +873,18 @@ mod tests {
     #[test]
     fn kont_children_enqueue_stack_record() {
         let mut h = Heap::new();
-        let w = h.alloc(Obj::Pair(Value::fixnum(1), Value::NIL));
-        let k = h.alloc(Obj::Kont { kont: Some(KontId::from_index(3)), winders: Value::obj(w) });
+        let p = h.alloc(Obj::Pair(Value::fixnum(0), Value::NIL));
+        let w = h.alloc(Obj::Pair(Value::fixnum(1), Value::obj(p)));
+        let (kont, winders) = (Some(KontId::from_index(3)), Value::obj(w));
+        let k = h.alloc(Obj::Kont { kont, winders, prompt: Some(Value::obj(p)) });
+        assert_eq!(h.kont(k), None, "a subcontinuation is not a continuation");
+        assert_eq!(h.subcont(k), Some((kont, winders, Value::obj(p))));
         h.begin_gc();
         h.mark_value(Value::obj(k));
         drain(&mut h);
-        assert_eq!(h.pop_kont(), Some(KontId::from_index(3)));
+        assert_eq!(h.pop_kont(), kont);
         h.sweep();
-        assert_eq!(h.len(), 2, "winders survive through the kont");
+        assert_eq!(h.len(), 3, "both winder lists survive through the subcontinuation");
     }
 
     #[test]

@@ -137,12 +137,14 @@ fn emit(
                 ObjView::Closure { code, .. } => {
                     let _ = write!(out, "#<procedure @{code}>");
                 }
-                ObjView::Kont { kont, .. } => match kont {
-                    Some(k) => {
-                        let _ = write!(out, "#<continuation {}>", k.index());
-                    }
-                    None => out.push_str("#<continuation halt>"),
-                },
+                ObjView::Kont { kont, prompt, .. } => {
+                    let _ = match (kont, prompt) {
+                        (Some(k), None) => write!(out, "#<continuation {}>", k.index()),
+                        (Some(k), Some(_)) => write!(out, "#<subcontinuation {}>", k.index()),
+                        (None, None) => write!(out, "#<continuation halt>"),
+                        (None, Some(_)) => write!(out, "#<subcontinuation empty>"),
+                    };
+                }
                 ObjView::Cell(inner) => {
                     out.push_str("#<box ");
                     emit(heap, syms, inner, write, out, seen, depth + 1);

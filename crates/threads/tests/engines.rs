@@ -121,37 +121,54 @@ fn blocking_outside_a_slice_is_a_catchable_condition() {
     assert_eq!(host.vm().write_value(&caught), "no-matching-prompt");
 }
 
-#[test]
-fn a_park_is_one_subcontinuation_take_and_a_handful_of_objects() {
-    /// Guest heap objects one preempt-and-resume cycle may allocate: the
-    /// slice closure, the prompt's tag pair, the subcontinuation (a
-    /// continuation object and a vector), the take handler and its result
-    /// pair, and the resume's value vector.
-    const OBJECTS_PER_PARK: u64 = 7;
+/// Guest heap objects one suspend-and-resume cycle may allocate: the
+/// slice closure, the prompt's tag pair, the subcontinuation, the take
+/// handler and its result pair. The resume is a one-value push with no
+/// winders to cross, so it allocates nothing.
+const OBJECTS_PER_PARK: u64 = 5;
 
-    let mut host = EngineHost::new();
-    let id = host.spawn_program(&compile(SPIN)).unwrap();
-    assert_eq!(host.step(id, 100).unwrap(), EngineStep::Parked);
-    let mut parks = 0;
+/// Steps `id` in `fuel`-call slices until it completes, checking that
+/// every suspension after the first is one take and one push that copy
+/// nothing and allocate at most `objects` guest objects. Returns the
+/// number of suspensions checked.
+fn check_suspensions(host: &mut EngineHost, id: EngineId, fuel: u64, objects: u64) -> usize {
+    assert!(!matches!(host.step(id, fuel).unwrap(), EngineStep::Done(_)));
+    let mut suspensions = 0;
     loop {
         let before = host.vm().stats();
-        let step = host.step(id, 100).unwrap();
-        if step != EngineStep::Parked {
-            break;
+        if let EngineStep::Done(_) = host.step(id, fuel).unwrap() {
+            return suspensions;
         }
-        parks += 1;
+        suspensions += 1;
         let d = host.vm().stats().delta_since(&before);
         assert_eq!(d.stack.subconts_taken, 1);
         assert_eq!(d.stack.subconts_pushed, 1);
         assert_eq!(d.stack.captures_one + d.stack.captures_multi, 0);
         assert_eq!(d.stack.slots_copied, 0);
         assert!(
-            d.heap.objects_allocated <= OBJECTS_PER_PARK,
-            "a park allocated {} objects",
+            d.heap.objects_allocated <= objects,
+            "a suspension allocated {} objects",
             d.heap.objects_allocated
         );
     }
-    assert!(parks > 10);
+}
+
+#[test]
+fn a_park_is_one_subcontinuation_take_and_a_handful_of_objects() {
+    let mut host = EngineHost::new();
+    let id = host.spawn_program(&compile(SPIN)).unwrap();
+    assert!(check_suspensions(&mut host, id, 100, OBJECTS_PER_PARK) > 10);
+}
+
+#[test]
+fn a_timer_wait_block_and_resume_costs_what_a_park_does() {
+    // A block is a park that also conses its (kind . handle) wait and the
+    // driver's (blocked kind . handle) answer. Its resume is the same
+    // one-value push.
+    let mut host = EngineHost::new();
+    let waits = "(let loop ((i 0)) (if (< i 20) (begin (timer-wait 1) (loop (+ i 1))) 'waited))";
+    let id = host.spawn_program(&compile(waits)).unwrap();
+    assert_eq!(check_suspensions(&mut host, id, 100_000, OBJECTS_PER_PARK + 2), 19);
 }
 
 /// Runs a fresh host whose handler is installed, arming a timer fault

@@ -4,11 +4,11 @@ use oneshot_runtime::Value;
 
 /// What a staged builtin resumes into when control returns to it.
 ///
-/// Multi-step builtins (`dynamic-wind`, `call-with-values`, and the winding
-/// phase of continuation invocation) call back into Scheme; the frame slot
-/// below the callee holds one of these instead of a normal return address,
-/// and the VM dispatches to the builtin's next stage when the callee
-/// returns.
+/// Multi-step builtins (`dynamic-wind`, `call-with-values`, `%push-prompt`
+/// and the winder walk every control transfer shares) call back into
+/// Scheme; the frame slot below the callee holds one of these instead of a
+/// normal return address, and the VM dispatches to the builtin's next
+/// stage when the callee returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resume {
     /// `dynamic-wind`: after `before` returned — push the winder and call
@@ -23,25 +23,16 @@ pub enum Resume {
     /// `call-with-values`: the producer returned — apply the consumer to
     /// its values.
     CwvConsume,
-    /// Continuation invocation: a winder thunk returned — continue winding
-    /// toward the target continuation.
-    KontWind,
-    /// Continuation invocation: a `before` winder returned — enter it, then
-    /// continue winding.
-    KontWindEnter,
     /// `%push-prompt`: the delimited body returned normally — deliver its
     /// value through the prompt's continuation.
     PromptReturn,
-    /// `%take-subcont`: an `after` winder returned — keep unwinding toward
-    /// the prompt's winder list, then call the handler on the
-    /// subcontinuation.
-    TakeWind,
-    /// `%push-subcont`: a `before` winder returned — enter it, then keep
-    /// rewinding toward the splice.
-    SubWind,
-    /// `%abort-to-prompt`: an `after` winder returned — keep unwinding,
-    /// then abort to the prompt.
-    AbortWind,
+    /// The winder walk (continuation invocation, `%take-subcont`,
+    /// `%push-subcont`, `%abort-to-prompt`): an `after` returned — take the
+    /// next step toward the target winder list.
+    Unwound,
+    /// The winder walk: a `before` returned — enter its winder, then take
+    /// the next step.
+    Rewound,
 }
 
 /// One stack slot.

@@ -4,7 +4,7 @@
 //! (the canonical list shared with the CPS converter); construction panics
 //! if an implementation is missing, so the two cannot drift.
 
-use oneshot_runtime::{values_equal, Obj, ObjKind, ObjRef, Unpacked, Value};
+use oneshot_runtime::{values_equal, Obj, ObjKind, Unpacked, Value};
 
 use crate::error::{VmError, R};
 use crate::slot::{Resume, Slot};
@@ -28,6 +28,14 @@ pub(crate) enum Flow {
     Continue,
     /// The program completed with this value.
     Halt(Value),
+}
+
+/// An inner transfer's outcome as builtin flow: control already moved, or
+/// the program completed.
+impl From<Option<Value>> for Flow {
+    fn from(done: Option<Value>) -> Flow {
+        done.map_or(Flow::Continue, Flow::Halt)
+    }
 }
 
 /// A builtin: runs with the frame `[ret, args...]` at `fp`, `argc`
@@ -60,10 +68,7 @@ impl Vm {
     /// Maps an inner `apply` outcome to builtin flow.
     fn transfer(&mut self, f: Value, argc: usize) -> R<Flow> {
         self.calls += 1;
-        match self.apply(f, argc)? {
-            Some(v) => Ok(Flow::Halt(v)),
-            None => Ok(Flow::Continue),
-        }
+        Ok(self.apply(f, argc)?.into())
     }
 
     /// Collects a proper list into a vector.
@@ -528,9 +533,10 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
         },
         "not" => pred!("not", |_, v| !v.is_true()),
         "boolean?" => pred!("boolean?", |_, v| v.is_boolean()),
-        "procedure?" => pred!("procedure?", |_, v| {
+        "procedure?" => pred!("procedure?", |vm, v| {
             v.is_builtin()
-                || matches!(v.as_obj().map(ObjRef::kind), Some(ObjKind::Closure | ObjKind::Kont))
+                || v.as_obj()
+                    .is_some_and(|r| r.kind() == ObjKind::Closure || vm.heap.kont(r).is_some())
         }),
         "symbol?" => pred!("symbol?", |_, v| v.is_sym()),
         "string?" => {
@@ -946,7 +952,8 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             check(argc, 1, "call/cc")?;
             let p = vm.arg(0);
             let kont = vm.stack.capture_multi();
-            let kv = Value::obj(vm.heap.alloc(Obj::Kont { kont, winders: vm.winders }));
+            let kv =
+                Value::obj(vm.heap.alloc(Obj::Kont { kont, winders: vm.winders, prompt: None }));
             vm.set_local(1, kv);
             Ok(Flow::Tail { f: p, argc: 1 })
         },
@@ -954,7 +961,8 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             check(argc, 1, "call/1cc")?;
             let p = vm.arg(0);
             let kont = vm.stack.capture_one(4);
-            let kv = Value::obj(vm.heap.alloc(Obj::Kont { kont, winders: vm.winders }));
+            let kv =
+                Value::obj(vm.heap.alloc(Obj::Kont { kont, winders: vm.winders, prompt: None }));
             vm.set_local(1, kv);
             Ok(Flow::Tail { f: p, argc: 1 })
         },
@@ -1357,106 +1365,22 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             vm.transfer(thunk, 0)
         },
         "%take-subcont" => |vm, argc| {
-            // (%take-subcont tag handler): detaches the continuation up to
-            // the nearest `tag` prompt — consuming the prompt — then runs
-            // outstanding `after` winders and calls `handler` on the
-            // one-shot subcontinuation.
+            // (%take-subcont tag handler): calls `handler` on the one-shot
+            // subcontinuation up to the nearest `tag` prompt.
             check(argc, 2, "%take-subcont")?;
-            let tag = vm.arg(0);
-            let f = vm.arg(1);
-            let (kp, wp) = vm.find_prompt(tag)?;
-            let w_captured = vm.winders;
-            let (head, r) = vm
-                .stack
-                .take_subcont(kp, &crate::slot::slot_disp)
-                .map_err(|e| err(e.to_string()))?;
-            // Control is now at the prompt's frame; re-plant its return
-            // address (a multi-shot reinstatement does not restore the fp
-            // slot) and build the handler's frame above it.
-            let fp = vm.stack.fp();
-            vm.stack.set(fp, r.ret);
-            vm.ensure_or_raise(8, 1)?;
-            let kv = Value::obj(vm.heap.alloc(Obj::Kont { kont: head, winders: wp }));
-            let sk = Value::obj(vm.heap.alloc(Obj::Vector(vec![kv, w_captured, wp])));
-            vm.set_local(1, sk);
-            if w_captured == wp {
-                return vm.transfer(f, 1);
-            }
-            vm.set_local(2, f);
-            vm.set_local(3, wp);
-            match vm.take_wind_step()? {
-                Some(v) => Ok(Flow::Halt(v)),
-                None => Ok(Flow::Continue),
-            }
+            Ok(vm.take_subcont(vm.arg(0), vm.arg(1))?.into())
         },
         "%push-subcont" => |vm, argc| {
-            // (%push-subcont sk v...): splices subcontinuation `sk` onto
-            // the current stack — re-entering any `before` winders captured
-            // in its extent — and delivers the values through its innermost
-            // frame. One-shot: a second push raises the standard
-            // `shot-twice` condition.
+            // (%push-subcont sk v...): splices subcontinuation `sk`,
+            // delivering the values through its innermost frame.
             at_least(argc, 1, "%push-subcont")?;
-            let sk = vm.arg(0);
-            let elems = match sk.as_obj().and_then(|r| vm.heap.vector(r)) {
-                Some(v) if v.len() == 3 => [v[0], v[1], v[2]],
-                _ => return Err(vm.type_error("%push-subcont", "subcontinuation", sk)),
-            };
-            let (kv, wc, wp) = (elems[0], elems[1], elems[2]);
-            if kv.as_obj().and_then(|r| vm.heap.kont(r)).is_none() {
-                return Err(vm.type_error("%push-subcont", "subcontinuation", sk));
-            }
-            // Winder pairs to re-enter, outermost first: the nodes consed
-            // onto the prompt's list while the subcontinuation's extent was
-            // active.
-            let mut pending = Value::NIL;
-            let mut node = wc;
-            while node != wp {
-                let Some((winder, rest)) = node.as_obj().and_then(|r| vm.heap.pair(r)) else {
-                    return Err(err("%push-subcont: subcontinuation winders corrupt"));
-                };
-                pending = vm.cons(winder, pending);
-                node = rest;
-            }
-            let vals: Vec<Value> = (1..argc).map(|i| vm.arg(i)).collect();
-            vm.ensure_or_raise(16, 1 + argc)?;
-            let vv = Value::obj(vm.heap.alloc(Obj::Vector(vals)));
-            vm.set_local(1, kv);
-            vm.set_local(2, vv);
-            vm.set_local(3, pending);
-            match vm.push_subcont_step()? {
-                Some(v) => Ok(Flow::Halt(v)),
-                None => Ok(Flow::Continue),
-            }
+            Ok(vm.push_subcont(argc)?.into())
         },
         "%abort-to-prompt" => |vm, argc| {
-            // (%abort-to-prompt tag v...): discards the continuation up to
-            // the nearest `tag` prompt — running its `after` winders — and
-            // returns the values from the prompt. The fast path never
-            // materializes the discarded context as a continuation value.
+            // (%abort-to-prompt tag v...): returns the values from the
+            // nearest `tag` prompt.
             at_least(argc, 1, "%abort-to-prompt")?;
-            let tag = vm.arg(0);
-            let (kp, wp) = vm.find_prompt(tag)?;
-            let vals: Vec<Value> = (1..argc).map(|i| vm.arg(i)).collect();
-            if vm.winders == wp {
-                vm.deliver_vals(&vals);
-                let r = vm
-                    .stack
-                    .abort_to_prompt(kp, &crate::slot::slot_disp)
-                    .map_err(|e| err(e.to_string()))?;
-                return match vm.dispatch_reinstated_ret(r.ret)? {
-                    Some(v) => Ok(Flow::Halt(v)),
-                    None => Ok(Flow::Continue),
-                };
-            }
-            vm.ensure_or_raise(8, 1 + argc)?;
-            let vv = Value::obj(vm.heap.alloc(Obj::Vector(vals)));
-            vm.set_local(1, tag);
-            vm.set_local(2, vv);
-            vm.set_local(3, wp);
-            match vm.abort_wind_step()? {
-                Some(v) => Ok(Flow::Halt(v)),
-                None => Ok(Flow::Continue),
-            }
+            Ok(vm.abort_to_prompt(argc)?.into())
         },
         "%prompt-set?" => |vm, argc| {
             // (%prompt-set? tag): is a prompt with this tag on the current

@@ -1,10 +1,11 @@
 //! The execution engine: instruction dispatch, the call protocol, returns,
-//! underflow, continuation invocation with `dynamic-wind` winding, and the
-//! engine timer.
+//! underflow, the control transfers (continuation invocation and the
+//! delimited-control primitives) with their one `dynamic-wind` winder
+//! walk, and the engine timer.
 
 use oneshot_compiler::Op;
 use oneshot_core::{KontId, Underflow};
-use oneshot_runtime::{Heap, Obj, ObjKind, Symbols, Unpacked, Value};
+use oneshot_runtime::{Heap, Obj, Symbols, Unpacked, Value};
 
 use crate::error::{VmError, R};
 use crate::slot::{slot_disp, Resume, Slot};
@@ -723,21 +724,15 @@ impl Vm {
         )
     }
 
-    /// Whether the frame being entered belongs to a winder thunk invoked
-    /// by the `dynamic-wind` machinery: its return slot is one of the wind
-    /// resume markers. (The body thunk resumes through `WindAfter` and is
-    /// *not* a winder — faults deliver normally inside the extent.)
+    /// Whether the frame being entered belongs to a winder thunk, run by
+    /// `dynamic-wind` or by the winder walk: its return slot is one of the
+    /// winder resume markers. (The body thunk resumes through `WindAfter`
+    /// and is *not* a winder — faults deliver normally inside the extent.)
     fn entering_winder(&self) -> bool {
         matches!(
             self.stack.get(self.stack.fp()),
             Slot::Resume {
-                kind: Resume::WindBody
-                    | Resume::WindDone
-                    | Resume::KontWind
-                    | Resume::KontWindEnter
-                    | Resume::TakeWind
-                    | Resume::SubWind
-                    | Resume::AbortWind,
+                kind: Resume::WindBody | Resume::WindDone | Resume::Unwound | Resume::Rewound,
                 ..
             }
         )
@@ -785,14 +780,9 @@ impl Vm {
             return Ok(None);
         }
         match f.unpack() {
-            Unpacked::Obj(r) => match r.kind() {
-                ObjKind::Kont => {
-                    let Some((kont, winders)) = self.heap.kont(r) else {
-                        return Err(VmError::runtime("invocation of a collected continuation"));
-                    };
-                    self.invoke_kont(kont, winders, argc)
-                }
-                _ => Err(self.type_error("apply", "procedure", f)),
+            Unpacked::Obj(r) => match self.heap.kont(r) {
+                Some((kont, winders)) => self.invoke_kont(f, kont, winders, argc),
+                None => Err(self.type_error("apply", "procedure", f)),
             },
             Unpacked::Builtin(i) => {
                 let func = self.builtins[i as usize];
@@ -876,102 +866,164 @@ impl Vm {
     }
 
     // ------------------------------------------------------------------
-    // Continuation invocation (Figures 3 and 4, plus dynamic-wind)
+    // Control transfers: continuation invocation (Figures 3 and 4) and
+    // the delimited-control primitives, all through one winder walk
     // ------------------------------------------------------------------
 
-    /// Invokes a continuation value with `argc` arguments at `fp+1..`.
+    /// Invokes continuation `k` — stack record `kont`, captured under
+    /// `winders` — with the `argc` arguments at `fp+1..`.
     pub(crate) fn invoke_kont(
         &mut self,
+        k: Value,
         kont: Option<KontId>,
         winders: Value,
         argc: usize,
     ) -> R<Option<Value>> {
         if self.winders == winders {
-            // No winding: reinstate directly. One value is the
-            // overwhelmingly common case (every `(k v)` invocation), so
-            // keep it off the Rust allocator entirely.
-            match argc {
-                0 => return self.reinstate(kont, &[]),
-                1 => {
-                    let v = self.local(1);
-                    return self.reinstate(kont, &[v]);
-                }
-                _ => {
-                    let vals: Vec<Value> = (0..argc).map(|i| self.local(1 + i)).collect();
-                    return self.reinstate(kont, &vals);
-                }
-            }
+            self.deliver_locals(1, argc);
+            return self.reinstate(kont);
         }
-        // Winding needed: stash the target and values in the current frame
-        // and run winder thunks, one per step.
-        let vals: Vec<Value> = (0..argc).map(|i| self.local(1 + i)).collect();
-        self.ensure_or_raise((1 + argc).max(8), 1 + argc)?;
-        let target = Value::obj(self.heap.alloc(Obj::Kont { kont, winders }));
-        let vals_vec = Value::obj(self.heap.alloc(Obj::Vector(vals)));
-        self.set_local(1, target);
-        self.set_local(2, vals_vec);
-        self.wind_step()
+        // `k` is in no stack slot: root it in `acc` while growing the
+        // stack can collect.
+        self.acc = k;
+        self.ensure_or_raise(WALK_NEED.max(1 + argc), 1 + argc)?;
+        let vals = self.stash_locals(1, argc);
+        self.walk_to(winders, Arrival::Invoke, k, vals)
     }
 
-    /// One step of winding toward the target continuation stashed in the
-    /// current frame; recomputed from scratch each step so that winder
-    /// thunks that themselves capture or invoke continuations behave
-    /// consistently.
-    pub(crate) fn wind_step(&mut self) -> R<Option<Value>> {
-        let target_val = self.local(1);
-        let Some(tr) = target_val.as_obj() else {
-            return Err(VmError::runtime("wind target missing"));
+    /// `(%take-subcont tag handler)`: detaches the continuation up to the
+    /// nearest `tag` prompt — consuming the prompt — then walks out to the
+    /// prompt's winder list and calls `handler` on the one-shot
+    /// subcontinuation. The capture happens first, so `after` thunks run on
+    /// the prompt's stack, outside the delimited extent, in the
+    /// capture-then-unwind order `call/cc`-based `shift` observes.
+    pub(crate) fn take_subcont(&mut self, tag: Value, handler: Value) -> R<Option<Value>> {
+        let (kp, wp) = self.find_prompt(tag)?;
+        let (head, r) =
+            self.stack.take_subcont(kp, &slot_disp).map_err(|e| VmError::runtime(e.to_string()))?;
+        // Control is now at the prompt's frame; re-plant its return
+        // address (a multi-shot reinstatement does not restore the fp
+        // slot) and stage the walk above it.
+        let fp = self.stack.fp();
+        self.stack.set(fp, r.ret);
+        let sk = Obj::Kont { kont: head, winders: self.winders, prompt: Some(wp) };
+        let sk = Value::obj(self.heap.alloc(sk));
+        // Nothing above `fp` is live yet, so root the subcontinuation (and
+        // through it the detached records and `wp`) in `acc`, and the
+        // handler in `closure` — both overwritten by whatever the walk
+        // applies next — while growing the stack can collect.
+        (self.acc, self.closure) = (sk, handler);
+        self.ensure_or_raise(WALK_NEED, 1)?;
+        self.walk_to(wp, Arrival::Take, sk, handler)
+    }
+
+    /// `(%push-subcont sk v...)`: splices subcontinuation `sk` (argument 0)
+    /// onto the current stack, re-entering the `before` thunks of the
+    /// extents captured in it, and delivers the values through its
+    /// innermost frame. A second push raises `shot-twice`.
+    pub(crate) fn push_subcont(&mut self, argc: usize) -> R<Option<Value>> {
+        let sk = self.local(1);
+        let Some((head, inside, prompt)) = sk.as_obj().and_then(|r| self.heap.subcont(r)) else {
+            return Err(self.type_error("%push-subcont", "subcontinuation", sk));
         };
-        let Some((kont, target_winders)) = self.heap.kont(tr) else {
-            return Err(VmError::runtime("wind target is not a continuation"));
-        };
-        if self.winders == target_winders {
-            let vals_val = self.local(2);
-            let Some(vr) = vals_val.as_obj() else {
-                return Err(VmError::runtime("wind values missing"));
-            };
-            let Some(vals) = self.heap.vector(vr) else {
-                return Err(VmError::runtime("wind values missing"));
-            };
-            let vals = vals.to_vec();
-            return self.reinstate(kont, &vals);
+        if inside == prompt {
+            self.deliver_locals(2, argc - 1);
+            return self.splice(head);
         }
-        // Is the current winder list an extension of the common tail?
-        let common = self.common_tail(self.winders, target_winders);
+        self.ensure_or_raise(WALK_NEED.max(1 + argc), 1 + argc)?;
+        // The target: the extent's winder pairs re-consed, in order, onto
+        // the current list, so the re-entered extent nests in the context
+        // the subcontinuation is spliced into, not the one it was taken
+        // from.
+        let (mut target, mut last) = (self.winders, None);
+        let mut node = inside;
+        while node != prompt {
+            let copy = self.heap.alloc_pair(self.car_of(node)?, self.winders);
+            match last.and_then(|r| self.heap.pair_mut(r)) {
+                Some(pair) => pair.1 = Value::obj(copy),
+                None => target = Value::obj(copy),
+            }
+            last = Some(copy);
+            node = self.cdr_of(node)?;
+        }
+        let vals = self.stash_locals(2, argc - 1);
+        self.walk_to(target, Arrival::Push, sk, vals)
+    }
+
+    /// `(%abort-to-prompt tag v...)`: discards the continuation up to the
+    /// nearest `tag` prompt — running its `after` thunks — and returns the
+    /// values from the prompt, never materializing the discarded context.
+    pub(crate) fn abort_to_prompt(&mut self, argc: usize) -> R<Option<Value>> {
+        let tag = self.local(1);
+        let (kp, wp) = self.find_prompt(tag)?;
+        if self.winders == wp {
+            self.deliver_locals(2, argc - 1);
+            return self.abort_to(kp);
+        }
+        self.ensure_or_raise(WALK_NEED.max(1 + argc), 1 + argc)?;
+        let vals = self.stash_locals(2, argc - 1);
+        self.walk_to(wp, Arrival::Abort, tag, vals)
+    }
+
+    /// Stages the winder walk's frame at `fp` — `[1]` the target winder
+    /// list, `[2]` the arrival, `[3]` its object (the continuation, the
+    /// subcontinuation, or the prompt tag) and `[4]` its payload (the
+    /// stashed values, or take's handler) — and takes the first step. The
+    /// caller has made `WALK_NEED` slots of room.
+    fn walk_to(
+        &mut self,
+        target: Value,
+        arrival: Arrival,
+        obj: Value,
+        payload: Value,
+    ) -> R<Option<Value>> {
+        let staged = [target, Value::fixnum(arrival as i64), obj, payload];
+        for (i, v) in staged.into_iter().enumerate() {
+            self.set_local(1 + i, v);
+        }
+        self.walk()
+    }
+
+    /// The winder walk: one step from `self.winders` toward the staged
+    /// target. While the current list is not a tail of the target, leave
+    /// its innermost winder (pop it, run its `after`); then enter the
+    /// outermost target winder not yet entered (run its `before`; the list
+    /// moves onto its node when the thunk returns, in `Resume::Rewound`).
+    /// At the target, arrive. Every step recomputes its position from
+    /// `self.winders`, so a winder thunk that captures, escapes or
+    /// re-enters leaves the walk consistent.
+    fn walk(&mut self) -> R<Option<Value>> {
+        let target = self.local(1);
+        if self.winders == target {
+            return self.arrive();
+        }
+        let common = self.common_tail(self.winders, target);
         if self.winders != common {
-            // Leave the innermost current winder: pop, then run its after.
-            let Some(wr) = self.winders.as_obj() else {
-                return Err(VmError::runtime("winder list corrupt"));
-            };
-            let Some((winder, rest)) = self.heap.pair(wr) else {
-                return Err(VmError::runtime("winder list corrupt"));
-            };
-            self.winders = rest;
+            let winder = self.car_of(self.winders)?;
+            self.winders = self.cdr_of(self.winders)?;
             let after = self.cdr_of(winder)?;
-            return self.call_winder(after, Resume::KontWind);
+            return self.call_winder(after, Resume::Unwound);
         }
-        // Enter the outermost not-yet-entered target winder: run its
-        // before, then (on resume) set the winder list to that node.
-        let mut node = target_winders;
-        let mut enter = target_winders;
+        let enter = self.next_to_enter(target, common)?;
+        let before = self.car_of(self.car_of(enter)?)?;
+        self.call_winder(before, Resume::Rewound)
+    }
+
+    /// The node of `target` just above `common`: the outermost winder a
+    /// walk toward `target` has yet to enter.
+    fn next_to_enter(&self, target: Value, common: Value) -> R<Value> {
+        let (mut node, mut enter) = (target, target);
         while node != common {
             enter = node;
             node = self.cdr_of(node)?;
         }
-        let Some(er) = enter.as_obj() else {
-            return Err(VmError::runtime("winder list corrupt"));
-        };
-        let Some((winder, _)) = self.heap.pair(er) else {
-            return Err(VmError::runtime("winder list corrupt"));
-        };
-        let before = self.car_of(winder)?;
-        self.call_winder(before, Resume::KontWindEnter)
+        Ok(enter)
     }
 
     /// Longest common tail of two winder lists (by node identity): measure
     /// both, drop the longer one's surplus, then step the two together
     /// until they meet. Linear and allocation-free — this runs once per
-    /// winder crossed by a continuation invocation.
+    /// walk step.
     fn common_tail(&self, mut a: Value, mut b: Value) -> Value {
         let cdr = |v: Value| v.as_obj().and_then(|r| self.heap.pair(r)).map(|(_, d)| d);
         let len = |mut v: Value| {
@@ -998,48 +1050,54 @@ impl Vm {
         a
     }
 
-    /// Calls a winder thunk in a subframe above the wind state.
+    /// Calls a winder thunk in a subframe above the walk's frame.
     fn call_winder(&mut self, thunk: Value, kind: Resume) -> R<Option<Value>> {
         let fp = self.stack.fp();
-        self.stack.set(fp + 3, Slot::Resume { kind, disp: 3 });
-        self.stack.set_fp(fp + 3);
+        self.stack.set(fp + WALK_FRAME, Slot::Resume { kind, disp: WALK_FRAME as u32 });
+        self.stack.set_fp(fp + WALK_FRAME);
         self.calls += 1;
         self.apply(thunk, 0)
+    }
+
+    /// The walk reached its target: completes the transfer it was staged
+    /// for. An abort re-resolves its prompt here — winder thunks run
+    /// arbitrary code, so the prompt's identity, not a raw record id held
+    /// across the walk, is authoritative.
+    fn arrive(&mut self) -> R<Option<Value>> {
+        let (obj, payload) = (self.local(3), self.local(4));
+        let corrupt = || VmError::runtime("winder walk frame corrupt");
+        let arrival = self.local(2).as_fixnum().and_then(|n| Arrival::ALL.get(n as usize));
+        match arrival.ok_or_else(corrupt)? {
+            Arrival::Invoke => {
+                let (kont, _) = obj.as_obj().and_then(|r| self.heap.kont(r)).ok_or_else(corrupt)?;
+                self.deliver_stashed(payload)?;
+                self.reinstate(kont)
+            }
+            Arrival::Take => {
+                // The handler's one argument goes where a call frame
+                // wants it.
+                self.set_local(1, obj);
+                self.calls += 1;
+                self.apply(payload, 1)
+            }
+            Arrival::Push => {
+                let (head, ..) =
+                    obj.as_obj().and_then(|r| self.heap.subcont(r)).ok_or_else(corrupt)?;
+                self.deliver_stashed(payload)?;
+                self.splice(head)
+            }
+            Arrival::Abort => {
+                let (kp, _) = self.find_prompt(obj)?;
+                self.deliver_stashed(payload)?;
+                self.abort_to(kp)
+            }
+        }
     }
 
     /// Dispatches a staged-builtin resume (frame pointer already popped to
     /// the staged frame).
     fn resume(&mut self, kind: Resume) -> R<Flow> {
         match kind {
-            Resume::KontWind => {
-                // An after thunk finished; keep winding.
-                match self.wind_step()? {
-                    Some(v) => Ok(Flow::Halt(v)),
-                    None => Ok(Flow::Continue),
-                }
-            }
-            Resume::KontWindEnter => {
-                // A before thunk finished: enter the winder, then continue.
-                let target_val = self.local(1);
-                let Some(tr) = target_val.as_obj() else {
-                    return Err(VmError::runtime("wind target missing"));
-                };
-                let Some((_, target_winders)) = self.heap.kont(tr) else {
-                    return Err(VmError::runtime("wind target is not a continuation"));
-                };
-                let common = self.common_tail(self.winders, target_winders);
-                let mut node = target_winders;
-                let mut enter = target_winders;
-                while node != common {
-                    enter = node;
-                    node = self.cdr_of(node)?;
-                }
-                self.winders = enter;
-                match self.wind_step()? {
-                    Some(v) => Ok(Flow::Halt(v)),
-                    None => Ok(Flow::Continue),
-                }
-            }
             Resume::WindBody => self.dynamic_wind_body(),
             Resume::WindAfter => self.dynamic_wind_after(),
             Resume::WindDone => self.dynamic_wind_done(),
@@ -1049,51 +1107,50 @@ impl Vm {
                 // accumulator flows out through the prompt's continuation.
                 Ok(Flow::Return)
             }
-            Resume::TakeWind => {
-                // An `after` winder returned; keep unwinding toward the
-                // prompt's winder list, then call the handler.
-                match self.take_wind_step()? {
-                    Some(v) => Ok(Flow::Halt(v)),
-                    None => Ok(Flow::Continue),
-                }
-            }
-            Resume::SubWind => {
-                // A `before` winder returned: enter the winder — grafted
-                // onto the *current* winder list, so the re-entered extent
-                // nests in the context the subcontinuation is spliced into,
-                // not the one it was taken from — then keep rewinding.
-                let pending = self.local(3);
-                let winder = self.car_of(pending)?;
-                let rest = self.cdr_of(pending)?;
-                self.winders = Value::obj(self.heap.alloc(Obj::Pair(winder, self.winders)));
-                self.set_local(3, rest);
-                match self.push_subcont_step()? {
-                    Some(v) => Ok(Flow::Halt(v)),
-                    None => Ok(Flow::Continue),
-                }
-            }
-            Resume::AbortWind => {
-                // An `after` winder returned; keep unwinding, then abort.
-                match self.abort_wind_step()? {
-                    Some(v) => Ok(Flow::Halt(v)),
-                    None => Ok(Flow::Continue),
-                }
+            Resume::Unwound => Ok(self.walk()?.into()),
+            Resume::Rewound => {
+                let target = self.local(1);
+                let common = self.common_tail(self.winders, target);
+                self.winders = self.next_to_enter(target, common)?;
+                Ok(self.walk()?.into())
             }
         }
     }
 
-    /// Delivers `vals` to continuation `kont` (Figure 3/4 reinstatement).
-    fn reinstate(&mut self, kont: Option<KontId>, vals: &[Value]) -> R<Option<Value>> {
-        match vals {
-            [v] => {
-                self.acc = *v;
-                self.mv = None;
-            }
-            _ => {
-                self.mv = Some(vals.to_vec());
-                self.acc = Value::UNSPECIFIED;
-            }
+    /// Sets `acc`/`mv` to the `n` values at locals `first..`: one value
+    /// rides in `acc` alone, with no allocation.
+    fn deliver_locals(&mut self, first: usize, n: usize) {
+        if n == 1 {
+            self.acc = self.local(first);
+            self.mv = None;
+        } else {
+            self.mv = Some((first..first + n).map(|i| self.local(i)).collect());
+            self.acc = Value::UNSPECIFIED;
         }
+    }
+
+    /// Copies the `n` values at locals `first..` into a heap vector that
+    /// survives the walk's winder calls.
+    fn stash_locals(&mut self, first: usize, n: usize) -> Value {
+        let vals = (first..first + n).map(|i| self.local(i)).collect();
+        Value::obj(self.heap.alloc(Obj::Vector(vals)))
+    }
+
+    /// Sets `acc`/`mv` from a vector [`Vm::stash_locals`] made.
+    fn deliver_stashed(&mut self, stash: Value) -> R<()> {
+        let Some(vals) = stash.as_obj().and_then(|r| self.heap.vector(r)) else {
+            return Err(VmError::runtime("winder walk values missing"));
+        };
+        (self.acc, self.mv) = match vals {
+            [v] => (*v, None),
+            _ => (Value::UNSPECIFIED, Some(vals.to_vec())),
+        };
+        Ok(())
+    }
+
+    /// Reinstates continuation record `kont` (Figure 3/4), delivering the
+    /// values already in `acc`/`mv`.
+    fn reinstate(&mut self, kont: Option<KontId>) -> R<Option<Value>> {
         let Some(k) = kont else {
             // The empty continuation: the program completes with this value.
             self.stack.clear_to_empty();
@@ -1107,6 +1164,34 @@ impl Vm {
             }
             other => VmError::runtime(other.to_string()),
         })?;
+        self.dispatch_reinstated_ret(r.ret)
+    }
+
+    /// Splices subcontinuation record `head` onto the current stack,
+    /// delivering the values already in `acc`/`mv` through its innermost
+    /// frame.
+    fn splice(&mut self, head: Option<KontId>) -> R<Option<Value>> {
+        let Some(head) = head else {
+            // An empty subcontinuation: delivering the values is just
+            // returning them from the `%push-subcont` call.
+            return self.do_return();
+        };
+        let r = self.stack.push_subcont(head, &slot_disp).map_err(|e| match e {
+            oneshot_core::ControlError::AlreadyShot => VmError::condition(
+                "shot-twice",
+                "attempt to push an already-pushed one-shot subcontinuation",
+            ),
+            other => VmError::runtime(other.to_string()),
+        })?;
+        self.dispatch_reinstated_ret(r.ret)
+    }
+
+    /// Returns the values already in `acc`/`mv` from prompt record `kp`.
+    fn abort_to(&mut self, kp: KontId) -> R<Option<Value>> {
+        let r = self
+            .stack
+            .abort_to_prompt(kp, &slot_disp)
+            .map_err(|e| VmError::runtime(e.to_string()))?;
         self.dispatch_reinstated_ret(r.ret)
     }
 
@@ -1129,10 +1214,6 @@ impl Vm {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Delimited control (prompts and subcontinuations)
-    // ------------------------------------------------------------------
 
     /// Locates the nearest prompt on the continuation chain whose tag pair
     /// matches `tag`, returning its record id and the winder list that was
@@ -1165,139 +1246,6 @@ impl Vm {
                 ),
             )
         })
-    }
-
-    /// Sets the accumulator / pending-values registers from a value slice,
-    /// using the same one-value fast path as [`Vm::reinstate`].
-    pub(crate) fn deliver_vals(&mut self, vals: &[Value]) {
-        match vals {
-            [v] => {
-                self.acc = *v;
-                self.mv = None;
-            }
-            _ => {
-                self.mv = Some(vals.to_vec());
-                self.acc = Value::UNSPECIFIED;
-            }
-        }
-    }
-
-    /// One step of unwinding after `%take-subcont` captured: runs `after`
-    /// thunks innermost-first until the winder list reaches the prompt's,
-    /// then calls the handler on the subcontinuation. The capture already
-    /// happened — afters run on the prompt's stack, outside the delimited
-    /// extent, matching the capture-then-unwind order `call/cc`-based
-    /// implementations of `shift` observe. Frame layout: `fp` holds the
-    /// prompt's return address; locals are `[1]=subcont [2]=handler
-    /// [3]=prompt winders`.
-    pub(crate) fn take_wind_step(&mut self) -> R<Option<Value>> {
-        let wp = self.local(3);
-        if self.winders == wp {
-            let f = self.local(2);
-            // The subcontinuation is already at fp+1, exactly where a
-            // one-argument call frame wants it.
-            self.calls += 1;
-            return self.apply(f, 1);
-        }
-        let Some(wr) = self.winders.as_obj() else {
-            return Err(VmError::runtime("winder list corrupt"));
-        };
-        let Some((winder, rest)) = self.heap.pair(wr) else {
-            return Err(VmError::runtime("winder list corrupt"));
-        };
-        self.winders = rest;
-        let after = self.cdr_of(winder)?;
-        let fp = self.stack.fp();
-        self.stack.set(fp + 4, Slot::Resume { kind: Resume::TakeWind, disp: 4 });
-        self.stack.set_fp(fp + 4);
-        self.calls += 1;
-        self.apply(after, 0)
-    }
-
-    /// One step of rewinding for `%push-subcont`: runs the captured
-    /// `before` thunks outermost-first, then splices the subcontinuation.
-    /// Frame layout: `fp` holds the caller's return address; locals are
-    /// `[1]=kont object [2]=values vector [3]=pending winder pairs,
-    /// outermost first`.
-    pub(crate) fn push_subcont_step(&mut self) -> R<Option<Value>> {
-        let pending = self.local(3);
-        if pending == Value::NIL {
-            return self.push_subcont_now();
-        }
-        let winder = self.car_of(pending)?;
-        let before = self.car_of(winder)?;
-        let fp = self.stack.fp();
-        self.stack.set(fp + 4, Slot::Resume { kind: Resume::SubWind, disp: 4 });
-        self.stack.set_fp(fp + 4);
-        self.calls += 1;
-        self.apply(before, 0)
-    }
-
-    /// Splices the stashed subcontinuation onto the current stack and
-    /// delivers the stashed values through its innermost frame.
-    fn push_subcont_now(&mut self) -> R<Option<Value>> {
-        let kv = self.local(1);
-        let vals_val = self.local(2);
-        let Some((head, _)) = kv.as_obj().and_then(|r| self.heap.kont(r)) else {
-            return Err(VmError::runtime("subcontinuation stash corrupt"));
-        };
-        let Some(vals) = vals_val.as_obj().and_then(|r| self.heap.vector(r)) else {
-            return Err(VmError::runtime("subcontinuation values stash corrupt"));
-        };
-        let vals = vals.to_vec();
-        self.deliver_vals(&vals);
-        let Some(head) = head else {
-            // An empty subcontinuation: delivering the values is just
-            // returning them from the `%push-subcont` call.
-            return self.do_return();
-        };
-        let r = self.stack.push_subcont(head, &slot_disp).map_err(|e| match e {
-            oneshot_core::ControlError::AlreadyShot => VmError::condition(
-                "shot-twice",
-                "attempt to push an already-pushed one-shot subcontinuation",
-            ),
-            other => VmError::runtime(other.to_string()),
-        })?;
-        self.dispatch_reinstated_ret(r.ret)
-    }
-
-    /// One step of unwinding for `%abort-to-prompt`: runs `after` thunks
-    /// innermost-first, then jumps to the prompt without materializing the
-    /// discarded context. Frame layout: `fp` holds the caller's return
-    /// address; locals are `[1]=tag [2]=values vector [3]=prompt winders`.
-    pub(crate) fn abort_wind_step(&mut self) -> R<Option<Value>> {
-        let wp = self.local(3);
-        if self.winders == wp {
-            // Winder thunks run arbitrary code, so the prompt is
-            // re-resolved at the moment of the jump rather than stashed
-            // as a raw id across the unwinding.
-            let tag = self.local(1);
-            let (kp, _) = self.find_prompt(tag)?;
-            let vals_val = self.local(2);
-            let Some(vals) = vals_val.as_obj().and_then(|r| self.heap.vector(r)) else {
-                return Err(VmError::runtime("abort values stash corrupt"));
-            };
-            let vals = vals.to_vec();
-            self.deliver_vals(&vals);
-            let r = self
-                .stack
-                .abort_to_prompt(kp, &slot_disp)
-                .map_err(|e| VmError::runtime(e.to_string()))?;
-            return self.dispatch_reinstated_ret(r.ret);
-        }
-        let Some(wr) = self.winders.as_obj() else {
-            return Err(VmError::runtime("winder list corrupt"));
-        };
-        let Some((winder, rest)) = self.heap.pair(wr) else {
-            return Err(VmError::runtime("winder list corrupt"));
-        };
-        self.winders = rest;
-        let after = self.cdr_of(winder)?;
-        let fp = self.stack.fp();
-        self.stack.set(fp + 4, Slot::Resume { kind: Resume::AbortWind, disp: 4 });
-        self.stack.set_fp(fp + 4);
-        self.calls += 1;
-        self.apply(after, 0)
     }
 
     // ------------------------------------------------------------------
@@ -1348,6 +1296,32 @@ fn type_error(heap: &Heap, syms: &Symbols, who: &str, expected: &str, got: Value
         ),
     )
 }
+
+/// Where the winder walk ends up: the transfer it completes once
+/// `winders` reaches its target.
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    /// Reinstate a continuation with the stashed values.
+    Invoke,
+    /// Call take's handler on the subcontinuation.
+    Take,
+    /// Splice a subcontinuation, delivering the stashed values.
+    Push,
+    /// Re-find the tagged prompt and return the stashed values from it.
+    Abort,
+}
+
+impl Arrival {
+    /// Indexed by the discriminant the walk's frame stores as a fixnum.
+    const ALL: [Arrival; 4] = [Arrival::Invoke, Arrival::Take, Arrival::Push, Arrival::Abort];
+}
+
+/// Where a winder thunk's subframe starts, above the walk's frame (its
+/// return slot and four locals).
+const WALK_FRAME: usize = 5;
+
+/// The slots a transfer makes room for before staging the walk.
+const WALK_NEED: usize = 8;
 
 /// A call-cache entry: where calling the closure in a global cell starts,
 /// or [`CallTarget::NONE`] when the cell holds anything else.

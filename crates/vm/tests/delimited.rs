@@ -101,6 +101,87 @@ fn second_push_of_a_subcontinuation_raises_shot_twice() {
     );
 }
 
+/// A VM with `(grab)`: takes the subcontinuation `(+ 1 [])` out of its
+/// prompt and returns it, and `(guarded thunk)`: `thunk`'s value, or the
+/// kind and message of the condition it raised.
+fn grab_vm() -> Vm {
+    let mut vm = Vm::new();
+    vm.eval_str(
+        "(define t (make-prompt-tag 't))
+         (define (grab)
+           (%push-prompt t (lambda () (+ 1 (%take-subcont t (lambda (sk) sk))))))
+         (define (guarded thunk)
+           (call-with-guard
+             (lambda (c) (list (condition-kind c) (condition-message c)))
+             thunk))",
+    )
+    .unwrap();
+    vm
+}
+
+#[test]
+fn a_subcontinuation_is_its_own_kind() {
+    let mut vm = grab_vm();
+    check(&mut vm, "(let ((sk (grab))) (list (vector? sk) (procedure? sk)))", "(#f #f)");
+    let sk = vm.eval_str("(grab)").unwrap();
+    let shown = vm.write_value(&sk);
+    assert!(shown.starts_with("#<subcontinuation "), "{shown}");
+    check(&mut vm, "(%push-subcont (grab) 41)", "42");
+}
+
+#[test]
+fn applying_a_subcontinuation_is_a_type_error_that_keeps_the_context() {
+    // Neither the subcontinuation nor anything inside it is an abortive
+    // continuation: calling one cannot end the evaluation and drop the
+    // `(list 'outer ...)` around the prompt.
+    let mut vm = grab_vm();
+    for (call, who) in [("(sk 41)", "apply"), ("((vector-ref sk 0) 41)", "vector-ref")] {
+        let src = format!(
+            "(list 'outer
+               (guarded (lambda ()
+                 (%push-prompt t (lambda ()
+                   (+ 1 (%take-subcont t (lambda (sk) {call}))))))))"
+        );
+        let v = vm.eval_str(&src).unwrap();
+        let shown = vm.write_value(&v);
+        assert!(
+            shown.starts_with(&format!("(outer (type-error \"{who}: expected ")),
+            "{call}: {shown}"
+        );
+    }
+}
+
+#[test]
+fn push_accepts_only_a_subcontinuation() {
+    let mut vm = grab_vm();
+    for k in [
+        "(call/cc (lambda (k) k))",
+        "(call/1cc (lambda (k) k))",
+        "(vector (call/cc (lambda (k) k)) '() '())",
+    ] {
+        let v = vm.eval_str(&format!("(guarded (lambda () (%push-subcont {k} 1)))")).unwrap();
+        let shown = vm.write_value(&v);
+        assert!(
+            shown.starts_with("(type-error \"%push-subcont: expected subcontinuation, got "),
+            "{k}: {shown}"
+        );
+    }
+}
+
+#[test]
+fn a_subcontinuations_winder_data_cannot_be_corrupted() {
+    let mut vm = grab_vm();
+    check(&mut vm, "(car (guarded (lambda () (vector-ref (grab) 0))))", "type-error");
+    // The refused write leaves the subcontinuation whole.
+    check(
+        &mut vm,
+        "(let ((sk (grab)))
+           (list (car (guarded (lambda () (vector-set! sk 1 '(a)))))
+                 (%push-subcont sk 41)))",
+        "(type-error 42)",
+    );
+}
+
 #[test]
 fn shot_twice_on_subcont_uncaught_has_kind_and_backtrace() {
     let mut vm = Vm::new();
@@ -310,6 +391,53 @@ fn winders_fire_on_take_and_push_across_a_prompt() {
            (reverse log))",
         "(before start after before end after)",
     );
+    // Three extents: the take leaves them innermost-first, the push
+    // re-enters them outermost-first.
+    check(
+        &mut vm,
+        "(begin
+           (set! log '())
+           (reset (lambda ()
+             (dynamic-wind
+               (lambda () (note 'b1))
+               (lambda ()
+                 (dynamic-wind
+                   (lambda () (note 'b2))
+                   (lambda ()
+                     (dynamic-wind
+                       (lambda () (note 'b3))
+                       (lambda () (shift (lambda (k) (note 'handler) (k 0))) (note 'end))
+                       (lambda () (note 'a3))))
+                   (lambda () (note 'a2))))
+               (lambda () (note 'a1)))))
+           (reverse log))",
+        "(b1 b2 b3 a3 a2 a1 handler b1 b2 b3 end a3 a2 a1)",
+    );
+    // An `after` run by the take's unwind aborts to an outer prompt: the
+    // rest of the unwind happens on the abort's walk, and the handler
+    // never runs.
+    check(
+        &mut vm,
+        "(begin
+           (set! log '())
+           (let* ((outer (make-prompt-tag 'outer))
+                  (inner (make-prompt-tag 'inner))
+                  (v (call-with-prompt outer
+                       (lambda ()
+                         (dynamic-wind
+                           (lambda () (note 'o-in))
+                           (lambda ()
+                             (%push-prompt inner
+                               (lambda ()
+                                 (dynamic-wind
+                                   (lambda () (note 'in))
+                                   (lambda ()
+                                     (%take-subcont inner (lambda (sk) (note 'handler) 'taken)))
+                                   (lambda () (note 'out) (%abort-to-prompt outer 'aborted))))))
+                           (lambda () (note 'o-out)))))))
+             (list v (reverse log))))",
+        "(aborted (o-in in out o-out))",
+    );
 }
 
 #[test]
@@ -328,6 +456,28 @@ fn abort_to_prompt_runs_intervening_afters() {
                    (lambda () (note 'out))))))
            (reverse log))",
         "(in out)",
+    );
+    check(
+        &mut vm,
+        "(begin
+           (set! log '())
+           (let ((tag (make-prompt-tag 'p)))
+             (call-with-prompt tag
+               (lambda ()
+                 (dynamic-wind
+                   (lambda () (note 'in1))
+                   (lambda ()
+                     (dynamic-wind
+                       (lambda () (note 'in2))
+                       (lambda ()
+                         (dynamic-wind
+                           (lambda () (note 'in3))
+                           (lambda () (%abort-to-prompt tag 'escaped))
+                           (lambda () (note 'out3))))
+                       (lambda () (note 'out2))))
+                   (lambda () (note 'out1))))))
+           (reverse log))",
+        "(in1 in2 in3 out3 out2 out1)",
     );
 }
 
