@@ -139,7 +139,8 @@ impl JobSpec {
     }
 
     /// Pins the job to worker `index` (wrapped modulo the worker count):
-    /// it is handed straight to that worker's queue and is never stolen.
+    /// it is bound to that worker's inbox, which the worker drains ahead
+    /// of the shared queue.
     /// Pinning is how jobs that must share one VM's globals — a listener
     /// and its accept loops, say — are kept together.
     #[must_use]
@@ -289,8 +290,6 @@ pub(crate) struct Job {
     /// job with a token is never retried — its socket state was consumed
     /// by the first attempt.
     pub(crate) conn_token: Option<i64>,
-    /// Pinned jobs are never stolen from their worker's queue.
-    pub(crate) pinned: bool,
     pub(crate) submitted: Instant,
     pub(crate) slot: Arc<OutcomeSlot>,
     pub(crate) on_complete: Option<OnComplete>,
@@ -307,7 +306,6 @@ impl std::fmt::Debug for Job {
             .field("deadline", &self.deadline)
             .field("io_timeout", &self.io_timeout)
             .field("conn_token", &self.conn_token)
-            .field("pinned", &self.pinned)
             .field("attempts", &self.attempts)
             .finish_non_exhaustive()
     }

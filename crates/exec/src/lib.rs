@@ -4,10 +4,11 @@
 //! enough to build real thread systems on; `oneshot-threads` demonstrates
 //! that inside one VM. This crate adds the outer level: a [`Pool`] of N OS
 //! worker threads, each owning its own [`Vm`](oneshot_vm::Vm), fed from a
-//! bounded shared injector queue with per-worker deques and work stealing
-//! of whole jobs — plus a *reactor* per worker that multiplexes that
-//! worker's blocking guest I/O over edge-triggered `epoll(7)` (so the
-//! crate is Linux-only).
+//! bounded shared injector queue of unstarted jobs and a per-worker inbox
+//! of work bound to that worker — plus a *reactor* per worker that
+//! multiplexes that worker's blocking guest I/O over edge-triggered
+//! `epoll(7)` (so the crate is Linux-only) and is the only place an idle
+//! worker sleeps.
 //!
 //! The two levels divide the work the way Kobayashi–Kameyama's one-shot
 //! expressiveness results suggest: OS threads provide parallelism between
@@ -34,8 +35,11 @@
 //! once on submit ([`Pool::submit`] returns a [`JobHandle`]); the resulting
 //! [`CompiledProgram`](oneshot_vm::CompiledProgram) is plain `Send` data,
 //! so any worker can link and run it. Once a job has *started* on a worker
-//! its continuation lives in that worker's VM heap, so only unstarted jobs
-//! are stolen; preempted jobs requeue locally.
+//! its continuation lives in that worker's VM heap, so a job waits in the
+//! shared injector until a worker with room admits it, and preempted jobs
+//! requeue locally. A [pinned](JobSpec::pin) job, a transient retry and an
+//! accepted connection wait instead in their worker's inbox, which that
+//! worker drains ahead of the injector.
 //!
 //! Everything that can go wrong surfaces as one [`Error`] with a stable
 //! [`ErrorKind`]:

@@ -1,7 +1,7 @@
 //! The pool: submission, the shared listener, backpressure, shutdown, and
 //! observability.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -12,9 +12,9 @@ use oneshot_vm::{CompiledProgram, CompilerOptions, Pipeline, Vm, VmConfig, VmSta
 
 use crate::error::Error;
 use crate::job::{Admission, Job, JobHandle, JobId, JobSpec, OnComplete, OutcomeSlot};
-use crate::queue::{Injector, PushRefused, StealQueue};
+use crate::queue::{Entry, Inbox, Injector, PushRefused};
 use crate::reactor::{sys, Backend, ReactorCore, WakeHandle};
-use crate::worker::{self, WorkerCtx};
+use crate::worker::{self, Presence, WorkerCtx};
 
 /// Per-worker knobs, fixed at build time.
 #[derive(Debug, Clone, Copy)]
@@ -157,10 +157,10 @@ impl PoolBuilder {
             self.vm_config.stack.hysteresis_slots = 16;
         }
         let injector = Arc::new(Injector::new(self.queue_capacity));
-        let queues: Arc<Vec<StealQueue>> =
-            Arc::new((0..self.workers).map(|_| StealQueue::default()).collect());
-        let conns: Arc<Vec<ConnQueue>> =
-            Arc::new((0..self.workers).map(|_| ConnQueue::default()).collect());
+        let inboxes: Arc<Vec<Inbox>> =
+            Arc::new((0..self.workers).map(|_| Inbox::default()).collect());
+        let presence: Arc<Vec<Presence>> =
+            Arc::new((0..self.workers).map(|_| Presence::default()).collect());
         // Build every reactor before spawning anything: a failure here
         // leaks no threads.
         let mut reactors = Vec::with_capacity(self.workers);
@@ -191,10 +191,10 @@ impl PoolBuilder {
                 cfg,
                 vm_config: Arc::clone(&vm_config),
                 injector: Arc::clone(&injector),
-                queues: Arc::clone(&queues),
+                inboxes: Arc::clone(&inboxes),
+                presence: Arc::clone(&presence),
                 counters: Arc::clone(&counters),
                 reactor: Some(reactor),
-                conns: Arc::clone(&conns),
                 next_conn: Arc::clone(&next_conn),
                 report_tx: report_tx.clone(),
                 retired: Default::default(),
@@ -206,8 +206,8 @@ impl PoolBuilder {
         }
         Ok(Pool {
             injector,
-            queues,
-            conns,
+            inboxes,
+            presence,
             counters,
             handles,
             wakes,
@@ -295,7 +295,9 @@ oneshot_vm::counters! {
         /// Transient failures that were requeued for another attempt (not
         /// counted in `failed` unless the final attempt also failed).
         retried: sum,
-        /// Jobs taken from another worker's deque.
+        /// Always 0: no job moves between workers once one has taken it.
+        /// Kept only because the ledger (`benchmark/src/api.rs`) reads it;
+        /// a `benchmark` issue drops the ledger's read, then this row.
         steals: sum,
         /// Preemptions: a job parked after its slice and was requeued.
         requeues: sum,
@@ -316,8 +318,9 @@ oneshot_vm::counters! {
         /// Most jobs simultaneously blocked on any single worker — the
         /// honest measure of peak per-worker green-thread concurrency.
         blocked_highwater: max,
-        /// Deepest any one worker's intake queue of accepted, not yet
-        /// adopted connections got.
+        /// Deepest any one worker's inbox got when the acceptor routed a
+        /// connection to it, in inbox entries (pinned jobs and retries
+        /// count too).
         accept_queue_highwater: max,
         /// Accepted connections shed because the owning worker's socket
         /// table was full.
@@ -429,13 +432,22 @@ pub(crate) struct HandlerTemplate {
     on_complete: Option<OnComplete>,
 }
 
-impl std::fmt::Debug for ConnQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConnQueue").field("depth", &self.depth()).finish()
-    }
-}
-
 impl HandlerTemplate {
+    /// Compiles a handler spec, applying the pool-wide `io_timeout`
+    /// default.
+    pub(crate) fn new(spec: &JobSpec, io_timeout: Option<Duration>) -> Result<Self, Error> {
+        let prog = Vm::compile_str(&spec.source, Pipeline::Direct, CompilerOptions::default())
+            .map_err(Error::compile)?;
+        Ok(HandlerTemplate {
+            name: spec.name.clone(),
+            prog: Arc::new(prog),
+            fuel: spec.fuel,
+            deadline: spec.deadline,
+            io_timeout: spec.io_timeout.or(io_timeout),
+            on_complete: spec.on_complete.clone(),
+        })
+    }
+
     pub(crate) fn make_job(&self, id: u64, conn_token: i64) -> Job {
         Job {
             id: JobId(id),
@@ -445,7 +457,6 @@ impl HandlerTemplate {
             deadline: self.deadline.map(|d| Instant::now() + d),
             io_timeout: self.io_timeout,
             conn_token: Some(conn_token),
-            pinned: true,
             submitted: Instant::now(),
             slot: Arc::new(OutcomeSlot::default()),
             on_complete: self.on_complete.clone(),
@@ -454,37 +465,11 @@ impl HandlerTemplate {
     }
 }
 
-/// One worker's intake queue of accepted connections, filled by the
-/// shared-listener acceptor and drained by the owning worker.
-#[derive(Default)]
-pub(crate) struct ConnQueue {
-    q: Mutex<std::collections::VecDeque<(TcpStream, Arc<HandlerTemplate>)>>,
-}
-
-impl ConnQueue {
-    fn push(&self, stream: TcpStream, tmpl: Arc<HandlerTemplate>) -> usize {
-        let mut q = self.q.lock().expect("conn queue poisoned");
-        q.push_back((stream, tmpl));
-        q.len()
-    }
-
-    pub(crate) fn pop(&self) -> Option<(TcpStream, Arc<HandlerTemplate>)> {
-        self.q.lock().expect("conn queue poisoned").pop_front()
-    }
-
-    fn depth(&self) -> usize {
-        self.q.lock().expect("conn queue poisoned").len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.depth() == 0
-    }
-}
-
 /// Overload policy for [`Pool::serve_with`].
 ///
-/// When the pending intake depth (accepted connections not yet adopted by
-/// their workers) reaches `pending_highwater`, the acceptor *sheds* new
+/// When the pending depth (inbox entries summed over the workers: accepted
+/// connections not yet adopted, plus pinned jobs and retries not yet
+/// started) reaches `pending_highwater`, the acceptor *sheds* new
 /// connections instead of queueing them: each shed connection is either
 /// routed to the cheap `overload_handler` (answer-then-close, e.g. an HTTP
 /// 503) or, with no handler, closed immediately — the peer sees a reset
@@ -495,7 +480,7 @@ impl ConnQueue {
 /// long.
 #[derive(Default)]
 pub struct ServeOptions {
-    /// Pending-intake depth at which new accepts are shed. `None`
+    /// Pending depth, in inbox entries, at which new accepts are shed. `None`
     /// (default) never sheds.
     pub pending_highwater: Option<usize>,
     /// Handler run for shed connections instead of the real handler; keep
@@ -563,8 +548,8 @@ impl ServeHandle {
 #[derive(Debug)]
 pub struct Pool {
     injector: Arc<Injector>,
-    queues: Arc<Vec<StealQueue>>,
-    conns: Arc<Vec<ConnQueue>>,
+    inboxes: Arc<Vec<Inbox>>,
+    presence: Arc<Vec<Presence>>,
     counters: Arc<PoolCounters>,
     handles: Vec<JoinHandle<()>>,
     wakes: Vec<WakeHandle>,
@@ -598,10 +583,10 @@ impl Pool {
         self.injector.depth()
     }
 
-    /// Accepted connections not yet adopted by their worker, summed over
-    /// all intake queues — the live accept-queue depth.
+    /// Inbox entries summed over the workers: accepted connections not
+    /// yet adopted, plus pinned jobs and retries not yet started.
     pub fn accept_queue_depth(&self) -> usize {
-        self.conns.iter().map(ConnQueue::depth).sum()
+        self.inboxes.iter().map(Inbox::depth).sum()
     }
 
     /// A snapshot of the pool-wide counters.
@@ -609,8 +594,8 @@ impl Pool {
         self.counters.snapshot()
     }
 
-    /// Rings every worker's wake pipe so idle reactor waits re-check
-    /// their queues promptly.
+    /// Rings every worker's wake pipe: an idle worker sleeps only in its
+    /// reactor, so this is how it learns of shutdown.
     fn ring_workers(&self) {
         for w in &self.wakes {
             w.ring();
@@ -625,9 +610,9 @@ impl Pool {
     /// spec back via [`Error::into_refused_spec`].
     ///
     /// A [`pinned`](JobSpec::pin) spec bypasses the injector entirely: it
-    /// goes straight to the chosen worker's queue (never stolen, never
-    /// counted against `queue_capacity`), which is how jobs that must
-    /// share one VM's globals are kept together.
+    /// goes straight to the chosen worker's inbox (never counted against
+    /// `queue_capacity`), which is how jobs that must share one VM's
+    /// globals are kept together.
     ///
     /// # Errors
     ///
@@ -648,7 +633,6 @@ impl Pool {
             deadline: spec.deadline.map(|d| Instant::now() + d),
             io_timeout: spec.io_timeout.or(self.io_timeout),
             conn_token: None,
-            pinned: spec.pin.is_some(),
             submitted: Instant::now(),
             slot: Arc::clone(&slot),
             on_complete: spec.on_complete.clone(),
@@ -660,8 +644,7 @@ impl Pool {
                 return Err(Error::pool_closed());
             }
             let target = pin % self.workers;
-            self.queues[target].push(job);
-            self.injector.notify_workers();
+            self.inboxes[target].push(Entry::Job(job));
             self.wakes[target].ring();
             self.counters.pool.submitted.add(1);
             return Ok(handle);
@@ -674,7 +657,7 @@ impl Pool {
             Ok(depth) => {
                 self.counters.pool.submitted.add(1);
                 self.counters.pool.queue_depth_highwater.raise(depth as u64);
-                self.ring_workers();
+                worker::wake_one(&self.presence, &self.wakes);
                 Ok(handle)
             }
             Err(PushRefused::Full) => Err(Error::queue_full(spec)),
@@ -685,7 +668,7 @@ impl Pool {
     /// Binds one shared `AF_INET` listener at `addr` (e.g.
     /// `"127.0.0.1:0"`) and spawns an acceptor thread that distributes
     /// accepted connections across the worker reactors — least-loaded by
-    /// pending intake depth, round-robin among ties. Each connection is
+    /// inbox depth, round-robin among ties. Each connection is
     /// adopted into its worker's VM socket table and handled by a fresh
     /// instance of `handler` (compiled once), which fetches its socket
     /// token with `(conn-take)`.
@@ -723,9 +706,9 @@ impl Pool {
         if self.injector.is_closed() {
             return Err(Error::pool_closed());
         }
-        let tmpl = Arc::new(self.compile_template(&handler)?);
+        let tmpl = Arc::new(HandlerTemplate::new(&handler, self.io_timeout)?);
         let overload_tmpl = match &options.overload_handler {
-            Some(spec) => Some(Arc::new(self.compile_template(spec)?)),
+            Some(spec) => Some(Arc::new(HandlerTemplate::new(spec, self.io_timeout)?)),
             None => None,
         };
         let listener = TcpListener::bind(addr).map_err(|e| Error::io("bind", e))?;
@@ -743,9 +726,8 @@ impl Pool {
         let shared =
             Arc::new(AcceptorShared { stop: AtomicBool::new(false), accepted: AtomicU64::new(0) });
         let thread_shared = Arc::clone(&shared);
-        let conns = Arc::clone(&self.conns);
+        let inboxes = Arc::clone(&self.inboxes);
         let counters = Arc::clone(&self.counters);
-        let injector = Arc::clone(&self.injector);
         let wakes = self.wakes.clone();
         let thread_tmpl = Arc::clone(&tmpl);
         let handle = std::thread::Builder::new()
@@ -757,9 +739,8 @@ impl Pool {
                     &thread_shared,
                     &thread_tmpl,
                     shed,
-                    &conns,
+                    &inboxes,
                     &counters,
-                    &injector,
                     &wakes,
                 );
             })
@@ -771,23 +752,8 @@ impl Pool {
         Ok(ServeHandle { port, shared })
     }
 
-    /// Compiles a handler spec into the template the acceptor stamps per
-    /// connection, applying the pool-wide `io_timeout` default.
-    fn compile_template(&self, spec: &JobSpec) -> Result<HandlerTemplate, Error> {
-        let prog = Vm::compile_str(&spec.source, Pipeline::Direct, CompilerOptions::default())
-            .map_err(Error::compile)?;
-        Ok(HandlerTemplate {
-            name: spec.name.clone(),
-            prog: Arc::new(prog),
-            fuel: spec.fuel,
-            deadline: spec.deadline,
-            io_timeout: spec.io_timeout.or(self.io_timeout),
-            on_complete: spec.on_complete.clone(),
-        })
-    }
-
     /// Stops every acceptor and joins its thread. Connections already in
-    /// the intake queues are still handled by the workers.
+    /// the inboxes are still handled by the workers.
     fn stop_acceptors(&self) {
         let acceptors: Vec<Acceptor> =
             self.acceptors.lock().expect("acceptor list poisoned").drain(..).collect();
@@ -821,9 +787,9 @@ impl Pool {
     /// its thread is left behind (leaked), which the CI leak test treats
     /// as a failure.
     pub fn shutdown_timeout(mut self, deadline: Duration) -> Result<PoolReport, Error> {
-        // Acceptors first: no new connections may enter the intake queues
-        // once the injector closes, or a worker could exit with
-        // connections stranded.
+        // Acceptors first: no new connections may enter the inboxes once
+        // the injector closes, or a worker could exit with connections
+        // stranded.
         self.stop_acceptors();
         self.injector.close();
         self.ring_workers();
@@ -872,7 +838,7 @@ struct Shedding {
 
 /// The acceptor thread: waits for the shared listener, accepts until
 /// would-block, and routes each connection to the least-loaded worker's
-/// intake queue (round-robin among equals), ringing that worker awake.
+/// inbox (round-robin among equals), ringing that worker awake.
 /// With a [`Shedding`] policy, accepts past the pending high-water mark
 /// are refused (dropped or routed to the overload handler) instead of
 /// queued.
@@ -883,9 +849,8 @@ fn accept_loop(
     shared: &AcceptorShared,
     tmpl: &Arc<HandlerTemplate>,
     shed: Option<Shedding>,
-    conns: &[ConnQueue],
+    inboxes: &[Inbox],
     counters: &PoolCounters,
-    injector: &Injector,
     wakes: &[WakeHandle],
 ) {
     let mut events = [sys::EpollEvent { events: 0, data: 0 }];
@@ -899,13 +864,12 @@ fn accept_loop(
         // early tick — the accept scan below observes would-block and the
         // loop waits again, so EINTR needs no special casing here.
         ep.wait(&mut events, 50);
-        let mut routed = false;
         loop {
             // Overload check per accept, not per tick: depth can cross
             // the mark mid-burst.
             let shedding_now = shed
                 .as_ref()
-                .is_some_and(|s| conns.iter().map(ConnQueue::depth).sum::<usize>() >= s.highwater);
+                .is_some_and(|s| inboxes.iter().map(Inbox::depth).sum::<usize>() >= s.highwater);
             match (shedding_now, &shed_since) {
                 (true, None) => shed_since = Some(Instant::now()),
                 (false, Some(since)) => {
@@ -937,26 +901,23 @@ fn accept_loop(
                     } else {
                         tmpl
                     };
-                    // Least pending intake wins; the rotating offset
-                    // breaks ties round-robin so equal loads spread.
-                    let n = conns.len();
+                    // Shallowest inbox wins; the rotating offset breaks
+                    // ties round-robin so equal loads spread.
+                    let n = inboxes.len();
                     let target = (0..n)
-                        .min_by_key(|&w| (conns[w].depth(), (w + n - rr % n) % n))
+                        .min_by_key(|&w| (inboxes[w].depth(), (w + n - rr % n) % n))
                         .unwrap_or(0);
                     rr = rr.wrapping_add(1);
-                    let depth = conns[target].push(stream, Arc::clone(route_tmpl));
+                    let entry = Entry::Conn(stream, Arc::clone(route_tmpl));
+                    let depth = inboxes[target].push(entry);
                     counters.pool.accept_queue_highwater.raise(depth as u64);
                     shared.accepted.fetch_add(1, Ordering::Relaxed);
                     wakes[target].ring();
-                    routed = true;
                 }
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
-        }
-        if routed {
-            injector.notify_workers();
         }
     }
     if let Some(since) = shed_since {

@@ -1,24 +1,25 @@
-//! The bounded shared injector and the per-worker stealable deques.
+//! The two places work waits for a worker: the bounded shared injector,
+//! where every unstarted unpinned job waits until some worker admits it,
+//! and each worker's inbox, where work bound to that worker waits.
+//!
+//! Neither queue wakes anyone: a producer pushes, then rings the wake pipe
+//! of each worker that may take the work (the worker loop explains why no
+//! push can then go unseen).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::net::TcpStream;
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::job::Job;
+use crate::pool::HandlerTemplate;
 
 /// The bounded multi-producer multi-consumer injector queue: submitters
-/// push at the back, workers pop at the front. `Mutex<VecDeque>` plus two
-/// condvars — deliberately boring; the interesting scheduling happens in
-/// the workers.
-///
-/// The `not_empty` condvar doubles as the pool-wide activity signal:
-/// [`Injector::notify_workers`] wakes workers sleeping in
-/// [`Injector::pop_wait`] when work lands outside the injector, so they
-/// re-check their queues promptly instead of riding out the idle timeout.
+/// push at the back, workers pop at the front. `Mutex<VecDeque>` plus one
+/// condvar for blocking admission — deliberately boring; the interesting
+/// scheduling happens in the workers.
 #[derive(Debug)]
 pub(crate) struct Injector {
     state: Mutex<InjectorState>,
-    not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
 }
@@ -27,19 +28,6 @@ pub(crate) struct Injector {
 struct InjectorState {
     queue: VecDeque<Job>,
     closed: bool,
-}
-
-/// Result of a blocking pop.
-pub(crate) enum Popped {
-    /// A job was dequeued.
-    Job(Job),
-    /// The queue is closed *and* empty: no job will ever arrive again.
-    Drained,
-    /// The wait ended (timeout *or* activity signal) with the queue open
-    /// but empty. Callers loop, so spurious returns are harmless — and
-    /// deliberate: a reactor wakeup must get the worker back to its
-    /// resume queue.
-    TimedOut,
 }
 
 /// Why a push was refused.
@@ -55,7 +43,6 @@ impl Injector {
     pub(crate) fn new(capacity: usize) -> Self {
         Injector {
             state: Mutex::new(InjectorState { queue: VecDeque::new(), closed: false }),
-            not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
         }
@@ -71,9 +58,7 @@ impl Injector {
             }
             if st.queue.len() < self.capacity {
                 st.queue.push_back(job);
-                let depth = st.queue.len();
-                self.not_empty.notify_one();
-                return Ok(depth);
+                return Ok(st.queue.len());
             }
             st = self.not_full.wait(st).unwrap();
         }
@@ -89,9 +74,7 @@ impl Injector {
             return Err(PushRefused::Full);
         }
         st.queue.push_back(job);
-        let depth = st.queue.len();
-        self.not_empty.notify_one();
-        Ok(depth)
+        Ok(st.queue.len())
     }
 
     /// Non-blocking pop.
@@ -104,48 +87,12 @@ impl Injector {
         job
     }
 
-    /// Pop, waiting up to `timeout`. Single-wait semantics: the first
-    /// wakeup — job, timeout, or an activity signal from
-    /// [`Injector::notify_workers`] — returns control to the worker loop,
-    /// which has other queues (its own stash, its resume queue) to check.
-    pub(crate) fn pop_wait(&self, timeout: Duration) -> Popped {
-        let mut st = self.state.lock().unwrap();
-        if let Some(job) = st.queue.pop_front() {
-            self.not_full.notify_one();
-            return Popped::Job(job);
-        }
-        if st.closed {
-            return Popped::Drained;
-        }
-        let (mut st, _res) = self.not_empty.wait_timeout(st, timeout).unwrap();
-        if let Some(job) = st.queue.pop_front() {
-            self.not_full.notify_one();
-            return Popped::Job(job);
-        }
-        if st.closed {
-            return Popped::Drained;
-        }
-        Popped::TimedOut
-    }
-
-    /// Wakes every worker parked in [`Injector::pop_wait`] so it
-    /// re-checks its queues. Called alongside wake-pipe rings when jobs
-    /// or connections land outside the injector (pinned submits,
-    /// shared-listener accepts).
-    pub(crate) fn notify_workers(&self) {
-        // Lock to order the wakeup after the delivering store; the
-        // per-worker queues themselves are behind their own mutexes.
-        let _st = self.state.lock().unwrap();
-        self.not_empty.notify_all();
-    }
-
-    /// Closes the queue: future pushes are refused, and once the backlog
-    /// drains every `pop_wait` returns [`Popped::Drained`].
+    /// Closes the queue: future pushes are refused; the backlog stays
+    /// poppable.
     pub(crate) fn close(&self) {
         let mut st = self.state.lock().unwrap();
         st.closed = true;
         drop(st);
-        self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
@@ -160,36 +107,44 @@ impl Injector {
     }
 }
 
-/// One worker's stealable deque of *unstarted* jobs. The owner pushes and
-/// pops at the front (LIFO for locality of freshly-grabbed batches);
-/// thieves steal from the back — the classic work-stealing discipline,
-/// restricted to whole jobs because a started job's continuation is pinned
-/// to its worker's VM heap. Jobs submitted with [`JobSpec::pin`]
-/// (crate::JobSpec::pin) are additionally never stolen at all.
-#[derive(Debug, Default)]
-pub(crate) struct StealQueue {
-    queue: Mutex<VecDeque<Job>>,
+/// One entry of an [`Inbox`].
+pub(crate) enum Entry {
+    /// A pinned submit, or one of the worker's own transient retries.
+    Job(Job),
+    /// A connection the shared-listener acceptor routed here, with the
+    /// handler template to stamp its job from.
+    Conn(TcpStream, Arc<HandlerTemplate>),
 }
 
-impl StealQueue {
-    /// Owner side: stash a job for later (or for a thief).
-    pub(crate) fn push(&self, job: Job) {
-        self.queue.lock().unwrap().push_front(job);
+/// One worker's FIFO of work bound to it: pinned submits, its retries,
+/// and accepted connections. Any thread pushes; only the owning worker
+/// pops, ahead of the injector, while it has room for residents.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    q: Mutex<VecDeque<Entry>>,
+}
+
+impl Inbox {
+    /// Appends an entry; returns the inbox depth after the push.
+    pub(crate) fn push(&self, entry: Entry) -> usize {
+        let mut q = self.q.lock().expect("inbox poisoned");
+        q.push_back(entry);
+        q.len()
     }
 
-    /// Owner side: take the most recently stashed job.
-    pub(crate) fn pop(&self) -> Option<Job> {
-        self.queue.lock().unwrap().pop_front()
+    /// Takes the oldest entry.
+    pub(crate) fn pop(&self) -> Option<Entry> {
+        self.q.lock().expect("inbox poisoned").pop_front()
     }
 
-    /// Thief side: take the oldest *unpinned* stashed job.
-    pub(crate) fn steal(&self) -> Option<Job> {
-        let mut q = self.queue.lock().unwrap();
-        // Scan from the back (oldest); pinned jobs are invisible to
-        // thieves. Pinned jobs cluster at submission time, so in practice
-        // this looks at one or two entries.
-        let idx = q.iter().rposition(|job| !job.pinned)?;
-        q.remove(idx)
+    pub(crate) fn depth(&self) -> usize {
+        self.q.lock().expect("inbox poisoned").len()
+    }
+}
+
+impl std::fmt::Debug for Inbox {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Inbox").field("depth", &self.depth()).finish()
     }
 }
 
@@ -197,14 +152,9 @@ impl StealQueue {
 mod tests {
     use super::*;
     use crate::job::{JobId, JobSpec, OutcomeSlot};
-    use std::sync::Arc;
     use std::time::Instant;
 
     fn job(id: u64) -> Job {
-        job_pinned(id, false)
-    }
-
-    fn job_pinned(id: u64, pinned: bool) -> Job {
         let spec = JobSpec::new(format!("j{id}"), "#t");
         Job {
             id: JobId(id),
@@ -221,7 +171,6 @@ mod tests {
             deadline: None,
             io_timeout: None,
             conn_token: None,
-            pinned,
             submitted: Instant::now(),
             slot: Arc::new(OutcomeSlot::default()),
             on_complete: None,
@@ -239,48 +188,25 @@ mod tests {
         q.close();
         assert_eq!(q.try_push(job(3)).unwrap_err(), PushRefused::Closed);
         // The backlog is still drainable after close.
-        assert!(matches!(q.pop_wait(Duration::from_millis(1)), Popped::Job(_)));
         assert!(q.try_pop().is_some());
-        assert!(matches!(q.pop_wait(Duration::from_millis(1)), Popped::Drained));
+        assert!(q.try_pop().is_some());
+        assert!(q.try_pop().is_none());
     }
 
     #[test]
-    fn steal_queue_is_lifo_for_owner_fifo_for_thief() {
-        let q = StealQueue::default();
-        q.push(job(0));
-        q.push(job(1));
-        q.push(job(2));
-        assert_eq!(q.steal().unwrap().id, JobId(0), "thief takes the oldest");
-        assert_eq!(q.pop().unwrap().id, JobId(2), "owner takes the newest");
-        assert_eq!(q.pop().unwrap().id, JobId(1));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn pinned_jobs_are_invisible_to_thieves_but_not_owners() {
-        let q = StealQueue::default();
-        q.push(job_pinned(0, true));
-        q.push(job(1));
-        q.push(job_pinned(2, true));
-        assert_eq!(q.steal().unwrap().id, JobId(1), "thief skips pinned jobs");
-        assert!(q.steal().is_none(), "only pinned jobs remain");
-        assert_eq!(q.pop().unwrap().id, JobId(2), "owner sees everything");
-        assert_eq!(q.pop().unwrap().id, JobId(0));
-    }
-
-    #[test]
-    fn notify_workers_wakes_a_pop_wait_early() {
-        let q = Arc::new(Injector::new(4));
-        let q2 = Arc::clone(&q);
-        let start = Instant::now();
-        let t = std::thread::spawn(move || {
-            // A full 10s wait would blow the test timeout; the notify must
-            // cut it short with a TimedOut (spurious-wakeup) result.
-            matches!(q2.pop_wait(Duration::from_secs(10)), Popped::TimedOut)
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        q.notify_workers();
-        assert!(t.join().unwrap());
-        assert!(start.elapsed() < Duration::from_secs(5));
+    fn inbox_is_fifo_across_jobs_and_connections() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let tmpl = HandlerTemplate::new(&JobSpec::new("h", "#t"), None).unwrap();
+        let inbox = Inbox::default();
+        assert_eq!(inbox.push(Entry::Job(job(0))), 1);
+        assert_eq!(inbox.push(Entry::Conn(stream, Arc::new(tmpl))), 2);
+        assert_eq!(inbox.push(Entry::Job(job(1))), 3);
+        assert_eq!(inbox.depth(), 3);
+        assert!(matches!(inbox.pop(), Some(Entry::Job(j)) if j.id == JobId(0)));
+        assert!(matches!(inbox.pop(), Some(Entry::Conn(..))));
+        assert!(matches!(inbox.pop(), Some(Entry::Job(j)) if j.id == JobId(1)));
+        assert!(inbox.pop().is_none());
+        assert_eq!(inbox.depth(), 0);
     }
 }

@@ -13,12 +13,20 @@
 //! makes the reactor forget every wait and rebuilds the VM — the epoll
 //! instance and its wake pipe survive, so the pool's existing
 //! [`WakeHandle`](crate::reactor::WakeHandle)s keep ringing — and
-//! re-enters the loop still serving its conn queue.
+//! re-enters the loop still serving its inbox.
+//!
+//! Work reaches a worker from exactly two places, and an idle worker
+//! sleeps in exactly one. Unstarted unpinned jobs wait in the shared
+//! [`Injector`] until a worker with room admits one; everything bound to
+//! this worker — pinned jobs, its own retries, accepted connections —
+//! waits in its [`Inbox`]. With nothing runnable, the worker sleeps in its
+//! reactor until readiness, a deadline or a wake-pipe ring: an inbox push
+//! rings its worker, an injector push rings one worker asleep with room.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -27,15 +35,14 @@ use oneshot_vm::{Vm, VmConfig, VmStats};
 
 use crate::error::Error;
 use crate::job::{Job, JobId};
-use crate::pool::{ConnQueue, PoolCounters, Tally, WorkerConfig, WorkerReport};
-use crate::queue::{Injector, Popped, StealQueue};
-use crate::reactor::{ReactorCore, WakeKind, Wakeup};
+use crate::pool::{PoolCounters, Tally, WorkerConfig, WorkerReport};
+use crate::queue::{Entry, Inbox, Injector};
+use crate::reactor::{ReactorCore, WakeHandle, WakeKind, Wakeup};
 
-/// How long an idle worker blocks — on the injector when it has no waits,
-/// on its reactor when it does — before rechecking every queue. Pure
-/// liveness tuning; correctness never depends on it: readiness interrupts
-/// the reactor wait directly, and the pool rings the worker's wake pipe
-/// on submissions, accepted connections, and shutdown.
+/// How long an idle worker sleeps in its reactor before rechecking both
+/// queues. Pure liveness tuning; correctness never depends on it:
+/// readiness and due deadlines end the wait directly, and every push rings
+/// a worker that can take the work (see the sleep path in `serve`).
 const IDLE_WAIT: Duration = Duration::from_millis(25);
 
 /// Most slices a worker runs between two reactor harvests. A harvest
@@ -43,10 +50,6 @@ const IDLE_WAIT: Duration = Duration::from_millis(25);
 /// so it could not have run sooner); this bounds the revolution, so a
 /// long ring of CPU-bound residents cannot starve I/O and timers.
 const HARVEST_EVERY_MAX: usize = 32;
-
-/// Jobs a worker takes from the injector per visit: the extras land in its
-/// stealable stash, where an idle peer can still take them.
-const GRAB_BATCH: usize = 4;
 
 /// A guest panic whose message contains this marker escalates past the
 /// per-slice rebuild to the worker supervisor — the chaos suite's hook for
@@ -60,7 +63,8 @@ struct SupervisedKill {
 
 /// A job that has started on this worker: its engine — and therefore the
 /// one-shot continuation of its preempted state — lives in this worker's
-/// VM heap, so it can never migrate. Only [`Job`]s (unstarted) are stolen.
+/// VM heap, so it can never migrate. Only an unstarted [`Job`] moves
+/// between workers, and only by waiting in the injector.
 struct Active {
     job: Job,
     engine: EngineId,
@@ -82,18 +86,59 @@ struct BlockedJob {
     seq: u64,
 }
 
+/// What a worker publishes for its peers and for the threads that push
+/// work: how many residents it has, and whether it sleeps with room for
+/// more.
+#[derive(Debug, Default)]
+pub(crate) struct Presence {
+    /// Residents as of the worker's last admission step; 0 until it has
+    /// booted. Relaxed: a stale count only delays an admission by one
+    /// iteration, and a sleeping worker's count is exact, since it was
+    /// published in the iteration that went to sleep.
+    residents: AtomicUsize,
+    /// Set while the worker sleeps in its reactor with room for a job,
+    /// until it wakes or a producer claims it.
+    asleep: AtomicBool,
+}
+
+impl Presence {
+    fn is_empty(&self) -> bool {
+        self.residents.load(Ordering::Relaxed) == 0
+    }
+}
+
+/// Rings one worker for a job just pushed to the injector: one that
+/// sleeps with room, preferring one with no residents, since busy workers
+/// leave the injector to those. An awake worker needs no ring: it looks
+/// at the injector every iteration.
+pub(crate) fn wake_one(presence: &[Presence], wakes: &[WakeHandle]) {
+    // Pairs with the fence in the worker's sleep path: either this scan
+    // sees the worker asleep, or its last look at the injector sees the
+    // push.
+    fence(Ordering::SeqCst);
+    let claim = |&w: &usize| {
+        presence[w].asleep.load(Ordering::SeqCst)
+            && presence[w].asleep.swap(false, Ordering::SeqCst)
+    };
+    let empty = (0..presence.len()).filter(|&w| presence[w].is_empty());
+    if let Some(w) = empty.chain(0..presence.len()).find(claim) {
+        wakes[w].ring();
+    }
+}
+
 /// Everything a worker thread needs, bundled for the spawn closure.
 pub(crate) struct WorkerCtx {
     pub(crate) index: usize,
     pub(crate) cfg: WorkerConfig,
     pub(crate) vm_config: Arc<VmConfig>,
     pub(crate) injector: Arc<Injector>,
-    pub(crate) queues: Arc<Vec<StealQueue>>,
+    /// Every worker's inbox; this worker drains `inboxes[index]`.
+    pub(crate) inboxes: Arc<Vec<Inbox>>,
+    /// Every worker's [`Presence`]; this worker publishes `presence[index]`.
+    pub(crate) presence: Arc<Vec<Presence>>,
     pub(crate) counters: Arc<PoolCounters>,
     /// This worker's reactor, installed at build (taken by `run`).
     pub(crate) reactor: Option<ReactorCore>,
-    /// Accepted connections the shared-listener acceptor routed here.
-    pub(crate) conns: Arc<Vec<ConnQueue>>,
     /// Pool-wide id counter for connection-handler jobs (high-bit range,
     /// disjoint from submitted JobIds).
     pub(crate) next_conn: Arc<std::sync::atomic::AtomicU64>,
@@ -106,6 +151,22 @@ impl WorkerCtx {
     /// This worker's share of the pool's counters.
     fn tally(&self) -> &Tally {
         &self.counters.workers[self.index]
+    }
+
+    fn inbox(&self) -> &Inbox {
+        &self.inboxes[self.index]
+    }
+
+    /// Whether this worker, holding `residents`, takes the next injector
+    /// job. It needs room; and a started job is bound to this VM, so a
+    /// worker that already has residents leaves the injector to any peer
+    /// that has none (a booting one, or one that ran out of work).
+    fn may_admit(&self, residents: usize) -> bool {
+        let empty_peer = || {
+            let empty = |(w, p): (usize, &Presence)| w != self.index && p.is_empty();
+            self.presence.iter().enumerate().any(empty)
+        };
+        residents < self.cfg.resident_cap && (residents == 0 || !empty_peer())
     }
 
     /// Folds a VM being replaced after a panic, or the last one at
@@ -164,8 +225,8 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
     let _ = ctx.report_tx.send(report);
 }
 
-/// The serve loop proper (the whole pre-supervision worker loop): drains
-/// queues, steps residents, and harvests reactor wakeups until the pool
+/// The serve loop proper (the whole pre-supervision worker loop): admits
+/// work, steps residents, and harvests reactor wakeups until the pool
 /// shuts down. Returns when the worker may exit; panics escalate to the
 /// supervisor in [`run`].
 fn serve(
@@ -186,21 +247,21 @@ fn serve(
         // re-enters the ready ring as an ordinary engine resumption.
         process_wakeups(ctx, host, &mut wakeups, ready, blocked);
 
-        // Adopt accepted connections the shared listener routed here,
-        // capacity permitting: each becomes a resident handler job.
-        intake_conns(ctx, host, reactor, ready, blocked);
-
-        // Admit at most one new job per iteration: a started job is
-        // pinned to this VM, so surplus work stays in the stealable stash
-        // where an idle peer can still take it. The resident set fills
-        // gradually — one admission per slice — up to the cap, which
-        // counts blocked residents too: each holds a sealed stack segment
-        // in this VM's heap.
-        if ready.len() + blocked.len() < ctx.cfg.resident_cap {
-            if let Some(job) = acquire(ctx) {
+        // Work bound to this worker runs ahead of the shared queue: the
+        // inbox is drained in one go, up to the resident cap (which counts
+        // blocked residents too: each holds a sealed stack segment in this
+        // VM's heap). Then at most one injector job per iteration, so the
+        // resident set fills from the injector one job per slice, and
+        // only while no peer sits empty; surplus work stays in the
+        // injector, where an idle peer takes it first.
+        drain_inbox(ctx, host, reactor, ready, blocked);
+        if ctx.may_admit(ready.len() + blocked.len()) {
+            if let Some(job) = ctx.injector.try_pop() {
                 admit(ctx, host, reactor, job, ready, blocked);
             }
         }
+        let me = &ctx.presence[ctx.index];
+        me.residents.store(ready.len() + blocked.len(), Ordering::Relaxed);
 
         if let Some(active) = ready.pop_front() {
             let parked = step_active(ctx, host, reactor, active, ready, blocked);
@@ -225,33 +286,34 @@ fn serve(
             continue;
         }
 
-        // Nothing runnable. If residents are parked on I/O or timers,
-        // wait on our own reactor — readiness, a due deadline, or a
-        // wake-pipe ring (new submission, accepted connection, shutdown)
-        // all interrupt it. Blocked jobs finish (or hit their deadlines)
-        // before the worker may exit.
-        if reactor.has_waits() {
-            harvest(ctx, reactor, IDLE_WAIT, &mut wakeups);
-            slices_to_harvest = wakeups.len().min(HARVEST_EVERY_MAX);
-            continue;
+        // Nothing runnable. Exit once no work can reach this worker any
+        // more: blocked jobs finish (or hit their deadlines) first.
+        if !reactor.has_waits()
+            && ctx.injector.is_closed()
+            && ctx.injector.depth() == 0
+            && ctx.inbox().depth() == 0
+        {
+            debug_assert!(blocked.is_empty(), "blocked residents imply reactor waits");
+            break;
         }
-        match ctx.injector.pop_wait(IDLE_WAIT) {
-            Popped::Job(job) => {
-                admit(ctx, host, reactor, job, ready, blocked);
-            }
-            Popped::TimedOut => continue,
-            Popped::Drained => {
-                if let Some(job) = acquire(ctx) {
-                    admit(ctx, host, reactor, job, ready, blocked);
-                    continue;
-                }
-                if !ctx.conns[ctx.index].is_empty() {
-                    continue; // drain remaining accepted connections
-                }
-                debug_assert!(blocked.is_empty(), "blocked residents imply reactor waits");
-                break;
+        // Otherwise sleep in our own reactor. Readiness, a due deadline,
+        // or a wake-pipe ring all end the wait, and a ring stays pending
+        // until a wait drains it. An inbox push always rings us; an
+        // injector push rings one worker it finds asleep with room
+        // ([`wake_one`]). So with room, say so first and then look at the
+        // injector once more: either the producer sees us asleep or we
+        // see its job.
+        if blocked.len() < ctx.cfg.resident_cap {
+            me.asleep.store(true, Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+            if ctx.injector.depth() > 0 && ctx.may_admit(blocked.len()) {
+                me.asleep.store(false, Ordering::SeqCst);
+                continue;
             }
         }
+        harvest(ctx, reactor, IDLE_WAIT, &mut wakeups);
+        me.asleep.store(false, Ordering::SeqCst);
+        slices_to_harvest = wakeups.len().min(HARVEST_EVERY_MAX);
     }
 }
 
@@ -405,11 +467,12 @@ fn process_wakeups(
     }
 }
 
-/// Adopts accepted connections routed to this worker by the shared
-/// listener, capacity permitting: each connection's stream enters the
-/// VM's socket table and a handler job (the template compiled once by
-/// [`Pool::serve`](crate::Pool::serve)) is spawned to `(conn-take)` it.
-fn intake_conns(
+/// Admits this worker's inbox, oldest first, while it has room for
+/// residents. A pinned job or retry is admitted as it is; an accepted
+/// connection's stream enters the VM's socket table and a handler job
+/// (the template compiled once by [`Pool::serve`](crate::Pool::serve)) is
+/// spawned to `(conn-take)` it.
+fn drain_inbox(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
     reactor: &mut ReactorCore,
@@ -417,46 +480,25 @@ fn intake_conns(
     blocked: &mut HashMap<u64, BlockedJob>,
 ) {
     while ready.len() + blocked.len() < ctx.cfg.resident_cap {
-        let Some((stream, tmpl)) = ctx.conns[ctx.index].pop() else { return };
-        match host.vm_mut().adopt_stream(stream) {
-            Ok(token) => {
-                ctx.counters.note_accept(ctx.index);
-                let id = (1 << 63) | ctx.next_conn.fetch_add(1, Ordering::Relaxed);
-                let job = tmpl.make_job(id, token);
-                admit(ctx, host, reactor, job, ready, blocked);
-            }
-            Err(_) => {
-                // Socket table full: shed the connection (the peer sees
-                // EOF/reset) rather than wedge the worker.
-                ctx.tally().accept_overflow.add(1);
-            }
-        }
+        let job = match ctx.inbox().pop() {
+            None => return,
+            Some(Entry::Job(job)) => job,
+            Some(Entry::Conn(stream, tmpl)) => match host.vm_mut().adopt_stream(stream) {
+                Ok(token) => {
+                    ctx.counters.note_accept(ctx.index);
+                    let id = (1 << 63) | ctx.next_conn.fetch_add(1, Ordering::Relaxed);
+                    tmpl.make_job(id, token)
+                }
+                Err(_) => {
+                    // Socket table full: shed the connection (the peer
+                    // sees EOF/reset) rather than wedge the worker.
+                    ctx.tally().accept_overflow.add(1);
+                    continue;
+                }
+            },
+        };
+        admit(ctx, host, reactor, job, ready, blocked);
     }
-}
-
-/// Next unstarted job, by locality: own stash, then the injector (grabbing
-/// a batch), then stealing the oldest unpinned job from a peer.
-fn acquire(ctx: &WorkerCtx) -> Option<Job> {
-    if let Some(job) = ctx.queues[ctx.index].pop() {
-        return Some(job);
-    }
-    if let Some(job) = ctx.injector.try_pop() {
-        for _ in 1..GRAB_BATCH {
-            match ctx.injector.try_pop() {
-                Some(extra) => ctx.queues[ctx.index].push(extra),
-                None => break,
-            }
-        }
-        return Some(job);
-    }
-    for offset in 1..ctx.queues.len() {
-        let victim = (ctx.index + offset) % ctx.queues.len();
-        if let Some(job) = ctx.queues[victim].steal() {
-            ctx.tally().steals.add(1);
-            return Some(job);
-        }
-    }
-    None
 }
 
 /// Registers a job as an engine. Runs no user code yet, but is still
@@ -662,7 +704,7 @@ fn fail_or_retry(
         // to clear without parking the worker for long.
         std::thread::sleep(Duration::from_millis(1u64 << retry.attempts.min(5)));
         ctx.tally().retried.add(1);
-        ctx.queues[ctx.index].push(retry);
+        ctx.inbox().push(Entry::Job(retry));
     } else {
         deliver_failure(ctx, host, job, slices, fuel_used, err);
     }

@@ -420,6 +420,50 @@ fn overload_handler_answers_shed_connections() {
 }
 
 #[test]
+fn queued_pinned_jobs_count_toward_the_pending_highwater() {
+    // The pending depth is inbox entries, whatever they hold: with the one
+    // resident slot held by a parked job and two pinned jobs queued behind
+    // it, a high-water mark of 2 is reached before any connection arrives,
+    // so the first connection is shed. Once the queue drains, the next one
+    // is served.
+    let pool = Pool::builder().workers(1).resident_cap(1).build().unwrap();
+    let hold = pool.submit(JobSpec::new("hold", "(timer-wait 500) 'held").pin(0)).unwrap();
+    let queued: Vec<_> = (0..2)
+        .map(|i| pool.submit(JobSpec::new(format!("q{i}"), "'done").pin(0)).unwrap())
+        .collect();
+    let handler =
+        JobSpec::new("ok-handler", "(let ((c (conn-take))) (tcp-write c \"ok\") (tcp-close c))");
+    let handle = pool
+        .serve_with(
+            "127.0.0.1:0",
+            handler,
+            ServeOptions { pending_highwater: Some(2), ..ServeOptions::default() },
+        )
+        .unwrap();
+    let answer = || {
+        let mut s = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut acc = Vec::new();
+        let _ = s.read_to_end(&mut acc);
+        String::from_utf8(acc).unwrap()
+    };
+    let settled = std::time::Instant::now() + Duration::from_secs(10);
+    while pool.accept_queue_depth() != 2 && std::time::Instant::now() < settled {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(pool.accept_queue_depth(), 2, "the two pinned jobs wait in the inbox");
+    assert_eq!(answer(), "", "two queued pinned jobs reach the mark: shed");
+    assert_eq!(hold.wait().result.as_deref(), Ok("held"));
+    for q in &queued {
+        assert_eq!(q.wait().result.as_deref(), Ok("done"));
+    }
+    assert_eq!(answer(), "ok", "with the inbox drained the connection is served");
+    handle.stop();
+    let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+    assert_eq!(report.counters.accepts_shed, 1);
+}
+
+#[test]
 fn seeded_serve_chaos_drains_leak_free() {
     serve_chaos_drains_leak_free(0..4);
 }

@@ -20,6 +20,16 @@ fn spin_job(name: &str, iters: u64) -> JobSpec {
     JobSpec::new(name, format!("(let loop ((i 0)) (if (< i {iters}) (loop (+ i 1)) 'spun))"))
 }
 
+/// A job that holds its worker's thread for about `ms` milliseconds in
+/// either build profile: a loop of 1 ms OS sleeps, not reactor waits, so
+/// the worker can run nothing else meanwhile.
+fn busy_job(name: &str, ms: u64) -> JobSpec {
+    JobSpec::new(
+        name,
+        format!("(let loop ((i 0)) (if (< i {ms}) (begin (sleep-ms 1) (loop (+ i 1))) 'spun))"),
+    )
+}
+
 #[test]
 fn jobs_complete_across_worker_counts() {
     for workers in [1, 2, 4] {
@@ -265,6 +275,78 @@ fn pinned_jobs_share_their_workers_vm_globals() {
     assert_eq!(setter.wait().result.as_deref(), Ok("set"));
     let getter = pool.submit(JobSpec::new("getter", "(+ shared-cell 1)").pin(0)).unwrap();
     assert_eq!(getter.wait().result.as_deref(), Ok("42"));
+    pool.shutdown().unwrap();
+}
+
+#[test]
+fn an_idle_worker_takes_queued_work_while_its_peer_is_busy() {
+    // A worker at its resident cap admits nothing more, so a job queued
+    // behind a long one must run on the idle peer, not wait it out.
+    let pool = Pool::builder().workers(2).resident_cap(1).build().unwrap();
+    // Both VMs booted first, so either can take a job the moment it frees.
+    for w in 0..2 {
+        pool.submit(fib_job(1).pin(w)).unwrap().wait();
+    }
+    // Both workers busy for a moment, so the long job and the quick one
+    // are queued together before either worker looks: whichever frees
+    // first takes the long job and must leave the quick one to its peer.
+    for w in 0..2 {
+        pool.submit(busy_job(&format!("warm-{w}"), 30).pin(w)).unwrap();
+    }
+    let long = pool.submit(busy_job("long", 200)).unwrap();
+    let quick = pool.submit(fib_job(10)).unwrap().wait();
+    assert_eq!(quick.result.as_deref(), Ok("55"));
+    assert!(long.outcome().is_none(), "the quick job waited out the long one");
+    let long = long.wait();
+    assert_eq!(long.result.as_deref(), Ok("spun"));
+    assert_ne!(quick.worker, long.worker, "the quick job ran on the idle peer");
+    pool.shutdown().unwrap();
+}
+
+#[test]
+fn a_busy_worker_leaves_queued_work_to_an_empty_peer() {
+    // Room is not enough: a worker that already runs a job leaves the
+    // injector to a peer that has none. Without that, the worker running
+    // the long job, which passes a slice boundary every few microseconds,
+    // would admit the quick job before its sleeping peer woke.
+    let pool = Pool::builder().workers(2).fuel_slice(64).build().unwrap();
+    for w in 0..2 {
+        pool.submit(fib_job(1).pin(w)).unwrap().wait();
+    }
+    // Let both finish their warm-up iteration and publish that they are
+    // empty again; then let the long job start before the quick one comes.
+    std::thread::sleep(Duration::from_millis(20));
+    let long = pool.submit(spin_job("long", 1_000_000)).unwrap();
+    std::thread::sleep(Duration::from_millis(5));
+    let quick = pool.submit(fib_job(10)).unwrap().wait();
+    assert_eq!(quick.result.as_deref(), Ok("55"));
+    let long = long.wait();
+    assert_eq!(long.result.as_deref(), Ok("spun"));
+    assert_ne!(quick.worker, long.worker, "the quick job ran on the empty peer");
+    pool.shutdown().unwrap();
+}
+
+#[test]
+fn a_pinned_job_runs_ahead_of_the_queue() {
+    // One worker admitting one job at a time: a job pinned to it is taken
+    // before the unpinned jobs already waiting in the injector.
+    let pool = Pool::builder().workers(1).resident_cap(1).build().unwrap();
+    let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let record = |spec: JobSpec| {
+        let order = Arc::clone(&order);
+        spec.on_complete(move |outcome| order.lock().unwrap().push(outcome.name.clone()))
+    };
+    let queued: Vec<_> =
+        (0..6).map(|i| pool.submit(record(busy_job(&format!("busy-{i}"), 20))).unwrap()).collect();
+    let pinned = pool.submit(record(fib_job(10).pin(0))).unwrap();
+    assert_eq!(pinned.wait().result.as_deref(), Ok("55"));
+    for h in &queued {
+        assert_eq!(h.wait().result.as_deref(), Ok("spun"));
+    }
+    let order = order.lock().unwrap();
+    let pos = |name: &str| order.iter().position(|n| n == name).unwrap();
+    assert!(pos("fib-10") < pos("busy-5"), "completion order: {order:?}");
+    drop(order);
     pool.shutdown().unwrap();
 }
 

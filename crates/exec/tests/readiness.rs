@@ -281,8 +281,9 @@ fn lossy_faults_still_resolve_every_job_exactly_once_wide() {
 fn a_one_worker_timer_storm_retires_identical_instructions_under_injected_eintr() {
     // Readiness plumbing is nothing the guest can see: 16 jobs of three
     // timer waits each execute the same bytecode whether or not a wait
-    // was interrupted. (Exact on one worker only — with stealing in play,
-    // slice re-entries depend on scheduling.)
+    // was interrupted. (Exact on one worker only — with several, which
+    // worker admits a job, and so its slice re-entries, depend on
+    // scheduling.)
     let storm = |plan: Option<FaultPlan>| {
         let cfg = VmConfig { fault_plan: plan, ..VmConfig::default() };
         let pool = pool_with(1).vm_config(cfg).build().unwrap();

@@ -1,6 +1,6 @@
 //! The execution subsystem end to end: a worker pool running Scheme jobs
-//! as engine-preempted green threads, with work stealing, fuel budgets,
-//! and job-level fault isolation.
+//! as engine-preempted green threads, fed by one shared injector, with fuel
+//! budgets and job-level fault isolation.
 //!
 //! ```text
 //! cargo run --release --example pool
@@ -62,8 +62,8 @@ fn main() {
     let report = pool.shutdown().expect("clean shutdown");
     let c = report.counters;
     println!(
-        "counters: {} completed, {} failed ({} timed out), {} steals, {} requeues",
-        c.completed, c.failed, c.timed_out, c.steals, c.requeues
+        "counters: {} completed, {} failed ({} timed out), {} requeues",
+        c.completed, c.failed, c.timed_out, c.requeues
     );
     for w in &report.workers {
         println!(

@@ -10,7 +10,7 @@
 //!   `call/cc` and `call/1cc` are built on the substrate.
 //! * [`threads`] — continuation-based thread systems and engines.
 //! * [`exec`] — a multi-core worker pool running jobs as engine-preempted
-//!   green threads with work stealing and fault isolation.
+//!   green threads, fed by one shared injector, with fault isolation.
 //!
 //! # Quickstart
 //!
