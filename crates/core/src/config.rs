@@ -83,11 +83,12 @@ pub struct Config {
     /// segment; below this the policy falls back to a fresh segment.
     pub min_headroom: usize,
     /// Ceiling on the number of *live* (non-cached) segments the stack may
-    /// hold. When growing past the ceiling, [`SegStack::ensure`]
-    /// (crate::SegStack::ensure) reports [`Overflow::Ceiling`]
-    /// (crate::Overflow::Ceiling) instead of allocating, letting the
-    /// embedder unwind (e.g. raise a catchable `stack-overflow`
-    /// condition). Zero — the default — disables the ceiling.
+    /// hold. When growing past the ceiling,
+    /// [`SegStack::ensure`](crate::SegStack::ensure) reports
+    /// [`Overflow::Ceiling`](crate::Overflow::Ceiling) instead of
+    /// allocating, letting the embedder unwind (e.g. raise a catchable
+    /// `stack-overflow` condition). Zero — the default — disables the
+    /// ceiling.
     pub max_segments: usize,
 }
 

@@ -38,7 +38,7 @@
 //! use oneshot_core::{Config, SegStack, Reinstated};
 //!
 //! // Slots are plain integers; 0 is the underflow marker, and a return
-//! // address `r` encodes a frame displacement `r` (see `FrameWalker`).
+//! // address `r` encodes a frame displacement `r`, which `walker` reads back.
 //! let mut st: SegStack<i64> = SegStack::new(Config::default(), 0);
 //! let walker = |s: &i64| if *s > 0 { Some(*s as usize) } else { None };
 //!
@@ -79,8 +79,8 @@ pub use config::{Config, OneShotPolicy, OverflowPolicy, PromotionStrategy};
 pub use error::{ConfigError, ControlError};
 pub use fault::{FaultClock, FaultPlan};
 pub use kont::{Kont, KontId, KontKind};
-pub use probe::{ControlProbe, NoopProbe, ProbeEvent, RingTraceProbe};
-pub use stack::{FrameWalker, Overflow, Reinstated, SegStack, SegmentId, Underflow};
+pub use probe::{ProbeEvent, RingTraceProbe};
+pub use stack::{Overflow, Reinstated, SegStack, SegmentId, Underflow};
 pub use stats::Stats;
 #[doc(hidden)]
 pub use stats::{CounterField, MaxCell, SumCell};

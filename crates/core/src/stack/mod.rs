@@ -68,17 +68,21 @@ use crate::config::{Config, OneShotPolicy, OverflowPolicy, PromotionStrategy};
 use crate::error::ControlError;
 use crate::fault::FaultClock;
 use crate::kont::{Kont, KontId, KontKind};
-use crate::probe::{ControlProbe, NoopProbe};
+use crate::probe::{ProbeEvent, RingTraceProbe};
 use crate::stats::Stats;
 
-/// Reports one control event: to the built-in counters — [`Stats`] is itself
-/// a [`ControlProbe`], so the counters are derived from the events and cannot
-/// drift from them — and to the installed probe. The arguments are evaluated
-/// once per receiver: pass locals and field reads only.
+/// Reports one control event, named by its [`ProbeEvent`] variant: builds
+/// it once and hands it to the built-in counters ([`Stats::record`], so
+/// they are derived from the events and cannot drift from them) and, on a
+/// traced stack, to the ring. It borrows only the `stats` and `trace`
+/// fields, so it may run while a continuation is borrowed out of `konts`.
 macro_rules! emit {
-    ($stack:ident.$event:ident($($arg:expr),*)) => {{
-        $stack.stats.$event($($arg),*);
-        $stack.probe.$event($($arg),*);
+    ($stack:ident, $variant:ident $($fields:tt)?) => {{
+        let ev = ProbeEvent::$variant $($fields)?;
+        $stack.stats.record(&ev);
+        if let Some(ring) = &mut $stack.trace {
+            ring.push(ev);
+        }
     }};
 }
 
@@ -90,26 +94,6 @@ impl SegmentId {
     /// The raw index, useful for rendering probe traces.
     pub fn index(self) -> u32 {
         self.0
-    }
-}
-
-/// Maps a return-address slot to the displacement between the frame holding
-/// it and its caller's frame (see the module docs on frame walking).
-///
-/// A blanket implementation covers any `Fn(&S) -> Option<usize>`, so plain
-/// closures and `fn` items remain valid walkers; implement the trait
-/// directly when the mapping carries state (a side table keyed by return
-/// PC, say) that a capturing closure cannot express ergonomically.
-pub trait FrameWalker<S> {
-    /// The frame displacement for `slot`, or `None` when `slot` is not a
-    /// return address (e.g. the underflow marker), which terminates a walk.
-    fn frame_disp(&self, slot: &S) -> Option<usize>;
-}
-
-impl<S, F: Fn(&S) -> Option<usize>> FrameWalker<S> for F {
-    #[inline]
-    fn frame_disp(&self, slot: &S) -> Option<usize> {
-        self(slot)
     }
 }
 
@@ -215,12 +199,11 @@ pub enum Overflow {
 /// `S` is the slot type stored in frames — typically a tagged value type
 /// that can also represent return addresses and the underflow marker.
 ///
-/// `P` is the [`ControlProbe`] receiving fine-grained control events. It
-/// defaults to [`NoopProbe`], whose empty inlined callbacks monomorphize to
-/// nothing — instrumentation is free unless a real probe is installed with
-/// [`SegStack::with_probe`].
+/// Every control transition is one [`ProbeEvent`], summed into
+/// [`SegStack::stats`] and, on a stack built with [`SegStack::with_trace`],
+/// recorded in its ring as well.
 #[derive(Debug)]
-pub struct SegStack<S, P: ControlProbe = NoopProbe> {
+pub struct SegStack<S> {
     segs: Arena<Segment<S>>,
     konts: Arena<Kont<S>>,
     /// Free list of default-size segments (§3.2's stack segment cache).
@@ -245,7 +228,8 @@ pub struct SegStack<S, P: ControlProbe = NoopProbe> {
     cur_link: Option<KontId>,
     fp: usize,
     stats: Stats,
-    probe: P,
+    /// The ring recording every control event, on a traced stack.
+    trace: Option<RingTraceProbe>,
     /// Injected segment-fault countdown: when it fires, the next `ensure`
     /// reports [`Overflow::Ceiling`] regardless of actual occupancy.
     fault: FaultClock,
@@ -263,37 +247,38 @@ pub struct SegStack<S, P: ControlProbe = NoopProbe> {
 // It points into a segment owned by `segs`, so it travels with the stack and
 // is dereferenced only through `&self`/`&mut self` — it adds no sharing the
 // owning `Segment` does not already account for. Every other field is `S`
-// (`marker`, and inside `segs`/`konts`), `P` (`probe`), or plain data and
+// (`marker`, and inside `segs`/`konts`) or plain data, event rings and
 // `Arc<AtomicBool>` flags, hence the bounds.
 #[allow(unsafe_code)]
-unsafe impl<S: Send, P: ControlProbe + Send> Send for SegStack<S, P> {}
+unsafe impl<S: Send> Send for SegStack<S> {}
 #[allow(unsafe_code)]
-unsafe impl<S: Sync, P: ControlProbe + Sync> Sync for SegStack<S, P> {}
+unsafe impl<S: Sync> Sync for SegStack<S> {}
 
 impl<S: Clone> SegStack<S> {
     /// Creates a stack with one large initial segment, an empty cache, and
     /// the given underflow `marker`, which is installed in the base slot of
-    /// every stack record. The stack carries the free [`NoopProbe`]; use
-    /// [`SegStack::with_probe`] to instrument it.
+    /// every stack record.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`Config::validate`]; use `validate` first for
     /// a recoverable error.
     pub fn new(cfg: Config, marker: S) -> Self {
-        Self::with_probe(cfg, marker, NoopProbe)
+        Self::build(cfg, marker, None)
     }
-}
 
-impl<S: Clone, P: ControlProbe> SegStack<S, P> {
-    /// Like [`SegStack::new`], but events are reported to `probe` (see
-    /// [`ControlProbe`]).
+    /// Like [`SegStack::new`], but every control event, from the initial
+    /// segment's allocation on, is also recorded in a [`RingTraceProbe`]
+    /// keeping the last `capacity` events (see [`SegStack::trace`]).
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`Config::validate`]; use `validate` first for
-    /// a recoverable error.
-    pub fn with_probe(cfg: Config, marker: S, probe: P) -> Self {
+    /// As [`SegStack::new`].
+    pub fn with_trace(cfg: Config, marker: S, capacity: usize) -> Self {
+        Self::build(cfg, marker, Some(RingTraceProbe::new(capacity)))
+    }
+
+    fn build(cfg: Config, marker: S, trace: Option<RingTraceProbe>) -> Self {
         cfg.validate().expect("invalid segmented stack configuration");
         let reserve = cfg.min_headroom;
         let mut st = SegStack {
@@ -311,7 +296,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             cur_link: None,
             fp: 0,
             stats: Stats::default(),
-            probe,
+            trace,
             fault: FaultClock::disarmed(),
             fault_deferred: false,
             grace: false,
@@ -323,15 +308,9 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         st
     }
 
-    /// The installed control probe.
-    pub fn probe(&self) -> &P {
-        &self.probe
-    }
-
-    /// The installed control probe, mutably — for resetting counters or
-    /// draining a trace ring mid-run.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
+    /// The event ring of a stack built with [`SegStack::with_trace`].
+    pub fn trace(&self) -> Option<&RingTraceProbe> {
+        self.trace.as_ref()
     }
 
     // ------------------------------------------------------------------
@@ -584,7 +563,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         let occupied = self.fp - self.cur_base;
         if occupied == 0 {
             // Proper tail recursion (§3.2): the link is the continuation.
-            emit!(self.capture_empty());
+            emit!(self, CaptureEmpty);
             return self.cur_link;
         }
         let ret = self.get(self.fp).clone();
@@ -601,7 +580,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         };
         self.segs.get_mut(self.cur_seg.0).rc += 1;
         let id = KontId(self.konts.insert(k));
-        emit!(self.capture_multi(id, self.cur_seg, occupied));
+        emit!(self, CaptureMulti { kont: id, seg: self.cur_seg, slots: occupied });
         // The remainder of the segment becomes the current record.
         self.cur_base = self.fp;
         self.cur_link = Some(id);
@@ -621,70 +600,72 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// [`SegStack::capture_multi`]. When the stack is empty the link is
     /// reused and no segment changes occur (tail rule).
     pub fn capture_one(&mut self, need: usize) -> Option<KontId> {
-        let occupied = self.fp - self.cur_base;
-        if occupied == 0 {
-            emit!(self.capture_empty());
+        if self.fp == self.cur_base {
+            emit!(self, CaptureEmpty);
             return self.cur_link;
         }
+        Some(self.seal_one_shot(None, need))
+    }
+
+    /// Seals the current, non-empty record as a one-shot record — a
+    /// `call/1cc` continuation, or a prompt when `prompt` carries its tag —
+    /// per the configured [`OneShotPolicy`], and installs the record that
+    /// replaces it.
+    fn seal_one_shot(&mut self, prompt: Option<S>, need: usize) -> KontId {
+        let occupied = self.fp - self.cur_base;
         let ret = self.get(self.fp).clone();
         let flag = self.inherit_flag();
-
-        match self.cfg.oneshot_policy {
+        // `SealWithPad` seals at a fixed displacement above the occupied
+        // portion when the remainder of the segment has room, and the
+        // remainder stays current (§3.4). Otherwise the record takes the
+        // whole segment, as in the basic scheme (§3.2).
+        let pad = match self.cfg.oneshot_policy {
             OneShotPolicy::SealWithPad(pad) => {
                 let pad = pad.max(self.reserve);
-                let seal_end = self.fp + pad;
-                let room_after = self.cur_end.saturating_sub(seal_end);
-                if room_after > need.max(self.reserve) {
-                    // Seal at a fixed displacement above the occupied
-                    // portion; the remainder stays current (§3.4).
-                    let span = seal_end - self.cur_base;
-                    let k = Kont {
-                        seg: self.cur_seg,
-                        base: self.cur_base,
-                        size: span,
-                        cur: occupied,
-                        ret,
-                        link: self.cur_link,
-                        kind: KontKind::OneShot { promoted: flag },
-                        prompt: None,
-                        mark: false,
-                    };
-                    self.segs.get_mut(self.cur_seg.0).rc += 1;
-                    let id = KontId(self.konts.insert(k));
-                    emit!(self.capture_one(id, self.cur_seg, occupied, span));
-                    emit!(self.seal(id, self.cur_seg, pad));
-                    self.cur_base = seal_end;
-                    self.cur_link = Some(id);
-                    self.fp = seal_end;
-                    let m = self.marker.clone();
-                    self.set(seal_end, m);
-                    return Some(id);
-                }
-                // Not enough room: fall through to a fresh segment, sealing
-                // the whole segment as in the basic scheme.
+                let room_after = self.cur_end.saturating_sub(self.fp + pad);
+                (room_after > need.max(self.reserve)).then_some(pad)
             }
-            OneShotPolicy::FreshSegment => {}
-        }
-
-        // Basic scheme (§3.2): the continuation takes the entire segment.
-        let span = self.cur_end - self.cur_base;
+            OneShotPolicy::FreshSegment => None,
+        };
+        let end = pad.map_or(self.cur_end, |pad| self.fp + pad);
+        let (seg, span, is_prompt) = (self.cur_seg, end - self.cur_base, prompt.is_some());
         let k = Kont {
-            seg: self.cur_seg,
+            seg,
             base: self.cur_base,
             size: span,
             cur: occupied,
             ret,
             link: self.cur_link,
             kind: KontKind::OneShot { promoted: flag },
-            prompt: None,
+            prompt,
             mark: false,
         };
-        // The continuation takes over the current record's reference.
+        // Sealed in place, the record is a second reference to the segment;
+        // otherwise it takes over the current record's reference.
+        if pad.is_some() {
+            self.segs.get_mut(seg.0).rc += 1;
+        }
         let id = KontId(self.konts.insert(k));
-        emit!(self.capture_one(id, self.cur_seg, occupied, span));
-        let new_seg = self.obtain_segment(need.max(self.reserve) + 1);
-        self.install_record(new_seg, Some(id));
-        Some(id)
+        if is_prompt {
+            emit!(self, PromptPush { kont: id, seg, slots: occupied });
+        } else {
+            emit!(self, CaptureOne { kont: id, seg, slots: occupied, span });
+        }
+        match pad {
+            Some(pad) => {
+                emit!(self, Seal { kont: id, seg, pad });
+                self.cur_base = end;
+                self.cur_link = Some(id);
+                self.fp = end;
+                let m = self.marker.clone();
+                self.set(end, m);
+            }
+            None => {
+                let new_seg = self.obtain_segment(need.max(self.reserve) + 1);
+                self.install_record(new_seg, Some(id));
+            }
+        }
+        id
     }
 
     // ------------------------------------------------------------------
@@ -711,60 +692,11 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// when the prompt is consumed by [`SegStack::take_subcont`] or
     /// [`SegStack::abort_to_prompt`]. Embedders plant a resume slot first.
     pub fn push_prompt(&mut self, tag: S, need: usize) -> KontId {
-        let occupied = self.fp - self.cur_base;
-        debug_assert!(occupied > 0, "push_prompt on an empty record; plant a resume slot first");
-        let ret = self.get(self.fp).clone();
-        let flag = self.inherit_flag();
-
-        match self.cfg.oneshot_policy {
-            OneShotPolicy::SealWithPad(pad) => {
-                let pad = pad.max(self.reserve);
-                let seal_end = self.fp + pad;
-                let room_after = self.cur_end.saturating_sub(seal_end);
-                if room_after > need.max(self.reserve) {
-                    let k = Kont {
-                        seg: self.cur_seg,
-                        base: self.cur_base,
-                        size: seal_end - self.cur_base,
-                        cur: occupied,
-                        ret,
-                        link: self.cur_link,
-                        kind: KontKind::OneShot { promoted: flag },
-                        prompt: Some(tag),
-                        mark: false,
-                    };
-                    self.segs.get_mut(self.cur_seg.0).rc += 1;
-                    let id = KontId(self.konts.insert(k));
-                    emit!(self.prompt_push(id, self.cur_seg, occupied));
-                    emit!(self.seal(id, self.cur_seg, pad));
-                    self.cur_base = seal_end;
-                    self.cur_link = Some(id);
-                    self.fp = seal_end;
-                    let m = self.marker.clone();
-                    self.set(seal_end, m);
-                    return id;
-                }
-            }
-            OneShotPolicy::FreshSegment => {}
-        }
-
-        let k = Kont {
-            seg: self.cur_seg,
-            base: self.cur_base,
-            size: self.cur_end - self.cur_base,
-            cur: occupied,
-            ret,
-            link: self.cur_link,
-            kind: KontKind::OneShot { promoted: flag },
-            prompt: Some(tag),
-            mark: false,
-        };
-        // The prompt record takes over the current record's reference.
-        let id = KontId(self.konts.insert(k));
-        emit!(self.prompt_push(id, self.cur_seg, occupied));
-        let new_seg = self.obtain_segment(need.max(self.reserve) + 1);
-        self.install_record(new_seg, Some(id));
-        id
+        debug_assert!(
+            self.fp > self.cur_base,
+            "push_prompt on an empty record; plant a resume slot first"
+        );
+        self.seal_one_shot(Some(tag), need)
     }
 
     /// The nearest prompt record on the current chain whose tag satisfies
@@ -828,7 +760,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         walker: &W,
     ) -> Result<(Option<KontId>, Reinstated<S>), ControlError>
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         self.check_prompt_reachable(prompt)?;
         self.grace = false;
@@ -929,7 +861,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         }
         let head = new_head;
 
-        emit!(self.subcont_take(head, records, slots, copied));
+        emit!(self, SubcontTake { head, records, slots, copied });
 
         // The sealed head took over the current record's span; if the
         // prompt record is promoted, its multi-shot reinstatement copies
@@ -963,7 +895,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         walker: &W,
     ) -> Result<Reinstated<S>, ControlError>
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         if !self.konts.contains(head.0) {
             return Err(ControlError::DeadContinuation);
@@ -978,7 +910,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         // returns into it (tail rule when empty).
         let occupied = self.fp - self.cur_base;
         let below = if occupied == 0 {
-            emit!(self.capture_empty());
+            emit!(self, CaptureEmpty);
             self.cur_link
         } else {
             let ret = self.get(self.fp).clone();
@@ -1021,7 +953,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         }
         self.konts.get_mut(tail.0).link = below;
 
-        emit!(self.subcont_push(head, records));
+        emit!(self, SubcontPush { head, records });
         self.reinstate_inner(head, walker)
     }
 
@@ -1042,7 +974,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         walker: &W,
     ) -> Result<Reinstated<S>, ControlError>
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         self.check_prompt_reachable(prompt)?;
         self.grace = false;
@@ -1069,7 +1001,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
             cursor = next;
         }
         self.cur_link = Some(prompt);
-        emit!(self.abort_to_prompt(prompt, records));
+        emit!(self, AbortToPrompt { prompt, records });
         self.reinstate_inner(prompt, walker)
     }
 
@@ -1100,7 +1032,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                     if let KontKind::OneShot { promoted } = &self.konts.get(l.0).kind {
                         if !promoted.load(Ordering::Relaxed) {
                             promoted.store(true, Ordering::Relaxed);
-                            emit!(self.promotion(l, false));
+                            emit!(self, Promotion { kont: l, walked: false });
                         }
                     }
                 }
@@ -1119,7 +1051,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
                             k.size = k.cur;
                             k.kind = KontKind::MultiShot;
                             cursor = k.link;
-                            emit!(self.promotion(id, true));
+                            emit!(self, Promotion { kont: id, walked: true });
                         }
                         _ => break,
                     }
@@ -1142,7 +1074,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// portion exceeds the copy bound (Figure 3).
     ///
     /// `walker` maps a return-address slot to its frame displacement (see
-    /// [`FrameWalker`] and the module docs); it is consulted only when
+    /// the module docs on frame walking); it is consulted only when
     /// splitting.
     ///
     /// # Errors
@@ -1152,7 +1084,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// `id` was collected.
     pub fn reinstate<W>(&mut self, id: KontId, walker: &W) -> Result<Reinstated<S>, ControlError>
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         // An explicit reinstatement transfers control out of whatever extent
         // overflowed, so any ceiling grace period is over: the next ensure
@@ -1167,7 +1099,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// delivery run above the ceiling.
     fn reinstate_inner<W>(&mut self, id: KontId, walker: &W) -> Result<Reinstated<S>, ControlError>
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         if !self.konts.contains(id.0) {
             return Err(ControlError::DeadContinuation);
@@ -1195,7 +1127,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     fn reinstate_one(&mut self, id: KontId) -> Reinstated<S> {
         let k = self.konts.get_mut(id.0);
         let (seg, base, size, cur, link) = (k.seg, k.base, k.size, k.cur, k.link);
-        emit!(self.reinstate(id, seg, true, 0));
+        emit!(self, Reinstate { kont: id, seg, one_shot: true, slots_copied: 0 });
         let ret = std::mem::replace(&mut k.ret, self.marker.clone());
         // Mark shot (the paper sets both size fields to -1).
         k.kind = KontKind::Shot;
@@ -1217,7 +1149,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// at frame boundaries when the saved portion exceeds the copy bound.
     fn reinstate_multi<W>(&mut self, mut id: KontId, walker: &W) -> Reinstated<S>
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         if self.konts.get(id.0).cur > self.cfg.copy_bound {
             id = self.split(id, walker);
@@ -1241,7 +1173,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         }
 
         // Copy the saved frames to the base of the current record.
-        emit!(self.reinstate(id, src_seg, false, n));
+        emit!(self, Reinstate { kont: id, seg: src_seg, one_shot: false, slots_copied: n });
         self.copy_slots(src_seg, src_base, self.cur_seg, self.cur_base, n);
         // Patch the underflow marker into the copy: the bottom frame of the
         // record must return into the link. (For an unsplit continuation
@@ -1261,7 +1193,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// of the same large continuation split at most once per boundary.
     fn split<W>(&mut self, id: KontId, walker: &W) -> KontId
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         let (seg, base, cur, ret) = {
             let k = self.konts.get(id.0);
@@ -1272,7 +1204,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         // would exceed the bound; split off as much as possible (§3.2).
         let mut x = top;
         let mut r = ret;
-        while let Some(d) = walker.frame_disp(&r) {
+        while let Some(d) = walker(&r) {
             if d == 0 || d > x - base {
                 break;
             }
@@ -1315,7 +1247,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         k.size = top - x;
         k.cur = top - x;
         k.link = Some(bottom_id);
-        emit!(self.split(id, bottom_id, x - base));
+        emit!(self, Split { kont: id, bottom: bottom_id, slots: x - base });
         id
     }
 
@@ -1333,10 +1265,10 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     /// continuation that has already been invoked through another path.
     pub fn underflow<W>(&mut self, walker: &W) -> Result<Underflow<S>, ControlError>
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         debug_assert_eq!(self.fp, self.cur_base, "underflow away from record base");
-        emit!(self.underflow(self.cur_seg));
+        emit!(self, Underflow { seg: self.cur_seg });
         match self.cur_link {
             None => Ok(Underflow::Exhausted),
             Some(link) => Ok(Underflow::Resumed(self.reinstate_inner(link, walker)?)),
@@ -1362,7 +1294,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     #[inline]
     pub fn ensure<W>(&mut self, need: usize, live: usize, walker: &W) -> Overflow
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         debug_assert!(live >= 1 && live <= need);
         // §3.1: the common case is one compare of the frame pointer against
@@ -1379,7 +1311,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     #[cold]
     fn ensure_slow<W>(&mut self, need: usize, live: usize, walker: &W) -> Overflow
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         if self.fault.is_armed() && !self.fault_deferred && self.fault.tick() && !self.grace {
             self.grace = true;
@@ -1413,7 +1345,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
 
     fn overflow<W>(&mut self, need: usize, live: usize, walker: &W)
     where
-        W: FrameWalker<S> + ?Sized,
+        W: Fn(&S) -> Option<usize> + ?Sized,
     {
         // Choose the relocation boundary: at least the active frame moves;
         // hysteresis moves up to `hysteresis_slots` more (§3.2).
@@ -1421,7 +1353,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         if self.cfg.hysteresis_slots > 0 {
             let mut r = self.get(self.fp).clone();
             while x > self.cur_base {
-                let Some(d) = walker.frame_disp(&r) else { break };
+                let Some(d) = walker(&r) else { break };
                 if d == 0 || d > x - self.cur_base {
                     break;
                 }
@@ -1478,7 +1410,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
 
         let new_seg = self.obtain_segment(relocated + need - live + self.reserve);
         // Copy the relocated frames to the base of the new segment.
-        emit!(self.overflow(created, old_seg, new_seg, relocated));
+        emit!(self, Overflow { kont: created, from: old_seg, to: new_seg, slots_moved: relocated });
         self.copy_slots(old_seg, x, new_seg, 0, relocated);
         let new_fp = self.fp - x;
         self.set_cur_seg(new_seg);
@@ -1521,7 +1453,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         let cap = min_slots.max(self.cfg.segment_slots);
         let slots = vec![self.marker.clone(); cap].into_boxed_slice();
         let id = SegmentId(self.segs.insert(Segment::new(slots, cap == self.cfg.segment_slots)));
-        emit!(self.segment_alloc(id, cap));
+        emit!(self, SegmentAlloc { seg: id, slots: cap });
         id
     }
 
@@ -1530,7 +1462,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
     fn obtain_segment(&mut self, min_slots: usize) -> SegmentId {
         if min_slots <= self.cfg.segment_slots {
             if let Some(seg) = self.cache.pop() {
-                emit!(self.cache_hit(seg));
+                emit!(self, CacheHit { seg });
                 self.segs.get_mut(seg.0).rc = 1;
                 return seg;
             }
@@ -1545,7 +1477,7 @@ impl<S: Clone, P: ControlProbe> SegStack<S, P> {
         s.rc -= 1;
         if s.rc == 0 {
             if s.default_size && self.cache.len() < self.cfg.cache_limit {
-                emit!(self.cache_return(seg));
+                emit!(self, CacheReturn { seg });
                 self.cache.push(seg);
             } else {
                 self.segs.remove(seg.0);

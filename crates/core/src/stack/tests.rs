@@ -795,9 +795,8 @@ fn nested_prompt_tags_travel_with_the_subcontinuation() {
 }
 
 #[test]
-fn counting_probe_stays_in_parity_across_delimited_ops() {
-    let mut st: SegStack<Slot, Stats> =
-        SegStack::with_probe(small_cfg(), Slot::Marker, Stats::default());
+fn traced_events_sum_to_the_stats_across_delimited_ops() {
+    let mut st = SegStack::with_trace(small_cfg(), Slot::Marker, 1 << 10);
     st.push_frame(2, Slot::Ret { pc: 1, disp: 2 });
     st.ensure(MAXF, 1, &walker);
     let p = st.push_prompt(Slot::Val(4), MAXF);
@@ -816,7 +815,11 @@ fn counting_probe_stays_in_parity_across_delimited_ops() {
         Slot::Ret { disp, .. } => st.pop_frame(*disp),
         other => panic!("unexpected ret {other:?}"),
     }
-    assert_eq!(st.probe(), st.stats(), "probe/stats parity violated");
+    let ring = st.trace().unwrap();
+    assert_eq!(ring.dropped(), 0);
+    let mut folded = Stats::default();
+    ring.events().for_each(|ev| folded.record(ev));
+    assert_eq!(&folded, st.stats(), "the ring missed or repeated an event");
     assert!(st.stats().prompts_pushed == 1 && st.stats().subconts_taken == 1);
     assert!(st.stats().slots_encapsulated > 0);
 }

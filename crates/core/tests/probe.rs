@@ -3,12 +3,12 @@
 //! Two properties are checked against randomized workloads (plus
 //! deterministic anchors):
 //!
-//! 1. **Counting parity** — a second [`Stats`] installed as the probe at
-//!    construction accumulates totals identical to the stack's built-in
-//!    counters, field for field, after every operation — every event
-//!    reaches the probe exactly once — including under the `SharedFlag`
+//! 1. **Counting parity** — after every operation, the events in the
+//!    stack's trace ring, folded through [`Stats::record`], equal the
+//!    stack's own counters field for field: every event the counters saw
+//!    reached the ring exactly once — including under the `SharedFlag`
 //!    promotion strategy and the `SealWithPad` one-shot policy.
-//! 2. **Event ordering** — in a [`RingTraceProbe`] trace, every
+//! 2. **Event ordering** — in the trace, every
 //!    `Reinstate` event names a continuation previously *introduced* by a
 //!    `CaptureOne`, `CaptureMulti`, `Overflow` (implicit, `kont: Some`),
 //!    or `Split` (bottom part) event, and one-shot reinstatements copy
@@ -17,8 +17,8 @@
 use std::collections::HashSet;
 
 use oneshot_core::{
-    Config, ControlError, ControlProbe, KontId, OneShotPolicy, OverflowPolicy, ProbeEvent,
-    PromotionStrategy, Reinstated, RingTraceProbe, SegStack, Stats, Underflow,
+    Config, ControlError, KontId, OneShotPolicy, OverflowPolicy, ProbeEvent, PromotionStrategy,
+    Reinstated, SegStack, Stats, Underflow,
 };
 use proptest::prelude::*;
 
@@ -39,16 +39,43 @@ fn walker(s: &Slot) -> Option<usize> {
 const MAXF: usize = 8;
 const HEADROOM: usize = 2 * MAXF;
 
-/// Drives a probed stack through call/return/capture/invoke/GC traffic,
+/// Drives a traced stack through call/return/capture/invoke/GC traffic,
 /// swallowing the legitimate control errors (shot or dead continuations).
-struct Driver<P: ControlProbe> {
-    st: SegStack<Slot, P>,
+struct Driver {
+    st: SegStack<Slot>,
     konts: Vec<KontId>,
 }
 
-impl<P: ControlProbe> Driver<P> {
-    fn new(cfg: Config, probe: P) -> Self {
-        Driver { st: SegStack::with_probe(cfg, Slot::Marker, probe), konts: Vec::new() }
+impl Driver {
+    /// A driver whose ring holds far more events than any workload here
+    /// generates, so every check sees the trace from genesis.
+    fn new(cfg: Config) -> Self {
+        Driver { st: SegStack::with_trace(cfg, Slot::Marker, 1 << 16), konts: Vec::new() }
+    }
+
+    /// The whole trace, oldest first.
+    fn events(&self) -> Vec<ProbeEvent> {
+        let ring = self.st.trace().expect("a traced stack");
+        assert_eq!(ring.dropped(), 0, "the trace must be complete for these checks");
+        ring.events().copied().collect()
+    }
+
+    /// Whether the trace, folded through `Stats::record`, is the stack's
+    /// counters.
+    fn in_parity(&self) -> bool {
+        let mut folded = Stats::default();
+        self.events().iter().for_each(|ev| folded.record(ev));
+        folded == *self.st.stats()
+    }
+
+    fn drain(&mut self) {
+        for _ in 0..10_000 {
+            let at_marker = matches!(self.st.get(self.st.fp()), Slot::Marker);
+            self.ret();
+            if at_marker && matches!(self.st.get(self.st.fp()), Slot::Marker) {
+                break;
+            }
+        }
     }
 
     fn call(&mut self, pc: u32, disp: usize, local: Option<i64>) {
@@ -167,7 +194,7 @@ fn config_strategy() -> impl Strategy<Value = Config> {
         )
 }
 
-fn apply(d: &mut Driver<impl ControlProbe>, op: &Op) {
+fn apply(d: &mut Driver, op: &Op) {
     match *op {
         Op::Call { pc, disp, local } => d.call(pc, disp, local),
         Op::Ret => d.ret(),
@@ -182,45 +209,32 @@ fn apply(d: &mut Driver<impl ControlProbe>, op: &Op) {
 // 1. Counting parity
 // ---------------------------------------------------------------------
 
-fn assert_parity(d: &Driver<Stats>, context: &str) {
-    assert_eq!(*d.st.probe(), *d.st.stats(), "probe/stats divergence {context}");
+fn assert_parity(d: &Driver, context: &str) {
+    assert!(d.in_parity(), "trace/stats divergence {context}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
     #[test]
-    fn counting_probe_reproduces_stats(
+    fn traced_events_sum_to_the_stats(
         cfg in config_strategy(),
         ops in proptest::collection::vec(op_strategy(), 0..120),
     ) {
-        let mut d = Driver::new(cfg, Stats::default());
+        let mut d = Driver::new(cfg);
         for (i, op) in ops.iter().enumerate() {
             apply(&mut d, op);
-            prop_assert_eq!(
-                *d.st.probe(),
-                *d.st.stats(),
-                "probe/stats divergence after op {} ({:?})",
-                i,
-                op
-            );
+            prop_assert!(d.in_parity(), "trace/stats divergence after op {} ({:?})", i, op);
         }
         // Drain so underflow/exhaustion paths are exercised too.
-        for _ in 0..10_000 {
-            let at_marker = matches!(d.st.get(d.st.fp()), Slot::Marker);
-            d.ret();
-            if at_marker && matches!(d.st.get(d.st.fp()), Slot::Marker) {
-                break;
-            }
-        }
-        prop_assert_eq!(*d.st.probe(), *d.st.stats());
+        d.drain();
+        prop_assert!(d.in_parity(), "trace/stats divergence after the drain");
     }
 }
 
 /// Deterministic anchor: a one-shot chain promoted by `call/cc` under the
-/// `SharedFlag` strategy, then reinvoked, keeps probe and stats in
-/// lockstep (promotions are reported through the probe even though no
-/// chain walk happens).
+/// `SharedFlag` strategy, then reinvoked, keeps trace and stats in
+/// lockstep (promotions are traced even though no chain walk happens).
 #[test]
 fn counting_parity_under_shared_flag_promotion() {
     let cfg = Config {
@@ -230,7 +244,7 @@ fn counting_parity_under_shared_flag_promotion() {
         min_headroom: HEADROOM,
         ..Config::default()
     };
-    let mut d = Driver::new(cfg, Stats::default());
+    let mut d = Driver::new(cfg);
     for i in 0..20u32 {
         d.call(i, 4, Some(i64::from(i)));
         d.capture(true); // a chain of one-shots
@@ -250,7 +264,7 @@ fn counting_parity_under_shared_flag_promotion() {
 }
 
 /// Deterministic anchor: the `SealWithPad` policy seals one-shots in place
-/// (emitting `capture_one` + `seal`), and probe totals still match.
+/// (emitting `CaptureOne` + `Seal`), and the trace still sums to the stats.
 #[test]
 fn counting_parity_under_seal_with_pad() {
     let cfg = Config {
@@ -261,7 +275,7 @@ fn counting_parity_under_seal_with_pad() {
         min_headroom: HEADROOM,
         ..Config::default()
     };
-    let mut d = Driver::new(cfg, Stats::default());
+    let mut d = Driver::new(cfg);
     for i in 0..30u32 {
         d.call(i, 3, None);
         d.capture(true);
@@ -329,22 +343,12 @@ proptest! {
         cfg in config_strategy(),
         ops in proptest::collection::vec(op_strategy(), 0..120),
     ) {
-        // Capacity far above anything 120 operations can generate, so the
-        // trace is complete and the invariant can be checked from genesis.
-        let mut d = Driver::new(cfg, RingTraceProbe::new(1 << 16));
+        let mut d = Driver::new(cfg);
         for op in &ops {
             apply(&mut d, op);
         }
-        for _ in 0..10_000 {
-            let at_marker = matches!(d.st.get(d.st.fp()), Slot::Marker);
-            d.ret();
-            if at_marker && matches!(d.st.get(d.st.fp()), Slot::Marker) {
-                break;
-            }
-        }
-        prop_assert_eq!(d.st.probe().dropped(), 0, "trace must be complete for this check");
-        let events: Vec<ProbeEvent> = d.st.probe().events().copied().collect();
-        check_ordering(&events, &[]);
+        d.drain();
+        check_ordering(&d.events(), &[]);
     }
 }
 
@@ -354,12 +358,12 @@ proptest! {
 fn trace_renders_a_round_trip() {
     let cfg =
         Config { segment_slots: 128, copy_bound: 48, min_headroom: HEADROOM, ..Config::default() };
-    let mut d = Driver::new(cfg, RingTraceProbe::new(64));
+    let mut d = Driver::new(cfg);
     d.call(1, 4, None);
     d.call(2, 4, None);
     d.capture(true);
     d.invoke(0);
-    let text: Vec<String> = d.st.probe().events().map(ToString::to_string).collect();
+    let text: Vec<String> = d.events().iter().map(ToString::to_string).collect();
     assert!(text.iter().any(|l| l.starts_with("capture/1cc")), "missing capture event in {text:?}");
     assert!(
         text.iter().any(|l| l.contains("one-shot, O(1)")),

@@ -4,7 +4,7 @@ use std::ops::{Range, RangeInclusive};
 
 use crate::{Strategy, TestRng};
 
-/// A length specification for [`vec`]; built from `usize`, `Range`, or
+/// A length specification for [`vec()`]; built from `usize`, `Range`, or
 /// `RangeInclusive` like the real crate's `SizeRange`.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
@@ -31,7 +31,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

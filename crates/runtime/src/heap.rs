@@ -465,8 +465,8 @@ impl Heap {
 
     /// Allocates a closure directly from a borrowed free-variable slice
     /// (the hot path for the VM's `closure` opcode). Captures of at most
-    /// [`CLOSURE_INLINE`] values are copied into the pool slot, so this
-    /// performs no Rust-side allocation for them.
+    /// four values (`CLOSURE_INLINE`) are copied into the pool slot, so
+    /// this performs no Rust-side allocation for them.
     #[inline]
     pub fn alloc_closure(&mut self, code: u32, free: &[Value]) -> ObjRef {
         self.stats.words_allocated += 2 + free.len() as u64;

@@ -39,7 +39,7 @@ mod vm;
 
 pub use error::VmError;
 pub use slot::{slot_disp, Resume, Slot};
-pub use vm::{GlobalSlot, LinkedProgram, ProbeSpec, Vm, VmBuilder, VmConfig, VmProbe, VmStats};
+pub use vm::{GlobalSlot, LinkedProgram, ProbeSpec, Vm, VmBuilder, VmConfig, VmStats};
 
 pub use oneshot_compiler::{CompiledProgram, CompilerOptions, Pipeline};
 /// The counter-table macro, for the pool's counters in `oneshot-exec`.

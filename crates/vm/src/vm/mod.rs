@@ -9,10 +9,7 @@ use std::collections::HashMap;
 use oneshot_compiler::{
     compile_program_with, CompiledProgram, CompilerOptions, FreeSrc, Op, Pipeline, MNEMONICS,
 };
-use oneshot_core::{
-    Config, ControlProbe, FaultClock, FaultPlan, KontId, Overflow, RingTraceProbe, SegStack,
-    SegmentId, Stats,
-};
+use oneshot_core::{Config, FaultClock, FaultPlan, KontId, Overflow, SegStack, Stats};
 use oneshot_runtime::{
     datum_to_value, display_value, write_value, Heap, HeapStats, Obj, Symbols, Value,
 };
@@ -30,71 +27,16 @@ const PRELUDE: &str = include_str!("../../scheme/prelude.scm");
 /// the direct pipeline) only in CPS mode.
 const CPS_PRELUDE: &str = include_str!("../../scheme/cps-prelude.scm");
 
-/// Which control probe a VM installs on its segmented stack (a cloneable
-/// *specification*; the probe itself lives inside the stack).
+/// Whether a VM's segmented stack records its control events in a trace
+/// ring as well as counting them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeSpec {
-    /// No probe: control events cost nothing.
+    /// Counters only.
     #[default]
     Off,
-    /// A [`RingTraceProbe`] retaining the last `N` control events for
-    /// [`Vm::trace_dump`].
+    /// A [`RingTraceProbe`](oneshot_core::RingTraceProbe) retaining the
+    /// last `N` control events for [`Vm::trace_dump`].
     Ring(usize),
-}
-
-/// The probe a VM installs per its [`ProbeSpec`]. An enum rather than a
-/// `Box<dyn ControlProbe>` so dispatch is a predictable branch (and the
-/// common `Off` arm does nothing) instead of an indirect call.
-#[derive(Debug, Clone)]
-pub enum VmProbe {
-    /// No instrumentation.
-    Off,
-    /// Tracing the last N control events.
-    Ring(RingTraceProbe),
-}
-
-impl From<ProbeSpec> for VmProbe {
-    fn from(spec: ProbeSpec) -> Self {
-        match spec {
-            ProbeSpec::Off => VmProbe::Off,
-            ProbeSpec::Ring(n) => VmProbe::Ring(RingTraceProbe::new(n)),
-        }
-    }
-}
-
-macro_rules! forward_probe {
-    ($($method:ident($($arg:ident: $ty:ty),*);)*) => {
-        impl ControlProbe for VmProbe {
-            $(
-                #[inline]
-                fn $method(&mut self, $($arg: $ty),*) {
-                    match self {
-                        VmProbe::Off => {}
-                        VmProbe::Ring(p) => p.$method($($arg),*),
-                    }
-                }
-            )*
-        }
-    };
-}
-
-forward_probe! {
-    capture_multi(kont: KontId, seg: SegmentId, slots: usize);
-    capture_one(kont: KontId, seg: SegmentId, slots: usize, span: usize);
-    capture_empty();
-    seal(kont: KontId, seg: SegmentId, pad: usize);
-    reinstate(kont: KontId, seg: SegmentId, one_shot: bool, slots_copied: usize);
-    overflow(kont: Option<KontId>, from: SegmentId, to: SegmentId, slots_moved: usize);
-    underflow(seg: SegmentId);
-    promotion(kont: KontId, walked: bool);
-    split(kont: KontId, bottom: KontId, slots: usize);
-    cache_hit(seg: SegmentId);
-    cache_return(seg: SegmentId);
-    segment_alloc(seg: SegmentId, slots: usize);
-    prompt_push(kont: KontId, seg: SegmentId, slots: usize);
-    subcont_take(head: Option<KontId>, records: usize, slots: usize, copied: usize);
-    subcont_push(head: KontId, records: usize);
-    abort_to_prompt(prompt: KontId, records: usize);
 }
 
 /// VM construction options. Prefer building through [`Vm::builder`]; the
@@ -105,7 +47,7 @@ pub struct VmConfig {
     pub stack: Config,
     /// Which compiler pipeline to run programs through.
     pub pipeline: Pipeline,
-    /// Which control probe to install on the stack.
+    /// Whether the stack also records its control events in a trace ring.
     pub probe: ProbeSpec,
     /// Count executed instructions per opcode kind (see
     /// [`Vm::opcode_histogram`]). Adds a counter bump per instruction.
@@ -182,7 +124,7 @@ impl VmBuilder {
         self
     }
 
-    /// Selects the control probe.
+    /// Selects whether control events are also traced (see [`ProbeSpec`]).
     pub fn probe(mut self, probe: ProbeSpec) -> Self {
         self.cfg.probe = probe;
         self
@@ -319,7 +261,7 @@ pub struct GlobalSlot(u32);
 pub struct Vm {
     pub(crate) heap: Heap,
     pub(crate) syms: Symbols,
-    pub(crate) stack: SegStack<Slot, VmProbe>,
+    pub(crate) stack: SegStack<Slot>,
     pub(crate) codes: Vec<LoadedCode>,
     /// Call targets, indexed like `codes` (see [`CodeEntry`]).
     pub(crate) entries: Vec<CodeEntry>,
@@ -421,7 +363,10 @@ impl Vm {
         let mut vm = Vm {
             heap: Heap::new(),
             syms: Symbols::new(),
-            stack: SegStack::with_probe(cfg.stack, Slot::Marker, VmProbe::from(cfg.probe)),
+            stack: match cfg.probe {
+                ProbeSpec::Off => SegStack::new(cfg.stack, Slot::Marker),
+                ProbeSpec::Ring(n) => SegStack::with_trace(cfg.stack, Slot::Marker, n),
+            },
             codes: Vec::new(),
             entries: Vec::new(),
             flat: Vec::new(),
@@ -893,25 +838,12 @@ impl Vm {
         }
     }
 
-    /// The control probe installed on the stack.
-    pub fn probe(&self) -> &VmProbe {
-        self.stack.probe()
-    }
-
-    /// Clears the trace ring, if one is installed. (Counters are measured
-    /// over a region with [`Vm::stats`] and `delta_since`.)
-    pub fn probe_reset(&mut self) {
-        if let VmProbe::Ring(p) = self.stack.probe_mut() {
-            p.clear();
-        }
-    }
-
-    /// Renders the ring-trace buffer symbolically, one control event per
-    /// line, oldest first — empty if no [`ProbeSpec::Ring`] probe is
-    /// installed. A dropped-event note is appended when the ring has
-    /// evicted older events.
+    /// Renders the trace ring symbolically, one control event per line,
+    /// oldest first — empty unless the VM was built with
+    /// [`ProbeSpec::Ring`]. A dropped-event note is appended when the ring
+    /// has evicted older events.
     pub fn trace_dump(&self) -> String {
-        let VmProbe::Ring(p) = self.stack.probe() else {
+        let Some(p) = self.stack.trace() else {
             return String::new();
         };
         let mut out = String::new();

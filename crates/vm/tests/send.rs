@@ -46,5 +46,5 @@ fn the_control_stack_is_send_on_its_own() {
     // The segmented stack caches a raw pointer to its current segment's
     // slots and restates `Send` by hand; hold it to that independently of
     // the `Vm` that embeds it.
-    assert_send::<oneshot_core::SegStack<oneshot_vm::Slot, oneshot_vm::VmProbe>>();
+    assert_send::<oneshot_core::SegStack<oneshot_vm::Slot>>();
 }

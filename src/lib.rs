@@ -55,7 +55,6 @@ pub use oneshot_sexp as sexp;
 pub use oneshot_threads as threads;
 pub use oneshot_vm as vm;
 
-// The embedder-facing control-observability surface, flattened for
-// convenience: walking frames and probing control events are the two
-// extension points an embedder implements.
-pub use oneshot_core::{ControlProbe, FrameWalker, NoopProbe, ProbeEvent, RingTraceProbe};
+// The control events a stack reports and the ring that records them,
+// flattened for convenience.
+pub use oneshot_core::{ProbeEvent, RingTraceProbe};

@@ -6,7 +6,7 @@
 //! retires one instruction more or fewer — or counts a call twice — fails
 //! `cargo test -q` here, not only in the E9/E14 experiment smokes.
 
-use oneshot::vm::{Pipeline, Vm, VmStats};
+use oneshot::vm::{Pipeline, ProbeSpec, Vm, VmStats};
 
 const FIB: &str = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))";
 const TAK: &str = "
@@ -109,8 +109,8 @@ fn measure(vm: &mut Vm, expr: &str) -> (String, VmStats) {
     (vm.write_value(&v), vm.stats().delta_since(&before))
 }
 
-fn vm_for(pipeline: Pipeline, defs: &str) -> Vm {
-    let mut vm = Vm::builder().pipeline(pipeline).build();
+fn vm_for(pipeline: Pipeline, defs: &str, probe: ProbeSpec) -> Vm {
+    let mut vm = Vm::builder().pipeline(pipeline).probe(probe).build();
     vm.eval_str(defs).unwrap_or_else(|e| panic!("{pipeline:?} definitions: {e}"));
     vm
 }
@@ -121,7 +121,7 @@ fn answers_and_counts_are_pinned_on_both_pipelines() {
     for p in programs() {
         let mut answers = Vec::new();
         for (pipeline, pinned) in [(Pipeline::Direct, p.direct), (Pipeline::Cps, p.cps)] {
-            let mut vm = vm_for(pipeline, &p.defs);
+            let mut vm = vm_for(pipeline, &p.defs, ProbeSpec::Off);
             let (answer, d) = measure(&mut vm, p.expr);
             assert_eq!(answer, p.answer, "{} on {pipeline:?}", p.name);
             if (d.instructions, d.calls) != pinned {
@@ -164,7 +164,7 @@ fn work_counters(d: &VmStats) -> [u64; 16] {
 fn two_runs_on_one_vm_yield_equal_deltas() {
     for p in programs() {
         for pipeline in [Pipeline::Direct, Pipeline::Cps] {
-            let mut vm = vm_for(pipeline, &p.defs);
+            let mut vm = vm_for(pipeline, &p.defs, ProbeSpec::Off);
             // The first evaluation may grow the stack's segment cache;
             // the contract is that the next two are indistinguishable.
             measure(&mut vm, p.expr);
@@ -177,6 +177,32 @@ fn two_runs_on_one_vm_yield_equal_deltas() {
                 "{} on {pipeline:?}: counters differ between two runs of one VM",
                 p.name
             );
+        }
+    }
+}
+
+/// An armed trace ring is invisible to the guest and to the counters:
+/// every pinned program, on both pipelines, gives the answer and the work
+/// counters it gives with the ring off.
+#[test]
+fn an_armed_trace_ring_changes_no_answer_and_no_counter() {
+    for p in programs() {
+        for pipeline in [Pipeline::Direct, Pipeline::Cps] {
+            let mut off = vm_for(pipeline, &p.defs, ProbeSpec::Off);
+            let mut ring = vm_for(pipeline, &p.defs, ProbeSpec::Ring(4096));
+            let (a_off, d_off) = measure(&mut off, p.expr);
+            let (a_ring, d_ring) = measure(&mut ring, p.expr);
+            assert_eq!(a_off, a_ring, "{} on {pipeline:?}", p.name);
+            assert_eq!(
+                work_counters(&d_off),
+                work_counters(&d_ring),
+                "{} on {pipeline:?}: arming the ring moved a counter",
+                p.name
+            );
+            assert!(off.trace_dump().is_empty(), "{}: a disarmed VM traced", p.name);
+            if p.name == "ctak-1cc" {
+                assert!(!ring.trace_dump().is_empty(), "ctak-1cc on {pipeline:?} traced nothing");
+            }
         }
     }
 }
