@@ -43,7 +43,7 @@ pub enum PromotionStrategy {
     /// one-shot continuation can be promoted only once, so there is no
     /// quadratic behaviour. This is what the paper implements.
     EagerWalk,
-    /// Share a boxed flag among all one-shot continuations in a chain and
+    /// Share one flag among all one-shot continuations in a chain and
     /// promote them all simultaneously by setting the flag — the paper's
     /// proposed (but unimplemented) bounded-time `call/cc`. We implement it
     /// and compare both in experiment E8.

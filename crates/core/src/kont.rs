@@ -1,8 +1,5 @@
 //! Continuation objects.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use crate::stack::SegmentId;
 
 /// Identifies a continuation object owned by a [`SegStack`](crate::SegStack).
@@ -24,46 +21,24 @@ impl KontId {
     }
 }
 
-/// The flavour and state of a continuation.
-///
-/// The shared promotion flag is an `Arc<AtomicBool>` rather than an
-/// `Rc<Cell<bool>>` solely so a whole `SegStack` (and the VM embedding it)
-/// is `Send` and can migrate between executor worker threads; a stack is
-/// only ever *used* by one thread at a time, so all accesses are relaxed.
-#[derive(Debug, Clone)]
+/// The flavour and state of a continuation — plain data, like the rest of
+/// a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KontKind {
     /// A traditional multi-shot continuation: may be invoked any number of
     /// times; reinstatement copies the saved frames.
     MultiShot,
-    /// A one-shot continuation that has not yet been invoked. Carries the
-    /// shared promotion flag used by
-    /// [`PromotionStrategy::SharedFlag`](crate::PromotionStrategy::SharedFlag);
-    /// under `EagerWalk` promotion rewrites the kind to `MultiShot` instead.
-    OneShot {
-        /// Set when every one-shot continuation in this chain has been
-        /// promoted to multi-shot status by a `call/cc` capture.
-        promoted: Arc<AtomicBool>,
-    },
+    /// A one-shot continuation that has not yet been invoked. Under
+    /// [`PromotionStrategy::EagerWalk`](crate::PromotionStrategy::EagerWalk)
+    /// promotion rewrites the kind to `MultiShot`; under `SharedFlag` it
+    /// sets the flag the record's chain shares instead, in a table the
+    /// owning stack keeps, and the kind stays `OneShot`.
+    OneShot,
     /// A one-shot continuation that has been invoked; invoking it again is
     /// an error. (The paper represents this state by setting both size
     /// fields to -1.)
     Shot,
 }
-
-impl PartialEq for KontKind {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (KontKind::MultiShot, KontKind::MultiShot) => true,
-            (KontKind::Shot, KontKind::Shot) => true,
-            (KontKind::OneShot { promoted: a }, KontKind::OneShot { promoted: b }) => {
-                a.load(Ordering::Relaxed) == b.load(Ordering::Relaxed)
-            }
-            _ => false,
-        }
-    }
-}
-
-impl Eq for KontKind {}
 
 /// A continuation object: a sealed stack record (Figure 2 of the paper).
 ///
@@ -91,6 +66,10 @@ pub struct Kont<S> {
     pub(crate) link: Option<KontId>,
     /// Flavour and state.
     pub(crate) kind: KontKind,
+    /// A `OneShot` record's promotion flag: an index into the owning
+    /// stack's flag table (§3.3), shared by every record of its chain.
+    /// Entry 0, which is never set, under `EagerWalk` and for other kinds.
+    pub(crate) flag: u32,
     /// The prompt tag when this record is a delimited-control prompt
     /// boundary (sealed by [`SegStack::push_prompt`]
     /// (crate::SegStack::push_prompt)); `None` for ordinary records. The
@@ -116,8 +95,8 @@ impl<S> Kont<S> {
     }
 
     /// The flavour and state of this continuation.
-    pub fn kind(&self) -> &KontKind {
-        &self.kind
+    pub fn kind(&self) -> KontKind {
+        self.kind
     }
 
     /// Occupied slots — the number of slots a multi-shot reinstatement of
@@ -135,15 +114,6 @@ impl<S> Kont<S> {
     /// Whether this continuation has been shot (invoked as a one-shot).
     pub fn is_shot(&self) -> bool {
         matches!(self.kind, KontKind::Shot)
-    }
-
-    /// Whether this continuation currently behaves as a live one-shot:
-    /// it is of one-shot kind and its shared promotion flag is unset.
-    pub fn is_live_one_shot(&self) -> bool {
-        match &self.kind {
-            KontKind::OneShot { promoted } => !promoted.load(Ordering::Relaxed),
-            _ => false,
-        }
     }
 
     /// The paper's size-field test: a continuation is one-shot exactly when
@@ -174,6 +144,7 @@ mod tests {
             ret: 0,
             link: None,
             kind,
+            flag: 0,
             prompt: None,
             mark: false,
         }
@@ -183,18 +154,8 @@ mod tests {
     fn size_field_test_matches_kind_for_fresh_konts() {
         let multi = mk(KontKind::MultiShot, 10, 10);
         assert!(!multi.is_one_shot_by_sizes());
-        let one = mk(KontKind::OneShot { promoted: Arc::new(AtomicBool::new(false)) }, 64, 10);
+        let one = mk(KontKind::OneShot, 64, 10);
         assert!(one.is_one_shot_by_sizes());
-        assert!(one.is_live_one_shot());
-    }
-
-    #[test]
-    fn shared_flag_promotion_is_visible() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let k = mk(KontKind::OneShot { promoted: flag.clone() }, 64, 10);
-        assert!(k.is_live_one_shot());
-        flag.store(true, Ordering::Relaxed);
-        assert!(!k.is_live_one_shot());
     }
 
     #[test]

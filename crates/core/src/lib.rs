@@ -22,7 +22,8 @@
 //! * One-shot continuations captured as part of a multi-shot continuation
 //!   are *promoted* to multi-shot status ([`PromotionStrategy`]), either by
 //!   an eager walk of the continuation chain (the paper's implementation)
-//!   or by a shared boxed flag (the paper's proposed bounded-time variant).
+//!   or by setting one flag the chain shares (the paper's proposed
+//!   bounded-time variant; the flags live in a table the stack owns).
 //! * **Stack overflow** is treated as an implicit one-shot capture with
 //!   *hysteresis*: a few frames are copied up into the fresh segment so an
 //!   immediate return does not bounce between segments

@@ -57,11 +57,9 @@
 //! before each return point; a bytecode embedder typically keeps it in a
 //! side table keyed by return PC. The walker returns `None` for the
 //! underflow marker (or any non-return-address slot), which terminates a
-//! walk.
+//! walk. Both operations walk with one routine, `frame_floor`.
 
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use crate::arena::Arena;
 use crate::config::{Config, OneShotPolicy, OverflowPolicy, PromotionStrategy};
@@ -153,6 +151,16 @@ unsafe impl<S: Send> Send for Segment<S> {}
 #[allow(unsafe_code)]
 unsafe impl<S: Sync> Sync for Segment<S> {}
 
+/// One shared promotion flag (§3.3): an entry of a stack's flag table.
+#[derive(Debug, Clone, Copy, Default)]
+struct Flag {
+    /// Set once a multi-shot capture has promoted the chain holding it.
+    set: bool,
+    /// Scratch for [`SegStack::sweep`]: whether a surviving `OneShot`
+    /// record holds the flag.
+    held: bool,
+}
+
 /// The result of reinstating a continuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -227,6 +235,13 @@ pub struct SegStack<S> {
     cur_end: usize,
     cur_link: Option<KontId>,
     fp: usize,
+    /// The promotion flags `OneShot` records hold by index (§3.3). Entry 0
+    /// is never set; under `EagerWalk` it is the only one, so the default
+    /// strategy allocates no flag.
+    flags: Vec<Flag>,
+    /// Flags no surviving record holds, rebuilt by `sweep`. Its capacity
+    /// covers the whole table, so the rebuild allocates nothing.
+    free_flags: Vec<u32>,
     stats: Stats,
     /// The ring recording every control event, on a traced stack.
     trace: Option<RingTraceProbe>,
@@ -247,8 +262,7 @@ pub struct SegStack<S> {
 // It points into a segment owned by `segs`, so it travels with the stack and
 // is dereferenced only through `&self`/`&mut self` — it adds no sharing the
 // owning `Segment` does not already account for. Every other field is `S`
-// (`marker`, and inside `segs`/`konts`) or plain data, event rings and
-// `Arc<AtomicBool>` flags, hence the bounds.
+// (`marker`, and inside `segs`/`konts`) or plain data, hence the bounds.
 #[allow(unsafe_code)]
 unsafe impl<S: Send> Send for SegStack<S> {}
 #[allow(unsafe_code)]
@@ -295,6 +309,8 @@ impl<S: Clone> SegStack<S> {
             cur_end: 0,
             cur_link: None,
             fp: 0,
+            flags: vec![Flag::default()],
+            free_flags: Vec::new(),
             stats: Stats::default(),
             trace,
             fault: FaultClock::disarmed(),
@@ -566,20 +582,7 @@ impl<S: Clone> SegStack<S> {
             emit!(self, CaptureEmpty);
             return self.cur_link;
         }
-        let ret = self.get(self.fp).clone();
-        let k = Kont {
-            seg: self.cur_seg,
-            base: self.cur_base,
-            size: occupied,
-            cur: occupied,
-            ret,
-            link: self.cur_link,
-            kind: KontKind::MultiShot,
-            prompt: None,
-            mark: false,
-        };
-        self.segs.get_mut(self.cur_seg.0).rc += 1;
-        let id = KontId(self.konts.insert(k));
+        let id = self.seal(self.fp, occupied, KontKind::MultiShot, 0, None);
         emit!(self, CaptureMulti { kont: id, seg: self.cur_seg, slots: occupied });
         // The remainder of the segment becomes the current record.
         self.cur_base = self.fp;
@@ -588,6 +591,34 @@ impl<S: Clone> SegStack<S> {
         let m = self.marker.clone();
         self.set(fp, m);
         Some(id)
+    }
+
+    /// Seals `[cur_base, top)` of the current record — its frames, with the
+    /// return address at `top` — into a record of `kind` owning `size`
+    /// slots from the base, linked to the current link. The record takes a
+    /// reference to the current segment.
+    fn seal(
+        &mut self,
+        top: usize,
+        size: usize,
+        kind: KontKind,
+        flag: u32,
+        prompt: Option<S>,
+    ) -> KontId {
+        let k = Kont {
+            seg: self.cur_seg,
+            base: self.cur_base,
+            size,
+            cur: top - self.cur_base,
+            ret: self.get(top).clone(),
+            link: self.cur_link,
+            kind,
+            flag,
+            prompt,
+            mark: false,
+        };
+        self.segs.get_mut(self.cur_seg.0).rc += 1;
+        KontId(self.konts.insert(k))
     }
 
     /// Captures the current continuation as a one-shot continuation
@@ -613,8 +644,7 @@ impl<S: Clone> SegStack<S> {
     /// replaces it.
     fn seal_one_shot(&mut self, prompt: Option<S>, need: usize) -> KontId {
         let occupied = self.fp - self.cur_base;
-        let ret = self.get(self.fp).clone();
-        let flag = self.inherit_flag();
+        let flag = self.flag_below();
         // `SealWithPad` seals at a fixed displacement above the occupied
         // portion when the remainder of the segment has room, and the
         // remainder stays current (§3.4). Otherwise the record takes the
@@ -629,23 +659,12 @@ impl<S: Clone> SegStack<S> {
         };
         let end = pad.map_or(self.cur_end, |pad| self.fp + pad);
         let (seg, span, is_prompt) = (self.cur_seg, end - self.cur_base, prompt.is_some());
-        let k = Kont {
-            seg,
-            base: self.cur_base,
-            size: span,
-            cur: occupied,
-            ret,
-            link: self.cur_link,
-            kind: KontKind::OneShot { promoted: flag },
-            prompt,
-            mark: false,
-        };
+        let id = self.seal(self.fp, span, KontKind::OneShot, flag, prompt);
         // Sealed in place, the record is a second reference to the segment;
         // otherwise it takes over the current record's reference.
-        if pad.is_some() {
-            self.segs.get_mut(seg.0).rc += 1;
+        if pad.is_none() {
+            self.segs.get_mut(seg.0).rc -= 1;
         }
-        let id = KontId(self.konts.insert(k));
         if is_prompt {
             emit!(self, PromptPush { kont: id, seg, slots: occupied });
         } else {
@@ -719,17 +738,20 @@ impl<S: Clone> SegStack<S> {
     }
 
     /// Validates that `prompt` names a live prompt record reachable on the
-    /// current chain.
-    fn check_prompt_reachable(&self, prompt: KontId) -> Result<(), ControlError> {
+    /// current chain, and reports whether a record from the top of stack
+    /// down to it, the prompt included, was already shot.
+    fn check_prompt_reachable(&self, prompt: KontId) -> Result<bool, ControlError> {
         if !self.konts.contains(prompt.0) || self.konts.get(prompt.0).prompt.is_none() {
             return Err(ControlError::NoMatchingPrompt);
         }
-        let mut cursor = self.cur_link;
+        let (mut shot, mut cursor) = (false, self.cur_link);
         while let Some(id) = cursor {
+            let k = self.konts.get(id.0);
+            shot |= k.is_shot();
             if id == prompt {
-                return Ok(());
+                return Ok(shot);
             }
-            cursor = self.konts.get(id.0).link;
+            cursor = k.link;
         }
         Err(ControlError::NoMatchingPrompt)
     }
@@ -741,8 +763,8 @@ impl<S: Clone> SegStack<S> {
     ///
     /// Returns the head of the detached chain (`None` when the delimited
     /// context was empty) along with the reinstatement of the prompt's
-    /// record. The subcontinuation is one-shot: its records carry a fresh
-    /// shared promotion flag, disconnected from the chain they left, and
+    /// record. The subcontinuation is one-shot: its records hold a fresh
+    /// promotion flag, disconnected from the chain they left, and
     /// [`SegStack::push_subcont`] shoots the head. Unpromoted one-shot
     /// records are stolen in place — no copying, the splice the paper's
     /// representation makes O(chain length) instead of O(slots) — while
@@ -753,7 +775,10 @@ impl<S: Clone> SegStack<S> {
     /// # Errors
     ///
     /// [`ControlError::NoMatchingPrompt`] if `prompt` is not a live prompt
-    /// record on the current chain. Nothing is mutated in that case.
+    /// record on the current chain; [`ControlError::AlreadyShot`] if a
+    /// record of the delimited context, or the prompt's, was already
+    /// resumed through a one-shot continuation. Nothing is mutated in
+    /// either case.
     pub fn take_subcont<W>(
         &mut self,
         prompt: KontId,
@@ -762,37 +787,27 @@ impl<S: Clone> SegStack<S> {
     where
         W: Fn(&S) -> Option<usize> + ?Sized,
     {
-        self.check_prompt_reachable(prompt)?;
+        if self.check_prompt_reachable(prompt)? {
+            return Err(ControlError::AlreadyShot);
+        }
         self.grace = false;
         // The detached chain gets its own promotion flag: sharing one with
         // the records staying behind would let an unrelated capture_multi
         // promote the subcontinuation (SharedFlag sets one flag per chain).
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = self.fresh_flag();
 
         // Seal the occupied portion of the current record as the
         // subcontinuation's top record. No replacement record is installed:
-        // the prompt's record is about to become current.
+        // the prompt's record is about to become current. As a one-shot the
+        // record owns its whole span, so pushing it back restores the
+        // original headroom (Figure 4 applies unchanged to the spliced-in
+        // record).
         let occupied = self.fp - self.cur_base;
         let head_start = if occupied == 0 {
             self.cur_link
         } else {
-            let ret = self.get(self.fp).clone();
-            let k = Kont {
-                seg: self.cur_seg,
-                base: self.cur_base,
-                // One-shot: the record owns its whole span, so pushing it
-                // back restores the original headroom (Figure 4 applies
-                // unchanged to the spliced-in record).
-                size: self.cur_end - self.cur_base,
-                cur: occupied,
-                ret,
-                link: self.cur_link,
-                kind: KontKind::OneShot { promoted: flag.clone() },
-                prompt: None,
-                mark: false,
-            };
-            self.segs.get_mut(self.cur_seg.0).rc += 1;
-            Some(KontId(self.konts.insert(k)))
+            let span = self.cur_end - self.cur_base;
+            Some(self.seal(self.fp, span, KontKind::OneShot, flag, None))
         };
 
         // Walk [head_start, prompt): steal unpromoted one-shots in place,
@@ -807,14 +822,11 @@ impl<S: Clone> SegStack<S> {
             if id == prompt {
                 break;
             }
-            let (next, live_one) = {
-                let k = self.konts.get(id.0);
-                (k.link, k.is_live_one_shot())
-            };
-            let keep = if live_one {
+            let next = self.konts.get(id.0).link;
+            let keep = if self.is_live_one_shot(id) {
                 let k = self.konts.get_mut(id.0);
                 slots += k.cur;
-                k.kind = KontKind::OneShot { promoted: flag.clone() };
+                k.flag = flag;
                 id
             } else {
                 // Promoted or multi-shot: copy the occupied slots into a
@@ -841,7 +853,8 @@ impl<S: Clone> SegStack<S> {
                     cur: n,
                     ret,
                     link: next,
-                    kind: KontKind::OneShot { promoted: flag.clone() },
+                    kind: KontKind::OneShot,
+                    flag,
                     prompt: ptag,
                     mark: false,
                 };
@@ -867,7 +880,7 @@ impl<S: Clone> SegStack<S> {
         // prompt record is promoted, its multi-shot reinstatement copies
         // into the current record, so install a fresh one first. (A live
         // one-shot prompt swaps segments and never reads the old record.)
-        if occupied > 0 && !self.konts.get(prompt.0).is_live_one_shot() {
+        if occupied > 0 && !self.is_live_one_shot(prompt) {
             let n = self.konts.get(prompt.0).cur;
             let old = self.cur_seg;
             self.release_segment(old);
@@ -886,9 +899,12 @@ impl<S: Clone> SegStack<S> {
     ///
     /// # Errors
     ///
-    /// [`ControlError::AlreadyShot`] if the head was already pushed;
-    /// [`ControlError::DeadContinuation`] if it was collected. Nothing is
-    /// mutated in either case.
+    /// [`ControlError::AlreadyShot`] if the head was already pushed, or if
+    /// any record of the subcontinuation was already resumed through a
+    /// one-shot continuation captured inside it (splicing its remains back
+    /// in could link the chain into a cycle);
+    /// [`ControlError::DeadContinuation`] if the head was collected.
+    /// Nothing is mutated in either case.
     pub fn push_subcont<W>(
         &mut self,
         head: KontId,
@@ -900,11 +916,15 @@ impl<S: Clone> SegStack<S> {
         if !self.konts.contains(head.0) {
             return Err(ControlError::DeadContinuation);
         }
-        if self.konts.get(head.0).is_shot() {
-            return Err(ControlError::AlreadyShot);
+        let (mut records, mut tail, mut cursor) = (0usize, head, Some(head));
+        while let Some(id) = cursor {
+            if self.konts.get(id.0).is_shot() {
+                return Err(ControlError::AlreadyShot);
+            }
+            (records, tail, cursor) = (records + 1, id, self.konts.get(id.0).link);
         }
         self.grace = false;
-        let flag = self.inherit_flag();
+        let flag = self.flag_below();
 
         // Seal the current record; the subcontinuation's bottom frame
         // returns into it (tail rule when empty).
@@ -913,43 +933,19 @@ impl<S: Clone> SegStack<S> {
             emit!(self, CaptureEmpty);
             self.cur_link
         } else {
-            let ret = self.get(self.fp).clone();
-            let k = Kont {
-                seg: self.cur_seg,
-                base: self.cur_base,
-                size: self.cur_end - self.cur_base,
-                cur: occupied,
-                ret,
-                link: self.cur_link,
-                kind: KontKind::OneShot { promoted: flag.clone() },
-                prompt: None,
-                mark: false,
-            };
-            self.segs.get_mut(self.cur_seg.0).rc += 1;
-            Some(KontId(self.konts.insert(k)))
+            let span = self.cur_end - self.cur_base;
+            Some(self.seal(self.fp, span, KontKind::OneShot, flag, None))
         };
 
         // Unify flags down the spliced chain (a promoted record, if any,
-        // is itself a flag boundary and stops nothing) and find the tail.
-        let mut records = 1usize;
-        let mut tail = head;
-        loop {
-            let next = {
-                let k = self.konts.get_mut(tail.0);
-                if let KontKind::OneShot { promoted } = &k.kind {
-                    if !promoted.load(Ordering::Relaxed) {
-                        k.kind = KontKind::OneShot { promoted: flag.clone() };
-                    }
-                }
-                k.link
-            };
-            match next {
-                Some(n) => {
-                    records += 1;
-                    tail = n;
-                }
-                None => break,
+        // is itself a flag boundary and stops nothing). Under `EagerWalk`
+        // every flag is entry 0 already.
+        let mut cursor = (self.cfg.promotion == PromotionStrategy::SharedFlag).then_some(head);
+        while let Some(id) = cursor {
+            if self.is_live_one_shot(id) {
+                self.konts.get_mut(id.0).flag = flag;
             }
+            cursor = self.konts.get(id.0).link;
         }
         self.konts.get_mut(tail.0).link = below;
 
@@ -976,6 +972,7 @@ impl<S: Clone> SegStack<S> {
     where
         W: Fn(&S) -> Option<usize> + ?Sized,
     {
+        // A shot record in the context is discarded like the rest.
         self.check_prompt_reachable(prompt)?;
         self.grace = false;
         let mut records = 0usize;
@@ -984,11 +981,11 @@ impl<S: Clone> SegStack<S> {
             if id == prompt {
                 break;
             }
-            let (next, live_one, seg) = {
+            let (next, seg) = {
                 let k = self.konts.get(id.0);
-                (k.link, k.is_live_one_shot(), k.seg)
+                (k.link, k.seg)
             };
-            if live_one {
+            if self.is_live_one_shot(id) {
                 let m = self.marker.clone();
                 let k = self.konts.get_mut(id.0);
                 k.kind = KontKind::Shot;
@@ -1005,20 +1002,38 @@ impl<S: Clone> SegStack<S> {
         self.reinstate_inner(prompt, walker)
     }
 
-    /// The shared promotion flag for a new one-shot continuation: inherited
-    /// from the link when it is an unpromoted one-shot (so a whole chain
-    /// shares one flag), fresh otherwise. Under [`PromotionStrategy::
-    /// EagerWalk`] the flag is never set, but maintaining it is cheap and
-    /// keeps the two strategies structurally identical.
-    fn inherit_flag(&self) -> Arc<AtomicBool> {
-        if let Some(l) = self.cur_link {
-            if let KontKind::OneShot { promoted } = &self.konts.get(l.0).kind {
-                if !promoted.load(Ordering::Relaxed) {
-                    return promoted.clone();
-                }
-            }
+    /// Whether `id` is a live one-shot: of `OneShot` kind, with its
+    /// chain's promotion flag unset.
+    pub(crate) fn is_live_one_shot(&self, id: KontId) -> bool {
+        let k = self.konts.get(id.0);
+        k.kind == KontKind::OneShot && !self.flags[k.flag as usize].set
+    }
+
+    /// The promotion flag for a one-shot record sealed above the current
+    /// link: the link's own when it is a live one-shot (so a whole chain
+    /// shares one flag), a fresh one otherwise.
+    fn flag_below(&mut self) -> u32 {
+        match self.cur_link {
+            Some(l) if self.is_live_one_shot(l) => self.konts.get(l.0).flag,
+            _ => self.fresh_flag(),
         }
-        Arc::new(AtomicBool::new(false))
+    }
+
+    /// An unset flag that no live record holds: entry 0 under
+    /// [`PromotionStrategy::EagerWalk`], which never sets a flag, so the
+    /// default strategy allocates nothing; otherwise one recycled by
+    /// `sweep` or a new entry.
+    fn fresh_flag(&mut self) -> u32 {
+        if self.cfg.promotion == PromotionStrategy::EagerWalk {
+            return 0;
+        }
+        if let Some(f) = self.free_flags.pop() {
+            self.flags[f as usize].set = false;
+            return f;
+        }
+        self.flags.push(Flag::default());
+        self.free_flags.reserve(self.flags.len());
+        (self.flags.len() - 1) as u32
     }
 
     /// Promotes every live one-shot continuation reachable through the
@@ -1028,33 +1043,24 @@ impl<S: Clone> SegStack<S> {
     fn promote_chain(&mut self) {
         match self.cfg.promotion {
             PromotionStrategy::SharedFlag => {
-                if let Some(l) = self.cur_link {
-                    if let KontKind::OneShot { promoted } = &self.konts.get(l.0).kind {
-                        if !promoted.load(Ordering::Relaxed) {
-                            promoted.store(true, Ordering::Relaxed);
-                            emit!(self, Promotion { kont: l, walked: false });
-                        }
-                    }
+                if let Some(l) = self.cur_link.filter(|&l| self.is_live_one_shot(l)) {
+                    let f = self.konts.get(l.0).flag;
+                    self.flags[f as usize].set = true;
+                    emit!(self, Promotion { kont: l, walked: false });
                 }
             }
             PromotionStrategy::EagerWalk => {
                 let mut cursor = self.cur_link;
-                while let Some(id) = cursor {
+                while let Some(id) = cursor.filter(|&id| self.is_live_one_shot(id)) {
+                    // Promotion sets the size of a one-shot continuation
+                    // equal to its current size, restoring the multi-shot
+                    // invariant. The segment tail it owned beyond the
+                    // occupied portion is abandoned (fragmentation, §3.4).
                     let k = self.konts.get_mut(id.0);
-                    match &k.kind {
-                        KontKind::OneShot { promoted } if !promoted.load(Ordering::Relaxed) => {
-                            // Promotion sets the size of a one-shot
-                            // continuation equal to its current size,
-                            // restoring the multi-shot invariant. The
-                            // segment tail it owned beyond the occupied
-                            // portion is abandoned (fragmentation, §3.4).
-                            k.size = k.cur;
-                            k.kind = KontKind::MultiShot;
-                            cursor = k.link;
-                            emit!(self, Promotion { kont: id, walked: true });
-                        }
-                        _ => break,
-                    }
+                    k.size = k.cur;
+                    k.kind = KontKind::MultiShot;
+                    cursor = k.link;
+                    emit!(self, Promotion { kont: id, walked: true });
                 }
             }
         }
@@ -1104,20 +1110,10 @@ impl<S: Clone> SegStack<S> {
         if !self.konts.contains(id.0) {
             return Err(ControlError::DeadContinuation);
         }
-        enum Path {
-            Shot,
-            One,
-            Multi,
-        }
-        let path = match &self.konts.get(id.0).kind {
-            KontKind::Shot => Path::Shot,
-            KontKind::OneShot { promoted } if !promoted.load(Ordering::Relaxed) => Path::One,
-            _ => Path::Multi,
-        };
-        match path {
-            Path::Shot => Err(ControlError::AlreadyShot),
-            Path::One => Ok(self.reinstate_one(id)),
-            Path::Multi => Ok(self.reinstate_multi(id, walker)),
+        match self.konts.get(id.0).kind {
+            KontKind::Shot => Err(ControlError::AlreadyShot),
+            KontKind::OneShot if self.is_live_one_shot(id) => Ok(self.reinstate_one(id)),
+            _ => Ok(self.reinstate_multi(id, walker)),
         }
     }
 
@@ -1195,29 +1191,10 @@ impl<S: Clone> SegStack<S> {
     where
         W: Fn(&S) -> Option<usize> + ?Sized,
     {
-        let (seg, base, cur, ret) = {
-            let k = self.konts.get(id.0);
-            (k.seg, k.base, k.cur, k.ret.clone())
-        };
-        let top = base + cur;
-        // Walk down from the top frame until the portion above the cursor
-        // would exceed the bound; split off as much as possible (§3.2).
-        let mut x = top;
-        let mut r = ret;
-        while let Some(d) = walker(&r) {
-            if d == 0 || d > x - base {
-                break;
-            }
-            let nx = x - d;
-            if top - nx > self.cfg.copy_bound {
-                break;
-            }
-            x = nx;
-            if x == base {
-                break;
-            }
-            r = self.segs.get(seg.0).slots()[x].clone();
-        }
+        let k = self.konts.get(id.0);
+        let (seg, base, top, link) = (k.seg, k.base, k.base + k.cur, k.link);
+        // Split off as much as the bound allows (§3.2).
+        let x = self.frame_floor(seg, base, top, &k.ret, top - self.cfg.copy_bound, walker);
         if x == top || x == base {
             // A single frame exceeds the bound (or nothing to split):
             // give up and copy whole. The paper notes splitting off a
@@ -1225,7 +1202,6 @@ impl<S: Clone> SegStack<S> {
             // size limits; we degrade gracefully instead.
             return id;
         }
-        let link = self.konts.get(id.0).link;
         let boundary_ret = self.segs.get(seg.0).slots()[x].clone();
         let bottom = Kont {
             seg,
@@ -1235,6 +1211,7 @@ impl<S: Clone> SegStack<S> {
             ret: boundary_ret,
             link,
             kind: KontKind::MultiShot,
+            flag: 0,
             // A prompt tag marks the boundary at the *top* of its record,
             // so a split prompt keeps the tag on the top part (`id`).
             prompt: None,
@@ -1249,6 +1226,38 @@ impl<S: Clone> SegStack<S> {
         k.link = Some(bottom_id);
         emit!(self, Split { kont: id, bottom: bottom_id, slots: x - base });
         id
+    }
+
+    /// The lowest frame boundary in `seg` reachable by walking down from
+    /// the frame at `top`, whose return address is `ret`, without passing
+    /// below `lowest` or the record base `base` (§3.2's split and
+    /// hysteresis). Returns `top` when even the top frame's caller lies
+    /// below `lowest`.
+    fn frame_floor<W>(
+        &self,
+        seg: SegmentId,
+        base: usize,
+        top: usize,
+        ret: &S,
+        lowest: usize,
+        walker: &W,
+    ) -> usize
+    where
+        W: Fn(&S) -> Option<usize> + ?Sized,
+    {
+        let slots = self.segs.get(seg.0).slots();
+        let (mut x, mut r) = (top, ret);
+        while let Some(d) = walker(r) {
+            if d == 0 || d > x - base || x - d < lowest {
+                break;
+            }
+            x -= d;
+            if x == base {
+                break;
+            }
+            r = &slots[x];
+        }
+        x
     }
 
     // ------------------------------------------------------------------
@@ -1349,28 +1358,11 @@ impl<S: Clone> SegStack<S> {
     {
         // Choose the relocation boundary: at least the active frame moves;
         // hysteresis moves up to `hysteresis_slots` more (§3.2).
-        let mut x = self.fp;
-        if self.cfg.hysteresis_slots > 0 {
-            let mut r = self.get(self.fp).clone();
-            while x > self.cur_base {
-                let Some(d) = walker(&r) else { break };
-                if d == 0 || d > x - self.cur_base {
-                    break;
-                }
-                let nx = x - d;
-                if self.fp + live - nx > self.cfg.hysteresis_slots {
-                    break;
-                }
-                x = nx;
-                if x == self.cur_base {
-                    break;
-                }
-                r = self.get(x).clone();
-            }
-        }
-        let relocated = self.fp + live - x;
-        let old_seg = self.cur_seg;
-        let occupied = x - self.cur_base;
+        let (fp, base, old_seg) = (self.fp, self.cur_base, self.cur_seg);
+        let lowest = (fp + live).saturating_sub(self.cfg.hysteresis_slots);
+        let x = self.frame_floor(old_seg, base, fp, self.get(fp), lowest, walker);
+        let relocated = fp + live - x;
+        let occupied = x - base;
 
         let created = if occupied == 0 {
             // The whole record relocates; no continuation is created (the
@@ -1378,33 +1370,13 @@ impl<S: Clone> SegStack<S> {
             // record's reference. (Defer the release until after the copy
             // below.)
             None
+        } else if self.cfg.overflow_policy == OverflowPolicy::MultiShot {
+            // An implicit call/cc must promote the chain below (§3.3).
+            self.promote_chain();
+            Some(self.seal(x, occupied, KontKind::MultiShot, 0, None))
         } else {
-            let ret = self.get(x).clone();
-            let kind = match self.cfg.overflow_policy {
-                OverflowPolicy::OneShot => KontKind::OneShot { promoted: self.inherit_flag() },
-                OverflowPolicy::MultiShot => KontKind::MultiShot,
-            };
-            if matches!(self.cfg.overflow_policy, OverflowPolicy::MultiShot) {
-                // An implicit call/cc must promote the chain below (§3.3).
-                self.promote_chain();
-            }
-            let size = match kind {
-                KontKind::MultiShot => occupied,
-                _ => self.cur_end - self.cur_base,
-            };
-            let k = Kont {
-                seg: self.cur_seg,
-                base: self.cur_base,
-                size,
-                cur: occupied,
-                ret,
-                link: self.cur_link,
-                kind,
-                prompt: None,
-                mark: false,
-            };
-            self.segs.get_mut(self.cur_seg.0).rc += 1;
-            Some(KontId(self.konts.insert(k)))
+            let flag = self.flag_below();
+            Some(self.seal(x, self.cur_end - base, KontKind::OneShot, flag, None))
         };
         let link = created.or(self.cur_link);
 
@@ -1412,12 +1384,11 @@ impl<S: Clone> SegStack<S> {
         // Copy the relocated frames to the base of the new segment.
         emit!(self, Overflow { kont: created, from: old_seg, to: new_seg, slots_moved: relocated });
         self.copy_slots(old_seg, x, new_seg, 0, relocated);
-        let new_fp = self.fp - x;
         self.set_cur_seg(new_seg);
         self.cur_base = 0;
         self.cur_end = self.cur_slots.len();
         self.cur_link = link;
-        self.fp = new_fp;
+        self.fp = fp - x;
         // The bottom relocated frame returns into the implicit continuation
         // (or straight into the old link when the record was empty, in
         // which case slot 0 already held the marker and this is a no-op).
@@ -1573,10 +1544,20 @@ impl<S: Clone> SegStack<S> {
         }
         for idx in 0..self.konts.slot_count() {
             if let Some(k) = self.konts.remove_if(idx, |k| !k.mark) {
-                if !matches!(k.kind, KontKind::Shot) {
+                if k.kind != KontKind::Shot {
                     self.release_segment(k.seg);
                 }
             }
+        }
+        // Free every flag no surviving record holds (entry 0 stays).
+        if self.flags.len() > 1 {
+            self.flags.iter_mut().for_each(|f| f.held = false);
+            for (_, k) in self.konts.iter().filter(|(_, k)| k.kind == KontKind::OneShot) {
+                self.flags[k.flag as usize].held = true;
+            }
+            self.free_flags.clear();
+            let unheld = (1..self.flags.len() as u32).filter(|&f| !self.flags[f as usize].held);
+            self.free_flags.extend(unheld);
         }
         if flush_cache {
             while let Some(seg) = self.cache.pop() {

@@ -155,7 +155,7 @@ fn one_shot_capture_takes_whole_segment_and_fresh_current() {
     let segs_before = st.segment_count();
     let k = st.capture_one(2).expect("non-empty");
     assert!(st.kont(k).is_one_shot_by_sizes(), "sizes differ for one-shots");
-    assert!(st.kont(k).is_live_one_shot());
+    assert!(st.is_live_one_shot(k));
     assert_eq!(st.fp(), 0, "fresh segment starts at its base");
     assert!(at_marker(&st));
     assert_eq!(st.segment_count(), segs_before + 1);
@@ -229,8 +229,8 @@ fn eager_walk_promotion_converts_chain_up_to_first_multi() {
     call(&mut st, 4, 3);
     let o2 = st.capture_one(2).unwrap();
     call(&mut st, 4, 4);
-    assert!(st.kont(o1).is_live_one_shot());
-    assert!(st.kont(o2).is_live_one_shot());
+    assert!(st.is_live_one_shot(o1));
+    assert!(st.is_live_one_shot(o2));
     let _m = st.capture_multi().unwrap();
     assert!(matches!(st.kont(o1).kind(), KontKind::MultiShot), "promoted");
     assert!(matches!(st.kont(o2).kind(), KontKind::MultiShot), "promoted");
@@ -275,8 +275,8 @@ fn shared_flag_promotion_is_constant_time_and_promotes_whole_chain() {
     let _m = st.capture_multi().unwrap();
     assert_eq!(st.stats().promotion_steps, 0, "no chain walk under SharedFlag");
     assert_eq!(st.stats().promotions, 1, "one flag set promotes the chain");
-    assert!(!st.kont(o1).is_live_one_shot());
-    assert!(!st.kont(o2).is_live_one_shot());
+    assert!(!st.is_live_one_shot(o1));
+    assert!(!st.is_live_one_shot(o2));
     // Promoted one-shots reinstate via the copying path.
     let r = st.reinstate(o2, &walker).unwrap();
     assert!(!r.one_shot);
@@ -795,6 +795,54 @@ fn nested_prompt_tags_travel_with_the_subcontinuation() {
 }
 
 #[test]
+fn a_subcontinuation_resumed_through_a_one_shot_inside_it_is_spent() {
+    let mut st = new_st(small_cfg());
+    let p = prompt(&mut st, 4, 90);
+    call(&mut st, 3, 1);
+    let low = st.capture_one(MAXF).unwrap();
+    call(&mut st, 3, 2);
+    let high = st.capture_one(MAXF).unwrap();
+    call(&mut st, 2, 3);
+    let (head, r) = st.take_subcont(p, &walker).unwrap();
+    let head = head.unwrap();
+    assert_eq!(resume(&mut st, &r), 90);
+    // `high` was captured inside the context: resuming it runs the
+    // subcontinuation's middle record, and returns into `low`.
+    let r = st.reinstate(high, &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 2);
+    assert_eq!(st.current_link(), Some(low));
+    // Splicing the rest back in would link `low` to a record above it.
+    let before = *st.stats();
+    assert_eq!(st.push_subcont(head, &walker), Err(ControlError::AlreadyShot));
+    assert_eq!(*st.stats(), before, "a refused push changes nothing");
+    assert_eq!(st.kont_link(low), None, "the subcontinuation's tail is still detached");
+    assert!(st.is_live_one_shot(head));
+}
+
+#[test]
+fn a_take_across_a_shot_record_is_refused_and_an_abort_is_not() {
+    let mut st = new_st(small_cfg());
+    let p = prompt(&mut st, 4, 90);
+    call(&mut st, 3, 1);
+    let k = st.capture_one(MAXF).unwrap();
+    call(&mut st, 3, 2);
+    let r = st.capture_one(MAXF).unwrap();
+    // Shoot `k`, then resume `r`, whose frames return into `k`.
+    let _ = st.reinstate(k, &walker).unwrap();
+    let resumed = st.reinstate(r, &walker).unwrap();
+    assert_eq!(resume(&mut st, &resumed), 2);
+    assert_eq!(st.current_link(), Some(k));
+    assert!(st.kont(k).is_shot());
+    let before = *st.stats();
+    assert_eq!(st.take_subcont(p, &walker).unwrap_err(), ControlError::AlreadyShot);
+    assert_eq!(*st.stats(), before, "a refused take changes nothing");
+    assert_eq!(st.current_link(), Some(k));
+    // An abort discards the context, shot record and all.
+    let back = st.abort_to_prompt(p, &walker).unwrap();
+    assert_eq!(resume(&mut st, &back), 90);
+}
+
+#[test]
 fn traced_events_sum_to_the_stats_across_delimited_ops() {
     let mut st = SegStack::with_trace(small_cfg(), Slot::Marker, 1 << 10);
     st.push_frame(2, Slot::Ret { pc: 1, disp: 2 });
@@ -822,6 +870,131 @@ fn traced_events_sum_to_the_stats_across_delimited_ops() {
     assert_eq!(&folded, st.stats(), "the ring missed or repeated an event");
     assert!(st.stats().prompts_pushed == 1 && st.stats().subconts_taken == 1);
     assert!(st.stats().slots_encapsulated > 0);
+}
+
+// ----------------------------------------------------------------------
+// Shared promotion flags under delimited control
+// ----------------------------------------------------------------------
+
+fn shared_flag_cfg() -> Config {
+    Config { promotion: PromotionStrategy::SharedFlag, ..small_cfg() }
+}
+
+/// A one-shot chain with a prompt in the middle, all of it sharing one
+/// flag: `below` under the prompt, `above` over it, and a frame (pc 3)
+/// on top. Returns `(below, prompt, above)`.
+fn chain_across_a_prompt(st: &mut St) -> (KontId, KontId, KontId) {
+    call(st, 4, 1);
+    let below = st.capture_one(MAXF).unwrap();
+    let p = prompt(st, 5, 90);
+    call(st, 3, 2);
+    let above = st.capture_one(MAXF).unwrap();
+    call(st, 2, 3);
+    for k in [below, p, above] {
+        assert!(st.is_live_one_shot(k));
+    }
+    (below, p, above)
+}
+
+#[test]
+fn a_taken_subcontinuation_is_not_promoted_with_the_chain_it_left() {
+    let mut st = new_st(shared_flag_cfg());
+    let (below, p, above) = chain_across_a_prompt(&mut st);
+    let (head, r) = st.take_subcont(p, &walker).unwrap();
+    let head = head.unwrap();
+    assert_eq!(resume(&mut st, &r), 90);
+    // A call/cc on the chain left behind sets that chain's flag...
+    call(&mut st, 2, 4);
+    let _ = st.capture_multi().unwrap();
+    assert_eq!(st.stats().promotions, 1);
+    assert!(!st.is_live_one_shot(below), "the chain below the prompt is promoted");
+    // ...and not the subcontinuation's: it splices back in O(1).
+    assert!(st.is_live_one_shot(head) && st.is_live_one_shot(above));
+    let r = st.push_subcont(head, &walker).unwrap();
+    assert!(r.one_shot, "the subcontinuation's head was not promoted");
+    assert_eq!(resume(&mut st, &r), 3);
+    match st.underflow(&walker).unwrap() {
+        Underflow::Resumed(u) => {
+            assert!(u.one_shot, "the stolen record was not promoted either");
+            assert_eq!(resume(&mut st, &u), 2);
+        }
+        other => panic!("expected the stolen record, got {other:?}"),
+    }
+    assert_eq!(st.stats().slots_copied, 0);
+}
+
+#[test]
+fn a_pushed_back_subcontinuation_is_promoted_with_its_new_chain() {
+    let mut st = new_st(shared_flag_cfg());
+    let (below, p, above) = chain_across_a_prompt(&mut st);
+    let (head, _) = st.take_subcont(p, &walker).unwrap();
+    assert_eq!(st.stats().subcont_slots, 3 + 2, "the head and `above` were stolen");
+    // Push straight back, before returning from the prompt's frame: the
+    // push seals that frame on top of `below`, and the subcontinuation
+    // rejoins the chain's flag.
+    let r = st.push_subcont(head.unwrap(), &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 3);
+    let sealed = st.kont_link(above).expect("the record the push sealed");
+    assert_eq!(st.kont_link(sealed), Some(below));
+    call(&mut st, 2, 4);
+    let _ = st.capture_multi().unwrap();
+    assert_eq!(st.stats().promotions, 1, "one flag promotes the whole chain");
+    for k in [above, sealed, below] {
+        assert!(!st.is_live_one_shot(k), "{k:?} promoted");
+    }
+    // Promoted, the subcontinuation's record reinstates by copying, and
+    // may be reinstated again.
+    for round in 0..2 {
+        let copied = st.stats().slots_copied;
+        let r = st.reinstate(above, &walker).unwrap();
+        assert!(!r.one_shot, "round {round}");
+        assert_eq!(resume(&mut st, &r), 2);
+        assert_eq!(st.stats().slots_copied - copied, 3, "round {round}");
+        call(&mut st, 2, 4);
+    }
+}
+
+#[test]
+fn the_flag_table_is_bounded_by_the_live_chains() {
+    let mut st = new_st(shared_flag_cfg());
+    let mut kept: Vec<KontId> = Vec::new();
+    for round in 0..10_000 {
+        // A chain of three one-shots, promoted by a call/cc.
+        let mut chain = Vec::new();
+        for pc in 0..3 {
+            call(&mut st, 4, pc);
+            chain.push(st.capture_one(MAXF).unwrap());
+        }
+        assert!(
+            chain.iter().all(|&k| st.is_live_one_shot(k)),
+            "round {round}: a fresh flag is unset"
+        );
+        // No survivor's flag was recycled under it.
+        assert!(kept.iter().all(|&k| !st.is_live_one_shot(k)), "round {round}: a kept chain");
+        call(&mut st, 4, 3);
+        let _ = st.capture_multi().unwrap();
+        assert!(!st.is_live_one_shot(chain[0]), "round {round}");
+        // Every thousandth chain stays a root; the rest die.
+        if round % 1_000 == 0 {
+            kept.push(chain[2]);
+        }
+        st.clear_to_empty();
+        st.begin_gc();
+        for &k in &kept {
+            let mut cursor = Some(k);
+            while let Some(id) = cursor.filter(|&id| st.mark_kont(id)) {
+                cursor = st.kont_link(id);
+            }
+        }
+        st.sweep(false);
+        // Entry 0, one per kept chain, and the chain being built.
+        assert!(st.flags.len() <= kept.len() + 2, "round {round}: {} flags", st.flags.len());
+    }
+    assert_eq!(st.kont_count(), 3 * kept.len());
+    // Every kept chain is still promoted, so it reinstates by copying.
+    for &k in &kept {
+        assert!(!st.reinstate(k, &walker).unwrap().one_shot);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -5,22 +5,42 @@
 //! `ctak` kills 8 192 one-shot records per cycle; a per-collection
 //! snapshot of the arena's indices used to be 1.6 % of its profile.
 //!
+//! So is control on a warm stack, under either promotion strategy: a
+//! one-shot capture and its reinstatement, and a prompt, take and push,
+//! take their records, promotion flags and segments from what the last
+//! collection recycled.
+//!
 //! An integration test (its own crate) because a `GlobalAlloc` impl is
 //! necessarily unsafe and the library denies unsafe code outside its
 //! audited modules.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use oneshot_core::{Config, ControlError, KontId, SegStack};
+use oneshot_core::{
+    Config, ControlError, KontId, PromotionStrategy, Reinstated, SegStack, Underflow,
+};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread, so the tests here can run side by side.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs during thread teardown.
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations and reallocations the calling thread has made.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -83,7 +103,7 @@ fn kept(i: usize) -> bool {
 /// One embedder-driven collection: clear marks, mark the roots (tracing
 /// links as an embedder does), sweep. Returns the allocator calls made.
 fn collect(st: &mut SegStack<Slot>, ids: &[KontId]) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     st.begin_gc();
     for (i, &id) in ids.iter().enumerate() {
         if kept(i) {
@@ -94,7 +114,7 @@ fn collect(st: &mut SegStack<Slot>, ids: &[KontId]) -> u64 {
         }
     }
     st.sweep(false);
-    ALLOC_CALLS.load(Ordering::Relaxed) - before
+    alloc_calls() - before
 }
 
 #[test]
@@ -135,5 +155,66 @@ fn a_collection_over_the_continuation_arena_performs_zero_allocations() {
             Err(e) => assert_eq!((e, i % 3), (ControlError::AlreadyShot, 0), "record {i}"),
         }
         st.clear_to_empty();
+    }
+}
+
+const ROUND_TRIPS: usize = 1_000;
+
+/// Pushes a frame whose return address is tagged `pc`.
+fn call(st: &mut SegStack<Slot>, pc: usize) {
+    st.push_frame(FRAME, Slot::Ret { pc, disp: FRAME });
+    st.ensure(2 * FRAME, 1, &walker);
+}
+
+/// Returns through `r`, as the return point it names would.
+fn deliver(st: &mut SegStack<Slot>, r: &Reinstated<Slot>, pc: usize) {
+    assert_eq!(r.ret, Slot::Ret { pc, disp: FRAME });
+    st.pop_frame(FRAME);
+}
+
+type RoundTrip = fn(&mut SegStack<Slot>);
+
+/// `capture_one` → `reinstate` → return.
+fn one_shot_round_trip(st: &mut SegStack<Slot>) {
+    call(st, 1);
+    let k = st.capture_one(2 * FRAME).expect("a frame to capture");
+    let r = st.reinstate(k, &walker).expect("a fresh one-shot reinstates");
+    deliver(st, &r, 1);
+}
+
+/// `push_prompt` → `take_subcont` → `push_subcont` → return through the
+/// base into the record the push sealed below the subcontinuation.
+fn prompt_round_trip(st: &mut SegStack<Slot>) {
+    call(st, 1);
+    let p = st.push_prompt(Slot::Val(0), 2 * FRAME);
+    call(st, 2);
+    let (head, _) = st.take_subcont(p, &walker).expect("the prompt is on the chain");
+    let r = st.push_subcont(head.expect("a frame above the prompt"), &walker).expect("unshot");
+    deliver(st, &r, 2);
+    match st.underflow(&walker) {
+        Ok(Underflow::Resumed(r)) => deliver(st, &r, 1),
+        other => panic!("expected the sealed record below, got {other:?}"),
+    }
+}
+
+#[test]
+fn warm_control_round_trips_perform_zero_allocations() {
+    let trips: [(&str, RoundTrip); 2] =
+        [("capture_one/reinstate", one_shot_round_trip), ("prompt/take/push", prompt_round_trip)];
+    for promotion in [PromotionStrategy::EagerWalk, PromotionStrategy::SharedFlag] {
+        for (name, trip) in trips {
+            let mut st = SegStack::new(Config { promotion, ..Config::default() }, Slot::Marker);
+            // Warm: the arena, the flag table and the segment cache grow
+            // to one round's worth, and a collection frees it all again.
+            (0..ROUND_TRIPS).for_each(|_| trip(&mut st));
+            collect(&mut st, &[]);
+            assert_eq!(st.kont_count(), 0, "{name}: every record was shot and swept");
+
+            let before = alloc_calls();
+            (0..ROUND_TRIPS).for_each(|_| trip(&mut st));
+            let allocs = alloc_calls() - before;
+            assert_eq!(allocs, 0, "{name} under {promotion:?}: {ROUND_TRIPS} round trips");
+            assert!(matches!(st.underflow(&walker), Ok(Underflow::Exhausted)), "{name}");
+        }
     }
 }

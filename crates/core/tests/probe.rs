@@ -7,7 +7,8 @@
 //!    stack's trace ring, folded through [`Stats::record`], equal the
 //!    stack's own counters field for field: every event the counters saw
 //!    reached the ring exactly once — including under the `SharedFlag`
-//!    promotion strategy and the `SealWithPad` one-shot policy.
+//!    promotion strategy and the `SealWithPad` one-shot policy, and across
+//!    prompts, takes, pushes and aborts.
 //! 2. **Event ordering** — in the trace, every
 //!    `Reinstate` event names a continuation previously *introduced* by a
 //!    `CaptureOne`, `CaptureMulti`, `Overflow` (implicit, `kont: Some`),
@@ -39,18 +40,29 @@ fn walker(s: &Slot) -> Option<usize> {
 const MAXF: usize = 8;
 const HEADROOM: usize = 2 * MAXF;
 
-/// Drives a traced stack through call/return/capture/invoke/GC traffic,
-/// swallowing the legitimate control errors (shot or dead continuations).
+/// Drives a traced stack through call/return/capture/invoke/prompt/GC
+/// traffic, swallowing the legitimate control errors (shot or dead
+/// continuations, prompts no longer on the chain).
 struct Driver {
     st: SegStack<Slot>,
     konts: Vec<KontId>,
+    prompts: Vec<KontId>,
+    subconts: Vec<KontId>,
 }
+
+/// The return address of every prompt's frame.
+const PROMPT_PC: u32 = 1 << 20;
 
 impl Driver {
     /// A driver whose ring holds far more events than any workload here
     /// generates, so every check sees the trace from genesis.
     fn new(cfg: Config) -> Self {
-        Driver { st: SegStack::with_trace(cfg, Slot::Marker, 1 << 16), konts: Vec::new() }
+        Driver {
+            st: SegStack::with_trace(cfg, Slot::Marker, 1 << 16),
+            konts: Vec::new(),
+            prompts: Vec::new(),
+            subconts: Vec::new(),
+        }
     }
 
     /// The whole trace, oldest first.
@@ -115,20 +127,62 @@ impl Driver {
     }
 
     fn invoke(&mut self, i: usize) {
-        if self.konts.is_empty() {
-            return;
+        if let Some(&id) = pick(&self.konts, i) {
+            let r = self.st.reinstate(id, &walker);
+            self.settle(r);
         }
-        let id = self.konts[i % self.konts.len()];
-        match self.st.reinstate(id, &walker) {
+    }
+
+    /// Delivers a transfer's result, or swallows a legitimate refusal.
+    fn settle(&mut self, r: Result<Reinstated<Slot>, ControlError>) {
+        match r {
             Ok(r) => self.deliver(&r),
-            Err(ControlError::AlreadyShot | ControlError::DeadContinuation) => {}
+            Err(
+                ControlError::AlreadyShot
+                | ControlError::DeadContinuation
+                | ControlError::NoMatchingPrompt,
+            ) => {}
             Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    /// Plants a frame to resume through, then seals it as a prompt. The
+    /// room comes first, so no overflow moves the frame to a record's base.
+    fn push_prompt(&mut self) {
+        self.st.ensure(2 + MAXF + 2, 1, &walker);
+        self.st.push_frame(2, Slot::Ret { pc: PROMPT_PC, disp: 2 });
+        let tag = Slot::Val(self.prompts.len() as i64);
+        self.prompts.push(self.st.push_prompt(tag, 2));
+    }
+
+    fn take(&mut self, i: usize) {
+        if let Some(&p) = pick(&self.prompts, i) {
+            let r = self.st.take_subcont(p, &walker).map(|(head, r)| {
+                self.subconts.extend(head);
+                r
+            });
+            self.settle(r);
+        }
+    }
+
+    fn push(&mut self, i: usize) {
+        if let Some(&head) = pick(&self.subconts, i) {
+            let r = self.st.push_subcont(head, &walker);
+            self.settle(r);
+        }
+    }
+
+    fn abort(&mut self, i: usize) {
+        if let Some(&p) = pick(&self.prompts, i) {
+            let r = self.st.abort_to_prompt(p, &walker);
+            self.settle(r);
         }
     }
 
     fn gc(&mut self) {
         self.st.begin_gc();
-        let mut work = self.konts.clone();
+        let mut work: Vec<KontId> =
+            [&self.konts, &self.prompts, &self.subconts].into_iter().flatten().copied().collect();
         while let Some(id) = work.pop() {
             if self.st.kont_alive(id) && self.st.mark_kont(id) {
                 if let Some(l) = self.st.kont_link(id) {
@@ -137,8 +191,15 @@ impl Driver {
             }
         }
         self.st.sweep(false);
-        self.konts.retain(|&id| self.st.kont_alive(id));
+        for ids in [&mut self.konts, &mut self.prompts, &mut self.subconts] {
+            ids.retain(|&id| self.st.kont_alive(id));
+        }
     }
+}
+
+/// The `i`-th id, wrapping; `None` when there are none.
+fn pick(ids: &[KontId], i: usize) -> Option<&KontId> {
+    (!ids.is_empty()).then(|| &ids[i % ids.len()])
 }
 
 // ---------------------------------------------------------------------
@@ -153,6 +214,10 @@ enum Op {
     CaptureMulti,
     Invoke(usize),
     Gc,
+    PushPrompt,
+    Take(usize),
+    Push(usize),
+    Abort(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -164,6 +229,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::CaptureMulti),
         2 => (0usize..16).prop_map(Op::Invoke),
         1 => Just(Op::Gc),
+    ]
+}
+
+/// [`op_strategy`] plus delimited control.
+fn delimited_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        13 => op_strategy(),
+        2 => Just(Op::PushPrompt),
+        1 => (0usize..16).prop_map(Op::Take),
+        1 => (0usize..16).prop_map(Op::Push),
+        1 => (0usize..16).prop_map(Op::Abort),
     ]
 }
 
@@ -202,6 +278,10 @@ fn apply(d: &mut Driver, op: &Op) {
         Op::CaptureMulti => d.capture(false),
         Op::Invoke(i) => d.invoke(i),
         Op::Gc => d.gc(),
+        Op::PushPrompt => d.push_prompt(),
+        Op::Take(i) => d.take(i),
+        Op::Push(i) => d.push(i),
+        Op::Abort(i) => d.abort(i),
     }
 }
 
@@ -219,7 +299,7 @@ proptest! {
     #[test]
     fn traced_events_sum_to_the_stats(
         cfg in config_strategy(),
-        ops in proptest::collection::vec(op_strategy(), 0..120),
+        ops in proptest::collection::vec(delimited_op_strategy(), 0..120),
     ) {
         let mut d = Driver::new(cfg);
         for (i, op) in ops.iter().enumerate() {

@@ -907,81 +907,43 @@ impl Vm {
     /// the displacement carried by each return address (the paper's
     /// frame-size word) is what lets tools walk the stack.
     pub fn backtrace(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        let code_name = |code: u32| self.codes[code as usize].name.clone();
-        names.push(code_name(self.code));
+        let mut names = vec![self.codes[self.code as usize].name.clone()];
         // The current record: from the active frame down to the base.
-        let mut pos = self.stack.fp();
-        let base = self.stack.base();
-        loop {
-            if names.len() > 4096 {
-                return names; // runaway guard
-            }
-            match self.stack.get(pos) {
-                Slot::Ret { code, disp, .. } => {
-                    names.push(code_name(*code));
-                    let d = *disp as usize;
-                    if d == 0 || pos < base + d {
-                        break;
-                    }
-                    pos -= d;
-                }
-                Slot::Resume { kind, disp } => {
-                    names.push(format!("#<{kind:?}>"));
-                    let d = *disp as usize;
-                    if d == 0 || pos < base + d {
-                        break;
-                    }
-                    pos -= d;
-                }
-                _ => break,
-            }
-        }
+        let fp = self.stack.fp();
+        self.frame_names(&mut names, self.stack.slice(self.stack.base(), fp), *self.stack.get(fp));
         // The continuation chain below.
         let mut cursor = self.stack.current_link();
-        while let Some(k) = cursor {
-            if names.len() > 4096 {
-                break;
-            }
+        while let Some(k) = cursor.filter(|_| names.len() <= 4096) {
             let kont = self.stack.kont(k);
             if kont.is_shot() {
                 names.push("#<shot>".to_string());
                 break;
             }
-            let slice = self.stack.kont_slice(k);
-            let mut pos = kont.occupied(); // one past the top frame region
-            let mut ret = *kont.ret();
-            loop {
-                match &ret {
-                    Slot::Ret { code, disp, .. } => {
-                        names.push(code_name(*code));
-                        let d = *disp as usize;
-                        if d == 0 || pos < d {
-                            break;
-                        }
-                        pos -= d;
-                    }
-                    Slot::Resume { kind, disp } => {
-                        names.push(format!("#<{kind:?}>"));
-                        let d = *disp as usize;
-                        if d == 0 || pos < d {
-                            break;
-                        }
-                        pos -= d;
-                    }
-                    _ => break,
-                }
-                if names.len() > 4096 {
-                    break;
-                }
-                match slice.get(pos) {
-                    Some(s) => ret = *s,
-                    None => break,
-                }
-            }
+            self.frame_names(&mut names, self.stack.kont_slice(k), *kont.ret());
             cursor = kont.link();
         }
         names
+    }
+
+    /// Appends the names of one stack record's frames, innermost first:
+    /// `record` is its occupied slots and `ret` the return address of the
+    /// frame just above them. Each frame's size is the `slot_disp` of its
+    /// return address, as for the stack's own walks. Stops at the record's
+    /// base, at a slot that is no return address, or past 4 096 names.
+    fn frame_names(&self, names: &mut Vec<String>, record: &[Slot], mut ret: Slot) {
+        let mut top = record.len();
+        while names.len() <= 4096 {
+            names.push(match ret {
+                Slot::Ret { code, .. } => self.codes[code as usize].name.clone(),
+                Slot::Resume { kind, .. } => format!("#<{kind:?}>"),
+                _ => break,
+            });
+            match crate::slot::slot_disp(&ret) {
+                Some(d) if d != 0 && d <= top => top -= d,
+                _ => break,
+            }
+            ret = record[top];
+        }
     }
 
     /// Number of live stack segments (cached ones included).
