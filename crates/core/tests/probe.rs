@@ -368,6 +368,54 @@ fn counting_parity_under_seal_with_pad() {
     }
 }
 
+/// The push-cycle hang, minimized from parity seed 87 to 13 operations: a
+/// shot record keeps its `link` into a record that `take_subcont` later
+/// steals, and the final push links a cycle that a prompt lookup's walk
+/// never leaves.
+#[test]
+#[ignore = "the push-cycle hang: a shot record links into a stolen one"]
+fn a_push_after_taking_an_invoked_context_terminates() {
+    let cfg = Config {
+        segment_slots: 256,
+        copy_bound: 16,
+        hysteresis_slots: 16,
+        overflow_policy: OverflowPolicy::MultiShot,
+        oneshot_policy: OneShotPolicy::FreshSegment,
+        promotion: PromotionStrategy::EagerWalk,
+        cache_limit: 0,
+        min_headroom: HEADROOM,
+        max_segments: 0,
+    };
+    let ops = [
+        Op::PushPrompt,
+        Op::CaptureOne,
+        Op::CaptureMulti,
+        Op::PushPrompt,
+        Op::PushPrompt,
+        Op::Call { pc: 1318, disp: 6, local: None },
+        Op::CaptureOne,
+        Op::Call { pc: 7569, disp: 5, local: None },
+        Op::CaptureOne,
+        Op::Invoke(14),
+        Op::Take(13),
+        Op::Invoke(11),
+        Op::Push(12),
+    ];
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mut d = Driver::new(cfg);
+        ops.iter().for_each(|op| apply(&mut d, op));
+        // The last push closed the cycle; the next prompt lookup walks it.
+        d.abort(0);
+        d.drain();
+        let _ = tx.send(d.in_parity());
+    });
+    let in_parity =
+        rx.recv_timeout(std::time::Duration::from_secs(10)).expect("still running after 10 s");
+    worker.join().unwrap();
+    assert!(in_parity, "trace/stats divergence");
+}
+
 // ---------------------------------------------------------------------
 // 2. Event ordering
 // ---------------------------------------------------------------------

@@ -473,7 +473,7 @@ fn seeded_serve_chaos_drains_leak_free() {
 #[test]
 #[ignore]
 fn seeded_serve_chaos_drains_leak_free_wide() {
-    serve_chaos_drains_leak_free(4..260);
+    serve_chaos_drains_leak_free(4..516);
 }
 
 /// Seeded fault plans armed in the VMs *and* the reactors while real

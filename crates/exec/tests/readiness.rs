@@ -266,13 +266,13 @@ fn lossy_faults_still_resolve_every_job_exactly_once() {
 #[test]
 #[ignore]
 fn transparent_faults_leave_the_seeded_results_unchanged_wide() {
-    transparent_sites_leave_results_unchanged(4..260);
+    transparent_sites_leave_results_unchanged(4..516);
 }
 
 #[test]
 #[ignore]
 fn lossy_faults_still_resolve_every_job_exactly_once_wide() {
-    lossy_sites_resolve_every_job_once(4..260);
+    lossy_sites_resolve_every_job_once(4..516);
 }
 
 // --- single scenarios ---

@@ -19,7 +19,8 @@
 ;; previous slice parked, which resumes with `status` as the value of its
 ;; suspended take. Returns the job's own (done . _) frame — planted once
 ;; by the start thunk, it travels inside each subcontinuation — or
-;; (subcontinuation . wait) from %engine-suspend.
+;; (subcontinuation . wait) from %engine-suspend. The Rust engine host
+;; calls this directly, once per step.
 (define (%engine-slice job fuel status)
   (timer-interrupt-handler! %engine-interrupt)
   (%push-prompt %engine-tag
@@ -45,6 +46,12 @@
 (define (%engine-block kind handle)
   (set-timer! 0)
   (%engine-suspend (cons kind handle)))
+
+;; The start thunk of an engine-host job: runs `thunk`, then plants the
+;; (done . value) frame its last slice returns.
+(define (%engine-job thunk)
+  (lambda ()
+    (let ((v (thunk))) (set-timer! 0) (cons 'done v))))
 
 (define (%engine job)
   (lambda (fuel complete expire)

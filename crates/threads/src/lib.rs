@@ -21,6 +21,9 @@
 //! under `%push-prompt`, timer expiry and I/O waits end it with one
 //! `%take-subcont`, and `%push-subcont` resumes it. A subcontinuation is
 //! one-shot, so a park copies no stack — Figure 5's result, delimited.
+//! The host calls `engines.scm`'s `%engine-slice` itself, once per step,
+//! and keeps each engine — its start thunk, then its parked
+//! subcontinuation — in one slot of the VM's root vector.
 //!
 //! # Example
 //!
@@ -39,8 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use oneshot_runtime::Value;
 use std::sync::Arc;
 
@@ -49,15 +50,13 @@ use oneshot_vm::{CompiledProgram, GlobalSlot, LinkedProgram, Vm, VmError, VmStat
 const CALLCC_SCHED: &str = include_str!("../scheme/threads-callcc.scm");
 const CALL1CC_SCHED: &str = include_str!("../scheme/threads-call1cc.scm");
 const CPS_SCHED: &str = include_str!("../scheme/threads-cps.scm");
-/// Dybvig–Hieb engines source, loaded by [`ThreadSystem::load_engines`].
+/// Dybvig–Hieb engines source, loaded by [`ThreadSystem::load_engines`]
+/// and by [`EngineHost`], whose steps call its `%engine-slice`.
 pub const ENGINES: &str = include_str!("../scheme/engines.scm");
-/// The executor driver: an id-keyed engine registry stepped from Rust,
-/// loaded by [`EngineHost`] on top of [`ENGINES`].
-pub const EXEC_DRIVER: &str = include_str!("../scheme/exec-driver.scm");
 /// Guest-facing nonblocking I/O (`tcp-*`, `timer-wait`): would-block
 /// retry loops that suspend the running slice via `%engine-block` (a
 /// subcontinuation take). Loaded by [`EngineHost`] on top of
-/// [`EXEC_DRIVER`].
+/// [`ENGINES`].
 pub const IO: &str = include_str!("../scheme/io.scm");
 
 /// Which control representation the thread system uses.
@@ -198,13 +197,27 @@ impl ThreadSystem {
     }
 }
 
-/// Identifier of an engine registered with an [`EngineHost`].
+/// Identifier of an engine registered with an [`EngineHost`]: the
+/// engine's slot in the VM's root vector (low 32 bits) and its spawn
+/// serial (high 32 bits). A finished or dropped engine's slot is reused;
+/// the serial refuses the stale id of its previous occupant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineId(i64);
 
+impl EngineId {
+    fn new(slot: usize, serial: u32) -> Self {
+        let slot = u32::try_from(slot).expect("fewer than 2^32 resident engines");
+        EngineId(i64::from(serial) << 32 | i64::from(slot))
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & 0xffff_ffff) as usize
+    }
+}
+
 impl std::fmt::Display for EngineId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}@{}", self.0 as u64 >> 32, self.slot())
     }
 }
 
@@ -241,10 +254,12 @@ pub enum Wait {
 /// each pooled job becomes one engine (a green thread whose slices run
 /// under a prompt and end, at timer expiry or an I/O wait, with one
 /// subcontinuation take), and the worker loop decides which engine to step
-/// next. Parked engines are rooted through a Scheme global, so their
-/// one-shot subcontinuations survive GC — and survive *other* jobs
-/// erroring out: a slice keeps no state outside its own stack, so an
-/// error that unwinds it leaves nothing to reset.
+/// next. The host owns the VM's [root vector](Vm::roots_mut): each
+/// engine's slot there holds its start thunk until its first slice and
+/// its parked one-shot subcontinuation after each later one, so parked
+/// engines survive GC — and survive *other* jobs erroring out: a slice
+/// keeps no state outside its own stack, so an error that unwinds it
+/// leaves nothing to reset.
 ///
 /// # Example
 ///
@@ -277,53 +292,31 @@ pub enum Wait {
 #[derive(Debug)]
 pub struct EngineHost {
     vm: Vm,
-    next: i64,
-    /// Driver-table slot per live engine. Slots are reused through
-    /// `free_slots` so the guest-side vector stays dense — every driver
-    /// operation is O(1) no matter how many engines are resident.
-    slot_of: HashMap<EngineId, i64>,
-    free_slots: Vec<i64>,
-    high_slot: i64,
-    /// The driver's entry points and result tags, resolved once at load:
-    /// a step reads a global cell and compares symbol ids, no hashing.
-    driver: Driver,
+    /// The engine in each slot of the VM's root vector, `None` when the
+    /// slot is free. Free slots are reused through `free`, so spawn, step
+    /// and drop are O(1) however many engines are resident.
+    engines: Vec<Option<EngineId>>,
+    free: Vec<usize>,
+    serial: u32,
+    /// `engines.scm`'s entry points and the symbols a step reads or
+    /// passes, resolved once at load.
+    guest: Guest,
     /// Programs linked once by [`EngineHost::spawn_shared`]. The `Arc` is
     /// held so its address — the key — cannot be reused by another
     /// program while the entry lives.
     shared: Vec<(Arc<CompiledProgram>, LinkedProgram)>,
 }
 
-/// Global cells of `exec-driver.scm`'s procedures and the symbols its
-/// step results are tagged with.
+/// Global cells of `%engine-job` and `%engine-slice`, and the symbols a
+/// slice's result is read with.
 #[derive(Debug)]
-struct Driver {
-    spawn: GlobalSlot,
-    step: GlobalSlot,
-    drop: GlobalSlot,
-    parked: Value,
+struct Guest {
+    job: GlobalSlot,
+    slice: GlobalSlot,
     done: Value,
-    blocked: Value,
     read: Value,
     write: Value,
     timer: Value,
-    io_timeout: Value,
-}
-
-impl Driver {
-    fn resolve(vm: &mut Vm) -> Driver {
-        Driver {
-            spawn: vm.global_slot("exec-spawn!"),
-            step: vm.global_slot("exec-step!"),
-            drop: vm.global_slot("exec-drop!"),
-            parked: vm.intern("parked"),
-            done: vm.intern("done"),
-            blocked: vm.intern("blocked"),
-            read: vm.intern("read"),
-            write: vm.intern("write"),
-            timer: vm.intern("timer"),
-            io_timeout: vm.intern("io-timeout"),
-        }
-    }
 }
 
 impl EngineHost {
@@ -331,29 +324,34 @@ impl EngineHost {
     ///
     /// # Panics
     ///
-    /// Panics if the embedded engines/driver sources fail to load (a build
+    /// Panics if the embedded engines/io sources fail to load (a build
     /// defect, covered by tests).
     pub fn new() -> Self {
         Self::with_vm(Vm::new())
     }
 
-    /// Loads the engines library and the executor driver into `vm`.
+    /// Loads the engines and I/O libraries into `vm`.
     ///
     /// # Panics
     ///
-    /// Panics if the embedded engines/driver sources fail to load.
+    /// Panics if the embedded engines/io sources fail to load.
     pub fn with_vm(mut vm: Vm) -> Self {
         vm.eval_str(ENGINES).expect("engines library must load");
-        vm.eval_str(EXEC_DRIVER).expect("exec driver must load");
         vm.eval_str(IO).expect("io library must load");
-        let driver = Driver::resolve(&mut vm);
+        let guest = Guest {
+            job: vm.global_slot("%engine-job"),
+            slice: vm.global_slot("%engine-slice"),
+            done: vm.intern("done"),
+            read: vm.intern("read"),
+            write: vm.intern("write"),
+            timer: vm.intern("timer"),
+        };
         EngineHost {
             vm,
-            next: 0,
-            slot_of: HashMap::new(),
-            free_slots: Vec::new(),
-            high_slot: 0,
-            driver,
+            engines: Vec::new(),
+            free: Vec::new(),
+            serial: 0,
+            guest,
             shared: Vec::new(),
         }
     }
@@ -370,7 +368,7 @@ impl EngineHost {
 
     /// Number of engines spawned but not yet finished or dropped.
     pub fn live(&self) -> usize {
-        self.slot_of.len()
+        self.engines.len() - self.free.len()
     }
 
     /// Links `prog` into the host VM and registers its toplevel thunk as a
@@ -407,21 +405,36 @@ impl EngineHost {
     }
 
     fn spawn_linked(&mut self, linked: LinkedProgram) -> Result<EngineId, VmError> {
-        let id = EngineId(self.next);
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            let s = self.high_slot;
-            self.high_slot += 1;
-            s
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.engines.push(None);
+            self.vm.roots_mut().push(Value::FALSE);
+            self.engines.len() - 1
         });
+        // The thunk is rooted before anything else allocates.
         let thunk = self.vm.instantiate(linked);
-        let spawn = self.vm.global_at(self.driver.spawn).expect("driver defines exec-spawn!");
-        if let Err(e) = self.vm.call(spawn, &[Value::fixnum(slot), thunk]) {
-            self.free_slots.push(slot);
-            return Err(e);
+        self.vm.roots_mut()[slot] = thunk;
+        let wrap = self.vm.global_at(self.guest.job).expect("engines.scm defines %engine-job");
+        let job = self.vm.call(wrap, &[thunk]);
+        if job.is_err() {
+            self.release(slot);
         }
-        self.next += 1;
-        self.slot_of.insert(id, slot);
+        self.vm.roots_mut()[slot] = job?;
+        self.serial = self.serial.wrapping_add(1);
+        let id = EngineId::new(slot, self.serial);
+        self.engines[slot] = Some(id);
         Ok(id)
+    }
+
+    /// Whether `id` names a live engine — not one whose slot was reused.
+    fn is_live(&self, id: EngineId) -> bool {
+        self.engines.get(id.slot()) == Some(&Some(id))
+    }
+
+    /// Frees `slot`, letting go of the job its root held.
+    fn release(&mut self, slot: usize) {
+        self.vm.roots_mut()[slot] = Value::FALSE;
+        self.engines[slot] = None;
+        self.free.push(slot);
     }
 
     /// Runs engine `id` for one slice of `fuel` procedure calls.
@@ -457,64 +470,58 @@ impl EngineHost {
         fuel: u64,
         status: Option<&str>,
     ) -> Result<EngineStep, VmError> {
-        let Some(&slot) = self.slot_of.get(&id) else {
+        if !self.is_live(id) {
             return Err(VmError::Runtime(format!("step: unknown engine {id}")));
-        };
-        let fuel = i64::try_from(fuel.max(1)).unwrap_or(i64::MAX);
-        let status = match status {
-            None => Value::fixnum(0),
-            Some("io-timeout") => self.driver.io_timeout,
-            Some(s) => self.vm.intern(s),
-        };
-        let step = self.vm.global_at(self.driver.step).expect("driver defines exec-step!");
-        self.vm.set_socket_owner(Some(id.0));
-        let stepped = self.vm.call(step, &[Value::fixnum(slot), Value::fixnum(fuel), status]);
-        self.vm.set_socket_owner(None);
-        match stepped {
-            Ok(v) => {
-                if v == self.driver.parked {
-                    return Ok(EngineStep::Parked);
-                }
-                if let Some((tag, value)) = self.vm.pair(v) {
-                    if tag == self.driver.done {
-                        // The driver cleared its table entry itself.
-                        self.slot_of.remove(&id);
-                        self.free_slots.push(slot);
-                        return Ok(EngineStep::Done(value));
-                    }
-                    if tag == self.driver.blocked {
-                        if let Some(wait) = self.parse_wait(value) {
-                            return Ok(EngineStep::Blocked(wait));
-                        }
-                    }
-                }
-                let shown = self.vm.write_value(&v);
-                self.drop_engine(id);
-                Err(VmError::Runtime(format!("exec-step! returned an unexpected value: {shown}")))
-            }
-            Err(e) => {
-                // The errored engine never reached complete/expire, so the
-                // driver still holds it; drop it before reporting.
-                self.drop_engine(id);
-                Err(e)
-            }
         }
+        let slot = id.slot();
+        let fuel = i64::try_from(fuel.max(1)).unwrap_or(i64::MAX);
+        let status = status.map_or(Value::fixnum(0), |s| self.vm.intern(s));
+        let slice = self.vm.global_at(self.guest.slice).expect("engines.scm defines %engine-slice");
+        let job = self.vm.roots_mut()[slot];
+        self.vm.set_socket_owner(Some(id.0));
+        let stepped = self.vm.call(slice, &[job, Value::fixnum(fuel), status]);
+        self.vm.set_socket_owner(None);
+        if stepped.is_err() {
+            // The errored slice left the slot as it was; free it.
+            self.drop_engine(id);
+        }
+        let v = stepped?;
+        match self.vm.pair(v) {
+            Some((tag, value)) if tag == self.guest.done => {
+                self.release(slot);
+                return Ok(EngineStep::Done(value));
+            }
+            Some((sk, wait)) => {
+                if let Some(step) = self.suspension(wait) {
+                    self.vm.roots_mut()[slot] = sk;
+                    return Ok(step);
+                }
+            }
+            None => {}
+        }
+        let shown = self.vm.write_value(&v);
+        self.drop_engine(id);
+        Err(VmError::Runtime(format!("%engine-slice returned an unexpected value: {shown}")))
     }
 
-    /// Decodes the `(kind . handle)` tail of a `(blocked kind . handle)`
-    /// driver result into a [`Wait`].
-    fn parse_wait(&self, tail: Value) -> Option<Wait> {
-        let (kind, handle) = self.vm.pair(tail)?;
-        let handle = handle.as_fixnum()?;
-        if kind == self.driver.read {
-            Some(Wait::Readable(handle))
-        } else if kind == self.driver.write {
-            Some(Wait::Writable(handle))
-        } else if kind == self.driver.timer {
-            Some(Wait::TimerMs(handle))
-        } else {
-            None
+    /// Decodes the `wait` of a suspended slice's `(sk . wait)`: `#f` for a
+    /// preemption, `(kind . handle)` for an I/O or timer wait.
+    fn suspension(&self, wait: Value) -> Option<EngineStep> {
+        if wait == Value::FALSE {
+            return Some(EngineStep::Parked);
         }
+        let (kind, handle) = self.vm.pair(wait)?;
+        let handle = handle.as_fixnum()?;
+        let wait = if kind == self.guest.read {
+            Wait::Readable(handle)
+        } else if kind == self.guest.write {
+            Wait::Writable(handle)
+        } else if kind == self.guest.timer {
+            Wait::TimerMs(handle)
+        } else {
+            return None;
+        };
+        Some(EngineStep::Blocked(wait))
     }
 
     /// Unregisters a parked engine without running it (fuel budget
@@ -522,14 +529,11 @@ impl EngineHost {
     /// an engine that will never finish cannot close them itself. Returns
     /// whether the engine was live.
     pub fn drop_engine(&mut self, id: EngineId) -> bool {
-        let Some(slot) = self.slot_of.remove(&id) else {
+        if !self.is_live(id) {
             return false;
-        };
+        }
         self.vm.close_sockets_of(id.0);
-        let drop_fn = self.vm.global_at(self.driver.drop).expect("driver defines exec-drop!");
-        // exec-drop! cannot raise; ignore the (always #t) result.
-        let _ = self.vm.call(drop_fn, &[Value::fixnum(slot)]);
-        self.free_slots.push(slot);
+        self.release(id.slot());
         true
     }
 }
@@ -818,19 +822,6 @@ mod tests {
         let same_text = Arc::new(compile("(define (twice x) (* 2 x)) (twice 21)"));
         assert_eq!(run(&mut host, &same_text), "42");
         assert!(host.vm().code_object_count() > linked);
-    }
-
-    #[test]
-    fn host_drop_engine_forgets_parked_work() {
-        let mut host = EngineHost::new();
-        let id = host
-            .spawn_program(&compile("(let loop ((i 0)) (if (< i 90000) (loop (+ i 1)) i))"))
-            .unwrap();
-        assert_eq!(host.step(id, 50).unwrap(), EngineStep::Parked);
-        assert!(host.drop_engine(id));
-        assert!(!host.drop_engine(id), "double drop is a no-op");
-        assert_eq!(host.live(), 0);
-        assert!(host.step(id, 50).is_err(), "stepping a dropped engine errors");
     }
 
     #[test]

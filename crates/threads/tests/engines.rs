@@ -1,7 +1,7 @@
 //! The engine contract: what a slice, a park and a resume must do now
 //! that all three are the VM's prompt primitives — winders, nesting,
-//! wake statuses, the cost of a park, and injected expiries that land
-//! outside every slice.
+//! wake statuses, the cost of a park, stale ids, parks across
+//! collections, and injected expiries that land outside every slice.
 
 use oneshot_threads::{EngineHost, EngineId, EngineStep, Wait};
 use oneshot_vm::{CompiledProgram, FaultPlan, Pipeline, Vm, VmError};
@@ -162,13 +162,61 @@ fn a_park_is_one_subcontinuation_take_and_a_handful_of_objects() {
 
 #[test]
 fn a_timer_wait_block_and_resume_costs_what_a_park_does() {
-    // A block is a park that also conses its (kind . handle) wait and the
-    // driver's (blocked kind . handle) answer. Its resume is the same
-    // one-value push.
+    // A block is a park that also conses its (kind . handle) wait. Its
+    // resume is the same one-value push.
     let mut host = EngineHost::new();
     let waits = "(let loop ((i 0)) (if (< i 20) (begin (timer-wait 1) (loop (+ i 1))) 'waited))";
     let id = host.spawn_program(&compile(waits)).unwrap();
-    assert_eq!(check_suspensions(&mut host, id, 100_000, OBJECTS_PER_PARK + 2), 19);
+    assert_eq!(check_suspensions(&mut host, id, 100_000, OBJECTS_PER_PARK + 1), 19);
+}
+
+#[test]
+fn a_dropped_engine_is_forgotten_and_its_stale_id_refused_once_its_slot_is_reused() {
+    let mut host = EngineHost::new();
+    let old = host.spawn_program(&compile(SPIN)).unwrap();
+    assert_eq!(host.step(old, 100).unwrap(), EngineStep::Parked);
+    assert!(host.drop_engine(old));
+    assert!(!host.drop_engine(old), "double drop is a no-op");
+    assert_eq!(host.live(), 0);
+    let new = host.spawn_program(&compile("'fresh")).unwrap();
+    assert_eq!(host.vm_mut().roots_mut().len(), 1, "the new engine took the freed slot");
+    assert_ne!(new, old);
+    let e = host.step(old, 100).unwrap_err();
+    assert!(e.to_string().contains("unknown engine"), "{e}");
+    assert!(!host.drop_engine(old));
+    assert_eq!(host.live(), 1, "the stale id touched nothing");
+    assert_eq!(run(&mut host, new, 100).0, "fresh");
+}
+
+#[test]
+fn parked_engines_survive_collections() {
+    let mut host = EngineHost::with_vm(Vm::builder().gc_threshold(256).build());
+    let job = |i| {
+        compile(&format!(
+            "(let loop ((n 0) (l '()))
+               (if (< n 300)
+                   (begin (if (= n 150) (timer-wait 1)) (loop (+ n 1) (cons n l)))
+                   (list {i} (apply + l))))"
+        ))
+    };
+    let mut ids: Vec<_> = (0..8).map(|i| (i, host.spawn_program(&job(i)).unwrap())).collect();
+    let mut steps = 0;
+    // Round-robin in short slices with a collection before every step, so
+    // each engine is parked — preempted or blocked — across collections.
+    while !ids.is_empty() {
+        ids.retain(|&(i, id)| {
+            host.vm_mut().collect_now();
+            steps += 1;
+            match host.step(id, 50).unwrap() {
+                EngineStep::Done(v) => {
+                    assert_eq!(host.vm().write_value(&v), format!("({i} 44850)"));
+                    false
+                }
+                _ => true,
+            }
+        });
+    }
+    assert!(steps > 8 * 3, "every engine parked more than twice: {steps} steps");
 }
 
 /// Runs a fresh host whose handler is installed, arming a timer fault
@@ -207,20 +255,20 @@ fn an_injected_expiry_outside_every_slice_preempts_nothing() {
     };
     assert_eq!(baseline, "spun");
 
-    // On the first guarded entry of exec-spawn!: no prompt is set, the
-    // fault is consumed, and the job then runs exactly as unfaulted.
+    // On the spawn's one guarded entry, `%engine-job`'s: no prompt is set,
+    // the fault is consumed, and the job then runs exactly as unfaulted.
     let (outcome, at_spawn) = run_with_timer_fault(SPIN, 1, 0);
-    assert_eq!(at_spawn, 1, "the expiry fired in driver code");
+    assert_eq!(at_spawn, 1, "the expiry fired at the spawn");
     assert_eq!(outcome, ("spun".into(), parks, 0));
 
-    // On the entry of exec-step! itself, before the third slice's prompt
-    // is pushed: that slice still runs in full.
+    // On the entry of %engine-slice itself, before the third slice's
+    // prompt is pushed: that slice still runs in full.
     let (outcome, _) = run_with_timer_fault(SPIN, 1, 3);
     assert_eq!(outcome, ("spun".into(), parks, 0));
 
-    // Anywhere else around a park — the driver, the slice prologue, the
-    // job, the take handler running after the prompt is gone: the job
-    // still finishes once, and an expiry costs at most one extra park.
+    // Anywhere else around a park — the slice prologue, the job, the take
+    // handler running after the prompt is gone: the job still finishes
+    // once, and an expiry costs at most one extra park.
     for n in 2..=40 {
         let ((value, parked, blocked), _) = run_with_timer_fault(SPIN, n, 2);
         assert_eq!(value, "spun", "n={n}");

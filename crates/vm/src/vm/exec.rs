@@ -4,7 +4,7 @@
 //! walk, and the engine timer.
 
 use oneshot_compiler::Op;
-use oneshot_core::{KontId, Underflow};
+use oneshot_core::{ControlError, KontId, Underflow};
 use oneshot_runtime::{Heap, Obj, Symbols, Unpacked, Value};
 
 use crate::error::{VmError, R};
@@ -843,11 +843,7 @@ impl Vm {
                     }
                 }
                 Slot::Marker => {
-                    match self
-                        .stack
-                        .underflow(&slot_disp)
-                        .map_err(|e| VmError::runtime(e.to_string()))?
-                    {
+                    match self.stack.underflow(&slot_disp).map_err(control_error)? {
                         Underflow::Exhausted => {
                             let v = self.acc;
                             self.mv = None;
@@ -899,8 +895,7 @@ impl Vm {
     /// capture-then-unwind order `call/cc`-based `shift` observes.
     pub(crate) fn take_subcont(&mut self, tag: Value, handler: Value) -> R<Option<Value>> {
         let (kp, wp) = self.find_prompt(tag)?;
-        let (head, r) =
-            self.stack.take_subcont(kp, &slot_disp).map_err(|e| VmError::runtime(e.to_string()))?;
+        let (head, r) = self.stack.take_subcont(kp, &slot_disp).map_err(control_error)?;
         // Control is now at the prompt's frame; re-plant its return
         // address (a multi-shot reinstatement does not restore the fp
         // slot) and stage the walk above it.
@@ -1158,12 +1153,7 @@ impl Vm {
             self.mv = None;
             return Ok(Some(v));
         };
-        let r = self.stack.reinstate(k, &slot_disp).map_err(|e| match e {
-            oneshot_core::ControlError::AlreadyShot => {
-                VmError::condition("shot-twice", "attempt to invoke shot one-shot continuation")
-            }
-            other => VmError::runtime(other.to_string()),
-        })?;
+        let r = self.stack.reinstate(k, &slot_disp).map_err(control_error)?;
         self.dispatch_reinstated_ret(r.ret)
     }
 
@@ -1176,22 +1166,13 @@ impl Vm {
             // returning them from the `%push-subcont` call.
             return self.do_return();
         };
-        let r = self.stack.push_subcont(head, &slot_disp).map_err(|e| match e {
-            oneshot_core::ControlError::AlreadyShot => VmError::condition(
-                "shot-twice",
-                "attempt to push an already-pushed one-shot subcontinuation",
-            ),
-            other => VmError::runtime(other.to_string()),
-        })?;
+        let r = self.stack.push_subcont(head, &slot_disp).map_err(control_error)?;
         self.dispatch_reinstated_ret(r.ret)
     }
 
     /// Returns the values already in `acc`/`mv` from prompt record `kp`.
     fn abort_to(&mut self, kp: KontId) -> R<Option<Value>> {
-        let r = self
-            .stack
-            .abort_to_prompt(kp, &slot_disp)
-            .map_err(|e| VmError::runtime(e.to_string()))?;
+        let r = self.stack.abort_to_prompt(kp, &slot_disp).map_err(control_error)?;
         self.dispatch_reinstated_ret(r.ret)
     }
 
@@ -1295,6 +1276,17 @@ fn type_error(heap: &Heap, syms: &Symbols, who: &str, expected: &str, got: Value
             oneshot_runtime::write_value(heap, syms, got)
         ),
     )
+}
+
+/// How a core control refusal reaches the guest, whichever transfer met
+/// it: the catchable `shot-twice` and `no-matching-prompt` conditions, or
+/// a runtime error for a continuation the collector already reclaimed.
+fn control_error(e: ControlError) -> Box<VmError> {
+    match e {
+        ControlError::AlreadyShot => VmError::condition("shot-twice", e.to_string()),
+        ControlError::NoMatchingPrompt => VmError::condition("no-matching-prompt", e.to_string()),
+        _ => VmError::runtime(e.to_string()),
+    }
 }
 
 /// Where the winder walk ends up: the transfer it completes once

@@ -32,8 +32,8 @@ impl Vm {
         let mut konts = std::mem::take(&mut self.gc_kont_work);
         konts.clear();
 
-        // Roots: registers, globals, winders, timer handler, pending
-        // multiple values, constant pools.
+        // Roots: registers, globals, the embedder's roots, winders, timer
+        // handler, pending multiple values, constant pools.
         self.heap.mark_value(self.acc);
         self.heap.mark_value(self.closure);
         self.heap.mark_value(self.winders);
@@ -44,7 +44,7 @@ impl Vm {
                 self.heap.mark_value(v);
             }
         }
-        for &v in &self.globals {
+        for &v in self.globals.iter().chain(&self.roots) {
             self.heap.mark_value(v);
         }
         for code in &self.codes {

@@ -281,6 +281,8 @@ pub struct Vm {
     pub(crate) gcall: Vec<exec::CallTarget>,
     pub(crate) global_names: Vec<String>,
     pub(crate) global_ids: HashMap<String, u32>,
+    /// The embedder's GC roots (see [`Vm::roots_mut`]).
+    pub(crate) roots: Vec<Value>,
     pub(crate) builtins: Vec<BuiltinFn>,
     // --- registers ---
     pub(crate) acc: Value,
@@ -374,6 +376,7 @@ impl Vm {
             gcall: Vec::new(),
             global_names: Vec::new(),
             global_ids: HashMap::new(),
+            roots: Vec::new(),
             builtins: Vec::new(),
             acc: Value::UNSPECIFIED,
             code: 0,
@@ -420,7 +423,7 @@ impl Vm {
         // budgets and injected faults target user programs, and the
         // condition machinery they raise through is itself defined by the
         // prelude. Embedders whose boot loads more libraries (the engine
-        // host's engines/driver/io sources) instead take the plan out of
+        // host's engines and io sources) instead take the plan out of
         // the config and call [`Vm::arm_fault_plan`] once boot completes.
         vm.heap_budget = cfg.heap_budget;
         vm.guards_active = cfg.heap_budget.is_some() || cfg.fault_plan.is_some();
@@ -795,6 +798,13 @@ impl Vm {
     pub fn set_global(&mut self, name: &str, v: Value) {
         let i = self.global_id(name) as usize;
         self.write_global(i, v);
+    }
+
+    /// Values the embedder keeps alive between calls into this VM. Every
+    /// collection marks them, like globals; the VM itself never reads or
+    /// writes them, and an error leaves them as they were.
+    pub fn roots_mut(&mut self) -> &mut Vec<Value> {
+        &mut self.roots
     }
 
     /// Interns a symbol, returning it as a value.

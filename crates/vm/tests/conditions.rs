@@ -203,6 +203,24 @@ fn shot_twice_uncaught_has_kind_and_backtrace() {
 }
 
 #[test]
+fn returning_into_a_shot_one_shot_is_catchable_too() {
+    // `r`'s frames return into `k`'s record, which `(k 'escaped)` shot:
+    // that underflow meets the refusal a second invocation meets.
+    let mut vm = Vm::new();
+    check(
+        &mut vm,
+        "(define (id x) x) (define r #f) (define n 0)
+         (call-with-guard
+           (lambda (c) (list 'caught (condition-kind c)))
+           (lambda ()
+             (id (call/1cc (lambda (k) (id (call/1cc (lambda (c) (set! r c) (k 'escaped)))))))
+             (set! n (+ n 1))
+             (if (= n 1) (r 'again) 'done)))",
+        "(caught shot-twice)",
+    );
+}
+
+#[test]
 fn type_error_uncaught_keeps_its_message_shape() {
     let mut vm = Vm::new();
     let e = vm.eval_str("(car 5)").unwrap_err();

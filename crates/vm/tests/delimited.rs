@@ -231,6 +231,83 @@ fn prompt_set_reflects_the_dynamic_chain() {
 }
 
 // ----------------------------------------------------------------------
+// call/1cc continuations across a take and a push
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_call1cc_escape_across_a_take_and_a_push_lands_in_the_pushed_context() {
+    let mut vm = Vm::new();
+    check(
+        &mut vm,
+        "(define tag (make-prompt-tag 'p))
+         (define sk #f)
+         (define r
+           (call-with-prompt tag
+             (lambda ()
+               (list (call/1cc (lambda (k)
+                                 (list (%take-subcont tag (lambda (s) (set! sk s) 'taken))
+                                       (k 'escaped)
+                                       'not-escaped)))))))
+         (if (eq? r 'taken)
+             (list 'resumed (call-with-prompt tag (lambda () (%push-subcont sk 0))))
+             r)",
+        "(resumed (escaped))",
+    );
+}
+
+/// Runs `src` on a fresh VM in a thread of its own and returns its
+/// outcome, failing after 10 s instead of hanging with it.
+fn within_watchdog(src: &'static str) -> Result<String, VmError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mut vm = Vm::new();
+        let outcome = vm.eval_str(src).map(|v| vm.write_value(&v));
+        let _ = tx.send(outcome);
+    });
+    let outcome = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("still running after 10 s: {src}"));
+    worker.join().unwrap();
+    outcome
+}
+
+/// The push-cycle hang, reached from guest code: `k4`, captured inside
+/// both prompts, is invoked after `p1`'s context was taken, and the push
+/// it runs links a cycle that `%prompt-set?`'s walk never leaves.
+#[test]
+#[ignore = "the push-cycle hang: a shot record links into a stolen one"]
+fn a_push_after_reentering_a_taken_context_terminates() {
+    // Any answer or condition will do; spinning will not.
+    let _ = within_watchdog(
+        "(define p1 (make-prompt-tag 'p1)) (define p2 (make-prompt-tag 'p2))
+         (define p3 (make-prompt-tag 'p3)) (define k4 #f) (define sk #f) (define (id x) x)
+         (id (call-with-prompt p1 (lambda () (id (call-with-prompt p2 (lambda ()
+           (id (call/1cc (lambda (k3) (id ((call/1cc (lambda (c) (set! k4 c) (k3 0))))))))
+           (id (%take-subcont p1 (lambda (s) (set! sk s) 'taken)))
+           (%prompt-set? p3)))))))
+         (id (k4 (lambda () (id (%push-subcont sk 'v)))))",
+    );
+}
+
+/// A `call/1cc` continuation captured inside a context that was then
+/// taken: its records belong to the subcontinuation, so invoking it
+/// should be refused. Today its frames run and return past the detached
+/// context's bottom, ending the program with `101`.
+#[test]
+#[ignore = "the push-cycle hang: two handles reach one taken context"]
+fn invoking_a_continuation_whose_context_was_taken_raises_shot_twice() {
+    let e = within_watchdog(
+        "(define tag (make-prompt-tag 'p)) (define k #f)
+         (define sk (call-with-prompt tag (lambda ()
+           (+ 100 (call/1cc (lambda (c) (set! k c) (%take-subcont tag (lambda (s) s))))))))
+         (k 1)
+         'after",
+    )
+    .unwrap_err();
+    assert_eq!(e.condition_kind(), Some("shot-twice"), "{e}");
+}
+
+// ----------------------------------------------------------------------
 // Generators
 // ----------------------------------------------------------------------
 
