@@ -93,7 +93,8 @@ pub struct FaultPlan {
     /// the suspended continuation's resumption point.
     pub io_reset_after: Option<u64>,
     /// Delay the Nth readiness delivery (1-based) inside the reactor by a
-    /// few milliseconds — late wakeup, exercising the seq guard.
+    /// few milliseconds — a late wakeup, whose job the reactor holds
+    /// aside until it is handed back.
     pub readiness_delay_after: Option<u64>,
     /// Drop the Nth readiness delivery (1-based) inside the reactor
     /// entirely. The edge is consumed, so recovery is bounded by the

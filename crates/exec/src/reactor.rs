@@ -1,17 +1,20 @@
-//! Per-worker reactors: each worker owns a [`ReactorCore`] that
-//! multiplexes every wait *its own* blocked green threads registered.
+//! Per-worker reactors: each worker owns a [`ReactorCore`] that holds
+//! every job *its own* green threads parked, together with the wait each
+//! one is parked on.
 //!
 //! When a job suspends on I/O (`EngineStep::Blocked`), its worker seals
-//! the one-shot continuation inside the engine table, registers the wait
-//! directly with its core — a plain method call, no message, no mutex —
+//! the one-shot continuation inside the engine table and moves the job
+//! itself into its core — a plain method call, no message, no mutex —
 //! and goes on running other jobs. Between slices (and whenever it has
 //! nothing runnable) the worker asks the core for due wakeups; readiness,
-//! timer expiry, or deadline expiry each deliver a `(job, seq, kind)`
-//! triple that the worker turns back into an ordinary engine resumption:
-//! O(1), no stack copying, no cross-thread resume-queue handoff, exactly
-//! the paper's suspension cost model. The kind distinguishes plain
-//! readiness from an expired per-connection I/O deadline (`IoTimeout`),
-//! which resumes the guest into the catchable `io-timeout` condition.
+//! timer expiry, deadline expiry, or a closed fd each move the job back
+//! out as a `(job, kind)` pair that the worker turns into an ordinary
+//! engine resumption: O(1), no stack copying, no cross-thread
+//! resume-queue handoff, exactly the paper's suspension cost model. A job
+//! leaves its slot once, so it is handed back at most once — the rule a
+//! one-shot continuation needs. The kind distinguishes plain readiness
+//! from an expired per-connection I/O deadline (`IoTimeout`), which
+//! resumes the guest into the catchable `io-timeout` condition.
 //!
 //! Readiness comes from `epoll(7)`, raw syscalls in the one audited `sys`
 //! module (so the crate is Linux-only). Interest stays registered in the
@@ -29,11 +32,12 @@
 //! edge after the guest's last would-block is never lost: it is still
 //! queued in the kernel or already a bit. A wait cancelled by its deadline
 //! leaves the fd registered, so late readiness becomes a bit, never a
-//! stale delivery (a same-batch delivery is defused by the worker's `seq`
-//! guard). The kernel drops a closed fd itself; the table entry dies with
-//! the closed-fd sweep (`cancel_fd`), which the worker runs *before* it
-//! registers a slice's wait, so a registration never meets the entry of a
-//! recycled fd number.
+//! stale delivery: the readiness batch and the deadline heap name a wait
+//! by its slot and the slot's generation, and a resolved wait's name
+//! matches nothing. The kernel drops a closed fd itself; the table entry
+//! dies with the closed-fd sweep (`cancel_fd`), which the worker runs
+//! *before* it registers a slice's wait, so a registration never meets
+//! the entry of a recycled fd number.
 //!
 //! The only cross-thread piece left is the wake pipe: the pool rings it
 //! to interrupt an idle worker's wait (new submission, accepted
@@ -43,7 +47,7 @@
 //! nor lose a wake (leftover bytes keep the pipe readable).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::io::{ErrorKind, Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -169,22 +173,18 @@ impl Backend {
     }
 }
 
-/// Why a wakeup was delivered. `Ready` covers readiness, timers, and
-/// job-deadline expiry (the worker's own deadline check turns the last
-/// into `DeadlineExceeded`); `IoTimeout` means the wait's per-connection
-/// I/O deadline expired before readiness, and the worker resumes the
-/// blocked engine with the `io-timeout` status so the guest raises the
-/// matching catchable condition.
+/// Why a parked job was handed back. `Ready` covers readiness, timers,
+/// a closed fd, and job-deadline expiry (the worker's own deadline check
+/// turns the last into `DeadlineExceeded`); `IoTimeout` means the wait's
+/// per-connection I/O deadline expired before readiness, and the worker
+/// resumes the blocked engine with the `io-timeout` status so the guest
+/// raises the matching catchable condition. The order matters: on a tie
+/// in the deadline heap, a job deadline (`Ready`) comes out first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum WakeKind {
     Ready,
     IoTimeout,
 }
-
-/// One readiness wakeup: which job (by raw id), which wait generation,
-/// and why. The generation lets the worker discard deliveries for waits
-/// it has already abandoned (deadline failure, worker reset).
-pub(crate) type Wakeup = (u64, u64, WakeKind);
 
 /// Upper bounds (milliseconds) of the wake-lateness histogram buckets: a
 /// timer delivered within 1 ms of its deadline lands in bucket 0, within
@@ -220,14 +220,26 @@ impl WakeHandle {
     }
 }
 
-/// An fd wait in flight. A job's wall-clock deadline, when set, lives in
-/// the `io_deadlines` heap: expiry wakes the job so the worker can fail
-/// it with DeadlineExceeded.
+/// Names one wait: its slot in the slab and the slot's generation when
+/// the wait was parked there. A key can outlive its wait in the readiness
+/// batch and in the deadline heap; once the slot's generation has moved
+/// on, the key is stale and resolves nothing.
+type Key = (u32, u32);
+
+/// What a parked job waits on.
+#[derive(Debug, Clone, Copy)]
+enum On {
+    Fd { fd: i32, write: bool },
+    Timer,
+}
+
+/// One slab slot. The generation moves on each time the slot is freed,
+/// so a key matches only the wait it was minted for.
 #[derive(Debug)]
-struct IoWait {
-    fd: i32,
-    write: bool,
-    seq: u64,
+struct Slot<T> {
+    gen: u32,
+    on: On,
+    job: Option<T>,
 }
 
 /// The interest every fd is registered with, once, for its lifetime:
@@ -246,67 +258,71 @@ struct FdEntry {
     /// Directions whose readiness arrived while no wait wanted it.
     pending: u8,
     /// The first waiter, inline: a park allocates nothing.
-    first: Option<u64>,
+    first: Option<Key>,
     /// Further waiters — a listener shared by several accepting green
     /// threads. Empty (and unallocated) otherwise.
-    more: Vec<u64>,
+    more: Vec<Key>,
 }
 
 impl FdEntry {
-    fn add(&mut self, job: u64) {
+    fn add(&mut self, key: Key) {
         match self.first {
-            None => self.first = Some(job),
-            Some(_) => self.more.push(job),
+            None => self.first = Some(key),
+            Some(_) => self.more.push(key),
         }
     }
 
-    fn remove(&mut self, job: u64) {
-        if self.first == Some(job) {
+    fn remove(&mut self, key: Key) {
+        if self.first == Some(key) {
             self.first = self.more.pop();
         } else {
-            self.more.retain(|&j| j != job);
+            self.more.retain(|&k| k != key);
         }
     }
 
-    fn waiters(&self) -> impl Iterator<Item = u64> + '_ {
+    fn waiters(&self) -> impl Iterator<Item = Key> + '_ {
         self.first.into_iter().chain(self.more.iter().copied())
     }
 }
 
-/// One worker's reactor: every wait its blocked jobs hold, the timer
-/// heap, and the epoll instance. Not shared — the owning worker calls
-/// every method, which is what makes delivery handoff-free.
+/// One worker's reactor: every job parked on this worker, the deadlines
+/// that bound their waits, and the epoll instance. A parked job lives in
+/// one slot of a slab until `wait`, `cancel_fd` or `forget_all` moves it
+/// back out, so each is handed back at most once. Not shared — the owning
+/// worker calls every method, which is what makes delivery handoff-free.
 #[derive(Debug)]
-pub(crate) struct ReactorCore {
+pub(crate) struct ReactorCore<T> {
     /// Interest lives here for each fd's lifetime.
     ep: sys::EpollFd,
     /// The reused `epoll_wait` buffer.
     events: Vec<sys::EpollEvent>,
     wake_rx: UnixStream,
     wake_tx: Arc<UnixStream>,
-    /// Outstanding fd waits, keyed by job id (one wait per job).
-    io_waits: HashMap<u64, IoWait>,
+    /// The parked jobs. A freed slot goes on `free` and is reused last in,
+    /// first out, so the slab stays as large as the most jobs ever parked
+    /// at once.
+    slots: Vec<Slot<T>>,
+    free: Vec<u32>,
+    /// Parked jobs waiting on an fd: with none, and nothing due, a
+    /// nonblocking harvest makes no syscall.
+    fd_waits: usize,
     /// Per-fd state, indexed by fd number: who waits on it, whether the
     /// epoll set holds it, and its unclaimed readiness.
     fds: Vec<FdEntry>,
-    /// Waits `(job, seq)` resolved but not yet delivered — by `register_io`
-    /// on a pending direction, or by an epoll event. One reused buffer.
-    ready: Vec<(u64, u64)>,
-    /// Min-heap of I/O deadlines `(when, job, seq, is_io_timeout)`;
-    /// entries are lazy — a wait delivered early leaves a stale entry
-    /// that is skipped. `is_io_timeout` distinguishes the per-connection
-    /// I/O deadline (delivered as [`WakeKind::IoTimeout`]) from the job's
-    /// wall-clock deadline (delivered as `Ready`; on a tie the tuple
-    /// order puts the job deadline first, so it wins).
-    io_deadlines: BinaryHeap<Reverse<(Instant, u64, u64, bool)>>,
-    /// Min-heap of timer waits `(when, job, seq)`.
-    timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
+    /// Waits resolved but not yet delivered — by `register_io` on a
+    /// pending direction, or by an epoll event. One reused buffer.
+    ready: Vec<Key>,
+    /// Min-heap of every deadline a parked job holds `(when, kind, key)`:
+    /// timers and job deadlines (`Ready`) and per-connection I/O deadlines
+    /// (`IoTimeout`). Entries are lazy — a wait resolved another way
+    /// leaves its entry behind, and the stale key skips it.
+    deadlines: BinaryHeap<Reverse<(Instant, WakeKind, Key)>>,
     /// Wake-lateness histogram for delivered timers, drained by the
     /// worker into the pool counters ([`WAKE_LATENESS_BUCKETS_MS`]).
     lateness: [u64; WAKE_LATENESS_BUCKETS],
-    /// Readiness deliveries deferred by an injected delay fault
-    /// `(due, job, seq)`; delivered once due.
-    deferred: Vec<(Instant, u64, u64)>,
+    /// Jobs whose readiness delivery an injected delay fault deferred,
+    /// with the instant each comes due.
+    deferred: Vec<(Instant, T)>,
     /// Injected reactor-fault countdowns (chaos testing): a synthetic
     /// `EINTR` before a wait's syscall, a delayed readiness delivery,
     /// and a dropped readiness delivery. Disarmed unless the pool's
@@ -318,10 +334,10 @@ pub(crate) struct ReactorCore {
     faults_injected: u64,
 }
 
-impl ReactorCore {
+impl<T> ReactorCore<T> {
     /// Builds a core: its wake pipe and its epoll instance, with the pipe
     /// registered. Returns the OS error if either cannot be created.
-    pub(crate) fn new() -> std::io::Result<ReactorCore> {
+    pub(crate) fn new() -> std::io::Result<ReactorCore<T>> {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
@@ -337,11 +353,12 @@ impl ReactorCore {
             events: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
             wake_rx,
             wake_tx: Arc::new(wake_tx),
-            io_waits: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            fd_waits: 0,
             fds: Vec::new(),
             ready: Vec::new(),
-            io_deadlines: BinaryHeap::new(),
-            timers: BinaryHeap::new(),
+            deadlines: BinaryHeap::new(),
             lateness: [0; WAKE_LATENESS_BUCKETS],
             deferred: Vec::new(),
             eintr_fault: FaultClock::disarmed(),
@@ -375,16 +392,58 @@ impl ReactorCore {
         WakeHandle { tx: Arc::clone(&self.wake_tx) }
     }
 
-    /// Whether any wait (fd or timer) is outstanding, counting a delivery
-    /// an injected delay deferred: only a `wait()` hands it over.
-    pub(crate) fn has_waits(&self) -> bool {
-        !self.io_waits.is_empty() || !self.timers.is_empty() || !self.deferred.is_empty()
+    /// Jobs this core holds: parked ones, and ones an injected delay
+    /// deferred (only a `wait()` hands those over).
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len() - self.free.len() + self.deferred.len()
     }
 
-    /// Registers an fd wait for `job` (only an fd's *first* wait reaches
-    /// the kernel). Returns `false` if the kernel refused
-    /// the registration (stale fd, limit): the caller must treat the job
-    /// as instantly ready so the retried guest operation can surface the
+    /// Parks `job` in a free slot and returns the key of its wait.
+    fn park(&mut self, job: T, on: On) -> Key {
+        if matches!(on, On::Fd { .. }) {
+            self.fd_waits += 1;
+        }
+        let i = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.slots.push(Slot { gen: 0, on, job: None });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let slot = &mut self.slots[i as usize];
+        slot.on = on;
+        slot.job = Some(job);
+        (i, slot.gen)
+    }
+
+    /// Moves the job out of the wait `key` names, freeing its slot — or
+    /// `None` if that wait was already resolved.
+    fn unpark(&mut self, (i, gen): Key) -> Option<(T, On)> {
+        let slot = &mut self.slots[i as usize];
+        if slot.gen != gen {
+            return None;
+        }
+        let job = slot.job.take().expect("a live key names a parked job");
+        slot.gen = slot.gen.wrapping_add(1);
+        let on = slot.on;
+        self.free.push(i);
+        if let On::Fd { fd, .. } = on {
+            self.fd_waits -= 1;
+            if let Some(entry) = self.fds.get_mut(fd as usize) {
+                entry.remove((i, gen));
+            }
+        }
+        Some((job, on))
+    }
+
+    fn is_live(&self, (i, gen): Key) -> bool {
+        self.slots[i as usize].gen == gen
+    }
+
+    /// Parks `job` on an fd wait (only an fd's *first* wait reaches the
+    /// kernel). If the kernel refuses the registration (stale fd, limit),
+    /// the job comes straight back as `Err`: the caller must treat it as
+    /// instantly ready so the retried guest operation can surface the
     /// real error.
     /// `deadline` is the job's wall-clock deadline (expiry fails the job);
     /// `io_deadline` is the per-connection I/O deadline for *this wait*
@@ -393,74 +452,64 @@ impl ReactorCore {
     /// neither may be set.
     pub(crate) fn register_io(
         &mut self,
-        job: u64,
-        seq: u64,
+        job: T,
         fd: i32,
         write: bool,
         deadline: Option<Instant>,
         io_deadline: Option<Instant>,
-    ) -> bool {
-        debug_assert!(!self.io_waits.contains_key(&job), "one wait per job");
-        let Ok(idx) = usize::try_from(fd) else { return false };
+    ) -> Result<(), T> {
+        let Ok(idx) = usize::try_from(fd) else { return Err(job) };
         if self.fds.len() <= idx {
             self.fds.resize_with(idx + 1, FdEntry::default);
         }
         let entry = &mut self.fds[idx];
         if !entry.registered {
             if !self.ep.ctl(sys::EPOLL_CTL_ADD, fd, LIFETIME_INTEREST) {
-                return false;
+                return Err(job);
             }
             // ADD reports an already-ready fd, so nothing is owed yet.
             entry.registered = true;
             entry.pending = 0;
         }
         let dir = if write { PEND_OUT } else { PEND_IN };
-        if entry.pending & dir != 0 {
-            entry.pending &= !dir;
-            self.ready.push((job, seq));
+        let owed = entry.pending & dir != 0;
+        entry.pending &= !dir;
+        let key = self.park(job, On::Fd { fd, write });
+        self.fds[idx].add(key);
+        if owed {
+            self.ready.push(key);
         }
-        entry.add(job);
         if let Some(d) = deadline {
-            self.io_deadlines.push(Reverse((d, job, seq, false)));
+            self.deadlines.push(Reverse((d, WakeKind::Ready, key)));
         }
         // Skip the io-timeout entry when the job deadline is not later:
         // the job deadline would win the tie anyway.
         if let Some(d) = io_deadline {
             if deadline.is_none_or(|jd| d < jd) {
-                self.io_deadlines.push(Reverse((d, job, seq, true)));
+                self.deadlines.push(Reverse((d, WakeKind::IoTimeout, key)));
             }
         }
-        self.io_waits.insert(job, IoWait { fd, write, seq });
-        true
+        Ok(())
     }
 
-    /// Registers a timer wait for `job`.
-    pub(crate) fn register_timer(&mut self, job: u64, seq: u64, deadline: Instant) {
-        self.timers.push(Reverse((deadline, job, seq)));
+    /// Parks `job` on a timer due at `due`.
+    pub(crate) fn register_timer(&mut self, job: T, due: Instant) {
+        let key = self.park(job, On::Timer);
+        self.deadlines.push(Reverse((due, WakeKind::Ready, key)));
     }
 
-    /// Removes `job`'s fd wait (delivered, expired, or cancelled). The fd
-    /// stays registered: readiness nobody waits for becomes a pending bit.
-    fn remove_io(&mut self, job: u64) -> Option<IoWait> {
-        let w = self.io_waits.remove(&job)?;
-        if let Some(entry) = self.fds.get_mut(w.fd as usize) {
-            entry.remove(job);
-        }
-        Some(w)
-    }
-
-    /// The guest closed `fd`: wakes every wait registered on it — the
+    /// The guest closed `fd`: hands back every job waiting on it — the
     /// resumed retry observes the stale token and raises the guest-level
     /// `io-error` instead of wedging — and clears the fd's entry, so the
     /// next socket to get this number starts unregistered (no syscall:
     /// the kernel drops a closed fd itself, and reports nothing for it).
-    pub(crate) fn cancel_fd(&mut self, fd: i32, out: &mut Vec<Wakeup>) {
+    pub(crate) fn cancel_fd(&mut self, fd: i32, out: &mut Vec<(T, WakeKind)>) {
         let Some(entry) = usize::try_from(fd).ok().and_then(|i| self.fds.get_mut(i)) else {
             return;
         };
-        for job in std::mem::take(entry).waiters() {
-            if let Some(w) = self.io_waits.remove(&job) {
-                out.push((job, w.seq, WakeKind::Ready));
+        for key in std::mem::take(entry).waiters() {
+            if let Some((job, _)) = self.unpark(key) {
+                out.push((job, WakeKind::Ready));
             }
         }
     }
@@ -473,11 +522,11 @@ impl ReactorCore {
             return;
         };
         let mut claimed = 0;
-        for job in entry.waiters() {
-            let Some(w) = self.io_waits.get(&job) else { continue };
-            let dir = if w.write { PEND_OUT } else { PEND_IN };
+        for key in entry.waiters() {
+            let On::Fd { write, .. } = self.slots[key.0 as usize].on else { continue };
+            let dir = if write { PEND_OUT } else { PEND_IN };
             if dirs & dir != 0 {
-                self.ready.push((job, w.seq));
+                self.ready.push(key);
                 claimed |= dir;
             }
         }
@@ -492,55 +541,53 @@ impl ReactorCore {
         self.note_readiness(fd, PEND_IN | PEND_OUT);
     }
 
-    /// Drops every outstanding wait and timer without delivering. Called
-    /// by the worker supervisor's restart, before the VM is replaced:
-    /// every blocked job is about to be failed and its sockets to die with
-    /// the VM — still open, so each is deleted from the epoll set here —
-    /// and any late readiness would be filtered by the seq guard anyway.
-    /// The instance and its level-triggered wake pipe stay, so the
-    /// [`WakeHandle`]s the pool and acceptor threads hold stay valid.
-    pub(crate) fn forget_all(&mut self) {
+    /// Hands back every job this core holds, undelivered, and forgets
+    /// every fd and deadline. Called by the worker on a VM reset, before
+    /// the VM is replaced: every parked job is about to be failed and its
+    /// sockets to die with the VM — still open, so each is deleted from
+    /// the epoll set here. The instance and its level-triggered wake pipe
+    /// stay, so the [`WakeHandle`]s the pool and acceptor threads hold
+    /// stay valid.
+    pub(crate) fn forget_all(&mut self, out: &mut Vec<(T, WakeKind)>) {
         for (fd, _) in self.fds.iter().enumerate().filter(|(_, e)| e.registered) {
             self.ep.ctl(sys::EPOLL_CTL_DEL, fd as i32, 0);
         }
         self.fds.clear();
-        self.io_waits.clear();
+        let parked = self.slots.drain(..).filter_map(|s| s.job);
+        let deferred = self.deferred.drain(..).map(|(_, job)| job);
+        out.extend(parked.chain(deferred).map(|job| (job, WakeKind::Ready)));
+        self.free.clear();
+        self.fd_waits = 0;
         self.ready.clear();
-        self.io_deadlines.clear();
-        self.timers.clear();
-        self.deferred.clear();
+        self.deadlines.clear();
     }
 
-    /// The earliest deadline among timers, I/O waits, and deferred
-    /// (fault-delayed) deliveries, skipping lazy (already-resolved)
-    /// deadline entries.
+    /// The earliest live deadline or deferred delivery, popping the stale
+    /// heap entries in front of it.
     fn next_deadline(&mut self) -> Option<Instant> {
-        while let Some(&Reverse((_, job, seq, _))) = self.io_deadlines.peek() {
-            if self.io_waits.get(&job).is_some_and(|w| w.seq == seq) {
+        while let Some(&Reverse((_, _, key))) = self.deadlines.peek() {
+            if self.is_live(key) {
                 break;
             }
-            self.io_deadlines.pop();
+            self.deadlines.pop();
         }
-        let io = self.io_deadlines.peek().map(|Reverse((t, ..))| *t);
-        let timer = self.timers.peek().map(|Reverse((t, ..))| *t);
-        let deferred = self.deferred.iter().map(|&(t, ..)| t).min();
-        [io, timer, deferred].into_iter().flatten().min()
+        let due = self.deadlines.peek().map(|Reverse((t, ..))| *t);
+        let deferred = self.deferred.iter().map(|&(t, _)| t).min();
+        due.into_iter().chain(deferred).min()
     }
 
     /// Blocks until readiness, a due deadline/timer, a wake-pipe ring, or
-    /// `max_wait` — whichever comes first — and appends due wakeups to
-    /// `out`. `Duration::ZERO` is a nonblocking harvest, and so is any
-    /// wait entered with a delivery already resolved. Returns the number
-    /// of wakeups delivered.
-    pub(crate) fn wait(&mut self, max_wait: Duration, out: &mut Vec<Wakeup>) -> usize {
+    /// `max_wait` — whichever comes first — and moves the jobs whose
+    /// waits resolved into `out`. `Duration::ZERO` is a nonblocking
+    /// harvest, and so is any wait entered with a delivery already
+    /// resolved. Returns the number of jobs handed back.
+    pub(crate) fn wait(&mut self, max_wait: Duration, out: &mut Vec<(T, WakeKind)>) -> usize {
         let before = out.len();
         let now = Instant::now();
         let max_wait = if self.ready.is_empty() { max_wait } else { Duration::ZERO };
         // Cheap fast path for the between-slices harvest: no fds to ask
-        // the kernel about and no timer due yet means no syscall at all.
-        if max_wait.is_zero()
-            && self.io_waits.is_empty()
-            && self.next_deadline().is_none_or(|t| t > now)
+        // the kernel about and nothing due yet means no syscall at all.
+        if max_wait.is_zero() && self.fd_waits == 0 && self.next_deadline().is_none_or(|t| t > now)
         {
             return 0;
         }
@@ -600,75 +647,54 @@ impl ReactorCore {
             self.drain_wake_pipe();
         }
 
-        for i in 0..self.ready.len() {
-            let (job, seq) = self.ready[i];
-            // A wait resolved at registration may have been cancelled (or
-            // replaced) before this harvest.
-            if self.io_waits.get(&job).is_none_or(|w| w.seq != seq) {
+        for k in 0..self.ready.len() {
+            let key = self.ready[k];
+            // A wait resolved at registration may have been cancelled
+            // before this harvest, or resolved twice in one batch.
+            if !self.is_live(key) {
                 continue;
             }
             // Injected readiness faults, consulted per delivery. Drop
-            // leaves the wait registered but consumes the edge, so the
-            // I/O deadline is what bounds recovery. Delay removes
-            // the wait and re-delivers it from `deferred` a beat later —
-            // a late wakeup exercising the seq guard.
+            // leaves the job parked but consumes the edge, so the I/O
+            // deadline is what bounds recovery. Delay moves the job to
+            // `deferred`, handed back a beat later.
             if self.drop_fault.tick() {
                 self.faults_injected += 1;
                 continue;
             }
-            self.remove_io(job);
+            let (job, _) = self.unpark(key).expect("checked live");
             if self.delay_fault.tick() {
                 self.faults_injected += 1;
-                self.deferred.push((Instant::now() + Duration::from_millis(5), job, seq));
+                self.deferred.push((Instant::now() + Duration::from_millis(5), job));
                 continue;
             }
-            out.push((job, seq, WakeKind::Ready));
+            out.push((job, WakeKind::Ready));
         }
         self.ready.clear();
 
         let now = Instant::now();
 
         // Deferred (fault-delayed) deliveries that have come due.
-        if !self.deferred.is_empty() {
-            self.deferred.retain(|&(due, job, seq)| {
-                if due <= now {
-                    out.push((job, seq, WakeKind::Ready));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        let due = self.deferred.extract_if(.., |&mut (t, _)| t <= now);
+        out.extend(due.map(|(_, job)| (job, WakeKind::Ready)));
 
-        // Expired I/O deadlines. A job-deadline entry wakes the job so
-        // the worker can fail it with DeadlineExceeded; an io-timeout
-        // entry resumes the guest with the catchable io-timeout condition
-        // — this is what bounds a peer that never answers. The wait is
-        // removed either way, so readiness arriving later is never
-        // delivered (and the seq guard catches same-batch races).
-        while let Some(Reverse((t, job, seq, is_io))) = self.io_deadlines.peek().copied() {
+        // Due deadlines, earliest first. A job deadline wakes the job so
+        // the worker can fail it with DeadlineExceeded; an I/O deadline
+        // resumes the guest with the catchable io-timeout condition —
+        // this is what bounds a peer that never answers; a timer is an
+        // ordinary wake, and its delivery minus its due time is the wake
+        // lateness. Either way the job leaves its slot, so readiness
+        // arriving later finds nobody and becomes a pending bit.
+        while let Some(&Reverse((t, kind, key))) = self.deadlines.peek() {
             if t > now {
                 break;
             }
-            self.io_deadlines.pop();
-            match self.io_waits.get(&job) {
-                Some(w) if w.seq == seq => {
-                    self.remove_io(job);
-                    out.push((job, seq, if is_io { WakeKind::IoTimeout } else { WakeKind::Ready }));
-                }
-                _ => {} // lazy entry for an already-resolved wait
+            self.deadlines.pop();
+            let Some((job, on)) = self.unpark(key) else { continue };
+            if matches!(on, On::Timer) {
+                self.lateness[lateness_bucket(now.duration_since(t))] += 1;
             }
-        }
-
-        // Due timers. Delivery minus deadline is the wake lateness — how
-        // long past its due time the reactor got around to this timer.
-        while let Some(Reverse((t, ..))) = self.timers.peek() {
-            if *t > now {
-                break;
-            }
-            let Reverse((due, job, seq)) = self.timers.pop().expect("peeked");
-            self.lateness[lateness_bucket(now.duration_since(due))] += 1;
-            out.push((job, seq, WakeKind::Ready));
+            out.push((job, kind));
         }
 
         out.len() - before
@@ -701,7 +727,7 @@ impl ReactorCore {
 mod tests {
     use super::*;
 
-    fn core() -> ReactorCore {
+    fn core() -> ReactorCore<u64> {
         ReactorCore::new().unwrap()
     }
 
@@ -713,15 +739,15 @@ mod tests {
     fn readable_fd_wakes_the_registered_job() {
         let mut c = core();
         let (a, b) = UnixStream::pair().unwrap();
-        assert!(c.register_io(42, 1, a.as_raw_fd(), false, None, None));
+        assert!(c.register_io(42, a.as_raw_fd(), false, None, None).is_ok());
         let mut out = Vec::new();
         // Nothing readable yet: a short wait delivers nothing.
         c.wait(Duration::from_millis(20), &mut out);
         assert!(out.is_empty(), "no spurious delivery");
         (&b).write_all(b"x").unwrap();
         c.wait(Duration::from_secs(10), &mut out);
-        assert_eq!(out, vec![(42, 1, WakeKind::Ready)]);
-        assert!(!c.has_waits(), "a wait is delivered once");
+        assert_eq!(out, vec![(42, WakeKind::Ready)]);
+        assert_eq!(c.len(), 0, "a wait is delivered once");
     }
 
     #[test]
@@ -732,18 +758,18 @@ mod tests {
         let mut c = core();
         let (a, b) = UnixStream::pair().unwrap();
         (&b).write_all(b"x").unwrap();
-        assert!(c.register_io(7, 1, a.as_raw_fd(), false, None, None));
+        assert!(c.register_io(7, a.as_raw_fd(), false, None, None).is_ok());
         let mut out = Vec::new();
         c.wait(Duration::from_secs(10), &mut out);
-        assert_eq!(out, vec![(7, 1, WakeKind::Ready)]);
+        assert_eq!(out, vec![(7, WakeKind::Ready)]);
     }
 
     #[test]
     fn timers_fire_in_deadline_order() {
         let mut c = core();
         let now = Instant::now();
-        c.register_timer(2, 0, now + Duration::from_millis(40));
-        c.register_timer(1, 0, now + Duration::from_millis(10));
+        c.register_timer(2, now + Duration::from_millis(40));
+        c.register_timer(1, now + Duration::from_millis(10));
         let mut out = Vec::new();
         while out.len() < 2 {
             c.wait(Duration::from_secs(10), &mut out);
@@ -757,13 +783,13 @@ mod tests {
         let mut c = core();
         let (a, _b) = UnixStream::pair().unwrap();
         let deadline = Instant::now() + Duration::from_millis(25);
-        assert!(c.register_io(9, 3, a.as_raw_fd(), false, Some(deadline), None));
+        assert!(c.register_io(9, a.as_raw_fd(), false, Some(deadline), None).is_ok());
         let mut out = Vec::new();
         while out.is_empty() {
             c.wait(Duration::from_secs(10), &mut out);
         }
-        assert_eq!(out, vec![(9, 3, WakeKind::Ready)]);
-        assert!(!c.has_waits());
+        assert_eq!(out, vec![(9, WakeKind::Ready)]);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -773,13 +799,13 @@ mod tests {
         let mut c = core();
         let (a, _b) = UnixStream::pair().unwrap();
         let io_deadline = Instant::now() + Duration::from_millis(25);
-        assert!(c.register_io(9, 3, a.as_raw_fd(), false, None, Some(io_deadline)));
+        assert!(c.register_io(9, a.as_raw_fd(), false, None, Some(io_deadline)).is_ok());
         let mut out = Vec::new();
         while out.is_empty() {
             c.wait(Duration::from_secs(10), &mut out);
         }
-        assert_eq!(out, vec![(9, 3, WakeKind::IoTimeout)]);
-        assert!(!c.has_waits());
+        assert_eq!(out, vec![(9, WakeKind::IoTimeout)]);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -790,19 +816,20 @@ mod tests {
         let mut c = core();
         let (a, _b) = UnixStream::pair().unwrap();
         let now = Instant::now();
-        assert!(c.register_io(
-            4,
-            1,
-            a.as_raw_fd(),
-            false,
-            Some(now + Duration::from_millis(15)),
-            Some(now + Duration::from_millis(200)),
-        ));
+        assert!(c
+            .register_io(
+                4,
+                a.as_raw_fd(),
+                false,
+                Some(now + Duration::from_millis(15)),
+                Some(now + Duration::from_millis(200)),
+            )
+            .is_ok());
         let mut out = Vec::new();
         while out.is_empty() {
             c.wait(Duration::from_secs(10), &mut out);
         }
-        assert_eq!(out, vec![(4, 1, WakeKind::Ready)]);
+        assert_eq!(out, vec![(4, WakeKind::Ready)]);
         out.clear();
         // Let the (stale) io_timeout entry come due: nothing fires.
         std::thread::sleep(Duration::from_millis(200));
@@ -818,12 +845,12 @@ mod tests {
         let mut c = core();
         let (a, b) = UnixStream::pair().unwrap();
         let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(c.register_io(5, 1, a.as_raw_fd(), false, Some(deadline), None));
+        assert!(c.register_io(5, a.as_raw_fd(), false, Some(deadline), None).is_ok());
         let mut out = Vec::new();
         while out.is_empty() {
             c.wait(Duration::from_secs(10), &mut out);
         }
-        assert_eq!(out, vec![(5, 1, WakeKind::Ready)], "deadline delivery");
+        assert_eq!(out, vec![(5, WakeKind::Ready)], "deadline delivery");
         out.clear();
         // Readiness arrives after the cancel.
         (&b).write_all(b"late").unwrap();
@@ -842,7 +869,7 @@ mod tests {
             let mut c = core();
             let (a, b) = UnixStream::pair().unwrap();
             let io_deadline = Instant::now() + Duration::from_millis(5);
-            assert!(c.register_io(round, 1, a.as_raw_fd(), false, None, Some(io_deadline)));
+            assert!(c.register_io(round, a.as_raw_fd(), false, None, Some(io_deadline)).is_ok());
             // Make the fd ready immediately, then sleep past the
             // deadline so readiness and expiry land in one wait call.
             (&b).write_all(b"x").unwrap();
@@ -852,10 +879,10 @@ mod tests {
             c.wait(Duration::ZERO, &mut out); // a second tick must add nothing
             assert_eq!(
                 out,
-                vec![(round, 1, WakeKind::Ready)],
+                vec![(round, WakeKind::Ready)],
                 "round {round}: exactly one delivery, readiness wins"
             );
-            assert!(!c.has_waits());
+            assert_eq!(c.len(), 0);
         }
     }
 
@@ -864,11 +891,11 @@ mod tests {
         let mut c = core();
         let (a, _b) = UnixStream::pair().unwrap();
         let fd = a.as_raw_fd();
-        assert!(c.register_io(5, 2, fd, false, None, None));
+        assert!(c.register_io(5, fd, false, None, None).is_ok());
         let mut out = Vec::new();
         c.cancel_fd(fd, &mut out);
-        assert_eq!(out, vec![(5, 2, WakeKind::Ready)]);
-        assert!(!c.has_waits());
+        assert_eq!(out, vec![(5, WakeKind::Ready)]);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -878,14 +905,14 @@ mod tests {
         let mut c = core();
         let (a, b) = UnixStream::pair().unwrap();
         let fd = a.as_raw_fd();
-        assert!(c.register_io(1, 1, fd, false, None, None));
-        assert!(c.register_io(2, 1, fd, false, None, None));
+        assert!(c.register_io(1, fd, false, None, None).is_ok());
+        assert!(c.register_io(2, fd, false, None, None).is_ok());
         (&b).write_all(b"x").unwrap();
         let mut out = Vec::new();
         c.wait(Duration::from_secs(10), &mut out);
         out.sort_unstable();
-        assert_eq!(out, vec![(1, 1, WakeKind::Ready), (2, 1, WakeKind::Ready)]);
-        assert!(!c.has_waits());
+        assert_eq!(out, vec![(1, WakeKind::Ready), (2, WakeKind::Ready)]);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -916,8 +943,8 @@ mod tests {
             let (a, _b) = UnixStream::pair().unwrap();
             a.as_raw_fd()
         }; // both ends dropped: fd is closed
-        assert!(!c.register_io(3, 1, fd, false, None, None));
-        assert!(!c.has_waits());
+        assert_eq!(c.register_io(3, fd, false, None, None), Err(3), "the job comes back");
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -927,13 +954,13 @@ mod tests {
         // schedule and the wait returns promptly.
         let mut c = core();
         c.eintr_fault = FaultClock::arm(1);
-        c.register_timer(1, 0, Instant::now() + Duration::from_millis(20));
+        c.register_timer(1, Instant::now() + Duration::from_millis(20));
         let mut out = Vec::new();
         let t0 = Instant::now();
         while out.is_empty() {
             c.wait(Duration::from_secs(10), &mut out);
         }
-        assert_eq!(out, vec![(1, 0, WakeKind::Ready)]);
+        assert_eq!(out, vec![(1, WakeKind::Ready)]);
         assert!(t0.elapsed() < Duration::from_secs(2), "EINTR stretched the wait");
         assert_eq!(c.take_faults_injected(), 1);
         assert_eq!(c.take_faults_injected(), 0, "take resets");
@@ -944,21 +971,21 @@ mod tests {
         let mut c = core();
         c.delay_fault = FaultClock::arm(1);
         let (a, b) = UnixStream::pair().unwrap();
-        assert!(c.register_io(8, 2, a.as_raw_fd(), false, None, None));
+        assert!(c.register_io(8, a.as_raw_fd(), false, None, None).is_ok());
         (&b).write_all(b"x").unwrap();
         let mut out = Vec::new();
         c.wait(Duration::from_secs(10), &mut out);
         assert!(out.is_empty(), "the delivery was deferred");
         // The only thing left is the deferred delivery: an idle worker
         // still has to wait on the reactor for it.
-        assert!(c.has_waits(), "a deferred delivery is outstanding");
+        assert_eq!(c.len(), 1, "a deferred delivery is outstanding");
         let t0 = Instant::now();
         while out.is_empty() {
             assert!(t0.elapsed() < Duration::from_secs(5), "lost");
             c.wait(Duration::from_millis(50), &mut out);
         }
-        assert_eq!(out, vec![(8, 2, WakeKind::Ready)]);
-        assert!(!c.has_waits(), "delayed delivery resolves the wait");
+        assert_eq!(out, vec![(8, WakeKind::Ready)]);
+        assert_eq!(c.len(), 0, "delayed delivery resolves the wait");
         assert_eq!(c.take_faults_injected(), 1);
     }
 
@@ -972,7 +999,7 @@ mod tests {
         c.drop_fault = FaultClock::arm(1);
         let (a, b) = UnixStream::pair().unwrap();
         let io_deadline = Instant::now() + Duration::from_millis(40);
-        assert!(c.register_io(6, 1, a.as_raw_fd(), false, None, Some(io_deadline)));
+        assert!(c.register_io(6, a.as_raw_fd(), false, None, Some(io_deadline)).is_ok());
         (&b).write_all(b"x").unwrap();
         let mut out = Vec::new();
         let t0 = Instant::now();
@@ -980,43 +1007,47 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(5), "lost");
             c.wait(Duration::from_millis(50), &mut out);
         }
-        assert_eq!(out, vec![(6, 1, WakeKind::IoTimeout)], "exactly one wakeup, no hang");
-        assert!(!c.has_waits());
+        assert_eq!(out, vec![(6, WakeKind::IoTimeout)], "exactly one wakeup, no hang");
+        assert_eq!(c.len(), 0);
         assert_eq!(c.take_faults_injected(), 1);
     }
 
     #[test]
     fn forget_all_leaves_the_same_instance_working() {
-        // The supervisor's restart path: every wait and timer is dropped
-        // undelivered and each known fd is DELeted while still open, on
-        // the epoll instance the core keeps, with its wake pipe.
+        // The VM-reset path: every parked job comes back undelivered and
+        // each known fd is DELeted while still open, on the epoll instance
+        // the core keeps, with its wake pipe.
         let mut c = core();
         let (a, b) = UnixStream::pair().unwrap();
         let (a2, _b2) = UnixStream::pair().unwrap();
-        assert!(c.register_io(1, 1, a.as_raw_fd(), false, None, None));
-        assert!(c.register_io(2, 1, a2.as_raw_fd(), false, None, None));
-        c.register_timer(3, 1, Instant::now());
+        assert!(c.register_io(1, a.as_raw_fd(), false, None, None).is_ok());
+        assert!(c.register_io(2, a2.as_raw_fd(), false, None, None).is_ok());
+        c.register_timer(3, Instant::now());
         let handle = c.wake_handle();
         let before = ctl_calls();
-        c.forget_all();
-        assert_eq!(ctl_calls() - before, 2, "one DEL per forgotten fd");
-        assert!(!c.has_waits());
         let mut out = Vec::new();
+        c.forget_all(&mut out);
+        assert_eq!(ctl_calls() - before, 2, "one DEL per forgotten fd");
+        out.sort_unstable();
+        let all = [1, 2, 3].map(|j| (j, WakeKind::Ready));
+        assert_eq!(out, all, "every parked job comes back");
+        assert_eq!(c.len(), 0);
+        out.clear();
         (&b).write_all(b"x").unwrap();
         c.wait(Duration::from_millis(20), &mut out);
         assert!(out.is_empty(), "forgotten waits and timers are never delivered");
         // The DEL reached the kernel: the still-open fd registers again
         // (a second ADD would fail with EEXIST), and its data delivers.
-        assert!(c.register_io(4, 2, a.as_raw_fd(), false, None, None));
+        assert!(c.register_io(4, a.as_raw_fd(), false, None, None).is_ok());
         c.wait(Duration::from_secs(10), &mut out);
-        assert_eq!(out, vec![(4, 2, WakeKind::Ready)]);
+        assert_eq!(out, vec![(4, WakeKind::Ready)]);
         out.clear();
         // A fresh pair registers and is delivered.
         let (x, y) = UnixStream::pair().unwrap();
-        assert!(c.register_io(5, 1, x.as_raw_fd(), false, None, None));
+        assert!(c.register_io(5, x.as_raw_fd(), false, None, None).is_ok());
         (&y).write_all(b"x").unwrap();
         c.wait(Duration::from_secs(10), &mut out);
-        assert_eq!(out, vec![(5, 1, WakeKind::Ready)]);
+        assert_eq!(out, vec![(5, WakeKind::Ready)]);
         // A wake handle taken before the forget still interrupts a
         // blocking wait.
         let ringer = std::thread::spawn(move || {
@@ -1035,8 +1066,8 @@ mod tests {
         let now = Instant::now();
         // One timer due right now (bucket 0) and one 600 ms overdue (the
         // unbounded tail bucket).
-        c.register_timer(1, 0, now);
-        c.register_timer(2, 0, now - Duration::from_millis(600));
+        c.register_timer(1, now);
+        c.register_timer(2, now - Duration::from_millis(600));
         let mut out = Vec::new();
         c.wait(Duration::from_secs(10), &mut out);
         assert_eq!(out.len(), 2);
@@ -1076,22 +1107,22 @@ mod tests {
         let reused = (0..200).any(|_| {
             let (a, _b) = UnixStream::pair().unwrap();
             let fd = a.as_raw_fd();
-            assert!(c.register_io(1, 1, fd, false, None, None));
+            assert!(c.register_io(1, fd, false, None, None).is_ok());
             c.wait(Duration::ZERO, &mut out); // the kernel knows the fd
             drop(a);
             c.cancel_fd(fd, &mut out);
-            assert_eq!(out, vec![(1, 1, WakeKind::Ready)], "close wakes");
+            assert_eq!(out, vec![(1, WakeKind::Ready)], "close wakes");
             out.clear();
             let (x, y) = UnixStream::pair().unwrap();
             if x.as_raw_fd() != fd {
                 return false;
             }
-            assert!(c.register_io(2, 2, fd, false, None, None));
+            assert!(c.register_io(2, fd, false, None, None).is_ok());
             c.wait(Duration::from_millis(20), &mut out);
             assert!(out.is_empty(), "the old socket owes nothing");
             (&y).write_all(b"x").unwrap();
             c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, vec![(2, 2, WakeKind::Ready)], "new socket");
+            assert_eq!(out, vec![(2, WakeKind::Ready)], "new socket");
             true
         });
         assert!(reused, "never saw the fd number reused");
@@ -1102,10 +1133,10 @@ mod tests {
         let mut c = core();
         let (a, b) = UnixStream::pair().unwrap();
         let mut out = Vec::new();
-        assert!(c.register_io(1, 1, a.as_raw_fd(), false, None, None));
+        assert!(c.register_io(1, a.as_raw_fd(), false, None, None).is_ok());
         (&b).write_all(b"x").unwrap();
         c.wait(Duration::from_secs(10), &mut out);
-        assert_eq!(out, vec![(1, 1, WakeKind::Ready)]);
+        assert_eq!(out, vec![(1, WakeKind::Ready)]);
         out.clear();
         // The job is mid-slice — no wait — when more data arrives and a
         // harvest consumes the edge.
@@ -1114,12 +1145,12 @@ mod tests {
         assert!(out.is_empty(), "nobody to deliver to");
         // Its next wait must not need another edge, and must not block
         // the harvest that delivers it.
-        assert!(c.register_io(1, 2, a.as_raw_fd(), false, None, None));
+        assert!(c.register_io(1, a.as_raw_fd(), false, None, None).is_ok());
         let t0 = Instant::now();
         c.wait(Duration::from_secs(10), &mut out);
-        assert_eq!(out, vec![(1, 2, WakeKind::Ready)]);
+        assert_eq!(out, vec![(1, WakeKind::Ready)]);
         assert!(t0.elapsed() < Duration::from_secs(1), "blocked");
-        assert!(!c.has_waits());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -1129,11 +1160,11 @@ mod tests {
         let fd = a.as_raw_fd();
         let mut out = Vec::new();
         // First registration is for read; nothing to read.
-        assert!(c.register_io(1, 1, fd, false, None, None));
+        assert!(c.register_io(1, fd, false, None, None).is_ok());
         c.wait(Duration::from_millis(20), &mut out);
         assert!(out.is_empty());
         // A write wait on the same fd, send buffer full: no wake.
-        assert!(c.register_io(2, 1, fd, true, None, None));
+        assert!(c.register_io(2, fd, true, None, None).is_ok());
         c.wait(Duration::from_millis(20), &mut out);
         assert!(out.is_empty(), "buffer still full");
         // The peer drains it: the writer wakes, the reader does not.
@@ -1141,8 +1172,8 @@ mod tests {
         let mut sink = [0u8; 65536];
         while matches!((&b).read(&mut sink), Ok(n) if n > 0) {}
         c.wait(Duration::from_secs(10), &mut out);
-        assert_eq!(out, vec![(2, 1, WakeKind::Ready)]);
-        assert!(c.has_waits(), "the read wait stays parked");
+        assert_eq!(out, vec![(2, WakeKind::Ready)]);
+        assert_eq!(c.len(), 1, "the read wait stays parked");
     }
 
     #[test]
@@ -1150,32 +1181,32 @@ mod tests {
         let mut c = core();
         let (a, b) = UnixStream::pair().unwrap();
         let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(c.register_io(5, 1, a.as_raw_fd(), false, Some(deadline), None));
+        assert!(c.register_io(5, a.as_raw_fd(), false, Some(deadline), None).is_ok());
         let mut out = Vec::new();
         while out.is_empty() {
             c.wait(Duration::from_secs(10), &mut out);
         }
-        assert_eq!(out, vec![(5, 1, WakeKind::Ready)], "deadline");
+        assert_eq!(out, vec![(5, WakeKind::Ready)], "deadline");
         out.clear();
         (&b).write_all(b"late").unwrap();
         c.wait(Duration::from_millis(30), &mut out);
         assert!(out.is_empty(), "no stale delivery");
-        assert!(c.register_io(5, 2, a.as_raw_fd(), false, None, None));
+        assert!(c.register_io(5, a.as_raw_fd(), false, None, None).is_ok());
         c.wait(Duration::from_secs(10), &mut out);
         c.wait(Duration::from_millis(20), &mut out);
-        assert_eq!(out, vec![(5, 2, WakeKind::Ready)], "exactly once");
+        assert_eq!(out, vec![(5, WakeKind::Ready)], "exactly once");
     }
 
     /// `cycles` park/wake cycles of job 1 on `a`, each woken by one byte
     /// from `b` and consumed before the next.
-    fn park_wake_cycles(c: &mut ReactorCore, a: &UnixStream, b: &UnixStream, cycles: u64) {
+    fn park_wake_cycles(c: &mut ReactorCore<u64>, a: &UnixStream, b: &UnixStream, cycles: u64) {
         let mut out = Vec::with_capacity(4);
         let mut byte = [0u8; 1];
-        for seq in 0..cycles {
-            assert!(c.register_io(1, seq, a.as_raw_fd(), false, None, None));
+        for cycle in 0..cycles {
+            assert!(c.register_io(1, a.as_raw_fd(), false, None, None).is_ok());
             (&*b).write_all(b"x").unwrap();
             c.wait(Duration::from_secs(10), &mut out);
-            assert_eq!(out, [(1, seq, WakeKind::Ready)], "cycle {seq}");
+            assert_eq!(out, [(1, WakeKind::Ready)], "cycle {cycle}");
             out.clear();
             (&*a).read_exact(&mut byte).unwrap();
         }
@@ -1201,6 +1232,96 @@ mod tests {
         let allocated = counting_alloc::allocations() - before;
         // The harness itself allocates one `out` vector per call.
         assert_eq!(allocated, 1, "register_io/wait must not allocate");
+    }
+
+    /// One seeded run of random reactor operations on three socket pairs:
+    /// fd waits (either direction, with and without either deadline) and
+    /// timers; peer writes and drains; a close, its sweep and a fresh pair
+    /// in its place; armed fault clocks; and harvests. Every job must come
+    /// back exactly once — by a harvest, a sweep, a refused registration
+    /// or the final `forget_all` — and only a job with an I/O deadline
+    /// may come back as `IoTimeout`.
+    fn exactly_once_run(seed: u64) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let pair = || {
+            let (a, b) = UnixStream::pair().unwrap();
+            a.set_nonblocking(true).unwrap();
+            (a, b)
+        };
+        let mut c = core();
+        let mut pairs: Vec<_> = (0..3).map(|_| pair()).collect();
+        let (mut issued, mut io_timed) = (0u64, Vec::new());
+        let (mut back, mut out) = (Vec::new(), Vec::new());
+        for _ in 0..120 {
+            let now = Instant::now();
+            match next(10) {
+                0..=2 => {
+                    let job = issued;
+                    issued += 1;
+                    let fd = pairs[next(3) as usize].0.as_raw_fd();
+                    let mut within =
+                        |p| (next(p) == 0).then(|| now + Duration::from_millis(next(4)));
+                    let (deadline, io_deadline) = (within(3), within(2));
+                    if io_deadline.is_some() {
+                        io_timed.push(job);
+                    }
+                    if let Err(job) = c.register_io(job, fd, next(4) == 0, deadline, io_deadline) {
+                        out.push((job, WakeKind::Ready));
+                    }
+                }
+                3 => {
+                    c.register_timer(issued, now + Duration::from_millis(next(3)));
+                    issued += 1;
+                }
+                4 => (&pairs[next(3) as usize].1).write_all(b"x").unwrap(),
+                5 => {
+                    let mut sink = [0u8; 64];
+                    while matches!((&pairs[next(3) as usize].0).read(&mut sink), Ok(n) if n > 0) {}
+                }
+                6 => {
+                    let (a, b) = pairs.swap_remove(next(3) as usize);
+                    let fd = a.as_raw_fd();
+                    drop((a, b));
+                    c.cancel_fd(fd, &mut out);
+                    pairs.push(pair());
+                }
+                7 => {
+                    let clock = FaultClock::arm(next(3));
+                    match next(3) {
+                        0 => c.drop_fault = clock,
+                        1 => c.delay_fault = clock,
+                        _ => c.eintr_fault = clock,
+                    }
+                }
+                _ => {
+                    let max_wait = Duration::from_millis(next(2));
+                    c.wait(max_wait, &mut out);
+                }
+            }
+            back.append(&mut out);
+        }
+        c.forget_all(&mut back);
+        for &(job, kind) in &back {
+            let timed = io_timed.contains(&job);
+            assert!(kind == WakeKind::Ready || timed, "seed {seed}: job {job} timed out");
+        }
+        let mut jobs: Vec<u64> = back.iter().map(|&(job, _)| job).collect();
+        jobs.sort_unstable();
+        assert_eq!(jobs, (0..issued).collect::<Vec<_>>(), "seed {seed}: each job once");
+        assert_eq!(c.len(), 0, "seed {seed}");
+    }
+
+    #[test]
+    fn every_parked_job_comes_back_exactly_once_over_seeded_interleavings() {
+        for seed in 0..48 {
+            exactly_once_run(seed);
+        }
     }
 }
 

@@ -1,16 +1,17 @@
-//! The worker loop: one OS thread, one VM, many engine-fueled jobs — and,
-//! since PR 8, the worker's own reactor. A job that blocks registers its
-//! wait directly with this worker's [`ReactorCore`]; readiness is
-//! harvested once per ready batch and turned back into an ordinary engine
-//! resumption without ever leaving the thread.
+//! The worker loop: one OS thread, one VM, many engine-fueled jobs, and
+//! the worker's own reactor. A job is in exactly one place: the ready
+//! ring, or parked in this worker's [`ReactorCore`] with its wait. A job
+//! that blocks moves into the reactor; the reactor moves it back out once
+//! — readiness, a deadline, a closed fd — and it rejoins the ready ring as
+//! an ordinary engine resumption without ever leaving the thread.
 //!
-//! Since PR 10 the loop runs under a supervisor: the serve loop is wrapped
-//! in `catch_unwind`, so a panic that escapes the per-slice isolation (a
+//! The loop runs under a supervisor: the serve loop is wrapped in
+//! `catch_unwind`, so a panic that escapes the per-slice isolation (a
 //! defect in the worker machinery itself, or a guest `debug-panic!` whose
-//! message carries [`KILL_WORKER_PANIC`]) no longer kills the thread.
-//! The supervisor fails the in-flight residents with the transient
-//! `WorkerReset` taxonomy (so the retry/backoff path resubmits them),
-//! makes the reactor forget every wait and rebuilds the VM — the epoll
+//! message carries [`KILL_WORKER_PANIC`]) does not kill the thread. The
+//! supervisor takes every parked job back from the reactor, fails the
+//! residents with the transient `WorkerReset` taxonomy (so the
+//! retry/backoff path resubmits them) and rebuilds the VM — the epoll
 //! instance and its wake pipe survive, so the pool's existing
 //! [`WakeHandle`](crate::reactor::WakeHandle)s keep ringing — and
 //! re-enters the loop still serving its inbox.
@@ -24,7 +25,7 @@
 //! rings its worker, an injector push rings one worker asleep with room.
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -37,7 +38,13 @@ use crate::error::Error;
 use crate::job::{Job, JobId};
 use crate::pool::{PoolCounters, Tally, WorkerConfig, WorkerReport};
 use crate::queue::{Entry, Inbox, Injector};
-use crate::reactor::{ReactorCore, WakeHandle, WakeKind, Wakeup};
+use crate::reactor::{ReactorCore, WakeHandle, WakeKind};
+
+/// This worker's reactor: it holds every parked [`Active`] job.
+type Reactor = ReactorCore<Active>;
+
+/// A job the reactor handed back, and why.
+type Woken = (Active, WakeKind);
 
 /// How long an idle worker sleeps in its reactor before rechecking both
 /// queues. Pure liveness tuning; correctness never depends on it:
@@ -65,7 +72,7 @@ struct SupervisedKill {
 /// one-shot continuation of its preempted state — lives in this worker's
 /// VM heap, so it can never migrate. Only an unstarted [`Job`] moves
 /// between workers, and only by waiting in the injector.
-struct Active {
+pub(crate) struct Active {
     job: Job,
     engine: EngineId,
     slices: u64,
@@ -74,16 +81,6 @@ struct Active {
     /// the job's connection deadline expired while it was blocked, which
     /// resumes the guest into the catchable `io-timeout` condition.
     resume_status: Option<&'static str>,
-}
-
-/// An [`Active`] job suspended on I/O or a timer. Its sealed one-shot
-/// continuation sits in the engine table; this worker's reactor owns the
-/// wait. The `seq` is the wait generation: a wakeup carrying a stale
-/// `seq` (the job blocked again, or was failed while blocked) is
-/// discarded.
-struct BlockedJob {
-    active: Active,
-    seq: u64,
 }
 
 /// What a worker publishes for its peers and for the threads that push
@@ -138,7 +135,7 @@ pub(crate) struct WorkerCtx {
     pub(crate) presence: Arc<Vec<Presence>>,
     pub(crate) counters: Arc<PoolCounters>,
     /// This worker's reactor, installed at build (taken by `run`).
-    pub(crate) reactor: Option<ReactorCore>,
+    pub(crate) reactor: Option<Reactor>,
     /// Pool-wide id counter for connection-handler jobs (high-bit range,
     /// disjoint from submitted JobIds).
     pub(crate) next_conn: Arc<std::sync::atomic::AtomicU64>,
@@ -183,8 +180,8 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
     let ctx = ctx;
     let mut host = build_host(&ctx);
     let mut ready: VecDeque<Active> = VecDeque::new();
-    let mut blocked: HashMap<u64, BlockedJob> = HashMap::new();
-    let mut next_seq: u64 = 0;
+    // Jobs the reactor handed back and the loop has not yet requeued.
+    let mut wakeups: Vec<Woken> = Vec::new();
 
     // The supervisor loop: serve() runs until drained (Ok) or a panic
     // escapes the per-slice isolation (Err). On a panic the worker does
@@ -193,7 +190,7 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
     // queues.
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve(&ctx, &mut host, &mut reactor, &mut ready, &mut blocked, &mut next_seq)
+            serve(&ctx, &mut host, &mut reactor, &mut ready, &mut wakeups)
         }));
         match outcome {
             Ok(()) => break,
@@ -202,7 +199,9 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
                     .downcast_ref::<SupervisedKill>()
                     .map(|k| k.culprit)
                     .unwrap_or(JobId(u64::MAX));
-                supervise_restart(&ctx, &mut host, &mut reactor, &mut ready, &mut blocked, culprit);
+                ctx.tally().worker_restarts.add(1);
+                ready.extend(wakeups.drain(..).map(|(active, _)| active));
+                reset_vm(&ctx, &mut host, &mut reactor, &mut ready, culprit);
             }
         }
     }
@@ -232,12 +231,10 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
 fn serve(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut ReactorCore,
+    reactor: &mut Reactor,
     ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
-    next_seq: &mut u64,
+    wakeups: &mut Vec<Woken>,
 ) {
-    let mut wakeups: Vec<Wakeup> = Vec::new();
     let mut fd_log: Vec<i32> = Vec::new();
     // Slices left to run before the next between-slices harvest.
     let mut slices_to_harvest: usize = 0;
@@ -245,55 +242,54 @@ fn serve(
     loop {
         // Wakeups harvested from our reactor first: a resumed job
         // re-enters the ready ring as an ordinary engine resumption.
-        process_wakeups(ctx, host, &mut wakeups, ready, blocked);
+        process_wakeups(ctx, host, wakeups, ready);
 
         // Work bound to this worker runs ahead of the shared queue: the
         // inbox is drained in one go, up to the resident cap (which counts
-        // blocked residents too: each holds a sealed stack segment in this
+        // parked residents too: each holds a sealed stack segment in this
         // VM's heap). Then at most one injector job per iteration, so the
         // resident set fills from the injector one job per slice, and
         // only while no peer sits empty; surplus work stays in the
         // injector, where an idle peer takes it first.
-        drain_inbox(ctx, host, reactor, ready, blocked);
-        if ctx.may_admit(ready.len() + blocked.len()) {
+        drain_inbox(ctx, host, reactor, ready);
+        if ctx.may_admit(ready.len() + reactor.len()) {
             if let Some(job) = ctx.injector.try_pop() {
-                admit(ctx, host, reactor, job, ready, blocked);
+                admit(ctx, host, reactor, job, ready);
             }
         }
         let me = &ctx.presence[ctx.index];
-        me.residents.store(ready.len() + blocked.len(), Ordering::Relaxed);
+        me.residents.store(ready.len() + reactor.len(), Ordering::Relaxed);
 
         if let Some(active) = ready.pop_front() {
-            let parked = step_active(ctx, host, reactor, active, ready, blocked);
+            let parked = step_active(ctx, host, reactor, active, ready);
             // The slice may have closed sockets: cancel the waits other
             // green threads still hold on them (the resumed retry raises
             // io-error instead of wedging) *before* this slice's own wait
             // registers — its fd number may be a closed one recycled. An
             // injected would-block's readiness is handed back before that
             // wait registers too, so the registration finds it pending.
-            sweep_fd_logs(ctx, host, reactor, &mut wakeups, &mut fd_log);
+            sweep_fd_logs(ctx, host, reactor, wakeups, &mut fd_log);
             if let Some((active, wait)) = parked {
-                block_job(ctx, host, reactor, active, wait, ready, blocked, next_seq);
+                block_job(ctx, host, reactor, active, wait, ready);
             }
             // One nonblocking harvest per ready batch, not per slice. An
             // emptied ring needs none: the idle path below asks the
             // reactor next, and waits there if nothing is due.
             slices_to_harvest = slices_to_harvest.saturating_sub(1);
             if slices_to_harvest == 0 && !ready.is_empty() {
-                harvest(ctx, reactor, Duration::ZERO, &mut wakeups);
+                harvest(ctx, reactor, Duration::ZERO, wakeups);
                 slices_to_harvest = (ready.len() + wakeups.len()).min(HARVEST_EVERY_MAX);
             }
             continue;
         }
 
         // Nothing runnable. Exit once no work can reach this worker any
-        // more: blocked jobs finish (or hit their deadlines) first.
-        if !reactor.has_waits()
+        // more: parked jobs finish (or hit their deadlines) first.
+        if reactor.len() == 0
             && ctx.injector.is_closed()
             && ctx.injector.depth() == 0
             && ctx.inbox().depth() == 0
         {
-            debug_assert!(blocked.is_empty(), "blocked residents imply reactor waits");
             break;
         }
         // Otherwise sleep in our own reactor. Readiness, a due deadline,
@@ -303,55 +299,41 @@ fn serve(
         // ([`wake_one`]). So with room, say so first and then look at the
         // injector once more: either the producer sees us asleep or we
         // see its job.
-        if blocked.len() < ctx.cfg.resident_cap {
+        if reactor.len() < ctx.cfg.resident_cap {
             me.asleep.store(true, Ordering::SeqCst);
             fence(Ordering::SeqCst);
-            if ctx.injector.depth() > 0 && ctx.may_admit(blocked.len()) {
+            if ctx.injector.depth() > 0 && ctx.may_admit(reactor.len()) {
                 me.asleep.store(false, Ordering::SeqCst);
                 continue;
             }
         }
-        harvest(ctx, reactor, IDLE_WAIT, &mut wakeups);
+        harvest(ctx, reactor, IDLE_WAIT, wakeups);
         me.asleep.store(false, Ordering::SeqCst);
         slices_to_harvest = wakeups.len().min(HARVEST_EVERY_MAX);
     }
 }
 
-/// The supervisor's restart path: a panic escaped [`serve`]. The reactor
-/// forgets every wait, deleting each fd it knows from its epoll instance
-/// while the old VM's sockets are still open; then residents are failed
-/// and the VM replaced as after any panic ([`reset_vm`]), which closes
-/// them. The instance and its wake pipe stay, so the acceptor's and the
-/// pool's wake handles stay valid.
-fn supervise_restart(
-    ctx: &WorkerCtx,
-    host: &mut EngineHost,
-    reactor: &mut ReactorCore,
-    ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
-    culprit: JobId,
-) {
-    ctx.tally().worker_restarts.add(1);
-    reactor.forget_all();
-    reset_vm(ctx, host, ready, blocked, culprit);
-}
-
-/// Fails every resident — ready *and* blocked — of a poisoned VM with the
-/// transient `WorkerReset`, then replaces the VM. WorkerReset is transient
-/// by definition (the lost job did nothing wrong), so with retries enabled
-/// a submitted job goes around again on the rebuilt VM; a connection
-/// handler fails outright inside `fail_or_retry` (no host is passed: its
-/// socket is closed with the rest of the old VM's table, so the peer sees
-/// a reset, and there is nothing to retry against). The caller has
-/// already made the reactor forget the old VM's still-open fds.
+/// Fails every resident — ready *and* parked — of a poisoned VM with the
+/// transient `WorkerReset`, then replaces the VM. The reactor hands back
+/// every parked job and deletes each fd it knows from its epoll instance
+/// while the old VM's sockets are still open; the instance and its wake
+/// pipe stay, so the acceptor's and the pool's wake handles stay valid.
+/// WorkerReset is transient by definition (the lost job did nothing
+/// wrong), so with retries enabled a submitted job goes around again on
+/// the rebuilt VM; a connection handler fails outright inside
+/// `fail_or_retry` (no host is passed: its socket is closed with the rest
+/// of the old VM's table, so the peer sees a reset, and there is nothing
+/// to retry against).
 fn reset_vm(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
+    reactor: &mut Reactor,
     ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
     culprit: JobId,
 ) {
-    for lost in ready.drain(..).chain(blocked.drain().map(|(_, b)| b.active)) {
+    let mut parked = Vec::new();
+    reactor.forget_all(&mut parked);
+    for lost in ready.drain(..).chain(parked.into_iter().map(|(active, _)| active)) {
         let err = Error::worker_reset(culprit);
         fail_or_retry(ctx, None, &lost.job, lost.slices, lost.fuel_used, err);
     }
@@ -379,7 +361,7 @@ fn build_host(ctx: &WorkerCtx) -> EngineHost {
 
 /// Asks the reactor for due wakeups, waiting up to `max_wait`, and notes
 /// the delivery metrics (`io_wakeups`, per-worker resume-batch highwater).
-fn harvest(ctx: &WorkerCtx, reactor: &mut ReactorCore, max_wait: Duration, out: &mut Vec<Wakeup>) {
+fn harvest(ctx: &WorkerCtx, reactor: &mut Reactor, max_wait: Duration, out: &mut Vec<Woken>) {
     let n = reactor.wait(max_wait, out);
     if n > 0 {
         ctx.tally().io_wakeups.add(n as u64);
@@ -394,13 +376,13 @@ fn harvest(ctx: &WorkerCtx, reactor: &mut ReactorCore, max_wait: Duration, out: 
 
 /// The per-slice sweep of the VM's fd logs: cancels reactor waits on —
 /// and forgets the reactor's entry for — any fd the guest closed since the
-/// last sweep, delivering the cancelled waits' wakeups into `out`; then
-/// hands back the readiness of any fd an injected would-block left ready.
+/// last sweep, moving the jobs that waited there into `out`; then hands
+/// back the readiness of any fd an injected would-block left ready.
 fn sweep_fd_logs(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut ReactorCore,
-    out: &mut Vec<Wakeup>,
+    reactor: &mut Reactor,
+    out: &mut Vec<Woken>,
     buf: &mut Vec<i32>,
 ) {
     buf.clear();
@@ -420,49 +402,34 @@ fn sweep_fd_logs(
     }
 }
 
-/// Moves woken jobs from the blocked map back to the ready ring. Stale
-/// wakeups (unknown job, mismatched generation) are dropped; a woken job
+/// Moves the jobs the reactor handed back to the ready ring. A woken job
 /// already past its wall-clock deadline is failed here instead of resumed
 /// — this is what bounds a peer that never answers.
 fn process_wakeups(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    wakeups: &mut Vec<Wakeup>,
+    wakeups: &mut Vec<Woken>,
     ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
 ) {
     if wakeups.is_empty() {
         return;
     }
     let now = Instant::now();
-    for (job_id, seq, kind) in wakeups.drain(..) {
-        let stale = match blocked.get(&job_id) {
-            None => true,
-            Some(b) => b.seq != seq,
-        };
-        if stale {
-            continue;
-        }
-        let mut b = blocked.remove(&job_id).expect("checked above");
-        if b.active.job.deadline.is_some_and(|d| d <= now) {
-            host.drop_engine(b.active.engine);
-            deliver_failure(
-                ctx,
-                Some(&mut *host),
-                &b.active.job,
-                b.active.slices,
-                b.active.fuel_used,
-                Error::deadline_exceeded(),
-            );
+    for (mut active, kind) in wakeups.drain(..) {
+        if active.job.deadline.is_some_and(|d| d <= now) {
+            host.drop_engine(active.engine);
+            let Active { job, slices, fuel_used, .. } = &active;
+            let err = Error::deadline_exceeded();
+            deliver_failure(ctx, Some(&mut *host), job, *slices, *fuel_used, err);
         } else {
             if kind == WakeKind::IoTimeout {
                 // The connection's I/O deadline expired before readiness:
                 // resume the guest with the io-timeout status, which the
                 // blocking shims turn into the catchable condition.
                 ctx.tally().io_timeouts.add(1);
-                b.active.resume_status = Some("io-timeout");
+                active.resume_status = Some("io-timeout");
             }
-            ready.push_back(b.active);
+            ready.push_back(active);
         }
     }
 }
@@ -475,11 +442,10 @@ fn process_wakeups(
 fn drain_inbox(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut ReactorCore,
+    reactor: &mut Reactor,
     ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
 ) {
-    while ready.len() + blocked.len() < ctx.cfg.resident_cap {
+    while ready.len() + reactor.len() < ctx.cfg.resident_cap {
         let job = match ctx.inbox().pop() {
             None => return,
             Some(Entry::Job(job)) => job,
@@ -497,7 +463,7 @@ fn drain_inbox(
                 }
             },
         };
-        admit(ctx, host, reactor, job, ready, blocked);
+        admit(ctx, host, reactor, job, ready);
     }
 }
 
@@ -506,10 +472,9 @@ fn drain_inbox(
 fn admit(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut ReactorCore,
+    reactor: &mut Reactor,
     job: Job,
     ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
 ) {
     // A connection handler's program is its serve template's, shared by
     // every connection: linked once per VM. A submitted job's is its own.
@@ -526,7 +491,7 @@ fn admit(
             fail_or_retry(ctx, Some(host), &job, 0, 0, err);
         }
         Err(payload) => {
-            handle_panic(ctx, host, reactor, &job, 0, 0, ready, blocked, panic_message(payload));
+            handle_panic(ctx, host, reactor, &job, 0, 0, ready, panic_message(payload));
         }
     }
 }
@@ -537,10 +502,9 @@ fn admit(
 fn step_active(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut ReactorCore,
+    reactor: &mut Reactor,
     mut active: Active,
     ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
 ) -> Option<(Active, Wait)> {
     let remaining = active.job.fuel_budget.saturating_sub(active.fuel_used);
     let refusal = if active.job.deadline.is_some_and(|d| d <= Instant::now()) {
@@ -560,6 +524,8 @@ fn step_active(
     let slice = ctx.cfg.fuel_slice.min(remaining);
     let engine = active.engine;
     let status = active.resume_status.take();
+    // `(conn-take)` in this slice returns this job's own connection.
+    host.vm_mut().set_conn_token(active.job.conn_token);
     let stepped = catch_unwind(AssertUnwindSafe(|| host.step_with_status(engine, slice, status)));
     // Nothing reads what a job displays; dropping the buffer with its
     // capacity keeps a long-lived worker from holding all of it.
@@ -589,31 +555,25 @@ fn step_active(
         }
         Err(payload) => {
             let message = panic_message(payload);
-            handle_panic(ctx, host, reactor, job, *slices, *fuel_used, ready, blocked, message);
+            handle_panic(ctx, host, reactor, job, *slices, *fuel_used, ready, message);
         }
     }
     None
 }
 
-/// Parks a job whose engine suspended on I/O or a timer: registers the
-/// wait with this worker's reactor (a direct call — no message, no
-/// cross-thread handoff) and moves the job to the blocked map. The sealed
-/// continuation stays in the engine table untouched — suspension costs
-/// one table insert and one registration, never a stack copy.
-#[allow(clippy::too_many_arguments)]
+/// Parks a job whose engine suspended on I/O or a timer: moves it into
+/// this worker's reactor with its wait (a direct call — no message, no
+/// cross-thread handoff). The sealed continuation stays in the engine
+/// table untouched — suspension costs one slot and one registration,
+/// never a stack copy.
 fn block_job(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut ReactorCore,
+    reactor: &mut Reactor,
     active: Active,
     wait: Wait,
     ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
-    next_seq: &mut u64,
 ) {
-    *next_seq += 1;
-    let seq = *next_seq;
-    let job_id = active.job.id.0;
     match wait {
         Wait::Readable(tok) | Wait::Writable(tok) => {
             let Some(fd) = host.vm().net_fd(tok) else {
@@ -627,7 +587,9 @@ fn block_job(
             // The connection-level I/O deadline: a fresh window per wait
             // (per suspension), unlike the job deadline which is absolute.
             let io_deadline = active.job.io_timeout.map(|t| Instant::now() + t);
-            if !reactor.register_io(job_id, seq, fd as i32, write, active.job.deadline, io_deadline)
+            let deadline = active.job.deadline;
+            if let Err(active) =
+                reactor.register_io(active, fd as i32, write, deadline, io_deadline)
             {
                 // The kernel refused the registration (the fd went stale
                 // under us): same immediate-retry treatment.
@@ -644,28 +606,25 @@ fn block_job(
                 // path turns the early wake into DeadlineExceeded.
                 deadline = deadline.min(d);
             }
-            reactor.register_timer(job_id, seq, deadline);
+            reactor.register_timer(active, deadline);
         }
     }
-    blocked.insert(job_id, BlockedJob { active, seq });
-    ctx.tally().blocked_highwater.raise(blocked.len() as u64);
+    ctx.tally().blocked_highwater.raise(reactor.len() as u64);
 }
 
 /// A job panicked: report it, fail every other job whose continuation
-/// lived in the now-poisoned VM, rebuild, keep draining. Blocked jobs
-/// cannot be retried in place; their reactor waits are forgotten
-/// wholesale while their sockets are still open (they die with the VM),
-/// and any late delivery would be dropped by the stale `seq` anyway.
+/// lived in the now-poisoned VM, rebuild, keep draining. Parked jobs
+/// cannot be retried in place; the reactor hands them back while their
+/// sockets are still open (they die with the VM).
 #[allow(clippy::too_many_arguments)]
 fn handle_panic(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut ReactorCore,
+    reactor: &mut Reactor,
     culprit: &Job,
     slices: u64,
     fuel_used: u64,
     ready: &mut VecDeque<Active>,
-    blocked: &mut HashMap<u64, BlockedJob>,
     message: String,
 ) {
     ctx.tally().panicked.add(1);
@@ -678,8 +637,7 @@ fn handle_panic(
         // worker — VM, reactor waits, residents — through one code path.
         std::panic::resume_unwind(Box::new(SupervisedKill { culprit: culprit.id }));
     }
-    reactor.forget_all();
-    reset_vm(ctx, host, ready, blocked, culprit.id);
+    reset_vm(ctx, host, reactor, ready, culprit.id);
 }
 
 /// Requeues a transiently failed job for another attempt — bounded by the

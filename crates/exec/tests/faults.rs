@@ -464,6 +464,42 @@ fn queued_pinned_jobs_count_toward_the_pending_highwater() {
 }
 
 #[test]
+fn conn_take_returns_the_calling_handlers_own_connection() {
+    // Handler 1 parks before its `(conn-take)` until handler 2 has run, so
+    // the two take their connections out of adoption order. Each must
+    // still get its own: A, adopted first, is served by handler 1.
+    let pool = net_pool(1).build().unwrap();
+    pool.submit(JobSpec::new("hits", "(define hits 0)").pin(0)).unwrap().wait().result.unwrap();
+    let handler = JobSpec::new(
+        "pairing",
+        "(let ((n (begin (set! hits (+ hits 1)) hits)))
+           (if (= n 1)
+               (let loop () (if (< hits 2) (begin (timer-wait 1) (loop)))))
+           (let ((c (conn-take)))
+             (tcp-write c (if (= n 1) \"first\" \"second\"))
+             (tcp-close c)
+             n))",
+    );
+    let handle = pool.serve("127.0.0.1:0", handler).unwrap();
+    let connect = || {
+        let s = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        s
+    };
+    let (mut a, mut b) = (connect(), connect());
+    let answer = |s: &mut TcpStream| {
+        let mut acc = String::new();
+        s.read_to_string(&mut acc).unwrap();
+        acc
+    };
+    let answers = (answer(&mut a), answer(&mut b));
+    handle.stop();
+    let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+    assert_eq!(answers, ("first".to_string(), "second".to_string()));
+    assert_eq!(report.counters.failed, 0);
+}
+
+#[test]
 fn seeded_serve_chaos_drains_leak_free() {
     serve_chaos_drains_leak_free(0..4);
 }

@@ -312,9 +312,10 @@ fn deadline_cancelled_wait_ignores_late_readiness() {
     // A job blocks reading a socket that stays silent past its deadline.
     // The deadline fails the job and cancels the wait; the peer THEN
     // writes, so readiness arrives for a cancelled wait (the stale-wakeup
-    // case — the edge-triggered kernel event still fires). The stale
-    // delivery must be dropped by the seq guard: no panic, no double
-    // resume, and the worker keeps serving jobs afterwards.
+    // case — the edge-triggered kernel event still fires). The reactor
+    // already handed the job back, so the readiness resolves nothing: no
+    // panic, no double resume, and the worker keeps serving jobs
+    // afterwards.
     let pool = pool_with(1).build().unwrap();
     let port = listen_on_worker_0(&pool);
     let doomed = pool

@@ -47,8 +47,9 @@ use std::sync::Arc;
 
 use oneshot_vm::{CompiledProgram, GlobalSlot, LinkedProgram, Vm, VmError, VmStats};
 
-const CALLCC_SCHED: &str = include_str!("../scheme/threads-callcc.scm");
-const CALL1CC_SCHED: &str = include_str!("../scheme/threads-call1cc.scm");
+/// The capture-based scheduler, shared by `call/cc` and `call/1cc`: it
+/// switches threads with `%thread-capture`, which the host defines first.
+const CAPTURE_SCHED: &str = include_str!("../scheme/threads.scm");
 const CPS_SCHED: &str = include_str!("../scheme/threads-cps.scm");
 /// Dybvig–Hieb engines source, loaded by [`ThreadSystem::load_engines`]
 /// and by [`EngineHost`], whose steps call its `%engine-slice`.
@@ -82,14 +83,6 @@ impl Strategy {
             Strategy::Cps => "cps",
         }
     }
-
-    fn scheduler_source(self) -> &'static str {
-        match self {
-            Strategy::CallCc => CALLCC_SCHED,
-            Strategy::Call1Cc => CALL1CC_SCHED,
-            Strategy::Cps => CPS_SCHED,
-        }
-    }
 }
 
 /// A VM plus a loaded scheduler.
@@ -117,7 +110,16 @@ impl ThreadSystem {
     ///
     /// Panics if the embedded scheduler source fails to load.
     pub fn with_vm(strategy: Strategy, mut vm: Vm) -> Self {
-        vm.eval_str(strategy.scheduler_source()).expect("scheduler must load");
+        let sched = match strategy {
+            Strategy::Cps => CPS_SCHED,
+            // The label is the capture operator's name.
+            _ => {
+                let capture = format!("(define %thread-capture {})", strategy.label());
+                vm.eval_str(&capture).expect("capture operator must bind");
+                CAPTURE_SCHED
+            }
+        };
+        vm.eval_str(sched).expect("scheduler must load");
         ThreadSystem { vm, strategy }
     }
 

@@ -54,10 +54,6 @@ pub(crate) struct NetTable {
     /// Open-socket ceiling; exceeding it raises a catchable `io-error`
     /// condition instead of hitting the process fd limit.
     cap: usize,
-    /// Tokens of connections the embedder adopted (shared-listener
-    /// accepts), waiting for a handler job to `%conn-take` them. FIFO:
-    /// handler jobs are spawned in adoption order on a single-threaded VM.
-    pending: std::collections::VecDeque<i64>,
     /// Raw fds the guest closed since the last drain. The worker feeds
     /// these to its reactor so waiters on a closed socket are woken with
     /// an error retry instead of wedging — edge-triggered `epoll` drops
@@ -92,7 +88,6 @@ impl NetTable {
             free: Vec::new(),
             live: 0,
             cap,
-            pending: std::collections::VecDeque::new(),
             closed_log: Vec::new(),
             owed_log: Vec::new(),
             rbuf: Vec::new(),
@@ -239,29 +234,10 @@ impl NetTable {
     }
 
     /// Adopts a stream the embedder accepted (shared listener): it enters
-    /// the table like any connected socket and its token joins the
-    /// pending queue for the next `%conn-take`. The stream must already be
+    /// the table like any connected socket. The stream must already be
     /// nonblocking.
     pub(crate) fn adopt(&mut self, s: TcpStream) -> Result<i64, VmError> {
-        let tok = self.insert("conn-adopt", Sock::Stream(s))?;
-        self.pending.push_back(tok);
-        Ok(tok)
-    }
-
-    /// Hands out the oldest adopted-but-untaken connection token.
-    pub(crate) fn take_pending(&mut self) -> Option<i64> {
-        // A pending connection could have been closed by a stale token
-        // sweep; skip tokens whose slot is gone.
-        while let Some(tok) = self.pending.pop_front() {
-            let live = usize::try_from(tok)
-                .ok()
-                .and_then(|i| self.slots.get(i))
-                .is_some_and(Option::is_some);
-            if live {
-                return Some(tok);
-            }
-        }
-        None
+        self.insert("conn-adopt", Sock::Stream(s))
     }
 
     /// Moves the fds closed since the last call into `out`.
@@ -399,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn adopted_streams_queue_for_conn_take_and_closes_are_logged() {
+    fn adopted_stream_closes_are_logged() {
         let mut t = NetTable::new(16);
         let l = t.listen_on("127.0.0.1", 0).unwrap();
         let port = t.local_port(l).unwrap();
@@ -419,8 +395,6 @@ mod tests {
         t.live -= 1;
         t.free.push(usize::try_from(accepted).unwrap());
         let adopted = t.adopt(s).unwrap();
-        assert_eq!(t.take_pending(), Some(adopted));
-        assert_eq!(t.take_pending(), None, "pending queue hands each token out once");
         let fd = i32::try_from(t.fd(adopted).unwrap()).unwrap();
         assert!(t.close(adopted));
         let mut closed = Vec::new();
@@ -432,26 +406,6 @@ mod tests {
         let n = closed.len();
         t.drain_closed(&mut closed);
         assert_eq!(closed.len(), n + 2, "every close logs exactly one fd");
-    }
-
-    #[test]
-    fn take_pending_skips_tokens_closed_before_the_handler_ran() {
-        let mut t = NetTable::new(16);
-        let l = t.listen(0).unwrap();
-        let port = t.local_port(l).unwrap();
-        let _c = t.connect(u16::try_from(port).unwrap()).unwrap();
-        let s = loop {
-            match t.accept(l) {
-                Ok(Some(tok)) => break tok,
-                Ok(None) => std::thread::yield_now(),
-                Err(e) => panic!("{e}"),
-            }
-        };
-        // Pretend the accepted stream was adopted, then closed before any
-        // handler took it.
-        t.pending.push_back(s);
-        t.close(s);
-        assert_eq!(t.take_pending(), None);
     }
 
     #[test]

@@ -1294,12 +1294,9 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             ret!(vm, Value::fixnum(vm.net.live() as i64))
         },
         "%conn-take" => |vm, _argc| {
-            // The socket token of the oldest connection the embedder's
-            // shared listener adopted into this VM and no handler has
-            // taken yet; #f when none is pending. Handler jobs and
-            // adoptions are both FIFO on one single-threaded VM, so
-            // take-in-order pairs each handler with "its" connection.
-            match vm.net.take_pending() {
+            // The socket token of the connection the embedder adopted for
+            // the running job (`Vm::set_conn_token`); #f in any other job.
+            match vm.conn {
                 Some(tok) => ret!(vm, Value::fixnum(tok)),
                 None => ret!(vm, Value::FALSE),
             }

@@ -341,6 +341,8 @@ pub struct Vm {
     /// Guest TCP sockets (see `crate::net`). Owned by the VM so a worker
     /// reset closes every socket of the jobs it killed.
     pub(crate) net: crate::net::NetTable,
+    /// The token `(conn-take)` returns (see [`Vm::set_conn_token`]).
+    pub(crate) conn: Option<i64>,
     pipeline: Pipeline,
     compiler: CompilerOptions,
 }
@@ -406,6 +408,7 @@ impl Vm {
             gc_kont_work: Vec::new(),
             out: String::new(),
             net: crate::net::NetTable::new(cfg.max_open_sockets),
+            conn: None,
             pipeline: cfg.pipeline,
             compiler: cfg.compiler,
         };
@@ -580,10 +583,19 @@ impl Vm {
         self.net.close_owned_by(owner);
     }
 
+    /// Names the connection `(conn-take)` returns to the guest code that
+    /// runs next: a connection handler's own adopted socket token, or
+    /// `None` (so `(conn-take)` raises `io-error`) for any other job. An
+    /// embedder running several jobs on one VM names each job's before
+    /// each of its slices.
+    pub fn set_conn_token(&mut self, token: Option<i64>) {
+        self.conn = token;
+    }
+
     /// Adopts an already-connected, already-nonblocking stream (a
-    /// shared-listener accept) into this VM's socket table. The token
-    /// joins the pending-connection queue; the next handler job running
-    /// here picks it up with `(conn-take)`.
+    /// shared-listener accept) into this VM's socket table and returns its
+    /// token. The handler job that serves it gets it from `(conn-take)`
+    /// once the embedder names it with [`Vm::set_conn_token`].
     ///
     /// # Errors
     ///
