@@ -122,7 +122,9 @@ impl PoolBuilder {
     /// probes, GC threshold, socket-table cap, ...). Lets a pool run with
     /// per-job heap budgets or a deterministic chaos plan. Defaults to
     /// [`VmConfig::default`], except that a `stack` left at its default
-    /// gets the pool's small segments (see [`PoolBuilder::build`]).
+    /// gets the pool's small segments (see [`PoolBuilder::build`]). Jobs
+    /// and handlers are compiled with its `compiler` options; its
+    /// `pipeline` must stay [`Pipeline::Direct`].
     #[must_use]
     pub fn vm_config(mut self, cfg: VmConfig) -> Self {
         self.vm_config = cfg;
@@ -141,9 +143,18 @@ impl PoolBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates the OS error if a thread, or a reactor's epoll instance
-    /// or wakeup pipe, cannot be created.
+    /// [`std::io::ErrorKind::InvalidInput`] if the VM configuration names
+    /// a pipeline other than [`Pipeline::Direct`]: the engine host the
+    /// workers run on needs direct-pipeline control. Otherwise propagates
+    /// the OS error if a thread, or a reactor's epoll instance or wakeup
+    /// pipe, cannot be created.
     pub fn build(mut self) -> std::io::Result<Pool> {
+        if self.vm_config.pipeline != Pipeline::Direct {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a pool's workers run on the direct pipeline only",
+            ));
+        }
         // Every parked job pins the whole segment its sealed continuation
         // sits in, so a pool of mostly-parked handlers wants the paper's
         // §3.4 answer: small default segments, with overflow as an
@@ -182,6 +193,7 @@ impl PoolBuilder {
             resident_cap: self.resident_cap,
             max_retries: self.max_retries,
         };
+        let compiler = self.vm_config.compiler;
         let vm_config = Arc::new(self.vm_config);
         let next_conn = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(self.workers);
@@ -216,6 +228,7 @@ impl PoolBuilder {
             next_job: AtomicU64::new(0),
             workers: self.workers,
             io_timeout: self.io_timeout,
+            compiler,
         })
     }
 }
@@ -433,11 +446,15 @@ pub(crate) struct HandlerTemplate {
 }
 
 impl HandlerTemplate {
-    /// Compiles a handler spec, applying the pool-wide `io_timeout`
-    /// default.
-    pub(crate) fn new(spec: &JobSpec, io_timeout: Option<Duration>) -> Result<Self, Error> {
-        let prog = Vm::compile_str(&spec.source, Pipeline::Direct, CompilerOptions::default())
-            .map_err(Error::compile)?;
+    /// Compiles a handler spec with the workers' compiler options,
+    /// applying the pool-wide `io_timeout` default.
+    pub(crate) fn new(
+        spec: &JobSpec,
+        io_timeout: Option<Duration>,
+        compiler: CompilerOptions,
+    ) -> Result<Self, Error> {
+        let prog =
+            Vm::compile_str(&spec.source, Pipeline::Direct, compiler).map_err(Error::compile)?;
         Ok(HandlerTemplate {
             name: spec.name.clone(),
             prog: Arc::new(prog),
@@ -558,6 +575,9 @@ pub struct Pool {
     next_job: AtomicU64,
     workers: usize,
     io_timeout: Option<Duration>,
+    /// The workers' compiler options (`VmConfig::compiler`): every job and
+    /// handler is compiled with them, like the prelude it links against.
+    compiler: CompilerOptions,
 }
 
 impl Pool {
@@ -621,7 +641,7 @@ impl Pool {
     /// only), or [`ErrorKind::PoolClosed`](crate::ErrorKind::PoolClosed).
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, Error> {
         // Compile once, on the submitting thread; workers only link.
-        let prog = Vm::compile_str(&spec.source, Pipeline::Direct, CompilerOptions::default())
+        let prog = Vm::compile_str(&spec.source, Pipeline::Direct, self.compiler)
             .map_err(Error::compile)?;
         let id = JobId(self.next_job.fetch_add(1, Ordering::Relaxed));
         let slot = Arc::new(OutcomeSlot::default());
@@ -706,9 +726,11 @@ impl Pool {
         if self.injector.is_closed() {
             return Err(Error::pool_closed());
         }
-        let tmpl = Arc::new(HandlerTemplate::new(&handler, self.io_timeout)?);
+        let tmpl = Arc::new(HandlerTemplate::new(&handler, self.io_timeout, self.compiler)?);
         let overload_tmpl = match &options.overload_handler {
-            Some(spec) => Some(Arc::new(HandlerTemplate::new(spec, self.io_timeout)?)),
+            Some(spec) => {
+                Some(Arc::new(HandlerTemplate::new(spec, self.io_timeout, self.compiler)?))
+            }
             None => None,
         };
         let listener = TcpListener::bind(addr).map_err(|e| Error::io("bind", e))?;

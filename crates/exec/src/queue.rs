@@ -197,7 +197,8 @@ mod tests {
     fn inbox_is_fifo_across_jobs_and_connections() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let tmpl = HandlerTemplate::new(&JobSpec::new("h", "#t"), None).unwrap();
+        let tmpl =
+            HandlerTemplate::new(&JobSpec::new("h", "#t"), None, Default::default()).unwrap();
         let inbox = Inbox::default();
         assert_eq!(inbox.push(Entry::Job(job(0))), 1);
         assert_eq!(inbox.push(Entry::Conn(stream, Arc::new(tmpl))), 2);

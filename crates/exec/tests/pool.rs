@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use oneshot_exec::{Admission, ErrorKind, JobSpec, Pool};
+use oneshot_vm::{CompilerOptions, Pipeline, Vm, VmConfig};
 
 /// fib has identical toplevel definitions across jobs, so interleaved
 /// jobs on a shared worker VM can't disagree about it.
@@ -443,4 +444,35 @@ fn timer_wait_suspends_instead_of_spinning() {
     assert_eq!(report.counters.timer_waits, 8);
     assert!(report.counters.io_wakeups >= 8);
     assert!(report.counters.blocked_highwater >= 2, "the waits actually overlapped");
+}
+
+#[test]
+fn a_pool_refuses_a_non_direct_pipeline() {
+    // The engine host the workers run on needs direct-pipeline control: a
+    // CPS pool would build, then fail every job in `%engine-job`.
+    let cfg = VmConfig { pipeline: Pipeline::Cps, ..VmConfig::default() };
+    let err = Pool::builder().workers(1).vm_config(cfg).build().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}
+
+#[test]
+fn jobs_are_compiled_with_the_workers_compiler_options() {
+    // The job counts the instructions its own loop retires, so its answer
+    // tells fused code from unfused code.
+    let src = "(define (count-to n) (let loop ((i 0)) (if (< i n) (loop (+ i 1)) i)))
+               (define (retired) (cdr (assq 'instructions (vm-stats))))
+               (let ((before (retired))) (count-to 300) (- (retired) before))";
+    let on_vm = |fuse: bool| {
+        let cfg = VmConfig { compiler: CompilerOptions { fuse }, ..VmConfig::default() };
+        let mut vm = Vm::builder().config(cfg).build();
+        let v = vm.eval_str(src).unwrap();
+        vm.write_value(&v)
+    };
+    let (fused, unfused) = (on_vm(true), on_vm(false));
+    assert_ne!(fused, unfused, "fusion must change the count for the test to mean anything");
+    let cfg = VmConfig { compiler: CompilerOptions { fuse: false }, ..VmConfig::default() };
+    let pool = Pool::builder().workers(1).fuel_slice(1 << 20).vm_config(cfg).build().unwrap();
+    let outcome = pool.submit(JobSpec::new("count", src)).unwrap().wait();
+    assert_eq!(outcome.result.as_deref(), Ok(unfused.as_str()));
+    pool.shutdown().unwrap();
 }

@@ -119,7 +119,7 @@ impl ThreadSystem {
                 CAPTURE_SCHED
             }
         };
-        vm.eval_str(sched).expect("scheduler must load");
+        vm.load_library(sched).expect("scheduler must load");
         ThreadSystem { vm, strategy }
     }
 
@@ -189,7 +189,7 @@ impl ThreadSystem {
     ///
     /// Propagates load errors.
     pub fn load_engines(&mut self) -> Result<(), VmError> {
-        self.vm.eval_str(ENGINES)?;
+        self.vm.load_library(ENGINES)?;
         Ok(())
     }
 
@@ -338,8 +338,8 @@ impl EngineHost {
     ///
     /// Panics if the embedded engines/io sources fail to load.
     pub fn with_vm(mut vm: Vm) -> Self {
-        vm.eval_str(ENGINES).expect("engines library must load");
-        vm.eval_str(IO).expect("io library must load");
+        vm.load_library(ENGINES).expect("engines library must load");
+        vm.load_library(IO).expect("io library must load");
         let guest = Guest {
             job: vm.global_slot("%engine-job"),
             slice: vm.global_slot("%engine-slice"),

@@ -5,6 +5,7 @@ mod exec;
 mod gc;
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use oneshot_compiler::{
     compile_program_with, CompiledProgram, CompilerOptions, FreeSrc, Op, Pipeline, MNEMONICS,
@@ -26,6 +27,16 @@ const PRELUDE: &str = include_str!("../../scheme/prelude.scm");
 /// Hand-written CPS definitions of the control operators, loaded (through
 /// the direct pipeline) only in CPS mode.
 const CPS_PRELUDE: &str = include_str!("../../scheme/cps-prelude.scm");
+
+/// An embedded library's text, the pipeline and compiler options it was
+/// compiled with, and the compiled program.
+type Library = (&'static str, Pipeline, CompilerOptions, Arc<CompiledProgram>);
+
+/// Every embedded library compiled in this process (see
+/// [`Vm::load_library`]). Entries are pushed only after a compile
+/// succeeds, so a lock poisoned by a panicking holder still guards a valid
+/// table.
+static LIBRARIES: Mutex<Vec<Library>> = Mutex::new(Vec::new());
 
 /// Whether a VM's segmented stack records its control events in a trace
 /// ring as well as counting them.
@@ -419,9 +430,9 @@ impl Vm {
         if cfg.pipeline == Pipeline::Cps {
             // Control operators get CPS definitions (direct pipeline: the
             // sources are hand-written CPS).
-            vm.load_with(CPS_PRELUDE, Pipeline::Direct).expect("CPS prelude must load");
+            vm.load_library_with(CPS_PRELUDE, Pipeline::Direct).expect("CPS prelude must load");
         }
-        vm.load_with(PRELUDE, cfg.pipeline).expect("prelude must load");
+        vm.load_library(PRELUDE).expect("prelude must load");
         // Guards and fault clocks activate only after the prelude loads:
         // budgets and injected faults target user programs, and the
         // condition machinery they raise through is itself defined by the
@@ -478,13 +489,48 @@ impl Vm {
     ///
     /// Read, compile, or runtime errors; the VM remains usable afterwards.
     pub fn eval_str(&mut self, src: &str) -> Result<Value, VmError> {
-        self.load_with(src, self.pipeline).map_err(|e| *e)
+        let prog = Self::compile_str(src, self.pipeline, self.compiler)?;
+        let entry = self.link(&prog);
+        self.run_thunk(entry).map_err(|e| *e)
     }
 
-    fn load_with(&mut self, src: &str, pipeline: Pipeline) -> R<Value> {
-        let forms = read_all(src).map_err(|e| VmError::Read(e.to_string()))?;
-        let prog = compile_program_with(&forms, pipeline, self.compiler)
-            .map_err(|e| VmError::Compile(e.to_string()))?;
+    /// Links and runs an embedded library (the prelude, a scheduler, the
+    /// engines), returning the value of its last form. The library is
+    /// compiled at most once per process for each pipeline and
+    /// compiler-options pair: every later VM links the compiled program
+    /// instead of reading and compiling the text again, and runs exactly
+    /// the code a fresh compile would give it.
+    ///
+    /// Only `'static` sources are held, so the process-wide table is
+    /// bounded by the libraries built into the program (times pipelines
+    /// and option sets) and never grows with user input; compile
+    /// run-time text with [`Vm::eval_str`] or [`Vm::compile_str`].
+    ///
+    /// # Errors
+    ///
+    /// Read, compile, or runtime errors, as [`Vm::eval_str`]. A library
+    /// that fails to compile is not stored, so it fails every load.
+    pub fn load_library(&mut self, src: &'static str) -> Result<Value, VmError> {
+        self.load_library_with(src, self.pipeline).map_err(|e| *e)
+    }
+
+    fn load_library_with(&mut self, src: &'static str, pipeline: Pipeline) -> R<Value> {
+        let prog = {
+            let mut table = LIBRARIES.lock().unwrap_or_else(PoisonError::into_inner);
+            let key = (src, pipeline, self.compiler);
+            // Compared by content: one `include_str!` need not have one
+            // address at every use site.
+            match table.iter().find(|(s, p, o, _)| (*s, *p, *o) == key) {
+                Some((.., prog)) => Arc::clone(prog),
+                // Compiled under the lock, so VMs booting together compile
+                // a library once.
+                None => {
+                    let prog = Arc::new(Self::compile_str(src, pipeline, self.compiler)?);
+                    table.push((src, pipeline, self.compiler, Arc::clone(&prog)));
+                    prog
+                }
+            }
+        };
         let entry = self.link(&prog);
         self.run_thunk(entry)
     }
