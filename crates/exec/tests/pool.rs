@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use oneshot_exec::{Admission, ErrorKind, JobSpec, Pool};
+use oneshot_sexp::MAX_NESTING;
 use oneshot_vm::{CompilerOptions, Pipeline, Vm, VmConfig};
 
 /// fib has identical toplevel definitions across jobs, so interleaved
@@ -147,6 +148,36 @@ fn compile_errors_fail_at_submit() {
     assert_eq!(err.kind(), ErrorKind::Compile);
     assert!(err.vm_error().is_some(), "the compile diagnostic is chained");
     pool.shutdown().unwrap();
+}
+
+#[test]
+fn a_shared_list_is_a_result_printed_in_full() {
+    let pool = Pool::builder().workers(1).build().unwrap();
+    let job = pool.submit(JobSpec::new("shared", "(let ((x (list 1 2))) (list x x))")).unwrap();
+    assert_eq!(job.wait().result.as_deref(), Ok("((1 2) (1 2))"));
+    pool.shutdown().unwrap();
+}
+
+#[test]
+fn nesting_is_bounded_at_submit() {
+    // At the bound a job compiles on the submitting thread, which needs
+    // room in a debug build, so the whole test runs on a roomy thread.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| {
+            let pool = Pool::builder().workers(1).build().unwrap();
+            let quoted = |n: usize| format!("(quote {}1{})", "(".repeat(n), ")".repeat(n));
+            let err = pool.submit(JobSpec::new("deep", quoted(100_000))).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Compile);
+            let n = MAX_NESTING - 1;
+            let job = pool.submit(JobSpec::new("at-bound", quoted(n))).unwrap();
+            let written = job.wait().result.unwrap();
+            assert_eq!(written, format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+            pool.shutdown().unwrap();
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Reader data → runtime values.
 
-use oneshot_sexp::Datum;
+use oneshot_sexp::{Datum, MAX_NESTING};
 
 use crate::heap::{Heap, Obj, ObjView};
 use crate::symbols::Symbols;
@@ -53,7 +53,8 @@ pub fn datum_to_value(heap: &mut Heap, syms: &mut Symbols, d: &Datum) -> Value {
 ///
 /// Returns a message for values with no external representation
 /// (procedures, continuations, cells) and for structures nested deeper
-/// than an `eval`-reasonable bound (which also catches cycles).
+/// than [`MAX_NESTING`], the reader's own bound (which also catches
+/// cycles).
 pub fn value_to_datum(
     heap: &Heap,
     syms: &crate::symbols::Symbols,
@@ -65,7 +66,7 @@ pub fn value_to_datum(
         v: Value,
         depth: usize,
     ) -> Result<Datum, String> {
-        if depth > 512 {
+        if depth > MAX_NESTING {
             return Err("eval: datum nested too deeply (cyclic?)".to_string());
         }
         match v.unpack() {

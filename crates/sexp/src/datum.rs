@@ -4,14 +4,18 @@ use std::fmt;
 
 /// A Scheme datum as produced by the reader.
 ///
-/// This is a plain tree (pairs own their halves); the runtime converts
-/// data into heap values with sharing when a program is loaded.
+/// This is a plain tree: pairs own their halves, so a datum has neither
+/// sharing nor cycles. The runtime converts data into heap values when a
+/// program is loaded. `Display` and `Debug` print `write` notation
+/// ([`crate::write_datum`]), which [`crate::read_str`] reads back to an
+/// equal datum (a NaN reads back as a NaN, which `==` never equals).
 ///
 /// `Clone`, `PartialEq`, `Debug`, and `Drop` are implemented manually so
 /// that they iterate along cdr spines: a list literal is arbitrarily long,
 /// and derived (recursive) implementations would overflow the native stack
 /// on lists beyond a few tens of thousands of elements. Recursion depth is
-/// bounded by *nesting* depth only, which the reader already bounds.
+/// bounded by *nesting* depth only, which the reader bounds by
+/// [`crate::MAX_NESTING`].
 pub enum Datum {
     /// `#t` or `#f`.
     Bool(bool),

@@ -1,7 +1,7 @@
 //! Robustness: the reader must never panic, whatever bytes arrive — it
 //! returns data or an error.
 
-use oneshot_sexp::read_all;
+use oneshot_sexp::{read_all, MAX_NESTING};
 use proptest::prelude::*;
 
 proptest! {
@@ -28,15 +28,19 @@ fn pathological_inputs_error_cleanly() {
     ] {
         assert!(read_all(src).is_err(), "{src:?} should be an error");
     }
-    // Deeply nested input must not blow the parser (recursion is per
-    // nesting level). Debug-build frames are large enough that 2000 levels
-    // exceed the 2 MiB default test stack, so give this check its own
-    // thread with room to spare.
+    // Input nested as deep as the bound reads; one level more, or a
+    // hundred thousand, is an error rather than a blown stack. The data
+    // read are dropped recursively (once per nesting level), and debug
+    // frames are large, so this runs on a thread with room to spare.
     std::thread::Builder::new()
         .stack_size(32 * 1024 * 1024)
         .spawn(|| {
-            let deep = format!("{}1{}", "(".repeat(2000), ")".repeat(2000));
-            assert!(read_all(&deep).is_ok());
+            let nested = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+            assert!(read_all(&nested(MAX_NESTING)).is_ok());
+            assert!(read_all(&nested(MAX_NESTING + 1)).is_err());
+            assert!(read_all(&nested(100_000)).is_err());
+            assert!(read_all(&"'".repeat(100_000)).is_err());
+            assert!(read_all(&"#(".repeat(100_000)).is_err());
         })
         .unwrap()
         .join()

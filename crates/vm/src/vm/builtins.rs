@@ -4,7 +4,8 @@
 //! (the canonical list shared with the CPS converter); construction panics
 //! if an implementation is missing, so the two cannot drift.
 
-use oneshot_runtime::{values_equal, Obj, ObjKind, Unpacked, Value};
+use oneshot_runtime::{datum_to_value, values_equal, Obj, ObjKind, Unpacked, Value};
+use oneshot_sexp::Datum;
 
 use crate::error::{VmError, R};
 use crate::slot::{Resume, Slot};
@@ -489,11 +490,9 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                 (Unpacked::Fixnum(n), 8) => format!("{n:o}"),
                 (Unpacked::Fixnum(n), 16) => format!("{n:x}"),
                 (Unpacked::Flonum(x), 10) => {
-                    if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                        format!("{x:.1}")
-                    } else {
-                        format!("{x}")
-                    }
+                    let mut s = String::new();
+                    oneshot_sexp::write_flonum(&mut s, x);
+                    s
                 }
                 _ => return Err(err("number->string: unsupported radix")),
             };
@@ -504,15 +503,19 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
             at_least(argc, 1, "string->number")?;
             let s: String = vm.string_of(vm.arg(0), "string->number")?.into_iter().collect();
             let radix = if argc >= 2 { fix(vm.arg(1), "string->number")? } else { 10 };
-            // Integers that parse but exceed the 50-bit fixnum payload
-            // degrade to inexact flonums (there is no bignum layer).
+            // In radix 10 the answer is what the reader reads, when the
+            // whole string is one number. Text made only of the characters
+            // numbers are spelled with holds no comment or whitespace, so
+            // a single datum read from it is the whole string. Integers
+            // beyond the 50-bit fixnum payload degrade to inexact flonums,
+            // as literals do (there is no bignum layer).
             let v = if radix == 10 {
-                if let Some(v) = s.parse::<i64>().ok().and_then(Value::fixnum_checked) {
-                    v
-                } else if let Ok(x) = s.parse::<f64>() {
-                    Value::flonum(x)
-                } else {
-                    Value::FALSE
+                let spelled = |c: char| c.is_ascii_alphanumeric() || "+-.#".contains(c);
+                match oneshot_sexp::read_all(&s).as_deref() {
+                    Ok([d @ (Datum::Fixnum(_) | Datum::Flonum(_))]) if s.chars().all(spelled) => {
+                        datum_to_value(&mut vm.heap, &mut vm.syms, d)
+                    }
+                    _ => Value::FALSE,
                 }
             } else {
                 match i64::from_str_radix(&s, radix as u32) {

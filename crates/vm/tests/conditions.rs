@@ -7,7 +7,8 @@
 //! them.
 
 use oneshot_core::Config;
-use oneshot_vm::{FaultPlan, Vm, VmError};
+use oneshot_sexp::MAX_NESTING;
+use oneshot_vm::{FaultPlan, Pipeline, Vm, VmError};
 
 fn check(vm: &mut Vm, src: &str, expected: &str) {
     match vm.eval_str(src) {
@@ -384,4 +385,48 @@ fn read_errors_carry_line_and_column() {
     assert!(shown.contains("2:"), "read error should name line 2, got: {shown}");
     let e = vm.eval_str("(list 1 2\n   ))\n").unwrap_err();
     assert!(matches!(e, VmError::Read(_)), "got: {e:?}");
+}
+
+#[test]
+fn a_source_nested_past_the_bound_is_a_read_error() {
+    let mut vm = Vm::new();
+    let deep = format!("(quote {}1{})", "(".repeat(100_000), ")".repeat(100_000));
+    let e = vm.eval_str(&deep).unwrap_err();
+    assert!(matches!(e, VmError::Read(_)), "got: {e:?}");
+    assert!(e.to_string().contains("nested deeper"), "{e}");
+    check(&mut vm, "(+ 1 2)", "3");
+}
+
+/// `n` levels of nesting in all: `(+ 1 (+ 1 ... 0))`, and a quoted list
+/// (the quote form is the outermost level).
+fn nested_to(n: usize) -> [(String, String); 2] {
+    [
+        (format!("{}0{}", "(+ 1 ".repeat(n), ")".repeat(n)), n.to_string()),
+        (
+            format!("(quote {}1{})", "(".repeat(n - 1), ")".repeat(n - 1)),
+            format!("{}1{}", "(".repeat(n - 1), ")".repeat(n - 1)),
+        ),
+    ]
+}
+
+#[test]
+fn programs_nested_to_the_bound_run_on_both_pipelines() {
+    // Compiling recurses once per nesting level, and debug frames are
+    // several times the size of release ones: give it room.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| {
+            for pipeline in [Pipeline::Direct, Pipeline::Cps] {
+                let mut vm = Vm::builder().pipeline(pipeline).build();
+                for (src, answer) in nested_to(MAX_NESTING) {
+                    check(&mut vm, &src, &answer);
+                }
+                for (src, _) in nested_to(MAX_NESTING + 1) {
+                    assert!(matches!(vm.eval_str(&src), Err(VmError::Read(_))));
+                }
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }

@@ -89,6 +89,37 @@ cases! { arithmetic:
     "(string->number \"ff\" 16)" => "255",
 }
 
+// Every answer written here reads back as itself: the printer and the
+// number builtins share the reader's character names, string escapes and
+// number text.
+cases! { written_text_reads_back:
+    r#"(list #\return #\nul #\escape #\delete "a\rb\0")"# => r#"(#\return #\nul #\escape #\delete "a\rb\0")"#,
+    "(/ 1. 0)" => "+inf.0",
+    "(/ -1. 0)" => "-inf.0",
+    "(- (/ 1. 0) (/ 1. 0))" => "+nan.0",
+    "(* 1. 1000000000000000)" => "1e15",
+    "1e21" => "1e21",
+    "(list +inf.0 -inf.0)" => "(+inf.0 -inf.0)",
+    "(number->string 1e21)" => "\"1e21\"",
+    "(number->string (/ 1. 0))" => "\"+inf.0\"",
+    "(number->string 2.0)" => "\"2.0\"",
+    "(string->number \"+inf.0\")" => "+inf.0",
+    "(string->number \"-2e3\")" => "-2000.0",
+    "(string->number \"#x1F\")" => "31",
+    "(string->number \"99999999999999999999\")" => "1e20",
+    "(string->number \"inf\")" => "#f",
+    "(string->number \"nan\")" => "#f",
+    "(string->number \"infinity\")" => "#f",
+    "(string->number \" 42\")" => "#f",
+    "(string->number \"42;\")" => "#f",
+    "(string->number \"#;1 2\")" => "#f",
+    "(string->number \"#t5\")" => "#f",
+    "(string->number \"'5\")" => "#f",
+    "(string->number \"\")" => "#f",
+    "(let ((x (list 1 2))) (list x x))" => "((1 2) (1 2))",
+    "(let ((v (vector 1))) (vector v v))" => "#(#(1) #(1))",
+}
+
 cases! { numeric_predicates:
     "(= 1 1 1)" => "#t",
     "(= 1 2)" => "#f",
