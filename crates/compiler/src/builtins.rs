@@ -1,10 +1,10 @@
 //! The canonical builtin-procedure name list.
 //!
-//! This is the single source of truth shared by the VM (which registers a
-//! Rust implementation for every name here, in this order) and the CPS
-//! converter (which must know which globals are direct Rust builtins and
-//! which are control operators that get continuation-passing definitions in
-//! the CPS prelude).
+//! This is the single source of truth shared by the VM (whose builtin table
+//! has one row for every name here, in this order; a VM unit test holds
+//! the two equal) and the CPS converter (which must know which globals are
+//! direct Rust builtins and which are control operators that get
+//! continuation-passing definitions in the CPS prelude).
 
 /// Every builtin name, in registration order. `Value::builtin(i)` refers to
 /// `BUILTIN_NAMES[i]`.
@@ -176,8 +176,7 @@ pub const BUILTIN_NAMES: &[&str] = &[
 ];
 
 /// Control operators that cannot be called direct-style from CPS code;
-/// the CPS prelude redefines them (their builtin versions remain reachable
-/// as `%cps:<name>` aliases registered by the VM).
+/// the CPS prelude redefines them in continuation-passing style.
 pub const CPS_CONTROL: &[&str] = &[
     "apply",
     "call/cc",

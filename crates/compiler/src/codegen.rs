@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use oneshot_sexp::Datum;
 
-use crate::analyze::{free_vars, mutated_vars};
+use crate::analyze::{free_vars, mutated_vars, FreeVars};
 use crate::ast::{Expr, Lambda, VarId};
 use crate::cps::cps_convert;
 use crate::expand::{expand_program, CompileError};
@@ -45,7 +45,7 @@ pub fn compile_program_with(
 ) -> Result<CompiledProgram> {
     let mut program = expand_program(forms)?;
     if pipeline == Pipeline::Cps {
-        program = cps_convert(program);
+        program = cps_convert(program)?;
     }
     let mutated = mutated_vars(&program.forms);
     let mut g = Gen {
@@ -53,6 +53,7 @@ pub fn compile_program_with(
         globals: Vec::new(),
         global_ids: HashMap::new(),
         mutated,
+        free: free_vars(&program.forms),
         no_inline: collect_no_inline(&program.forms, &program.defined_globals),
         options,
     };
@@ -228,6 +229,7 @@ struct Gen {
     globals: Vec<String>,
     global_ids: HashMap<Rc<str>, u32>,
     mutated: HashSet<VarId>,
+    free: FreeVars,
     no_inline: HashSet<Rc<str>>,
     options: CompilerOptions,
 }
@@ -383,7 +385,7 @@ impl Gen {
     }
 
     fn gen_closure(&mut self, ctx: &mut FnCtx, l: &Rc<Lambda>) -> Result<()> {
-        let free = free_vars(l);
+        let free = self.free.of(l).to_vec();
         let required =
             u16::try_from(l.params.len()).map_err(|_| CompileError::new("too many parameters"))?;
         let mut inner = FnCtx::new(

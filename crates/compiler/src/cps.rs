@@ -17,13 +17,29 @@
 //! closures inlined at their single use; `if` with a non-atomic
 //! continuation reifies it as a join-point lambda — one of the closure
 //! allocations the direct-style compiler never performs.
+//!
+//! Each call in a body or an argument list nests the rest of it inside its
+//! continuation, so the converted program is as deep as the source is
+//! long, and every pass after this one recurses that deep.
+//! [`MAX_CPS_DEPTH`] bounds the nesting, and with it the native stack
+//! those passes use.
 
 use std::rc::Rc;
+use std::vec;
 
 use oneshot_sexp::Datum;
 
 use crate::ast::{Expr, Lambda, Program, VarId};
 use crate::builtins::cps_direct;
+use crate::expand::CompileError;
+
+/// The deepest nesting of continuations the converter builds: calls in
+/// one body or argument list, plus the source's own nesting. Measured
+/// like `oneshot_sexp::MAX_NESTING`: a program twice this deep still
+/// compiles and runs on a 2 MiB thread in a release build, whatever its
+/// shape (calls in a `begin`, a `let`, a builtin's or a procedure's
+/// argument list).
+pub const MAX_CPS_DEPTH: usize = 500;
 
 /// Converts `program` to continuation-passing style.
 ///
@@ -31,19 +47,39 @@ use crate::builtins::cps_direct;
 /// `Seq`), so a continuation captured in one form resumes the rest of the
 /// program exactly as it does under the direct pipeline, where all forms
 /// run inside one toplevel thunk.
-pub fn cps_convert(program: Program) -> Program {
-    let mut c = Cps { next: program.var_count };
+///
+/// # Errors
+///
+/// Refuses a program whose conversion would nest continuations deeper
+/// than [`MAX_CPS_DEPTH`].
+pub fn cps_convert(program: Program) -> Result<Program, CompileError> {
+    let mut c = Cps { next: program.var_count, depth: 0, too_deep: false };
     let whole = match program.forms.len() {
         0 => Expr::Unspecified,
         1 => program.forms.into_iter().next().expect("one form"),
         _ => Expr::Seq(program.forms),
     };
     let converted = c.cps(whole, K::Ctx(Box::new(|_, a| a)));
-    Program { forms: vec![converted], var_count: c.next, defined_globals: program.defined_globals }
+    if c.too_deep {
+        return Err(CompileError::new(format!(
+            "program too long for the CPS pipeline: its continuations nest deeper than \
+             {MAX_CPS_DEPTH}"
+        )));
+    }
+    Ok(Program {
+        forms: vec![converted],
+        var_count: c.next,
+        defined_globals: program.defined_globals,
+    })
 }
 
 struct Cps {
     next: u32,
+    /// `cps` calls in progress.
+    depth: usize,
+    /// Set when a `cps` call would pass [`MAX_CPS_DEPTH`]; that call and
+    /// every deeper one convert nothing, and the result is refused.
+    too_deep: bool,
 }
 
 type Ctx = Box<dyn FnOnce(&mut Cps, Expr) -> Expr>;
@@ -150,23 +186,62 @@ impl Cps {
     }
 
     /// Converts a list of expressions left to right, delivering the atomic
-    /// values to `f`.
-    fn atomize_list(&mut self, mut es: Vec<Expr>, mut acc: Vec<Expr>, f: ListCtx) -> Expr {
-        if es.is_empty() {
-            return f(self, acc);
+    /// values to `f`. A run of atoms is converted in a loop; each call
+    /// nests the rest of the list in its continuation.
+    fn atomize_list(
+        &mut self,
+        mut es: vec::IntoIter<Expr>,
+        mut acc: Vec<Expr>,
+        f: ListCtx,
+    ) -> Expr {
+        loop {
+            let Some(head) = es.next() else { return f(self, acc) };
+            if atomic(&head) {
+                acc.push(self.convert_atom(head));
+                continue;
+            }
+            return self.cps(
+                head,
+                K::Ctx(Box::new(move |c, a| {
+                    acc.push(a);
+                    c.atomize_list(es, acc, f)
+                })),
+            );
         }
-        let head = es.remove(0);
-        self.atomize(
-            head,
-            Box::new(move |c, a| {
-                acc.push(a);
-                c.atomize_list(es, acc, f)
-            }),
-        )
+    }
+
+    /// Converts a body left to right. Atoms before the last form are
+    /// converted and dropped in a loop; each call nests the rest of the
+    /// body in its continuation.
+    fn cps_seq(&mut self, mut es: vec::IntoIter<Expr>, k: K) -> Expr {
+        loop {
+            let Some(head) = es.next() else { return k.apply(self, Expr::Unspecified) };
+            if es.len() == 0 {
+                return self.cps(head, k);
+            }
+            if atomic(&head) {
+                self.convert_atom(head);
+                continue;
+            }
+            return self.cps(head, K::Ctx(Box::new(move |c, _discard| c.cps_seq(es, k))));
+        }
+    }
+
+    /// Converts `e`, delivering its value to `k`, unless that would nest
+    /// deeper than [`MAX_CPS_DEPTH`].
+    fn cps(&mut self, e: Expr, k: K) -> Expr {
+        if self.depth == MAX_CPS_DEPTH {
+            self.too_deep = true;
+            return Expr::Unspecified;
+        }
+        self.depth += 1;
+        let converted = self.cps_step(e, k);
+        self.depth -= 1;
+        converted
     }
 
     #[allow(clippy::too_many_lines)]
-    fn cps(&mut self, e: Expr, k: K) -> Expr {
+    fn cps_step(&mut self, e: Expr, k: K) -> Expr {
         match e {
             Expr::Quote(_)
             | Expr::Unspecified
@@ -223,16 +298,7 @@ impl Cps {
                     }
                 }
             }
-            Expr::Seq(mut es) => {
-                if es.is_empty() {
-                    return k.apply(self, Expr::Unspecified);
-                }
-                let head = es.remove(0);
-                if es.is_empty() {
-                    return self.cps(head, k);
-                }
-                self.atomize(head, Box::new(move |c, _discard| c.cps(Expr::Seq(es), k)))
-            }
+            Expr::Seq(es) => self.cps_seq(es.into_iter(), k),
             Expr::Let(mut bindings, body) => {
                 if bindings.is_empty() {
                     return self.cps(*body, k);
@@ -256,7 +322,7 @@ impl Cps {
                     if cps_direct(name) {
                         let name = name.clone();
                         return self.atomize_list(
-                            args,
+                            args.into_iter(),
                             Vec::new(),
                             Box::new(move |c, atoms| {
                                 let call = Expr::App(Box::new(Expr::GlobalRef(name)), atoms);
@@ -278,7 +344,7 @@ impl Cps {
                     f,
                     Box::new(move |c, af| {
                         c.atomize_list(
-                            args,
+                            args.into_iter(),
                             Vec::new(),
                             Box::new(move |c, atoms| {
                                 let kr = k.reify(c);
@@ -302,7 +368,7 @@ mod tests {
     use oneshot_sexp::read_all;
 
     fn convert(src: &str) -> Program {
-        cps_convert(expand_program(&read_all(src).unwrap()).unwrap())
+        cps_convert(expand_program(&read_all(src).unwrap()).unwrap()).unwrap()
     }
 
     /// The converted program is one chained form; digs out the first

@@ -38,7 +38,7 @@ pub mod peephole;
 
 pub use ast::{Expr, Lambda, Program, VarId};
 pub use codegen::{compile_program, compile_program_with};
-pub use cps::cps_convert;
+pub use cps::{cps_convert, MAX_CPS_DEPTH};
 pub use expand::{expand_program, CompileError};
 pub use ops::{CodeObject, CompiledProgram, FreeSrc, Op, MNEMONICS};
 

@@ -4,10 +4,16 @@
 //! and forms built from every special-form keyword with malformed
 //! arities, dotted tails, vectors and nested quasiquotes.
 //!
-//! The normal run takes 512 cases of each kind; the `#[ignore]`d sweep
-//! takes 20 000 (`cargo test --release -p oneshot-compiler -- --ignored`).
+//! Long flat bodies and argument lists (thousands of forms in one `begin`
+//! or one call) compile or are refused with a `CompileError` on both
+//! pipelines; they run on a thread with an explicit stack, since a debug
+//! build's frames are several times a release build's.
+//!
+//! The normal run takes 512 cases of each kind (64 long flat ones); the
+//! `#[ignore]`d sweep takes 20 000 (256 long flat ones; `cargo test
+//! --release -p oneshot-compiler -- --ignored`).
 
-use oneshot_compiler::{compile_program_with, CompilerOptions, Pipeline};
+use oneshot_compiler::{compile_program_with, CompilerOptions, Pipeline, MAX_CPS_DEPTH};
 use oneshot_sexp::{read_all, write_datum, Datum};
 use proptest::prelude::*;
 use proptest::test_runner::run;
@@ -96,11 +102,71 @@ fn program() -> impl Strategy<Value = String> {
         .prop_map(|forms| forms.iter().map(write_datum).collect::<Vec<_>>().join("\n"))
 }
 
+/// One form repeated up to 3 000 times in a `begin`, a builtin's argument
+/// list or a procedure's.
+fn long_flat() -> impl Strategy<Value = String> {
+    let head = proptest::sample::select(vec!["begin", "list", "f"]);
+    (head, form(), 0..3_000usize).prop_map(|(head, item, n)| {
+        let items = std::iter::repeat_n(item, n);
+        write_datum(&Datum::list(std::iter::once(Datum::symbol(head)).chain(items)))
+    })
+}
+
+/// Runs `f` on a thread with a 256 MiB stack.
+fn with_big_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new().stack_size(256 << 20).spawn(f).unwrap().join().unwrap();
+}
+
 fn sweep(cases: u32) {
     let config = ProptestConfig { cases, ..ProptestConfig::default() };
     run(config.clone(), (any::<String>(),), |(src,)| front_end(&src));
     run(config.clone(), (token_soup(),), |(src,)| front_end(&src));
-    run(config, (program(),), |(src,)| front_end(&src));
+    run(config.clone(), (program(),), |(src,)| front_end(&src));
+    let long = ProptestConfig { cases: (cases / 8).min(256), ..config };
+    with_big_stack(move || run(long, (long_flat(),), |(src,)| front_end(&src)));
+}
+
+/// `(begin (f) (f) ...)`, `(list (f) (f) ...)` and `(list 0 0 ...)`, `n`
+/// items each.
+fn flat(n: usize) -> [(&'static str, String); 3] {
+    let items = |item: &str| vec![item; n].join(" ");
+    [
+        ("begin of calls", format!("(begin {})", items("(f)"))),
+        ("list of calls", format!("(list {})", items("(f)"))),
+        ("list of constants", format!("(list {})", items("0"))),
+    ]
+}
+
+fn compile(src: &str, pipeline: Pipeline) -> Result<(), String> {
+    let forms = read_all(src).unwrap();
+    compile_program_with(&forms, pipeline, CompilerOptions::default())
+        .map(drop)
+        .map_err(|e| e.message)
+}
+
+#[test]
+fn long_flat_programs_compile_or_are_refused_on_both_pipelines() {
+    with_big_stack(|| {
+        let refused = format!("nest deeper than {MAX_CPS_DEPTH}");
+        for (shape, src) in flat(MAX_CPS_DEPTH - 10) {
+            assert_eq!(compile(&src, Pipeline::Cps), Ok(()), "{shape} under the bound");
+        }
+        for (shape, src) in flat(10_000) {
+            assert_eq!(compile(&src, Pipeline::Direct), Ok(()), "{shape}");
+            match compile(&src, Pipeline::Cps) {
+                Ok(()) => assert_eq!(shape, "list of constants"),
+                Err(e) => assert!(e.contains(&refused), "{shape}: {e}"),
+            }
+        }
+        // The direct pipeline refuses frames past 65 535 slots.
+        for (shape, src) in flat(100_000) {
+            for pipeline in [Pipeline::Direct, Pipeline::Cps] {
+                if let Err(e) = compile(&src, pipeline) {
+                    assert!(e.contains(&refused) || e.contains("65535"), "{shape}: {e}");
+                }
+            }
+        }
+    });
 }
 
 #[test]

@@ -91,7 +91,7 @@
 ;; stack-segment ceiling, injected faults) through `raise` in exactly this
 ;; shape, so one handler mechanism covers Scheme-side and Rust-side faults.
 ;; The handler stack itself lives in the VM (see the %-builtins) so that
-;; the garbage collector can trace it and `vm-stats` can report it.
+;; the garbage collector can trace it.
 ;; ----------------------------------------------------------------------
 
 (define (make-condition kind message) (cons kind message))

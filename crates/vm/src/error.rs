@@ -10,7 +10,9 @@ pub enum VmError {
     Read(String),
     /// Compiler failure.
     Compile(String),
-    /// A runtime error (type errors, arity errors, `(error ...)`).
+    /// An error the guest cannot catch: an unbound variable, an improper
+    /// list, a builtin's range or division refusal. Type errors, arity
+    /// errors and `(error ...)` are [`VmError::Condition`]s.
     Runtime(String),
     /// A *recoverable* fault, classified by condition kind. The VM's
     /// dispatch loop intercepts this variant and re-raises it as a Scheme

@@ -623,8 +623,8 @@ impl Vm {
     #[inline(never)]
     fn entry(&mut self, required: usize, rest: bool) -> R<bool> {
         let argc = self.argc;
-        if argc < required || (!rest && argc > required) {
-            return Err(self.arity_error(required, rest, argc));
+        if !admits(required, rest, argc) {
+            return Err(arity_error(&self.codes[self.code as usize].name, required, rest, argc));
         }
         let need = self.entries[self.code as usize].need as usize;
         // Winder entries are critical sections: an asynchronous guard fault
@@ -710,20 +710,6 @@ impl Vm {
         Ok(None)
     }
 
-    #[cold]
-    #[inline(never)]
-    fn arity_error(&self, required: usize, rest: bool, argc: usize) -> Box<VmError> {
-        let name = &self.codes[self.code as usize].name;
-        VmError::condition(
-            "arity-error",
-            format!(
-                "{name}: expected {}{} arguments, got {argc}",
-                required,
-                if rest { "+" } else { "" }
-            ),
-        )
-    }
-
     /// Whether the frame being entered belongs to a winder thunk, run by
     /// `dynamic-wind` or by the winder walk: its return slot is one of the
     /// winder resume markers. (The body thunk resumes through `WindAfter`
@@ -785,8 +771,7 @@ impl Vm {
                 None => Err(self.type_error("apply", "procedure", f)),
             },
             Unpacked::Builtin(i) => {
-                let func = self.builtins[i as usize];
-                let flow = func(self, argc)?;
+                let flow = self.call_builtin(i, argc)?;
                 self.flow(flow)
             }
             _ => Err(self.type_error("apply", "procedure", f)),
@@ -1266,6 +1251,26 @@ impl Vm {
     pub(crate) fn type_error(&self, who: &str, expected: &str, got: Value) -> Box<VmError> {
         type_error(&self.heap, &self.syms, who, expected, got)
     }
+}
+
+/// Whether `argc` arguments fit a lambda list of `required` parameters,
+/// plus a rest parameter when `rest`: the one arity rule, for closures
+/// (`entry`) and builtins ([`Vm::call_builtin`]) alike.
+#[inline]
+pub(crate) fn admits(required: usize, rest: bool, argc: usize) -> bool {
+    argc >= required && (rest || argc == required)
+}
+
+/// The catchable `arity-error` for procedure `name` called with `argc`
+/// arguments.
+#[cold]
+#[inline(never)]
+pub(crate) fn arity_error(name: &str, required: usize, rest: bool, argc: usize) -> Box<VmError> {
+    let plus = if rest { "+" } else { "" };
+    VmError::condition(
+        "arity-error",
+        format!("{name}: expected {required}{plus} arguments, got {argc}"),
+    )
 }
 
 fn type_error(heap: &Heap, syms: &Symbols, who: &str, expected: &str, got: Value) -> Box<VmError> {

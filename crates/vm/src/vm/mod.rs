@@ -19,8 +19,6 @@ use oneshot_sexp::read_all;
 use crate::error::{VmError, R};
 use crate::slot::Slot;
 
-pub(crate) use builtins::BuiltinFn;
-
 /// The Scheme prelude (list operations and other library procedures),
 /// compiled through whichever pipeline the VM uses.
 const PRELUDE: &str = include_str!("../../scheme/prelude.scm");
@@ -294,7 +292,6 @@ pub struct Vm {
     pub(crate) global_ids: HashMap<String, u32>,
     /// The embedder's GC roots (see [`Vm::roots_mut`]).
     pub(crate) roots: Vec<Value>,
-    pub(crate) builtins: Vec<BuiltinFn>,
     // --- registers ---
     pub(crate) acc: Value,
     pub(crate) code: u32,
@@ -390,7 +387,6 @@ impl Vm {
             global_names: Vec::new(),
             global_ids: HashMap::new(),
             roots: Vec::new(),
-            builtins: Vec::new(),
             acc: Value::UNSPECIFIED,
             code: 0,
             pc: 0,

@@ -147,6 +147,35 @@ fn type_error_is_catchable() {
     );
 }
 
+/// Every builtin refusal that reads `expected <kind>` is a catchable
+/// `type-error` with that text, whichever helper built it.
+#[test]
+fn builtin_type_refusals_are_catchable_type_errors() {
+    let cases = [
+        ("(odd? 'a)", "odd?: expected integer"),
+        ("(quotient 7 \"2\")", "quotient: expected integer"),
+        ("(make-vector -1)", "make-vector: expected nonnegative integer"),
+        ("(list-tail '(1 2) -1)", "list-tail: expected nonnegative integer"),
+        ("(char-upcase 5)", "char-upcase: expected character"),
+        ("(char<? #\\a 1)", "char<?: expected character"),
+        ("(string-set! (vector 1) 0 #\\a)", "string-set!: expected string"),
+        ("(string-fill! (vector 1) #\\a)", "string-fill!: expected string"),
+        ("(vector-fill! \"abc\" 0)", "vector-fill!: expected vector"),
+    ];
+    let mut vm = Vm::new();
+    for (call, message) in cases {
+        check(
+            &mut vm,
+            &format!(
+                "(call-with-guard
+                   (lambda (c) (list (condition-kind c) (condition-message c)))
+                   (lambda () {call}))"
+            ),
+            &format!("(type-error \"{message}\")"),
+        );
+    }
+}
+
 #[test]
 fn arity_error_is_catchable() {
     let mut vm = Vm::new();
@@ -155,6 +184,40 @@ fn arity_error_is_catchable() {
         "(call-with-guard (lambda (c) (condition-kind c)) (lambda () ((lambda (x) x))))",
         "arity-error",
     );
+    // A builtin's arity is checked by the same rule and raises the same
+    // condition, named for the builtin called; uncaught, it prints
+    // `error: <message>`.
+    check(
+        &mut vm,
+        "(call-with-guard
+           (lambda (c) (list (condition-kind c) (condition-message c)))
+           (lambda () (car 1 2)))",
+        "(arity-error \"car: expected 1 arguments, got 2\")",
+    );
+    let (kind, condition, _) = expect_uncaught(&mut vm, "(memq 1)");
+    assert_eq!(kind.as_deref(), Some("arity-error"));
+    assert_eq!(condition, "memq: expected 2 arguments, got 1");
+    let e = vm.eval_str("(car 1 2)").unwrap_err();
+    assert_eq!(e.to_string(), "error: car: expected 1 arguments, got 2");
+    check(
+        &mut vm,
+        "(call-with-guard (lambda (c) (condition-message c)) (lambda () (-)))",
+        "\"-: expected 1+ arguments, got 0\"",
+    );
+    // The CPS pipeline's `apply` checks a builtin's arity by the same
+    // rule, and refuses `(apply f)` as the direct row does (the VM's own
+    // conditions are uncaught there).
+    for pipeline in [Pipeline::Direct, Pipeline::Cps] {
+        let mut vm = Vm::builder().pipeline(pipeline).build();
+        for (src, message) in [
+            ("(apply car '(1 2))", "car: expected 1 arguments, got 2"),
+            ("(apply car)", "apply: expected 2+ arguments, got 1"),
+        ] {
+            let e = vm.eval_str(src).unwrap_err();
+            assert_eq!(e.condition_kind(), Some("arity-error"), "{pipeline:?} {src}: {e}");
+            assert_eq!(e.to_string(), format!("error: {message}"), "{pipeline:?} {src}");
+        }
+    }
 }
 
 #[test]
@@ -425,6 +488,35 @@ fn programs_nested_to_the_bound_run_on_both_pipelines() {
                     assert!(matches!(vm.eval_str(&src), Err(VmError::Read(_))));
                 }
             }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// A body of `n` calls: `((lambda () (f) (f) ... (f)))`.
+fn flat_body(n: usize) -> String {
+    format!("((lambda () {}))", vec!["(f)"; n].join(" "))
+}
+
+#[test]
+fn a_body_past_the_cps_bound_is_a_compile_error() {
+    // The CPS pipeline nests one continuation per call; debug frames are
+    // several times the size of release ones, so give it room.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| {
+            let bound = oneshot_compiler::MAX_CPS_DEPTH;
+            let mut cps = Vm::builder().pipeline(Pipeline::Cps).build();
+            cps.eval_str("(define (f) 7)").unwrap();
+            check(&mut cps, &flat_body(bound - 10), "7");
+            let e = cps.eval_str(&flat_body(bound + 10)).unwrap_err();
+            assert!(matches!(e, VmError::Compile(_)), "got: {e:?}");
+            assert!(e.to_string().contains(&bound.to_string()), "{e}");
+            check(&mut cps, "(f)", "7");
+            let mut direct = Vm::new();
+            direct.eval_str("(define (f) 7)").unwrap();
+            check(&mut direct, &flat_body(10_000), "7");
         })
         .unwrap()
         .join()

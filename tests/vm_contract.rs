@@ -207,6 +207,39 @@ fn an_armed_trace_ring_changes_no_answer_and_no_counter() {
     }
 }
 
+/// Boyer calls builtins (`eq?`, `assq`, `symbol?`, `apply`, ...) far more
+/// than the programs above do, so its answer and every work counter are
+/// pinned too, on a fresh VM per pipeline. It runs in its own test: one
+/// run takes about a second in a debug build.
+#[test]
+fn boyer_answer_and_work_counters_are_pinned_on_both_pipelines() {
+    // In `work_counters` order: instructions, calls, conditions, faults,
+    // objects and words allocated, then the stack counters.
+    let pinned: [(Pipeline, [u64; 16]); 2] = [
+        (
+            Pipeline::Direct,
+            [9_883_203, 892_904, 0, 0, 201_388, 402_778, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+        ),
+        (
+            Pipeline::Cps,
+            [17_381_812, 1_491_975, 0, 0, 800_459, 3_042_500, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+        ),
+    ];
+    let mut drift = Vec::new();
+    for (pipeline, counters) in pinned {
+        let mut vm = vm_for(pipeline, oneshot_bench::workloads::BOYER, ProbeSpec::Off);
+        let (answer, d) = measure(&mut vm, "(boyer-run 1)");
+        assert_eq!(answer, "#t", "boyer on {pipeline:?}");
+        if work_counters(&d) != counters {
+            drift.push(format!(
+                "{pipeline:?}: {:?} retired, {counters:?} pinned",
+                work_counters(&d)
+            ));
+        }
+    }
+    assert!(drift.is_empty(), "boyer's work counters drifted:\n{}", drift.join("\n"));
+}
+
 #[test]
 fn a_one_shot_continuation_shot_twice_still_raises() {
     let mut vm = Vm::new();
