@@ -4,13 +4,12 @@
 //! `JobError`, each with its own shape. This module collapses them into a
 //! single [`Error`] with a stable [`ErrorKind`] to match on and a
 //! `source()` chain down to the underlying [`VmError`], so the guest's
-//! condition kinds (`"type-error"`, `"out-of-memory"`,
-//! `VmError::Uncaught`, ...) stay reachable from one place:
-//! [`Error::condition_kind`].
+//! condition kinds (the VM's [`ConditionKind`]s, or any symbol the guest
+//! raised uncaught) stay reachable from one place: [`Error::condition_kind`].
 
 use std::sync::Arc;
 
-use oneshot_vm::VmError;
+use oneshot_vm::{ConditionKind, VmError};
 
 use crate::job::{JobId, JobSpec};
 
@@ -28,8 +27,8 @@ pub enum ErrorKind {
     PoolClosed,
     /// Shutdown could not drain every worker before its deadline.
     ShutdownTimeout,
-    /// The job failed inside the VM: a Scheme error, an uncaught
-    /// condition, a one-shot continuation shot twice.
+    /// The job failed inside the VM: a condition it raised and did not
+    /// catch ([`Error::condition_kind`] names it), or an internal VM error.
     Vm,
     /// The job exceeded its fuel budget and was dropped.
     FuelExhausted,
@@ -193,7 +192,7 @@ impl Error {
     pub fn transient(&self) -> bool {
         match self.kind {
             ErrorKind::WorkerReset => true,
-            ErrorKind::Vm => self.condition_kind() == Some("out-of-memory"),
+            ErrorKind::Vm => self.condition_kind() == Some(ConditionKind::OutOfMemory.name()),
             _ => false,
         }
     }
@@ -228,13 +227,19 @@ mod tests {
 
     #[test]
     fn kinds_and_chains_survive_construction() {
-        let e = Error::vm(VmError::Condition { kind: "type-error", message: "car: pair".into() });
+        let e = Error::vm(VmError::Condition {
+            kind: ConditionKind::TypeError,
+            message: "car: pair".into(),
+        });
         assert_eq!(e.kind(), ErrorKind::Vm);
         assert_eq!(e.condition_kind(), Some("type-error"));
         assert!(std::error::Error::source(&e).is_some());
         assert!(!e.transient());
 
-        let oom = Error::vm(VmError::Condition { kind: "out-of-memory", message: "heap".into() });
+        let oom = Error::vm(VmError::Condition {
+            kind: ConditionKind::OutOfMemory,
+            message: "heap".into(),
+        });
         assert!(oom.transient());
 
         let reset = Error::worker_reset(JobId(7));

@@ -32,7 +32,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use oneshot_threads::{EngineHost, EngineId, EngineStep, Wait};
-use oneshot_vm::{Vm, VmConfig, VmStats};
+use oneshot_vm::{ConditionKind, Vm, VmConfig, VmStats};
 
 use crate::error::Error;
 use crate::job::{Job, JobId};
@@ -427,7 +427,7 @@ fn process_wakeups(
                 // resume the guest with the io-timeout status, which the
                 // blocking shims turn into the catchable condition.
                 ctx.tally().io_timeouts.add(1);
-                active.resume_status = Some("io-timeout");
+                active.resume_status = Some(ConditionKind::IoTimeout.name());
             }
             ready.push_back(active);
         }

@@ -45,7 +45,7 @@
 use oneshot_runtime::Value;
 use std::sync::Arc;
 
-use oneshot_vm::{CompiledProgram, GlobalSlot, LinkedProgram, Vm, VmError, VmStats};
+use oneshot_vm::{CompiledProgram, ConditionKind, GlobalSlot, LinkedProgram, Vm, VmError, VmStats};
 
 /// The capture-based scheduler, shared by `call/cc` and `call/1cc`: it
 /// switches threads with `%thread-capture`, which the host defines first.
@@ -473,7 +473,7 @@ impl EngineHost {
         status: Option<&str>,
     ) -> Result<EngineStep, VmError> {
         if !self.is_live(id) {
-            return Err(VmError::Runtime(format!("step: unknown engine {id}")));
+            return Err(VmError::Internal(format!("step: unknown engine {id}")));
         }
         let slot = id.slot();
         let fuel = i64::try_from(fuel.max(1)).unwrap_or(i64::MAX);
@@ -501,9 +501,11 @@ impl EngineHost {
             }
             None => {}
         }
+        // A guest that rebinds `%engine-slice` gets here.
         let shown = self.vm.write_value(&v);
         self.drop_engine(id);
-        Err(VmError::Runtime(format!("%engine-slice returned an unexpected value: {shown}")))
+        let message = format!("%engine-slice returned an unexpected value: {shown}");
+        Err(VmError::Condition { kind: ConditionKind::Error, message })
     }
 
     /// Decodes the `wait` of a suspended slice's `(sk . wait)`: `#f` for a

@@ -20,7 +20,9 @@
 (define (values k . vs)
   (if (and (pair? vs) (null? (cdr vs)))
       (k (car vs))
-      (error "values: only single values are supported in CPS mode")))
+      (raise (lambda (v) v)
+             (cons 'values-error
+                   "values: only single values are supported in CPS mode"))))
 
 (define (call-with-values k p c)
   (p (lambda (v) (c k v))))

@@ -37,7 +37,7 @@ mod net;
 mod slot;
 mod vm;
 
-pub use error::VmError;
+pub use error::{ConditionKind, VmError};
 pub use slot::{slot_disp, Resume, Slot};
 pub use vm::{GlobalSlot, LinkedProgram, ProbeSpec, Vm, VmBuilder, VmConfig, VmStats};
 

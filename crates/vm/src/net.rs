@@ -18,7 +18,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 
-use crate::error::VmError;
+use crate::error::{ConditionKind, VmError};
 
 /// One open socket.
 #[derive(Debug)]
@@ -71,12 +71,16 @@ pub(crate) struct NetTable {
     wbuf: Vec<u8>,
 }
 
+fn io_error(message: String) -> VmError {
+    VmError::Condition { kind: ConditionKind::IoError, message }
+}
+
 fn io_err(who: &str, e: std::io::Error) -> VmError {
-    VmError::Condition { kind: "io-error", message: format!("{who}: {e}") }
+    io_error(format!("{who}: {e}"))
 }
 
 fn bad_token(who: &str, token: i64) -> VmError {
-    VmError::Condition { kind: "io-error", message: format!("{who}: bad socket token {token}") }
+    io_error(format!("{who}: bad socket token {token}"))
 }
 
 impl NetTable {
@@ -102,10 +106,7 @@ impl NetTable {
 
     fn insert(&mut self, who: &str, sock: Sock) -> Result<i64, VmError> {
         if self.live >= self.cap {
-            return Err(VmError::Condition {
-                kind: "io-error",
-                message: format!("{who}: too many open sockets (limit {})", self.cap),
-            });
+            return Err(io_error(format!("{who}: too many open sockets (limit {})", self.cap)));
         }
         self.live += 1;
         let idx = match self.free.pop() {

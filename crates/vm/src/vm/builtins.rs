@@ -11,9 +11,11 @@
 use oneshot_runtime::{datum_to_value, values_equal, Obj, ObjKind, Unpacked, Value};
 use oneshot_sexp::Datum;
 
-use crate::error::{VmError, R};
+use crate::error::{ConditionKind, VmError, R};
 use crate::slot::{Resume, Slot};
-use crate::vm::exec::{admits, arith, arity_error, as_f64, num_cmp, vector_set, Arith, Cmp};
+use crate::vm::exec::{
+    admits, arith, arity_error, as_f64, num_cmp, range_error, vector_set, Arith, Cmp,
+};
 use crate::vm::Vm;
 
 /// What the VM should do after a builtin runs.
@@ -66,10 +68,6 @@ const fn variadic(name: &'static str, required: usize, body: BuiltinFn) -> Built
     Builtin { name, required, rest: true, body }
 }
 
-fn err(msg: impl Into<String>) -> Box<VmError> {
-    VmError::runtime(msg)
-}
-
 impl Vm {
     pub(crate) fn register_builtins(&mut self) {
         for (i, b) in BUILTINS.iter().enumerate() {
@@ -115,7 +113,7 @@ impl Vm {
                     out.push(a);
                     v = d;
                 }
-                None => return Err(err(format!("{who}: improper list"))),
+                None => return Err(improper_list(who)),
             }
         }
     }
@@ -170,8 +168,9 @@ impl Vm {
         let stash = self.local(1);
         let was_mv = self.local(2);
         if was_mv == Value::TRUE {
-            let Some(r) = stash.as_obj() else { return Err(err("wind stash corrupt")) };
-            let Some(vals) = self.heap.vector(r) else { return Err(err("wind stash corrupt")) };
+            let Some(vals) = stash.as_obj().and_then(|r| self.heap.vector(r)) else {
+                return Err(VmError::internal("wind stash corrupt"));
+            };
             self.mv = Some(vals.to_vec());
             self.acc = Value::UNSPECIFIED;
         } else {
@@ -199,7 +198,31 @@ impl Vm {
 
 /// The catchable `type-error` for an argument that is not a `kind`.
 fn expected(who: &str, kind: &str) -> Box<VmError> {
-    VmError::condition("type-error", format!("{who}: expected {kind}"))
+    VmError::condition(ConditionKind::TypeError, format!("{who}: expected {kind}"))
+}
+
+fn improper_list(who: &str) -> Box<VmError> {
+    VmError::condition(ConditionKind::ImproperList, format!("{who}: improper list"))
+}
+
+fn division_by_zero(who: &str) -> Box<VmError> {
+    VmError::condition(ConditionKind::DivisionByZero, format!("{who}: division by zero"))
+}
+
+fn fixnum_overflow(who: &str) -> Box<VmError> {
+    VmError::condition(ConditionKind::Error, format!("fixnum overflow in {who}"))
+}
+
+/// `n` copies of `x`, or the catchable `out-of-memory` when the host
+/// cannot reserve them: a guest-sized allocation never aborts the process.
+fn filled<T: Clone>(n: usize, x: T, who: &str) -> R<Vec<T>> {
+    let mut v = Vec::new();
+    if v.try_reserve_exact(n).is_err() {
+        let message = format!("{who}: cannot allocate {n} elements");
+        return Err(VmError::condition(ConditionKind::OutOfMemory, message));
+    }
+    v.resize(n, x);
+    Ok(v)
 }
 
 fn fix(v: Value, who: &str) -> R<i64> {
@@ -209,8 +232,7 @@ fn fix(v: Value, who: &str) -> R<i64> {
 /// A fixnum result that must fit the 50-bit payload; raises the catchable
 /// overflow condition otherwise (the word has no bignum fallback).
 fn fixnum_or_overflow(n: i64, who: &str) -> R<Value> {
-    Value::fixnum_checked(n)
-        .ok_or_else(|| VmError::condition("error", format!("fixnum overflow in {who}")))
+    Value::fixnum_checked(n).ok_or_else(|| fixnum_overflow(who))
 }
 
 fn ufix(v: Value, who: &str) -> R<usize> {
@@ -219,7 +241,7 @@ fn ufix(v: Value, who: &str) -> R<usize> {
 
 fn net_port(v: Value, who: &str) -> R<u16> {
     let n = fix(v, who)?;
-    u16::try_from(n).map_err(|_| err(format!("{who}: expected a port in 0..=65535")))
+    u16::try_from(n).map_err(|_| range_error(format!("{who}: expected a port in 0..=65535")))
 }
 
 fn chr(v: Value, who: &str) -> R<char> {
@@ -326,7 +348,7 @@ static BUILTINS: &[Builtin] = &[
         for i in rest {
             let d = vm.arg(i);
             acc = match (acc.as_fixnum(), d.as_fixnum()) {
-                (Some(_), Some(0)) => return Err(err("/: division by zero")),
+                (Some(_), Some(0)) => return Err(division_by_zero("/")),
                 (Some(a), Some(b)) if a % b == 0 => Value::fixnum(a / b),
                 _ => {
                     let x = as_f64(acc, "/")?;
@@ -340,21 +362,21 @@ static BUILTINS: &[Builtin] = &[
     fixed("quotient", 2, |vm, _| {
         let (a, b) = (fix(vm.arg(0), "quotient")?, fix(vm.arg(1), "quotient")?);
         if b == 0 {
-            return Err(err("quotient: division by zero"));
+            return Err(division_by_zero("quotient"));
         }
         ret!(vm, fixnum_or_overflow(a.wrapping_div(b), "quotient")?)
     }),
     fixed("remainder", 2, |vm, _| {
         let (a, b) = (fix(vm.arg(0), "remainder")?, fix(vm.arg(1), "remainder")?);
         if b == 0 {
-            return Err(err("remainder: division by zero"));
+            return Err(division_by_zero("remainder"));
         }
         ret!(vm, Value::fixnum(a.wrapping_rem(b)))
     }),
     fixed("modulo", 2, |vm, _| {
         let (a, b) = (fix(vm.arg(0), "modulo")?, fix(vm.arg(1), "modulo")?);
         if b == 0 {
-            return Err(err("modulo: division by zero"));
+            return Err(division_by_zero("modulo"));
         }
         let r = a % b;
         let m = if r != 0 && (r < 0) != (b < 0) { r + b } else { r };
@@ -399,16 +421,14 @@ static BUILTINS: &[Builtin] = &[
             if n == 0 {
                 return ret!(vm, Value::fixnum(0));
             }
-            l = (l / gcd64(l, n))
-                .checked_mul(n)
-                .ok_or_else(|| VmError::condition("error", "fixnum overflow in lcm"))?;
+            l = (l / gcd64(l, n)).checked_mul(n).ok_or_else(|| fixnum_overflow("lcm"))?;
         }
         ret!(vm, fixnum_or_overflow(l, "lcm")?)
     }),
     fixed("expt", 2, |vm, _| match (vm.arg(0).as_fixnum(), vm.arg(1).as_fixnum()) {
         (Some(a), Some(b)) if b >= 0 => {
-            let e = u32::try_from(b).map_err(|_| err("expt: exponent too large"))?;
-            let r = a.checked_pow(e).ok_or_else(|| err("fixnum overflow in expt"))?;
+            let e = u32::try_from(b).map_err(|_| range_error("expt: exponent too large"))?;
+            let r = a.checked_pow(e).ok_or_else(|| fixnum_overflow("expt"))?;
             ret!(vm, fixnum_or_overflow(r, "expt")?)
         }
         _ => {
@@ -443,7 +463,7 @@ static BUILTINS: &[Builtin] = &[
         Unpacked::Flonum(x) if x.fract() == 0.0 && Value::fits_fixnum(x as i64) => {
             ret!(vm, Value::fixnum(x as i64))
         }
-        _ => Err(err("inexact->exact: not representable as an exact integer")),
+        _ => Err(range_error("inexact->exact: not representable as an exact integer")),
     }),
     pred!("number?", |_, v| v.is_fixnum() || v.is_flonum()),
     pred!("integer?", |_, v| {
@@ -477,7 +497,7 @@ static BUILTINS: &[Builtin] = &[
                 oneshot_sexp::write_flonum(&mut s, x);
                 s
             }
-            _ => return Err(err("number->string: unsupported radix")),
+            _ => return Err(range_error("number->string: unsupported radix")),
         };
         let v = vm.alloc_string(s.chars().collect());
         ret!(vm, v)
@@ -500,7 +520,11 @@ static BUILTINS: &[Builtin] = &[
                 _ => Value::FALSE,
             }
         } else {
-            match i64::from_str_radix(&s, radix as u32) {
+            let radix = u32::try_from(radix)
+                .ok()
+                .filter(|r| (2..=36).contains(r))
+                .ok_or_else(|| range_error("string->number: unsupported radix"))?;
+            match i64::from_str_radix(&s, radix) {
                 Ok(n) => Value::fixnum_checked(n).unwrap_or_else(|| Value::flonum(n as f64)),
                 Err(_) => Value::FALSE,
             }
@@ -655,7 +679,7 @@ static BUILTINS: &[Builtin] = &[
         let c = u32::try_from(n)
             .ok()
             .and_then(char::from_u32)
-            .ok_or_else(|| err("integer->char: not a character code"))?;
+            .ok_or_else(|| range_error("integer->char: not a character code"))?;
         ret!(vm, Value::character(c))
     }),
     variadic("char=?", 2, |vm, argc| char_cmp_chain(vm, argc, "char=?", |a, b| a == b)),
@@ -688,7 +712,7 @@ static BUILTINS: &[Builtin] = &[
     variadic("make-string", 1, |vm, argc| {
         let n = ufix(vm.arg(0), "make-string")?;
         let c = if argc >= 2 { chr(vm.arg(1), "make-string")? } else { ' ' };
-        let v = vm.alloc_string(vec![c; n]);
+        let v = vm.alloc_string(filled(n, c, "make-string")?);
         ret!(vm, v)
     }),
     variadic("string", 0, |vm, argc| {
@@ -706,7 +730,7 @@ static BUILTINS: &[Builtin] = &[
     fixed("string-ref", 2, |vm, _| {
         let s = vm.string_of(vm.arg(0), "string-ref")?;
         let i = ufix(vm.arg(1), "string-ref")?;
-        let c = s.get(i).ok_or_else(|| err("string-ref: index out of range"))?;
+        let c = s.get(i).ok_or_else(|| range_error("string-ref: index out of range"))?;
         ret!(vm, Value::character(*c))
     }),
     fixed("string-set!", 3, |vm, _| {
@@ -718,7 +742,7 @@ static BUILTINS: &[Builtin] = &[
         let Some(s) = vm.heap.string_mut(r) else {
             return Err(expected("string-set!", "string"));
         };
-        let slot = s.get_mut(i).ok_or_else(|| err("string-set!: index out of range"))?;
+        let slot = s.get_mut(i).ok_or_else(|| range_error("string-set!: index out of range"))?;
         *slot = c;
         ret!(vm, Value::UNSPECIFIED)
     }),
@@ -732,7 +756,7 @@ static BUILTINS: &[Builtin] = &[
         let start = ufix(vm.arg(1), "substring")?;
         let end = ufix(vm.arg(2), "substring")?;
         if start > end || end > s.len() {
-            return Err(err("substring: index out of range"));
+            return Err(range_error("substring: index out of range"));
         }
         let v = vm.alloc_string(s[start..end].to_vec());
         ret!(vm, v)
@@ -780,7 +804,7 @@ static BUILTINS: &[Builtin] = &[
     variadic("make-vector", 1, |vm, argc| {
         let n = ufix(vm.arg(0), "make-vector")?;
         let fill = if argc >= 2 { vm.arg(1) } else { Value::UNSPECIFIED };
-        let v = Value::obj(vm.heap.alloc(Obj::Vector(vec![fill; n])));
+        let v = Value::obj(vm.heap.alloc(Obj::Vector(filled(n, fill, "make-vector")?)));
         ret!(vm, v)
     }),
     variadic("vector", 0, |vm, argc| {
@@ -912,9 +936,8 @@ static BUILTINS: &[Builtin] = &[
         }
         // `(error ...)` is a raised condition of kind `error`: the
         // dispatch loop re-raises it through the prelude so guard
-        // handlers can catch it; uncaught, it prints exactly as the old
-        // Runtime variant did.
-        Err(VmError::condition("error", msg))
+        // handlers can catch it; uncaught, it prints `error: <msg>`.
+        Err(VmError::condition(ConditionKind::Error, msg))
     }),
     fixed("void", 0, |vm, _| ret!(vm, Value::UNSPECIFIED)),
     variadic("gc", 0, |vm, argc| {
@@ -965,10 +988,11 @@ static BUILTINS: &[Builtin] = &[
         // tail-calls the resulting toplevel thunk. A second
         // (environment) argument is accepted and ignored: there is one
         // global environment.
-        let datum = oneshot_runtime::value_to_datum(&vm.heap, &vm.syms, vm.arg(0))
-            .map_err(VmError::Runtime)?;
+        let syntax_error = |message| VmError::condition(ConditionKind::SyntaxError, message);
+        let datum =
+            oneshot_runtime::value_to_datum(&vm.heap, &vm.syms, vm.arg(0)).map_err(syntax_error)?;
         let prog = oneshot_compiler::compile_program(&[datum], vm.pipeline())
-            .map_err(|e| err(e.to_string()))?;
+            .map_err(|e| syntax_error(e.to_string()))?;
         let entry = vm.link(&prog);
         let thunk = Value::obj(vm.heap.alloc(Obj::Closure { code: entry, free: Box::new([]) }));
         Ok(Flow::Tail { f: thunk, argc: 0 })
@@ -992,7 +1016,7 @@ static BUILTINS: &[Builtin] = &[
         // observable even on one core.
         let n = fix(vm.arg(0), "sleep-ms")?;
         if n < 0 {
-            return Err(err("sleep-ms: expected a non-negative duration"));
+            return Err(range_error("sleep-ms: expected a non-negative duration"));
         }
         std::thread::sleep(std::time::Duration::from_millis(n as u64));
         ret!(vm, Value::UNSPECIFIED)
@@ -1064,7 +1088,7 @@ static BUILTINS: &[Builtin] = &[
         let tok = fix(vm.arg(0), "%tcp-read")?;
         let max = fix(vm.arg(1), "%tcp-read")?;
         if max <= 0 {
-            return Err(err("%tcp-read: expected a positive byte count"));
+            return Err(range_error("%tcp-read: expected a positive byte count"));
         }
         let mut max = max as usize;
         // Syscall-level chaos: the armed clocks fire at most once each
@@ -1074,7 +1098,7 @@ static BUILTINS: &[Builtin] = &[
             if vm.io_reset_fault.tick() {
                 vm.faults_injected += 1;
                 return Err(VmError::condition(
-                    "io-error",
+                    ConditionKind::IoError,
                     "%tcp-read: connection reset by peer (injected)",
                 ));
             }
@@ -1115,10 +1139,10 @@ static BUILTINS: &[Builtin] = &[
         let start = usize::try_from(start)
             .ok()
             .filter(|&s| s <= chars.len())
-            .ok_or_else(|| err("%tcp-write: start out of range"))?;
+            .ok_or_else(|| range_error("%tcp-write: start out of range"))?;
         let Some(mut len) = vm.net.encode_latin1(&chars[start..]) else {
             return Err(VmError::condition(
-                "io-error",
+                ConditionKind::IoError,
                 "%tcp-write: string has chars above latin-1",
             ));
         };
@@ -1129,7 +1153,7 @@ static BUILTINS: &[Builtin] = &[
             if vm.io_reset_fault.tick() {
                 vm.faults_injected += 1;
                 return Err(VmError::condition(
-                    "io-error",
+                    ConditionKind::IoError,
                     "%tcp-write: connection reset by peer (injected)",
                 ));
             }
@@ -1182,7 +1206,9 @@ static BUILTINS: &[Builtin] = &[
         let mut spread: Vec<Value> = spec[..spec.len() - 1].to_vec();
         spread.extend(vm.list_to_vec(spec[spec.len() - 1], "apply")?);
         if let Some(b) = f.as_builtin() {
-            vm.ensure_or_raise(spread.len() + 3, 1 + argc)?;
+            // The frame keeps its three arguments live while it grows,
+            // even when the spread is shorter.
+            vm.ensure_or_raise(spread.len().max(argc) + 3, 1 + argc)?;
             let n = spread.len();
             for (i, v) in spread.iter().enumerate() {
                 vm.set_local(1 + i, *v);
@@ -1190,13 +1216,21 @@ static BUILTINS: &[Builtin] = &[
             match vm.call_builtin(b, n)? {
                 Flow::Return => {
                     if vm.mv.is_some() {
-                        return Err(err("apply: multiple values are unsupported in CPS mode"));
+                        return Err(VmError::condition(
+                            ConditionKind::ValuesError,
+                            "apply: multiple values are unsupported in CPS mode",
+                        ));
                     }
                     let v = vm.acc;
                     vm.set_local(1, v);
                     return Ok(Flow::Tail { f: k, argc: 1 });
                 }
-                _ => return Err(err("apply: builtin transferred control in CPS mode")),
+                _ => {
+                    return Err(VmError::condition(
+                        ConditionKind::Error,
+                        "apply: builtin transferred control in CPS mode",
+                    ))
+                }
             }
         }
         let mut full = vec![k];
@@ -1220,7 +1254,9 @@ static BUILTINS: &[Builtin] = &[
         ret!(vm, Value::UNSPECIFIED)
     }),
     fixed("%top-handler", 0, |vm, _| {
-        let h = vm.car_of(vm.handlers).map_err(|_| err("%top-handler: empty handler stack"))?;
+        let h = vm.car_of(vm.handlers).map_err(|_| {
+            VmError::condition(ConditionKind::Error, "%top-handler: empty handler stack")
+        })?;
         ret!(vm, h)
     }),
     fixed("%have-handler?", 0, |vm, _| {
@@ -1233,9 +1269,9 @@ static BUILTINS: &[Builtin] = &[
     }),
     variadic("%uncaught", 1, |vm, _| {
         // Terminal: no handler was installed for a raised condition.
-        // `(kind . "message")` conditions surface their message text
-        // (matching the shape Runtime errors always printed); anything
-        // else is written as a datum.
+        // `(kind . "message")` conditions surface their message text, as
+        // `error: <message>` once displayed; anything else is written as
+        // a datum.
         let c = vm.arg(0);
         let parts = c
             .as_obj()
@@ -1338,7 +1374,7 @@ fn member(vm: &mut Vm, who: &str) -> R<Flow> {
                 }
                 v = d;
             }
-            None => return Err(err(format!("{who}: improper list"))),
+            None => return Err(improper_list(who)),
         }
     }
 }
@@ -1359,7 +1395,7 @@ fn assoc(vm: &mut Vm, who: &str) -> R<Flow> {
                 }
                 v = d;
             }
-            None => return Err(err(format!("{who}: improper list"))),
+            None => return Err(improper_list(who)),
         }
     }
 }

@@ -7,7 +7,7 @@ use oneshot_compiler::Op;
 use oneshot_core::{ControlError, KontId, Underflow};
 use oneshot_runtime::{Heap, Obj, Symbols, Unpacked, Value};
 
-use crate::error::{VmError, R};
+use crate::error::{ConditionKind, VmError, R};
 use crate::slot::{slot_disp, Resume, Slot};
 use crate::vm::builtins::Flow;
 use crate::vm::Vm;
@@ -41,13 +41,15 @@ impl Vm {
         self.heap.cell(r).expect("cell reference to non-cell")
     }
 
-    /// Builds the unbound-variable error. Out of line and `#[cold]`: the
+    /// Builds the catchable `unbound-variable` condition. Out of line and
+    /// `#[cold]`: the
     /// hot `GlobalRef` path is a load plus one sentinel compare, with the
     /// message formatting kept off the fast path entirely.
     #[cold]
     #[inline(never)]
     fn unbound(&self, what: &str, i: u32) -> Box<VmError> {
-        VmError::runtime(format!("{what}: {}", self.global_names[i as usize]))
+        let name = &self.global_names[i as usize];
+        VmError::condition(ConditionKind::UnboundVariable, format!("{what}: {name}"))
     }
 
     /// The interpreter entry: runs the dispatch loop, intercepting
@@ -81,12 +83,12 @@ impl Vm {
     /// loaded yet.
     #[cold]
     #[inline(never)]
-    fn begin_raise(&mut self, kind: &'static str, message: String) -> R<Option<Value>> {
+    fn begin_raise(&mut self, kind: ConditionKind, message: String) -> R<Option<Value>> {
         let uncaught = |vm: &mut Vm, message: String| {
             vm.conditions_raised += 1;
             Err(Box::new(VmError::Uncaught {
                 condition: message,
-                kind: Some(kind.to_string()),
+                kind: Some(kind.name().to_string()),
                 backtrace: vm.backtrace(),
             }))
         };
@@ -110,7 +112,7 @@ impl Vm {
         if self.ensure_or_raise(3, 1).is_err() {
             return uncaught(self, message);
         }
-        let kind_sym = self.intern(kind);
+        let kind_sym = self.intern(kind.name());
         let msg_str = Value::obj(self.heap.alloc(Obj::Str(message.chars().collect())));
         let cond = Value::obj(self.heap.alloc_pair(kind_sym, msg_str));
         let fp = self.stack.fp();
@@ -676,7 +678,10 @@ impl Vm {
     fn entry_guard_checks(&mut self, live: usize) -> R<Option<bool>> {
         if self.heap.take_alloc_fault() {
             self.faults_injected += 1;
-            return Err(VmError::condition("out-of-memory", "injected allocation failure"));
+            return Err(VmError::condition(
+                ConditionKind::OutOfMemory,
+                "injected allocation failure",
+            ));
         }
         if let Some(budget) = self.heap_budget {
             if self.heap.len() > budget {
@@ -686,7 +691,7 @@ impl Vm {
                 if self.heap.len() > budget && !self.oom_raised {
                     self.oom_raised = true;
                     return Err(VmError::condition(
-                        "out-of-memory",
+                        ConditionKind::OutOfMemory,
                         format!(
                             "heap budget exceeded: {} live objects over budget of {budget}",
                             self.heap.len()
@@ -730,7 +735,7 @@ impl Vm {
         let handler = self.timer_handler;
         if !(handler.is_obj() || handler.is_builtin()) {
             return Err(VmError::condition(
-                "fuel-exhausted",
+                ConditionKind::FuelExhausted,
                 "timer expired with no interrupt handler",
             ));
         }
@@ -748,9 +753,13 @@ impl Vm {
         self.stack.set_fp(fp + fs);
         self.calls += 1;
         if self.apply(handler, 0)?.is_some() {
-            // A zero-argument handler cannot legitimately end the program
-            // from here; treat as an error to avoid losing the fact.
-            return Err(VmError::runtime("timer handler exhausted the continuation chain"));
+            // A handler that is the empty continuation (one captured in
+            // an earlier program's tail position) ends the chain here; the
+            // interrupted program has no value to complete with.
+            return Err(VmError::condition(
+                ConditionKind::Error,
+                "timer handler exhausted the continuation chain",
+            ));
         }
         Ok(true)
     }
@@ -798,9 +807,10 @@ impl Vm {
         if self.mv.is_some() {
             let n = self.mv.as_ref().map_or(0, Vec::len);
             self.mv = None;
-            return Err(VmError::runtime(format!(
-                "returned {n} values to single value return context"
-            )));
+            return Err(VmError::condition(
+                ConditionKind::ValuesError,
+                format!("returned {n} values to single value return context"),
+            ));
         }
         self.stack.pop_frame(disp as usize);
         self.code = code;
@@ -841,7 +851,7 @@ impl Vm {
                         }
                     }
                 }
-                Slot::Val(v) => Err(VmError::runtime(format!("return through value slot {v:?}"))),
+                Slot::Val(v) => Err(VmError::internal(format!("return through value slot {v:?}"))),
             }
         }
     }
@@ -1045,7 +1055,7 @@ impl Vm {
     /// across the walk, is authoritative.
     fn arrive(&mut self) -> R<Option<Value>> {
         let (obj, payload) = (self.local(3), self.local(4));
-        let corrupt = || VmError::runtime("winder walk frame corrupt");
+        let corrupt = || VmError::internal("winder walk frame corrupt");
         let arrival = self.local(2).as_fixnum().and_then(|n| Arrival::ALL.get(n as usize));
         match arrival.ok_or_else(corrupt)? {
             Arrival::Invoke => {
@@ -1119,7 +1129,7 @@ impl Vm {
     /// Sets `acc`/`mv` from a vector [`Vm::stash_locals`] made.
     fn deliver_stashed(&mut self, stash: Value) -> R<()> {
         let Some(vals) = stash.as_obj().and_then(|r| self.heap.vector(r)) else {
-            return Err(VmError::runtime("winder walk values missing"));
+            return Err(VmError::internal("winder walk values missing"));
         };
         (self.acc, self.mv) = match vals {
             [v] => (*v, None),
@@ -1176,7 +1186,7 @@ impl Vm {
                 self.flow(flow)
             }
             other => {
-                Err(VmError::runtime(format!("continuation with non-return ret slot {other:?}")))
+                Err(VmError::internal(format!("continuation with non-return ret slot {other:?}")))
             }
         }
     }
@@ -1205,7 +1215,7 @@ impl Vm {
     pub(crate) fn find_prompt(&self, tag: Value) -> R<(KontId, Value)> {
         self.find_prompt_opt(tag).ok_or_else(|| {
             VmError::condition(
-                "no-matching-prompt",
+                ConditionKind::NoMatchingPrompt,
                 format!(
                     "no prompt tagged {} is on the continuation",
                     oneshot_runtime::write_value(&self.heap, &self.syms, tag)
@@ -1245,7 +1255,7 @@ impl Vm {
         usize::try_from(i)
             .ok()
             .and_then(|i| items.get(i).copied())
-            .ok_or_else(|| VmError::runtime(format!("vector-ref: index {i} out of range")))
+            .ok_or_else(|| range_error(format!("vector-ref: index {i} out of range")))
     }
 
     pub(crate) fn type_error(&self, who: &str, expected: &str, got: Value) -> Box<VmError> {
@@ -1268,14 +1278,14 @@ pub(crate) fn admits(required: usize, rest: bool, argc: usize) -> bool {
 pub(crate) fn arity_error(name: &str, required: usize, rest: bool, argc: usize) -> Box<VmError> {
     let plus = if rest { "+" } else { "" };
     VmError::condition(
-        "arity-error",
+        ConditionKind::ArityError,
         format!("{name}: expected {required}{plus} arguments, got {argc}"),
     )
 }
 
 fn type_error(heap: &Heap, syms: &Symbols, who: &str, expected: &str, got: Value) -> Box<VmError> {
     VmError::condition(
-        "type-error",
+        ConditionKind::TypeError,
         format!(
             "{who}: expected {expected}, got {}",
             oneshot_runtime::write_value(heap, syms, got)
@@ -1283,15 +1293,25 @@ fn type_error(heap: &Heap, syms: &Symbols, who: &str, expected: &str, got: Value
     )
 }
 
+/// The catchable `range-error`, out of line: index refusals sit beside
+/// the dispatch loop's in-line vector paths.
+#[cold]
+#[inline(never)]
+pub(crate) fn range_error(message: impl Into<String>) -> Box<VmError> {
+    VmError::condition(ConditionKind::RangeError, message)
+}
+
 /// How a core control refusal reaches the guest, whichever transfer met
-/// it: the catchable `shot-twice` and `no-matching-prompt` conditions, or
-/// a runtime error for a continuation the collector already reclaimed.
+/// it: the catchable `shot-twice` and `no-matching-prompt` conditions. A
+/// dead continuation is internal: every continuation the guest holds is a
+/// collector root, so only a broken VM reaches one.
 fn control_error(e: ControlError) -> Box<VmError> {
-    match e {
-        ControlError::AlreadyShot => VmError::condition("shot-twice", e.to_string()),
-        ControlError::NoMatchingPrompt => VmError::condition("no-matching-prompt", e.to_string()),
-        _ => VmError::runtime(e.to_string()),
-    }
+    let kind = match e {
+        ControlError::AlreadyShot => ConditionKind::ShotTwice,
+        ControlError::NoMatchingPrompt => ConditionKind::NoMatchingPrompt,
+        _ => return VmError::internal(e.to_string()),
+    };
+    VmError::condition(kind, e.to_string())
 }
 
 /// Where the winder walk ends up: the transfer it completes once
@@ -1353,7 +1373,7 @@ pub(crate) fn vector_set(heap: &mut Heap, syms: &Symbols, v: Value, idx: Value, 
     let slot = usize::try_from(i)
         .ok()
         .and_then(|i| items.get_mut(i))
-        .ok_or_else(|| VmError::runtime(format!("vector-set!: index {i} out of range")))?;
+        .ok_or_else(|| range_error(format!("vector-set!: index {i} out of range")))?;
     *slot = x;
     Ok(())
 }
@@ -1461,7 +1481,10 @@ fn fix_arith(op: Arith, a: Value, b: Value) -> Option<Value> {
 #[inline(never)]
 fn arith_slow(op: Arith, a: Value, b: Value) -> R<Value> {
     if a.is_fixnum() && b.is_fixnum() {
-        return Err(VmError::condition("error", format!("fixnum overflow in {}", op.name())));
+        return Err(VmError::condition(
+            ConditionKind::Error,
+            format!("fixnum overflow in {}", op.name()),
+        ));
     }
     let (x, y) = (as_f64(a, op.name())?, as_f64(b, op.name())?);
     Ok(Value::flonum(match op {
@@ -1503,7 +1526,7 @@ pub(crate) fn as_f64(v: Value, who: &str) -> R<f64> {
     match v.unpack() {
         Unpacked::Fixnum(n) => Ok(n as f64),
         Unpacked::Flonum(x) => Ok(x),
-        _ => Err(VmError::condition("type-error", format!("{who}: expected number"))),
+        _ => Err(VmError::condition(ConditionKind::TypeError, format!("{who}: expected number"))),
     }
 }
 

@@ -16,7 +16,7 @@ use oneshot_runtime::{
 };
 use oneshot_sexp::read_all;
 
-use crate::error::{VmError, R};
+use crate::error::{ConditionKind, VmError, R};
 use crate::slot::Slot;
 
 /// The Scheme prelude (list operations and other library procedures),
@@ -726,8 +726,8 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Runtime errors from the callee, or a type error if `f` is not
-    /// applicable.
+    /// A condition the callee raised, as [`VmError::Uncaught`] (a type
+    /// error if `f` is not applicable).
     pub fn call(&mut self, f: Value, args: &[Value]) -> Result<Value, VmError> {
         let r = (|| -> R<Value> {
             self.ensure_or_raise(args.len() + 2, 1)?;
@@ -750,7 +750,7 @@ impl Vm {
                 self.conditions_raised += 1;
                 VmError::Uncaught {
                     condition: message,
-                    kind: Some(kind.to_string()),
+                    kind: Some(kind.name().to_string()),
                     backtrace: self.backtrace(),
                 }
             }
@@ -782,7 +782,10 @@ impl Vm {
             // grace period already armed (a real ceiling leaves arming to
             // the embedder); no reclamation would help, so raise at once.
             self.faults_injected += 1;
-            return Err(VmError::condition("stack-overflow", "stack segment ceiling exceeded"));
+            return Err(VmError::condition(
+                ConditionKind::StackOverflow,
+                "stack segment ceiling exceeded",
+            ));
         }
         // A real ceiling can be pinned by dead segments awaiting a
         // sweep (e.g. the chain bypassed by a continuation escape);
@@ -793,7 +796,10 @@ impl Vm {
         match self.stack.ensure(need, live, &crate::slot::slot_disp) {
             Overflow::Ceiling => {
                 self.stack.enter_overflow_grace();
-                Err(VmError::condition("stack-overflow", "stack segment ceiling exceeded"))
+                Err(VmError::condition(
+                    ConditionKind::StackOverflow,
+                    "stack segment ceiling exceeded",
+                ))
             }
             _ => Ok(()),
         }

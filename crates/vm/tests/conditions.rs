@@ -1,14 +1,14 @@
-//! The condition system and resource guards: every fault class the VM can
-//! raise — type/arity errors, `(error ...)`, shot-twice one-shot
-//! continuations, heap-budget exhaustion, stack-segment ceilings, fuel
-//! exhaustion, and deterministically injected faults — must be catchable
+//! The condition system and resource guards: every refusal a guest can
+//! reach (one row each in `REFUSALS`, which covers every declared
+//! `ConditionKind`), heap-budget exhaustion, stack-segment ceilings, fuel
+//! exhaustion and deterministically injected faults must be catchable
 //! from Scheme with `with-exception-handler`/`call-with-guard`, and must
 //! surface as `VmError::Uncaught` with a backtrace when nothing catches
 //! them.
 
 use oneshot_core::Config;
 use oneshot_sexp::MAX_NESTING;
-use oneshot_vm::{FaultPlan, Pipeline, Vm, VmError};
+use oneshot_vm::{ConditionKind, FaultPlan, Pipeline, Vm, VmError};
 
 fn check(vm: &mut Vm, src: &str, expected: &str) {
     match vm.eval_str(src) {
@@ -147,33 +147,152 @@ fn type_error_is_catchable() {
     );
 }
 
-/// Every builtin refusal that reads `expected <kind>` is a catchable
-/// `type-error` with that text, whichever helper built it.
+/// One row per refusal a guest program can reach: the program, the
+/// condition kind it raises and the message. Every kind the VM declares
+/// has a row, bar the two [`ROWLESS`] names.
+const REFUSALS: &[(&str, &str, &str)] = &[
+    ("(car 5)", "type-error", "car: expected pair, got 5"),
+    ("(odd? 'a)", "type-error", "odd?: expected integer"),
+    ("(quotient 7 \"2\")", "type-error", "quotient: expected integer"),
+    ("(make-vector -1)", "type-error", "make-vector: expected nonnegative integer"),
+    ("(list-tail '(1 2) -1)", "type-error", "list-tail: expected nonnegative integer"),
+    ("(char-upcase 5)", "type-error", "char-upcase: expected character"),
+    ("(char<? #\\a 1)", "type-error", "char<?: expected character"),
+    ("(string-set! (vector 1) 0 #\\a)", "type-error", "string-set!: expected string"),
+    ("(string-fill! (vector 1) #\\a)", "type-error", "string-fill!: expected string"),
+    ("(vector-fill! \"abc\" 0)", "type-error", "vector-fill!: expected vector"),
+    ("(car 1 2)", "arity-error", "car: expected 1 arguments, got 2"),
+    ("((lambda (x) x))", "arity-error", "lambda: expected 1 arguments, got 0"),
+    ("(vector-ref (vector 1 2) 5)", "range-error", "vector-ref: index 5 out of range"),
+    ("(vector-set! (vector) 0 1)", "range-error", "vector-set!: index 0 out of range"),
+    ("(string-ref \"ab\" 9)", "range-error", "string-ref: index out of range"),
+    ("(string-set! (make-string 2) 5 #\\a)", "range-error", "string-set!: index out of range"),
+    ("(substring \"abc\" 2 1)", "range-error", "substring: index out of range"),
+    ("(integer->char -1)", "range-error", "integer->char: not a character code"),
+    ("(number->string 5 7)", "range-error", "number->string: unsupported radix"),
+    ("(string->number \"12\" 1)", "range-error", "string->number: unsupported radix"),
+    ("(expt 2 5000000000)", "range-error", "expt: exponent too large"),
+    (
+        "(inexact->exact 1.5)",
+        "range-error",
+        "inexact->exact: not representable as an exact integer",
+    ),
+    ("(sleep-ms -1)", "range-error", "sleep-ms: expected a non-negative duration"),
+    ("(%tcp-read 0 0)", "range-error", "%tcp-read: expected a positive byte count"),
+    ("(%tcp-write 0 \"ab\" 5)", "range-error", "%tcp-write: start out of range"),
+    ("(%tcp-listen 70000)", "range-error", "%tcp-listen: expected a port in 0..=65535"),
+    ("(/ 1 0)", "division-by-zero", "/: division by zero"),
+    ("(quotient 1 0)", "division-by-zero", "quotient: division by zero"),
+    ("(remainder 1 0)", "division-by-zero", "remainder: division by zero"),
+    ("(modulo 1 0)", "division-by-zero", "modulo: division by zero"),
+    ("(length (cons 1 2))", "improper-list", "length: improper list"),
+    ("(apply + (cons 1 2))", "improper-list", "apply: improper list"),
+    ("(memq 3 (cons 1 2))", "improper-list", "memq: improper list"),
+    ("(assq 3 (list (cons 1 2) 5))", "type-error", "car: expected pair, got 5"),
+    ("(assv 3 (cons (cons 1 2) 5))", "improper-list", "assv: improper list"),
+    ("undefined-thing", "unbound-variable", "unbound variable: undefined-thing"),
+    ("(undefined-thing 1)", "unbound-variable", "unbound variable: undefined-thing"),
+    ("(set! nope 1)", "unbound-variable", "assignment to unbound variable: nope"),
+    ("(eval '(lambda))", "syntax-error", "compile error: malformed lambda"),
+    ("(eval (list 'quote car))", "syntax-error", "eval: value has no external representation"),
+    ("(+ 1 (values 1 2))", "values-error", "returned 2 values to single value return context"),
+    ("(expt 2 100)", "error", "fixnum overflow in expt"),
+    ("(lcm 562949953421311 562949953421310)", "error", "fixnum overflow in lcm"),
+    ("(error \"boom\" 1)", "error", "boom 1"),
+    (
+        "(reset (lambda () (+ 1 (shift (lambda (k) (k 1) (k 2))))))",
+        "shot-twice",
+        "attempt to invoke shot one-shot continuation",
+    ),
+    (
+        "(%abort-to-prompt (make-prompt-tag 'p) 1)",
+        "no-matching-prompt",
+        "no prompt tagged (p) is on the continuation",
+    ),
+    (
+        "(with-exception-handler (lambda (c) 0) (lambda () (raise 'x)))",
+        "non-continuable",
+        "exception handler returned from non-continuable raise",
+    ),
+    ("(perform 'op)", "unhandled-effect", "perform: no handler for effect op"),
+    (
+        "(make-vector 100000000000)",
+        "out-of-memory",
+        "make-vector: cannot allocate 100000000000 elements",
+    ),
+    (
+        "(make-string 100000000000)",
+        "out-of-memory",
+        "make-string: cannot allocate 100000000000 elements",
+    ),
+    (
+        "(begin (set-timer! 10) (let loop () (loop)))",
+        "fuel-exhausted",
+        "timer expired with no interrupt handler",
+    ),
+    ("(%tcp-accept 99)", "io-error", "tcp-accept: bad socket token 99"),
+];
+
+/// The kinds with no [`REFUSALS`] row, and the test that raises each:
+/// a stack ceiling is a VM setting (`stack_segment_ceiling_is_catchable`
+/// here), and `io-timeout` needs a pool's reactor
+/// (`oneshot-exec`'s `silent_peer_raises_a_catchable_io_timeout`).
+const ROWLESS: [&str; 2] = ["stack-overflow", "io-timeout"];
+
+/// Every refusal in [`REFUSALS`] is caught by `call-with-guard` on the
+/// direct pipeline with its kind and message, and is
+/// [`VmError::Uncaught`] of the same kind on the CPS pipeline (which
+/// raises the VM's own conditions uncaught).
 #[test]
-fn builtin_type_refusals_are_catchable_type_errors() {
-    let cases = [
-        ("(odd? 'a)", "odd?: expected integer"),
-        ("(quotient 7 \"2\")", "quotient: expected integer"),
-        ("(make-vector -1)", "make-vector: expected nonnegative integer"),
-        ("(list-tail '(1 2) -1)", "list-tail: expected nonnegative integer"),
-        ("(char-upcase 5)", "char-upcase: expected character"),
-        ("(char<? #\\a 1)", "char<?: expected character"),
-        ("(string-set! (vector 1) 0 #\\a)", "string-set!: expected string"),
-        ("(string-fill! (vector 1) #\\a)", "string-fill!: expected string"),
-        ("(vector-fill! \"abc\" 0)", "vector-fill!: expected vector"),
-    ];
-    let mut vm = Vm::new();
-    for (call, message) in cases {
+fn every_refusal_is_a_catchable_condition_of_its_kind() {
+    let mut direct = Vm::new();
+    let mut cps = Vm::builder().pipeline(Pipeline::Cps).build();
+    for &(program, kind, message) in REFUSALS {
         check(
-            &mut vm,
+            &mut direct,
             &format!(
                 "(call-with-guard
                    (lambda (c) (list (condition-kind c) (condition-message c)))
-                   (lambda () {call}))"
+                   (lambda () {program}))"
             ),
-            &format!("(type-error \"{message}\")"),
+            &format!("({kind} \"{message}\")"),
         );
+        let (got, _, _) = expect_uncaught(&mut cps, program);
+        assert_eq!(got.as_deref(), Some(kind), "CPS {program}");
     }
+    for kind in ConditionKind::ALL {
+        let covered = REFUSALS.iter().any(|&(_, k, _)| k == kind.name());
+        assert_ne!(covered, ROWLESS.contains(&kind.name()), "{kind:?}: a row, or a ROWLESS entry");
+    }
+}
+
+/// The refusals a guard cannot see, because they need the bare top level
+/// or the CPS pipeline, are uncaught conditions of kind `error` too.
+#[test]
+fn refusals_outside_a_guard_are_uncaught_conditions() {
+    let mut vm = Vm::new();
+    let (kind, condition, _) = expect_uncaught(&mut vm, "(%top-handler)");
+    assert_eq!(
+        (kind.as_deref(), condition.as_str()),
+        (Some("error"), "%top-handler: empty handler stack")
+    );
+    // A continuation captured in tail position at the top level is the
+    // empty one; as a timer handler it ends the chain.
+    vm.eval_str("(define k0 #f) (call/cc (lambda (k) (set! k0 k) 1))").unwrap();
+    let (kind, condition, _) = expect_uncaught(
+        &mut vm,
+        "(timer-interrupt-handler! k0) (set-timer! 3) (let loop ((i 0)) (if (< i 100) (loop (+ i 1)) i))",
+    );
+    assert_eq!(
+        (kind.as_deref(), condition.as_str()),
+        (Some("error"), "timer handler exhausted the continuation chain")
+    );
+    let mut cps = Vm::builder().pipeline(Pipeline::Cps).build();
+    let (kind, condition, _) = expect_uncaught(&mut cps, "(apply eval (list '(+ 1 2)))");
+    assert_eq!(
+        (kind.as_deref(), condition.as_str()),
+        (Some("error"), "apply: builtin transferred control in CPS mode")
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@ use oneshot::core::{Config, CounterField, OverflowPolicy, Stats};
 use oneshot::exec::PoolCountersSnapshot;
 use oneshot::runtime::HeapStats;
 use oneshot::threads::{Strategy, ThreadSystem};
-use oneshot::vm::{Pipeline, Vm, VmStats};
+use oneshot::vm::{ConditionKind, Pipeline, Vm, VmStats};
 
 #[test]
 fn facade_reexports_work_together() {
@@ -135,4 +135,19 @@ fn design_md_has_a_row_for_every_declared_counter() {
     }
     let rows = section.lines().filter(|line| line.starts_with("| `")).count();
     assert_eq!(rows, declared, "§Counters has a row for a field no table declares");
+}
+
+/// DESIGN.md's §Condition kinds has one row per declared `ConditionKind`,
+/// and no other.
+#[test]
+fn design_md_has_a_row_for_every_condition_kind() {
+    let design = include_str!("../DESIGN.md");
+    let section = &design[design.find("### Condition kinds").expect("the section exists")..];
+    let section = &section[..section[1..].find("\n#").map_or(section.len(), |end| end + 1)];
+    for kind in ConditionKind::ALL {
+        let row = format!("| `{}` |", kind.name());
+        assert!(section.contains(&row), "DESIGN.md §Condition kinds lacks `{row} … |`");
+    }
+    let rows = section.lines().filter(|line| line.starts_with("| `")).count();
+    assert_eq!(rows, ConditionKind::ALL.len(), "§Condition kinds has a row for an undeclared kind");
 }
