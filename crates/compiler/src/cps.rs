@@ -20,26 +20,26 @@
 //!
 //! Each call in a body or an argument list nests the rest of it inside its
 //! continuation, so the converted program is as deep as the source is
-//! long, and every pass after this one recurses that deep.
-//! [`MAX_CPS_DEPTH`] bounds the nesting, and with it the native stack
-//! those passes use.
+//! long, and every pass after this one recurses that deep. The converter
+//! refuses a program whose continuations would nest deeper than twice
+//! [`MAX_NESTING`] (the expander already holds the source's own nesting to
+//! `MAX_NESTING`), which bounds the native stack those passes use.
 
 use std::rc::Rc;
 use std::vec;
 
-use oneshot_sexp::Datum;
+use oneshot_sexp::{Datum, MAX_NESTING};
 
 use crate::ast::{Expr, Lambda, Program, VarId};
 use crate::builtins::cps_direct;
 use crate::expand::CompileError;
 
 /// The deepest nesting of continuations the converter builds: calls in
-/// one body or argument list, plus the source's own nesting. Measured
-/// like `oneshot_sexp::MAX_NESTING`: a program twice this deep still
-/// compiles and runs on a 2 MiB thread in a release build, whatever its
-/// shape (calls in a `begin`, a `let`, a builtin's or a procedure's
-/// argument list).
-pub const MAX_CPS_DEPTH: usize = 500;
+/// one body or argument list, plus the source's own nesting. A program
+/// twice this deep still compiles and runs on a 2 MiB thread in a release
+/// build, whatever its shape (calls in a `begin`, a `let`, a builtin's or a
+/// procedure's argument list).
+const MAX_DEPTH: usize = 2 * MAX_NESTING;
 
 /// Converts `program` to continuation-passing style.
 ///
@@ -51,7 +51,7 @@ pub const MAX_CPS_DEPTH: usize = 500;
 /// # Errors
 ///
 /// Refuses a program whose conversion would nest continuations deeper
-/// than [`MAX_CPS_DEPTH`].
+/// than twice [`MAX_NESTING`].
 pub fn cps_convert(program: Program) -> Result<Program, CompileError> {
     let mut c = Cps { next: program.var_count, depth: 0, too_deep: false };
     let whole = match program.forms.len() {
@@ -63,7 +63,7 @@ pub fn cps_convert(program: Program) -> Result<Program, CompileError> {
     if c.too_deep {
         return Err(CompileError::new(format!(
             "program too long for the CPS pipeline: its continuations nest deeper than \
-             {MAX_CPS_DEPTH}"
+             {MAX_DEPTH}"
         )));
     }
     Ok(Program {
@@ -77,7 +77,7 @@ struct Cps {
     next: u32,
     /// `cps` calls in progress.
     depth: usize,
-    /// Set when a `cps` call would pass [`MAX_CPS_DEPTH`]; that call and
+    /// Set when a `cps` call would pass [`MAX_DEPTH`]; that call and
     /// every deeper one convert nothing, and the result is refused.
     too_deep: bool,
 }
@@ -136,18 +136,20 @@ impl Cps {
         id
     }
 
-    fn convert_lambda(&mut self, l: &Lambda) -> Expr {
+    fn convert_lambda(&mut self, l: Rc<Lambda>) -> Expr {
+        // The expander builds every lambda once, so this moves it.
+        let Lambda { params: user_params, rest, body, name } = Rc::unwrap_or_clone(l);
         let kv = self.fresh();
-        let mut params = Vec::with_capacity(l.params.len() + 1);
+        let mut params = Vec::with_capacity(user_params.len() + 1);
         params.push(kv);
-        params.extend(&l.params);
-        let body = self.cps(l.body.clone(), K::Atom(Expr::Ref(kv)));
-        Expr::Lambda(Rc::new(Lambda { params, rest: l.rest, body, name: l.name.clone() }))
+        params.extend(user_params);
+        let body = self.cps(body, K::Atom(Expr::Ref(kv)));
+        Expr::Lambda(Rc::new(Lambda { params, rest, body, name }))
     }
 
     fn convert_atom(&mut self, e: Expr) -> Expr {
         match e {
-            Expr::Lambda(l) => self.convert_lambda(&l),
+            Expr::Lambda(l) => self.convert_lambda(l),
             // A direct builtin escaping as a first-class value must obey
             // the CPS calling convention at its eventual call sites:
             // eta-wrap it as (lambda (k . args) (%apply-args k <f> (list args))).
@@ -228,9 +230,9 @@ impl Cps {
     }
 
     /// Converts `e`, delivering its value to `k`, unless that would nest
-    /// deeper than [`MAX_CPS_DEPTH`].
+    /// deeper than [`MAX_DEPTH`].
     fn cps(&mut self, e: Expr, k: K) -> Expr {
-        if self.depth == MAX_CPS_DEPTH {
+        if self.depth == MAX_DEPTH {
             self.too_deep = true;
             return Expr::Unspecified;
         }

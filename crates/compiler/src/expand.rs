@@ -8,12 +8,25 @@
 //! semantics. Variables are alpha-renamed to unique [`VarId`]s against a
 //! lexical environment, so keywords can be shadowed (`(let ((if list)) (if
 //! 1 2 3))` builds a list).
+//!
+//! Every derived form is lowered once, straight to [`Expr`], from the
+//! borrowed source: none is rebuilt as source and expanded again, so a
+//! local binding named `if`, `lambda` or `cons` cannot change what `do`,
+//! `define` or quasiquote mean. The variables a lowering introduces are
+//! bound only by [`VarId`], and the procedures it calls (`memv`, `list`,
+//! `append`, `list->vector`) are named by global reference.
+//!
+//! The expander counts the depth of the tree it builds — one per nested
+//! expression, and one per level a folded chain adds (`let*` bindings,
+//! `cond`/`case` clauses, `and`/`or` operands) — and refuses a program
+//! whose tree would pass [`MAX_NESTING`], so no later pass recurses
+//! deeper than that.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use oneshot_sexp::Datum;
+use oneshot_sexp::{Datum, MAX_NESTING};
 
 use crate::ast::{Expr, Lambda, Program, VarId};
 
@@ -40,18 +53,44 @@ impl std::error::Error for CompileError {}
 
 type Result<T> = std::result::Result<T, CompileError>;
 
-/// Placeholder symbol for "no value" positions created during expansion
-/// (`(define x)`, empty `do` results). Contains a control character no
-/// reader token can produce, so user code can never name it.
-const UNSPEC_SENTINEL: &str = "\u{1}unspecified";
+/// The names the expander treats as syntax unless a lexical binding
+/// shadows them.
+const KEYWORDS: [&str; 21] = [
+    "quote",
+    "quasiquote",
+    "unquote",
+    "unquote-splicing",
+    "if",
+    "set!",
+    "lambda",
+    "begin",
+    "define",
+    "let",
+    "let*",
+    "letrec",
+    "letrec*",
+    "cond",
+    "case",
+    "and",
+    "or",
+    "when",
+    "unless",
+    "do",
+    "else",
+];
 
-/// Lexical environment: name → variable.
-#[derive(Debug, Clone, Default)]
-struct Env {
-    frames: Vec<HashMap<String, VarId>>,
+/// The end of a vector's elements, as a quasiquoted list's tail.
+const NIL: &Datum = &Datum::Nil;
+
+/// Lexical environment: name → variable. Names borrow from the source.
+/// An error ends the expansion, so a scope an early return leaves open is
+/// never looked up again.
+#[derive(Debug, Default)]
+struct Env<'d> {
+    frames: Vec<HashMap<&'d str, VarId>>,
 }
 
-impl Env {
+impl<'d> Env<'d> {
     fn lookup(&self, name: &str) -> Option<VarId> {
         self.frames.iter().rev().find_map(|f| f.get(name).copied())
     }
@@ -64,16 +103,26 @@ impl Env {
         self.frames.pop();
     }
 
-    fn bind(&mut self, name: &str, id: VarId) {
-        self.frames.last_mut().expect("bind outside any scope").insert(name.to_string(), id);
+    fn bind(&mut self, name: &'d str, id: VarId) {
+        self.frames.last_mut().expect("bind outside any scope").insert(name, id);
     }
 }
 
 /// The expander state.
-struct Expander {
-    env: Env,
+struct Expander<'d> {
+    env: Env<'d>,
     next_var: u32,
     defined_globals: Vec<Rc<str>>,
+}
+
+/// What a `define` binds its name to.
+enum Definiens<'d> {
+    /// `(define name)`.
+    Unspecified,
+    /// `(define name value)`.
+    Value(&'d Datum),
+    /// `(define (name . formals) body...)`.
+    Lambda(&'d Datum, Vec<&'d Datum>),
 }
 
 /// Expands a whole program (a sequence of toplevel forms).
@@ -81,114 +130,147 @@ struct Expander {
 /// # Errors
 ///
 /// Returns a [`CompileError`] on malformed special forms, misplaced
-/// `define`, or bad binding syntax.
+/// `define`, bad binding syntax, or a program whose expanded tree would
+/// nest deeper than [`MAX_NESTING`].
 pub fn expand_program(forms: &[Datum]) -> Result<Program> {
     let mut x = Expander { env: Env::default(), next_var: 0, defined_globals: Vec::new() };
     x.env.push();
-    let mut out = Vec::new();
-    for form in forms {
-        out.push(x.toplevel(form)?);
-    }
-    Ok(Program { forms: out, var_count: x.next_var, defined_globals: x.defined_globals })
+    let forms = forms.iter().map(|form| x.toplevel(form, 0)).collect::<Result<_>>()?;
+    Ok(Program { forms, var_count: x.next_var, defined_globals: x.defined_globals })
 }
 
 fn err(msg: impl Into<String>) -> CompileError {
     CompileError::new(msg)
 }
 
-fn sym(d: &Datum) -> Option<&str> {
-    d.as_symbol()
+/// `at`, the depth of a node `form` is about to build, unless that passes
+/// the bound.
+fn within(at: usize, form: &str) -> Result<usize> {
+    if at > MAX_NESTING {
+        return Err(err(format!("{form}: expands deeper than {MAX_NESTING} levels")));
+    }
+    Ok(at)
 }
 
-impl Expander {
+/// A call to the global procedure `name`.
+fn call(name: &str, args: Vec<Expr>) -> Expr {
+    Expr::App(Box::new(Expr::GlobalRef(Rc::from(name))), args)
+}
+
+/// Parses `(define name)`, `(define name value)` or `(define (name .
+/// formals) body...)`.
+fn parse_define<'d>(items: &[&'d Datum]) -> Result<(&'d str, Definiens<'d>)> {
+    match *items {
+        [_, Datum::Symbol(name)] => Ok((name.as_str(), Definiens::Unspecified)),
+        [_, Datum::Symbol(name), value] => Ok((name.as_str(), Definiens::Value(value))),
+        [_, Datum::Pair(header), ref body @ ..] => match &header.0 {
+            Datum::Symbol(name) => Ok((name.as_str(), Definiens::Lambda(&header.1, body.to_vec()))),
+            _ => Err(err(format!("bad define header: {}", items[1]))),
+        },
+        _ => Err(err("malformed define")),
+    }
+}
+
+fn binding_specs(spec: &Datum) -> Result<Vec<(&str, &Datum)>> {
+    let Some(pairs) = spec.proper_list() else {
+        return Err(err(format!("bad binding list: {spec}")));
+    };
+    pairs
+        .into_iter()
+        .map(|b| match b.proper_list().as_deref() {
+            Some([Datum::Symbol(n), init]) => Ok((n.as_str(), *init)),
+            _ => Err(err(format!("bad binding: {b}"))),
+        })
+        .collect()
+}
+
+/// The operand of `(unquote x)`, `(unquote-splicing x)` or `(quasiquote
+/// x)`, with the keyword; `None` when `d` is not headed by one of them.
+fn quasi_tag(d: &Datum) -> Option<(&str, Result<&Datum>)> {
+    let tag = d.car()?.as_symbol()?;
+    if !matches!(tag, "unquote" | "unquote-splicing" | "quasiquote") {
+        return None;
+    }
+    let operand = match d.proper_list().as_deref() {
+        Some(&[_, x]) => Ok(x),
+        _ => Err(err(format!("malformed {tag}"))),
+    };
+    Some((tag, operand))
+}
+
+/// Attaches `name` to a lambda built a moment ago, for diagnostics.
+fn name_lambda(mut e: Expr, name: &str) -> Expr {
+    if let Expr::Lambda(lam) = &mut e {
+        if let Some(lam) = Rc::get_mut(lam) {
+            lam.name.get_or_insert_with(|| name.to_string());
+        }
+    }
+    e
+}
+
+impl<'d> Expander<'d> {
     fn fresh(&mut self) -> VarId {
         let id = VarId(self.next_var);
         self.next_var += 1;
         id
     }
 
+    /// A fresh variable, bound to `name` in the innermost scope.
+    fn bind(&mut self, name: &'d str) -> VarId {
+        let id = self.fresh();
+        self.env.bind(name, id);
+        id
+    }
+
     /// Is `name` a keyword here (not shadowed by a lexical binding)?
     fn keyword(&self, name: &str) -> bool {
-        self.env.lookup(name).is_none()
-            && matches!(
-                name,
-                "quote"
-                    | "quasiquote"
-                    | "unquote"
-                    | "unquote-splicing"
-                    | "if"
-                    | "set!"
-                    | "lambda"
-                    | "begin"
-                    | "define"
-                    | "let"
-                    | "let*"
-                    | "letrec"
-                    | "letrec*"
-                    | "cond"
-                    | "case"
-                    | "and"
-                    | "or"
-                    | "when"
-                    | "unless"
-                    | "do"
-                    | "else"
-            )
+        KEYWORDS.contains(&name) && self.env.lookup(name).is_none()
     }
 
-    fn toplevel(&mut self, d: &Datum) -> Result<Expr> {
+    /// The items of `d` when it is a `(define ...)` form here.
+    fn define_form(&self, d: &'d Datum) -> Option<Vec<&'d Datum>> {
+        let items = d.proper_list()?;
+        (items.first()?.as_symbol() == Some("define") && self.keyword("define")).then_some(items)
+    }
+
+    /// Expands toplevel form `d` into a node at depth `at`.
+    fn toplevel(&mut self, d: &'d Datum, at: usize) -> Result<Expr> {
         if let Some(items) = d.proper_list() {
-            if let Some(head) = items.first().and_then(|h| h.as_symbol()) {
-                if head == "define" && self.keyword("define") {
-                    return self.toplevel_define(&items);
+            match items[..] {
+                [Datum::Symbol(ref h), ..] if h == "define" && self.keyword("define") => {
+                    let (name, value) = parse_define(&items)?;
+                    let name_rc: Rc<str> = Rc::from(name);
+                    self.defined_globals.push(Rc::clone(&name_rc));
+                    let value = self.definiens(name, value, at + 1)?;
+                    return Ok(Expr::GlobalDef(name_rc, Box::new(value)));
                 }
-                if head == "begin" && self.keyword("begin") {
-                    // Toplevel begin splices.
-                    let forms: Vec<Expr> =
-                        items[1..].iter().map(|f| self.toplevel(f)).collect::<Result<_>>()?;
-                    return Ok(if forms.is_empty() {
-                        Expr::unspecified()
-                    } else {
-                        Expr::Seq(forms)
-                    });
+                // Toplevel begin splices.
+                [Datum::Symbol(ref h), ref forms @ ..] if h == "begin" && self.keyword("begin") => {
+                    if forms.is_empty() {
+                        return Ok(Expr::unspecified());
+                    }
+                    let forms = forms.iter().map(|&f| self.toplevel(f, at + 1));
+                    return Ok(Expr::Seq(forms.collect::<Result<_>>()?));
                 }
+                _ => {}
             }
         }
-        self.expr(d)
+        self.expr(d, at)
     }
 
-    fn toplevel_define(&mut self, items: &[&Datum]) -> Result<Expr> {
-        let (name, value) = self.parse_define(items)?;
-        let name_rc: Rc<str> = Rc::from(name.as_str());
-        self.defined_globals.push(name_rc.clone());
-        let value = self.expr(&value)?;
-        let value = name_lambda(value, &name);
-        Ok(Expr::GlobalDef(name_rc, Box::new(value)))
-    }
-
-    /// Parses `(define name value)` or `(define (name . args) body...)`,
-    /// returning the name and a value expression (possibly a synthesized
-    /// lambda datum).
-    fn parse_define(&mut self, items: &[&Datum]) -> Result<(String, Datum)> {
-        match items {
-            [_, Datum::Symbol(name)] => Ok((name.clone(), Datum::Symbol(UNSPEC_SENTINEL.into()))),
-            [_, Datum::Symbol(name), value] => Ok((name.clone(), (*value).clone())),
-            [_, header, body @ ..] if matches!(header, Datum::Pair(_)) => {
-                let name = match header.car() {
-                    Some(Datum::Symbol(name)) => name.clone(),
-                    _ => return Err(err(format!("bad define header: {header}"))),
-                };
-                // (define (f . formals) body...) => (define f (lambda formals body...))
-                let formals = header.cdr().expect("pair").clone();
-                let mut lam = vec![Datum::symbol("lambda"), formals];
-                lam.extend(body.iter().map(|d| (*d).clone()));
-                Ok((name, Datum::list(lam)))
-            }
-            _ => Err(err("malformed define")),
+    /// Expands what a `define` binds `name` to, at depth `at`.
+    fn definiens(&mut self, name: &'d str, value: Definiens<'d>, at: usize) -> Result<Expr> {
+        match value {
+            Definiens::Unspecified => Ok(Expr::unspecified()),
+            Definiens::Value(value) => Ok(name_lambda(self.expr(value, at)?, name)),
+            Definiens::Lambda(formals, body) => self.lambda(formals, &body, Some(name), at),
         }
     }
 
-    fn expr(&mut self, d: &Datum) -> Result<Expr> {
+    /// Expands `d` into a node at depth `at`.
+    fn expr(&mut self, d: &'d Datum, at: usize) -> Result<Expr> {
+        let form = d.car().unwrap_or(d).as_symbol().unwrap_or("expression");
+        within(at, form)?;
         match d {
             Datum::Bool(_)
             | Datum::Fixnum(_)
@@ -197,302 +279,241 @@ impl Expander {
             | Datum::Str(_)
             | Datum::Vector(_) => Ok(Expr::Quote(d.clone())),
             Datum::Nil => Err(err("empty application ()")),
-            Datum::Symbol(name) => {
-                if name == UNSPEC_SENTINEL {
-                    return Ok(Expr::unspecified());
-                }
-                match self.env.lookup(name) {
-                    Some(v) => Ok(Expr::Ref(v)),
-                    None => Ok(Expr::GlobalRef(Rc::from(name.as_str()))),
-                }
-            }
-            Datum::Pair(_) => self.form(d),
+            Datum::Symbol(name) => match self.env.lookup(name) {
+                Some(v) => Ok(Expr::Ref(v)),
+                None => Ok(Expr::GlobalRef(Rc::from(name.as_str()))),
+            },
+            Datum::Pair(_) => self.form(d, at),
         }
     }
 
     #[allow(clippy::too_many_lines)]
-    fn form(&mut self, d: &Datum) -> Result<Expr> {
+    fn form(&mut self, d: &'d Datum, at: usize) -> Result<Expr> {
         let Some(items) = d.proper_list() else {
             return Err(err(format!("improper list in expression position: {d}")));
         };
-        if items.is_empty() {
-            return Err(err("empty application ()"));
-        }
-        if let Some(head) = sym(items[0]) {
-            if self.keyword(head) {
-                return match head {
-                    "quote" => match items.as_slice() {
-                        [_, x] => Ok(Expr::Quote((*x).clone())),
-                        _ => Err(err("quote takes one operand")),
-                    },
-                    "if" => match items.as_slice() {
-                        [_, c, t] => Ok(Expr::If(
-                            Box::new(self.expr(c)?),
-                            Box::new(self.expr(t)?),
-                            Box::new(Expr::unspecified()),
-                        )),
-                        [_, c, t, e] => Ok(Expr::If(
-                            Box::new(self.expr(c)?),
-                            Box::new(self.expr(t)?),
-                            Box::new(self.expr(e)?),
-                        )),
-                        _ => Err(err("malformed if")),
-                    },
-                    "set!" => match items.as_slice() {
-                        [_, Datum::Symbol(name), value] => {
-                            let value = Box::new(self.expr(value)?);
-                            match self.env.lookup(name) {
-                                Some(v) => Ok(Expr::Set(v, value)),
-                                None => Ok(Expr::GlobalSet(Rc::from(name.as_str()), value)),
-                            }
-                        }
-                        _ => Err(err("malformed set!")),
-                    },
-                    "lambda" => {
-                        if items.len() < 3 {
-                            return Err(err("malformed lambda"));
-                        }
-                        self.lambda(items[1], &items[2..], None)
-                    }
-                    "begin" => {
-                        if items.len() == 1 {
-                            Ok(Expr::unspecified())
-                        } else {
-                            self.body(&items[1..])
+        if let Some(head) = items[0].as_symbol().filter(|h| self.keyword(h)) {
+            return match head {
+                "quote" => match *items.as_slice() {
+                    [_, x] => Ok(Expr::Quote(x.clone())),
+                    _ => Err(err("quote takes one operand")),
+                },
+                "if" => match *items.as_slice() {
+                    [_, c, t] => Ok(Expr::If(
+                        Box::new(self.expr(c, at + 1)?),
+                        Box::new(self.expr(t, at + 1)?),
+                        Box::new(Expr::unspecified()),
+                    )),
+                    [_, c, t, e] => Ok(Expr::If(
+                        Box::new(self.expr(c, at + 1)?),
+                        Box::new(self.expr(t, at + 1)?),
+                        Box::new(self.expr(e, at + 1)?),
+                    )),
+                    _ => Err(err("malformed if")),
+                },
+                "set!" => match *items.as_slice() {
+                    [_, Datum::Symbol(name), value] => {
+                        let value = Box::new(self.expr(value, at + 1)?);
+                        match self.env.lookup(name) {
+                            Some(v) => Ok(Expr::Set(v, value)),
+                            None => Ok(Expr::GlobalSet(Rc::from(name.as_str()), value)),
                         }
                     }
-                    "define" => Err(err("define is not allowed in expression position")),
-                    "let" => self.let_form(&items),
-                    "let*" => self.let_star(&items),
-                    "letrec" | "letrec*" => self.letrec(&items),
-                    "cond" => self.cond(&items),
-                    "case" => self.case(&items),
-                    "and" => Ok(self.and(&items[1..])?),
-                    "or" => self.or(&items[1..]),
-                    "when" => {
-                        if items.len() < 3 {
-                            return Err(err("malformed when"));
-                        }
-                        let c = self.expr(items[1])?;
-                        let body = self.body(&items[2..])?;
-                        Ok(Expr::If(Box::new(c), Box::new(body), Box::new(Expr::unspecified())))
+                    _ => Err(err("malformed set!")),
+                },
+                "lambda" => {
+                    if items.len() < 3 {
+                        return Err(err("malformed lambda"));
                     }
-                    "unless" => {
-                        if items.len() < 3 {
-                            return Err(err("malformed unless"));
-                        }
-                        let c = self.expr(items[1])?;
-                        let body = self.body(&items[2..])?;
-                        Ok(Expr::If(Box::new(c), Box::new(Expr::unspecified()), Box::new(body)))
+                    self.lambda(items[1], &items[2..], None, at)
+                }
+                "begin" => {
+                    if items.len() == 1 {
+                        Ok(Expr::unspecified())
+                    } else {
+                        self.body(&items[1..], at)
                     }
-                    "do" => self.do_form(&items),
-                    "quasiquote" => match items.as_slice() {
-                        [_, x] => {
-                            let lowered = quasi(x, 1)?;
-                            self.expr(&lowered)
-                        }
-                        _ => Err(err("quasiquote takes one operand")),
-                    },
-                    "unquote" | "unquote-splicing" => {
-                        Err(err(format!("{head} outside quasiquote")))
+                }
+                "define" => Err(err("define is not allowed in expression position")),
+                "let" => self.let_form(&items, at),
+                "let*" => self.let_star(&items, at),
+                "letrec" | "letrec*" => {
+                    if items.len() < 3 {
+                        return Err(err("malformed letrec"));
                     }
-                    "else" => Err(err("else outside cond/case")),
-                    _ => unreachable!("keyword list covers match"),
-                };
-            }
+                    let specs = binding_specs(items[1])?;
+                    let defs = specs.into_iter().map(|(n, init)| (n, Definiens::Value(init)));
+                    let body = &items[2..];
+                    self.letrec(defs.collect(), at, |x| Ok(vec![x.body(body, at + 2)?]))
+                }
+                "cond" => self.cond(&items[1..], at),
+                "case" => self.case(&items, at),
+                "and" => self.and(&items[1..], at),
+                "or" => self.or(&items[1..], at),
+                "when" | "unless" => {
+                    if items.len() < 3 {
+                        return Err(err(format!("malformed {head}")));
+                    }
+                    let c = self.expr(items[1], at + 1)?;
+                    let body = self.body(&items[2..], at + 1)?;
+                    let (t, e) = if head == "when" {
+                        (body, Expr::unspecified())
+                    } else {
+                        (Expr::unspecified(), body)
+                    };
+                    Ok(Expr::If(Box::new(c), Box::new(t), Box::new(e)))
+                }
+                "do" => self.do_form(&items, at),
+                "quasiquote" => match *items.as_slice() {
+                    [_, x] => self.quasi(x, 1, at),
+                    _ => Err(err("quasiquote takes one operand")),
+                },
+                "unquote" | "unquote-splicing" => Err(err(format!("{head} outside quasiquote"))),
+                "else" => Err(err("else outside cond/case")),
+                _ => unreachable!("keyword list covers match"),
+            };
         }
         // Application.
-        let f = self.expr(items[0])?;
-        let args: Vec<Expr> = items[1..].iter().map(|a| self.expr(a)).collect::<Result<_>>()?;
+        let f = self.expr(items[0], at + 1)?;
+        let args: Vec<Expr> =
+            items[1..].iter().map(|&a| self.expr(a, at + 1)).collect::<Result<_>>()?;
         // Direct lambda application becomes Let (no closure allocation).
-        if let Expr::Lambda(lam) = &f {
-            if lam.rest.is_none() && lam.params.len() == args.len() {
-                let bindings = lam.params.iter().copied().zip(args).collect();
-                return Ok(Expr::Let(bindings, Box::new(lam.body.clone())));
+        match f {
+            Expr::Lambda(lam) if lam.rest.is_none() && lam.params.len() == args.len() => {
+                let lam = Rc::into_inner(lam).expect("a lambda built just above is not shared");
+                Ok(Expr::Let(lam.params.into_iter().zip(args).collect(), Box::new(lam.body)))
             }
+            f => Ok(Expr::App(Box::new(f), args)),
         }
-        Ok(Expr::App(Box::new(f), args))
     }
 
-    /// Expands a lambda: `formals` is a symbol, a proper list, or an
-    /// improper list; `body` is one or more forms.
-    fn lambda(&mut self, formals: &Datum, body: &[&Datum], name: Option<&str>) -> Result<Expr> {
+    /// Expands a lambda at depth `at`: `formals` is a symbol, a proper
+    /// list, or an improper list; `body` is one or more forms.
+    fn lambda(
+        &mut self,
+        formals: &'d Datum,
+        body: &[&'d Datum],
+        name: Option<&str>,
+        at: usize,
+    ) -> Result<Expr> {
+        // A symbol for `formals` has no elements and is its own tail.
         self.env.push();
-        let mut params = Vec::new();
-        let mut rest = None;
-        match formals {
-            Datum::Symbol(n) => {
-                let id = self.fresh();
-                self.env.bind(n, id);
-                rest = Some(id);
-            }
-            _ => {
-                let mut it = formals.iter();
-                for p in it.by_ref() {
-                    let Some(n) = p.as_symbol() else {
-                        self.env.pop();
-                        return Err(err(format!("bad parameter: {p}")));
-                    };
-                    let id = self.fresh();
-                    self.env.bind(n, id);
-                    params.push(id);
-                }
-                match it.tail() {
-                    Datum::Nil => {}
-                    Datum::Symbol(n) => {
-                        let id = self.fresh();
-                        self.env.bind(n, id);
-                        rest = Some(id);
-                    }
-                    other => {
-                        self.env.pop();
-                        return Err(err(format!("bad rest parameter: {other}")));
-                    }
-                }
-            }
-        }
-        let body = self.body(body);
+        let mut formals = formals.iter();
+        let params = formals.by_ref().map(|p| match p.as_symbol() {
+            Some(n) => Ok(self.bind(n)),
+            None => Err(err(format!("bad parameter: {p}"))),
+        });
+        let params = params.collect::<Result<Vec<_>>>()?;
+        let rest = match formals.tail() {
+            Datum::Nil => None,
+            Datum::Symbol(n) => Some(self.bind(n)),
+            other => return Err(err(format!("bad rest parameter: {other}"))),
+        };
+        let body = self.body(body, at + 1)?;
         self.env.pop();
-        Ok(Expr::Lambda(Rc::new(Lambda {
-            params,
-            rest,
-            body: body?,
-            name: name.map(String::from),
-        })))
+        Ok(Expr::Lambda(Rc::new(Lambda { params, rest, body, name: name.map(String::from) })))
     }
 
-    /// Expands a body: internal defines at the head become `letrec`
-    /// bindings; the rest is a sequence.
-    fn body(&mut self, forms: &[&Datum]) -> Result<Expr> {
+    /// Expands a body into a node at depth `at`: internal defines at the
+    /// head become `letrec*` bindings; the rest is a sequence.
+    fn body(&mut self, forms: &[&'d Datum], at: usize) -> Result<Expr> {
         if forms.is_empty() {
             return Err(err("empty body"));
         }
-        // Collect leading internal defines.
-        let mut defines: Vec<(String, Datum)> = Vec::new();
+        let mut defines = Vec::new();
         let mut rest = forms;
-        while let Some(form) = rest.first() {
-            let is_define = form
-                .proper_list()
-                .and_then(|l| l.first().and_then(|h| h.as_symbol()).map(String::from))
-                .is_some_and(|h| h == "define" && self.keyword("define"));
-            if !is_define {
-                break;
-            }
-            let items = form.proper_list().expect("checked");
-            defines.push(self.parse_define(&items)?);
+        while let Some(items) = rest.first().and_then(|f| self.define_form(f)) {
+            defines.push(parse_define(&items)?);
             rest = &rest[1..];
         }
         if rest.is_empty() {
             return Err(err("body consists only of definitions"));
         }
         if defines.is_empty() {
-            let seq: Vec<Expr> = rest.iter().map(|f| self.expr(f)).collect::<Result<_>>()?;
-            return Ok(if seq.len() == 1 {
-                seq.into_iter().next().expect("one")
-            } else {
-                Expr::Seq(seq)
-            });
+            return self.seq(rest, at);
         }
-        // Internal defines: letrec* semantics via Let of unspecified + set!.
+        self.letrec(defines, at, |x| rest.iter().map(|&f| x.expr(f, at + 2)).collect())
+    }
+
+    /// `forms` in order, as one node at depth `at`.
+    fn seq(&mut self, forms: &[&'d Datum], at: usize) -> Result<Expr> {
+        match forms {
+            [form] => self.expr(form, at),
+            _ => Ok(Expr::Seq(forms.iter().map(|&f| self.expr(f, at + 1)).collect::<Result<_>>()?)),
+        }
+    }
+
+    /// `letrec*` at depth `at`: binds every name in `defs` to a fresh
+    /// variable, assigns the values in order, then runs `rest` (whose
+    /// nodes sit at depth `at + 2`).
+    fn letrec(
+        &mut self,
+        defs: Vec<(&'d str, Definiens<'d>)>,
+        at: usize,
+        rest: impl FnOnce(&mut Self) -> Result<Vec<Expr>>,
+    ) -> Result<Expr> {
         self.env.push();
-        let ids: Vec<VarId> = defines
-            .iter()
-            .map(|(name, _)| {
-                let id = self.fresh();
-                self.env.bind(name, id);
-                id
-            })
-            .collect();
-        let result = (|| {
-            let mut seq = Vec::new();
-            for ((name, value), id) in defines.iter().zip(&ids) {
-                let v = self.expr(value)?;
-                let v = name_lambda(v, name);
-                seq.push(Expr::Set(*id, Box::new(v)));
-            }
-            for f in rest {
-                seq.push(self.expr(f)?);
-            }
-            let bindings = ids.iter().map(|id| (*id, Expr::unspecified())).collect();
-            Ok(Expr::Let(bindings, Box::new(Expr::Seq(seq))))
-        })();
-        self.env.pop();
-        result
-    }
-
-    fn binding_specs<'d>(&mut self, spec: &'d Datum) -> Result<Vec<(&'d str, &'d Datum)>> {
-        let Some(pairs) = spec.proper_list() else {
-            return Err(err(format!("bad binding list: {spec}")));
-        };
-        pairs
-            .into_iter()
-            .map(|b| match b.proper_list().as_deref() {
-                Some([Datum::Symbol(n), init]) => Ok((n.as_str(), *init)),
-                _ => Err(err(format!("bad binding: {b}"))),
-            })
-            .collect()
-    }
-
-    fn let_form(&mut self, items: &[&Datum]) -> Result<Expr> {
-        // Named let?
-        if items.len() >= 3 {
-            if let Some(loop_name) = items[1].as_symbol() {
-                return self.named_let(loop_name, items[2], &items[3..]);
-            }
+        let ids: Vec<VarId> = defs.iter().map(|&(name, _)| self.bind(name)).collect();
+        let mut seq = Vec::with_capacity(defs.len() + 1);
+        for ((name, value), &id) in defs.into_iter().zip(&ids) {
+            let value = self.definiens(name, value, at + 3)?;
+            seq.push(Expr::Set(id, Box::new(value)));
         }
+        seq.extend(rest(self)?);
+        self.env.pop();
+        let bindings = ids.into_iter().map(|id| (id, Expr::unspecified())).collect();
+        Ok(Expr::Let(bindings, Box::new(Expr::Seq(seq))))
+    }
+
+    fn let_form(&mut self, items: &[&'d Datum], at: usize) -> Result<Expr> {
         if items.len() < 3 {
             return Err(err("malformed let"));
         }
-        let specs = self.binding_specs(items[1])?;
+        if let Some(name) = items[1].as_symbol() {
+            if items.len() < 4 {
+                return Err(err("malformed named let"));
+            }
+            let specs = binding_specs(items[2])?;
+            let body = &items[3..];
+            return self.named_let(Some(name), &specs, at, |x, _, _| x.body(body, at + 4));
+        }
+        let specs = binding_specs(items[1])?;
         let inits: Vec<Expr> =
-            specs.iter().map(|(_, init)| self.expr(init)).collect::<Result<_>>()?;
+            specs.iter().map(|&(_, init)| self.expr(init, at + 1)).collect::<Result<_>>()?;
         self.env.push();
-        let bindings: Vec<(VarId, Expr)> = specs
-            .iter()
-            .zip(inits)
-            .map(|((name, _), init)| {
-                let id = self.fresh();
-                self.env.bind(name, id);
-                (id, init)
-            })
-            .collect();
-        let body = self.body(&items[2..]);
+        let bindings = specs.iter().zip(inits).map(|(&(name, _), init)| (self.bind(name), init));
+        let bindings = bindings.collect();
+        let body = self.body(&items[2..], at + 1)?;
         self.env.pop();
-        Ok(Expr::Let(bindings, Box::new(body?)))
+        Ok(Expr::Let(bindings, Box::new(body)))
     }
 
-    fn named_let(&mut self, name: &str, spec: &Datum, body: &[&Datum]) -> Result<Expr> {
-        if body.is_empty() {
-            return Err(err("malformed named let"));
-        }
-        let specs = self.binding_specs(spec)?;
+    /// The loop that named `let` and `do` lower to, at depth `at`:
+    /// `(letrec ((loop (lambda (var...) body))) (loop init...))`. The
+    /// inits are expanded outside the loop; `name`, when given, is bound
+    /// to the loop in `body`'s scope. `body` gets the loop variable and
+    /// the parameters, and builds a node at depth `at + 4`.
+    fn named_let(
+        &mut self,
+        name: Option<&'d str>,
+        specs: &[(&'d str, &'d Datum)],
+        at: usize,
+        body: impl FnOnce(&mut Self, VarId, &[VarId]) -> Result<Expr>,
+    ) -> Result<Expr> {
         let inits: Vec<Expr> =
-            specs.iter().map(|(_, init)| self.expr(init)).collect::<Result<_>>()?;
-        // (letrec ((name (lambda (params) body))) (name inits...))
+            specs.iter().map(|&(_, init)| self.expr(init, at + 3)).collect::<Result<_>>()?;
         self.env.push();
         let loop_id = self.fresh();
-        self.env.bind(name, loop_id);
-        let lam = (|| {
-            self.env.push();
-            let params: Vec<VarId> = specs
-                .iter()
-                .map(|(n, _)| {
-                    let id = self.fresh();
-                    self.env.bind(n, id);
-                    id
-                })
-                .collect();
-            let b = self.body(body);
-            self.env.pop();
-            Ok(Expr::Lambda(Rc::new(Lambda {
-                params,
-                rest: None,
-                body: b?,
-                name: Some(name.to_string()),
-            })))
-        })();
+        if let Some(name) = name {
+            self.env.bind(name, loop_id);
+        }
+        self.env.push();
+        let params: Vec<VarId> = specs.iter().map(|&(n, _)| self.bind(n)).collect();
+        let body = body(self, loop_id, &params)?;
         self.env.pop();
-        let lam = lam?;
+        self.env.pop();
+        let name = Some(name.unwrap_or("do").to_string());
+        let lam = Expr::Lambda(Rc::new(Lambda { params, rest: None, body, name }));
         let call = Expr::App(Box::new(Expr::Ref(loop_id)), inits);
         Ok(Expr::Let(
             vec![(loop_id, Expr::unspecified())],
@@ -500,301 +521,289 @@ impl Expander {
         ))
     }
 
-    fn let_star(&mut self, items: &[&Datum]) -> Result<Expr> {
+    /// `let*` at depth `at`: one `Let` per binding, each one level deeper.
+    fn let_star(&mut self, items: &[&'d Datum], at: usize) -> Result<Expr> {
         if items.len() < 3 {
             return Err(err("malformed let*"));
         }
-        let specs = self.binding_specs(items[1])?;
-        let mut pushed = 0;
-        let result = (|| {
-            let mut bindings = Vec::new();
-            for (name, init) in &specs {
-                let init = self.expr(init)?;
-                self.env.push();
-                pushed += 1;
-                let id = self.fresh();
-                self.env.bind(name, id);
-                bindings.push((id, init));
-            }
-            let body = self.body(&items[2..])?;
-            // Nested lets, innermost first.
-            Ok(bindings.into_iter().rev().fold(body, |acc, b| Expr::Let(vec![b], Box::new(acc))))
-        })();
-        for _ in 0..pushed {
-            self.env.pop();
-        }
-        result
-    }
-
-    fn letrec(&mut self, items: &[&Datum]) -> Result<Expr> {
-        if items.len() < 3 {
-            return Err(err("malformed letrec"));
-        }
-        let specs = self.binding_specs(items[1])?;
+        let specs = binding_specs(items[1])?;
+        let end = within(at + specs.len(), "let*")?;
+        // One frame serves every binding: each init is expanded before
+        // its own name is bound, so it sees only the bindings before it.
         self.env.push();
-        let result = (|| {
-            let ids: Vec<VarId> = specs
-                .iter()
-                .map(|(name, _)| {
-                    let id = self.fresh();
-                    self.env.bind(name, id);
-                    id
-                })
-                .collect();
-            let mut seq = Vec::new();
-            for ((name, init), id) in specs.iter().zip(&ids) {
-                let v = self.expr(init)?;
-                seq.push(Expr::Set(*id, Box::new(name_lambda(v, name))));
-            }
-            seq.push(self.body(&items[2..])?);
-            let bindings = ids.iter().map(|id| (*id, Expr::unspecified())).collect();
-            Ok(Expr::Let(bindings, Box::new(Expr::Seq(seq))))
-        })();
+        let mut bindings = Vec::with_capacity(specs.len());
+        for (i, &(name, init)) in specs.iter().enumerate() {
+            let init = self.expr(init, at + i + 1)?;
+            bindings.push((self.bind(name), init));
+        }
+        let body = self.body(&items[2..], end)?;
         self.env.pop();
-        result
+        // Nested lets, innermost first.
+        Ok(bindings.into_iter().rev().fold(body, |acc, b| Expr::Let(vec![b], Box::new(acc))))
     }
 
-    fn cond(&mut self, items: &[&Datum]) -> Result<Expr> {
-        let mut out = Expr::unspecified();
-        for clause in items[1..].iter().rev() {
+    /// `cond` at depth `at`: one `If` per clause (a `Let` and an `If` for
+    /// `(test => f)` and `(test)`), each nested in the one before.
+    fn cond(&mut self, clauses: &[&'d Datum], at: usize) -> Result<Expr> {
+        let mut links = Vec::with_capacity(clauses.len());
+        let mut otherwise = None;
+        let mut depth = at;
+        for clause in clauses {
             let Some(parts) = clause.proper_list() else {
                 return Err(err(format!("bad cond clause: {clause}")));
             };
             if parts.is_empty() {
                 return Err(err("empty cond clause"));
             }
-            let is_else = parts[0].as_symbol() == Some("else") && self.keyword("else");
-            if is_else {
-                out = self.body(&parts[1..])?;
+            if parts[0].as_symbol() == Some("else") && self.keyword("else") {
+                otherwise = Some(parts);
+                break;
+            }
+            let binds_test =
+                parts.len() == 1 || parts.len() == 3 && parts[1].as_symbol() == Some("=>");
+            links.push((parts, binds_test, depth));
+            depth = within(depth + 1 + usize::from(binds_test), "cond")?;
+        }
+        let mut out = match otherwise {
+            Some(parts) => self.body(&parts[1..], depth)?,
+            None => Expr::unspecified(),
+        };
+        // Built last clause first, so each If wraps the ones after it.
+        for (parts, binds_test, at) in links.into_iter().rev() {
+            let test = self.expr(parts[0], at + 1)?;
+            if !binds_test {
+                out = Expr::If(
+                    Box::new(test),
+                    Box::new(self.body(&parts[1..], at + 1)?),
+                    Box::new(out),
+                );
                 continue;
             }
-            let test = self.expr(parts[0])?;
-            out = match parts.get(1).and_then(|p| p.as_symbol()) {
-                // (test => receiver)
-                Some("=>") if parts.len() == 3 => {
-                    let recv = self.expr(parts[2])?;
-                    let tmp = self.fresh();
-                    Expr::Let(
-                        vec![(tmp, test)],
-                        Box::new(Expr::If(
-                            Box::new(Expr::Ref(tmp)),
-                            Box::new(Expr::App(Box::new(recv), vec![Expr::Ref(tmp)])),
-                            Box::new(out),
-                        )),
-                    )
-                }
-                _ if parts.len() == 1 => {
-                    // (test) — the value of the test itself.
-                    let tmp = self.fresh();
-                    Expr::Let(
-                        vec![(tmp, test)],
-                        Box::new(Expr::If(
-                            Box::new(Expr::Ref(tmp)),
-                            Box::new(Expr::Ref(tmp)),
-                            Box::new(out),
-                        )),
-                    )
-                }
-                _ => Expr::If(Box::new(test), Box::new(self.body(&parts[1..])?), Box::new(out)),
+            // (test => receiver) applies the receiver to the test's value;
+            // (test) is that value.
+            let receiver = parts.get(2).map(|&r| self.expr(r, at + 3)).transpose()?;
+            let tmp = self.fresh();
+            let hit = match receiver {
+                Some(f) => Expr::App(Box::new(f), vec![Expr::Ref(tmp)]),
+                None => Expr::Ref(tmp),
             };
+            out = Expr::Let(
+                vec![(tmp, test)],
+                Box::new(Expr::If(Box::new(Expr::Ref(tmp)), Box::new(hit), Box::new(out))),
+            );
         }
         Ok(out)
     }
 
-    fn case(&mut self, items: &[&Datum]) -> Result<Expr> {
+    /// `case` at depth `at`: the key in a temporary, then one `If` per
+    /// clause whose test is one `memv` of the clause's data.
+    fn case(&mut self, items: &[&'d Datum], at: usize) -> Result<Expr> {
         if items.len() < 2 {
             return Err(err("malformed case"));
         }
-        let key = self.expr(items[1])?;
+        let key = self.expr(items[1], at + 1)?;
         let tmp = self.fresh();
-        let mut out = Expr::unspecified();
-        for clause in items[2..].iter().rev() {
-            let Some(parts) = clause.proper_list() else {
+        let mut clauses = Vec::with_capacity(items.len() - 2);
+        let mut otherwise = None;
+        for clause in &items[2..] {
+            let parts = clause.proper_list().filter(|parts| parts.len() >= 2);
+            let Some(parts) = parts else {
                 return Err(err(format!("bad case clause: {clause}")));
             };
-            if parts.len() < 2 {
-                return Err(err(format!("bad case clause: {clause}")));
-            }
             if parts[0].as_symbol() == Some("else") && self.keyword("else") {
-                out = self.body(&parts[1..])?;
-                continue;
+                otherwise = Some(parts);
+                break;
             }
-            let Some(data) = parts[0].proper_list() else {
+            if parts[0].proper_list().is_none() {
                 return Err(err(format!("bad case datum list: {}", parts[0])));
-            };
-            // (memv key '(d ...)) via chained eqv? on the temp.
-            let mut test = Expr::bool(false);
-            for d in data.into_iter().rev() {
-                let cmp = Expr::App(
-                    Box::new(Expr::GlobalRef(Rc::from("eqv?"))),
-                    vec![Expr::Ref(tmp), Expr::Quote(d.clone())],
-                );
-                test = Expr::If(Box::new(cmp), Box::new(Expr::bool(true)), Box::new(test));
             }
-            out = Expr::If(Box::new(test), Box::new(self.body(&parts[1..])?), Box::new(out));
+            clauses.push(parts);
+        }
+        let depth = within(at + 1 + clauses.len(), "case")?;
+        let mut out = match otherwise {
+            Some(parts) => self.body(&parts[1..], depth)?,
+            None => Expr::unspecified(),
+        };
+        for (i, parts) in clauses.iter().enumerate().rev() {
+            let test = call("memv", vec![Expr::Ref(tmp), Expr::Quote(parts[0].clone())]);
+            let body = self.body(&parts[1..], at + 2 + i)?;
+            out = Expr::If(Box::new(test), Box::new(body), Box::new(out));
         }
         Ok(Expr::Let(vec![(tmp, key)], Box::new(out)))
     }
 
-    fn and(&mut self, args: &[&Datum]) -> Result<Expr> {
-        match args {
-            [] => Ok(Expr::bool(true)),
-            [x] => self.expr(x),
-            [x, rest @ ..] => {
-                let head = self.expr(x)?;
-                let tail = self.and(rest)?;
-                Ok(Expr::If(Box::new(head), Box::new(tail), Box::new(Expr::bool(false))))
-            }
+    /// `and` at depth `at`: `(if a (if b c #f) #f)`, one level per operand.
+    fn and(&mut self, args: &[&'d Datum], at: usize) -> Result<Expr> {
+        let Some((last, init)) = args.split_last() else { return Ok(Expr::bool(true)) };
+        let end = within(at + init.len(), "and")?;
+        let mut heads = Vec::with_capacity(init.len());
+        for (i, &arg) in init.iter().enumerate() {
+            heads.push(self.expr(arg, at + i + 1)?);
         }
+        let last = self.expr(last, end)?;
+        Ok(heads.into_iter().rev().fold(last, |tail, head| {
+            Expr::If(Box::new(head), Box::new(tail), Box::new(Expr::bool(false)))
+        }))
     }
 
-    fn or(&mut self, args: &[&Datum]) -> Result<Expr> {
-        match args {
-            [] => Ok(Expr::bool(false)),
-            [x] => self.expr(x),
-            [x, rest @ ..] => {
-                let head = self.expr(x)?;
-                let tail = self.or(rest)?;
-                let tmp = self.fresh();
-                Ok(Expr::Let(
-                    vec![(tmp, head)],
-                    Box::new(Expr::If(
-                        Box::new(Expr::Ref(tmp)),
-                        Box::new(Expr::Ref(tmp)),
-                        Box::new(tail),
-                    )),
-                ))
-            }
+    /// `or` at depth `at`: each operand but the last in a temporary,
+    /// tested and returned if true — two levels per operand.
+    fn or(&mut self, args: &[&'d Datum], at: usize) -> Result<Expr> {
+        let Some((last, init)) = args.split_last() else { return Ok(Expr::bool(false)) };
+        let end = within(at + 2 * init.len(), "or")?;
+        let mut heads = Vec::with_capacity(init.len());
+        for (i, &arg) in init.iter().enumerate() {
+            heads.push(self.expr(arg, at + 2 * i + 1)?);
         }
+        let last = self.expr(last, end)?;
+        Ok(heads.into_iter().rev().fold(last, |tail, head| {
+            let tmp = self.fresh();
+            Expr::Let(
+                vec![(tmp, head)],
+                Box::new(Expr::If(
+                    Box::new(Expr::Ref(tmp)),
+                    Box::new(Expr::Ref(tmp)),
+                    Box::new(tail),
+                )),
+            )
+        }))
     }
 
-    /// `(do ((var init step)...) (test result...) body...)`
-    fn do_form(&mut self, items: &[&Datum]) -> Result<Expr> {
+    /// `(do ((var init step)...) (test result...) body...)` at depth `at`:
+    /// the named-let loop `(if test (begin result...) (begin body...
+    /// (loop step...)))`, its loop bound by no name.
+    fn do_form(&mut self, items: &[&'d Datum], at: usize) -> Result<Expr> {
         if items.len() < 3 {
             return Err(err("malformed do"));
         }
         let Some(specs) = items[1].proper_list() else {
             return Err(err("bad do bindings"));
         };
-        let mut names = Vec::new();
-        let mut inits = Vec::new();
-        let mut steps = Vec::new();
+        let mut vars = Vec::with_capacity(specs.len());
+        let mut steps = Vec::with_capacity(specs.len());
         for spec in specs {
             match spec.proper_list().as_deref() {
-                Some([Datum::Symbol(n), init]) => {
-                    names.push(n.clone());
-                    inits.push((*init).clone());
-                    steps.push(Datum::Symbol(n.clone()));
-                }
-                Some([Datum::Symbol(n), init, step]) => {
-                    names.push(n.clone());
-                    inits.push((*init).clone());
-                    steps.push((*step).clone());
+                Some([Datum::Symbol(n), init, step @ ..]) if step.len() <= 1 => {
+                    vars.push((n.as_str(), *init));
+                    steps.push(step.first().copied());
                 }
                 _ => return Err(err(format!("bad do binding: {spec}"))),
             }
         }
-        let Some(exit) = items[2].proper_list() else {
+        let exit = items[2].proper_list().filter(|exit| !exit.is_empty());
+        let Some(exit) = exit else {
             return Err(err("bad do exit clause"));
         };
-        if exit.is_empty() {
-            return Err(err("bad do exit clause"));
+        let body = &items[3..];
+        self.named_let(None, &vars, at, |x, loop_id, params| {
+            // The If sits at `at + 4`, its arms one deeper.
+            let arm = at + 5;
+            let test = x.expr(exit[0], arm)?;
+            let result = match &exit[1..] {
+                [] => Expr::unspecified(),
+                results => x.seq(results, arm)?,
+            };
+            let recur_at = if body.is_empty() { arm } else { arm + 1 };
+            let mut iterate =
+                body.iter().map(|&f| x.expr(f, arm + 1)).collect::<Result<Vec<_>>>()?;
+            let steps = steps.iter().zip(params).map(|(&step, &param)| match step {
+                Some(step) => x.expr(step, recur_at + 1),
+                None => Ok(Expr::Ref(param)),
+            });
+            let recur = Expr::App(Box::new(Expr::Ref(loop_id)), steps.collect::<Result<_>>()?);
+            let iterate = if iterate.is_empty() {
+                recur
+            } else {
+                iterate.push(recur);
+                Expr::Seq(iterate)
+            };
+            Ok(Expr::If(Box::new(test), Box::new(result), Box::new(iterate)))
+        })
+    }
+
+    /// Lowers the quasiquote template `d` at nesting `level` into a node
+    /// at depth `at`: calls to `list`, `append` and `list->vector` by
+    /// global reference, and quoted atoms.
+    fn quasi(&mut self, d: &'d Datum, level: u32, at: usize) -> Result<Expr> {
+        within(at, "quasiquote")?;
+        if let Some((tag, operand)) = quasi_tag(d) {
+            let x = operand?;
+            return match (tag, level) {
+                ("unquote", 1) => self.expr(x, at),
+                ("unquote-splicing", 1) => Err(err("unquote-splicing outside a list")),
+                _ => {
+                    let level = if tag == "quasiquote" { level + 1 } else { level - 1 };
+                    let inner = self.quasi(x, level, at + 1)?;
+                    let keyword = Expr::Quote(d.car().expect("a tagged form").clone());
+                    Ok(call("list", vec![keyword, inner]))
+                }
+            };
         }
-        // Desugar to a named let:
-        // (let loop ((v init)...)
-        //   (if test (begin result...) (begin body... (loop step...))))
-        let loop_sym = Datum::symbol("%do-loop");
-        let bindings: Vec<Datum> = names
-            .iter()
-            .zip(&inits)
-            .map(|(n, i)| Datum::list([Datum::symbol(n.clone()), i.clone()]))
-            .collect();
-        let mut recur = vec![loop_sym.clone()];
-        recur.extend(steps);
-        let mut iter_body: Vec<Datum> = items[3..].iter().map(|d| (*d).clone()).collect();
-        iter_body.push(Datum::list(recur));
-        let result: Datum = if exit.len() == 1 {
-            Datum::symbol(UNSPEC_SENTINEL)
-        } else {
-            let mut b = vec![Datum::symbol("begin")];
-            b.extend(exit[1..].iter().map(|d| (*d).clone()));
-            Datum::list(b)
+        match d {
+            Datum::Pair(_) => {
+                // The spine, up to a tail that is an atom or a tagged form
+                // (`(a . ,b)` is `(a unquote b)`).
+                let mut items = Vec::new();
+                let mut tail = d;
+                while let Datum::Pair(p) = tail {
+                    if !items.is_empty() && quasi_tag(tail).is_some() {
+                        break;
+                    }
+                    items.push(&p.0);
+                    tail = &p.1;
+                }
+                self.quasi_list(&items, tail, level, at)
+            }
+            Datum::Vector(items) => {
+                let items: Vec<&Datum> = items.iter().collect();
+                let list = self.quasi_list(&items, NIL, level, at + 1)?;
+                Ok(call("list->vector", vec![list]))
+            }
+            atom => Ok(Expr::Quote(atom.clone())),
+        }
+    }
+
+    /// A quasiquoted list of `items` ending in `tail`, at depth `at`: one
+    /// `list` call, or one `append` of `list` runs and spliced operands.
+    /// A spliced list is copied, as `(append x '())` copies it.
+    fn quasi_list(
+        &mut self,
+        items: &[&'d Datum],
+        tail: &'d Datum,
+        level: u32,
+        at: usize,
+    ) -> Result<Expr> {
+        let spliced = |d: &'d Datum| match quasi_tag(d) {
+            Some(("unquote-splicing", operand)) if level == 1 => Some(operand),
+            _ => None,
         };
-        let mut begin_iter = vec![Datum::symbol("begin")];
-        begin_iter.extend(iter_body);
-        let if_form =
-            Datum::list([Datum::symbol("if"), exit[0].clone(), result, Datum::list(begin_iter)]);
-        let form = Datum::list([Datum::symbol("let"), loop_sym, Datum::list(bindings), if_form]);
-        self.expr(&form)
-    }
-}
-
-/// Attaches `name` to an anonymous lambda for diagnostics.
-fn name_lambda(e: Expr, name: &str) -> Expr {
-    match e {
-        Expr::Lambda(lam) if lam.name.is_none() => {
-            let mut l = (*lam).clone();
-            l.name = Some(name.to_string());
-            Expr::Lambda(Rc::new(l))
-        }
-        other => other,
-    }
-}
-
-/// Lowers quasiquotation at nesting `depth` into cons/append calls.
-fn quasi(d: &Datum, depth: u32) -> Result<Datum> {
-    match d {
-        Datum::Pair(p) => {
-            // (unquote x)
-            if let Some("unquote") = p.0.as_symbol() {
-                if let Some(items) = d.proper_list() {
-                    if items.len() == 2 {
-                        return if depth == 1 {
-                            Ok(items[1].clone())
-                        } else {
-                            Ok(Datum::list([
-                                Datum::symbol("list"),
-                                Datum::list([Datum::symbol("quote"), Datum::symbol("unquote")]),
-                                quasi(items[1], depth - 1)?,
-                            ]))
-                        };
+        let flat = matches!(tail, Datum::Nil) && !items.iter().any(|&d| spliced(d).is_some());
+        let item_at = if flat { at + 1 } else { at + 2 };
+        let mut args = Vec::new();
+        let mut run = Vec::new();
+        for &item in items {
+            match spliced(item) {
+                Some(operand) => {
+                    if !run.is_empty() {
+                        args.push(call("list", std::mem::take(&mut run)));
                     }
+                    args.push(self.expr(operand?, at + 1)?);
                 }
-                return Err(err("malformed unquote"));
+                None => run.push(self.quasi(item, level, item_at)?),
             }
-            if let Some("quasiquote") = p.0.as_symbol() {
-                if let Some(items) = d.proper_list() {
-                    if items.len() == 2 {
-                        return Ok(Datum::list([
-                            Datum::symbol("list"),
-                            Datum::list([Datum::symbol("quote"), Datum::symbol("quasiquote")]),
-                            quasi(items[1], depth + 1)?,
-                        ]));
-                    }
-                }
-                return Err(err("malformed nested quasiquote"));
-            }
-            // ((unquote-splicing x) . rest)
-            if let Datum::Pair(head) = &p.0 {
-                if let Some("unquote-splicing") = head.0.as_symbol() {
-                    if let Some(items) = p.0.proper_list() {
-                        if items.len() == 2 && depth == 1 {
-                            return Ok(Datum::list([
-                                Datum::symbol("append"),
-                                items[1].clone(),
-                                quasi(&p.1, depth)?,
-                            ]));
-                        }
-                    }
-                }
-            }
-            Ok(Datum::list([Datum::symbol("cons"), quasi(&p.0, depth)?, quasi(&p.1, depth)?]))
         }
-        Datum::Vector(items) => {
-            let as_list = Datum::list(items.clone());
-            Ok(Datum::list([Datum::symbol("list->vector"), quasi(&as_list, depth)?]))
+        if flat {
+            return Ok(call("list", run));
         }
-        atom => Ok(Datum::list([Datum::symbol("quote"), atom.clone()])),
+        if !run.is_empty() {
+            args.push(call("list", run));
+        } else if matches!(tail, Datum::Nil) {
+            args.push(Expr::Quote(Datum::Nil));
+        }
+        if !matches!(tail, Datum::Nil) {
+            args.push(self.quasi(tail, level, at + 1)?);
+        }
+        Ok(call("append", args))
     }
 }
 
@@ -912,9 +921,17 @@ mod tests {
 
     #[test]
     fn quasiquote_lowers_to_constructors() {
-        // `(a ,b ,@c) => (cons 'a (cons b (append c '())))
-        let e = expand1("(let ((b 1) (c '())) `(a ,b ,@c))");
-        assert!(matches!(e, Expr::Let(..)));
+        // `(a ,b ,@c) => (append (list 'a b) c '())
+        let Expr::Let(_, body) = expand1("(let ((b 1) (c '())) `(a ,b ,@c))") else { panic!() };
+        let Expr::App(f, args) = &*body else { panic!("{body:?}") };
+        assert!(matches!(&**f, Expr::GlobalRef(n) if &**n == "append"));
+        assert_eq!(args.len(), 3);
+        assert!(matches!(&args[0], Expr::App(f, items)
+            if matches!(&**f, Expr::GlobalRef(n) if &**n == "list") && items.len() == 2));
+        // A list without splices is one `list` call, however long.
+        let Expr::App(f, items) = expand1(&format!("`({})", "x ".repeat(1000))) else { panic!() };
+        assert!(matches!(&*f, Expr::GlobalRef(n) if &**n == "list"));
+        assert_eq!(items.len(), 1000);
         // Nested quasiquote keeps inner unquote quoted.
         let forms = read_all("``(,a)").unwrap();
         assert!(expand_program(&forms).is_ok());
@@ -927,9 +944,33 @@ mod tests {
     }
 
     #[test]
-    fn case_expands_to_eqv_chain() {
-        let e = expand1("(case 2 ((1 2) 'small) (else 'big))");
-        assert!(matches!(e, Expr::Let(..)));
+    fn case_tests_each_clause_with_one_memv() {
+        let Expr::Let(_, body) = expand1("(case 2 ((1 2) 'small) (else 'big))") else { panic!() };
+        let Expr::If(test, ..) = &*body else { panic!("{body:?}") };
+        let Expr::App(f, args) = &**test else { panic!("{test:?}") };
+        assert!(matches!(&**f, Expr::GlobalRef(n) if &**n == "memv"));
+        assert_eq!(args[1], Expr::Quote(read_all("(1 2)").unwrap().remove(0)));
+    }
+
+    #[test]
+    fn chains_past_the_bound_are_refused_by_name() {
+        let n = MAX_NESTING + 1;
+        for (form, src) in [
+            ("let*", format!("(let* ({}) 0)", "(x 0) ".repeat(n))),
+            ("cond", format!("(cond {})", "(x 0) ".repeat(n))),
+            ("case", format!("(case x {})", "((0) 0) ".repeat(n))),
+            ("and", format!("(and {})", "x ".repeat(n + 1))),
+            ("or", format!("(or {})", "x ".repeat(n / 2 + 2))),
+        ] {
+            let e = expand_program(&read_all(&src).unwrap()).map(drop).unwrap_err();
+            assert_eq!(e.message, format!("{form}: expands deeper than {MAX_NESTING} levels"));
+        }
+        // Wrapping forms count their own levels: each named let is four.
+        let deep = format!("{}0{}", "(let loop () ".repeat(n / 4 + 1), ")".repeat(n / 4 + 1));
+        let e = expand_program(&read_all(&deep).unwrap()).map(drop).unwrap_err();
+        assert!(e.message.ends_with("expands deeper than 256 levels"), "{e}");
+        let shallow = format!("{}0{}", "(let loop () ".repeat(n / 4 - 1), ")".repeat(n / 4 - 1));
+        assert!(expand_program(&read_all(&shallow).unwrap()).is_ok());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod peephole;
 
 pub use ast::{Expr, Lambda, Program, VarId};
 pub use codegen::{compile_program, compile_program_with};
-pub use cps::{cps_convert, MAX_CPS_DEPTH};
+pub use cps::cps_convert;
 pub use expand::{expand_program, CompileError};
 pub use ops::{CodeObject, CompiledProgram, FreeSrc, Op, MNEMONICS};
 
@@ -47,9 +47,12 @@ pub use ops::{CodeObject, CompiledProgram, FreeSrc, Op, MNEMONICS};
 pub struct CompilerOptions {
     /// Run the peephole superinstruction pass ([`peephole::fuse`]) on every
     /// generated code body. On by default; turning it off yields the
-    /// unfused instruction stream for dispatch-cost comparisons (the E9
-    /// experiment) — results and control-event counters are identical
-    /// either way.
+    /// unfused instruction stream. Its users are the fused-vs-unfused
+    /// differential tests (`vm/tests/fusion.rs`, `vm/tests/arith.rs`,
+    /// `threads/tests/gc.rs`, `exec/tests/pool.rs`), which check that
+    /// results and control-event counters are identical either way, and
+    /// `vm/tests/library_cache.rs`, which checks that it keys the cache of
+    /// compiled libraries.
     pub fuse: bool,
 }
 

@@ -5,16 +5,19 @@
 //! arities, dotted tails, vectors and nested quasiquotes.
 //!
 //! Long flat bodies and argument lists (thousands of forms in one `begin`
-//! or one call) compile or are refused with a `CompileError` on both
-//! pipelines; they run on a thread with an explicit stack, since a debug
-//! build's frames are several times a release build's.
+//! or one call) and long derived forms (thousands of `let*` bindings,
+//! `cond` or `case` clauses, `case` data, `and`/`or` operands, `do`
+//! variables, quasiquoted elements) compile or are refused with a
+//! `CompileError` on both pipelines. In a release build they run on a
+//! 2 MiB thread, a spawned thread's default; a debug build's frames are
+//! several times a release build's, so there they get 256 MiB.
 //!
 //! The normal run takes 512 cases of each kind (64 long flat ones); the
 //! `#[ignore]`d sweep takes 20 000 (256 long flat ones; `cargo test
 //! --release -p oneshot-compiler -- --ignored`).
 
-use oneshot_compiler::{compile_program_with, CompilerOptions, Pipeline, MAX_CPS_DEPTH};
-use oneshot_sexp::{read_all, write_datum, Datum};
+use oneshot_compiler::{compile_program_with, CompilerOptions, Pipeline};
+use oneshot_sexp::{read_all, write_datum, Datum, MAX_NESTING};
 use proptest::prelude::*;
 use proptest::test_runner::run;
 
@@ -102,19 +105,49 @@ fn program() -> impl Strategy<Value = String> {
         .prop_map(|forms| forms.iter().map(write_datum).collect::<Vec<_>>().join("\n"))
 }
 
+/// `n` copies of `item` in each derived form whose lowering folds a
+/// chain: `let*` bindings, `cond` and `case` clauses, one `case` clause's
+/// data, `and`/`or` operands, `do` variables and quasiquoted elements.
+/// With `item` = `(+ 0 1)`, each evaluates to 1.
+fn derived(n: usize, item: &str) -> [(&'static str, String); 8] {
+    let items = |f: &dyn Fn(usize) -> String| (0..n).map(f).collect::<Vec<_>>().join(" ");
+    [
+        ("let*", format!("(let* ((x 1) {}) x)", items(&|_| format!("(x {item})")))),
+        ("cond", format!("(cond {} (else 1))", items(&|_| format!("({item} {item})")))),
+        (
+            "case clauses",
+            format!("(case {item} {} (else 1))", items(&|i| format!("(({i}) {item})"))),
+        ),
+        ("case data", format!("(case {item} (({}) {item}) (else 1))", items(&|i| i.to_string()))),
+        ("and", format!("(and {} 1)", items(&|_| item.to_string()))),
+        ("or", format!("(or {} 1)", items(&|_| format!("(not {item})")))),
+        ("do", format!("(do ({}) ({item} 1))", items(&|i| format!("(v{i} {item} {item})")))),
+        (
+            "quasiquote",
+            format!("(car `(,{item} {}))", items(&|_| format!("{item} ,{item} ,@(list {item})"))),
+        ),
+    ]
+}
+
 /// One form repeated up to 3 000 times in a `begin`, a builtin's argument
-/// list or a procedure's.
+/// list, a procedure's, or one of the derived forms.
 fn long_flat() -> impl Strategy<Value = String> {
-    let head = proptest::sample::select(vec!["begin", "list", "f"]);
-    (head, form(), 0..3_000usize).prop_map(|(head, item, n)| {
-        let items = std::iter::repeat_n(item, n);
-        write_datum(&Datum::list(std::iter::once(Datum::symbol(head)).chain(items)))
+    let shape = proptest::sample::select((0..11).collect::<Vec<usize>>());
+    (shape, form(), 0..3_000usize).prop_map(|(shape, item, n)| match shape {
+        0..3 => {
+            let head = Datum::symbol(["begin", "list", "f"][shape]);
+            let items = std::iter::repeat_n(item, n);
+            write_datum(&Datum::list(std::iter::once(head).chain(items)))
+        }
+        _ => derived(n, &write_datum(&item))[shape - 3].1.clone(),
     })
 }
 
-/// Runs `f` on a thread with a 256 MiB stack.
+/// Runs `f` on a thread with a 2 MiB stack in a release build, 256 MiB in
+/// a debug one.
 fn with_big_stack(f: impl FnOnce() + Send + 'static) {
-    std::thread::Builder::new().stack_size(256 << 20).spawn(f).unwrap().join().unwrap();
+    let stack = if cfg!(debug_assertions) { 256 << 20 } else { 2 << 20 };
+    std::thread::Builder::new().stack_size(stack).spawn(f).unwrap().join().unwrap();
 }
 
 fn sweep(cases: u32) {
@@ -137,32 +170,58 @@ fn flat(n: usize) -> [(&'static str, String); 3] {
     ]
 }
 
-fn compile(src: &str, pipeline: Pipeline) -> Result<(), String> {
+/// Reads `src` once and compiles it on the direct pipeline, then on CPS.
+fn compile(src: &str) -> [(Pipeline, Result<(), String>); 2] {
     let forms = read_all(src).unwrap();
-    compile_program_with(&forms, pipeline, CompilerOptions::default())
-        .map(drop)
-        .map_err(|e| e.message)
+    [Pipeline::Direct, Pipeline::Cps].map(|pipeline| {
+        let compiled = compile_program_with(&forms, pipeline, CompilerOptions::default());
+        (pipeline, compiled.map(drop).map_err(|e| e.message))
+    })
 }
 
 #[test]
 fn long_flat_programs_compile_or_are_refused_on_both_pipelines() {
     with_big_stack(|| {
-        let refused = format!("nest deeper than {MAX_CPS_DEPTH}");
-        for (shape, src) in flat(MAX_CPS_DEPTH - 10) {
-            assert_eq!(compile(&src, Pipeline::Cps), Ok(()), "{shape} under the bound");
+        let bound = 2 * MAX_NESTING;
+        let refused = format!("nest deeper than {bound}");
+        for (shape, src) in flat(bound - 10) {
+            assert_eq!(compile(&src)[1].1, Ok(()), "{shape} under the bound");
         }
         for (shape, src) in flat(10_000) {
-            assert_eq!(compile(&src, Pipeline::Direct), Ok(()), "{shape}");
-            match compile(&src, Pipeline::Cps) {
+            let [(_, direct), (_, cps)] = compile(&src);
+            assert_eq!(direct, Ok(()), "{shape}");
+            match cps {
                 Ok(()) => assert_eq!(shape, "list of constants"),
                 Err(e) => assert!(e.contains(&refused), "{shape}: {e}"),
             }
         }
         // The direct pipeline refuses frames past 65 535 slots.
         for (shape, src) in flat(100_000) {
-            for pipeline in [Pipeline::Direct, Pipeline::Cps] {
-                if let Err(e) = compile(&src, pipeline) {
+            for (_, compiled) in compile(&src) {
+                if let Err(e) = compiled {
                     assert!(e.contains(&refused) || e.contains("65535"), "{shape}: {e}");
+                }
+            }
+        }
+        // A folded chain past the expander's bound is refused by name; the
+        // rest compile, or meet the frame or CPS limits.
+        let too_deep = format!("expands deeper than {MAX_NESTING} levels");
+        for n in [10_000, 100_000] {
+            for (shape, src) in derived(n, "(+ 0 1)") {
+                let chain = shape.split(' ').next().unwrap();
+                let flat = matches!(chain, "do" | "quasiquote") || shape == "case data";
+                for (pipeline, compiled) in compile(&src) {
+                    match compiled {
+                        Ok(()) => assert!(flat, "{shape} of {n} on {pipeline:?} compiled"),
+                        Err(e) if flat => assert!(
+                            !(n == 10_000 && pipeline == Pipeline::Direct)
+                                && [&refused, "65535", "too many parameters"]
+                                    .iter()
+                                    .any(|limit| e.contains(*limit)),
+                            "{shape} of {n} on {pipeline:?}: {e}"
+                        ),
+                        Err(e) => assert_eq!(e, format!("{chain}: {too_deep}"), "{shape} of {n}"),
+                    }
                 }
             }
         }

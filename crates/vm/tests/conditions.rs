@@ -625,7 +625,7 @@ fn a_body_past_the_cps_bound_is_a_compile_error() {
     std::thread::Builder::new()
         .stack_size(64 << 20)
         .spawn(|| {
-            let bound = oneshot_compiler::MAX_CPS_DEPTH;
+            let bound = 2 * MAX_NESTING;
             let mut cps = Vm::builder().pipeline(Pipeline::Cps).build();
             cps.eval_str("(define (f) 7)").unwrap();
             check(&mut cps, &flat_body(bound - 10), "7");
@@ -636,6 +636,52 @@ fn a_body_past_the_cps_bound_is_a_compile_error() {
             let mut direct = Vm::new();
             direct.eval_str("(define (f) 7)").unwrap();
             check(&mut direct, &flat_body(10_000), "7");
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// `n` copies of `(+ 0 1)` in each derived form whose lowering folds a
+/// chain; each evaluates to 1.
+fn derived(n: usize) -> [(&'static str, String); 8] {
+    let items = |f: &dyn Fn(usize) -> String| (0..n).map(f).collect::<Vec<_>>().join(" ");
+    [
+        ("let*", format!("(let* ((x 1) {}) x)", items(&|_| "(x (+ 0 1))".into()))),
+        ("cond", format!("(cond {} (else 1))", items(&|_| "((+ 0 1) (+ 0 1))".into()))),
+        ("case", format!("(case (+ 0 1) {} (else 1))", items(&|i| format!("(({i}) (+ 0 1))")))),
+        ("case data", format!("(case (+ 0 1) (({}) (+ 0 1)) (else 1))", items(&|i| i.to_string()))),
+        ("and", format!("(and {} 1)", items(&|_| "(+ 0 1)".into()))),
+        ("or", format!("(or {} 1)", items(&|_| "(not (+ 0 1))".into()))),
+        ("do", format!("(do ({}) ((+ 0 1) 1))", items(&|i| format!("(v{i} (+ 0 1) (+ 0 1))")))),
+        ("quasiquote", format!("(car `(,(+ 0 1) {}))", items(&|_| "0 ,0 ,@(list 0)".into()))),
+    ]
+}
+
+#[test]
+fn long_derived_forms_run_or_are_refused_on_both_pipelines() {
+    // Release frames fit the default 2 MiB thread; debug ones need room.
+    let stack = if cfg!(debug_assertions) { 64 << 20 } else { 2 << 20 };
+    std::thread::Builder::new()
+        .stack_size(stack)
+        .spawn(|| {
+            for pipeline in [Pipeline::Direct, Pipeline::Cps] {
+                let mut vm = Vm::builder().pipeline(pipeline).build();
+                for (_, src) in derived(100) {
+                    check(&mut vm, &src, "1");
+                }
+                for n in [10_000, 100_000] {
+                    for (shape, src) in derived(n) {
+                        match vm.eval_str(&src) {
+                            Ok(v) => assert_eq!(vm.write_value(&v), "1", "{shape} of {n}"),
+                            Err(e) => {
+                                assert!(matches!(e, VmError::Compile(_)), "{shape} of {n}: {e:?}");
+                            }
+                        }
+                    }
+                }
+                check(&mut vm, "(+ 1 2)", "3");
+            }
         })
         .unwrap()
         .join()

@@ -2,7 +2,8 @@
 //! winder/one-shot interactions, engine-adjacent timer behaviour, and the
 //! empty ("halt") continuation.
 
-use oneshot_vm::Vm;
+use oneshot_core::Config;
+use oneshot_vm::{Pipeline, Vm};
 
 fn eval(vm: &mut Vm, src: &str) -> String {
     match vm.eval_str(src) {
@@ -273,4 +274,52 @@ fn a_linked_template_sees_its_callee_redefined_between_instantiations() {
     let thunk = vm.instantiate(linked);
     let v = vm.call(thunk, &[]).unwrap();
     assert_eq!(vm.write_value(&v), "(last direct)");
+}
+
+/// Each derived form lowers straight to the core language, so no local
+/// binding of a name its lowering uses (`if`, `begin`, `let`, `lambda`,
+/// `quote`, `cons`, `append`, `list`, `list->vector`), and no global the
+/// program defines, changes what it means. Each row's answer is that of
+/// the same program with the shadowing name renamed.
+const CAPTURES: [(&str, &str); 10] = [
+    (
+        "(let ((if list)) (do ((i 0 (+ i 1))) ((= i 3) 'done)))",
+        "(let ((if* list)) (do ((i 0 (+ i 1))) ((= i 3) 'done)))",
+    ),
+    (
+        "(let ((begin list)) (do ((i 0 (+ i 1))) ((= i 3) 'done) i))",
+        "(let ((begin* list)) (do ((i 0 (+ i 1))) ((= i 3) 'done) i))",
+    ),
+    (
+        "(let ((let 5)) (do ((i 0 (+ i 1))) ((= i 3) 'done)))",
+        "(let ((let* 5)) (do ((i 0 (+ i 1))) ((= i 3) 'done)))",
+    ),
+    (
+        "(define (%do-loop) 'mine) (do ((i 0 (+ i 1))) ((= i 1) (%do-loop)))",
+        "(define (mine) 'mine) (do ((i 0 (+ i 1))) ((= i 1) (mine)))",
+    ),
+    ("(let ((lambda 1)) (define (g) 2) (g))", "(let ((lambda* 1)) (define (g) 2) (g))"),
+    ("(let ((cons list)) `(a ,(+ 1 1)))", "(let ((cons* list)) `(a ,(+ 1 1)))"),
+    ("(let ((quote list)) `(a b))", "(let ((quote* list)) `(a b))"),
+    ("(let ((append list)) `(a ,@(list 1 2)))", "(let ((append* list)) `(a ,@(list 1 2)))"),
+    ("(let ((list->vector list)) `#(a ,(+ 1 1)))", "(let ((list->vector* list)) `#(a ,(+ 1 1)))"),
+    ("(let ((list 5)) `(a `(b ,(c ,(+ 1 1)))))", "(let ((list* 5)) `(a `(b ,(c ,(+ 1 1)))))"),
+];
+
+#[test]
+fn derived_forms_are_not_captured_by_user_bindings() {
+    for pipeline in [Pipeline::Direct, Pipeline::Cps] {
+        for (captured, renamed) in CAPTURES {
+            // Ceilings on stack segments and live objects turn a runaway
+            // loop into an error on either pipeline.
+            let vm = || {
+                let stack = Config { max_segments: 64, ..Config::default() };
+                Vm::builder().pipeline(pipeline).stack(stack).heap_budget(1 << 20).build()
+            };
+            let expected = eval(&mut vm(), renamed);
+            let mut vm = vm();
+            let got = vm.eval_str(captured).map(|v| vm.write_value(&v));
+            assert_eq!(got.as_deref(), Ok(&*expected), "{pipeline:?}: {captured}");
+        }
+    }
 }
