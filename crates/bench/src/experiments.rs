@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use oneshot_core::{Config, OneShotPolicy, OverflowPolicy, PromotionStrategy};
 use oneshot_threads::{Strategy, ThreadSystem};
-use oneshot_vm::{Pipeline, Vm};
+use oneshot_vm::{Pipeline, Slot, Vm};
 
 use crate::measure::run_measured;
 use crate::table::{render, Cell, Table};
@@ -269,7 +269,7 @@ pub static EXPERIMENTS: [Experiment; 8] = [
         title: "E7 / §3.4: resident stack memory for {suspended} call/1cc threads",
         params: |s| vec![("suspended", s.suspended as u64)],
         panel: None,
-        columns: &["policy", "threads", "resident-slots", "~bytes"],
+        columns: &["policy", "threads", "resident-slots", "~bytes", "host-bytes"],
         unprinted: &[],
         rows: fragmentation_rows,
         paper: &[
@@ -717,8 +717,14 @@ fn fragmentation_rows(scale: &Scale) -> Vec<Vec<Cell>> {
                 Cell::Count(scale.suspended as u64),
                 Cell::Count(resident as u64),
                 // A slot models a 4-byte word, matching the paper's 16 KB /
-                // 4096-word default segments.
+                // 4096-word default segments...
                 Cell::Real { value: resident as f64 * 4.0 / 1e6, decimals: 2, suffix: " MB" },
+                // ...and here pins a whole `Slot`.
+                Cell::Real {
+                    value: (resident as usize * size_of::<Slot>()) as f64 / 1e6,
+                    decimals: 2,
+                    suffix: " MB",
+                },
             ]
         })
         .collect()

@@ -171,7 +171,7 @@ impl FnCtx {
             top,
             max: top,
         };
-        ctx.emit(Op::Entry { required, rest });
+        ctx.emit(Op::Entry { required, rest, need: 0 });
         ctx
     }
 
@@ -680,7 +680,7 @@ mod tests {
         assert_eq!(
             body(&p, "fib"),
             [
-                Op::Entry { required: 1, rest: false },
+                Op::Entry { required: 1, rest: false, need: 0 },
                 Op::BrLtImm { i: 1, n: 2, off: 1 },
                 Op::ReturnLocal(1),
                 Op::SubImmTo { i: 1, dst: 3, n: 1 },
@@ -701,7 +701,7 @@ mod tests {
         assert_eq!(
             tak[..4],
             [
-                Op::Entry { required: 3, rest: false },
+                Op::Entry { required: 3, rest: false, need: 0 },
                 Op::LtLL { a: 2, b: 1 },
                 Op::BrTrue(1),
                 Op::ReturnLocal(3),
@@ -893,7 +893,7 @@ mod tests {
     fn variadic_entry() {
         let p = compile("(define (f a . rest) rest)");
         let f = &p.codes[0];
-        assert_eq!(f.ops[0], Op::Entry { required: 1, rest: true });
+        assert_eq!(f.ops[0], Op::Entry { required: 1, rest: true, need: 0 });
         // `LocalRef(2); Return` fuses into `ReturnLocal(2)`.
         assert!(f.ops.contains(&Op::ReturnLocal(2)));
     }

@@ -5,10 +5,11 @@
 //! relative to it. Calls follow §3.1 of the paper: the caller stores the
 //! return address at a compile-time displacement `disp` above its own
 //! frame base, arguments above that, then advances the frame pointer by
-//! `disp`; the return point subtracts the same displacement. The
-//! displacement is carried inside the return address (the moral equivalent
-//! of the paper's frame-size word in the code stream), which is what lets
-//! the runtime walk, split, and relocate frames.
+//! `disp`; the return point subtracts the same displacement. As in the
+//! paper, that frame-size word sits in the code stream just before the
+//! return point — it is the `disp` of the call the return address follows
+//! (or, for a timer interrupt's frame, derived from the `Entry` it resumes
+//! past) — which is what lets the runtime walk, split, and relocate frames.
 
 use std::fmt;
 
@@ -149,6 +150,11 @@ opcodes! {
         required: u16,
         /// Whether extra arguments are collected into a rest list.
         rest: bool,
+        /// Slots the overflow check must find above the frame pointer: the
+        /// maximum frame extent plus the return address and one spare.
+        /// Filled in when the code is linked; a timer interrupt's frame,
+        /// which resumes just past this instruction, is `need - 1` slots.
+        need: u32,
     } = "entry";
     /// Call: `slot[fp+disp] := return address; fp += disp; apply(acc, argc)`.
     Call {
@@ -468,7 +474,7 @@ mod tests {
             required: 0,
             rest: false,
             frame_slots: 4,
-            ops: vec![Op::Entry { required: 0, rest: false }, Op::FixInt(1), Op::Return],
+            ops: vec![Op::Entry { required: 0, rest: false, need: 0 }, Op::FixInt(1), Op::Return],
             consts: vec![],
             free_spec: vec![],
         };

@@ -169,7 +169,7 @@ mod tests {
     use super::*;
 
     fn entry() -> Op {
-        Op::Entry { required: 0, rest: false }
+        Op::Entry { required: 0, rest: false, need: 0 }
     }
 
     #[test]

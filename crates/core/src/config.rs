@@ -52,13 +52,15 @@ pub enum PromotionStrategy {
 
 /// Configuration for a [`SegStack`](crate::SegStack).
 ///
-/// The defaults mirror the paper: 16 KB segments (here expressed as 4096
-/// slots — slots play the role of machine words), a copy bound well below
-/// the segment size, and a little hysteresis on overflow.
+/// The defaults mirror the paper: 4096-word segments (here 4096 slots —
+/// slots play the role of machine words), a copy bound well below the
+/// segment size, and a little hysteresis on overflow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Capacity, in slots, of a freshly allocated segment. The paper's
-    /// default stack size is 16 KB, i.e. 4096 32-bit words.
+    /// default stack size is 16 KB, i.e. 4096 32-bit words; a slot here is
+    /// `size_of::<S>()` bytes, so the same 4096 slots of the Scheme VM's
+    /// 16-byte `Slot` are 64 KiB.
     pub segment_slots: usize,
     /// Maximum number of slots copied by a single multi-shot reinstatement;
     /// larger continuations are split lazily at frame boundaries (§3.2).

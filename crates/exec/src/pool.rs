@@ -144,8 +144,10 @@ impl PoolBuilder {
     /// # Errors
     ///
     /// [`std::io::ErrorKind::InvalidInput`] if the VM configuration names
-    /// a pipeline other than [`Pipeline::Direct`]: the engine host the
-    /// workers run on needs direct-pipeline control. Otherwise propagates
+    /// a pipeline other than [`Pipeline::Direct`] (the engine host the
+    /// workers run on needs direct-pipeline control), or a `stack`
+    /// configuration its own `validate` refuses (every worker would panic
+    /// building its VM, and no job would ever resolve). Otherwise propagates
     /// the OS error if a thread, or a reactor's epoll instance or wakeup
     /// pipe, cannot be created.
     pub fn build(mut self) -> std::io::Result<Pool> {
@@ -166,6 +168,9 @@ impl PoolBuilder {
             self.vm_config.stack.segment_slots = 512;
             self.vm_config.stack.copy_bound = 256;
             self.vm_config.stack.hysteresis_slots = 16;
+        }
+        if let Err(e) = self.vm_config.stack.validate() {
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()));
         }
         let injector = Arc::new(Injector::new(self.queue_capacity));
         let inboxes: Arc<Vec<Inbox>> =

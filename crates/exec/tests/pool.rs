@@ -487,6 +487,18 @@ fn a_pool_refuses_a_non_direct_pipeline() {
 }
 
 #[test]
+fn a_pool_refuses_a_stack_config_its_workers_cannot_build() {
+    // 256-slot segments cannot hold the default copy bound plus headroom:
+    // every worker would panic building its VM, and a submitted job would
+    // wait forever.
+    let mut cfg = VmConfig::default();
+    cfg.stack.segment_slots = 256;
+    let err = Pool::builder().workers(1).vm_config(cfg).build().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("copy_bound plus min_headroom"), "{err}");
+}
+
+#[test]
 fn jobs_are_compiled_with_the_workers_compiler_options() {
     // The job counts the instructions its own loop retires, so its answer
     // tells fused code from unfused code.

@@ -38,7 +38,7 @@ mod slot;
 mod vm;
 
 pub use error::{ConditionKind, VmError};
-pub use slot::{slot_disp, Resume, Slot};
+pub use slot::{Resume, Slot};
 pub use vm::{GlobalSlot, LinkedProgram, ProbeSpec, Vm, VmBuilder, VmConfig, VmStats};
 
 pub use oneshot_compiler::{CompiledProgram, CompilerOptions, Pipeline};

@@ -1,5 +1,6 @@
 //! The stack slot type.
 
+use oneshot_compiler::Op;
 use oneshot_runtime::Value;
 
 /// What a staged builtin resumes into when control returns to it.
@@ -38,25 +39,22 @@ pub enum Resume {
 /// One stack slot.
 ///
 /// Mirrors the paper's frame layout: the base slot of a frame holds the
-/// return address; parameter and local slots hold values. The displacement
-/// stored in return addresses is the paper's frame-size word (kept in the
-/// code stream there, inside the return address here) — it is what lets
-/// the runtime walk frames for splitting and overflow hysteresis.
+/// return address; parameter and local slots hold values. As in §3.1, a
+/// return address is only a code position: the frame-size word lives in
+/// the code stream, in the instruction just before the return point
+/// (`ret_disp`), and it is what lets the runtime walk frames for
+/// splitting and overflow hysteresis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Slot {
     /// A value.
     Val(Value),
-    /// A return address: resume `code` at `pc`, popping the frame by
-    /// `disp`; `closure` restores the caller's closure register (it is a
-    /// `Value` so the garbage collector traces it with the frame).
+    /// A return address: resume at `pc`, popping the frame by the size
+    /// word before it; `closure` restores the caller's closure register
+    /// (it is a `Value` so the garbage collector traces it with the frame).
     Ret {
-        /// Code-object index.
-        code: u32,
         /// Absolute index into the VM's flat instruction arena to resume
-        /// at (not relative to `code`'s own body).
+        /// at.
         pc: u32,
-        /// Frame displacement (the paper's frame-size word).
-        disp: u32,
         /// The caller's closure, or `Value::UNSPECIFIED`.
         closure: Value,
     },
@@ -64,7 +62,7 @@ pub enum Slot {
     Resume {
         /// Which stage to run.
         kind: Resume,
-        /// Frame displacement, as for `Ret`.
+        /// Frame displacement: a builtin's frame has no code stream.
         disp: u32,
     },
     /// The underflow marker installed at the base slot of every stack
@@ -73,8 +71,8 @@ pub enum Slot {
 }
 
 /// Every overflow, capture copy and reinstatement moves slots: a slot is
-/// `Ret`'s three `u32`s, its closure word and the tag, and must not grow.
-const _: () = assert!(std::mem::size_of::<Slot>() <= 24, "Slot grew past Ret's packed size");
+/// `Ret`'s `pc`, its closure word and the tag, and must not grow.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16, "Slot must stay two words");
 
 impl Slot {
     /// The value stored here.
@@ -92,13 +90,28 @@ impl Slot {
     }
 }
 
-/// The frame walker for the segmented stack: the displacement carried by
-/// return addresses and resume points; `None` for the marker and values.
+/// The frame-size word of return point `pc` (§3.1), read from the code
+/// stream: a return point follows either the `Call`/`CallGlobal` that
+/// pushed it, whose displacement is the frame size, or — for a timer
+/// interrupt's frame — the `Entry` it resumes past, whose frame is the
+/// procedure's extent less the spare slot.
 #[inline]
-pub fn slot_disp(s: &Slot) -> Option<usize> {
-    match s {
-        Slot::Ret { disp, .. } => Some(*disp as usize),
-        Slot::Resume { disp, .. } => Some(*disp as usize),
+pub(crate) fn ret_disp(flat: &[Op], pc: u32) -> usize {
+    match flat[pc as usize - 1] {
+        Op::Call { disp, .. } | Op::CallGlobal { disp, .. } => disp.into(),
+        Op::Entry { need, .. } => need as usize - 1,
+        other => unreachable!("return point after {other:?}"),
+    }
+}
+
+/// The frame walker for the segmented stack over code arena `flat`: the
+/// displacement of a return address or resume point; `None` for the marker
+/// and values.
+#[inline]
+pub(crate) fn slot_disp(flat: &[Op]) -> impl Fn(&Slot) -> Option<usize> + '_ {
+    move |s| match *s {
+        Slot::Ret { pc, .. } => Some(ret_disp(flat, pc)),
+        Slot::Resume { disp, .. } => Some(disp as usize),
         _ => None,
     }
 }
@@ -109,12 +122,18 @@ mod tests {
 
     #[test]
     fn walker_reads_displacements() {
-        let r = Slot::Ret { code: 0, pc: 3, disp: 7, closure: Value::UNSPECIFIED };
-        assert_eq!(slot_disp(&r), Some(7));
-        let w = Slot::Resume { kind: Resume::CwvConsume, disp: 4 };
-        assert_eq!(slot_disp(&w), Some(4));
-        assert_eq!(slot_disp(&Slot::Marker), None);
-        assert_eq!(slot_disp(&Slot::Val(Value::NIL)), None);
+        let flat = [
+            Op::Entry { required: 0, rest: false, need: 9 },
+            Op::Call { disp: 7, argc: 0 },
+            Op::CallGlobal { g: 0, disp: 5, argc: 1 },
+        ];
+        let (walk, ret) = (slot_disp(&flat), |pc| Slot::Ret { pc, closure: Value::UNSPECIFIED });
+        assert_eq!(walk(&ret(1)), Some(8));
+        assert_eq!(walk(&ret(2)), Some(7));
+        assert_eq!(walk(&ret(3)), Some(5));
+        assert_eq!(walk(&Slot::Resume { kind: Resume::CwvConsume, disp: 4 }), Some(4));
+        assert_eq!(walk(&Slot::Marker), None);
+        assert_eq!(walk(&Slot::Val(Value::NIL)), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use oneshot_core::{ControlError, KontId, Underflow};
 use oneshot_runtime::{Heap, Obj, Symbols, Unpacked, Value};
 
 use crate::error::{ConditionKind, VmError, R};
-use crate::slot::{slot_disp, Resume, Slot};
+use crate::slot::{ret_disp, slot_disp, Resume, Slot};
 use crate::vm::builtins::Flow;
 use crate::vm::Vm;
 
@@ -256,15 +256,7 @@ impl Vm {
         macro_rules! push_ret {
             ($disp:expr) => {{
                 let nfp = self.stack.fp() + $disp as usize;
-                self.stack.set(
-                    nfp,
-                    Slot::Ret {
-                        code: self.code,
-                        pc: pc as u32,
-                        disp: $disp.into(),
-                        closure: self.closure,
-                    },
-                );
+                self.stack.set(nfp, Slot::Ret { pc: pc as u32, closure: self.closure });
                 self.stack.set_fp(nfp);
             }};
         }
@@ -283,9 +275,8 @@ impl Vm {
         macro_rules! call {
             ($f:expr, $argc:expr) => {{
                 let f = $f;
-                if let Some((code, base)) = self.closure_entry(f) {
+                if let Some(base) = self.closure_entry(f) {
                     self.closure = f;
-                    self.code = code;
                     self.argc = $argc as usize;
                     pc = base;
                 } else if let Some(v) = ool!(self.apply(f, $argc as usize))? {
@@ -316,20 +307,19 @@ impl Vm {
                     }
                 } else {
                     self.closure = f;
-                    self.code = target.code;
                     self.argc = $argc as usize;
                     pc = target.base as usize;
                 }
             }};
         }
         // Returns `acc` through the slot at the frame base: a plain return
-        // address with no multiple values pending is delivered inline.
+        // address with no multiple values pending is delivered inline, its
+        // frame size read from the code stream before the return point.
         macro_rules! ret {
             () => {{
                 match *self.stack.get(self.stack.fp()) {
-                    Slot::Ret { code, pc: ret_pc, disp, closure } if self.mv.is_none() => {
-                        self.stack.pop_frame(disp as usize);
-                        self.code = code;
+                    Slot::Ret { pc: ret_pc, closure } if self.mv.is_none() => {
+                        self.stack.pop_frame(ret_disp(flat, ret_pc));
                         self.closure = closure;
                         pc = ret_pc as usize;
                     }
@@ -352,9 +342,7 @@ impl Vm {
                 }
             }
             match op {
-                Op::Const(i) => {
-                    acc = self.codes[self.code as usize].consts[i as usize];
-                }
+                Op::Const(i) => acc = self.consts[i as usize],
                 Op::FixInt(n) => acc = Value::fixnum(n.into()),
                 Op::Unspec => acc = Value::UNSPECIFIED,
                 Op::LocalRef(i) => acc = self.local(i as usize),
@@ -423,13 +411,13 @@ impl Vm {
                 }
                 Op::Jump(off) => pc = pc.wrapping_add_signed(off as isize),
                 Op::BranchFalse(off) => branch_unless!(acc.is_true(), off),
-                Op::Entry { required, rest } => {
+                Op::Entry { required, rest, need } => {
                     // The whole prologue of an exact-arity call that fits
                     // its segment on an unguarded VM with no segment fault
                     // armed and no collection due: one test, then the
                     // timer tick. Everything else is `entry`, which
                     // re-derives all of it.
-                    let need = self.entries[self.code as usize].need as usize;
+                    let need = need as usize;
                     if rest
                         || self.argc != required as usize
                         || self.guards_active
@@ -440,7 +428,7 @@ impl Vm {
                         // When a timer interrupt fires, `entry` has already
                         // transferred control to the handler; just keep
                         // going.
-                        ool!(self.entry(required as usize, rest))?;
+                        ool!(self.entry(required as usize, rest, need))?;
                     } else if self.timer_on && timer_expires(&mut self.fuel, &mut self.timer_on) {
                         ool!(self.fire_timer_interrupt())?;
                     }
@@ -579,19 +567,19 @@ impl Vm {
         }
     }
 
-    /// The code index and first instruction of `f`, if `f` is a closure —
-    /// the inline half of [`Vm::apply`].
+    /// The first instruction of `f`, if `f` is a closure — the inline half
+    /// of [`Vm::apply`].
     #[inline]
-    fn closure_entry(&self, f: Value) -> Option<(u32, usize)> {
+    fn closure_entry(&self, f: Value) -> Option<usize> {
         let (code, _) = self.heap.closure(f.as_obj()?)?;
-        Some((code, self.entries[code as usize].base as usize))
+        Some(self.entries[code as usize] as usize)
     }
 
     /// What the call cache holds for a global cell containing `f`.
     #[inline]
     pub(crate) fn call_target(&self, f: Value) -> CallTarget {
         match self.closure_entry(f) {
-            Some((code, base)) => CallTarget { code, base: base as u32 },
+            Some(base) => CallTarget { base: base as u32 },
             None => CallTarget::NONE,
         }
     }
@@ -623,12 +611,11 @@ impl Vm {
     /// Kept out of the loop's body, but not `#[cold]`: on a guarded VM and
     /// for every variadic procedure it is the path taken.
     #[inline(never)]
-    fn entry(&mut self, required: usize, rest: bool) -> R<bool> {
+    fn entry(&mut self, required: usize, rest: bool, need: usize) -> R<bool> {
         let argc = self.argc;
         if !admits(required, rest, argc) {
-            return Err(arity_error(&self.codes[self.code as usize].name, required, rest, argc));
+            return Err(arity_error(&self.code_name(self.pc), required, rest, argc));
         }
-        let need = self.entries[self.code as usize].need as usize;
         // Winder entries are critical sections: an asynchronous guard fault
         // delivered between the wind machinery's bookkeeping (winder pushed
         // or popped) and the winder thunk's body would unbalance
@@ -730,7 +717,8 @@ impl Vm {
     }
 
     /// Calls the timer handler such that its normal return resumes the
-    /// interrupted function just past its (already completed) prologue.
+    /// interrupted function just past its (already completed) prologue:
+    /// the return point follows that `Entry`, which gives the frame's size.
     fn fire_timer_interrupt(&mut self) -> R<bool> {
         let handler = self.timer_handler;
         if !(handler.is_obj() || handler.is_builtin()) {
@@ -739,17 +727,10 @@ impl Vm {
                 "timer expired with no interrupt handler",
             ));
         }
-        let fs = self.entries[self.code as usize].need as usize - 1;
+        let pc = self.pc as u32;
+        let fs = ret_disp(&self.flat, pc);
         let fp = self.stack.fp();
-        self.stack.set(
-            fp + fs,
-            Slot::Ret {
-                code: self.code,
-                pc: self.pc as u32,
-                disp: fs as u32,
-                closure: self.closure,
-            },
-        );
+        self.stack.set(fp + fs, Slot::Ret { pc, closure: self.closure });
         self.stack.set_fp(fp + fs);
         self.calls += 1;
         if self.apply(handler, 0)?.is_some() {
@@ -767,9 +748,8 @@ impl Vm {
     /// Applies `f` to `argc` arguments already placed at `fp+1..`.
     /// Returns `Some(final)` if the program completed (underflowed out).
     pub(crate) fn apply(&mut self, f: Value, argc: usize) -> R<Option<Value>> {
-        if let Some((code, base)) = self.closure_entry(f) {
+        if let Some(base) = self.closure_entry(f) {
             self.closure = f;
-            self.code = code;
             self.pc = base;
             self.argc = argc;
             return Ok(None);
@@ -803,7 +783,7 @@ impl Vm {
     /// Delivers control through an ordinary return address: rejects
     /// pending multiple values, pops the frame, restores the caller's
     /// registers.
-    fn deliver_ret(&mut self, code: u32, pc: u32, disp: u32, closure: Value) -> R<()> {
+    fn deliver_ret(&mut self, pc: u32, closure: Value) -> R<()> {
         if self.mv.is_some() {
             let n = self.mv.as_ref().map_or(0, Vec::len);
             self.mv = None;
@@ -812,8 +792,7 @@ impl Vm {
                 format!("returned {n} values to single value return context"),
             ));
         }
-        self.stack.pop_frame(disp as usize);
-        self.code = code;
+        self.stack.pop_frame(ret_disp(&self.flat, pc));
         self.pc = pc as usize;
         self.closure = closure;
         Ok(())
@@ -825,8 +804,8 @@ impl Vm {
         {
             let slot = *self.stack.get(self.stack.fp());
             match slot {
-                Slot::Ret { code, pc, disp, closure } => {
-                    self.deliver_ret(code, pc, disp, closure)?;
+                Slot::Ret { pc, closure } => {
+                    self.deliver_ret(pc, closure)?;
                     Ok(None)
                 }
                 Slot::Resume { kind, disp } => {
@@ -838,7 +817,8 @@ impl Vm {
                     }
                 }
                 Slot::Marker => {
-                    match self.stack.underflow(&slot_disp).map_err(control_error)? {
+                    let underflow = self.stack.underflow(&slot_disp(&self.flat));
+                    match underflow.map_err(control_error)? {
                         Underflow::Exhausted => {
                             let v = self.acc;
                             self.mv = None;
@@ -890,7 +870,8 @@ impl Vm {
     /// capture-then-unwind order `call/cc`-based `shift` observes.
     pub(crate) fn take_subcont(&mut self, tag: Value, handler: Value) -> R<Option<Value>> {
         let (kp, wp) = self.find_prompt(tag)?;
-        let (head, r) = self.stack.take_subcont(kp, &slot_disp).map_err(control_error)?;
+        let (head, r) =
+            self.stack.take_subcont(kp, &slot_disp(&self.flat)).map_err(control_error)?;
         // Control is now at the prompt's frame; re-plant its return
         // address (a multi-shot reinstatement does not restore the fp
         // slot) and stage the walk above it.
@@ -1148,7 +1129,7 @@ impl Vm {
             self.mv = None;
             return Ok(Some(v));
         };
-        let r = self.stack.reinstate(k, &slot_disp).map_err(control_error)?;
+        let r = self.stack.reinstate(k, &slot_disp(&self.flat)).map_err(control_error)?;
         self.dispatch_reinstated_ret(r.ret)
     }
 
@@ -1161,13 +1142,13 @@ impl Vm {
             // returning them from the `%push-subcont` call.
             return self.do_return();
         };
-        let r = self.stack.push_subcont(head, &slot_disp).map_err(control_error)?;
+        let r = self.stack.push_subcont(head, &slot_disp(&self.flat)).map_err(control_error)?;
         self.dispatch_reinstated_ret(r.ret)
     }
 
     /// Returns the values already in `acc`/`mv` from prompt record `kp`.
     fn abort_to(&mut self, kp: KontId) -> R<Option<Value>> {
-        let r = self.stack.abort_to_prompt(kp, &slot_disp).map_err(control_error)?;
+        let r = self.stack.abort_to_prompt(kp, &slot_disp(&self.flat)).map_err(control_error)?;
         self.dispatch_reinstated_ret(r.ret)
     }
 
@@ -1176,8 +1157,8 @@ impl Vm {
     /// a staged builtin, and rejects anything else.
     pub(crate) fn dispatch_reinstated_ret(&mut self, ret: Slot) -> R<Option<Value>> {
         match ret {
-            Slot::Ret { code, pc, disp, closure } => {
-                self.deliver_ret(code, pc, disp, closure)?;
+            Slot::Ret { pc, closure } => {
+                self.deliver_ret(pc, closure)?;
                 Ok(None)
             }
             Slot::Resume { kind, disp } => {
@@ -1344,17 +1325,15 @@ const WALK_NEED: usize = 8;
 /// or [`CallTarget::NONE`] when the cell holds anything else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CallTarget {
-    /// The closure's code object.
-    code: u32,
-    /// Offset of that code object's first instruction in [`Vm::flat`].
+    /// Offset of the closure code's first instruction in [`Vm::flat`].
     base: u32,
 }
 
 impl CallTarget {
     /// Not a closure (unbound, builtin, continuation, non-procedure): the
-    /// call takes the general path. No code object has this index — the
-    /// flat arena's `u32` offsets run out first.
-    pub(crate) const NONE: CallTarget = CallTarget { code: u32::MAX, base: 0 };
+    /// call takes the general path. No code object starts at this offset —
+    /// the flat arena's `u32` offsets run out first.
+    pub(crate) const NONE: CallTarget = CallTarget { base: u32::MAX };
 }
 
 /// `(vector-set! v idx x)`. Like [`cell_set`] a function of the heap (and
@@ -1553,7 +1532,7 @@ mod tests {
                 rest: false,
                 frame_slots: 3,
                 ops: vec![
-                    Op::Entry { required: 0, rest: false },
+                    Op::Entry { required: 0, rest: false, need: 0 },
                     Op::Const(0),
                     Op::LocalSet(1),
                     Op::FixInt(77),
@@ -1567,8 +1546,7 @@ mod tests {
             entry: 0,
             globals: vec![],
         });
-        vm.code = entry;
-        vm.pc = vm.entries[entry as usize].base as usize;
+        vm.pc = vm.entries[entry as usize] as usize;
         vm.argc = 0;
         let result = vm.run();
         let dst = result.is_err().then(|| vm.local(2));

@@ -33,7 +33,7 @@ impl Vm {
         konts.clear();
 
         // Roots: registers, globals, the embedder's roots, winders, timer
-        // handler, pending multiple values, constant pools.
+        // handler, pending multiple values, the constant table.
         self.heap.mark_value(self.acc);
         self.heap.mark_value(self.closure);
         self.heap.mark_value(self.winders);
@@ -44,13 +44,8 @@ impl Vm {
                 self.heap.mark_value(v);
             }
         }
-        for &v in self.globals.iter().chain(&self.roots) {
+        for &v in self.globals.iter().chain(&self.roots).chain(&self.consts) {
             self.heap.mark_value(v);
-        }
-        for code in &self.codes {
-            for &v in &code.consts {
-                self.heap.mark_value(v);
-            }
         }
         // The live portion of the running stack.
         let lo = self.stack.base();

@@ -17,7 +17,7 @@ use oneshot_runtime::{
 use oneshot_sexp::read_all;
 
 use crate::error::{ConditionKind, VmError, R};
-use crate::slot::Slot;
+use crate::slot::{slot_disp, Slot};
 
 /// The Scheme prelude (list operations and other library procedures),
 /// compiled through whichever pipeline the VM uses.
@@ -189,34 +189,15 @@ impl VmBuilder {
 }
 
 /// A loaded (linked) code object's metadata. Its instructions live
-/// concatenated in [`Vm::flat`], and what a call needs — where they start
-/// and how much stack they want — in [`Vm::entries`].
+/// concatenated in [`Vm::flat`], where they start in [`Vm::entries`], and
+/// its constants in [`Vm::consts`].
 #[derive(Debug)]
 pub(crate) struct LoadedCode {
     /// Diagnostic name (error messages, backtraces).
     pub(crate) name: String,
-    /// Instruction count (diagnostics; the code body ends in an
-    /// unconditional transfer, so dispatch never runs off the end).
-    #[allow(dead_code)]
-    pub(crate) len: u32,
-    /// Constants lowered to runtime values (GC roots).
-    pub(crate) consts: Vec<Value>,
     /// Capture spec, pre-resolved at link time so closure creation reads
     /// it in place (no per-`Op::Closure` clone).
     pub(crate) free_spec: Box<[FreeSrc]>,
-}
-
-/// What calling a code object needs, kept apart from [`LoadedCode`] in a
-/// flat table of one word per code object so that a call and its `Entry`
-/// prologue each cost one load: every control transfer is an offset
-/// assignment — no per-transfer clone or refcount traffic.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CodeEntry {
-    /// Offset of the code object's first instruction in [`Vm::flat`].
-    pub(crate) base: u32,
-    /// Slots the `Entry` overflow check must find above the frame pointer:
-    /// the maximum frame extent plus the return address and one spare.
-    pub(crate) need: u32,
 }
 
 oneshot_core::counters! {
@@ -272,12 +253,17 @@ pub struct Vm {
     pub(crate) syms: Symbols,
     pub(crate) stack: SegStack<Slot>,
     pub(crate) codes: Vec<LoadedCode>,
-    /// Call targets, indexed like `codes` (see [`CodeEntry`]).
-    pub(crate) entries: Vec<CodeEntry>,
+    /// Where each code object's instructions start in `flat`, indexed like
+    /// `codes`: a call costs one load, and the offsets ascend, so the code
+    /// object holding a `pc` is a binary search away.
+    pub(crate) entries: Vec<u32>,
     /// The flat instruction arena: every loaded code object's instructions,
     /// concatenated. `pc` is an absolute index into this vector; control
     /// transfers are pointer arithmetic on it.
     pub(crate) flat: Vec<Op>,
+    /// Every loaded code object's constants, lowered to runtime values
+    /// (GC roots); `Op::Const` indexes this table directly.
+    pub(crate) consts: Vec<Value>,
     /// Globals. Unbound cells hold [`Value::UNDEFINED`], so the
     /// `GlobalRef` bound-check is one load + one compare.
     pub(crate) globals: Vec<Value>,
@@ -294,7 +280,6 @@ pub struct Vm {
     pub(crate) roots: Vec<Value>,
     // --- registers ---
     pub(crate) acc: Value,
-    pub(crate) code: u32,
     pub(crate) pc: usize,
     pub(crate) closure: Value,
     pub(crate) argc: usize,
@@ -382,13 +367,13 @@ impl Vm {
             codes: Vec::new(),
             entries: Vec::new(),
             flat: Vec::new(),
+            consts: Vec::new(),
             globals: Vec::new(),
             gcall: Vec::new(),
             global_names: Vec::new(),
             global_ids: HashMap::new(),
             roots: Vec::new(),
             acc: Value::UNSPECIFIED,
-            code: 0,
             pc: 0,
             closure: Value::UNSPECIFIED,
             argc: 0,
@@ -666,15 +651,23 @@ impl Vm {
     }
 
     /// Links a compiled program into the VM, returning the loaded entry
-    /// code index. Global references are resolved by name, code indices
-    /// are rebased, and the instructions are appended to the flat arena.
+    /// code index. Global references are resolved by name, code and
+    /// constant indices are rebased, each `Entry` gets its frame extent,
+    /// and the instructions are appended to the flat arena.
     pub(crate) fn link(&mut self, prog: &CompiledProgram) -> u32 {
         let base = self.codes.len() as u32;
         // Map program-global indices to VM-global indices.
         let gmap: Vec<u32> = prog.globals.iter().map(|name| self.global_id(name)).collect();
         for code in &prog.codes {
             let ops_base = u32::try_from(self.flat.len()).expect("flat arena exceeds u32 range");
+            let consts_base = self.consts.len() as u32;
+            // Resumed frames must never outrun the post-reinstatement
+            // headroom guarantee.
+            let need = u32::from(code.frame_slots) + 2;
+            self.stack.raise_reserve(need as usize);
             self.flat.extend(code.ops.iter().map(|op| match *op {
+                Op::Const(i) => Op::Const(consts_base + i),
+                Op::Entry { required, rest, .. } => Op::Entry { required, rest, need },
                 Op::GlobalRef(i) => Op::GlobalRef(gmap[i as usize]),
                 Op::GlobalSet(i) => Op::GlobalSet(gmap[i as usize]),
                 Op::GlobalDef(i) => Op::GlobalDef(gmap[i as usize]),
@@ -687,20 +680,13 @@ impl Vm {
                 Op::Closure(i) => Op::Closure(base + i),
                 other => other,
             }));
-            let consts: Vec<Value> = code
-                .consts
-                .iter()
-                .map(|d| datum_to_value(&mut self.heap, &mut self.syms, d))
-                .collect();
-            // Resumed frames must never outrun the post-reinstatement
-            // headroom guarantee.
-            let need = u32::from(code.frame_slots) + 2;
-            self.stack.raise_reserve(need as usize);
-            self.entries.push(CodeEntry { base: ops_base, need });
+            for d in &code.consts {
+                let v = datum_to_value(&mut self.heap, &mut self.syms, d);
+                self.consts.push(v);
+            }
+            self.entries.push(ops_base);
             self.codes.push(LoadedCode {
                 name: code.name.clone(),
-                len: code.ops.len() as u32,
-                consts,
                 free_spec: code.free_spec.clone().into_boxed_slice(),
             });
         }
@@ -710,8 +696,7 @@ impl Vm {
     /// Runs a zero-argument code object from the VM rest state.
     pub(crate) fn run_thunk(&mut self, entry: u32) -> R<Value> {
         debug_assert!(matches!(self.stack.get(self.stack.fp()), Slot::Marker));
-        self.code = entry;
-        self.pc = self.entries[entry as usize].base as usize;
+        self.pc = self.entries[entry as usize] as usize;
         self.closure = Value::UNSPECIFIED;
         self.argc = 0;
         self.mv = None;
@@ -766,7 +751,8 @@ impl Vm {
     /// (segment budget or injected segment fault) into a catchable
     /// `stack-overflow` condition instead of growing past the limit.
     pub(crate) fn ensure_or_raise(&mut self, need: usize, live: usize) -> R<()> {
-        match self.stack.ensure(need, live, &crate::slot::slot_disp) {
+        let grown = self.stack.ensure(need, live, &slot_disp(&self.flat));
+        match grown {
             Overflow::Ceiling => self.ceiling_to_condition(need, live),
             _ => Ok(()),
         }
@@ -793,16 +779,11 @@ impl Vm {
         // `live` slots above fp are GC roots, so this is safe at
         // every ensure site.
         self.collect(live);
-        match self.stack.ensure(need, live, &crate::slot::slot_disp) {
-            Overflow::Ceiling => {
-                self.stack.enter_overflow_grace();
-                Err(VmError::condition(
-                    ConditionKind::StackOverflow,
-                    "stack segment ceiling exceeded",
-                ))
-            }
-            _ => Ok(()),
+        if self.stack.ensure(need, live, &slot_disp(&self.flat)) != Overflow::Ceiling {
+            return Ok(());
         }
+        self.stack.enter_overflow_grace();
+        Err(VmError::condition(ConditionKind::StackOverflow, "stack segment ceiling exceeded"))
     }
 
     /// Resets control state after an error so the VM can keep evaluating.
@@ -974,10 +955,10 @@ impl Vm {
     /// Walks the control stack and returns the procedure names of every
     /// pending frame, innermost first — across segment boundaries and
     /// through the continuation chain. This is the §3.1 claim in action:
-    /// the displacement carried by each return address (the paper's
-    /// frame-size word) is what lets tools walk the stack.
+    /// the frame-size word the code stream holds before each return point
+    /// is what lets tools walk the stack.
     pub fn backtrace(&self) -> Vec<String> {
-        let mut names = vec![self.codes[self.code as usize].name.clone()];
+        let mut names = vec![self.code_name(self.pc)];
         // The current record: from the active frame down to the base.
         let fp = self.stack.fp();
         self.frame_names(&mut names, self.stack.slice(self.stack.base(), fp), *self.stack.get(fp));
@@ -1001,19 +982,31 @@ impl Vm {
     /// return address, as for the stack's own walks. Stops at the record's
     /// base, at a slot that is no return address, or past 4 096 names.
     fn frame_names(&self, names: &mut Vec<String>, record: &[Slot], mut ret: Slot) {
-        let mut top = record.len();
+        let (mut top, disp) = (record.len(), slot_disp(&self.flat));
         while names.len() <= 4096 {
             names.push(match ret {
-                Slot::Ret { code, .. } => self.codes[code as usize].name.clone(),
+                Slot::Ret { pc, .. } => self.code_name(pc as usize),
                 Slot::Resume { kind, .. } => format!("#<{kind:?}>"),
                 _ => break,
             });
-            match crate::slot::slot_disp(&ret) {
+            match disp(&ret) {
                 Some(d) if d != 0 && d <= top => top -= d,
                 _ => break,
             }
             ret = record[top];
         }
+    }
+
+    /// The name of the code object holding the instruction before `pc`:
+    /// the one a return point's call, or the instruction the register `pc`
+    /// has just run, belongs to. Keyed by `pc - 1` because a tail call that
+    /// ends its code object leaves `pc` at the next object's first
+    /// instruction. Cold: only errors and backtraces ask.
+    #[cold]
+    pub(crate) fn code_name(&self, pc: usize) -> String {
+        let at = pc.saturating_sub(1);
+        let i = self.entries.partition_point(|&base| base as usize <= at);
+        self.codes[i.saturating_sub(1)].name.clone()
     }
 
     /// Number of live stack segments (cached ones included).
