@@ -5,6 +5,7 @@
 //! to unique [`VarId`]s during expansion, so later passes never deal with
 //! shadowing.
 
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use oneshot_sexp::Datum;
@@ -72,9 +73,10 @@ pub struct Program {
     pub forms: Vec<Expr>,
     /// Number of [`VarId`]s allocated (ids are `0..var_count`).
     pub var_count: u32,
-    /// Names of globals defined by this program (used to decide which
-    /// primitives are safe to inline).
-    pub defined_globals: Vec<Rc<str>>,
+    /// Globals this program defines or assigns. A call to one of them is
+    /// never compiled as a call to the builtin of that name: neither
+    /// inlined by codegen nor called direct-style by the CPS converter.
+    pub defined_globals: HashSet<Rc<str>>,
 }
 
 impl Expr {

@@ -54,7 +54,7 @@ pub fn compile_program_with(
         global_ids: HashMap::new(),
         mutated,
         free: free_vars(&program.forms),
-        no_inline: collect_no_inline(&program.forms, &program.defined_globals),
+        defined_globals: program.defined_globals,
         options,
     };
     // The toplevel thunk.
@@ -98,43 +98,6 @@ fn inlinable(name: &str) -> bool {
             | "vector-ref"
             | "vector-set!"
     )
-}
-
-/// Names that must not be inlined because the program defines or assigns
-/// them.
-fn collect_no_inline(forms: &[Expr], defined: &[Rc<str>]) -> HashSet<Rc<str>> {
-    fn walk(e: &Expr, out: &mut HashSet<Rc<str>>) {
-        match e {
-            Expr::GlobalSet(n, rhs) | Expr::GlobalDef(n, rhs) => {
-                out.insert(n.clone());
-                walk(rhs, out);
-            }
-            Expr::Set(_, rhs) => walk(rhs, out),
-            Expr::If(a, b, c) => {
-                walk(a, out);
-                walk(b, out);
-                walk(c, out);
-            }
-            Expr::Lambda(l) => walk(&l.body, out),
-            Expr::Let(bs, body) => {
-                for (_, init) in bs {
-                    walk(init, out);
-                }
-                walk(body, out);
-            }
-            Expr::Seq(es) => es.iter().for_each(|x| walk(x, out)),
-            Expr::App(f, args) => {
-                walk(f, out);
-                args.iter().for_each(|a| walk(a, out));
-            }
-            Expr::Quote(_) | Expr::Unspecified | Expr::Ref(_) | Expr::GlobalRef(_) => {}
-        }
-    }
-    let mut out: HashSet<Rc<str>> = defined.iter().cloned().collect();
-    for f in forms {
-        walk(f, &mut out);
-    }
-    out
 }
 
 /// Where a variable lives, relative to the function being compiled.
@@ -230,7 +193,8 @@ struct Gen {
     global_ids: HashMap<Rc<str>, u32>,
     mutated: HashSet<VarId>,
     free: FreeVars,
-    no_inline: HashSet<Rc<str>>,
+    /// Never inlined: the program defines or assigns them.
+    defined_globals: HashSet<Rc<str>>,
     options: CompilerOptions,
 }
 
@@ -441,7 +405,7 @@ impl Gen {
         // Inline primitives.
         if let Expr::GlobalRef(name) = f {
             if inlinable(name)
-                && !self.no_inline.contains(name)
+                && !self.defined_globals.contains(name)
                 && self.gen_inline(ctx, name, args, tail)?
             {
                 return Ok(());

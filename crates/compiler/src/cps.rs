@@ -8,7 +8,8 @@
 //! Appel–Shao closure-overhead discussion).
 //!
 //! Direct Rust builtins (per [`crate::builtins::cps_direct`]) are called
-//! without a continuation; the control operators (`call/cc`, `apply`,
+//! without a continuation, unless the program defines or assigns the name
+//! ([`Program::defined_globals`]); the control operators (`call/cc`, `apply`,
 //! `values`, ...) are redefined by the VM's CPS prelude in hand-written CPS
 //! form.
 //!
@@ -25,6 +26,7 @@
 //! [`MAX_NESTING`] (the expander already holds the source's own nesting to
 //! `MAX_NESTING`), which bounds the native stack those passes use.
 
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::vec;
 
@@ -53,7 +55,12 @@ const MAX_DEPTH: usize = 2 * MAX_NESTING;
 /// Refuses a program whose conversion would nest continuations deeper
 /// than twice [`MAX_NESTING`].
 pub fn cps_convert(program: Program) -> Result<Program, CompileError> {
-    let mut c = Cps { next: program.var_count, depth: 0, too_deep: false };
+    let mut c = Cps {
+        next: program.var_count,
+        depth: 0,
+        too_deep: false,
+        defined_globals: program.defined_globals,
+    };
     let whole = match program.forms.len() {
         0 => Expr::Unspecified,
         1 => program.forms.into_iter().next().expect("one form"),
@@ -66,11 +73,7 @@ pub fn cps_convert(program: Program) -> Result<Program, CompileError> {
              {MAX_DEPTH}"
         )));
     }
-    Ok(Program {
-        forms: vec![converted],
-        var_count: c.next,
-        defined_globals: program.defined_globals,
-    })
+    Ok(Program { forms: vec![converted], var_count: c.next, defined_globals: c.defined_globals })
 }
 
 struct Cps {
@@ -80,6 +83,8 @@ struct Cps {
     /// Set when a `cps` call would pass [`MAX_DEPTH`]; that call and
     /// every deeper one convert nothing, and the result is refused.
     too_deep: bool,
+    /// The program's own globals: never called direct-style.
+    defined_globals: HashSet<Rc<str>>,
 }
 
 type Ctx = Box<dyn FnOnce(&mut Cps, Expr) -> Expr>;
@@ -130,6 +135,11 @@ fn atomic(e: &Expr) -> bool {
 }
 
 impl Cps {
+    /// Whether a call to global `name` is a direct builtin call.
+    fn direct(&self, name: &str) -> bool {
+        cps_direct(name) && !self.defined_globals.contains(name)
+    }
+
     fn fresh(&mut self) -> VarId {
         let id = VarId(self.next);
         self.next += 1;
@@ -153,7 +163,7 @@ impl Cps {
             // A direct builtin escaping as a first-class value must obey
             // the CPS calling convention at its eventual call sites:
             // eta-wrap it as (lambda (k . args) (%apply-args k <f> (list args))).
-            Expr::GlobalRef(name) if cps_direct(&name) => self.eta_wrap(&name),
+            Expr::GlobalRef(name) if self.direct(&name) => self.eta_wrap(&name),
             other => other,
         }
     }
@@ -321,7 +331,7 @@ impl Cps {
                 // (otherwise an escaping continuation later in the
                 // argument list could reorder or skip its evaluation).
                 if let Expr::GlobalRef(name) = &*f {
-                    if cps_direct(name) {
+                    if self.direct(name) {
                         let name = name.clone();
                         return self.atomize_list(
                             args.into_iter(),

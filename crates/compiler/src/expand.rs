@@ -22,7 +22,7 @@
 //! whose tree would pass [`MAX_NESTING`], so no later pass recurses
 //! deeper than that.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -112,7 +112,7 @@ impl<'d> Env<'d> {
 struct Expander<'d> {
     env: Env<'d>,
     next_var: u32,
-    defined_globals: Vec<Rc<str>>,
+    defined_globals: HashSet<Rc<str>>,
 }
 
 /// What a `define` binds its name to.
@@ -133,7 +133,7 @@ enum Definiens<'d> {
 /// `define`, bad binding syntax, or a program whose expanded tree would
 /// nest deeper than [`MAX_NESTING`].
 pub fn expand_program(forms: &[Datum]) -> Result<Program> {
-    let mut x = Expander { env: Env::default(), next_var: 0, defined_globals: Vec::new() };
+    let mut x = Expander { env: Env::default(), next_var: 0, defined_globals: HashSet::new() };
     x.env.push();
     let forms = forms.iter().map(|form| x.toplevel(form, 0)).collect::<Result<_>>()?;
     Ok(Program { forms, var_count: x.next_var, defined_globals: x.defined_globals })
@@ -240,7 +240,7 @@ impl<'d> Expander<'d> {
                 [Datum::Symbol(ref h), ..] if h == "define" && self.keyword("define") => {
                     let (name, value) = parse_define(&items)?;
                     let name_rc: Rc<str> = Rc::from(name);
-                    self.defined_globals.push(Rc::clone(&name_rc));
+                    self.defined_globals.insert(Rc::clone(&name_rc));
                     let value = self.definiens(name, value, at + 1)?;
                     return Ok(Expr::GlobalDef(name_rc, Box::new(value)));
                 }
@@ -316,7 +316,11 @@ impl<'d> Expander<'d> {
                         let value = Box::new(self.expr(value, at + 1)?);
                         match self.env.lookup(name) {
                             Some(v) => Ok(Expr::Set(v, value)),
-                            None => Ok(Expr::GlobalSet(Rc::from(name.as_str()), value)),
+                            None => {
+                                let name: Rc<str> = Rc::from(name.as_str());
+                                self.defined_globals.insert(Rc::clone(&name));
+                                Ok(Expr::GlobalSet(name, value))
+                            }
                         }
                     }
                     _ => Err(err("malformed set!")),
@@ -916,7 +920,7 @@ mod tests {
         let Expr::GlobalDef(name, v) = &p.forms[0] else { panic!() };
         assert_eq!(&**name, "f");
         assert!(matches!(&**v, Expr::Lambda(lam) if lam.name.as_deref() == Some("f")));
-        assert_eq!(&*p.defined_globals[0], "f");
+        assert!(p.defined_globals.contains("f"));
     }
 
     #[test]

@@ -212,15 +212,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects anything at all.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.alloc_fault_after.is_some()
-            || self.segment_fault_after.is_some()
-            || self.timer_fault_after.is_some()
-            || self.io_sites_active()
-    }
-
     /// Whether any I/O or reactor fault site is armed.
     #[must_use]
     pub fn io_sites_active(&self) -> bool {

@@ -117,8 +117,8 @@ impl<S> Kont<S> {
     }
 
     /// The paper's size-field test: a continuation is one-shot exactly when
-    /// its total size and current size differ. Kept for fidelity and used by
-    /// debug assertions; the authoritative state is [`Kont::kind`].
+    /// its total size and current size differ. Kept for fidelity; the
+    /// tests check it against the authoritative state, [`Kont::kind`].
     pub fn is_one_shot_by_sizes(&self) -> bool {
         self.size != self.cur
     }

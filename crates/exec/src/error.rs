@@ -136,12 +136,11 @@ impl Error {
         Error::new(ErrorKind::Io, format!("{context}: {e}"))
     }
 
-    pub(crate) fn worker_reset(culprit: JobId) -> Self {
-        let mut err = Error::new(
-            ErrorKind::WorkerReset,
-            format!("worker VM was reset by panicking job {culprit}"),
-        );
-        err.culprit = Some(culprit);
+    pub(crate) fn worker_reset(culprit: Option<JobId>) -> Self {
+        let by =
+            culprit.map_or("a panic outside any job".into(), |id| format!("panicking job {id}"));
+        let mut err = Error::new(ErrorKind::WorkerReset, format!("worker VM was reset by {by}"));
+        err.culprit = culprit;
         err
     }
 
@@ -176,7 +175,8 @@ impl Error {
     }
 
     /// For [`ErrorKind::WorkerReset`]: the job whose panic destroyed the
-    /// shared worker VM.
+    /// shared worker VM. `None` when no job's VM call was running at the
+    /// panic (a completion callback, or the worker's own machinery).
     pub fn culprit(&self) -> Option<JobId> {
         self.culprit
     }
@@ -242,9 +242,10 @@ mod tests {
         });
         assert!(oom.transient());
 
-        let reset = Error::worker_reset(JobId(7));
+        let reset = Error::worker_reset(Some(JobId(7)));
         assert_eq!(reset.culprit(), Some(JobId(7)));
         assert!(reset.transient());
+        assert_eq!(Error::worker_reset(None).culprit(), None);
 
         let full = Error::queue_full(JobSpec::new("j", "#t"));
         assert_eq!(full.kind(), ErrorKind::QueueFull);

@@ -7,7 +7,9 @@ use oneshot_vm::CompiledProgram;
 
 use crate::error::Error;
 
-/// Identifies a job within one [`Pool`](crate::Pool), in submission order.
+/// Identifies a job within one [`Pool`](crate::Pool), in submission order;
+/// a connection handler's id is drawn from the same counter when its
+/// worker adopts the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub(crate) u64);
 
@@ -219,7 +221,9 @@ impl OutcomeSlot {
     }
 
     pub(crate) fn fill(&self, outcome: JobOutcome) {
-        let mut slot = self.outcome.lock().unwrap();
+        // Never panics: it runs in a drop guard. A poisoned slot is still
+        // valid, since every update is one assignment.
+        let mut slot = self.outcome.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some(outcome);
             self.ready.notify_all();
@@ -330,10 +334,27 @@ impl Job {
         };
         if self.slot.claim() {
             // Callback before fill: a thread woken by `JobHandle::wait`
-            // must be able to observe everything the callback did.
+            // must be able to observe everything the callback did. The
+            // guard fills the slot even if the callback panics; the panic
+            // then unwinds on to the worker's supervisor.
+            let fill = FillOnDrop { slot: &self.slot, outcome: Some(outcome) };
             if let Some(cb) = &self.on_complete {
-                cb(&outcome);
+                cb(fill.outcome.as_ref().expect("filled only on drop"));
             }
+        }
+    }
+}
+
+/// Fills an [`OutcomeSlot`] when dropped, whether by a return or by an
+/// unwinding panic.
+struct FillOnDrop<'a> {
+    slot: &'a OutcomeSlot,
+    outcome: Option<JobOutcome>,
+}
+
+impl Drop for FillOnDrop<'_> {
+    fn drop(&mut self) {
+        if let Some(outcome) = self.outcome.take() {
             self.slot.fill(outcome);
         }
     }

@@ -48,8 +48,11 @@
 //!   [`ErrorKind::FuelExhausted`], a wall-clock deadline into
 //!   [`ErrorKind::DeadlineExceeded`] — even while blocked on a peer that
 //!   never answers;
-//! * a panicking job is caught with `catch_unwind`; the worker reports it
-//!   as [`ErrorKind::Panicked`], rebuilds a fresh VM, and keeps draining;
+//! * a panic on a worker unwinds to that worker's supervisor, which fails
+//!   the job it was running as [`ErrorKind::Panicked`] and the worker's
+//!   other residents as the transient [`ErrorKind::WorkerReset`] (their
+//!   continuations lived in the same VM), rebuilds a fresh VM, and keeps
+//!   draining;
 //! * the bounded injector gives backpressure ([`Admission::Blocking`]
 //!   waits, [`Admission::NonBlocking`] refuses with the spec returned);
 //! * [`Pool::shutdown`] stops the acceptors, drains all in-flight and

@@ -200,7 +200,7 @@ impl PoolBuilder {
         };
         let compiler = self.vm_config.compiler;
         let vm_config = Arc::new(self.vm_config);
-        let next_conn = Arc::new(AtomicU64::new(0));
+        let next_job = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(self.workers);
         for (index, reactor) in reactors.into_iter().enumerate() {
             let ctx = WorkerCtx {
@@ -212,7 +212,7 @@ impl PoolBuilder {
                 presence: Arc::clone(&presence),
                 counters: Arc::clone(&counters),
                 reactor: Some(reactor),
-                next_conn: Arc::clone(&next_conn),
+                next_job: Arc::clone(&next_job),
                 report_tx: report_tx.clone(),
                 retired: Default::default(),
             };
@@ -230,7 +230,7 @@ impl PoolBuilder {
             wakes,
             acceptors: Mutex::new(Vec::new()),
             report_rx,
-            next_job: AtomicU64::new(0),
+            next_job,
             workers: self.workers,
             io_timeout: self.io_timeout,
             compiler,
@@ -361,11 +361,6 @@ oneshot_vm::counters! {
         /// Total nanoseconds the acceptor spent in the shedding state —
         /// how long the pool was saturated past its high-water mark.
         shed_duration_ns: sum,
-        /// Full worker restarts performed by the supervisor (VM rebuilt and
-        /// every reactor wait forgotten after a panic escaped the per-slice
-        /// isolation).
-        /// Every restart also counts a `vm_rebuilds`.
-        worker_restarts: sum,
     }
     + {
         /// Connections the shared listener routed to each worker — flat
@@ -411,16 +406,12 @@ fn carry(now: &[u64], _: &[u64]) -> Vec<u64> {
 pub struct WorkerReport {
     /// The worker's index.
     pub worker: usize,
-    /// Jobs this worker completed successfully.
-    pub jobs_ok: u64,
-    /// Jobs this worker reported as failed.
-    pub jobs_failed: u64,
-    /// Fuel slices this worker ran.
-    pub slices: u64,
-    /// Transient failures this worker requeued for another attempt.
-    pub retries: u64,
-    /// Full supervisor restarts (VM rebuilt, reactor waits forgotten).
-    pub worker_restarts: u64,
+    /// This worker's share of the pool's counters: what it completed,
+    /// failed, ran, retried and rebuilt. What only submission or the
+    /// acceptors count (`submitted`, `queue_depth_highwater`, the accept
+    /// queue and shedding) reads zero here, and the per-worker vectors are
+    /// empty.
+    pub counters: PoolCountersSnapshot,
     /// VM counters over all incarnations (a panic-triggered rebuild starts
     /// a new one), folded with [`VmStats::plus`].
     pub vm: VmStats,
@@ -577,7 +568,9 @@ pub struct Pool {
     wakes: Vec<WakeHandle>,
     acceptors: Mutex<Vec<Acceptor>>,
     report_rx: mpsc::Receiver<WorkerReport>,
-    next_job: AtomicU64,
+    /// The job-id counter, shared with the workers, which take a
+    /// connection handler's id from it.
+    next_job: Arc<AtomicU64>,
     workers: usize,
     io_timeout: Option<Duration>,
     /// The workers' compiler options (`VmConfig::compiler`): every job and

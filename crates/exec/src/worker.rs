@@ -5,16 +5,19 @@
 //! — readiness, a deadline, a closed fd — and it rejoins the ready ring as
 //! an ordinary engine resumption without ever leaving the thread.
 //!
-//! The loop runs under a supervisor: the serve loop is wrapped in
-//! `catch_unwind`, so a panic that escapes the per-slice isolation (a
-//! defect in the worker machinery itself, or a guest `debug-panic!` whose
-//! message carries [`KILL_WORKER_PANIC`]) does not kill the thread. The
-//! supervisor takes every parked job back from the reactor, fails the
-//! residents with the transient `WorkerReset` taxonomy (so the
-//! retry/backoff path resubmits them) and rebuilds the VM — the epoll
-//! instance and its wake pipe survive, so the pool's existing
-//! [`WakeHandle`](crate::reactor::WakeHandle)s keep ringing — and
-//! re-enters the loop still serving its inbox.
+//! The loop runs under a supervisor, the worker's one answer to a panic.
+//! A job is one of the paper's continuation-based threads, and all of its
+//! progress lives in one-shot continuations sealed in this worker's VM, so
+//! a panic anywhere in the loop poisons every resident at once. Each VM
+//! call made for one job — the link and spawn that admit it, or one of
+//! its slices — runs with that job moved into the in-flight slot `run`
+//! owns. When the serve loop unwinds, the supervisor fails the job in that
+//! slot, if any, as `Panicked`; takes every parked job back from the
+//! reactor; fails the residents with the transient `WorkerReset` taxonomy
+//! (so the retry/backoff path resubmits them); and rebuilds the VM. The
+//! epoll instance and its wake pipe survive, so the pool's existing
+//! [`WakeHandle`](crate::reactor::WakeHandle)s keep ringing, and the
+//! worker re-enters the loop still serving its inbox.
 //!
 //! Work reaches a worker from exactly two places, and an idle worker
 //! sleeps in exactly one. Unstarted unpinned jobs wait in the shared
@@ -24,10 +27,11 @@
 //! reactor until readiness, a deadline or a wake-pipe ring: an inbox push
 //! rings its worker, an injector push rings one worker asleep with room.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -35,7 +39,7 @@ use oneshot_threads::{EngineHost, EngineId, EngineStep, Wait};
 use oneshot_vm::{ConditionKind, Vm, VmConfig, VmStats};
 
 use crate::error::Error;
-use crate::job::{Job, JobId};
+use crate::job::Job;
 use crate::pool::{PoolCounters, Tally, WorkerConfig, WorkerReport};
 use crate::queue::{Entry, Inbox, Injector};
 use crate::reactor::{ReactorCore, WakeHandle, WakeKind};
@@ -58,16 +62,6 @@ const IDLE_WAIT: Duration = Duration::from_millis(25);
 /// long ring of CPU-bound residents cannot starve I/O and timers.
 const HARVEST_EVERY_MAX: usize = 32;
 
-/// A guest panic whose message contains this marker escalates past the
-/// per-slice rebuild to the worker supervisor — the chaos suite's hook for
-/// forcing a full worker restart: `(debug-panic! "kill-worker-hard")`.
-pub(crate) const KILL_WORKER_PANIC: &str = "kill-worker-hard";
-
-/// Panic payload used to carry the culprit's id up to the supervisor.
-struct SupervisedKill {
-    culprit: JobId,
-}
-
 /// A job that has started on this worker: its engine — and therefore the
 /// one-shot continuation of its preempted state — lives in this worker's
 /// VM heap, so it can never migrate. Only an unstarted [`Job`] moves
@@ -81,6 +75,17 @@ pub(crate) struct Active {
     /// the job's connection deadline expired while it was blocked, which
     /// resumes the guest into the catchable `io-timeout` condition.
     resume_status: Option<&'static str>,
+}
+
+/// The job a VM call is being made for — the link and spawn that admit
+/// it, or one of its slices — with the slices and fuel charged to it, that
+/// slice included. The caller moves it into the slot `run` owns for the
+/// length of the call and back out after it, so that if the call panics
+/// the supervisor knows whom to fail as `Panicked`.
+struct InFlight {
+    job: Job,
+    slices: u64,
+    fuel_used: u64,
 }
 
 /// What a worker publishes for its peers and for the threads that push
@@ -136,9 +141,10 @@ pub(crate) struct WorkerCtx {
     pub(crate) counters: Arc<PoolCounters>,
     /// This worker's reactor, installed at build (taken by `run`).
     pub(crate) reactor: Option<Reactor>,
-    /// Pool-wide id counter for connection-handler jobs (high-bit range,
-    /// disjoint from submitted JobIds).
-    pub(crate) next_conn: Arc<std::sync::atomic::AtomicU64>,
+    /// The pool's job-id counter, shared with [`Pool::submit`](crate::Pool::submit):
+    /// a connection handler takes its id when its worker adopts the
+    /// connection.
+    pub(crate) next_job: Arc<AtomicU64>,
     pub(crate) report_tx: mpsc::Sender<WorkerReport>,
     /// The `VmStats` and code objects of the VMs this worker retired.
     pub(crate) retired: Cell<(VmStats, u64)>,
@@ -182,58 +188,55 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
     let mut ready: VecDeque<Active> = VecDeque::new();
     // Jobs the reactor handed back and the loop has not yet requeued.
     let mut wakeups: Vec<Woken> = Vec::new();
+    let mut in_flight: Option<InFlight> = None;
 
     // The supervisor loop: serve() runs until drained (Ok) or a panic
-    // escapes the per-slice isolation (Err). On a panic the worker does
-    // not die — the supervisor fails the residents transiently, clears
-    // the reactor, rebuilds the VM, and re-enters serve() on the same
-    // queues.
+    // unwinds out of it (Err). The worker does not die: the next round
+    // recovers and re-enters serve() on the same queues. Recovery runs
+    // inside the catch too, so a completion callback that panics while a
+    // failure is delivered starts one more recovery instead of killing
+    // the thread.
+    let mut unwound = None;
     loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve(&ctx, &mut host, &mut reactor, &mut ready, &mut wakeups)
-        }));
-        match outcome {
-            Ok(()) => break,
-            Err(payload) => {
-                let culprit = payload
-                    .downcast_ref::<SupervisedKill>()
-                    .map(|k| k.culprit)
-                    .unwrap_or(JobId(u64::MAX));
-                ctx.tally().worker_restarts.add(1);
-                ready.extend(wakeups.drain(..).map(|(active, _)| active));
-                reset_vm(&ctx, &mut host, &mut reactor, &mut ready, culprit);
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(payload) = unwound.take() {
+                recover(
+                    &ctx,
+                    &mut host,
+                    &mut reactor,
+                    &mut ready,
+                    &mut wakeups,
+                    &mut in_flight,
+                    payload,
+                );
             }
+            serve(&ctx, &mut host, &mut reactor, &mut ready, &mut wakeups, &mut in_flight)
+        }));
+        match served {
+            Ok(()) => break,
+            Err(payload) => unwound = Some(payload),
         }
     }
 
     ctx.retire(host.vm());
-    let t = ctx.tally().snapshot();
     let (vm, code_objects) = ctx.retired.get();
-    let report = WorkerReport {
-        worker: ctx.index,
-        jobs_ok: t.completed,
-        jobs_failed: t.failed,
-        slices: t.slices,
-        retries: t.retried,
-        worker_restarts: t.worker_restarts,
-        vm,
-        code_objects,
-    };
+    let report =
+        WorkerReport { worker: ctx.index, counters: ctx.tally().snapshot(), vm, code_objects };
     // The pool may already have given up on us (shutdown timeout); a dead
     // receiver is not our problem.
     let _ = ctx.report_tx.send(report);
 }
 
-/// The serve loop proper (the whole pre-supervision worker loop): admits
-/// work, steps residents, and harvests reactor wakeups until the pool
-/// shuts down. Returns when the worker may exit; panics escalate to the
-/// supervisor in [`run`].
+/// The serve loop proper: admits work, steps residents, and harvests
+/// reactor wakeups until the pool shuts down. Returns when the worker may
+/// exit; a panic unwinds to the supervisor in [`run`].
 fn serve(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
     reactor: &mut Reactor,
     ready: &mut VecDeque<Active>,
     wakeups: &mut Vec<Woken>,
+    in_flight: &mut Option<InFlight>,
 ) {
     let mut fd_log: Vec<i32> = Vec::new();
     // Slices left to run before the next between-slices harvest.
@@ -251,17 +254,17 @@ fn serve(
         // resident set fills from the injector one job per slice, and
         // only while no peer sits empty; surplus work stays in the
         // injector, where an idle peer takes it first.
-        drain_inbox(ctx, host, reactor, ready);
+        drain_inbox(ctx, host, reactor, in_flight, ready);
         if ctx.may_admit(ready.len() + reactor.len()) {
             if let Some(job) = ctx.injector.try_pop() {
-                admit(ctx, host, reactor, job, ready);
+                admit(ctx, host, in_flight, job, ready);
             }
         }
         let me = &ctx.presence[ctx.index];
         me.residents.store(ready.len() + reactor.len(), Ordering::Relaxed);
 
         if let Some(active) = ready.pop_front() {
-            let parked = step_active(ctx, host, reactor, active, ready);
+            let parked = step_active(ctx, host, in_flight, active, ready);
             // The slice may have closed sockets: cancel the waits other
             // green threads still hold on them (the resumed retry raises
             // io-error instead of wedging) *before* this slice's own wait
@@ -313,27 +316,40 @@ fn serve(
     }
 }
 
-/// Fails every resident — ready *and* parked — of a poisoned VM with the
-/// transient `WorkerReset`, then replaces the VM. The reactor hands back
-/// every parked job and deletes each fd it knows from its epoll instance
-/// while the old VM's sockets are still open; the instance and its wake
-/// pipe stay, so the acceptor's and the pool's wake handles stay valid.
-/// WorkerReset is transient by definition (the lost job did nothing
-/// wrong), so with retries enabled a submitted job goes around again on
-/// the rebuilt VM; a connection handler fails outright inside
-/// `fail_or_retry` (no host is passed: its socket is closed with the rest
-/// of the old VM's table, so the peer sees a reset, and there is nothing
-/// to retry against).
-fn reset_vm(
+/// The supervisor's answer to a panic. The job in flight, if any, fails
+/// as `Panicked` with the slices and fuel charged to it. Every other
+/// resident of the poisoned VM — ready, woken *and* parked — fails with
+/// the transient `WorkerReset` naming that culprit (`None` when the panic
+/// came from outside any job's VM call). Then the VM is replaced. The
+/// reactor hands back every parked job and deletes each fd it knows from
+/// its epoll instance while the old VM's sockets are still open; the
+/// instance and its wake pipe stay, so the acceptor's and the pool's wake
+/// handles stay valid. WorkerReset is transient by definition (the lost
+/// job did nothing wrong), so with retries enabled a submitted job goes
+/// around again on the rebuilt VM; a connection handler fails outright
+/// inside `fail_or_retry` (no host is passed: its socket is closed with
+/// the rest of the old VM's table, so the peer sees a reset, and there is
+/// nothing to retry against).
+fn recover(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
     reactor: &mut Reactor,
     ready: &mut VecDeque<Active>,
-    culprit: JobId,
+    wakeups: &mut Vec<Woken>,
+    in_flight: &mut Option<InFlight>,
+    payload: Box<dyn Any + Send>,
 ) {
-    let mut parked = Vec::new();
-    reactor.forget_all(&mut parked);
-    for lost in ready.drain(..).chain(parked.into_iter().map(|(active, _)| active)) {
+    let culprit = in_flight.take().map(|InFlight { job, slices, fuel_used }| {
+        ctx.tally().panicked.add(1);
+        let err = Error::panicked(panic_message(payload));
+        deliver_failure(ctx, None, &job, slices, fuel_used, err);
+        job.id
+    });
+    reactor.forget_all(wakeups);
+    ready.extend(wakeups.drain(..).map(|(active, _)| active));
+    // One at a time off the ring: a completion callback that panics leaves
+    // the rest for the next round of recovery.
+    while let Some(lost) = ready.pop_front() {
         let err = Error::worker_reset(culprit);
         fail_or_retry(ctx, None, &lost.job, lost.slices, lost.fuel_used, err);
     }
@@ -443,6 +459,7 @@ fn drain_inbox(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
     reactor: &mut Reactor,
+    in_flight: &mut Option<InFlight>,
     ready: &mut VecDeque<Active>,
 ) {
     while ready.len() + reactor.len() < ctx.cfg.resident_cap {
@@ -452,8 +469,7 @@ fn drain_inbox(
             Some(Entry::Conn(stream, tmpl)) => match host.vm_mut().adopt_stream(stream) {
                 Ok(token) => {
                     ctx.counters.note_accept(ctx.index);
-                    let id = (1 << 63) | ctx.next_conn.fetch_add(1, Ordering::Relaxed);
-                    tmpl.make_job(id, token)
+                    tmpl.make_job(ctx.next_job.fetch_add(1, Ordering::Relaxed), token)
                 }
                 Err(_) => {
                     // Socket table full: shed the connection (the peer
@@ -463,35 +479,35 @@ fn drain_inbox(
                 }
             },
         };
-        admit(ctx, host, reactor, job, ready);
+        admit(ctx, host, in_flight, job, ready);
     }
 }
 
-/// Registers a job as an engine. Runs no user code yet, but is still
-/// panic-isolated: a defect while linking must not take the worker down.
+/// Registers a job as an engine. Runs no user code yet, but links it, so
+/// the job is in flight: a defect while linking fails this job as the
+/// culprit.
 fn admit(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut Reactor,
+    in_flight: &mut Option<InFlight>,
     job: Job,
     ready: &mut VecDeque<Active>,
 ) {
     // A connection handler's program is its serve template's, shared by
     // every connection: linked once per VM. A submitted job's is its own.
-    let spawned = catch_unwind(AssertUnwindSafe(|| match job.conn_token {
-        Some(_) => host.spawn_shared(&job.prog),
-        None => host.spawn_program(&job.prog),
-    }));
+    let run = in_flight.insert(InFlight { job, slices: 0, fuel_used: 0 });
+    let spawned = match run.job.conn_token {
+        Some(_) => host.spawn_shared(&run.job.prog),
+        None => host.spawn_program(&run.job.prog),
+    };
+    let job = in_flight.take().expect("only the supervisor empties the slot").job;
     match spawned {
-        Ok(Ok(engine)) => {
+        Ok(engine) => {
             ready.push_back(Active { job, engine, slices: 0, fuel_used: 0, resume_status: None });
         }
-        Ok(Err(e)) => {
+        Err(e) => {
             let err = Error::vm(e.with_context(job.id.0, ctx.index as u32));
             fail_or_retry(ctx, Some(host), &job, 0, 0, err);
-        }
-        Err(payload) => {
-            handle_panic(ctx, host, reactor, &job, 0, 0, ready, panic_message(payload));
         }
     }
 }
@@ -502,8 +518,8 @@ fn admit(
 fn step_active(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
-    reactor: &mut Reactor,
-    mut active: Active,
+    in_flight: &mut Option<InFlight>,
+    active: Active,
     ready: &mut VecDeque<Active>,
 ) -> Option<(Active, Wait)> {
     let remaining = active.job.fuel_budget.saturating_sub(active.fuel_used);
@@ -522,40 +538,34 @@ fn step_active(
         return None;
     }
     let slice = ctx.cfg.fuel_slice.min(remaining);
-    let engine = active.engine;
-    let status = active.resume_status.take();
+    let Active { job, engine, slices, fuel_used, resume_status } = active;
     // `(conn-take)` in this slice returns this job's own connection.
-    host.vm_mut().set_conn_token(active.job.conn_token);
-    let stepped = catch_unwind(AssertUnwindSafe(|| host.step_with_status(engine, slice, status)));
+    host.vm_mut().set_conn_token(job.conn_token);
+    // The slice is charged to the job however it ends.
+    *in_flight = Some(InFlight { job, slices: slices + 1, fuel_used: fuel_used + slice });
+    let stepped = host.step_with_status(engine, slice, resume_status);
+    let InFlight { job, slices, fuel_used } =
+        in_flight.take().expect("only the supervisor empties the slot");
     // Nothing reads what a job displays; dropping the buffer with its
     // capacity keeps a long-lived worker from holding all of it.
     drop(host.vm_mut().take_output());
-    // The slice is charged to the job however it ended; a slice that
-    // panicked is not counted as run.
-    active.slices += 1;
-    active.fuel_used += slice;
-    if stepped.is_ok() {
-        ctx.tally().slices.add(1);
-    }
+    ctx.tally().slices.add(1);
+    let active = Active { job, engine, slices, fuel_used, resume_status: None };
     let Active { job, slices, fuel_used, .. } = &active;
     match stepped {
-        Ok(Ok(EngineStep::Done(value))) => {
+        Ok(EngineStep::Done(value)) => {
             let shown = host.vm().write_value(&value);
             ctx.tally().completed.add(1);
             job.deliver(ctx.index, *slices, *fuel_used, Ok(shown));
         }
-        Ok(Ok(EngineStep::Parked)) => {
+        Ok(EngineStep::Parked) => {
             ctx.tally().requeues.add(1);
             ready.push_back(active);
         }
-        Ok(Ok(EngineStep::Blocked(wait))) => return Some((active, wait)),
-        Ok(Err(e)) => {
+        Ok(EngineStep::Blocked(wait)) => return Some((active, wait)),
+        Err(e) => {
             let err = Error::vm(e.with_context(job.id.0, ctx.index as u32));
             fail_or_retry(ctx, Some(host), job, *slices, *fuel_used, err);
-        }
-        Err(payload) => {
-            let message = panic_message(payload);
-            handle_panic(ctx, host, reactor, job, *slices, *fuel_used, ready, message);
         }
     }
     None
@@ -612,34 +622,6 @@ fn block_job(
     ctx.tally().blocked_highwater.raise(reactor.len() as u64);
 }
 
-/// A job panicked: report it, fail every other job whose continuation
-/// lived in the now-poisoned VM, rebuild, keep draining. Parked jobs
-/// cannot be retried in place; the reactor hands them back while their
-/// sockets are still open (they die with the VM).
-#[allow(clippy::too_many_arguments)]
-fn handle_panic(
-    ctx: &WorkerCtx,
-    host: &mut EngineHost,
-    reactor: &mut Reactor,
-    culprit: &Job,
-    slices: u64,
-    fuel_used: u64,
-    ready: &mut VecDeque<Active>,
-    message: String,
-) {
-    ctx.tally().panicked.add(1);
-    let kill_worker = message.contains(KILL_WORKER_PANIC);
-    deliver_failure(ctx, None, culprit, slices, fuel_used, Error::panicked(message));
-    if kill_worker {
-        // Escalate past the in-place VM rebuild to the worker supervisor:
-        // the culprit is failed here (we know its attribution), then we
-        // unwind out of serve() so the supervisor restarts the whole
-        // worker — VM, reactor waits, residents — through one code path.
-        std::panic::resume_unwind(Box::new(SupervisedKill { culprit: culprit.id }));
-    }
-    reset_vm(ctx, host, reactor, ready, culprit.id);
-}
-
 /// Requeues a transiently failed job for another attempt — bounded by the
 /// pool's retry budget, with a small exponential backoff — or delivers the
 /// failure. A retried job restarts from its compiled program (its engine
@@ -690,7 +672,7 @@ fn deliver_failure(
     job.deliver(ctx.index, slices, fuel_used, Err(err));
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

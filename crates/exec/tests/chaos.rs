@@ -44,7 +44,7 @@ fn transient_oom_is_retried_and_recovers() {
     assert_eq!(report.counters.completed, 8);
     assert_eq!(report.counters.failed, 0);
     assert!(report.counters.retried >= 1, "at least one worker must have tripped its fault");
-    let worker_retries: u64 = report.workers.iter().map(|w| w.retries).sum();
+    let worker_retries: u64 = report.workers.iter().map(|w| w.counters.retried).sum();
     assert_eq!(worker_retries, report.counters.retried);
     let faults: u64 = report.workers.iter().map(|w| w.vm.faults_injected).sum();
     assert_eq!(faults, report.counters.retried, "each retry stems from one injected fault");
@@ -131,7 +131,7 @@ fn seeded_schedules_keep_the_pool_live() {
         let c = report.counters;
         assert_eq!(c.submitted, 24, "seed {seed}");
         assert_eq!(c.completed + c.failed, 24, "seed {seed}: every job must resolve once");
-        let worker_retries: u64 = report.workers.iter().map(|w| w.retries).sum();
+        let worker_retries: u64 = report.workers.iter().map(|w| w.counters.retried).sum();
         assert_eq!(worker_retries, c.retried, "seed {seed}: shutdown must aggregate retries");
         let conditions: u64 = report.workers.iter().map(|w| w.vm.conditions_raised).sum();
         assert!(

@@ -303,10 +303,10 @@ fn killed_worker_is_rebuilt_and_blocked_jobs_are_retried() {
     let live = pool.submit(JobSpec::new("audit", "(%net-live)").pin(0)).unwrap().wait().result;
     assert_eq!(live.as_deref(), Ok("0"), "the rebuild leaked a socket");
     let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
-    assert!(report.counters.worker_restarts >= 1, "the restart must be counted");
+    assert!(report.counters.vm_rebuilds >= 1, "the restart must be counted");
     assert!(report.counters.retried >= 1, "the collateral retry must be counted");
-    let per_worker: u64 = report.workers.iter().map(|w| w.worker_restarts).sum();
-    assert_eq!(per_worker, report.counters.worker_restarts, "per-worker totals agree");
+    let per_worker: u64 = report.workers.iter().map(|w| w.counters.vm_rebuilds).sum();
+    assert_eq!(per_worker, report.counters.vm_rebuilds, "per-worker totals agree");
     assert_eq!(report.counters.failed, 1, "only the killer fails");
 }
 

@@ -54,7 +54,7 @@ fn jobs_complete_across_worker_counts() {
         assert_eq!(report.counters.completed, 12, "workers={workers}");
         assert_eq!(report.counters.failed, 0);
         assert_eq!(report.workers.len(), workers);
-        let ran: u64 = report.workers.iter().map(|w| w.jobs_ok).sum();
+        let ran: u64 = report.workers.iter().map(|w| w.counters.completed).sum();
         assert_eq!(ran, 12);
     }
 }
@@ -294,6 +294,40 @@ fn panicking_job_is_isolated_and_pool_drains() {
     assert_eq!(report.counters.panicked, 1);
     assert_eq!(report.counters.vm_rebuilds, 1);
     assert_eq!(report.counters.completed + report.counters.failed, 9);
+}
+
+#[test]
+fn a_panicking_completion_callback_still_resolves_its_job() {
+    // The callback runs on the worker once the job has its value. Its
+    // panic must not leave the handle waiting, and the worker recovers as
+    // from any panic, though no job's VM call was running: the job parked
+    // beside it fails as collateral with no culprit, and nothing counts
+    // as `panicked`.
+    let pool = Pool::builder().workers(1).build().unwrap();
+    // The parked job's timer is long: it is failed, never woken.
+    let parked =
+        pool.submit(JobSpec::new("parked", "(begin (timer-wait 60000) 'survived)")).unwrap();
+    let parked_by = std::time::Instant::now() + Duration::from_secs(20);
+    while pool.stats().timer_waits == 0 {
+        assert!(std::time::Instant::now() < parked_by, "the timer job never parked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let cb = pool
+        .submit(JobSpec::new("cb", "(+ 1 2)").on_complete(|_| panic!("callback panicked")))
+        .unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(cb.wait()).unwrap());
+    let outcome = rx.recv_timeout(Duration::from_secs(5)).expect("the handle is still waiting");
+    waiter.join().unwrap();
+    assert_eq!(outcome.result.as_deref(), Ok("3"));
+    let err = parked.wait().result.unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::WorkerReset);
+    assert_eq!(err.culprit(), None, "{err}");
+    let later = pool.submit(JobSpec::new("later", "(* 6 7)")).unwrap();
+    assert_eq!(later.wait().result.as_deref(), Ok("42"));
+    let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+    assert_eq!(report.counters.panicked, 0);
+    assert_eq!(report.counters.vm_rebuilds, 1);
 }
 
 #[test]

@@ -280,8 +280,10 @@ fn a_linked_template_sees_its_callee_redefined_between_instantiations() {
 /// binding of a name its lowering uses (`if`, `begin`, `let`, `lambda`,
 /// `quote`, `cons`, `append`, `list`, `list->vector`), and no global the
 /// program defines, changes what it means. Each row's answer is that of
-/// the same program with the shadowing name renamed.
-const CAPTURES: [(&str, &str); 10] = [
+/// the same program with the shadowing name renamed. The last three rows
+/// rebind a builtin's own name, which both pipelines must then call as
+/// the program's procedure.
+const CAPTURES: [(&str, &str); 13] = [
     (
         "(let ((if list)) (do ((i 0 (+ i 1))) ((= i 3) 'done)))",
         "(let ((if* list)) (do ((i 0 (+ i 1))) ((= i 3) 'done)))",
@@ -304,6 +306,17 @@ const CAPTURES: [(&str, &str); 10] = [
     ("(let ((append list)) `(a ,@(list 1 2)))", "(let ((append* list)) `(a ,@(list 1 2)))"),
     ("(let ((list->vector list)) `#(a ,(+ 1 1)))", "(let ((list->vector* list)) `#(a ,(+ 1 1)))"),
     ("(let ((list 5)) `(a `(b ,(c ,(+ 1 1)))))", "(let ((list* 5)) `(a `(b ,(c ,(+ 1 1)))))"),
+    // A program's own definition or assignment of a builtin's name
+    // replaces the builtin at every call, wherever the call stands.
+    ("(define (length l) 42) (length '(1 2))", "(define (length* l) 42) (length* '(1 2))"),
+    (
+        "(define (f) (car '(1 2))) (define (car l) 42) (f)",
+        "(define (f) (car* '(1 2))) (define (car* l) 42) (f)",
+    ),
+    (
+        "(set! reverse (lambda (l) 'mine)) (reverse '())",
+        "(define reverse* #f) (set! reverse* (lambda (l) 'mine)) (reverse* '())",
+    ),
 ];
 
 #[test]

@@ -69,9 +69,9 @@ fn main() {
         println!(
             "worker {}: {} ok, {} failed, {} slices, {} instructions, {} slots copied",
             w.worker,
-            w.jobs_ok,
-            w.jobs_failed,
-            w.slices,
+            w.counters.completed,
+            w.counters.failed,
+            w.counters.slices,
             w.vm.instructions,
             w.vm.stack.slots_copied
         );
