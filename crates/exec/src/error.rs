@@ -111,8 +111,9 @@ impl Error {
         )
     }
 
-    pub(crate) fn vm(e: VmError) -> Self {
-        let mut err = Error::new(ErrorKind::Vm, e.to_string());
+    /// Job `job`'s failure in the VM of worker `worker`.
+    pub(crate) fn vm(e: VmError, job: JobId, worker: usize) -> Self {
+        let mut err = Error::new(ErrorKind::Vm, format!("job {job} on worker {worker}: {e}"));
         err.source = Some(Arc::new(e));
         err
     }
@@ -227,19 +228,21 @@ mod tests {
 
     #[test]
     fn kinds_and_chains_survive_construction() {
-        let e = Error::vm(VmError::Condition {
-            kind: ConditionKind::TypeError,
-            message: "car: pair".into(),
-        });
+        let e = Error::vm(
+            VmError::Condition { kind: ConditionKind::TypeError, message: "car: pair".into() },
+            JobId(1),
+            0,
+        );
         assert_eq!(e.kind(), ErrorKind::Vm);
         assert_eq!(e.condition_kind(), Some("type-error"));
         assert!(std::error::Error::source(&e).is_some());
         assert!(!e.transient());
 
-        let oom = Error::vm(VmError::Condition {
-            kind: ConditionKind::OutOfMemory,
-            message: "heap".into(),
-        });
+        let oom = Error::vm(
+            VmError::Condition { kind: ConditionKind::OutOfMemory, message: "heap".into() },
+            JobId(2),
+            0,
+        );
         assert!(oom.transient());
 
         let reset = Error::worker_reset(Some(JobId(7)));

@@ -277,7 +277,6 @@ impl JobHandle {
 
 /// The unit that moves through the queues: a compiled program plus the
 /// bookkeeping to deliver its outcome.
-#[derive(Clone)]
 pub(crate) struct Job {
     pub(crate) id: JobId,
     pub(crate) name: String,
@@ -289,10 +288,11 @@ pub(crate) struct Job {
     /// pool's default), re-applied at every I/O suspension.
     pub(crate) io_timeout: Option<Duration>,
     /// For connection-handler jobs: the adopted socket's token in the
-    /// owning worker's VM. A finally-failed handler's socket is closed by
-    /// the worker (the peer must see the failure, not a wedge), and a
-    /// job with a token is never retried — its socket state was consumed
-    /// by the first attempt.
+    /// owning worker's VM. The worker closes the socket however the
+    /// handler ends, so the peer sees a close, not a wedge (a no-op if the
+    /// handler closed it: the token then names no socket); a job with a
+    /// token is never retried — its socket state was consumed by the
+    /// first attempt.
     pub(crate) conn_token: Option<i64>,
     pub(crate) submitted: Instant,
     pub(crate) slot: Arc<OutcomeSlot>,

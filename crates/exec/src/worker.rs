@@ -19,6 +19,12 @@
 //! [`WakeHandle`](crate::reactor::WakeHandle)s keep ringing, and the
 //! worker re-enters the loop still serving its inbox.
 //!
+//! A job leaves its worker one way, through [`end`], however it ends:
+//! done, refused for fuel or its deadline, failed in a slice or at spawn,
+//! or lost to a panic. `end` gives back what the job holds in the VM — its
+//! engine, and a connection handler's adopted socket — and then retries a
+//! transient failure or delivers the outcome.
+//!
 //! Work reaches a worker from exactly two places, and an idle worker
 //! sleeps in exactly one. Unstarted unpinned jobs wait in the shared
 //! [`Injector`] until a worker with room admits one; everything bound to
@@ -245,7 +251,7 @@ fn serve(
     loop {
         // Wakeups harvested from our reactor first: a resumed job
         // re-enters the ready ring as an ordinary engine resumption.
-        process_wakeups(ctx, host, wakeups, ready);
+        process_wakeups(ctx, wakeups, ready);
 
         // Work bound to this worker runs ahead of the shared queue: the
         // inbox is drained in one go, up to the resident cap (which counts
@@ -326,10 +332,10 @@ fn serve(
 /// instance and its wake pipe stay, so the acceptor's and the pool's wake
 /// handles stay valid. WorkerReset is transient by definition (the lost
 /// job did nothing wrong), so with retries enabled a submitted job goes
-/// around again on the rebuilt VM; a connection handler fails outright
-/// inside `fail_or_retry` (no host is passed: its socket is closed with
-/// the rest of the old VM's table, so the peer sees a reset, and there is
-/// nothing to retry against).
+/// around again on the rebuilt VM; a connection handler fails outright in
+/// [`end`] (no host is passed: its engine and socket go with the old VM's
+/// heap and table, so the peer sees a reset, and there is nothing to
+/// retry against).
 fn recover(
     ctx: &WorkerCtx,
     host: &mut EngineHost,
@@ -341,17 +347,16 @@ fn recover(
 ) {
     let culprit = in_flight.take().map(|InFlight { job, slices, fuel_used }| {
         ctx.tally().panicked.add(1);
-        let err = Error::panicked(panic_message(payload));
-        deliver_failure(ctx, None, &job, slices, fuel_used, err);
-        job.id
+        let id = job.id;
+        end(ctx, None, job, None, slices, fuel_used, Err(Error::panicked(panic_message(payload))));
+        id
     });
     reactor.forget_all(wakeups);
     ready.extend(wakeups.drain(..).map(|(active, _)| active));
     // One at a time off the ring: a completion callback that panics leaves
     // the rest for the next round of recovery.
-    while let Some(lost) = ready.pop_front() {
-        let err = Error::worker_reset(culprit);
-        fail_or_retry(ctx, None, &lost.job, lost.slices, lost.fuel_used, err);
+    while let Some(Active { job, slices, fuel_used, .. }) = ready.pop_front() {
+        end(ctx, None, job, None, slices, fuel_used, Err(Error::worker_reset(culprit)));
     }
     // Salvage the poisoned VM's counters, then replace it wholesale; the
     // interpreter state under an unwound panic is unknown, the stats
@@ -419,34 +424,19 @@ fn sweep_fd_logs(
 }
 
 /// Moves the jobs the reactor handed back to the ready ring. A woken job
-/// already past its wall-clock deadline is failed here instead of resumed
-/// — this is what bounds a peer that never answers.
-fn process_wakeups(
-    ctx: &WorkerCtx,
-    host: &mut EngineHost,
-    wakeups: &mut Vec<Woken>,
-    ready: &mut VecDeque<Active>,
-) {
-    if wakeups.is_empty() {
-        return;
-    }
-    let now = Instant::now();
+/// already past its wall-clock deadline is refused by [`step_active`]
+/// when its turn comes, never resumed — this is what bounds a peer that
+/// never answers.
+fn process_wakeups(ctx: &WorkerCtx, wakeups: &mut Vec<Woken>, ready: &mut VecDeque<Active>) {
     for (mut active, kind) in wakeups.drain(..) {
-        if active.job.deadline.is_some_and(|d| d <= now) {
-            host.drop_engine(active.engine);
-            let Active { job, slices, fuel_used, .. } = &active;
-            let err = Error::deadline_exceeded();
-            deliver_failure(ctx, Some(&mut *host), job, *slices, *fuel_used, err);
-        } else {
-            if kind == WakeKind::IoTimeout {
-                // The connection's I/O deadline expired before readiness:
-                // resume the guest with the io-timeout status, which the
-                // blocking shims turn into the catchable condition.
-                ctx.tally().io_timeouts.add(1);
-                active.resume_status = Some(ConditionKind::IoTimeout.name());
-            }
-            ready.push_back(active);
+        if kind == WakeKind::IoTimeout {
+            // The connection's I/O deadline expired before readiness:
+            // resume the guest with the io-timeout status, which the
+            // blocking shims turn into the catchable condition.
+            ctx.tally().io_timeouts.add(1);
+            active.resume_status = Some(ConditionKind::IoTimeout.name());
         }
+        ready.push_back(active);
     }
 }
 
@@ -506,8 +496,8 @@ fn admit(
             ready.push_back(Active { job, engine, slices: 0, fuel_used: 0, resume_status: None });
         }
         Err(e) => {
-            let err = Error::vm(e.with_context(job.id.0, ctx.index as u32));
-            fail_or_retry(ctx, Some(host), &job, 0, 0, err);
+            let err = Error::vm(e, job.id, ctx.index);
+            end(ctx, Some(host), job, None, 0, 0, Err(err));
         }
     }
 }
@@ -531,14 +521,12 @@ fn step_active(
     } else {
         None
     };
+    let Active { job, engine, slices, fuel_used, resume_status } = active;
     if let Some(err) = refusal {
-        host.drop_engine(active.engine);
-        let Active { job, slices, fuel_used, .. } = &active;
-        deliver_failure(ctx, Some(host), job, *slices, *fuel_used, err);
+        end(ctx, Some(host), job, Some(engine), slices, fuel_used, Err(err));
         return None;
     }
     let slice = ctx.cfg.fuel_slice.min(remaining);
-    let Active { job, engine, slices, fuel_used, resume_status } = active;
     // `(conn-take)` in this slice returns this job's own connection.
     host.vm_mut().set_conn_token(job.conn_token);
     // The slice is charged to the job however it ends.
@@ -550,24 +538,19 @@ fn step_active(
     // capacity keeps a long-lived worker from holding all of it.
     drop(host.vm_mut().take_output());
     ctx.tally().slices.add(1);
-    let active = Active { job, engine, slices, fuel_used, resume_status: None };
-    let Active { job, slices, fuel_used, .. } = &active;
-    match stepped {
-        Ok(EngineStep::Done(value)) => {
-            let shown = host.vm().write_value(&value);
-            ctx.tally().completed.add(1);
-            job.deliver(ctx.index, *slices, *fuel_used, Ok(shown));
-        }
+    let result = match stepped {
+        Ok(EngineStep::Done(value)) => Ok(host.vm().write_value(&value)),
         Ok(EngineStep::Parked) => {
             ctx.tally().requeues.add(1);
-            ready.push_back(active);
+            ready.push_back(Active { job, engine, slices, fuel_used, resume_status: None });
+            return None;
         }
-        Ok(EngineStep::Blocked(wait)) => return Some((active, wait)),
-        Err(e) => {
-            let err = Error::vm(e.with_context(job.id.0, ctx.index as u32));
-            fail_or_retry(ctx, Some(host), job, *slices, *fuel_used, err);
+        Ok(EngineStep::Blocked(wait)) => {
+            return Some((Active { job, engine, slices, fuel_used, resume_status: None }, wait));
         }
-    }
+        Err(e) => Err(Error::vm(e, job.id, ctx.index)),
+    };
+    end(ctx, Some(host), job, Some(engine), slices, fuel_used, result);
     None
 }
 
@@ -612,8 +595,8 @@ fn block_job(
             ctx.tally().timer_waits.add(1);
             let mut deadline = Instant::now() + Duration::from_millis(ms.max(0) as u64);
             if let Some(d) = active.job.deadline {
-                // Wake at the job deadline if it lands first; the wakeup
-                // path turns the early wake into DeadlineExceeded.
+                // Wake at the job deadline if it lands first; the job's
+                // next step turns the early wake into DeadlineExceeded.
                 deadline = deadline.min(d);
             }
             reactor.register_timer(active, deadline);
@@ -622,54 +605,60 @@ fn block_job(
     ctx.tally().blocked_highwater.raise(reactor.len() as u64);
 }
 
-/// Requeues a transiently failed job for another attempt — bounded by the
-/// pool's retry budget, with a small exponential backoff — or delivers the
-/// failure. A retried job restarts from its compiled program (its engine
-/// state is gone), keeping only the attempt count.
-fn fail_or_retry(
+/// Ends `job` on this worker, however it ended. When the VM lives on
+/// (`host` is `Some`), it first drops the job's engine if it is still live
+/// — which closes the sockets the job opened itself — and closes a
+/// connection handler's adopted socket, so the peer sees a close rather
+/// than a wedge and the table does not leak. (A VM being rebuilt takes
+/// both with it.) A socket token names one socket, so a handler that
+/// closed its connection itself closes nothing here; the closed fds reach
+/// the reactor through the next `drain_closed_fds` sweep.
+///
+/// Then a transient failure is requeued for another attempt — bounded by
+/// the pool's retry budget, with a small exponential backoff — and
+/// anything else is tallied and delivered. A retried job restarts from
+/// its compiled program (its engine state is gone), keeping only the
+/// attempt count.
+fn end(
     ctx: &WorkerCtx,
     host: Option<&mut EngineHost>,
-    job: &Job,
+    mut job: Job,
+    engine: Option<EngineId>,
     slices: u64,
     fuel_used: u64,
-    err: Error,
+    result: Result<String, Error>,
 ) {
-    // Connection handlers are never retried: the first attempt consumed
-    // the adopted socket's state (conn-take, partial reads), so a rerun
-    // could only fail differently.
-    if job.conn_token.is_none() && err.transient() && job.attempts < ctx.cfg.max_retries {
-        let mut retry = job.clone();
-        retry.attempts += 1;
-        // 2ms, 4ms, ... capped at 32ms: enough for transient heap pressure
-        // to clear without parking the worker for long.
-        std::thread::sleep(Duration::from_millis(1u64 << retry.attempts.min(5)));
-        ctx.tally().retried.add(1);
-        ctx.inbox().push(Entry::Job(retry));
-    } else {
-        deliver_failure(ctx, host, job, slices, fuel_used, err);
+    if let Some(host) = host {
+        if let Some(engine) = engine {
+            host.drop_engine(engine);
+        }
+        if let Some(token) = job.conn_token {
+            host.vm_mut().close_socket(token);
+        }
     }
-}
-
-/// Delivers a job's failure, first scrapping a failed connection handler's
-/// adopted socket when the VM is still alive: the peer must see a close,
-/// not a wedge, and the socket table must not leak. (Callers on a
-/// VM-rebuild path pass `None`; dropping the old VM closes its whole
-/// table.) The sockets the job opened itself closed when its engine was
-/// dropped. The closed fds reach the reactor through the normal
-/// `drain_closed_fds` sweep.
-fn deliver_failure(
-    ctx: &WorkerCtx,
-    host: Option<&mut EngineHost>,
-    job: &Job,
-    slices: u64,
-    fuel_used: u64,
-    err: Error,
-) {
-    if let (Some(host), Some(token)) = (host, job.conn_token) {
-        host.vm_mut().close_socket(token);
+    match result {
+        // Connection handlers are never retried: the first attempt
+        // consumed the adopted socket's state (conn-take, partial reads),
+        // so a rerun could only fail differently.
+        Err(err)
+            if job.conn_token.is_none()
+                && err.transient()
+                && job.attempts < ctx.cfg.max_retries =>
+        {
+            job.attempts += 1;
+            // 2ms, 4ms, ... capped at 32ms: enough for transient heap
+            // pressure to clear without parking the worker for long.
+            std::thread::sleep(Duration::from_millis(1u64 << job.attempts.min(5)));
+            ctx.tally().retried.add(1);
+            ctx.inbox().push(Entry::Job(job));
+        }
+        result => {
+            let outcomes =
+                if result.is_ok() { &ctx.tally().completed } else { &ctx.tally().failed };
+            outcomes.add(1);
+            job.deliver(ctx.index, slices, fuel_used, result);
+        }
     }
-    ctx.tally().failed.add(1);
-    job.deliver(ctx.index, slices, fuel_used, Err(err));
 }
 
 fn panic_message(payload: Box<dyn Any + Send>) -> String {

@@ -430,10 +430,8 @@ impl Heap {
     }
 
     /// Whether a fired allocation fault is latched and waiting for
-    /// [`Heap::take_alloc_fault`]. Lets the embedder skip the consuming
-    /// check at safe points where fault delivery is deferred.
-    #[must_use]
-    pub fn alloc_fault_pending(&self) -> bool {
+    /// [`Heap::take_alloc_fault`].
+    fn alloc_fault_pending(&self) -> bool {
         self.alloc_fault_at.is_some_and(|at| self.stats.objects_allocated >= at)
     }
 

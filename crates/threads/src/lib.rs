@@ -51,8 +51,10 @@ use oneshot_vm::{CompiledProgram, ConditionKind, GlobalSlot, LinkedProgram, Vm, 
 /// switches threads with `%thread-capture`, which the host defines first.
 const CAPTURE_SCHED: &str = include_str!("../scheme/threads.scm");
 const CPS_SCHED: &str = include_str!("../scheme/threads-cps.scm");
-/// Dybvig–Hieb engines source, loaded by [`ThreadSystem::load_engines`]
-/// and by [`EngineHost`], whose steps call its `%engine-slice`.
+/// Dybvig–Hieb engines source, loaded by [`EngineHost`], whose steps call
+/// its `%engine-slice` (and by any capture-based VM through
+/// [`Vm::load_library`]: engines use the prompt primitives and the VM
+/// timer).
 pub const ENGINES: &str = include_str!("../scheme/engines.scm");
 /// Guest-facing nonblocking I/O (`tcp-*`, `timer-wait`): would-block
 /// retry loops that suspend the running slice via `%engine-block` (a
@@ -180,17 +182,6 @@ impl ThreadSystem {
             _ => format!("(threads-run! {switch_every})"),
         };
         self.vm.eval_str(&call)
-    }
-
-    /// Loads the engines library (capture-based systems only — engines use
-    /// the prompt primitives and the VM timer).
-    ///
-    /// # Errors
-    ///
-    /// Propagates load errors.
-    pub fn load_engines(&mut self) -> Result<(), VmError> {
-        self.vm.load_library(ENGINES)?;
-        Ok(())
     }
 
     /// Statistics snapshot from the underlying VM.
@@ -677,7 +668,7 @@ mod tests {
     #[test]
     fn engines_complete_and_expire() {
         let mut ts = ThreadSystem::new(Strategy::Call1Cc);
-        ts.load_engines().unwrap();
+        ts.vm_mut().load_library(ENGINES).unwrap();
         let r = ts
             .eval_to_string(
                 "(define (spin n) (let loop ((i 0)) (if (= i n) i (loop (+ i 1)))))
@@ -695,7 +686,7 @@ mod tests {
     #[test]
     fn engines_round_robin_fairness() {
         let mut ts = ThreadSystem::new(Strategy::Call1Cc);
-        ts.load_engines().unwrap();
+        ts.vm_mut().load_library(ENGINES).unwrap();
         let r = ts
             .eval_to_string(
                 "(define (spin n v) (let loop ((i 0)) (if (= i n) v (loop (+ i 1)))))

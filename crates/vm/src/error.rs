@@ -112,19 +112,6 @@ pub enum VmError {
         /// and continuation records.
         backtrace: Vec<String>,
     },
-    /// An error annotated with the job and worker it occurred on.
-    ///
-    /// Produced by [`VmError::with_context`]; the executor layer uses this to
-    /// report *which* job on *which* worker failed without formatting any
-    /// strings on the hot path (the ids are plain integers until displayed).
-    InContext {
-        /// Executor job id the error belongs to.
-        job: u64,
-        /// Index of the worker thread that ran the job.
-        worker: u32,
-        /// The underlying error.
-        source: Box<VmError>,
-    },
 }
 
 /// The crate-internal result type. The error travels boxed so that
@@ -150,36 +137,13 @@ impl VmError {
         Box::new(VmError::Condition { kind, message: msg.into() })
     }
 
-    /// The condition kind, when this error is (or wraps) a classified
-    /// condition: `Condition` directly, an `Uncaught` condition that had a
-    /// kind, or `InContext` around either.
+    /// The condition kind, when this error is a classified condition:
+    /// `Condition` directly, or an `Uncaught` condition that had a kind.
     pub fn condition_kind(&self) -> Option<&str> {
-        match self.root_cause() {
+        match self {
             VmError::Condition { kind, .. } => Some(kind.name()),
             VmError::Uncaught { kind, .. } => kind.as_deref(),
             _ => None,
-        }
-    }
-
-    /// Wrap this error with the job and worker it occurred on.
-    ///
-    /// Cheap: stores two integers and boxes the original error, no
-    /// formatting happens until someone calls `Display`. Re-wrapping an
-    /// already-contextualised error replaces the old context rather than
-    /// nesting.
-    #[must_use]
-    pub fn with_context(self, job: u64, worker: u32) -> Self {
-        match self {
-            VmError::InContext { source, .. } => VmError::InContext { job, worker, source },
-            other => VmError::InContext { job, worker, source: Box::new(other) },
-        }
-    }
-
-    /// The innermost error, stripped of any job/worker context.
-    pub fn root_cause(&self) -> &VmError {
-        match self {
-            VmError::InContext { source, .. } => source.root_cause(),
-            other => other,
         }
     }
 }
@@ -192,26 +156,15 @@ impl fmt::Display for VmError {
             VmError::Internal(m) => write!(f, "error: {m}"),
             VmError::Condition { message, .. } => write!(f, "error: {message}"),
             VmError::Uncaught { condition, .. } => write!(f, "error: {condition}"),
-            VmError::InContext { job, worker, source } => {
-                write!(f, "job {job} on worker {worker}: {source}")
-            }
         }
     }
 }
 
-impl std::error::Error for VmError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            VmError::InContext { source, .. } => Some(source.as_ref()),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for VmError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::error::Error;
 
     #[test]
     fn display_prefixes() {
@@ -224,21 +177,17 @@ mod tests {
         let e = VmError::condition(ConditionKind::TypeError, "car: expected pair, got 1");
         assert_eq!(e.to_string(), "error: car: expected pair, got 1");
         assert_eq!(e.condition_kind(), Some("type-error"));
-        assert_eq!(e.with_context(3, 1).condition_kind(), Some("type-error"));
     }
 
     #[test]
-    fn uncaught_display_and_root_cause() {
+    fn uncaught_display_and_kind() {
         let e = VmError::Uncaught {
             condition: "boom".into(),
             kind: None,
             backtrace: vec!["f".into(), "g".into()],
         };
         assert_eq!(e.to_string(), "error: boom");
-        let wrapped = e.clone().with_context(9, 4);
-        assert_eq!(wrapped.to_string(), "job 9 on worker 4: error: boom");
-        assert_eq!(wrapped.root_cause(), &e);
-        assert_eq!(wrapped.condition_kind(), None);
+        assert_eq!(e.condition_kind(), None);
     }
 
     #[test]
@@ -249,17 +198,5 @@ mod tests {
             backtrace: vec![],
         };
         assert_eq!(e.condition_kind(), Some("out-of-memory"));
-        assert_eq!(e.with_context(1, 0).condition_kind(), Some("out-of-memory"));
-    }
-
-    #[test]
-    fn context_chain() {
-        let e = VmError::internal("boom").with_context(7, 2);
-        assert_eq!(e.to_string(), "job 7 on worker 2: error: boom");
-        assert_eq!(e.source().unwrap().to_string(), "error: boom");
-        assert_eq!(e.root_cause(), &VmError::Internal("boom".into()));
-        // Re-wrapping replaces the context instead of nesting.
-        let e2 = e.with_context(8, 0);
-        assert_eq!(e2.to_string(), "job 8 on worker 0: error: boom");
     }
 }

@@ -10,9 +10,12 @@
 //! the worker that runs the guest, and a worker reset (VM rebuild) closes
 //! every socket of the jobs it killed.
 //!
-//! Tokens are dense indices with a free list, so `%tcp-*` builtins are
-//! O(1) and a stale token is caught (slot `None` or reused slot — the
-//! guest protocol never retains tokens past `%tcp-close`).
+//! A token is a slot index with a free list under the slot's generation,
+//! so `%tcp-*` builtins are O(1) and a token names one socket: closing a
+//! slot bumps its generation, so a token kept past its close — by the
+//! guest, or by the embedder scrapping a connection handler's socket —
+//! is refused as `bad socket token` instead of naming the slot's next
+//! socket.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -46,6 +49,11 @@ pub(crate) struct NetTable {
     slots: Vec<Option<Sock>>,
     /// Who opened each slot's socket: the owner set when it was inserted.
     owners: Vec<Option<i64>>,
+    /// Each slot's generation, bumped when its socket closes.
+    gens: Vec<i64>,
+    /// Bits of a token that hold the slot index: enough for `cap` slots.
+    /// The generation takes the bits above, up to [`TOKEN_BITS`].
+    shift: u32,
     /// The owner new sockets are attributed to (see [`Vm::set_socket_owner`]
     /// (crate::Vm::set_socket_owner)).
     owner: Option<i64>,
@@ -71,6 +79,9 @@ pub(crate) struct NetTable {
     wbuf: Vec<u8>,
 }
 
+/// Every token is below `2^TOKEN_BITS`: a positive fixnum.
+const TOKEN_BITS: u32 = 49;
+
 fn io_error(message: String) -> VmError {
     VmError::Condition { kind: ConditionKind::IoError, message }
 }
@@ -88,6 +99,8 @@ impl NetTable {
         NetTable {
             slots: Vec::new(),
             owners: Vec::new(),
+            gens: Vec::new(),
+            shift: (usize::BITS - cap.saturating_sub(1).leading_zeros()).min(TOKEN_BITS - 1),
             owner: None,
             free: Vec::new(),
             live: 0,
@@ -118,10 +131,23 @@ impl NetTable {
             None => {
                 self.slots.push(Some(sock));
                 self.owners.push(self.owner);
+                self.gens.push(0);
                 self.slots.len() - 1
             }
         };
-        Ok(idx as i64)
+        Ok(self.token(idx))
+    }
+
+    /// The token of slot `i`'s current socket.
+    fn token(&self, i: usize) -> i64 {
+        self.gens[i] << self.shift | i as i64
+    }
+
+    /// The slot `token` names, if the token was issued for the slot's
+    /// current generation.
+    fn index(&self, token: i64) -> Option<usize> {
+        let i = usize::try_from(token & ((1 << self.shift) - 1)).ok()?;
+        (i < self.slots.len() && self.token(i) == token).then_some(i)
     }
 
     pub(crate) fn set_owner(&mut self, owner: Option<i64>) {
@@ -132,32 +158,31 @@ impl NetTable {
     pub(crate) fn close_owned_by(&mut self, owner: i64) {
         for i in 0..self.slots.len() {
             if self.owners[i] == Some(owner) {
-                self.close(i as i64);
+                self.close_slot(i);
             }
         }
     }
 
-    /// The socket behind `token`. Takes the slot vector, not the table,
-    /// so callers can hold a buffer of the table at the same time.
+    /// The socket in slot `at` (from [`NetTable::index`] of `token`).
+    /// Takes the slot vector, not the table, so callers can hold a buffer
+    /// of the table at the same time.
     fn sock<'a>(
+        at: Option<usize>,
         slots: &'a mut [Option<Sock>],
         who: &str,
         token: i64,
     ) -> Result<&'a mut Sock, VmError> {
-        usize::try_from(token)
-            .ok()
-            .and_then(|i| slots.get_mut(i))
-            .and_then(|s| s.as_mut())
-            .ok_or_else(|| bad_token(who, token))
+        at.and_then(|i| slots[i].as_mut()).ok_or_else(|| bad_token(who, token))
     }
 
-    /// The stream behind `token`.
+    /// The stream in slot `at`, as for [`NetTable::sock`].
     fn stream<'a>(
+        at: Option<usize>,
         slots: &'a mut [Option<Sock>],
         who: &str,
         token: i64,
     ) -> Result<&'a mut TcpStream, VmError> {
-        match Self::sock(slots, who, token)? {
+        match Self::sock(at, slots, who, token)? {
             Sock::Stream(s) => Ok(s),
             Sock::Listener(_) => Err(bad_token(&format!("{who}: not a stream"), token)),
         }
@@ -165,8 +190,7 @@ impl NetTable {
 
     /// The raw file descriptor behind `token`, for reactor registration.
     pub(crate) fn fd(&self, token: i64) -> Option<i64> {
-        let slot = usize::try_from(token).ok().and_then(|i| self.slots.get(i))?;
-        match slot.as_ref()? {
+        match self.slots[self.index(token)?].as_ref()? {
             Sock::Listener(l) => Some(i64::from(l.as_raw_fd())),
             Sock::Stream(s) => Some(i64::from(s.as_raw_fd())),
         }
@@ -188,7 +212,7 @@ impl NetTable {
 
     /// The local port a listener is bound to.
     pub(crate) fn local_port(&mut self, token: i64) -> Result<i64, VmError> {
-        match Self::sock(&mut self.slots, "tcp-local-port", token)? {
+        match Self::sock(self.index(token), &mut self.slots, "tcp-local-port", token)? {
             Sock::Listener(l) => {
                 let addr = l.local_addr().map_err(|e| io_err("tcp-local-port", e))?;
                 Ok(i64::from(addr.port()))
@@ -202,7 +226,7 @@ impl NetTable {
 
     /// Accepts one pending connection; `Ok(None)` means would-block.
     pub(crate) fn accept(&mut self, token: i64) -> Result<Option<i64>, VmError> {
-        let sock = Self::sock(&mut self.slots, "tcp-accept", token)?;
+        let sock = Self::sock(self.index(token), &mut self.slots, "tcp-accept", token)?;
         let Sock::Listener(l) = sock else {
             return Err(bad_token("tcp-accept: not a listener", token));
         };
@@ -261,7 +285,7 @@ impl NetTable {
 
     /// Reads at most `max` bytes into the table's read buffer.
     pub(crate) fn read(&mut self, token: i64, max: usize) -> Result<ReadOutcome<'_>, VmError> {
-        let s = Self::stream(&mut self.slots, "tcp-read", token)?;
+        let s = Self::stream(self.index(token), &mut self.slots, "tcp-read", token)?;
         let max = max.clamp(1, 1 << 20);
         if self.rbuf.len() < max {
             self.rbuf.resize(max, 0);
@@ -293,7 +317,7 @@ impl NetTable {
         token: i64,
         len: usize,
     ) -> Result<Option<usize>, VmError> {
-        let s = Self::stream(&mut self.slots, "tcp-write", token)?;
+        let s = Self::stream(self.index(token), &mut self.slots, "tcp-write", token)?;
         match s.write(&self.wbuf[..len]) {
             Ok(n) => Ok(Some(n)),
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
@@ -304,20 +328,23 @@ impl NetTable {
 
     /// Closes `token`. Closing an already-closed token is a no-op (`false`).
     pub(crate) fn close(&mut self, token: i64) -> bool {
-        let Some(slot) = usize::try_from(token).ok().and_then(|i| self.slots.get_mut(i)) else {
+        self.index(token).is_some_and(|i| self.close_slot(i))
+    }
+
+    /// Closes slot `i`'s socket, if it has one, and retires its token.
+    fn close_slot(&mut self, i: usize) -> bool {
+        let Some(sock) = self.slots[i].take() else {
             return false;
         };
-        if let Some(sock) = slot.take() {
-            let fd = match &sock {
-                Sock::Listener(l) => l.as_raw_fd(),
-                Sock::Stream(s) => s.as_raw_fd(),
-            };
-            self.closed_log.push(fd);
-            self.live -= 1;
-            self.free.push(token as usize);
-            return true;
-        }
-        false
+        let fd = match &sock {
+            Sock::Listener(l) => l.as_raw_fd(),
+            Sock::Stream(s) => s.as_raw_fd(),
+        };
+        self.closed_log.push(fd);
+        self.live -= 1;
+        self.gens[i] = (self.gens[i] + 1) & ((1 << (TOKEN_BITS - self.shift)) - 1);
+        self.free.push(i);
+        true
     }
 }
 
@@ -414,5 +441,22 @@ mod tests {
         let mut t = NetTable::new(4);
         let e = t.read(7, 10).unwrap_err();
         assert_eq!(e.condition_kind(), Some("io-error"));
+    }
+
+    #[test]
+    fn a_closed_token_never_names_its_slots_next_socket() {
+        let mut t = NetTable::new(4);
+        let l = t.listen(0).unwrap();
+        let port = u16::try_from(t.local_port(l).unwrap()).unwrap();
+        let old = t.connect(port).unwrap();
+        assert!(t.close(old));
+        let new = t.connect(port).unwrap();
+        assert_ne!(new, old, "the reused slot issues a fresh token");
+        assert!(t.fd(old).is_none());
+        let e = t.read(old, 10).unwrap_err();
+        assert!(e.to_string().contains("bad socket token"), "{e}");
+        assert!(!t.close(old));
+        assert!(t.fd(new).is_some(), "the old token's close left the new socket open");
+        assert_eq!(t.live(), 2);
     }
 }

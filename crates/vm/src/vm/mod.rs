@@ -587,10 +587,10 @@ impl Vm {
     }
 
     /// Closes guest socket `token` from the embedder side; `true` if it
-    /// was still open. Used to scrap the adopted socket of a connection
-    /// handler that failed without reaching its own `tcp-close` — the
-    /// peer sees the close instead of a wedge, and the table does not
-    /// leak. The closed fd is reported through
+    /// was still open (a token the guest already closed names no socket).
+    /// Used to close a connection handler's adopted socket when the
+    /// handler ends — the peer sees the close instead of a wedge, and the
+    /// table does not leak. The closed fd is reported through
     /// [`Vm::drain_closed_fds`] like any guest-side close.
     pub fn close_socket(&mut self, token: i64) -> bool {
         self.net.close(token)

@@ -11,7 +11,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use oneshot::exec::{ErrorKind, JobSpec, Pool};
@@ -265,4 +265,75 @@ fn shutdown_resolves_every_parked_job_exactly_once_on_epoll() {
     assert_eq!((spoke.load(Ordering::SeqCst), timed_out.load(Ordering::SeqCst)), (each, each));
     let c = &report.counters;
     assert_eq!((c.completed, c.failed), (parked - each + 1, each));
+}
+
+/// A handler that returns without `tcp-close` still closes its
+/// connection: the peer reads the answer and then EOF, and the socket
+/// table is back where it was.
+#[test]
+fn a_handler_that_returns_closes_its_connection_on_epoll() {
+    let pool = Pool::builder().workers(1).build().unwrap();
+    let live = || {
+        let audit = JobSpec::new("live", "(%net-live)").pin(0);
+        pool.submit(audit).unwrap().wait().result.expect("audit runs")
+    };
+    let before = live();
+    let handler = JobSpec::new("no-close", "(let ((c (conn-take))) (tcp-write c \"hi\") 'done)");
+    let serve = pool.serve("127.0.0.1:0", handler).unwrap();
+    let mut peer = TcpStream::connect(("127.0.0.1", serve.port())).unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut got = String::new();
+    peer.read_to_string(&mut got).expect("the handler's end closes the connection");
+    assert_eq!(got, "hi");
+    assert_eq!(live(), before, "the adopted socket outlived its handler");
+    serve.stop();
+    pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+}
+
+/// A handler that closes its connection, parks, and then fails must not
+/// close a socket it does not hold: here a pinned job's listener, bound
+/// while the handler was parked, in the slot the connection left free.
+#[test]
+fn a_failed_handler_closes_only_its_own_connection_on_epoll() {
+    let pool = Pool::builder().workers(1).build().unwrap();
+    let run = |src: &str| {
+        let job = JobSpec::new("pinned", src).pin(0);
+        pool.submit(job).unwrap().wait().result.unwrap_or_else(|e| panic!("{src}: {e}"))
+    };
+    run("(define go #f)");
+    let live = || run("(%net-live)").parse::<usize>().unwrap();
+    let before = live();
+    let (tx, rx) = mpsc::channel();
+    let handler = JobSpec::new(
+        "close-park-raise",
+        "(let ((c (conn-take)))
+           (tcp-read c 1)
+           (tcp-close c)
+           (let wait () (if (not go) (begin (timer-wait 5) (wait))))
+           (error \"the handler gives up\"))",
+    )
+    .on_complete(move |o| tx.send(o.result.clone()).unwrap());
+    let serve = pool.serve("127.0.0.1:0", handler).unwrap();
+    let mut peer = TcpStream::connect(("127.0.0.1", serve.port())).unwrap();
+    // The handler holds its connection until the peer speaks, then
+    // closes it and parks until `go`.
+    let poll_until = |n: usize| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while live() != n {
+            assert!(Instant::now() < deadline, "(%net-live) never reached {n}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    poll_until(before + 1);
+    peer.write_all(b"x").unwrap();
+    poll_until(before);
+    run("(begin (define lst (tcp-listen 0)) (set! go #t))");
+    let failed = rx.recv_timeout(Duration::from_secs(30)).expect("the handler resolves");
+    assert_eq!(failed.map_err(|e| e.kind()), Err(ErrorKind::Vm));
+    let port = run("(tcp-local-port lst)");
+    assert!(port.parse::<u16>().is_ok_and(|p| p > 0), "the listener survived: {port}");
+    run("(tcp-close lst)");
+    assert_eq!(live(), before);
+    serve.stop();
+    pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
 }
