@@ -334,8 +334,8 @@ pub struct Fig5Point {
     pub closures: u64,
     /// Stack segments allocated during the run (cache hits excluded).
     pub segments: u64,
-    /// Their slots: a fresh segment is initialised whole, so this is also
-    /// the slots written to set segments up — Figure 5's per-thread floor.
+    /// Their slot capacity — Figure 5's per-thread floor in address space;
+    /// a fresh segment writes only as far as its stack grows.
     pub segment_slots: u64,
 }
 

@@ -60,7 +60,9 @@ pub struct Config {
     /// Capacity, in slots, of a freshly allocated segment. The paper's
     /// default stack size is 16 KB, i.e. 4096 32-bit words; a slot here is
     /// `size_of::<S>()` bytes, so the same 4096 slots of the Scheme VM's
-    /// 16-byte `Slot` are 64 KiB.
+    /// 16-byte `Slot` are 64 KiB of address space. A segment is allocated
+    /// uninitialised and written only as its stack grows, so its pages
+    /// become resident only as far as the stack reaches.
     pub segment_slots: usize,
     /// Maximum number of slots copied by a single multi-shot reinstatement;
     /// larger continuations are split lazily at frame boundaries (§3.2).

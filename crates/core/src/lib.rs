@@ -61,9 +61,11 @@
 
 // Unsafe is denied by default and allowed in exactly two leaf modules
 // (`arena`, `stack`): the debug-asserted unchecked slot accessors on the
-// segmented stack's hot paths. Every `unsafe` block there restates the
-// invariant it relies on and is covered by a `debug_assert!`, so the
-// debug-profile CI step runs the whole suite with the checks on.
+// segmented stack's hot paths, and segment storage that is allocated
+// uninitialised and written only up to a watermark. Every `unsafe` block
+// there restates the invariant it relies on and is covered by a
+// `debug_assert!` or an `assert!`, so the debug-profile CI step runs the
+// whole suite with the checks on.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

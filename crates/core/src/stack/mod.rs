@@ -59,6 +59,7 @@
 //! underflow marker (or any non-return-address slot), which terminates a
 //! walk. Both operations walk with one routine, `frame_floor`.
 
+use std::mem::MaybeUninit;
 use std::ptr::NonNull;
 
 use crate::arena::Arena;
@@ -97,13 +98,18 @@ impl SegmentId {
 
 #[derive(Debug)]
 struct Segment<S> {
-    /// The slot storage: a boxed slice, owned through the raw pointer
-    /// `Box::leak` gave back and freed in `Drop`. It is held raw rather
-    /// than as a `Box` because [`SegStack::cur_slots`] keeps a second
-    /// pointer to the current segment's storage: a `Box` asserts unique
-    /// access to its allocation each time it is used, which would
-    /// invalidate that alias; two copies of one raw pointer do not.
-    slots: NonNull<[S]>,
+    /// The slot storage: a boxed slice of `MaybeUninit<S>`, allocated
+    /// uninitialised, owned through the raw pointer `Box::leak` gave back
+    /// and freed in `Drop`. It is held raw rather than as a `Box` because
+    /// [`SegStack::cur_slots`] keeps a second pointer to the current
+    /// segment's storage: a `Box` asserts unique access to its allocation
+    /// each time it is used, which would invalidate that alias; two copies
+    /// of one raw pointer do not.
+    store: NonNull<[MaybeUninit<S>]>,
+    /// The watermark: slots `[0, init)` have been written, and no slot at
+    /// or above `init` ever has been, so pages past it are never touched.
+    /// Never falls; at least 1 (the marker in slot 0).
+    init: usize,
     /// Number of continuations referencing this segment, plus one if it is
     /// the current segment. A segment with `rc == 0` is dead (or cached).
     rc: u32,
@@ -114,38 +120,84 @@ struct Segment<S> {
 
 #[allow(unsafe_code)]
 impl<S> Segment<S> {
-    fn new(slots: Box<[S]>, default_size: bool) -> Self {
-        Segment { slots: NonNull::from(Box::leak(slots)), rc: 1, default_size }
+    /// A segment of `cap` slots, of which only slot 0, holding `marker`, is
+    /// written: O(1) whatever the capacity.
+    fn new(cap: usize, marker: S, default_size: bool) -> Self {
+        let mut store = Box::<[S]>::new_uninit_slice(cap);
+        store[0].write(marker);
+        Segment { store: NonNull::from(Box::leak(store)), init: 1, rc: 1, default_size }
+    }
+
+    /// The slot capacity, written or not.
+    #[inline]
+    fn cap(&self) -> usize {
+        self.store.len()
+    }
+
+    /// The written slots `[0, init)` as a raw slice — what
+    /// [`SegStack::cur_slots`] caches for the current segment.
+    #[inline]
+    fn written(&self) -> NonNull<[S]> {
+        NonNull::slice_from_raw_parts(self.store.cast::<S>(), self.init)
     }
 
     #[inline]
     fn slots(&self) -> &[S] {
-        // SAFETY: `slots` is the live allocation `new` leaked; shared
+        // SAFETY: `store` is the live allocation `new` leaked and its first
+        // `init` slots are initialised (the watermark's invariant); shared
         // access to the segment (and so to the stack that owns it) means
         // nothing is writing through the other copy of the pointer.
-        unsafe { self.slots.as_ref() }
+        unsafe { self.written().as_ref() }
     }
 
     #[inline]
     fn slots_mut(&mut self) -> &mut [S] {
         // SAFETY: as `slots`; exclusive access to the segment comes from
         // exclusive access to the stack, the only holder of the alias.
-        unsafe { self.slots.as_mut() }
+        unsafe { self.written().as_mut() }
+    }
+
+    /// Raises the watermark to `hi`, writing `marker` into every slot
+    /// between. A no-op when `hi` is not above it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi` exceeds the capacity.
+    fn cover(&mut self, hi: usize, marker: &S)
+    where
+        S: Clone,
+    {
+        assert!(hi <= self.cap(), "watermark past segment capacity: {hi}");
+        let base = self.store.cast::<S>().as_ptr();
+        while self.init < hi {
+            // SAFETY: `init < hi <= cap`, so the slot lies inside the
+            // allocation, and it is uninitialised (at or above the
+            // watermark), so writing without dropping loses nothing. The
+            // watermark rises after each write, so a panicking `clone`
+            // leaves it covering exactly the written slots.
+            unsafe { base.add(self.init).write(marker.clone()) };
+            self.init += 1;
+        }
     }
 }
 
 #[allow(unsafe_code)]
 impl<S> Drop for Segment<S> {
     fn drop(&mut self) {
-        // SAFETY: `slots` came from `Box::leak` in `new` and is freed only
-        // here, once.
-        drop(unsafe { Box::from_raw(self.slots.as_ptr()) });
+        // SAFETY: the first `init` slots are initialised and dropped here
+        // only; `store` came from `Box::leak` in `new` and is freed only
+        // here, once (a `MaybeUninit` box drops no element itself).
+        unsafe {
+            std::ptr::drop_in_place(self.written().as_ptr());
+            drop(Box::from_raw(self.store.as_ptr()));
+        }
     }
 }
 
-// SAFETY: a segment owns its slot storage exactly as the `Box<[S]>` it was
-// built from did, so it is as thread-safe as that box; `rc` and
-// `default_size` are plain data.
+// SAFETY: a segment owns its slot storage exactly as a `Box<[S]>` holding
+// the `init` written slots would (the `MaybeUninit` tail holds no `S`), so
+// it is as thread-safe as that box; `init`, `rc` and `default_size` are
+// plain data.
 #[allow(unsafe_code)]
 unsafe impl<S: Send> Send for Segment<S> {}
 #[allow(unsafe_code)]
@@ -223,16 +275,21 @@ pub struct SegStack<S> {
     reserve: usize,
     // --- the current stack record (Figure 1) ---
     cur_seg: SegmentId,
-    /// The slot storage of segment `cur_seg`, cached so a frame-slot access
-    /// is one load, not a walk through the arena. Invariant: it is the
-    /// `slots` pointer of the live segment `cur_seg` — the current record's
-    /// reference is counted in that segment's `rc`, so the segment is
-    /// neither freed nor cached while current, and its storage never moves
-    /// (the arena may move the `Segment` header, not the allocation).
-    /// Assigned, together with `cur_seg`, only by [`SegStack::set_cur_seg`].
+    /// The written slots of segment `cur_seg`, cached so a frame-slot
+    /// access is one load, not a walk through the arena. Invariant: it is
+    /// the `written()` slice of the live segment `cur_seg`, its length that
+    /// segment's watermark — the current record's reference is counted in
+    /// that segment's `rc`, so the segment is neither freed nor cached while
+    /// current, and its storage never moves (the arena may move the
+    /// `Segment` header, not the allocation). Assigned only by
+    /// [`SegStack::set_cur_seg`], with `cur_seg`, and by `cover`.
     cur_slots: NonNull<[S]>,
     cur_base: usize,
     cur_end: usize,
+    /// `min(cur_end, cur_slots.len())`: the frame pointer plus what the
+    /// current record may use without raising the watermark. Refreshed by
+    /// `cover`, which runs wherever a record is installed or resized.
+    limit: usize,
     cur_link: Option<KontId>,
     fp: usize,
     /// The promotion flags `OneShot` records hold by index (§3.3). Entry 0
@@ -307,6 +364,7 @@ impl<S: Clone> SegStack<S> {
             cur_slots: NonNull::slice_from_raw_parts(NonNull::dangling(), 0),
             cur_base: 0,
             cur_end: 0,
+            limit: 0,
             cur_link: None,
             fp: 0,
             flags: vec![Flag::default()],
@@ -318,9 +376,7 @@ impl<S: Clone> SegStack<S> {
             grace: false,
         };
         let seg = st.alloc_segment(st.cfg.segment_slots);
-        st.set_cur_seg(seg);
-        st.cur_end = st.cfg.segment_slots;
-        st.set(0, st.marker.clone());
+        st.install_record(seg, None, 0);
         st
     }
 
@@ -367,9 +423,14 @@ impl<S: Clone> SegStack<S> {
         self.cur_end
     }
 
-    /// Slots available above the frame pointer.
+    /// Slots available above the frame pointer: `[fp, fp + headroom)` may
+    /// be written with [`SegStack::set`] without calling
+    /// [`SegStack::ensure`] first. It can be less than `end() - fp`: the
+    /// rest of the record lies past the segment's watermark, and `ensure`
+    /// raises it.
+    #[inline]
     pub fn headroom(&self) -> usize {
-        self.cur_end - self.fp
+        self.limit.saturating_sub(self.fp)
     }
 
     /// The continuation the current record returns into, if any.
@@ -378,26 +439,62 @@ impl<S: Clone> SegStack<S> {
     }
 
     /// Makes `seg` the current segment and refreshes the cached pointer to
-    /// its slots — the one place either is assigned.
+    /// its written slots — the one place `cur_seg` is assigned. Returns the
+    /// segment's capacity. The caller sets the record's bounds and then
+    /// calls `cover`, which refreshes `limit`.
     ///
     /// # Panics
     ///
     /// Panics if `seg` is not live.
-    fn set_cur_seg(&mut self, seg: SegmentId) {
-        self.cur_slots = self.segs.get(seg.0).slots;
+    fn set_cur_seg(&mut self, seg: SegmentId) -> usize {
+        let s = self.segs.get(seg.0);
+        self.cur_slots = s.written();
         self.cur_seg = seg;
+        s.cap()
+    }
+
+    /// Slots the watermark rises by at a time: about 1 KiB of them, so a
+    /// growing stack leaves the fast path of `ensure` once per step.
+    const COVER_STEP: usize = match std::mem::size_of::<S>() {
+        0 => 1024,
+        n if n >= 1024 => 1,
+        n => 1024 / n,
+    };
+
+    /// Raises the current segment's watermark so that `[0, hi)` is written,
+    /// clamped to the record end, and refreshes `limit`.
+    #[inline]
+    fn cover(&mut self, hi: usize) {
+        let hi = hi.min(self.cur_end);
+        if hi > self.cur_slots.len() {
+            self.raise_watermark(hi);
+        }
+        self.limit = self.cur_end.min(self.cur_slots.len());
+    }
+
+    /// `cover`'s write: marks up to `hi` rounded up to a whole step, no
+    /// further than the record end.
+    #[cold]
+    fn raise_watermark(&mut self, hi: usize) {
+        let to = hi.next_multiple_of(Self::COVER_STEP).min(self.cur_end);
+        let seg = self.segs.get_mut(self.cur_seg.0);
+        seg.cover(to, &self.marker);
+        self.cur_slots = seg.written();
     }
 
     /// The `cur_slots` invariant, checked against the arena (debug builds
     /// assert it on every slot access).
     fn cache_is_current(&self) -> bool {
-        std::ptr::addr_eq(self.cur_slots.as_ptr(), self.segs.get(self.cur_seg.0).slots.as_ptr())
+        let s = self.segs.get(self.cur_seg.0);
+        std::ptr::addr_eq(self.cur_slots.as_ptr(), s.store.as_ptr())
+            && self.cur_slots.len() == s.init
     }
 
     /// Reads the slot at absolute index `i` in the current segment.
     ///
     /// The bounds check is a `debug_assert`: the caller must keep `i`
-    /// inside the current segment. Embedder indices are frame-relative
+    /// below the current segment's watermark, which every slot below
+    /// `fp() + headroom()` is. Embedder indices are frame-relative
     /// displacements validated by [`SegStack::ensure`] at frame entry, so
     /// the per-access check is pure overhead on the dispatch hot path; the
     /// debug-profile test run keeps the assertion armed.
@@ -406,17 +503,18 @@ impl<S: Clone> SegStack<S> {
     pub fn get(&self, i: usize) -> &S {
         debug_assert!(self.cache_is_current(), "stale segment cache");
         debug_assert!(i < self.cur_slots.len(), "slot read out of segment: {i}");
-        // SAFETY: `cur_slots` is the live current segment's storage (the
-        // field's invariant); `i` is within it per the documented contract
-        // (debug-asserted above); and `&self` rules out a concurrent write,
-        // which needs `&mut self`.
+        // SAFETY: `cur_slots` is the live current segment's written storage
+        // (the field's invariant); `i` is within it per the documented
+        // contract (debug-asserted above); and `&self` rules out a
+        // concurrent write, which needs `&mut self`.
         unsafe { &*self.cur_slots.as_ptr().cast::<S>().add(i) }
     }
 
     /// Writes the slot at absolute index `i` in the current segment.
     ///
     /// Same contract as [`SegStack::get`]: the bounds check is a
-    /// `debug_assert`, and `i` must lie inside the current segment.
+    /// `debug_assert`, and `i` must lie below the watermark, so the slot
+    /// written over holds a value.
     #[allow(unsafe_code)]
     #[inline]
     pub fn set(&mut self, i: usize, v: S) {
@@ -432,10 +530,11 @@ impl<S: Clone> SegStack<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the current segment (GC-rate, not
-    /// dispatch-rate, so the checked index stays — and so does the walk
-    /// through the arena, which makes this the independent view of the
-    /// current segment that the tests hold `get`/`set` against).
+    /// Panics if the range reaches past the current segment's watermark,
+    /// which is at least `fp() + headroom()` (GC-rate, not dispatch-rate,
+    /// so the checked index stays — and so does the walk through the arena,
+    /// which makes this the independent view of the current segment that
+    /// the tests hold `get`/`set` against).
     pub fn slice(&self, lo: usize, hi: usize) -> &[S] {
         &self.segs.get(self.cur_seg.0).slots()[lo..hi]
     }
@@ -443,14 +542,18 @@ impl<S: Clone> SegStack<S> {
     /// Pushes a frame: writes `ret` at `fp + disp` and advances the frame
     /// pointer there, mirroring the paper's pre-call adjustment.
     ///
-    /// # Panics
-    ///
-    /// Panics if the new frame base lies outside the current record; call
-    /// [`SegStack::ensure`] first.
+    /// The new frame base must lie below [`SegStack::end`]; it need not
+    /// lie within the headroom, so a caller may push frames up to the
+    /// record's end without [`SegStack::ensure`] (the watermark rises with
+    /// them). Only debug builds check the bound: past `end()` the write
+    /// would leave the record.
     #[inline]
     pub fn push_frame(&mut self, disp: usize, ret: S) {
         let nfp = self.fp + disp;
         debug_assert!(nfp < self.cur_end, "frame pushed past segment end; missing ensure()");
+        if nfp >= self.limit {
+            self.cover(nfp + 1);
+        }
         self.set(nfp, ret);
         self.fp = nfp;
     }
@@ -547,11 +650,12 @@ impl<S: Clone> SegStack<S> {
         self.fault_deferred = on;
     }
 
-    /// Total slot capacity of all live segments — the resident stack memory
-    /// measure used by the fragmentation experiment (E7). Includes cached
-    /// segments.
+    /// Total slot capacity of all live segments, cached ones included —
+    /// the stack memory measure of the fragmentation experiment (E7). It
+    /// counts capacity, written or not: a segment's pages past its
+    /// watermark were never touched and need not be resident.
     pub fn resident_slots(&self) -> usize {
-        self.segs.iter().map(|(_, s)| s.slots().len()).sum()
+        self.segs.iter().map(|(_, s)| s.cap()).sum()
     }
 
     /// Raises the post-reinstatement headroom guarantee to at least
@@ -676,12 +780,13 @@ impl<S: Clone> SegStack<S> {
                 self.cur_base = end;
                 self.cur_link = Some(id);
                 self.fp = end;
+                self.cover(end + need.max(self.reserve) + 1);
                 let m = self.marker.clone();
                 self.set(end, m);
             }
             None => {
                 let new_seg = self.obtain_segment(need.max(self.reserve) + 1);
-                self.install_record(new_seg, Some(id));
+                self.install_record(new_seg, Some(id), need);
             }
         }
         id
@@ -843,7 +948,7 @@ impl<S: Clone> SegStack<S> {
                 // return address owned by the bottom part).
                 let m = self.marker.clone();
                 self.segs.get_mut(seg.0).slots_mut()[0] = m;
-                let size = self.segs.get(seg.0).slots().len();
+                let size = self.segs.get(seg.0).cap();
                 copied += n;
                 slots += n;
                 let nk = Kont {
@@ -885,7 +990,7 @@ impl<S: Clone> SegStack<S> {
             let old = self.cur_seg;
             self.release_segment(old);
             let seg = self.obtain_segment(n + self.reserve + 1);
-            self.install_record(seg, None);
+            self.install_record(seg, None, 0);
         }
         let r = self.reinstate_inner(prompt, walker)?;
         Ok((head, r))
@@ -1138,6 +1243,7 @@ impl<S: Clone> SegStack<S> {
         self.cur_end = base + size;
         self.cur_link = link;
         self.fp = base + cur;
+        self.cover(self.fp + self.reserve + 1);
         Reinstated { ret, one_shot: true }
     }
 
@@ -1163,10 +1269,12 @@ impl<S: Clone> SegStack<S> {
             let old = self.cur_seg;
             self.release_segment(old);
             let seg = self.obtain_segment(n + self.reserve + 1);
-            self.install_record(seg, link);
+            self.install_record(seg, link, 0);
         } else {
             self.cur_link = link;
         }
+        // The copy and the headroom after it lie below the watermark.
+        self.cover(self.cur_base + n + self.reserve + 1);
 
         // Copy the saved frames to the base of the current record.
         emit!(self, Reinstate { kont: id, seg: src_seg, one_shot: false, slots_copied: n });
@@ -1309,7 +1417,8 @@ impl<S: Clone> SegStack<S> {
         // §3.1: the common case is one compare of the frame pointer against
         // the segment end. Everything else — the fault clock, the ceiling,
         // the overflow itself — is out of line.
-        if !self.fault.is_armed() && self.fp + need <= self.cur_end {
+        // `limit` is the end, or the watermark below it.
+        if !self.fault.is_armed() && self.fp + need <= self.limit {
             return Overflow::Fits;
         }
         self.ensure_slow(need, live, walker)
@@ -1327,6 +1436,7 @@ impl<S: Clone> SegStack<S> {
             return Overflow::Ceiling;
         }
         if self.fp + need <= self.cur_end {
+            self.cover(self.fp + need);
             return Overflow::Fits;
         }
         if !self.grace
@@ -1384,11 +1494,11 @@ impl<S: Clone> SegStack<S> {
         // Copy the relocated frames to the base of the new segment.
         emit!(self, Overflow { kont: created, from: old_seg, to: new_seg, slots_moved: relocated });
         self.copy_slots(old_seg, x, new_seg, 0, relocated);
-        self.set_cur_seg(new_seg);
+        self.cur_end = self.set_cur_seg(new_seg);
         self.cur_base = 0;
-        self.cur_end = self.cur_slots.len();
         self.cur_link = link;
         self.fp = fp - x;
+        self.cover(self.fp + need.max(self.reserve) + 1);
         // The bottom relocated frame returns into the implicit continuation
         // (or straight into the old link when the record was empty, in
         // which case slot 0 already held the marker and this is a no-op).
@@ -1409,7 +1519,7 @@ impl<S: Clone> SegStack<S> {
         let old = self.cur_seg;
         self.release_segment(old);
         let seg = self.obtain_segment(self.cfg.segment_slots);
-        self.install_record(seg, None);
+        self.install_record(seg, None, 0);
         self.grace = false;
     }
 
@@ -1422,8 +1532,8 @@ impl<S: Clone> SegStack<S> {
         S: Clone,
     {
         let cap = min_slots.max(self.cfg.segment_slots);
-        let slots = vec![self.marker.clone(); cap].into_boxed_slice();
-        let id = SegmentId(self.segs.insert(Segment::new(slots, cap == self.cfg.segment_slots)));
+        let seg = Segment::new(cap, self.marker.clone(), cap == self.cfg.segment_slots);
+        let id = SegmentId(self.segs.insert(seg));
         emit!(self, SegmentAlloc { seg: id, slots: cap });
         id
     }
@@ -1463,18 +1573,23 @@ impl<S: Clone> SegStack<S> {
         }
     }
 
-    /// Installs a fresh record covering all of `seg`, linked to `link`.
-    fn install_record(&mut self, seg: SegmentId, link: Option<KontId>) {
-        self.set_cur_seg(seg);
+    /// Installs a fresh record covering all of `seg`, linked to `link`,
+    /// with `need` slots (and at least the reserve) writable above its
+    /// base.
+    fn install_record(&mut self, seg: SegmentId, link: Option<KontId>, need: usize) {
+        self.cur_end = self.set_cur_seg(seg);
         self.cur_base = 0;
-        self.cur_end = self.cur_slots.len();
         self.cur_link = link;
         self.fp = 0;
+        self.cover(need.max(self.reserve) + 1);
         let m = self.marker.clone();
         self.set(0, m);
     }
 
-    /// Copies `n` slots between (possibly identical) segments.
+    /// Copies `n` slots between (possibly identical) segments, first
+    /// raising the destination's watermark over the range. The current
+    /// segment's is raised by the caller, through `cover`, so that
+    /// `cur_slots` follows it.
     fn copy_slots(
         &mut self,
         src: SegmentId,
@@ -1483,8 +1598,11 @@ impl<S: Clone> SegStack<S> {
         dst_at: usize,
         n: usize,
     ) {
+        debug_assert!(dst != self.cur_seg || dst_at + n <= self.cur_slots.len());
         if src == dst {
-            let slots = self.segs.get_mut(src.0).slots_mut();
+            let seg = self.segs.get_mut(src.0);
+            seg.cover(dst_at + n, &self.marker);
+            let slots = seg.slots_mut();
             debug_assert!(src_at + n <= dst_at || dst_at + n <= src_at);
             for i in 0..n {
                 slots[dst_at + i] = slots[src_at + i].clone();
@@ -1493,6 +1611,7 @@ impl<S: Clone> SegStack<S> {
             // Split-borrow both segments and clone straight across — no
             // temporary buffer on the reinstate/overflow path.
             let (s, d) = self.segs.get2_mut(src.0, dst.0);
+            d.cover(dst_at + n, &self.marker);
             d.slots_mut()[dst_at..dst_at + n].clone_from_slice(&s.slots()[src_at..src_at + n]);
         }
     }

@@ -1194,3 +1194,111 @@ fn slot_cache_survives_an_injected_segment_fault() {
     assert!(st.stats().overflows >= 1);
     assert_slot_cache_current(&mut st, 7);
 }
+
+// ---------------------------------------------------------------------
+// The watermark: a fresh segment is written only as its stack grows
+// ---------------------------------------------------------------------
+
+/// The watermark of every live segment, cached ones included.
+fn watermarks(st: &St) -> Vec<usize> {
+    st.segs.iter().map(|(_, s)| s.init).collect()
+}
+
+#[test]
+fn first_yields_write_a_step_or_two_of_each_fresh_segment() {
+    // 100 threads' first yields: each runs three frames deep and captures
+    // its one-shot continuation, which keeps its segment; the next takes a
+    // fresh one.
+    let mut st = new_st(Config::default());
+    let mut konts = Vec::new();
+    for t in 0..100 {
+        for f in 0..3 {
+            call(&mut st, 4, 10 * t + f);
+        }
+        konts.push(st.capture_one(MAXF).expect("non-empty"));
+    }
+    let step = St::COVER_STEP;
+    for (seg, init) in watermarks(&st).into_iter().enumerate() {
+        assert!(init <= 2 * step, "segment {seg}: watermark {init} above {} slots", 2 * step);
+    }
+    // Capacity is still counted whole: 100 sealed segments and the current.
+    assert_eq!(st.resident_slots(), 101 * 4096);
+    // Each continuation still holds its frames.
+    let r = st.reinstate(konts[42], &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 422);
+    assert_eq!(ret(&mut st), 421);
+    assert_eq!(ret(&mut st), 420);
+    assert!(at_marker(&st));
+}
+
+#[test]
+fn frames_pushed_to_the_end_without_ensure_overflow_and_return() {
+    // The ledger's overflow probe: push frames up to `end()` with no
+    // `ensure`, let one `ensure` overflow, then return through the base.
+    // The first round overflows into a fresh segment, later ones into the
+    // cached one.
+    const D: usize = 4;
+    let mut st = new_st(Config::default());
+    call(&mut st, D, 0);
+    for round in 0..3 {
+        let (allocated, hits) = (st.stats().segments_allocated, st.stats().cache_hits);
+        let mut pushed = Vec::new();
+        while st.fp() + MAXF + D <= st.end() {
+            let pc = 1000 * (round + 1) + pushed.len();
+            st.push_frame(D, Slot::Ret { pc, disp: D });
+            pushed.push(pc);
+        }
+        assert_eq!(st.ensure(MAXF + D, 1, &walker), Overflow::Handled, "round {round}");
+        if round == 0 {
+            assert_eq!(st.stats().segments_allocated, allocated + 1, "a fresh segment");
+        } else {
+            assert_eq!(st.stats().cache_hits, hits + 1, "round {round}: the cached segment");
+        }
+        while let Some(pc) = pushed.pop() {
+            let got = if at_marker(&st) {
+                match st.underflow(&walker).unwrap() {
+                    Underflow::Resumed(r) => resume(&mut st, &r),
+                    Underflow::Exhausted => panic!("round {round}: frames remain"),
+                }
+            } else {
+                ret(&mut st)
+            };
+            assert_eq!(got, pc, "round {round}");
+        }
+        assert_eq!(st.fp(), st.base() + D, "round {round}: back in the first frame");
+    }
+}
+
+#[test]
+fn a_padded_record_below_the_watermark_survives_growth_above_it() {
+    let cfg = Config {
+        oneshot_policy: OneShotPolicy::SealWithPad(16),
+        min_headroom: MAXF,
+        ..Config::default()
+    };
+    let mut st = new_st(cfg);
+    call(&mut st, 4, 1);
+    st.set(st.fp() + 1, Slot::Val(11));
+    call(&mut st, 4, 2);
+    st.set(st.fp() + 1, Slot::Val(22));
+    let k = st.capture_one(2).expect("non-empty");
+    let sealed = st.kont_slice(k).to_vec();
+    let seg = st.cur_seg;
+    assert_eq!(st.kont(k).seg, seg, "sealed in place, with a pad");
+    let before = st.cur_slots.len();
+    // Grow the record above across two watermark steps.
+    let mut depth = 0;
+    while st.cur_slots.len() < before + 2 * St::COVER_STEP {
+        call(&mut st, 4, 100 + depth);
+        st.set(st.fp() + 1, Slot::Val(-1));
+        depth += 1;
+    }
+    assert_eq!(st.cur_seg, seg, "the growth stayed in the segment");
+    assert_eq!(st.kont_slice(k), &sealed[..]);
+    let r = st.reinstate(k, &walker).unwrap();
+    assert!(r.one_shot);
+    assert_eq!(resume(&mut st, &r), 2);
+    assert_eq!(*st.get(st.fp() + 1), Slot::Val(11));
+    assert_eq!(ret(&mut st), 1);
+    assert!(at_marker(&st));
+}

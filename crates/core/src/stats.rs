@@ -209,9 +209,8 @@ crate::counters! {
         /// first time a segment is created).
         segments_allocated: sum => "segments",
         /// Slot capacity of all segments ever allocated — the paper's
-        /// "allocates less memory" measurements for stacks. Every slot of a
-        /// fresh segment is initialised, so this is also the slots written
-        /// to set segments up.
+        /// "allocates less memory" measurements for stacks. Capacity, not
+        /// writes: a fresh segment is written only up to its watermark.
         segment_slots_allocated: sum => _,
         /// Fresh-segment requests satisfied by the segment cache (§3.2).
         cache_hits: sum => "segment-cache-hits",

@@ -121,10 +121,8 @@ impl PoolBuilder {
     /// Configuration for every worker's VM (resource guards, fault plan,
     /// probes, GC threshold, socket-table cap, ...). Lets a pool run with
     /// per-job heap budgets or a deterministic chaos plan. Defaults to
-    /// [`VmConfig::default`], except that a `stack` left at its default
-    /// gets the pool's small segments (see [`PoolBuilder::build`]). Jobs
-    /// and handlers are compiled with its `compiler` options; its
-    /// `pipeline` must stay [`Pipeline::Direct`].
+    /// [`VmConfig::default`]. Jobs and handlers are compiled with its
+    /// `compiler` options; its `pipeline` must stay [`Pipeline::Direct`].
     #[must_use]
     pub fn vm_config(mut self, cfg: VmConfig) -> Self {
         self.vm_config = cfg;
@@ -150,24 +148,12 @@ impl PoolBuilder {
     /// building its VM, and no job would ever resolve). Otherwise propagates
     /// the OS error if a thread, or a reactor's epoll instance or wakeup
     /// pipe, cannot be created.
-    pub fn build(mut self) -> std::io::Result<Pool> {
+    pub fn build(self) -> std::io::Result<Pool> {
         if self.vm_config.pipeline != Pipeline::Direct {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "a pool's workers run on the direct pipeline only",
             ));
-        }
-        // Every parked job pins the whole segment its sealed continuation
-        // sits in, so a pool of mostly-parked handlers wants the paper's
-        // §3.4 answer: small default segments, with overflow as an
-        // implicit call/1cc for the job that does recurse deeply (the
-        // overflow hysteresis shrinks with the segment, or deep jobs would
-        // copy a quarter of every one). An embedder that tuned `stack`
-        // keeps its tuning.
-        if self.vm_config.stack == VmConfig::default().stack {
-            self.vm_config.stack.segment_slots = 512;
-            self.vm_config.stack.copy_bound = 256;
-            self.vm_config.stack.hysteresis_slots = 16;
         }
         if let Err(e) = self.vm_config.stack.validate() {
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()));

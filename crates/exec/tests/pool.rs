@@ -82,11 +82,10 @@ fn mixed_load_on_small_segments_copies_next_to_nothing() {
     // request handlers through one pool, preempted every 256 calls. A
     // preemption is a one-shot subcontinuation take and copies nothing; the
     // only copying left is overflow hysteresis on the deep jobs — a few
-    // frames per segment crossed. The pool gives its worker VMs small
-    // segments, so the hysteresis has to shrink with them: left at the
-    // 128 slots that suit a 16k segment, every crossing copies a quarter
-    // of a 512-slot one (PR 12 measured 7 680 → 80 380 slots on this load,
-    // and this is the assertion that caught it).
+    // frames per segment crossed. The hysteresis has to stay small against
+    // the segment: 128 slots against a 512-slot segment copied a quarter of
+    // it at every crossing (7 680 → 80 380 slots on this load, caught by
+    // this assertion).
     let sources = [
         "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 12)",
         "(define (ctak x y z) (call/1cc (lambda (k) (ctak-aux k x y z))))

@@ -47,9 +47,10 @@ impl Vm {
         for &v in self.globals.iter().chain(&self.roots).chain(&self.consts) {
             self.heap.mark_value(v);
         }
-        // The live portion of the running stack.
+        // The live portion of the running stack; no live slot lies past
+        // the headroom, above which nothing was written.
         let lo = self.stack.base();
-        let hi = (self.stack.fp() + live_above_fp).min(self.stack.end());
+        let hi = self.stack.fp() + live_above_fp.min(self.stack.headroom());
         self.mark_slot_range(lo, hi);
         // The current continuation chain (implicit continuations included).
         let mut cursor = self.stack.current_link();
