@@ -324,7 +324,7 @@ pub static EXPERIMENTS: [Experiment; 8] = [
 // ----------------------------------------------------------------------
 
 /// One point of Figure 5.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig5Point {
     /// Wall-clock milliseconds.
     pub ms: f64,
@@ -369,12 +369,41 @@ pub fn figure5_point(strategy: Strategy, threads: usize, freq: u64, fib_n: u32) 
     }
 }
 
+/// Runs of each Figure 5 cell; a strategy's time is the median of them.
+const FIG5_RUNS: usize = 3;
+
+/// One Figure 5 cell, `[cps, call/cc, call/1cc]` as in [`Strategy::ALL`]:
+/// each strategy runs [`FIG5_RUNS`] times, and which one runs first
+/// rotates, so that none is always timed on the coldest or the warmest
+/// machine. Each strategy reports its median-time run.
+///
+/// # Panics
+///
+/// Panics if a strategy's counters differ between its runs — they are
+/// deterministic — or as [`figure5_point`].
+fn figure5_cell(threads: usize, freq: u64, fib_n: u32) -> [Fig5Point; 3] {
+    let mut runs: [Vec<Fig5Point>; 3] = Default::default();
+    for r in 0..FIG5_RUNS {
+        for s in (0..3).map(|j| (r + j) % 3) {
+            runs[s].push(figure5_point(Strategy::ALL[s], threads, freq, fib_n));
+        }
+    }
+    runs.map(|mut pts| {
+        let counters = |p: &Fig5Point| Fig5Point { ms: 0.0, ..*p };
+        assert!(
+            pts.iter().all(|p| counters(p) == counters(&pts[0])),
+            "{threads} threads, {freq} calls/switch: counters differ across runs: {pts:?}"
+        );
+        pts.sort_by(|a, b| a.ms.total_cmp(&b.ms));
+        pts[FIG5_RUNS / 2]
+    })
+}
+
 fn figure5_rows(scale: &Scale) -> Vec<Vec<Cell>> {
     let mut rows = Vec::new();
     for &threads in &scale.threads {
         for &freq in &scale.freqs {
-            let [cps, cc, one] =
-                Strategy::ALL.map(|s| figure5_point(s, threads, freq, scale.fib_n));
+            let [cps, cc, one] = figure5_cell(threads, freq, scale.fib_n);
             let fastest = if cps.ms < cc.ms.min(one.ms) {
                 "cps"
             } else if one.ms <= cc.ms {

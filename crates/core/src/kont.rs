@@ -1,23 +1,25 @@
 //! Continuation objects.
 
+use crate::slab::Key;
 use crate::stack::SegmentId;
 
 /// Identifies a continuation object owned by a [`SegStack`](crate::SegStack).
 ///
 /// Identifiers are stable until the continuation is collected by
-/// [`SegStack::sweep`](crate::SegStack::sweep).
+/// [`SegStack::sweep`](crate::SegStack::sweep). A collected continuation's
+/// record slot is reused, but its identifier is not: it names a slot
+/// generation, so it resolves to nothing ever after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct KontId(pub(crate) u32);
+pub struct KontId(pub(crate) Key);
+
+// Heap continuation objects hold an `Option<KontId>`: it must not grow.
+const _: () = assert!(std::mem::size_of::<Option<KontId>>() == 8);
 
 impl KontId {
-    /// The raw index, useful for embedding into tagged value representations.
+    /// The record's slot index, for rendering (traces print `k{index}`).
+    /// A collected continuation's index is reused; the identifier is not.
     pub fn index(self) -> u32 {
-        self.0
-    }
-
-    /// Reconstructs an identifier from [`KontId::index`].
-    pub fn from_index(index: u32) -> Self {
-        KontId(index)
+        self.0.index()
     }
 }
 
@@ -137,7 +139,7 @@ mod tests {
 
     fn mk(kind: KontKind, size: usize, cur: usize) -> Kont<u32> {
         Kont {
-            seg: SegmentId(0),
+            seg: SegmentId(Key::first(0)),
             base: 0,
             size,
             cur,
@@ -156,11 +158,5 @@ mod tests {
         assert!(!multi.is_one_shot_by_sizes());
         let one = mk(KontKind::OneShot, 64, 10);
         assert!(one.is_one_shot_by_sizes());
-    }
-
-    #[test]
-    fn kont_id_round_trips_through_index() {
-        let id = KontId(7);
-        assert_eq!(KontId::from_index(id.index()), id);
     }
 }

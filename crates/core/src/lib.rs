@@ -59,22 +59,22 @@
 //! assert!(st.reinstate(k, &walker).is_err());
 //! ```
 
-// Unsafe is denied by default and allowed in exactly two leaf modules
-// (`arena`, `stack`): the debug-asserted unchecked slot accessors on the
-// segmented stack's hot paths, and segment storage that is allocated
-// uninitialised and written only up to a watermark. Every `unsafe` block
-// there restates the invariant it relies on and is covered by a
-// `debug_assert!` or an `assert!`, so the debug-profile CI step runs the
-// whole suite with the checks on.
+// Unsafe is denied by default and allowed in exactly one leaf module
+// (`stack`): the debug-asserted unchecked slot accessors on the segmented
+// stack's hot paths, and segment storage that is allocated uninitialised
+// and written only up to a watermark. Every `unsafe` block there restates
+// the invariant it relies on and is covered by a `debug_assert!` or an
+// `assert!`, so the debug-profile CI step runs the whole suite with the
+// checks on.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod config;
 mod error;
 mod fault;
 mod kont;
 pub mod probe;
+mod slab;
 mod stack;
 mod stats;
 
@@ -83,6 +83,7 @@ pub use error::{ConfigError, ControlError};
 pub use fault::{FaultClock, FaultPlan};
 pub use kont::{Kont, KontId, KontKind};
 pub use probe::{ProbeEvent, RingTraceProbe};
+pub use slab::{Key, Slab};
 pub use stack::{Overflow, Reinstated, SegStack, SegmentId, Underflow};
 pub use stats::Stats;
 #[doc(hidden)]

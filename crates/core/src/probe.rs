@@ -378,12 +378,13 @@ impl RingTraceProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::Key;
 
     #[test]
     fn ring_keeps_only_the_tail() {
         let mut p = RingTraceProbe::new(3);
         for i in 0..5 {
-            p.push(ProbeEvent::CacheHit { seg: SegmentId(i) });
+            p.push(ProbeEvent::CacheHit { seg: SegmentId(Key::first(i)) });
         }
         assert_eq!(p.len(), 3);
         assert_eq!(p.dropped(), 2);
@@ -407,7 +408,8 @@ mod tests {
 
     #[test]
     fn stats_sum_the_events() {
-        let (k, seg) = (KontId, SegmentId);
+        let k = |i| KontId(Key::first(i));
+        let seg = |i| SegmentId(Key::first(i));
         let mut s = Stats::default();
         for ev in [
             ProbeEvent::CaptureMulti { kont: k(0), seg: seg(0), slots: 8 },
@@ -447,16 +449,16 @@ mod tests {
     #[test]
     fn events_render_symbolically() {
         let ev = ProbeEvent::Reinstate {
-            kont: KontId(3),
-            seg: SegmentId(1),
+            kont: KontId(Key::first(3)),
+            seg: SegmentId(Key::first(1)),
             one_shot: true,
             slots_copied: 0,
         };
         assert_eq!(ev.to_string(), "reinstate    k3 seg1 (one-shot, O(1))");
         let ov = ProbeEvent::Overflow {
             kont: None,
-            from: SegmentId(0),
-            to: SegmentId(2),
+            from: SegmentId(Key::first(0)),
+            to: SegmentId(Key::first(2)),
             slots_moved: 7,
         };
         assert_eq!(ov.to_string(), "overflow     seg0 -> seg2 (moved 7 slots)");

@@ -54,20 +54,21 @@
 //! overflow hysteresis) take a *walker*: a function mapping a return-address
 //! slot to the displacement between the frame holding it and its caller's
 //! frame. The paper stores this displacement in the code stream immediately
-//! before each return point; a bytecode embedder typically keeps it in a
-//! side table keyed by return PC. The walker returns `None` for the
+//! before each return point (§3.1), and so does the `oneshot-vm` embedder:
+//! its walker reads the frame-size word at the return address
+//! (`slot::ret_disp`), with no side table. The walker returns `None` for the
 //! underflow marker (or any non-return-address slot), which terminates a
 //! walk. Both operations walk with one routine, `frame_floor`.
 
 use std::mem::MaybeUninit;
 use std::ptr::NonNull;
 
-use crate::arena::Arena;
 use crate::config::{Config, OneShotPolicy, OverflowPolicy, PromotionStrategy};
 use crate::error::ControlError;
 use crate::fault::FaultClock;
 use crate::kont::{Kont, KontId, KontKind};
 use crate::probe::{ProbeEvent, RingTraceProbe};
+use crate::slab::{Key, Slab};
 use crate::stats::Stats;
 
 /// Reports one control event, named by its [`ProbeEvent`] variant: builds
@@ -87,12 +88,13 @@ macro_rules! emit {
 
 /// Identifies a physical stack segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SegmentId(pub(crate) u32);
+pub struct SegmentId(pub(crate) Key);
 
 impl SegmentId {
-    /// The raw index, useful for rendering probe traces.
+    /// The slot index, useful for rendering probe traces. A freed
+    /// segment's index is reused; the identifier is not.
     pub fn index(self) -> u32 {
-        self.0
+        self.0.index()
     }
 }
 
@@ -264,8 +266,8 @@ pub enum Overflow {
 /// recorded in its ring as well.
 #[derive(Debug)]
 pub struct SegStack<S> {
-    segs: Arena<Segment<S>>,
-    konts: Arena<Kont<S>>,
+    segs: Slab<Segment<S>>,
+    konts: Slab<Kont<S>>,
     /// Free list of default-size segments (§3.2's stack segment cache).
     cache: Vec<SegmentId>,
     cfg: Config,
@@ -276,11 +278,11 @@ pub struct SegStack<S> {
     // --- the current stack record (Figure 1) ---
     cur_seg: SegmentId,
     /// The written slots of segment `cur_seg`, cached so a frame-slot
-    /// access is one load, not a walk through the arena. Invariant: it is
+    /// access is one load, not a lookup in the slab. Invariant: it is
     /// the `written()` slice of the live segment `cur_seg`, its length that
     /// segment's watermark — the current record's reference is counted in
     /// that segment's `rc`, so the segment is neither freed nor cached while
-    /// current, and its storage never moves (the arena may move the
+    /// current, and its storage never moves (the slab may move the
     /// `Segment` header, not the allocation). Assigned only by
     /// [`SegStack::set_cur_seg`], with `cur_seg`, and by `cover`.
     cur_slots: NonNull<[S]>,
@@ -353,14 +355,14 @@ impl<S: Clone> SegStack<S> {
         cfg.validate().expect("invalid segmented stack configuration");
         let reserve = cfg.min_headroom;
         let mut st = SegStack {
-            segs: Arena::new(),
-            konts: Arena::new(),
+            segs: Slab::new(),
+            konts: Slab::new(),
             cache: Vec::new(),
             cfg,
             marker,
             reserve,
-            cur_seg: SegmentId(0),
-            // Empty until the first segment is installed just below.
+            // Neither names a segment until the first is installed below.
+            cur_seg: SegmentId(Key::DANGLING),
             cur_slots: NonNull::slice_from_raw_parts(NonNull::dangling(), 0),
             cur_base: 0,
             cur_end: 0,
@@ -447,7 +449,7 @@ impl<S: Clone> SegStack<S> {
     ///
     /// Panics if `seg` is not live.
     fn set_cur_seg(&mut self, seg: SegmentId) -> usize {
-        let s = self.segs.get(seg.0);
+        let s = &self.segs[seg.0];
         self.cur_slots = s.written();
         self.cur_seg = seg;
         s.cap()
@@ -477,15 +479,15 @@ impl<S: Clone> SegStack<S> {
     #[cold]
     fn raise_watermark(&mut self, hi: usize) {
         let to = hi.next_multiple_of(Self::COVER_STEP).min(self.cur_end);
-        let seg = self.segs.get_mut(self.cur_seg.0);
+        let seg = &mut self.segs[self.cur_seg.0];
         seg.cover(to, &self.marker);
         self.cur_slots = seg.written();
     }
 
-    /// The `cur_slots` invariant, checked against the arena (debug builds
+    /// The `cur_slots` invariant, checked against the slab (debug builds
     /// assert it on every slot access).
     fn cache_is_current(&self) -> bool {
-        let s = self.segs.get(self.cur_seg.0);
+        let s = &self.segs[self.cur_seg.0];
         std::ptr::addr_eq(self.cur_slots.as_ptr(), s.store.as_ptr())
             && self.cur_slots.len() == s.init
     }
@@ -532,11 +534,11 @@ impl<S: Clone> SegStack<S> {
     ///
     /// Panics if the range reaches past the current segment's watermark,
     /// which is at least `fp() + headroom()` (GC-rate, not dispatch-rate,
-    /// so the checked index stays — and so does the walk through the arena,
+    /// so the checked index stays — and so does the lookup in the slab,
     /// which makes this the independent view of the current segment that
     /// the tests hold `get`/`set` against).
     pub fn slice(&self, lo: usize, hi: usize) -> &[S] {
-        &self.segs.get(self.cur_seg.0).slots()[lo..hi]
+        &self.segs[self.cur_seg.0].slots()[lo..hi]
     }
 
     /// Pushes a frame: writes `ret` at `fp + disp` and advances the frame
@@ -566,13 +568,16 @@ impl<S: Clone> SegStack<S> {
         self.fp -= disp;
     }
 
-    /// Looks up a continuation object.
+    /// Looks up a continuation object. `id` must be live (an embedder's
+    /// GC-traced ids are); [`SegStack::kont_alive`] tells.
     ///
     /// # Panics
     ///
-    /// Panics if `id` refers to a collected continuation.
+    /// Panics if `id` refers to a collected continuation whose slot is
+    /// still free, and in debug builds whenever `id` is stale (see
+    /// [`Slab`]'s `Index`).
     pub fn kont(&self, id: KontId) -> &Kont<S> {
-        self.konts.get(id.0)
+        &self.konts[id.0]
     }
 
     /// Whether `id` refers to a live (uncollected) continuation object.
@@ -582,19 +587,17 @@ impl<S: Clone> SegStack<S> {
 
     /// The occupied saved slots of a continuation — what a multi-shot
     /// reinstatement would copy. Empty for shot continuations.
-    #[allow(unsafe_code)]
+    ///
+    /// # Panics
+    ///
+    /// As [`SegStack::kont`].
     pub fn kont_slice(&self, id: KontId) -> &[S] {
-        let k = self.konts.get(id.0);
+        let k = &self.konts[id.0];
         match k.kind {
             KontKind::Shot => &[],
-            _ => {
-                // SAFETY: an unshot continuation holds an rc on its
-                // segment, so `k.seg` is live; `base + cur` never exceeds
-                // the sealed extent recorded at capture (debug-asserted).
-                let slots = unsafe { self.segs.get_unchecked(k.seg.0) }.slots();
-                debug_assert!(k.base + k.cur <= slots.len());
-                unsafe { slots.get_unchecked(k.base..k.base + k.cur) }
-            }
+            // An unshot continuation holds a reference to its segment, so
+            // `k.seg` is live. GC and backtrace rate: the index is checked.
+            _ => &self.segs[k.seg.0].slots()[k.base..k.base + k.cur],
         }
     }
 
@@ -721,7 +724,7 @@ impl<S: Clone> SegStack<S> {
             prompt,
             mark: false,
         };
-        self.segs.get_mut(self.cur_seg.0).rc += 1;
+        self.segs[self.cur_seg.0].rc += 1;
         KontId(self.konts.insert(k))
     }
 
@@ -767,7 +770,7 @@ impl<S: Clone> SegStack<S> {
         // Sealed in place, the record is a second reference to the segment;
         // otherwise it takes over the current record's reference.
         if pad.is_none() {
-            self.segs.get_mut(seg.0).rc -= 1;
+            self.segs[seg.0].rc -= 1;
         }
         if is_prompt {
             emit!(self, PromptPush { kont: id, seg, slots: occupied });
@@ -831,7 +834,7 @@ impl<S: Clone> SegStack<S> {
     {
         let mut cursor = self.cur_link;
         while let Some(id) = cursor {
-            let k = self.konts.get(id.0);
+            let k = &self.konts[id.0];
             if let Some(tag) = &k.prompt {
                 if matches(tag) {
                     return Some(id);
@@ -846,12 +849,12 @@ impl<S: Clone> SegStack<S> {
     /// current chain, and reports whether a record from the top of stack
     /// down to it, the prompt included, was already shot.
     fn check_prompt_reachable(&self, prompt: KontId) -> Result<bool, ControlError> {
-        if !self.konts.contains(prompt.0) || self.konts.get(prompt.0).prompt.is_none() {
+        if self.konts.get(prompt.0).is_none_or(|k| k.prompt.is_none()) {
             return Err(ControlError::NoMatchingPrompt);
         }
         let (mut shot, mut cursor) = (false, self.cur_link);
         while let Some(id) = cursor {
-            let k = self.konts.get(id.0);
+            let k = &self.konts[id.0];
             shot |= k.is_shot();
             if id == prompt {
                 return Ok(shot);
@@ -927,9 +930,10 @@ impl<S: Clone> SegStack<S> {
             if id == prompt {
                 break;
             }
-            let next = self.konts.get(id.0).link;
-            let keep = if self.is_live_one_shot(id) {
-                let k = self.konts.get_mut(id.0);
+            let k = &self.konts[id.0];
+            let (next, live) = (k.link, self.live(k));
+            let keep = if live {
+                let k = &mut self.konts[id.0];
                 slots += k.cur;
                 k.flag = flag;
                 id
@@ -938,7 +942,7 @@ impl<S: Clone> SegStack<S> {
                 // fresh one-shot record; the original remains invokable
                 // through whatever continuation values reference it.
                 let (src_seg, src_base, n, ret, ptag) = {
-                    let k = self.konts.get(id.0);
+                    let k = &self.konts[id.0];
                     (k.seg, k.base, k.cur, k.ret.clone(), k.prompt.clone())
                 };
                 let seg = self.obtain_segment(n + self.reserve + 1);
@@ -947,8 +951,8 @@ impl<S: Clone> SegStack<S> {
                 // a split top part the source base slot holds a real
                 // return address owned by the bottom part).
                 let m = self.marker.clone();
-                self.segs.get_mut(seg.0).slots_mut()[0] = m;
-                let size = self.segs.get(seg.0).cap();
+                self.segs[seg.0].slots_mut()[0] = m;
+                let size = self.segs[seg.0].cap();
                 copied += n;
                 slots += n;
                 let nk = Kont {
@@ -968,14 +972,14 @@ impl<S: Clone> SegStack<S> {
             records += 1;
             match prev {
                 None => new_head = Some(keep),
-                Some(p) => self.konts.get_mut(p.0).link = Some(keep),
+                Some(p) => self.konts[p.0].link = Some(keep),
             }
             prev = Some(keep);
             cursor = next;
         }
         // Detach the tail from the prompt.
         if let Some(p) = prev {
-            self.konts.get_mut(p.0).link = None;
+            self.konts[p.0].link = None;
         }
         let head = new_head;
 
@@ -986,7 +990,7 @@ impl<S: Clone> SegStack<S> {
         // into the current record, so install a fresh one first. (A live
         // one-shot prompt swaps segments and never reads the old record.)
         if occupied > 0 && !self.is_live_one_shot(prompt) {
-            let n = self.konts.get(prompt.0).cur;
+            let n = self.konts[prompt.0].cur;
             let old = self.cur_seg;
             self.release_segment(old);
             let seg = self.obtain_segment(n + self.reserve + 1);
@@ -1023,10 +1027,11 @@ impl<S: Clone> SegStack<S> {
         }
         let (mut records, mut tail, mut cursor) = (0usize, head, Some(head));
         while let Some(id) = cursor {
-            if self.konts.get(id.0).is_shot() {
+            let k = &self.konts[id.0];
+            if k.is_shot() {
                 return Err(ControlError::AlreadyShot);
             }
-            (records, tail, cursor) = (records + 1, id, self.konts.get(id.0).link);
+            (records, tail, cursor) = (records + 1, id, k.link);
         }
         self.grace = false;
         let flag = self.flag_below();
@@ -1048,11 +1053,11 @@ impl<S: Clone> SegStack<S> {
         let mut cursor = (self.cfg.promotion == PromotionStrategy::SharedFlag).then_some(head);
         while let Some(id) = cursor {
             if self.is_live_one_shot(id) {
-                self.konts.get_mut(id.0).flag = flag;
+                self.konts[id.0].flag = flag;
             }
-            cursor = self.konts.get(id.0).link;
+            cursor = self.konts[id.0].link;
         }
-        self.konts.get_mut(tail.0).link = below;
+        self.konts[tail.0].link = below;
 
         emit!(self, SubcontPush { head, records });
         self.reinstate_inner(head, walker)
@@ -1087,12 +1092,12 @@ impl<S: Clone> SegStack<S> {
                 break;
             }
             let (next, seg) = {
-                let k = self.konts.get(id.0);
+                let k = &self.konts[id.0];
                 (k.link, k.seg)
             };
             if self.is_live_one_shot(id) {
                 let m = self.marker.clone();
-                let k = self.konts.get_mut(id.0);
+                let k = &mut self.konts[id.0];
                 k.kind = KontKind::Shot;
                 k.size = 0;
                 k.cur = 0;
@@ -1110,7 +1115,11 @@ impl<S: Clone> SegStack<S> {
     /// Whether `id` is a live one-shot: of `OneShot` kind, with its
     /// chain's promotion flag unset.
     pub(crate) fn is_live_one_shot(&self, id: KontId) -> bool {
-        let k = self.konts.get(id.0);
+        self.live(&self.konts[id.0])
+    }
+
+    /// [`SegStack::is_live_one_shot`] of a record already looked up.
+    fn live(&self, k: &Kont<S>) -> bool {
         k.kind == KontKind::OneShot && !self.flags[k.flag as usize].set
     }
 
@@ -1118,8 +1127,8 @@ impl<S: Clone> SegStack<S> {
     /// link: the link's own when it is a live one-shot (so a whole chain
     /// shares one flag), a fresh one otherwise.
     fn flag_below(&mut self) -> u32 {
-        match self.cur_link {
-            Some(l) if self.is_live_one_shot(l) => self.konts.get(l.0).flag,
+        match self.cur_link.map(|l| &self.konts[l.0]) {
+            Some(k) if self.live(k) => k.flag,
             _ => self.fresh_flag(),
         }
     }
@@ -1149,7 +1158,7 @@ impl<S: Clone> SegStack<S> {
         match self.cfg.promotion {
             PromotionStrategy::SharedFlag => {
                 if let Some(l) = self.cur_link.filter(|&l| self.is_live_one_shot(l)) {
-                    let f = self.konts.get(l.0).flag;
+                    let f = self.konts[l.0].flag;
                     self.flags[f as usize].set = true;
                     emit!(self, Promotion { kont: l, walked: false });
                 }
@@ -1161,7 +1170,7 @@ impl<S: Clone> SegStack<S> {
                     // equal to its current size, restoring the multi-shot
                     // invariant. The segment tail it owned beyond the
                     // occupied portion is abandoned (fragmentation, §3.4).
-                    let k = self.konts.get_mut(id.0);
+                    let k = &mut self.konts[id.0];
                     k.size = k.cur;
                     k.kind = KontKind::MultiShot;
                     cursor = k.link;
@@ -1201,23 +1210,26 @@ impl<S: Clone> SegStack<S> {
         // overflowed, so any ceiling grace period is over: the next ensure
         // re-checks occupancy (after the embedder's collect-and-retry).
         self.grace = false;
+        if !self.konts.contains(id.0) {
+            return Err(ControlError::DeadContinuation);
+        }
         self.reinstate_inner(id, walker)
     }
 
-    /// [`SegStack::reinstate`] minus the grace-period reset — the underflow
-    /// path resumes the *same* logical extent (returning into a caller's
-    /// frames), which must not end a grace period that is letting error
-    /// delivery run above the ceiling.
+    /// [`SegStack::reinstate`] minus the grace-period reset and the
+    /// liveness check — the underflow path resumes the *same* logical
+    /// extent (returning into a caller's frames), which must not end a
+    /// grace period that is letting error delivery run above the ceiling.
+    /// `id` is live: a link of the current chain, or an id its caller
+    /// has checked.
     fn reinstate_inner<W>(&mut self, id: KontId, walker: &W) -> Result<Reinstated<S>, ControlError>
     where
         W: Fn(&S) -> Option<usize> + ?Sized,
     {
-        if !self.konts.contains(id.0) {
-            return Err(ControlError::DeadContinuation);
-        }
-        match self.konts.get(id.0).kind {
+        let k = &self.konts[id.0];
+        match k.kind {
             KontKind::Shot => Err(ControlError::AlreadyShot),
-            KontKind::OneShot if self.is_live_one_shot(id) => Ok(self.reinstate_one(id)),
+            KontKind::OneShot if self.live(k) => Ok(self.reinstate_one(id)),
             _ => Ok(self.reinstate_multi(id, walker)),
         }
     }
@@ -1226,7 +1238,7 @@ impl<S: Clone> SegStack<S> {
     /// discarded (into the cache if unshared), the continuation's record
     /// becomes current, and the continuation is marked shot.
     fn reinstate_one(&mut self, id: KontId) -> Reinstated<S> {
-        let k = self.konts.get_mut(id.0);
+        let k = &mut self.konts[id.0];
         let (seg, base, size, cur, link) = (k.seg, k.base, k.size, k.cur, k.link);
         emit!(self, Reinstate { kont: id, seg, one_shot: true, slots_copied: 0 });
         let ret = std::mem::replace(&mut k.ret, self.marker.clone());
@@ -1253,14 +1265,13 @@ impl<S: Clone> SegStack<S> {
     where
         W: Fn(&S) -> Option<usize> + ?Sized,
     {
-        if self.konts.get(id.0).cur > self.cfg.copy_bound {
+        if self.konts[id.0].cur > self.cfg.copy_bound {
             id = self.split(id, walker);
         }
-        let (src_seg, src_base, n, link) = {
-            let k = self.konts.get(id.0);
-            (k.seg, k.base, k.cur, k.link)
+        let (src_seg, src_base, n, link, ret) = {
+            let k = &self.konts[id.0];
+            (k.seg, k.base, k.cur, k.link, k.ret.clone())
         };
-        let ret = self.konts.get(id.0).ret.clone();
 
         // Make room at the base of the current record; if the record is too
         // short, move to a fresh (possibly oversized) segment. The source
@@ -1299,7 +1310,7 @@ impl<S: Clone> SegStack<S> {
     where
         W: Fn(&S) -> Option<usize> + ?Sized,
     {
-        let k = self.konts.get(id.0);
+        let k = &self.konts[id.0];
         let (seg, base, top, link) = (k.seg, k.base, k.base + k.cur, k.link);
         // Split off as much as the bound allows (§3.2).
         let x = self.frame_floor(seg, base, top, &k.ret, top - self.cfg.copy_bound, walker);
@@ -1310,7 +1321,7 @@ impl<S: Clone> SegStack<S> {
             // size limits; we degrade gracefully instead.
             return id;
         }
-        let boundary_ret = self.segs.get(seg.0).slots()[x].clone();
+        let boundary_ret = self.segs[seg.0].slots()[x].clone();
         let bottom = Kont {
             seg,
             base,
@@ -1325,9 +1336,9 @@ impl<S: Clone> SegStack<S> {
             prompt: None,
             mark: false,
         };
-        self.segs.get_mut(seg.0).rc += 1;
+        self.segs[seg.0].rc += 1;
         let bottom_id = KontId(self.konts.insert(bottom));
-        let k = self.konts.get_mut(id.0);
+        let k = &mut self.konts[id.0];
         k.base = x;
         k.size = top - x;
         k.cur = top - x;
@@ -1353,7 +1364,7 @@ impl<S: Clone> SegStack<S> {
     where
         W: Fn(&S) -> Option<usize> + ?Sized,
     {
-        let slots = self.segs.get(seg.0).slots();
+        let slots = self.segs[seg.0].slots();
         let (mut x, mut r) = (top, ret);
         while let Some(d) = walker(r) {
             if d == 0 || d > x - base || x - d < lowest {
@@ -1544,7 +1555,7 @@ impl<S: Clone> SegStack<S> {
         if min_slots <= self.cfg.segment_slots {
             if let Some(seg) = self.cache.pop() {
                 emit!(self, CacheHit { seg });
-                self.segs.get_mut(seg.0).rc = 1;
+                self.segs[seg.0].rc = 1;
                 return seg;
             }
         }
@@ -1553,7 +1564,7 @@ impl<S: Clone> SegStack<S> {
 
     /// Drops one reference to `seg`; caches or frees it when unreferenced.
     fn release_segment(&mut self, seg: SegmentId) {
-        let s = self.segs.get_mut(seg.0);
+        let s = &mut self.segs[seg.0];
         debug_assert!(s.rc > 0);
         s.rc -= 1;
         if s.rc == 0 {
@@ -1600,7 +1611,7 @@ impl<S: Clone> SegStack<S> {
     ) {
         debug_assert!(dst != self.cur_seg || dst_at + n <= self.cur_slots.len());
         if src == dst {
-            let seg = self.segs.get_mut(src.0);
+            let seg = &mut self.segs[src.0];
             seg.cover(dst_at + n, &self.marker);
             let slots = seg.slots_mut();
             debug_assert!(src_at + n <= dst_at || dst_at + n <= src_at);
@@ -1625,13 +1636,13 @@ impl<S: Clone> SegStack<S> {
     /// itself via [`SegStack::kont_slice`]) and finishes with
     /// [`SegStack::sweep`].
     pub fn begin_gc(&mut self) {
-        self.konts.for_each_mut(|k| k.mark = false);
+        self.konts.values_mut().for_each(|k| k.mark = false);
     }
 
     /// Marks continuation `id`; returns `true` when newly marked (the
     /// embedder should then trace its slice and its link).
     pub fn mark_kont(&mut self, id: KontId) -> bool {
-        let k = self.konts.get_mut(id.0);
+        let k = &mut self.konts[id.0];
         if k.mark {
             false
         } else {
@@ -1642,7 +1653,7 @@ impl<S: Clone> SegStack<S> {
 
     /// The link of continuation `id` (for embedder tracing).
     pub fn kont_link(&self, id: KontId) -> Option<KontId> {
-        self.konts.get(id.0).link
+        self.konts[id.0].link
     }
 
     /// Completes a collection: frees unmarked continuations and any
@@ -1654,15 +1665,16 @@ impl<S: Clone> SegStack<S> {
         // The current chain is implicitly live.
         let mut cursor = self.cur_link;
         while let Some(id) = cursor {
-            let k = self.konts.get_mut(id.0);
+            let k = &mut self.konts[id.0];
             if k.mark {
                 break;
             }
             k.mark = true;
             cursor = k.link;
         }
-        for idx in 0..self.konts.slot_count() {
-            if let Some(k) = self.konts.remove_if(idx, |k| !k.mark) {
+        for i in 0..self.konts.slot_count() {
+            let dead = self.konts.key_at(i).filter(|&id| !self.konts[id].mark);
+            if let Some(k) = dead.and_then(|id| self.konts.remove(id)) {
                 if k.kind != KontKind::Shot {
                     self.release_segment(k.seg);
                 }

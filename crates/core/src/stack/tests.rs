@@ -589,6 +589,25 @@ fn dead_continuation_is_reported() {
 }
 
 #[test]
+fn a_collected_continuations_id_does_not_name_its_slots_next_record() {
+    // `k1` is shot and collected, and `k2` reuses its record slot: the
+    // stale `k1` is refused rather than reinstating `k2`'s record.
+    let mut st = new_st(small_cfg());
+    call(&mut st, 4, 1);
+    let k1 = st.capture_one(MAXF).unwrap();
+    let r = st.reinstate(k1, &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 1);
+    st.begin_gc();
+    st.sweep(false);
+    call(&mut st, 4, 2);
+    let k2 = st.capture_one(MAXF).unwrap();
+    assert_eq!(k2.index(), k1.index(), "the collected record's slot is reused");
+    assert_eq!(st.reinstate(k1, &walker), Err(ControlError::DeadContinuation));
+    let r = st.reinstate(k2, &walker).unwrap();
+    assert_eq!(resume(&mut st, &r), 2, "k2 is untouched");
+}
+
+#[test]
 fn deep_recursion_survives_many_overflow_cycles() {
     // The E3 scenario in miniature: recur deeply, unwind, repeat; after the
     // first round the cache supplies every segment.
@@ -1003,7 +1022,7 @@ fn the_flag_table_is_bounded_by_the_live_chains() {
 
 /// After an operation that may have switched the current record, checks
 /// that `get`/`set` (which go through the cached slot pointer) and `slice`
-/// (which walks the arena to segment `cur_seg`) see the same segment: a
+/// (which looks segment `cur_seg` up in the slab) see the same segment: a
 /// sentinel written through `set` just above the live frame reads back
 /// through both, and the two views agree on every slot of the record. A
 /// cache left on the previous segment fails the first; one pointing at the

@@ -1,14 +1,16 @@
-//! A collection over the continuation arena is allocation-free: a
+//! A collection over the continuation slab is allocation-free: a
 //! counting global allocator observes zero (Rust) allocations from
 //! `begin_gc` through the marks to the end of `sweep`, however many
 //! records die, and the records that survive are exactly the marked ones.
 //! `ctak` kills 8 192 one-shot records per cycle; a per-collection
-//! snapshot of the arena's indices used to be 1.6 % of its profile.
+//! snapshot of the slab's indices used to be 1.6 % of its profile.
 //!
 //! So is control on a warm stack, under either promotion strategy: a
 //! one-shot capture and its reinstatement, and a prompt, take and push,
 //! take their records, promotion flags and segments from what the last
-//! collection recycled.
+//! collection recycled. And so is the [`Slab`] itself, which the reactor,
+//! the engine host and the socket table share: once it has held its
+//! high-water count, inserts and removes in any order allocate nothing.
 //!
 //! An integration test (its own crate) because a `GlobalAlloc` impl is
 //! necessarily unsafe and the library denies unsafe code outside its
@@ -18,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use oneshot_core::{
-    Config, ControlError, KontId, PromotionStrategy, Reinstated, SegStack, Underflow,
+    Config, ControlError, KontId, PromotionStrategy, Reinstated, SegStack, Slab, Underflow,
 };
 
 struct CountingAlloc;
@@ -204,7 +206,7 @@ fn warm_control_round_trips_perform_zero_allocations() {
     for promotion in [PromotionStrategy::EagerWalk, PromotionStrategy::SharedFlag] {
         for (name, trip) in trips {
             let mut st = SegStack::new(Config { promotion, ..Config::default() }, Slot::Marker);
-            // Warm: the arena, the flag table and the segment cache grow
+            // Warm: the slab, the flag table and the segment cache grow
             // to one round's worth, and a collection frees it all again.
             (0..ROUND_TRIPS).for_each(|_| trip(&mut st));
             collect(&mut st, &[]);
@@ -217,4 +219,26 @@ fn warm_control_round_trips_perform_zero_allocations() {
             assert!(matches!(st.underflow(&walker), Ok(Underflow::Exhausted)), "{name}");
         }
     }
+}
+
+#[test]
+fn a_warm_slab_inserts_and_removes_without_allocating() {
+    const HIGH: usize = 4_096;
+    let mut slab = Slab::new();
+    let mut keys: Vec<_> = (0..HIGH).map(|i| slab.insert(i)).collect();
+    keys.drain(..).for_each(|k| assert!(slab.remove(k).is_some()));
+    keys.reserve(HIGH);
+
+    let before = alloc_calls();
+    for round in 0..8 {
+        // Fill to the high-water count, then free every other key, then
+        // the rest: removes in an order unlike the inserts.
+        keys.extend((0..HIGH).map(|i| slab.insert(round * HIGH + i)));
+        for k in keys.iter().step_by(2).chain(keys.iter().skip(1).step_by(2)) {
+            assert!(slab.remove(*k).is_some());
+        }
+        assert!(keys.drain(..).all(|k| slab.get(k).is_none()), "every key is retired");
+    }
+    assert_eq!(alloc_calls() - before, 0, "a warm slab must not call the allocator");
+    assert!(slab.is_empty());
 }

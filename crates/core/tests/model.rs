@@ -400,7 +400,7 @@ impl Real {
 
     /// Holds every live slot of the current record against the model's
     /// frames — the shadow stack — reading each through both `get` (the
-    /// cached slot pointer) and `slice` (the arena). The record holds a
+    /// cached slot pointer) and `slice` (the slab). The record holds a
     /// suffix of the logical frames: walking down from the frame pointer,
     /// each return address must be the next shadow frame's, each local the
     /// shadow's (where the model still knows it), and the walk must end on

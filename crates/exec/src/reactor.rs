@@ -33,11 +33,11 @@
 //! queued in the kernel or already a bit. A wait cancelled by its deadline
 //! leaves the fd registered, so late readiness becomes a bit, never a
 //! stale delivery: the readiness batch and the deadline heap name a wait
-//! by its slot and the slot's generation, and a resolved wait's name
-//! matches nothing. The kernel drops a closed fd itself; the table entry
-//! dies with the closed-fd sweep (`cancel_fd`), which the worker runs
-//! *before* it registers a slice's wait, so a registration never meets
-//! the entry of a recycled fd number.
+//! by its slab [`Key`], and a resolved wait's key resolves nothing. The
+//! kernel drops a closed fd itself; the table entry dies with the
+//! closed-fd sweep (`cancel_fd`), which the worker runs *before* it
+//! registers a slice's wait, so a registration never meets the entry of a
+//! recycled fd number.
 //!
 //! The only cross-thread piece left is the wake pipe: the pool rings it
 //! to interrupt an idle worker's wait (new submission, accepted
@@ -54,6 +54,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use oneshot_core::{Key, Slab};
 use oneshot_vm::{FaultClock, FaultPlan};
 
 /// Raw epoll(7) bindings. The crate is `#![deny(unsafe_code)]`; this
@@ -220,26 +221,11 @@ impl WakeHandle {
     }
 }
 
-/// Names one wait: its slot in the slab and the slot's generation when
-/// the wait was parked there. A key can outlive its wait in the readiness
-/// batch and in the deadline heap; once the slot's generation has moved
-/// on, the key is stale and resolves nothing.
-type Key = (u32, u32);
-
 /// What a parked job waits on.
 #[derive(Debug, Clone, Copy)]
 enum On {
     Fd { fd: i32, write: bool },
     Timer,
-}
-
-/// One slab slot. The generation moves on each time the slot is freed,
-/// so a key matches only the wait it was minted for.
-#[derive(Debug)]
-struct Slot<T> {
-    gen: u32,
-    on: On,
-    job: Option<T>,
 }
 
 /// The interest every fd is registered with, once, for its lifetime:
@@ -287,8 +273,8 @@ impl FdEntry {
 
 /// One worker's reactor: every job parked on this worker, the deadlines
 /// that bound their waits, and the epoll instance. A parked job lives in
-/// one slot of a slab until `wait`, `cancel_fd` or `forget_all` moves it
-/// back out, so each is handed back at most once. Not shared — the owning
+/// the slab until `wait`, `cancel_fd` or `forget_all` moves it back out,
+/// so each is handed back at most once. Not shared — the owning
 /// worker calls every method, which is what makes delivery handoff-free.
 #[derive(Debug)]
 pub(crate) struct ReactorCore<T> {
@@ -298,11 +284,11 @@ pub(crate) struct ReactorCore<T> {
     events: Vec<sys::EpollEvent>,
     wake_rx: UnixStream,
     wake_tx: Arc<UnixStream>,
-    /// The parked jobs. A freed slot goes on `free` and is reused last in,
-    /// first out, so the slab stays as large as the most jobs ever parked
-    /// at once.
-    slots: Vec<Slot<T>>,
-    free: Vec<u32>,
+    /// The parked jobs, each with its wait and keyed by it. A key can
+    /// outlive its wait in the readiness batch and in the deadline heap;
+    /// once the wait resolves, the key resolves nothing. The slab stays as
+    /// large as the most jobs ever parked at once.
+    waits: Slab<(T, On)>,
     /// Parked jobs waiting on an fd: with none, and nothing due, a
     /// nonblocking harvest makes no syscall.
     fd_waits: usize,
@@ -353,8 +339,7 @@ impl<T> ReactorCore<T> {
             events: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
             wake_rx,
             wake_tx: Arc::new(wake_tx),
-            slots: Vec::new(),
-            free: Vec::new(),
+            waits: Slab::new(),
             fd_waits: 0,
             fds: Vec::new(),
             ready: Vec::new(),
@@ -395,49 +380,20 @@ impl<T> ReactorCore<T> {
     /// Jobs this core holds: parked ones, and ones an injected delay
     /// deferred (only a `wait()` hands those over).
     pub(crate) fn len(&self) -> usize {
-        self.slots.len() - self.free.len() + self.deferred.len()
+        self.waits.len() + self.deferred.len()
     }
 
-    /// Parks `job` in a free slot and returns the key of its wait.
-    fn park(&mut self, job: T, on: On) -> Key {
-        if matches!(on, On::Fd { .. }) {
-            self.fd_waits += 1;
-        }
-        let i = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.slots.push(Slot { gen: 0, on, job: None });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let slot = &mut self.slots[i as usize];
-        slot.on = on;
-        slot.job = Some(job);
-        (i, slot.gen)
-    }
-
-    /// Moves the job out of the wait `key` names, freeing its slot — or
-    /// `None` if that wait was already resolved.
-    fn unpark(&mut self, (i, gen): Key) -> Option<(T, On)> {
-        let slot = &mut self.slots[i as usize];
-        if slot.gen != gen {
-            return None;
-        }
-        let job = slot.job.take().expect("a live key names a parked job");
-        slot.gen = slot.gen.wrapping_add(1);
-        let on = slot.on;
-        self.free.push(i);
+    /// Moves the job out of the wait `key` names, dropping the wait from
+    /// its fd's waiters — or `None` if that wait was already resolved.
+    fn resolve(&mut self, key: Key) -> Option<(T, On)> {
+        let (job, on) = self.waits.remove(key)?;
         if let On::Fd { fd, .. } = on {
             self.fd_waits -= 1;
             if let Some(entry) = self.fds.get_mut(fd as usize) {
-                entry.remove((i, gen));
+                entry.remove(key);
             }
         }
         Some((job, on))
-    }
-
-    fn is_live(&self, (i, gen): Key) -> bool {
-        self.slots[i as usize].gen == gen
     }
 
     /// Parks `job` on an fd wait (only an fd's *first* wait reaches the
@@ -474,7 +430,8 @@ impl<T> ReactorCore<T> {
         let dir = if write { PEND_OUT } else { PEND_IN };
         let owed = entry.pending & dir != 0;
         entry.pending &= !dir;
-        let key = self.park(job, On::Fd { fd, write });
+        self.fd_waits += 1;
+        let key = self.waits.insert((job, On::Fd { fd, write }));
         self.fds[idx].add(key);
         if owed {
             self.ready.push(key);
@@ -494,7 +451,7 @@ impl<T> ReactorCore<T> {
 
     /// Parks `job` on a timer due at `due`.
     pub(crate) fn register_timer(&mut self, job: T, due: Instant) {
-        let key = self.park(job, On::Timer);
+        let key = self.waits.insert((job, On::Timer));
         self.deadlines.push(Reverse((due, WakeKind::Ready, key)));
     }
 
@@ -508,7 +465,7 @@ impl<T> ReactorCore<T> {
             return;
         };
         for key in std::mem::take(entry).waiters() {
-            if let Some((job, _)) = self.unpark(key) {
+            if let Some((job, _)) = self.resolve(key) {
                 out.push((job, WakeKind::Ready));
             }
         }
@@ -523,7 +480,7 @@ impl<T> ReactorCore<T> {
         };
         let mut claimed = 0;
         for key in entry.waiters() {
-            let On::Fd { write, .. } = self.slots[key.0 as usize].on else { continue };
+            let Some(&(_, On::Fd { write, .. })) = self.waits.get(key) else { continue };
             let dir = if write { PEND_OUT } else { PEND_IN };
             if dirs & dir != 0 {
                 self.ready.push(key);
@@ -553,10 +510,9 @@ impl<T> ReactorCore<T> {
             self.ep.ctl(sys::EPOLL_CTL_DEL, fd as i32, 0);
         }
         self.fds.clear();
-        let parked = self.slots.drain(..).filter_map(|s| s.job);
+        let parked = self.waits.drain().map(|(job, _)| job);
         let deferred = self.deferred.drain(..).map(|(_, job)| job);
         out.extend(parked.chain(deferred).map(|job| (job, WakeKind::Ready)));
-        self.free.clear();
         self.fd_waits = 0;
         self.ready.clear();
         self.deadlines.clear();
@@ -566,7 +522,7 @@ impl<T> ReactorCore<T> {
     /// heap entries in front of it.
     fn next_deadline(&mut self) -> Option<Instant> {
         while let Some(&Reverse((_, _, key))) = self.deadlines.peek() {
-            if self.is_live(key) {
+            if self.waits.contains(key) {
                 break;
             }
             self.deadlines.pop();
@@ -651,7 +607,7 @@ impl<T> ReactorCore<T> {
             let key = self.ready[k];
             // A wait resolved at registration may have been cancelled
             // before this harvest, or resolved twice in one batch.
-            if !self.is_live(key) {
+            if !self.waits.contains(key) {
                 continue;
             }
             // Injected readiness faults, consulted per delivery. Drop
@@ -662,7 +618,7 @@ impl<T> ReactorCore<T> {
                 self.faults_injected += 1;
                 continue;
             }
-            let (job, _) = self.unpark(key).expect("checked live");
+            let (job, _) = self.resolve(key).expect("checked live");
             if self.delay_fault.tick() {
                 self.faults_injected += 1;
                 self.deferred.push((Instant::now() + Duration::from_millis(5), job));
@@ -690,7 +646,7 @@ impl<T> ReactorCore<T> {
                 break;
             }
             self.deadlines.pop();
-            let Some((job, on)) = self.unpark(key) else { continue };
+            let Some((job, on)) = self.resolve(key) else { continue };
             if matches!(on, On::Timer) {
                 self.lateness[lateness_bucket(now.duration_since(t))] += 1;
             }

@@ -849,19 +849,23 @@ mod tests {
         assert!(!h.wants_collection());
     }
 
+    /// A continuation id minted by a real stack: a one-frame capture.
+    fn kont_id() -> KontId {
+        let mut st = oneshot_core::SegStack::new(oneshot_core::Config::default(), 0u8);
+        st.push_frame(1, 1);
+        st.capture_one(0).expect("a frame to capture")
+    }
+
     #[test]
     fn konts_registry_finds_continuations() {
         let mut h = Heap::new();
         h.alloc(Obj::Cell(Value::NIL));
         // Halt konts (no stack record) are not in the registry.
         h.alloc(Obj::Kont { kont: None, winders: Value::NIL, prompt: None });
-        let k = h.alloc(Obj::Kont {
-            kont: Some(KontId::from_index(7)),
-            winders: Value::NIL,
-            prompt: None,
-        });
+        let id = kont_id();
+        let k = h.alloc(Obj::Kont { kont: Some(id), winders: Value::NIL, prompt: None });
         let found: Vec<_> = h.konts().collect();
-        assert_eq!(found, vec![(k, KontId::from_index(7))]);
+        assert_eq!(found, vec![(k, id)]);
         // Sweeping an unmarked kont prunes the registry.
         h.begin_gc();
         h.sweep();
@@ -873,7 +877,7 @@ mod tests {
         let mut h = Heap::new();
         let p = h.alloc(Obj::Pair(Value::fixnum(0), Value::NIL));
         let w = h.alloc(Obj::Pair(Value::fixnum(1), Value::obj(p)));
-        let (kont, winders) = (Some(KontId::from_index(3)), Value::obj(w));
+        let (kont, winders) = (Some(kont_id()), Value::obj(w));
         let k = h.alloc(Obj::Kont { kont, winders, prompt: Some(Value::obj(p)) });
         assert_eq!(h.kont(k), None, "a subcontinuation is not a continuation");
         assert_eq!(h.subcont(k), Some((kont, winders, Value::obj(p))));

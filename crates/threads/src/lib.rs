@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use oneshot_core::{Key, Slab};
 use oneshot_runtime::Value;
 use std::sync::Arc;
 
@@ -190,29 +191,11 @@ impl ThreadSystem {
     }
 }
 
-/// Identifier of an engine registered with an [`EngineHost`]: the
-/// engine's slot in the VM's root vector (low 32 bits) and its spawn
-/// serial (high 32 bits). A finished or dropped engine's slot is reused;
-/// the serial refuses the stale id of its previous occupant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EngineId(i64);
-
-impl EngineId {
-    fn new(slot: usize, serial: u32) -> Self {
-        let slot = u32::try_from(slot).expect("fewer than 2^32 resident engines");
-        EngineId(i64::from(serial) << 32 | i64::from(slot))
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & 0xffff_ffff) as usize
-    }
-}
-
-impl std::fmt::Display for EngineId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}@{}", self.0 as u64 >> 32, self.slot())
-    }
-}
+/// Identifier of an engine registered with an [`EngineHost`]: its key in
+/// the host's engine slab, whose index is the engine's slot in the VM's
+/// root vector. A finished or dropped engine's slot is reused; the key's
+/// generation refuses the stale id of its previous occupant.
+pub type EngineId = Key;
 
 /// Outcome of one [`EngineHost::step`] fuel slice.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,12 +268,10 @@ pub enum Wait {
 #[derive(Debug)]
 pub struct EngineHost {
     vm: Vm,
-    /// The engine in each slot of the VM's root vector, `None` when the
-    /// slot is free. Free slots are reused through `free`, so spawn, step
-    /// and drop are O(1) however many engines are resident.
-    engines: Vec<Option<EngineId>>,
-    free: Vec<usize>,
-    serial: u32,
+    /// The live engines. An engine's key index is its slot in the VM's
+    /// root vector; freed slots are reused, so spawn, step and drop are
+    /// O(1) however many engines are resident.
+    engines: Slab<()>,
     /// `engines.scm`'s entry points and the symbols a step reads or
     /// passes, resolved once at load.
     guest: Guest,
@@ -339,14 +320,7 @@ impl EngineHost {
             write: vm.intern("write"),
             timer: vm.intern("timer"),
         };
-        EngineHost {
-            vm,
-            engines: Vec::new(),
-            free: Vec::new(),
-            serial: 0,
-            guest,
-            shared: Vec::new(),
-        }
+        EngineHost { vm, engines: Slab::new(), guest, shared: Vec::new() }
     }
 
     /// The underlying VM.
@@ -361,7 +335,7 @@ impl EngineHost {
 
     /// Number of engines spawned but not yet finished or dropped.
     pub fn live(&self) -> usize {
-        self.engines.len() - self.free.len()
+        self.engines.len()
     }
 
     /// Links `prog` into the host VM and registers its toplevel thunk as a
@@ -398,36 +372,27 @@ impl EngineHost {
     }
 
     fn spawn_linked(&mut self, linked: LinkedProgram) -> Result<EngineId, VmError> {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.engines.push(None);
+        let id = self.engines.insert(());
+        let slot = id.index() as usize;
+        if slot == self.vm.roots_mut().len() {
             self.vm.roots_mut().push(Value::FALSE);
-            self.engines.len() - 1
-        });
+        }
         // The thunk is rooted before anything else allocates.
         let thunk = self.vm.instantiate(linked);
         self.vm.roots_mut()[slot] = thunk;
         let wrap = self.vm.global_at(self.guest.job).expect("engines.scm defines %engine-job");
         let job = self.vm.call(wrap, &[thunk]);
         if job.is_err() {
-            self.release(slot);
+            self.release(id);
         }
         self.vm.roots_mut()[slot] = job?;
-        self.serial = self.serial.wrapping_add(1);
-        let id = EngineId::new(slot, self.serial);
-        self.engines[slot] = Some(id);
         Ok(id)
     }
 
-    /// Whether `id` names a live engine — not one whose slot was reused.
-    fn is_live(&self, id: EngineId) -> bool {
-        self.engines.get(id.slot()) == Some(&Some(id))
-    }
-
-    /// Frees `slot`, letting go of the job its root held.
-    fn release(&mut self, slot: usize) {
-        self.vm.roots_mut()[slot] = Value::FALSE;
-        self.engines[slot] = None;
-        self.free.push(slot);
+    /// Frees `id`'s slot, letting go of the job its root held.
+    fn release(&mut self, id: EngineId) {
+        self.vm.roots_mut()[id.index() as usize] = Value::FALSE;
+        self.engines.remove(id);
     }
 
     /// Runs engine `id` for one slice of `fuel` procedure calls.
@@ -463,15 +428,16 @@ impl EngineHost {
         fuel: u64,
         status: Option<&str>,
     ) -> Result<EngineStep, VmError> {
-        if !self.is_live(id) {
-            return Err(VmError::Internal(format!("step: unknown engine {id}")));
+        if !self.engines.contains(id) {
+            let (gen, slot) = (id.generation(), id.index());
+            return Err(VmError::Internal(format!("step: unknown engine {gen}@{slot}")));
         }
-        let slot = id.slot();
+        let slot = id.index() as usize;
         let fuel = i64::try_from(fuel.max(1)).unwrap_or(i64::MAX);
         let status = status.map_or(Value::fixnum(0), |s| self.vm.intern(s));
         let slice = self.vm.global_at(self.guest.slice).expect("engines.scm defines %engine-slice");
         let job = self.vm.roots_mut()[slot];
-        self.vm.set_socket_owner(Some(id.0));
+        self.vm.set_socket_owner(Some(id));
         let stepped = self.vm.call(slice, &[job, Value::fixnum(fuel), status]);
         self.vm.set_socket_owner(None);
         if stepped.is_err() {
@@ -481,7 +447,7 @@ impl EngineHost {
         let v = stepped?;
         match self.vm.pair(v) {
             Some((tag, value)) if tag == self.guest.done => {
-                self.release(slot);
+                self.release(id);
                 return Ok(EngineStep::Done(value));
             }
             Some((sk, wait)) => {
@@ -524,11 +490,11 @@ impl EngineHost {
     /// an engine that will never finish cannot close them itself. Returns
     /// whether the engine was live.
     pub fn drop_engine(&mut self, id: EngineId) -> bool {
-        if !self.is_live(id) {
+        if !self.engines.contains(id) {
             return false;
         }
-        self.vm.close_sockets_of(id.0);
-        self.release(id.slot());
+        self.vm.close_sockets_of(id);
+        self.release(id);
         true
     }
 }

@@ -10,16 +10,18 @@
 //! the worker that runs the guest, and a worker reset (VM rebuild) closes
 //! every socket of the jobs it killed.
 //!
-//! A token is a slot index with a free list under the slot's generation,
+//! The table is a [`Slab`] and a token is a socket's slab key as a
+//! fixnum — the slot index in the low bits, the slot's generation above —
 //! so `%tcp-*` builtins are O(1) and a token names one socket: closing a
-//! slot bumps its generation, so a token kept past its close — by the
-//! guest, or by the embedder scrapping a connection handler's socket —
-//! is refused as `bad socket token` instead of naming the slot's next
-//! socket.
+//! socket retires its key, so a token kept past its close — by the guest,
+//! or by the embedder scrapping a connection handler's socket — is
+//! refused as `bad socket token` instead of naming the slot's next socket.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+
+use oneshot_core::{Key, Slab};
 
 use crate::error::{ConditionKind, VmError};
 
@@ -30,6 +32,14 @@ pub(crate) enum Sock {
     Listener(TcpListener),
     /// A connected (or accepted, or adopted) stream.
     Stream(TcpStream),
+}
+
+/// One open socket and who opened it.
+#[derive(Debug)]
+struct Open {
+    sock: Sock,
+    /// The owner set when the socket was inserted.
+    owner: Option<Key>,
 }
 
 /// Outcome of a nonblocking read.
@@ -46,19 +56,14 @@ pub(crate) enum ReadOutcome<'a> {
 /// The per-VM socket table.
 #[derive(Debug)]
 pub(crate) struct NetTable {
-    slots: Vec<Option<Sock>>,
-    /// Who opened each slot's socket: the owner set when it was inserted.
-    owners: Vec<Option<i64>>,
-    /// Each slot's generation, bumped when its socket closes.
-    gens: Vec<i64>,
+    /// The open sockets.
+    socks: Slab<Open>,
     /// Bits of a token that hold the slot index: enough for `cap` slots.
     /// The generation takes the bits above, up to [`TOKEN_BITS`].
     shift: u32,
     /// The owner new sockets are attributed to (see [`Vm::set_socket_owner`]
     /// (crate::Vm::set_socket_owner)).
-    owner: Option<i64>,
-    free: Vec<usize>,
-    live: usize,
+    owner: Option<Key>,
     /// Open-socket ceiling; exceeding it raises a catchable `io-error`
     /// condition instead of hitting the process fd limit.
     cap: usize,
@@ -97,13 +102,9 @@ fn bad_token(who: &str, token: i64) -> VmError {
 impl NetTable {
     pub(crate) fn new(cap: usize) -> Self {
         NetTable {
-            slots: Vec::new(),
-            owners: Vec::new(),
-            gens: Vec::new(),
+            socks: Slab::new(),
             shift: (usize::BITS - cap.saturating_sub(1).leading_zeros()).min(TOKEN_BITS - 1),
             owner: None,
-            free: Vec::new(),
-            live: 0,
             cap,
             closed_log: Vec::new(),
             owed_log: Vec::new(),
@@ -114,75 +115,67 @@ impl NetTable {
 
     /// Number of open sockets.
     pub(crate) fn live(&self) -> usize {
-        self.live
+        self.socks.len()
     }
 
     fn insert(&mut self, who: &str, sock: Sock) -> Result<i64, VmError> {
-        if self.live >= self.cap {
+        if self.socks.len() >= self.cap {
             return Err(io_error(format!("{who}: too many open sockets (limit {})", self.cap)));
         }
-        self.live += 1;
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(sock);
-                self.owners[i] = self.owner;
-                i
-            }
-            None => {
-                self.slots.push(Some(sock));
-                self.owners.push(self.owner);
-                self.gens.push(0);
-                self.slots.len() - 1
-            }
-        };
-        Ok(self.token(idx))
+        // At most `cap` sockets are ever open and freed slots are reused
+        // first, so every index fits in `shift` bits.
+        let key = self.socks.insert(Open { sock, owner: self.owner });
+        Ok(self.token(key))
     }
 
-    /// The token of slot `i`'s current socket.
-    fn token(&self, i: usize) -> i64 {
-        self.gens[i] << self.shift | i as i64
+    /// The token of the socket `key` names: the generation, cut to the
+    /// bits above the index that [`TOKEN_BITS`] leaves, over the index.
+    fn token(&self, key: Key) -> i64 {
+        let gen = i64::from(key.generation()) & ((1 << (TOKEN_BITS - self.shift)) - 1);
+        gen << self.shift | i64::from(key.index())
     }
 
-    /// The slot `token` names, if the token was issued for the slot's
-    /// current generation.
-    fn index(&self, token: i64) -> Option<usize> {
-        let i = usize::try_from(token & ((1 << self.shift) - 1)).ok()?;
-        (i < self.slots.len() && self.token(i) == token).then_some(i)
+    /// The key of the open socket `token` names, if the token was issued
+    /// for it and not for an earlier socket in its slot.
+    fn index(&self, token: i64) -> Option<Key> {
+        let key = self.socks.key_at(u32::try_from(token & ((1 << self.shift) - 1)).ok()?)?;
+        (self.token(key) == token).then_some(key)
     }
 
-    pub(crate) fn set_owner(&mut self, owner: Option<i64>) {
+    pub(crate) fn set_owner(&mut self, owner: Option<Key>) {
         self.owner = owner;
     }
 
     /// Closes every open socket `owner` opened.
-    pub(crate) fn close_owned_by(&mut self, owner: i64) {
-        for i in 0..self.slots.len() {
-            if self.owners[i] == Some(owner) {
-                self.close_slot(i);
+    pub(crate) fn close_owned_by(&mut self, owner: Key) {
+        for i in 0..self.socks.slot_count() {
+            if let Some(key) = self.socks.key_at(i).filter(|&k| self.socks[k].owner == Some(owner))
+            {
+                self.close_key(key);
             }
         }
     }
 
-    /// The socket in slot `at` (from [`NetTable::index`] of `token`).
-    /// Takes the slot vector, not the table, so callers can hold a buffer
-    /// of the table at the same time.
+    /// The socket `at` names (from [`NetTable::index`] of `token`). Takes
+    /// the slab, not the table, so callers can hold a buffer of the table
+    /// at the same time.
     fn sock<'a>(
-        at: Option<usize>,
-        slots: &'a mut [Option<Sock>],
+        at: Option<Key>,
+        socks: &'a mut Slab<Open>,
         who: &str,
         token: i64,
     ) -> Result<&'a mut Sock, VmError> {
-        at.and_then(|i| slots[i].as_mut()).ok_or_else(|| bad_token(who, token))
+        at.and_then(|k| socks.get_mut(k)).map(|o| &mut o.sock).ok_or_else(|| bad_token(who, token))
     }
 
-    /// The stream in slot `at`, as for [`NetTable::sock`].
+    /// The stream `at` names, as for [`NetTable::sock`].
     fn stream<'a>(
-        at: Option<usize>,
-        slots: &'a mut [Option<Sock>],
+        at: Option<Key>,
+        socks: &'a mut Slab<Open>,
         who: &str,
         token: i64,
     ) -> Result<&'a mut TcpStream, VmError> {
-        match Self::sock(at, slots, who, token)? {
+        match Self::sock(at, socks, who, token)? {
             Sock::Stream(s) => Ok(s),
             Sock::Listener(_) => Err(bad_token(&format!("{who}: not a stream"), token)),
         }
@@ -190,7 +183,7 @@ impl NetTable {
 
     /// The raw file descriptor behind `token`, for reactor registration.
     pub(crate) fn fd(&self, token: i64) -> Option<i64> {
-        match self.slots[self.index(token)?].as_ref()? {
+        match &self.socks[self.index(token)?].sock {
             Sock::Listener(l) => Some(i64::from(l.as_raw_fd())),
             Sock::Stream(s) => Some(i64::from(s.as_raw_fd())),
         }
@@ -212,7 +205,7 @@ impl NetTable {
 
     /// The local port a listener is bound to.
     pub(crate) fn local_port(&mut self, token: i64) -> Result<i64, VmError> {
-        match Self::sock(self.index(token), &mut self.slots, "tcp-local-port", token)? {
+        match Self::sock(self.index(token), &mut self.socks, "tcp-local-port", token)? {
             Sock::Listener(l) => {
                 let addr = l.local_addr().map_err(|e| io_err("tcp-local-port", e))?;
                 Ok(i64::from(addr.port()))
@@ -226,7 +219,7 @@ impl NetTable {
 
     /// Accepts one pending connection; `Ok(None)` means would-block.
     pub(crate) fn accept(&mut self, token: i64) -> Result<Option<i64>, VmError> {
-        let sock = Self::sock(self.index(token), &mut self.slots, "tcp-accept", token)?;
+        let sock = Self::sock(self.index(token), &mut self.socks, "tcp-accept", token)?;
         let Sock::Listener(l) = sock else {
             return Err(bad_token("tcp-accept: not a listener", token));
         };
@@ -285,7 +278,7 @@ impl NetTable {
 
     /// Reads at most `max` bytes into the table's read buffer.
     pub(crate) fn read(&mut self, token: i64, max: usize) -> Result<ReadOutcome<'_>, VmError> {
-        let s = Self::stream(self.index(token), &mut self.slots, "tcp-read", token)?;
+        let s = Self::stream(self.index(token), &mut self.socks, "tcp-read", token)?;
         let max = max.clamp(1, 1 << 20);
         if self.rbuf.len() < max {
             self.rbuf.resize(max, 0);
@@ -317,7 +310,7 @@ impl NetTable {
         token: i64,
         len: usize,
     ) -> Result<Option<usize>, VmError> {
-        let s = Self::stream(self.index(token), &mut self.slots, "tcp-write", token)?;
+        let s = Self::stream(self.index(token), &mut self.socks, "tcp-write", token)?;
         match s.write(&self.wbuf[..len]) {
             Ok(n) => Ok(Some(n)),
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
@@ -328,12 +321,12 @@ impl NetTable {
 
     /// Closes `token`. Closing an already-closed token is a no-op (`false`).
     pub(crate) fn close(&mut self, token: i64) -> bool {
-        self.index(token).is_some_and(|i| self.close_slot(i))
+        self.index(token).is_some_and(|k| self.close_key(k))
     }
 
-    /// Closes slot `i`'s socket, if it has one, and retires its token.
-    fn close_slot(&mut self, i: usize) -> bool {
-        let Some(sock) = self.slots[i].take() else {
+    /// Closes the socket `key` names, if it is open, and retires its token.
+    fn close_key(&mut self, key: Key) -> bool {
+        let Some(Open { sock, .. }) = self.socks.remove(key) else {
             return false;
         };
         let fd = match &sock {
@@ -341,9 +334,6 @@ impl NetTable {
             Sock::Stream(s) => s.as_raw_fd(),
         };
         self.closed_log.push(fd);
-        self.live -= 1;
-        self.gens[i] = (self.gens[i] + 1) & ((1 << (TOKEN_BITS - self.shift)) - 1);
-        self.free.push(i);
         true
     }
 }
@@ -415,13 +405,10 @@ mod tests {
             std::thread::yield_now();
         };
         // Re-adopt the accepted stream through the embedder path.
-        let Some(Sock::Stream(s)) =
-            t.slots.get_mut(usize::try_from(accepted).unwrap()).and_then(Option::take)
-        else {
+        let key = t.index(accepted).expect("the accepted token is live");
+        let Some(Open { sock: Sock::Stream(s), .. }) = t.socks.remove(key) else {
             panic!("accepted slot vanished")
         };
-        t.live -= 1;
-        t.free.push(usize::try_from(accepted).unwrap());
         let adopted = t.adopt(s).unwrap();
         let fd = i32::try_from(t.fd(adopted).unwrap()).unwrap();
         assert!(t.close(adopted));

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use oneshot_compiler::{
     compile_program_with, CompiledProgram, CompilerOptions, FreeSrc, Op, Pipeline, MNEMONICS,
 };
-use oneshot_core::{Config, FaultClock, FaultPlan, KontId, Overflow, SegStack, Stats};
+use oneshot_core::{Config, FaultClock, FaultPlan, Key, KontId, Overflow, SegStack, Stats};
 use oneshot_runtime::{
     datum_to_value, display_value, write_value, Heap, HeapStats, Obj, Symbols, Value,
 };
@@ -599,14 +599,14 @@ impl Vm {
     /// Attributes the guest sockets opened from now on to `owner` (an
     /// engine host's engine id; `None` between engine steps).
     #[doc(hidden)]
-    pub fn set_socket_owner(&mut self, owner: Option<i64>) {
+    pub fn set_socket_owner(&mut self, owner: Option<Key>) {
         self.net.set_owner(owner);
     }
 
     /// Closes every guest socket opened while `owner` was set, through the
     /// same path as [`Vm::close_socket`].
     #[doc(hidden)]
-    pub fn close_sockets_of(&mut self, owner: i64) {
+    pub fn close_sockets_of(&mut self, owner: Key) {
         self.net.close_owned_by(owner);
     }
 
