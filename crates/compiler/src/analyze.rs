@@ -320,7 +320,7 @@ mod tests {
             let params = Datum::list([Datum::symbol("a"), Datum::symbol("b")]);
             let src = Datum::list([Datum::symbol("lambda"), params].into_iter().chain(body));
             let Ok(program) = expand_program(&[src]) else { return };
-            for forms in [program.forms.clone(), cps_convert(program).unwrap().forms] {
+            for forms in [program.forms.clone(), cps_convert(program, |_| false).unwrap().forms] {
                 let all = free_vars(&forms);
                 let mut ls = Vec::new();
                 forms.iter().for_each(|f| lambdas(f, &mut ls));

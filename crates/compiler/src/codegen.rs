@@ -21,31 +21,25 @@ use crate::{peephole, CompilerOptions, Pipeline};
 
 type Result<T> = std::result::Result<T, CompileError>;
 
-/// Compiles a whole program (reader data) through the chosen pipeline with
-/// default [`CompilerOptions`] (superinstruction fusion on).
+/// Compiles a whole program (reader data) through the chosen pipeline.
+///
+/// `cps_direct` is the CPS converter's direct-call test ([`cps_convert`]):
+/// whether a call to the global it names is a builtin that converted code
+/// calls without a continuation. The direct-style pipeline never asks it.
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for malformed forms or frames exceeding the
-/// bytecode's 16-bit slot indices.
-pub fn compile_program(forms: &[Datum], pipeline: Pipeline) -> Result<CompiledProgram> {
-    compile_program_with(forms, pipeline, CompilerOptions::default())
-}
-
-/// Compiles a whole program with explicit back-end options.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] for malformed forms or frames exceeding the
-/// bytecode's 16-bit slot indices.
+/// Returns a [`CompileError`] for malformed forms, frames exceeding the
+/// bytecode's 16-bit slot indices, or (CPS) continuations nested too deep.
 pub fn compile_program_with(
     forms: &[Datum],
     pipeline: Pipeline,
     options: CompilerOptions,
+    cps_direct: fn(&str) -> bool,
 ) -> Result<CompiledProgram> {
     let mut program = expand_program(forms)?;
     if pipeline == Pipeline::Cps {
-        program = cps_convert(program)?;
+        program = cps_convert(program, cps_direct)?;
     }
     let mutated = mutated_vars(&program.forms);
     let mut g = Gen {
@@ -73,31 +67,6 @@ pub fn compile_program_with(
     }
     let entry = g.finish_fn(ctx, Vec::new());
     Ok(CompiledProgram { codes: g.codes, entry, globals: g.globals })
-}
-
-/// Primitive names eligible for inline code generation.
-fn inlinable(name: &str) -> bool {
-    matches!(
-        name,
-        "+" | "-"
-            | "*"
-            | "<"
-            | "<="
-            | ">"
-            | ">="
-            | "="
-            | "cons"
-            | "car"
-            | "cdr"
-            | "null?"
-            | "pair?"
-            | "not"
-            | "zero?"
-            | "eq?"
-            | "eqv?"
-            | "vector-ref"
-            | "vector-set!"
-    )
 }
 
 /// Where a variable lives, relative to the function being compiled.
@@ -404,10 +373,7 @@ impl Gen {
         }
         // Inline primitives.
         if let Expr::GlobalRef(name) = f {
-            if inlinable(name)
-                && !self.defined_globals.contains(name)
-                && self.gen_inline(ctx, name, args, tail)?
-            {
+            if self.gen_inline(ctx, name, args, tail)? {
                 return Ok(());
             }
         }
@@ -453,7 +419,8 @@ impl Gen {
     }
 
     /// Tries to emit an inline primitive; returns false to fall back to a
-    /// general call (e.g. arity mismatch).
+    /// general call: `name` has no inline form, or the program defines or
+    /// assigns it, or the argument count has none (e.g. arity mismatch).
     fn gen_inline(
         &mut self,
         ctx: &mut FnCtx,
@@ -462,19 +429,36 @@ impl Gen {
         tail: bool,
     ) -> Result<bool> {
         // Unary accumulator ops.
-        let unary = |n: &str| -> Option<Op> {
-            Some(match n {
-                "car" => Op::Car,
-                "cdr" => Op::Cdr,
-                "null?" => Op::NullP,
-                "pair?" => Op::PairP,
-                "not" => Op::Not,
-                "zero?" => Op::ZeroP,
-                _ => return None,
-            })
+        let unary = match name {
+            "car" => Some(Op::Car),
+            "cdr" => Some(Op::Cdr),
+            "null?" => Some(Op::NullP),
+            "pair?" => Some(Op::PairP),
+            "not" => Some(Op::Not),
+            "zero?" => Some(Op::ZeroP),
+            _ => None,
         };
+        // Binary ops on a slot operand and the accumulator.
+        let binary: Option<fn(u16) -> Op> = match name {
+            "+" => Some(Op::Add),
+            "-" => Some(Op::Sub),
+            "*" => Some(Op::Mul),
+            "<" => Some(Op::Lt),
+            "<=" => Some(Op::Le),
+            ">" => Some(Op::Gt),
+            ">=" => Some(Op::Ge),
+            "=" => Some(Op::NumEq),
+            "cons" => Some(Op::Cons),
+            "eq?" | "eqv?" => Some(Op::Eq),
+            "vector-ref" => Some(Op::VecRef),
+            _ => None,
+        };
+        let primitive = unary.is_some() || binary.is_some() || name == "vector-set!";
+        if !primitive || self.defined_globals.contains(name) {
+            return Ok(false);
+        }
         if args.len() == 1 {
-            if let Some(op) = unary(name) {
+            if let Some(op) = unary {
                 self.gen(ctx, &args[0], false)?;
                 ctx.emit(op);
                 self.ret(ctx, tail);
@@ -509,23 +493,7 @@ impl Gen {
                 _ => return Ok(false),
             }
         }
-        let binary = |n: &str| -> Option<fn(u16) -> Op> {
-            Some(match n {
-                "+" => Op::Add,
-                "-" => Op::Sub,
-                "*" => Op::Mul,
-                "<" => Op::Lt,
-                "<=" => Op::Le,
-                ">" => Op::Gt,
-                ">=" => Op::Ge,
-                "=" => Op::NumEq,
-                "cons" => Op::Cons,
-                "eq?" | "eqv?" => Op::Eq,
-                "vector-ref" => Op::VecRef,
-                _ => return None,
-            })
-        };
-        if let Some(mk) = binary(name) {
+        if let Some(mk) = binary {
             // Variadic folds for + and *; exactly-two for the rest.
             let foldable = matches!(name, "+" | "*");
             if args.len() == 2 || (foldable && args.len() > 2) {
@@ -585,7 +553,10 @@ mod tests {
     use oneshot_sexp::read_all;
 
     fn compile(src: &str) -> CompiledProgram {
-        compile_program(&read_all(src).unwrap(), Pipeline::Direct).unwrap()
+        compile_program_with(&read_all(src).unwrap(), Pipeline::Direct, Default::default(), |_| {
+            false
+        })
+        .unwrap()
     }
 
     fn entry_ops(p: &CompiledProgram) -> &[Op] {
@@ -696,7 +667,8 @@ mod tests {
     fn assigned_and_captured_operands_use_a_temporary() {
         let unfused = |src: &str| {
             let options = CompilerOptions { fuse: false };
-            compile_program_with(&read_all(src).unwrap(), Pipeline::Direct, options).unwrap()
+            compile_program_with(&read_all(src).unwrap(), Pipeline::Direct, options, |_| false)
+                .unwrap()
         };
         let p = unfused("(define (f x) (set! x 1) (< x 2))");
         let f = body(&p, "f");
@@ -865,7 +837,8 @@ mod tests {
     #[test]
     fn cps_pipeline_compiles() {
         let forms = read_all("(define (f x) (+ x 1)) (f 1)").unwrap();
-        let p = compile_program(&forms, Pipeline::Cps).unwrap();
+        let direct = |name: &str| name == "+";
+        let p = compile_program_with(&forms, Pipeline::Cps, Default::default(), direct).unwrap();
         assert!(!p.codes.is_empty());
     }
 

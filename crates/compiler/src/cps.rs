@@ -7,11 +7,12 @@
 //! baseline the paper compares against (§4's CPS thread system, §5's
 //! Appel–Shao closure-overhead discussion).
 //!
-//! Direct Rust builtins (per [`crate::builtins::cps_direct`]) are called
-//! without a continuation, unless the program defines or assigns the name
-//! ([`Program::defined_globals`]); the control operators (`call/cc`, `apply`,
-//! `values`, ...) are redefined by the VM's CPS prelude in hand-written CPS
-//! form.
+//! The converter holds no list of builtins: the caller passes a
+//! direct-call test, and a global it accepts is called without a
+//! continuation, unless the program defines or assigns the name
+//! ([`Program::defined_globals`]). The VM's test accepts every row of its
+//! builtin table except the ones its CPS prelude redefines in hand-written
+//! CPS form: the control operators (`call/cc`, `apply`, `values`, ...).
 //!
 //! The converter is the standard one-pass higher-order transform:
 //! continuations are either atoms (variables) duplicated freely, or Rust
@@ -33,7 +34,6 @@ use std::vec;
 use oneshot_sexp::{Datum, MAX_NESTING};
 
 use crate::ast::{Expr, Lambda, Program, VarId};
-use crate::builtins::cps_direct;
 use crate::expand::CompileError;
 
 /// The deepest nesting of continuations the converter builds: calls in
@@ -43,7 +43,9 @@ use crate::expand::CompileError;
 /// procedure's argument list).
 const MAX_DEPTH: usize = 2 * MAX_NESTING;
 
-/// Converts `program` to continuation-passing style.
+/// Converts `program` to continuation-passing style. A call to a global
+/// that `direct` accepts, and the program neither defines nor assigns,
+/// stays a direct call without a continuation argument.
 ///
 /// The toplevel forms are chained through one continuation (a single
 /// `Seq`), so a continuation captured in one form resumes the rest of the
@@ -54,9 +56,10 @@ const MAX_DEPTH: usize = 2 * MAX_NESTING;
 ///
 /// Refuses a program whose conversion would nest continuations deeper
 /// than twice [`MAX_NESTING`].
-pub fn cps_convert(program: Program) -> Result<Program, CompileError> {
+pub fn cps_convert(program: Program, direct: fn(&str) -> bool) -> Result<Program, CompileError> {
     let mut c = Cps {
         next: program.var_count,
+        builtin: direct,
         depth: 0,
         too_deep: false,
         defined_globals: program.defined_globals,
@@ -83,6 +86,9 @@ struct Cps {
     /// Set when a `cps` call would pass [`MAX_DEPTH`]; that call and
     /// every deeper one convert nothing, and the result is refused.
     too_deep: bool,
+    /// The caller's direct-call test: is a global a builtin that needs
+    /// no continuation?
+    builtin: fn(&str) -> bool,
     /// The program's own globals: never called direct-style.
     defined_globals: HashSet<Rc<str>>,
 }
@@ -137,7 +143,7 @@ fn atomic(e: &Expr) -> bool {
 impl Cps {
     /// Whether a call to global `name` is a direct builtin call.
     fn direct(&self, name: &str) -> bool {
-        cps_direct(name) && !self.defined_globals.contains(name)
+        (self.builtin)(name) && !self.defined_globals.contains(name)
     }
 
     fn fresh(&mut self) -> VarId {
@@ -379,8 +385,14 @@ mod tests {
     use crate::expand::expand_program;
     use oneshot_sexp::read_all;
 
+    /// A stand-in for the VM's direct-call test: the builtins these tests
+    /// call direct-style (`call/cc` is a control operator).
+    fn direct(name: &str) -> bool {
+        matches!(name, "+" | "-" | "<" | "cons")
+    }
+
     fn convert(src: &str) -> Program {
-        cps_convert(expand_program(&read_all(src).unwrap()).unwrap()).unwrap()
+        cps_convert(expand_program(&read_all(src).unwrap()).unwrap(), direct).unwrap()
     }
 
     /// The converted program is one chained form; digs out the first
@@ -405,9 +417,12 @@ mod tests {
     fn check_tail_only(e: &Expr, tail: bool) {
         match e {
             Expr::App(f, args) => {
-                let direct = matches!(&**f, Expr::GlobalRef(n) if cps_direct(n));
+                let builtin = matches!(&**f, Expr::GlobalRef(n) if direct(n));
                 let lambda_app = matches!(&**f, Expr::Lambda(_));
-                assert!(direct || lambda_app || tail, "non-tail general call in CPS output: {e:?}");
+                assert!(
+                    builtin || lambda_app || tail,
+                    "non-tail general call in CPS output: {e:?}"
+                );
                 if lambda_app {
                     if let Expr::Lambda(l) = &**f {
                         check_tail_only(&l.body, tail);

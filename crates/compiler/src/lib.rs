@@ -16,11 +16,15 @@
 //! # Example
 //!
 //! ```
-//! use oneshot_compiler::{compile_program, Pipeline};
+//! use oneshot_compiler::{compile_program_with, CompilerOptions, Pipeline};
 //! use oneshot_sexp::read_all;
 //!
 //! let forms = read_all("(define (id x) x) (id 42)").unwrap();
-//! let prog = compile_program(&forms, Pipeline::Direct).unwrap();
+//! // The last argument is the CPS converter's direct-call test; the
+//! // direct-style pipeline never asks it.
+//! let prog =
+//!     compile_program_with(&forms, Pipeline::Direct, CompilerOptions::default(), |_| false)
+//!         .unwrap();
 //! assert!(prog.codes.len() >= 2); // the toplevel thunk and `id`
 //! ```
 
@@ -29,7 +33,6 @@
 
 mod analyze;
 mod ast;
-pub mod builtins;
 mod codegen;
 mod cps;
 mod expand;
@@ -37,7 +40,7 @@ mod ops;
 pub mod peephole;
 
 pub use ast::{Expr, Lambda, Program, VarId};
-pub use codegen::{compile_program, compile_program_with};
+pub use codegen::compile_program_with;
 pub use cps::cps_convert;
 pub use expand::{expand_program, CompileError};
 pub use ops::{CodeObject, CompiledProgram, FreeSrc, Op, MNEMONICS};

@@ -52,12 +52,19 @@ const TOKENS: [&str; 24] = [
     "-2.5", "+inf.0", "\"s\\n\"", "#\\a", "x", "f", "car",
 ];
 
+/// A stand-in for the VM's direct-call test: the builtins among the
+/// sources' names and the expander's lowerings, which CPS conversion
+/// leaves as direct calls.
+fn direct(name: &str) -> bool {
+    matches!(name, "car" | "+" | "not" | "list" | "append" | "memv" | "list->vector")
+}
+
 /// Reads `src` and compiles whatever it reads on both pipelines; any
 /// panic fails the case.
 fn front_end(src: &str) {
     let Ok(forms) = read_all(src) else { return };
     for pipeline in [Pipeline::Direct, Pipeline::Cps] {
-        let _ = compile_program_with(&forms, pipeline, CompilerOptions::default());
+        let _ = compile_program_with(&forms, pipeline, CompilerOptions::default(), direct);
     }
 }
 
@@ -174,7 +181,7 @@ fn flat(n: usize) -> [(&'static str, String); 3] {
 fn compile(src: &str) -> [(Pipeline, Result<(), String>); 2] {
     let forms = read_all(src).unwrap();
     [Pipeline::Direct, Pipeline::Cps].map(|pipeline| {
-        let compiled = compile_program_with(&forms, pipeline, CompilerOptions::default());
+        let compiled = compile_program_with(&forms, pipeline, CompilerOptions::default(), direct);
         (pipeline, compiled.map(drop).map_err(|e| e.message))
     })
 }

@@ -1,22 +1,26 @@
 //! Builtin procedures: one row of [`BUILTINS`] per name, giving its arity
 //! and its body.
 //!
-//! The rows are in `oneshot_compiler::builtins::BUILTIN_NAMES` order (the
-//! canonical list shared with the CPS converter; a unit test holds the two
-//! equal), and `Value::builtin(i)` is row `i`. [`Vm::call_builtin`] checks
+//! The table is the only place a builtin is declared: `Value::builtin(i)`
+//! is row `i`, and the CPS converter's direct-call test ([`cps_direct`])
+//! is derived from the rows and the CPS prelude. [`Vm::call_builtin`] checks
 //! a row's arity before its body runs, with the rule and the `arity-error`
 //! condition a closure's prologue uses, so no body counts its arguments
 //! beyond the upper bound of an optional one.
 
+use std::collections::HashSet;
+use std::sync::LazyLock;
+
+use oneshot_compiler::{expand_program, CompilerOptions};
 use oneshot_runtime::{datum_to_value, values_equal, Obj, ObjKind, Unpacked, Value};
-use oneshot_sexp::Datum;
+use oneshot_sexp::{read_all, Datum};
 
 use crate::error::{ConditionKind, VmError, R};
 use crate::slot::{Resume, Slot};
 use crate::vm::exec::{
     admits, arith, arity_error, as_f64, num_cmp, range_error, vector_set, Arith, Cmp,
 };
-use crate::vm::Vm;
+use crate::vm::{Vm, CPS_PRELUDE};
 
 /// What the VM should do after a builtin runs.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +72,28 @@ const fn variadic(name: &'static str, required: usize, body: BuiltinFn) -> Built
     Builtin { name, required, rest: true, body }
 }
 
+/// The CPS converter's direct-call test: whether CPS-converted code calls
+/// the global `name` without a continuation argument. Every builtin is
+/// direct except the ones the CPS prelude redefines in continuation-passing
+/// style: the control operators, and `%prompt-set?`, which must consult the
+/// CPS prompt list. The set is built once per process, by the first CPS
+/// compile.
+pub(crate) fn cps_direct(name: &str) -> bool {
+    static DIRECT: LazyLock<HashSet<&str>> = LazyLock::new(|| {
+        let forms = read_all(CPS_PRELUDE).expect("the CPS prelude reads");
+        let redefined = expand_program(&forms).expect("the CPS prelude expands").defined_globals;
+        BUILTINS.iter().map(|b| b.name).filter(|n| !redefined.contains(*n)).collect()
+    });
+    DIRECT.contains(name)
+}
+
 impl Vm {
+    /// Every builtin's name, in table order. Only tests need the list.
+    #[doc(hidden)]
+    pub fn builtin_names() -> impl Iterator<Item = &'static str> {
+        BUILTINS.iter().map(|b| b.name)
+    }
+
     pub(crate) fn register_builtins(&mut self) {
         for (i, b) in BUILTINS.iter().enumerate() {
             let idx = u16::try_from(i).expect("too many builtins");
@@ -101,21 +126,39 @@ impl Vm {
         Ok(self.apply(f, argc)?.into())
     }
 
-    /// Collects a proper list into a vector.
-    pub(crate) fn list_to_vec(&self, mut v: Value, who: &str) -> R<Vec<Value>> {
-        let mut out = Vec::new();
-        loop {
-            if v == Value::NIL {
-                return Ok(out);
+    /// Walks the proper list `v`, calling `visit` with each element and
+    /// the pair that holds it, and stops at the first `Some` it returns.
+    /// A tail that is neither a pair nor `()` is an `improper-list`, and so
+    /// is a cycle: a walk longer than the heap has objects has come back
+    /// to a pair it visited.
+    fn walk_list<T>(
+        &self,
+        mut v: Value,
+        who: &str,
+        mut visit: impl FnMut(Value, Value) -> R<Option<T>>,
+    ) -> R<Option<T>> {
+        for _ in 0..self.heap.len() {
+            let Some((a, d)) = v.as_obj().and_then(|r| self.heap.pair(r)) else { break };
+            if let Some(found) = visit(a, v)? {
+                return Ok(Some(found));
             }
-            match v.as_obj().and_then(|r| self.heap.pair(r)) {
-                Some((a, d)) => {
-                    out.push(a);
-                    v = d;
-                }
-                None => return Err(improper_list(who)),
-            }
+            v = d;
         }
+        if v == Value::NIL {
+            Ok(None)
+        } else {
+            Err(improper_list(who))
+        }
+    }
+
+    /// Collects a proper list into a vector.
+    pub(crate) fn list_to_vec(&self, v: Value, who: &str) -> R<Vec<Value>> {
+        let mut out = Vec::new();
+        self.walk_list(v, who, |a, _| {
+            out.push(a);
+            Ok(None::<()>)
+        })?;
+        Ok(out)
     }
 
     fn string_of(&self, v: Value, who: &str) -> R<Vec<char>> {
@@ -315,7 +358,7 @@ macro_rules! pred {
     };
 }
 
-/// Every builtin, one row each, in `BUILTIN_NAMES` order.
+/// Every builtin, one row each.
 static BUILTINS: &[Builtin] = &[
     // --- numbers ---
     variadic("+", 0, |vm, argc| {
@@ -580,8 +623,12 @@ static BUILTINS: &[Builtin] = &[
         ret!(vm, v)
     }),
     fixed("length", 1, |vm, _| {
-        let n = vm.list_to_vec(vm.arg(0), "length")?.len();
-        ret!(vm, Value::fixnum(n as i64))
+        let mut n = 0;
+        vm.walk_list(vm.arg(0), "length", |_, _| {
+            n += 1;
+            Ok(None::<()>)
+        })?;
+        ret!(vm, Value::fixnum(n))
     }),
     variadic("append", 0, |vm, argc| {
         if argc == 0 {
@@ -991,8 +1038,13 @@ static BUILTINS: &[Builtin] = &[
         let syntax_error = |message| VmError::condition(ConditionKind::SyntaxError, message);
         let datum =
             oneshot_runtime::value_to_datum(&vm.heap, &vm.syms, vm.arg(0)).map_err(syntax_error)?;
-        let prog = oneshot_compiler::compile_program(&[datum], vm.pipeline())
-            .map_err(|e| syntax_error(e.to_string()))?;
+        let prog = oneshot_compiler::compile_program_with(
+            &[datum],
+            vm.pipeline(),
+            CompilerOptions::default(),
+            cps_direct,
+        )
+        .map_err(|e| syntax_error(e.to_string()))?;
         let entry = vm.link(&prog);
         let thunk = Value::obj(vm.heap.alloc(Obj::Closure { code: entry, free: Box::new([]) }));
         Ok(Flow::Tail { f: thunk, argc: 0 })
@@ -1362,42 +1414,16 @@ fn eq(vm: &mut Vm, _: usize) -> R<Flow> {
 /// `memq` and `memv`: the first tail of the list whose car is the key.
 fn member(vm: &mut Vm, who: &str) -> R<Flow> {
     let x = vm.arg(0);
-    let mut v = vm.arg(1);
-    loop {
-        if v == Value::NIL {
-            return ret!(vm, Value::FALSE);
-        }
-        match v.as_obj().and_then(|r| vm.heap.pair(r)) {
-            Some((a, d)) => {
-                if a == x {
-                    return ret!(vm, v);
-                }
-                v = d;
-            }
-            None => return Err(improper_list(who)),
-        }
-    }
+    let tail = vm.walk_list(vm.arg(1), who, |a, pair| Ok((a == x).then_some(pair)))?;
+    ret!(vm, tail.unwrap_or(Value::FALSE))
 }
 
 /// `assq` and `assv`: the first entry of the alist whose key is the key.
 fn assoc(vm: &mut Vm, who: &str) -> R<Flow> {
     let x = vm.arg(0);
-    let mut v = vm.arg(1);
-    loop {
-        if v == Value::NIL {
-            return ret!(vm, Value::FALSE);
-        }
-        match v.as_obj().and_then(|r| vm.heap.pair(r)) {
-            Some((entry, d)) => {
-                let key = vm.car_of(entry)?;
-                if key == x {
-                    return ret!(vm, entry);
-                }
-                v = d;
-            }
-            None => return Err(improper_list(who)),
-        }
-    }
+    let entry =
+        vm.walk_list(vm.arg(1), who, |entry, _| Ok((vm.car_of(entry)? == x).then_some(entry)))?;
+    ret!(vm, entry.unwrap_or(Value::FALSE))
 }
 
 /// `call/cc` and `call-with-current-continuation`.
@@ -1411,15 +1437,45 @@ fn call_cc(vm: &mut Vm, _: usize) -> R<Flow> {
 
 #[cfg(test)]
 mod tests {
-    use oneshot_compiler::builtins::{cps_direct, BUILTIN_NAMES};
+    use std::collections::HashSet;
 
-    use super::BUILTINS;
+    use super::{cps_direct, BUILTINS};
     use crate::{Pipeline, Vm};
 
     #[test]
-    fn the_table_lists_the_compilers_names_in_order() {
-        let names: Vec<&str> = BUILTINS.iter().map(|b| b.name).collect();
-        assert_eq!(names, BUILTIN_NAMES);
+    fn no_two_rows_share_a_name() {
+        let mut seen = HashSet::new();
+        for b in BUILTINS {
+            assert!(seen.insert(b.name), "duplicate builtin {}", b.name);
+        }
+    }
+
+    /// The builtins the CPS prelude redefines, in table order. A new
+    /// CPS-prelude definition that shadows a builtin changes this list.
+    #[test]
+    fn the_cps_prelude_redefines_exactly_the_control_operators() {
+        let control: Vec<&str> =
+            BUILTINS.iter().map(|b| b.name).filter(|n| !cps_direct(n)).collect();
+        assert_eq!(
+            control,
+            [
+                "apply",
+                "call/cc",
+                "call-with-current-continuation",
+                "call/1cc",
+                "dynamic-wind",
+                "values",
+                "call-with-values",
+                "%push-prompt",
+                "%take-subcont",
+                "%push-subcont",
+                "%abort-to-prompt",
+                "%prompt-set?",
+            ]
+        );
+        assert!(cps_direct("cons"));
+        assert!(!cps_direct("map"), "prelude procedures are not direct");
+        assert!(!cps_direct("%dc-prompts"), "nor are the CPS prelude's own globals");
     }
 
     /// Each row, called from guest code with one argument too few and one

@@ -533,7 +533,8 @@ impl Vm {
         options: CompilerOptions,
     ) -> Result<CompiledProgram, VmError> {
         let forms = read_all(src).map_err(|e| VmError::Read(e.to_string()))?;
-        compile_program_with(&forms, pipeline, options).map_err(|e| VmError::Compile(e.to_string()))
+        compile_program_with(&forms, pipeline, options, builtins::cps_direct)
+            .map_err(|e| VmError::Compile(e.to_string()))
     }
 
     /// Links a [`CompiledProgram`] into this VM and returns its toplevel

@@ -190,6 +190,53 @@ const REFUSALS: &[(&str, &str, &str)] = &[
     ("(memq 3 (cons 1 2))", "improper-list", "memq: improper list"),
     ("(assq 3 (list (cons 1 2) 5))", "type-error", "car: expected pair, got 5"),
     ("(assv 3 (cons (cons 1 2) 5))", "improper-list", "assv: improper list"),
+    // A circular list is improper too: each walk stops after as many pairs
+    // as the heap holds objects.
+    (
+        "(let ((l (list 1 2 3))) (set-cdr! (cddr l) l) (length l))",
+        "improper-list",
+        "length: improper list",
+    ),
+    (
+        "(let ((l (list 1 2 3))) (set-cdr! (cddr l) l) (append l '(4)))",
+        "improper-list",
+        "append: improper list",
+    ),
+    (
+        "(let ((l (list 1 2 3))) (set-cdr! (cddr l) l) (reverse l))",
+        "improper-list",
+        "reverse: improper list",
+    ),
+    (
+        "(let ((l (list 1 2 3))) (set-cdr! (cddr l) l) (list->vector l))",
+        "improper-list",
+        "list->vector: improper list",
+    ),
+    (
+        "(let ((l (list 1 2 3))) (set-cdr! (cddr l) l) (apply + l))",
+        "improper-list",
+        "apply: improper list",
+    ),
+    (
+        "(let ((l (list 1 2 3))) (set-cdr! (cddr l) l) (memq 9 l))",
+        "improper-list",
+        "memq: improper list",
+    ),
+    (
+        "(let ((l (list 1 2 3))) (set-cdr! (cddr l) l) (memv 9 l))",
+        "improper-list",
+        "memv: improper list",
+    ),
+    (
+        "(let ((l (list (cons 1 2)))) (set-cdr! l l) (assq 9 l))",
+        "improper-list",
+        "assq: improper list",
+    ),
+    (
+        "(let ((l (list (cons 1 2)))) (set-cdr! l l) (assv 9 l))",
+        "improper-list",
+        "assv: improper list",
+    ),
     ("undefined-thing", "unbound-variable", "unbound variable: undefined-thing"),
     ("(undefined-thing 1)", "unbound-variable", "unbound variable: undefined-thing"),
     ("(set! nope 1)", "unbound-variable", "assignment to unbound variable: nope"),

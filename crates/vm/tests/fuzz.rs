@@ -8,7 +8,6 @@
 //! The normal run takes 512 cases; the `#[ignore]`d sweep takes 20 000
 //! (`cargo test --release -p oneshot-vm --test fuzz -- --ignored`).
 
-use oneshot_compiler::builtins::BUILTIN_NAMES;
 use oneshot_vm::{Pipeline, Vm, VmError};
 use proptest::prelude::*;
 use proptest::test_runner::run;
@@ -57,7 +56,7 @@ const FUEL: u32 = 100_000;
 const HEAP_BUDGET: usize = 200_000;
 
 fn call() -> impl Strategy<Value = String> {
-    let names: Vec<&str> = BUILTIN_NAMES.iter().copied().filter(|n| !excluded(n)).collect();
+    let names: Vec<&str> = Vm::builtin_names().filter(|n| !excluded(n)).collect();
     let args = proptest::collection::vec(proptest::sample::select(ATOMS.to_vec()), 0..5);
     (proptest::sample::select(names), args).prop_map(|(name, args)| {
         format!("({name}{})", args.iter().map(|a| format!(" {a}")).collect::<String>())
